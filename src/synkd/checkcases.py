@@ -28,10 +28,10 @@ from .encoders import (
     Params,
     ScoredSpans,
     StudentEncoder,
-    adjacency,
     con_enc_graph,
     dep_edges,
     dep_enc_graph,
+    gcn_edges,
     gcn_layer,
     span_order,
     tree_encode,
@@ -67,61 +67,62 @@ def random_bintree(rng, n, n_labels):
     return BinTree(n, spans)
 
 
-def weighted_sum(rows, rng):
-    """Scalarize a list of (1, d) rows with a fixed random functional."""
-    mat = T.concat(rows, axis=0)
+def weighted_sum(mat, rng):
+    """Scalarize a matrix with a fixed random functional."""
     w = Tensor(rng.standard_normal(mat.shape).astype(F64))
     return T.sum_(T.mul(mat, w))
+
+
+def batch_sizes(rng):
+    """Sentence lengths of a mixed batch of three trees."""
+    return [1 + int(rng.integers(1, 5)) for _ in range(3)]
 
 
 # ----------------------------------------------------------------- encoders
 
 def case_childsum(rng):
-    n = int(rng.integers(2, 6))
     in_dim, hid = 3, 2
     p = Params()
     up = ChildSumCell(p, "up", in_dim, hid, rng, dtype=F64)
     down = ChildSumCell(p, "down", in_dim, hid, rng, dtype=F64)
-    graph = dep_enc_graph(random_heads(rng, n))
-    x = [rand_param(rng, (1, in_dim)) for _ in range(n)]
+    graphs = [dep_enc_graph(random_heads(rng, n)) for n in batch_sizes(rng)]
+    x = rand_param(rng, (sum(len(g.children) for g in graphs), in_dim))
 
     def f():
-        rows = tree_encode(graph, x, up, down_cell=down, direction="both")
-        return weighted_sum(rows, np.random.default_rng(0))
+        return weighted_sum(tree_encode(graphs, x, up, down_cell=down, direction="both"),
+                            np.random.default_rng(0))
 
-    return f, p.all() + x
+    return f, p.all() + [x]
 
 
 def case_nary(rng):
-    n = int(rng.integers(2, 6))
     in_dim, hid = 3, 2
     p = Params()
     up = NaryCell(p, "up", in_dim, hid, rng, n_ary=2, dtype=F64)
-    bt = random_bintree(rng, n, 2)
-    graph, _spans = con_enc_graph(bt)
-    x = [rand_param(rng, (1, in_dim)) for _ in range(len(graph.children))]
+    down = NaryCell(p, "down", in_dim, hid, rng, n_ary=2, dtype=F64)
+    graphs = [con_enc_graph(random_bintree(rng, n, 2))[0] for n in batch_sizes(rng)]
+    x = rand_param(rng, (sum(len(g.children) for g in graphs), in_dim))
 
     def f():
-        rows = tree_encode(graph, x, up, direction="bottom-up")
-        return weighted_sum(rows, np.random.default_rng(0))
+        return weighted_sum(tree_encode(graphs, x, up, down_cell=down, direction="both"),
+                            np.random.default_rng(0))
 
-    return f, p.all() + x
+    return f, p.all() + [x]
 
 
 def case_gcn(rng):
-    n = int(rng.integers(2, 6))
     d = 3
-    heads = random_heads(rng, n)
-    adj = Tensor(adjacency(n, dep_edges(heads), dtype=F64).data)
-    x = rand_param(rng, (n, d))
+    sizes = batch_sizes(rng)
+    edges = gcn_edges(sizes, [dep_edges(random_heads(rng, n)) for n in sizes])
+    x = rand_param(rng, (sum(sizes), d))
     ws = [rand_param(rng, (d, d)) for _ in range(2)]
     bs = [rand_param(rng, (d,)) for _ in range(2)]
 
     def f():
         h = x
         for w, b in zip(ws, bs):
-            h = gcn_layer(adj, h, w, b)
-        return T.sum_(T.mul(h, Tensor(np.full((n, d), 0.7, dtype=F64))))
+            h = gcn_layer(h, edges, w, b)
+        return T.sum_(T.mul(h, Tensor(np.full(h.shape, 0.7, dtype=F64))))
 
     return f, [x] + ws + bs
 
@@ -142,6 +143,23 @@ def case_student_bilstm(rng):
                      T.sum_(T.mul(out["l1f"], w_l1)))
 
     return f, p.all()
+
+
+# --------------------------------------------------------------- primitives
+
+def case_segment_sum(rng):
+    rows, n_seg = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+    seg = rng.integers(0, n_seg, size=rows)
+    x = rand_param(rng, (rows, 3))
+    return (lambda: weighted_sum(T.segment_sum(x, seg, n_seg),
+                                 np.random.default_rng(0))), [x]
+
+
+def case_log_softmax(rng):
+    x = rand_param(rng, (int(rng.integers(1, 4)), int(rng.integers(2, 5))), scale=2.0)
+    axis = int(rng.integers(0, 2))
+    return (lambda: weighted_sum(T.log_softmax(x, axis=axis),
+                                 np.random.default_rng(0))), [x]
 
 
 # ------------------------------------------------------------------- losses
@@ -268,6 +286,8 @@ SUITES = {
     "nary_treelstm": case_nary,
     "gcn": case_gcn,
     "student_bilstm": case_student_bilstm,
+    "segment_sum": case_segment_sum,
+    "log_softmax": case_log_softmax,
     "output_distill": case_output_distill,
     "feat_distill": case_feat_distill,
     "syn_combine": case_syn_combine,

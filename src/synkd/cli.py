@@ -72,7 +72,6 @@ DEFAULTS = {
     "zeta": 0.2,
     "alpha_fixed": None,
     "mask_ratio": 0.15,
-    "temperature": 1.0,
     # schedule / optimization
     "iters": 10_000,
     "g1": 300,
@@ -156,7 +155,6 @@ RULES = {
     "zeta": (lambda v: _is_num(v) and v >= 0.0, ">= 0"),
     "alpha_fixed": (_opt(lambda v: _is_num(v) and 0.0 <= v <= 1.0), "in [0, 1]"),
     "mask_ratio": (lambda v: _is_num(v) and 0.0 < v < 1.0, "in (0, 1)"),
-    "temperature": (lambda v: _is_num(v) and v > 0.0, "> 0"),
     "iters": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
     "g1": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
     "g2": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
@@ -413,7 +411,6 @@ def cmd_distill(args):
         mode=cfg["mode"],
         teacher_mode=cfg["teacher_mode"],
         mask_ratio=cfg["mask_ratio"],
-        temperature=cfg["temperature"],
         alpha_fixed=1.0 if cfg["no_anneal"] else cfg["alpha_fixed"],
     )
     # default phase lengths shrink to fit short runs; explicit values are
@@ -497,7 +494,7 @@ def cmd_induce(args):
     con_itos = model.codec.con_labels.itos
     tree_lines, head_lines = [], []
     for enc in encs:
-        rows = model.reps(enc.main).mat
+        rows, _ = model.reps([enc.main])
         heads = model.arc_scorer(rows).arc_logits.data.argmax(axis=1)
         head_lines.append(" ".join(str(int(h)) for h in heads))
         scored = model.span_scorer(rows)

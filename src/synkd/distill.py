@@ -30,7 +30,6 @@ class DistillConfig:
     mode: str = "B"              # syntax injection: A = features, B = structures
     teacher_mode: str = "hard"   # arc/label/span targets: soft heads or parse one-hots
     mask_ratio: float = 0.15
-    temperature: float = 1.0
     alpha_fixed: float | None = None  # overrides the linear schedule when set
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class DistillConfig:
             raise DistillError(f"teacher mode must be soft or hard, got {self.teacher_mode!r}")
         if not 0.0 < self.mask_ratio < 1.0:
             raise DistillError(f"mask ratio must be in (0, 1), got {self.mask_ratio}")
-        if self.temperature <= 0:
-            raise DistillError(f"temperature must be positive, got {self.temperature}")
         if self.total_iters < 1:
             raise DistillError("total_iters must be >= 1")
         if self.alpha_fixed is not None and not 0.0 <= self.alpha_fixed <= 1.0:
@@ -62,7 +59,6 @@ class TeacherSet:
     """Frozen, pre-trained teachers grouped by structure type."""
     dep: list = field(default_factory=list)
     con: list = field(default_factory=list)
-    frozen: bool = True
 
     def __post_init__(self):
         for m in self.dep:
@@ -87,14 +83,6 @@ def anneal_alpha(t: int, total: int) -> float:
     if not 0 <= t <= total:
         raise DistillError(f"iteration {t} outside [0, {total}]")
     return t / total
-
-
-def apply_temperature(dist: np.ndarray, temperature: float) -> np.ndarray:
-    """Sharpen/flatten a distribution as softmax(log p / temperature)."""
-    if temperature == 1.0:
-        return dist
-    p = np.power(np.maximum(dist, 1e-12), 1.0 / temperature)
-    return p / p.sum(axis=-1, keepdims=True)
 
 
 def _check_normalized(name, arr):
@@ -122,7 +110,7 @@ def output_distill_loss(y, teacher_dists, student_logits: Tensor, alpha: float) 
         target = alpha * y + (1.0 - alpha) * mix
     else:
         target = y
-    log_p = T.log(T.softmax(student_logits, axis=-1))
+    log_p = T.log_softmax(student_logits, axis=-1)
     target_t = Tensor(target.astype(log_p.dtype))
     return T.scale(T.mean(T.sum_(T.mul(target_t, log_p), axis=1)), -1.0)
 
@@ -155,7 +143,7 @@ def ce_sum(logits: Tensor, targets) -> Tensor:
     n, c = logits.shape
     if targets.shape != (n,):
         raise DistillError(f"target shape {targets.shape} != ({n},)")
-    log_p = T.log(T.softmax(logits, axis=-1))
+    log_p = T.log_softmax(logits, axis=-1)
     picked = T.take(log_p, np.arange(n) * c + targets)
     return T.scale(T.sum_(picked), -1.0)
 
@@ -216,20 +204,21 @@ def hard_arc_targets(heads, dep_label_ids, n_labels):
     return arc, lab, np.asarray(heads, dtype=np.int64)
 
 
-def soft_arc_targets(teacher, side):
-    """Teacher head's predicted arc distribution and its argmax-arc labels."""
-    scores = teacher.struct_head(teacher.reps(side).mat)
+def soft_arc_targets(teacher, rows: Tensor):
+    """Teacher head's predicted arc distribution and its argmax-arc labels,
+    from the teacher's (n, d) token representations of one sentence."""
+    scores = teacher.struct_head(rows)
     arc = T.softmax(scores.arc_logits, axis=1).data.astype(np.float64)
     best = arc.argmax(axis=1)
-    n = side.n
+    n = rows.shape[0]
     lab_all = T.softmax(scores.label_logits, axis=-1).data.astype(np.float64)
     lab = lab_all[np.arange(n), best, :]
     return arc, lab, best
 
 
-def soft_con_target(teacher, side) -> BinTree:
+def soft_con_target(teacher, rows: Tensor) -> BinTree:
     """The teacher span scorer's CYK argmax tree, used as T* in soft mode."""
-    scored = teacher.struct_head(teacher.reps(side).mat)
+    scored = teacher.struct_head(rows)
     tree, _ = cyk_max(SpanScores(scored.n, scored.to_table()))
     return tree
 
@@ -250,10 +239,10 @@ def dep_inject_loss(student_scores, teacher_arc, teacher_label, teacher_best) ->
     _check_normalized("arc target", teacher_arc)
     _check_normalized("label target", teacher_label)
 
-    log_arc = T.log(T.softmax(arc_logits, axis=1))
+    log_arc = T.log_softmax(arc_logits, axis=1)
     arc_term = T.scale(T.sum_(T.mul(Tensor(teacher_arc.astype(log_arc.dtype)), log_arc)), -1.0)
 
-    log_lab = T.log(T.softmax(student_scores.label_logits, axis=-1))
+    log_lab = T.log_softmax(student_scores.label_logits, axis=-1)
     flat = (np.arange(n) * cols + teacher_best)[:, None] * n_labels + np.arange(n_labels)
     picked = T.take(log_lab, flat.reshape(-1))
     lab_term = T.scale(T.sum_(T.mul(Tensor(teacher_label.reshape(-1).astype(log_lab.dtype)),

@@ -6,10 +6,14 @@ BiLSTM student, task heads, and the two structure-scoring heads (biaffine
 arc/label scorer, span scorer). All parameters live in per-model Params
 registries so the full parameter vector is enumerable for regularization
 and checkpointing.
+
+Teachers encode a whole batch of sentences at once: tree cells run once per
+tree level across every tree of the batch (dynamic batching), and the GCN
+sums messages over the batch's stacked edge lists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,28 +77,52 @@ class CellState:
 
 
 @dataclass
-class NodeReps:
-    mat: Tensor  # (n, d)
-    source: str  # dep-tree | con-tree | student
-
-    @property
-    def n(self):
-        return self.mat.shape[0]
-
-    @property
-    def dim(self):
-        return self.mat.shape[1]
-
-
-def _zero_state(hid, dtype):
-    z = Tensor(np.zeros((1, hid), dtype=dtype))
-    return CellState(z, z)
+class LevelKids:
+    """Incoming edges of the parents in one level, ordered by (seg, slot):
+    edge k feeds the state at buffer row src[k] (row 0 is the zero state) to
+    the level's parent seg[k] as its slot[k]-th child."""
+    seg: np.ndarray
+    slot: np.ndarray
+    src: np.ndarray
 
 
 # ---------------------------------------------------------------------------
 # tree cells
 
-class ChildSumCell:
+class TreeCell:
+    """A cell runs one tree level at a time: `fuse` concatenates the per-gate
+    parameters into the blocks the level kernel multiplies by, and `level`
+    maps the level's projected inputs plus its children's states to the new
+    (h, c) rows."""
+
+    def step(self, x: Tensor, children) -> CellState:
+        """One parent, through the level kernel."""
+        w, b, rec = self.fuse()
+        zero = Tensor(np.zeros((1, self.hid), dtype=x.dtype))
+        k = len(children)
+        kids = LevelKids(np.zeros(k, dtype=np.int64), np.arange(k), np.arange(1, k + 1))
+        h, c = self.level(rec, T.add(T.matmul(x, w), b), kids,
+                          T.concat([zero] + [s.h for s in children], axis=0),
+                          T.concat([zero] + [s.c for s in children], axis=0))
+        return CellState(h, c)
+
+
+def _lstm_update(pre, hid, forget_sum):
+    """h, c from [i, o, u] pre-activations plus the gated child-memory sum."""
+    io = T.sigmoid(T.slice_cols(pre, 0, 2 * hid))
+    c = T.mul(T.slice_cols(io, 0, hid), T.tanh(T.slice_cols(pre, 2 * hid, 3 * hid)))
+    if forget_sum is not None:
+        c = T.add(c, forget_sum)
+    return T.mul(T.slice_cols(io, hid, 2 * hid), T.tanh(c)), c
+
+
+def _row_keys(*mats):
+    """One opaque key per row whose order is the byte order of the rows."""
+    m = np.ascontiguousarray(np.concatenate(mats, axis=1))
+    return m.view(np.dtype((np.void, m.shape[1] * m.itemsize))).ravel()
+
+
+class ChildSumCell(TreeCell):
     """Child-Sum TreeLSTM cell: gates from the summed child state, one forget
     gate per child computed from that child's own hidden state.
 
@@ -114,33 +142,28 @@ class ChildSumCell:
             self.U[g] = p.add(f"{prefix}/U{g}", (hid, hid), rng, dtype=dtype)
             self.b[g] = p.add(f"{prefix}/b{g}", (hid,), init="zeros", dtype=dtype)
 
-    def step(self, x: Tensor, children) -> CellState:
-        if x.shape[1] != self.W["i"].shape[0]:
-            raise ValueError(f"input dim {x.shape[1]} != cell in_dim "
-                             f"{self.W['i'].shape[0]}")
-        children = sorted(children,
-                          key=lambda s: (s.h.data.tobytes(), s.c.data.tobytes()))
-        if children:
-            hbar = children[0].h
-            for ch in children[1:]:
-                hbar = T.add(hbar, ch.h)
-        else:
-            hbar = Tensor(np.zeros((1, self.hid), dtype=self.dtype))
+    def fuse(self):
+        """Input block (in, 4h) and bias as [i, o, u, f]; U_iou (h, 3h), U_f."""
+        w = T.concat([self.W[g] for g in "iouf"], axis=1)
+        b = T.concat([self.b[g] for g in "iouf"], axis=0)
+        return w, b, (T.concat([self.U[g] for g in "iou"], axis=1), self.U["f"])
 
-        def gate(g, h):
-            return T.add(T.add(T.matmul(x, self.W[g]), T.matmul(h, self.U[g])), self.b[g])
-
-        i = T.sigmoid(gate("i", hbar))
-        o = T.sigmoid(gate("o", hbar))
-        u = T.tanh(gate("u", hbar))
-        c = T.mul(i, u)
-        for ch in children:
-            f = T.sigmoid(gate("f", ch.h))
-            c = T.add(c, T.mul(f, ch.c))
-        return CellState(T.mul(o, T.tanh(c)), c)
+    def level(self, rec, xw, kids: LevelKids, H: Tensor, C: Tensor):
+        hid, n = self.hid, xw.shape[0]
+        pre = T.slice_cols(xw, 0, 3 * hid)
+        if not kids.src.size:
+            return _lstm_update(pre, hid, None)
+        order = np.lexsort((_row_keys(H.data[kids.src], C.data[kids.src]), kids.seg))
+        seg, src = kids.seg[order], kids.src[order]
+        kid_h, kid_c = T.embedding(H, src), T.embedding(C, src)
+        u_iou, u_f = rec
+        pre = T.add(pre, T.matmul(T.segment_sum(kid_h, seg, n), u_iou))
+        f = T.sigmoid(T.add(T.embedding(T.slice_cols(xw, 3 * hid, 4 * hid), seg),
+                            T.matmul(kid_h, u_f)))
+        return _lstm_update(pre, hid, T.segment_sum(T.mul(f, kid_c), seg, n))
 
 
-class NaryCell:
+class NaryCell(TreeCell):
     """N-ary TreeLSTM cell with per-branch U matrices and per-(child, branch)
     forget matrices; absent children contribute zero state."""
 
@@ -158,33 +181,32 @@ class NaryCell:
         self.Uf = [[p.add(f"{prefix}/Uf{k}{q}", (hid, hid), rng, dtype=dtype)
                     for q in range(n_ary)] for k in range(n_ary)]
 
-    def step(self, x: Tensor, children) -> CellState:
-        if len(children) > self.n_ary:
-            raise ValueError(
-                f"{len(children)} children exceed N={self.n_ary}; binarize first")
-        kids = list(children) + [_zero_state(self.hid, self.dtype)
-                                 for _ in range(self.n_ary - len(children))]
+    def fuse(self):
+        """Input block and bias as [i, o, u, f_0 .. f_N-1]; the recurrent
+        block (N h, 3h + N h) holds, in row block q, child q's weights into
+        every gate."""
+        n = self.n_ary
+        w = T.concat([self.W[g] for g in "iou"] + [self.W["f"]] * n, axis=1)
+        b = T.concat([self.b[g] for g in "iou"] + [self.b["f"]] * n, axis=0)
+        rec = T.concat([T.concat([self.U[g][q] for g in "iou"]
+                                 + [self.Uf[k][q] for k in range(n)], axis=1)
+                        for q in range(n)], axis=0)
+        return w, b, rec
 
-        def branch_sum(g):
-            acc = T.matmul(kids[0].h, self.U[g][0])
-            for q in range(1, self.n_ary):
-                acc = T.add(acc, T.matmul(kids[q].h, self.U[g][q]))
-            return acc
-
-        def gate(pre):
-            return T.add(T.add(T.matmul(x, self.W[pre]), branch_sum(pre)), self.b[pre])
-
-        i = T.sigmoid(gate("i"))
-        o = T.sigmoid(gate("o"))
-        u = T.tanh(gate("u"))
-        c = T.mul(i, u)
-        for k in range(self.n_ary):
-            acc = T.matmul(kids[0].h, self.Uf[k][0])
-            for q in range(1, self.n_ary):
-                acc = T.add(acc, T.matmul(kids[q].h, self.Uf[k][q]))
-            f = T.sigmoid(T.add(T.add(T.matmul(x, self.W["f"]), acc), self.b["f"]))
-            c = T.add(c, T.mul(f, kids[k].c))
-        return CellState(T.mul(o, T.tanh(c)), c)
+    def level(self, rec, xw, kids: LevelKids, H: Tensor, C: Tensor):
+        hid, n, m = self.hid, xw.shape[0], self.n_ary
+        if not kids.src.size:
+            return _lstm_update(xw, hid, None)
+        if kids.slot.max() >= m:
+            raise ValueError(f"{kids.slot.max() + 1} children exceed N={m}; binarize first")
+        rows = np.zeros((n, m), dtype=np.int64)  # absent children read the zero row
+        rows[kids.seg, kids.slot] = kids.src
+        flat = rows.reshape(-1)
+        kid_h = T.reshape(T.embedding(H, flat), (n, m * hid))
+        kid_c = T.reshape(T.embedding(C, flat), (n, m * hid))
+        pre = T.add(xw, T.matmul(kid_h, rec))
+        fc = T.mul(T.sigmoid(T.slice_cols(pre, 3 * hid, (3 + m) * hid)), kid_c)
+        return _lstm_update(pre, hid, T.sum_(T.reshape(fc, (n, m, hid)), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +214,28 @@ class NaryCell:
 
 @dataclass
 class EncGraph:
-    """Rooted tree over encoder nodes plus the token -> node row map."""
+    """Rooted tree over encoder nodes plus the token -> node row map.
+
+    height (leaves 0) and depth (root 0) are each node's level in a batched
+    bottom-up and top-down pass."""
     children: list     # per node: ordered child node indices
     parent: list       # per node: parent index, -1 at the root
     token_rows: list   # token position -> node index
     order: list        # topological order, children before parents
+    height: np.ndarray = field(init=False)
+    depth: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        n = len(self.children)
+        height, depth, parent = [0] * n, [0] * n, self.parent
+        for v in self.order:
+            p = parent[v]
+            if p >= 0 and height[p] <= height[v]:
+                height[p] = height[v] + 1
+        for v in reversed(self.order):
+            if parent[v] >= 0:
+                depth[v] = depth[parent[v]] + 1
+        self.height, self.depth = np.array(height), np.array(depth)
 
 
 def dep_enc_graph(heads) -> EncGraph:
@@ -246,76 +285,97 @@ def con_enc_graph(bt: BinTree):
 
 
 def _topo_order(children, root, n):
-    order, stack, seen = [], [(root, False)], set()
-    while stack:
-        v, expanded = stack.pop()
-        if expanded:
-            order.append(v)
-            continue
-        if v in seen:
-            raise DataError(f"cycle reached node {v}")
-        seen.add(v)
-        stack.append((v, True))
-        for c in reversed(children[v]):
-            stack.append((c, False))
+    """Reversed breadth-first order from the root: children before parents."""
+    order = [root]
+    for v in order:
+        order.extend(children[v])
+        if len(order) > n:
+            raise DataError(f"node {v} closes a cycle")
     if len(order) != n:
         raise DataError("tree does not reach all nodes")
+    order.reverse()
     return order
 
 
-def tree_encode(graph: EncGraph, inputs, up_cell, down_cell=None, direction="both"):
-    """Per-node representations by recursive cell application.
+def offsets(counts) -> np.ndarray:
+    """Row offsets of stacked blocks: block b is rows [off[b], off[b + 1])."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
-    bottom-up: children feed parents; top-down: the parent state is the
-    single child input of each node (root gets zero state); both: concat.
-    Returns one (1, width) tensor per node.
+
+def tree_encode(graphs, x: Tensor, up_cell, down_cell=None, direction="both") -> Tensor:
+    """Node representations for a batch of trees, one cell call per level.
+
+    x stacks every graph's node inputs in graph order. bottom-up: children
+    feed parents, level by height; top-down: the parent state is the single
+    child input of each node (roots get zero state), level by depth; both:
+    concat. Returns the (total nodes, width) matrix in the rows of x.
     """
     if direction not in ("bottom-up", "top-down", "both"):
         raise ValueError(f"unknown direction {direction!r}")
-    rows_up = rows_down = None
+    node_off = offsets([len(g.children) for g in graphs])
+    if x.shape[0] != node_off[-1]:
+        raise ValueError(f"{x.shape[0]} input rows for {node_off[-1]} tree nodes")
+    # (parent, child, slot) per tree edge, slot being the child's position
+    # among its siblings
+    parent, child, slot = np.array(
+        [(v + o, c + o, q) for g, o in zip(graphs, node_off)
+         for v, cs in enumerate(g.children) for q, c in enumerate(cs)],
+        dtype=np.int64).reshape(-1, 3).T
+    outs = []
     if direction in ("bottom-up", "both"):
-        states = {}
-        for v in graph.order:
-            states[v] = up_cell.step(inputs[v], [states[c] for c in graph.children[v]])
-        rows_up = {v: s.h for v, s in states.items()}
+        level = np.concatenate([g.height for g in graphs])
+        outs.append(_level_pass(up_cell, x, level, parent, child, slot))
     if direction in ("top-down", "both"):
-        cell = down_cell if down_cell is not None else up_cell
-        states = {}
-        for v in reversed(graph.order):
-            p = graph.parent[v]
-            states[v] = cell.step(inputs[v], [] if p < 0 else [states[p]])
-        rows_down = {v: s.h for v, s in states.items()}
-    m = len(graph.children)
-    if direction == "bottom-up":
-        return [rows_up[v] for v in range(m)]
-    if direction == "top-down":
-        return [rows_down[v] for v in range(m)]
-    return [T.concat([rows_up[v], rows_down[v]], axis=1) for v in range(m)]
+        level = np.concatenate([g.depth for g in graphs])
+        outs.append(_level_pass(down_cell if down_cell is not None else up_cell,
+                                x, level, child, parent, np.zeros_like(slot)))
+    return outs[0] if len(outs) == 1 else T.concat(outs, axis=1)
 
 
-def token_matrix(rows, token_rows) -> Tensor:
-    return T.concat([rows[v] for v in token_rows], axis=0)
+def _level_pass(cell, x, level, dst, src, slot):
+    """Nodes sorted by level; each level's inputs come from the state buffer
+    of lower levels, which grows by one block of rows per level."""
+    perm = np.argsort(level, kind="stable")
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(perm.size)
+    dst, src = pos[dst], pos[src] + 1  # buffer row 0 is the zero state
+    order = np.lexsort((slot, dst))
+    dst, src, slot = dst[order], src[order], slot[order]
+    w, b, rec = cell.fuse()
+    H = C = Tensor(np.zeros((1, cell.hid), dtype=x.dtype))
+    lo = 0
+    for hi in np.cumsum(np.bincount(level)):
+        a, z = np.searchsorted(dst, [lo, hi])
+        kids = LevelKids(dst[a:z] - lo, slot[a:z], src[a:z])
+        # projected per level, so a level of one node computes what step() does
+        xw = T.add(T.matmul(T.embedding(x, perm[lo:hi]), w), b)
+        h, c = cell.level(rec, xw, kids, H, C)
+        H, C = T.concat([H, h], axis=0), T.concat([C, c], axis=0)
+        lo = hi
+    return T.embedding(H, pos + 1)
 
 
 # ---------------------------------------------------------------------------
 # GCN
 
-def gcn_layer(adj: Tensor, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def gcn_layer(h: Tensor, edges, w: Tensor, b: Tensor) -> Tensor:
     """Gated propagation: each node's features are gated by its own sigmoid
-    gate, then summed over in-neighbors and rectified."""
+    gate, then summed over in-neighbors (self included) and rectified.
+    edges: (src, dst) message arrays from gcn_edges."""
+    src, dst = edges
     gate = T.sigmoid(T.add(T.matmul(h, w), b))
-    return T.relu(T.matmul(adj, T.mul(h, gate)))
+    return T.relu(T.segment_sum(T.embedding(T.mul(h, gate), src), dst, h.shape[0]))
 
 
-def adjacency(n_nodes, edges, dtype=np.float32) -> Tensor:
-    """Symmetric 0/1 adjacency with self-loops from an (a, b) edge list."""
-    a = np.eye(n_nodes, dtype=dtype)
-    for i, j in edges:
-        a[i, j] = 1.0
-        a[j, i] = 1.0
-    if n_nodes == 0 or (a.sum(axis=1) < 1).any():
-        raise DataError("isolated node in encoder graph")
-    return Tensor(a)
+def gcn_edges(sizes, trees):
+    """(src, dst) messages for a batch of graphs stacked block-diagonally:
+    each node to itself, and both ways along every (a, b) edge of each
+    graph's tree, as in a symmetric 0/1 adjacency with self-loops."""
+    off = offsets(sizes)
+    e = np.array([(a + o, b + o) for t, o in zip(trees, off) for a, b in t],
+                 dtype=np.int64).reshape(-1, 2)
+    loops = np.arange(off[-1])
+    return np.concatenate([loops, e[:, 0], e[:, 1]]), np.concatenate([loops, e[:, 1], e[:, 0]])
 
 
 def dep_edges(heads):
@@ -390,16 +450,16 @@ class StudentEncoder:
         top = T.concat(x_steps, axis=0)
         return {"top": top, "l1f": l1f, "batch": bsz, "steps": steps}
 
-    def encode(self, token_ids, train=False, rng=None):
-        out = self.encode_batch(np.asarray(token_ids)[None, :], train=train, rng=rng)
-        return NodeReps(out["top"], "student"), out["l1f"]
-
 
 # ---------------------------------------------------------------------------
 # task heads
 
-def mean_pool(mat: Tensor) -> Tensor:
-    return T.mean(mat, axis=0, keepdims=True)
+def segment_mean(mat: Tensor, off) -> Tensor:
+    """Mean of each block of rows [off[b], off[b + 1]) -> (B, width)."""
+    counts = np.diff(off)
+    total = T.segment_sum(mat, np.repeat(np.arange(counts.size), counts), counts.size)
+    scale = np.repeat((1.0 / counts)[:, None], mat.shape[1], axis=1)
+    return T.mul(total, Tensor(scale.astype(mat.dtype)))
 
 
 class ClassifyHead:
@@ -435,9 +495,9 @@ class TagHead:
         self.W = p.add(f"{prefix}/W", (in_dim + ind_dim, n_tags), rng, dtype=dtype)
         self.b = p.add(f"{prefix}/b", (n_tags,), init="zeros", dtype=dtype)
 
-    def __call__(self, mat: Tensor, predicate: int) -> Tensor:
-        n = mat.shape[0]
-        flags = np.zeros(n, dtype=np.int64)
+    def __call__(self, mat: Tensor, predicate) -> Tensor:
+        """predicate: the row (or rows, one per stacked sentence) to flag."""
+        flags = np.zeros(mat.shape[0], dtype=np.int64)
         flags[predicate] = 1
         feat = T.concat([mat, T.embedding(self.ind, flags)], axis=1)
         return T.add(T.matmul(feat, self.W), self.b)
@@ -666,8 +726,11 @@ class EncodedExample:
 # ---------------------------------------------------------------------------
 # assembled models
 
+BATCH_ROWS = 128  # sentences per forward pass when predicting
+
+
 class BaseModel:
-    """Common plumbing: params registry, task head dispatch, distributions."""
+    """Common plumbing: params registry, batching, task head dispatch."""
 
     def __init__(self, codec: Codec, rng, dtype=np.float32, emb_dropout=0.4):
         self.codec = codec
@@ -693,19 +756,41 @@ class BaseModel:
             return T.dropout(x, self.emb_dropout, rng)
         return x
 
-    def logits(self, enc: EncodedExample, train=False, rng=None) -> Tensor:
-        if self.task == "pair":
-            u = mean_pool(self.reps(enc.main, train, rng).mat)
-            v = mean_pool(self.reps(enc.partner, train, rng).mat)
-            return self.head(u, v)
-        reps = self.reps(enc.main, train, rng)
-        if self.task == "tag":
-            return self.head(reps.mat, enc.predicate)
-        return self.head(mean_pool(reps.mat))
+    def _node_rows(self, inputs, train, rng) -> Tensor:
+        """Input rows for stacked ("word" | "label", id) node inputs: word and
+        label embeddings share one dropout and are interleaved by one gather."""
+        is_word = np.array([k == "word" for k, _ in inputs], dtype=bool)
+        ids = np.array([i for _, i in inputs], dtype=np.int64)
+        x = self._dropout(T.concat([T.embedding(self.emb, ids[is_word]),
+                                    T.embedding(self.label_emb, ids[~is_word])],
+                                   axis=0), train, rng)
+        n_words = int(is_word.sum())
+        order = np.empty(ids.size, dtype=np.int64)
+        order[is_word] = np.arange(n_words)
+        order[~is_word] = n_words + np.arange(ids.size - n_words)
+        return T.embedding(x, order)
 
-    def class_distribution(self, enc: EncodedExample) -> np.ndarray:
-        out = T.softmax(self.logits(enc), axis=-1)
-        return out.data.copy()
+    def batches(self, data):
+        """Index chunks, in data order, that prediction runs through `logits`
+        together."""
+        return [range(lo, min(lo + BATCH_ROWS, len(data)))
+                for lo in range(0, len(data), BATCH_ROWS)]
+
+    def logits(self, encs, train=False, rng=None) -> Tensor:
+        """Task logits for a batch: (B, C), or (total tokens, C) stacked by
+        sentence for tagging."""
+        return self.head_logits(encs, self.reps([e.main for e in encs], train, rng),
+                                train, rng)
+
+    def head_logits(self, encs, main, train=False, rng=None) -> Tensor:
+        """Task logits from already computed main-side (reps, offsets)."""
+        mat, off = main
+        if self.task == "pair":
+            return self.head(segment_mean(mat, off), segment_mean(
+                *self.reps([e.partner for e in encs], train, rng)))
+        if self.task == "tag":
+            return self.head(mat, off[:-1] + np.array([e.predicate for e in encs]))
+        return self.head(segment_mean(mat, off))
 
     def add_structure_head(self, arc_dim=64):
         """Arc/label scorer for dependency models, span scorer for constituency
@@ -746,12 +831,14 @@ class DepTreeLstmModel(BaseModel):
         self._make_head(2 * hidden)
         self.rep_dim = 2 * hidden
 
-    def reps(self, side: EncodedSide, train=False, rng=None) -> NodeReps:
-        x = self._dropout(T.embedding(self.emb, side.token_ids), train, rng)
-        rows = [T.slice_rows(x, i, i + 1) for i in range(side.n)]
+    def reps(self, sides, train=False, rng=None):
+        """Stacked token rows of a batch of sides plus their row offsets."""
+        ids = np.concatenate([s.token_ids for s in sides])
+        x = self._dropout(T.embedding(self.emb, ids), train, rng)
+        graphs = [s.dep_graph for s in sides]
         for up, down in self.cells:
-            rows = tree_encode(side.dep_graph, rows, up, down, "both")
-        return NodeReps(token_matrix(rows, side.dep_graph.token_rows), "dep-tree")
+            x = tree_encode(graphs, x, up, down, "both")
+        return x, offsets([s.n for s in sides])  # dependency nodes are the tokens
 
 
 class ConTreeLstmModel(BaseModel):
@@ -777,23 +864,16 @@ class ConTreeLstmModel(BaseModel):
         self._make_head(2 * hidden)
         self.rep_dim = 2 * hidden
 
-    def reps(self, side: EncodedSide, train=False, rng=None) -> NodeReps:
-        word_ids = np.array([i for kind, i in side.con_inputs if kind == "word"])
-        label_ids = np.array([i for kind, i in side.con_inputs if kind == "label"])
-        words = self._dropout(T.embedding(self.emb, word_ids), train, rng)
-        labels = (self._dropout(T.embedding(self.label_emb, label_ids), train, rng)
-                  if label_ids.size else None)
-        rows, wi, li = [], 0, 0
-        for kind, _ in side.con_inputs:
-            if kind == "word":
-                rows.append(T.slice_rows(words, wi, wi + 1))
-                wi += 1
-            else:
-                rows.append(T.slice_rows(labels, li, li + 1))
-                li += 1
+    def reps(self, sides, train=False, rng=None):
+        """Stacked token rows of a batch of sides plus their row offsets."""
+        graphs = [s.con_graph for s in sides]
+        x = self._node_rows([p for s in sides for p in s.con_inputs], train, rng)
         for up, down in self.cells:
-            rows = tree_encode(side.con_graph, rows, up, down, "both")
-        return NodeReps(token_matrix(rows, side.con_graph.token_rows), "con-tree")
+            x = tree_encode(graphs, x, up, down, "both")
+        node_off = offsets([len(g.children) for g in graphs])
+        rows = np.concatenate([np.asarray(g.token_rows) + o
+                               for g, o in zip(graphs, node_off)])
+        return T.embedding(x, rows), offsets([s.n for s in sides])
 
 
 class GcnModel(BaseModel):
@@ -816,31 +896,25 @@ class GcnModel(BaseModel):
         self._make_head(emb_dim)
         self.rep_dim = emb_dim
 
-    def reps(self, side: EncodedSide, train=False, rng=None) -> NodeReps:
+    def reps(self, sides, train=False, rng=None):
+        """Stacked token rows of a batch of sides plus their row offsets; the
+        graphs of the batch form one block-diagonal message list."""
+        tok_off = offsets([s.n for s in sides])
         if self.structure == "dep":
-            h = self._dropout(T.embedding(self.emb, side.token_ids), train, rng)
-            adj = adjacency(side.n, dep_edges(side.heads), dtype=self.dtype)
-            n_tokens = side.n
+            ids = np.concatenate([s.token_ids for s in sides])
+            h = self._dropout(T.embedding(self.emb, ids), train, rng)
+            edges = gcn_edges([s.n for s in sides], [dep_edges(s.heads) for s in sides])
         else:
-            inputs, edges, n_tokens = side.con_gcn
-            word_ids = np.array([i for k, i in inputs if k == "word"])
-            label_ids = np.array([i for k, i in inputs if k == "label"])
-            words = self._dropout(T.embedding(self.emb, word_ids), train, rng)
-            labels = self._dropout(T.embedding(self.label_emb, label_ids), train, rng)
-            rows, wi, li = [], 0, 0
-            for k, _ in inputs:
-                if k == "word":
-                    rows.append(T.slice_rows(words, wi, wi + 1))
-                    wi += 1
-                else:
-                    rows.append(T.slice_rows(labels, li, li + 1))
-                    li += 1
-            h = T.concat(rows, axis=0)
-            adj = adjacency(len(inputs), edges, dtype=self.dtype)
+            graphs = [s.con_gcn for s in sides]
+            sizes = [len(inputs) for inputs, _, _ in graphs]
+            h = self._node_rows([p for inputs, _, _ in graphs for p in inputs], train, rng)
+            edges = gcn_edges(sizes, [e for _, e, _ in graphs])
         for w, b in self.layers:
-            h = gcn_layer(adj, h, w, b)
-        mat = h if self.structure == "dep" else T.slice_rows(h, 0, n_tokens)
-        return NodeReps(mat, f"{self.structure}-tree")
+            h = gcn_layer(h, edges, w, b)
+        if self.structure == "con":  # token nodes lead each graph
+            h = T.embedding(h, np.concatenate([o + np.arange(s.n) for o, s in
+                                               zip(offsets(sizes), sides)]))
+        return h, tok_off
 
 
 class StudentModel(BaseModel):
@@ -887,9 +961,38 @@ class StudentModel(BaseModel):
         w, b = self.projections[which]
         return T.add(T.matmul(mat, w), b)
 
-    def reps(self, side: EncodedSide, train=False, rng=None) -> NodeReps:
-        reps, _ = self.encoder.encode(side.token_ids, train=train, rng=rng)
-        return reps
+    def batches(self, data):
+        """Same-length groups (the encoder's batches are rectangular), each
+        chunked to BATCH_ROWS."""
+        groups = {}
+        for i, enc in enumerate(data):
+            groups.setdefault(length_key(enc), []).append(i)
+        return [idxs[lo:lo + BATCH_ROWS] for _, idxs in sorted(groups.items())
+                for lo in range(0, len(idxs), BATCH_ROWS)]
+
+    def forward(self, encs, train=False, rng=None):
+        """Task logits for one same-length group plus the main-side encoder
+        output (step-major rows t*B + b); tag logits are stacked by sentence."""
+        out = self.encoder.encode_batch(stack_ids(encs), train, rng)
+        if self.task == "pair":
+            out_b = self.encoder.encode_batch(stack_ids(encs, "partner"), train, rng)
+            return self.head(_pooled(out), _pooled(out_b)), out
+        if self.task == "tag":
+            bsz, steps = out["batch"], out["steps"]
+            mat = T.embedding(out["top"], step_major_rows(bsz, steps).reshape(-1))
+            return self.head(mat, np.arange(bsz) * steps
+                             + np.array([e.predicate for e in encs])), out
+        return self.head(_pooled(out)), out
+
+    def logits(self, encs, train=False, rng=None) -> Tensor:
+        return self.forward(encs, train, rng)[0]
+
+    def reps(self, sides, train=False, rng=None):
+        """Stacked token rows of a batch of sides plus their row offsets; the
+        batched training and prediction path is `forward`."""
+        tops = [self.encoder.encode_batch(np.asarray(s.token_ids)[None, :], train, rng)["top"]
+                for s in sides]
+        return T.concat(tops, axis=0), offsets([s.n for s in sides])
 
     def lm_logits_from_states(self, fwd_states: Tensor, positions) -> Tensor:
         """Logits for predicting tokens at `positions` from the forward state of
@@ -904,6 +1007,27 @@ class StudentModel(BaseModel):
         if states is None:
             raise ValueError("no positions to predict")
         return T.add(T.matmul(states, self.lm_W), self.lm_b)
+
+
+def length_key(enc):
+    return (enc.main.n, enc.partner.n if enc.partner is not None else -1)
+
+
+def step_major_rows(bsz, steps) -> np.ndarray:
+    """(B, T) rows of each batch member in a step-major (row t*B + b) output."""
+    return np.arange(steps)[None, :] * bsz + np.arange(bsz)[:, None]
+
+
+def stack_ids(encs, side="main"):
+    ids = [np.asarray(getattr(e, side).token_ids) for e in encs]
+    if len({a.size for a in ids}) > 1:
+        raise ValueError("a student batch needs sentences of one length")
+    return np.stack(ids)
+
+
+def _pooled(out):
+    cube = T.reshape(out["top"], (out["steps"], out["batch"], out["top"].shape[1]))
+    return T.mean(cube, axis=0)  # (B, width)
 
 
 def make_teacher(kind, codec, emb_dim=300, hidden=300, n_layers=2, rng=None,

@@ -24,7 +24,8 @@ PROBE_KINDS = ("constituent-labeling", "dependency-labeling")
 def token_reps(model, enc) -> np.ndarray:
     """Detached top-layer representations; the frozen backbone stays out of
     any tape."""
-    return model.reps(enc.main).mat.data.copy()
+    mat, _ = model.reps([enc.main])
+    return mat.data.copy()
 
 
 def constituent_instances(model, data):

@@ -310,6 +310,21 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _emit(out, (a,), back)
 
 
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """log(softmax(a)) without forming the probabilities, so an underflowed
+    class gives a large negative log-probability instead of -inf."""
+    if a.shape[axis] == 0:
+        raise ValueError(f"log_softmax over empty axis {axis} of shape {a.shape}")
+    z = a.data - a.data.max(axis=axis, keepdims=True)
+    y = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    out = Tensor(y)
+
+    def back(g):
+        return [g - np.exp(y) * g.sum(axis=axis, keepdims=True)]
+
+    return _emit(out, (a,), back)
+
+
 def log(a: Tensor) -> Tensor:
     out = Tensor(np.log(a.data))
 
@@ -359,6 +374,15 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, train: bool = True) -
     return _emit(out, (a,), back)
 
 
+def _add_rows(acc: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """acc[ids[k]] += rows[k] for k in order, i.e. np.add.at over axis 0, run
+    as the much faster flat (1-d) ufunc.at with the same accumulation order."""
+    d = acc.shape[1]
+    np.add.at(acc.reshape(-1), (ids[:, None] * d + np.arange(d)).reshape(-1),
+              rows.reshape(-1))
+    return acc
+
+
 def embedding(table: Tensor, ids) -> Tensor:
     """Gather rows of a 2-d tensor; backward scatter-adds into the table."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -372,9 +396,7 @@ def embedding(table: Tensor, ids) -> Tensor:
     out = Tensor(table.data[ids])
 
     def back(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return [gt]
+        return [_add_rows(np.zeros_like(table.data), ids, g)]
 
     return _emit(out, (table,), back)
 
@@ -392,6 +414,25 @@ def take(a: Tensor, flat_ids) -> Tensor:
         return [ga.reshape(a.shape)]
 
     return _emit(out, (a,), back)
+
+
+def segment_sum(x: Tensor, seg_ids, n_segments: int) -> Tensor:
+    """Row i of the result sums the rows of x whose segment id is i, added in
+    row order (so a fixed row order gives bitwise-fixed sums); empty segments
+    are zero. Backward gathers each row's segment gradient."""
+    seg_ids = np.asarray(seg_ids, dtype=np.int64)
+    if x.data.ndim != 2 or seg_ids.shape != (x.shape[0],):
+        raise ValueError(f"segment_sum: need one segment id per row of a 2-d "
+                         f"tensor, got {seg_ids.shape} ids for shape {x.shape}")
+    if seg_ids.size and (seg_ids.min() < 0 or seg_ids.max() >= n_segments):
+        raise ValueError(f"segment id out of range for {n_segments} segments")
+    out = Tensor(_add_rows(np.zeros((n_segments, x.shape[1]), dtype=x.dtype),
+                           seg_ids, x.data))
+
+    def back(g):
+        return [g[seg_ids]]
+
+    return _emit(out, (x,), back)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:

@@ -39,7 +39,7 @@ from .distill import (
     soft_con_target,
     total_loss,
 )
-from .encoders import StudentModel
+from .encoders import length_key, offsets, stack_ids, step_major_rows
 from .syntax_data import MASK, DataError
 from .tensor import Adam, Tensor
 
@@ -187,10 +187,6 @@ def _emit(log, iteration, split, metric, value):
 # ---------------------------------------------------------------------------
 # batching
 
-def _length_key(enc):
-    return (enc.main.n, enc.partner.n if enc.partner is not None else -1)
-
-
 class BatchSampler:
     """Length-bucketed batch draws.
 
@@ -204,7 +200,7 @@ class BatchSampler:
             raise ValueError("empty training set")
         buckets = {}
         for i, enc in enumerate(data):
-            buckets.setdefault(_length_key(enc), []).append(i)
+            buckets.setdefault(length_key(enc), []).append(i)
         self.buckets = [np.array(v, dtype=np.int64)
                         for _, v in sorted(buckets.items())]
         sizes = np.array([len(b) for b in self.buckets], dtype=np.float64)
@@ -219,58 +215,26 @@ class BatchSampler:
 
 
 # ---------------------------------------------------------------------------
-# batched student forward
-
-def _stack_ids(encs, side="main"):
-    return np.stack([np.asarray(getattr(e, side).token_ids) for e in encs])
-
-
-def _pooled(out):
-    steps, bsz = out["steps"], out["batch"]
-    width = out["top"].shape[1]
-    cube = T.reshape(out["top"], (steps, bsz, width))
-    return T.mean(cube, axis=0)  # (B, width)
-
-
-def _tag_logits(head, out, encs):
-    steps, bsz = out["steps"], out["batch"]
-    flags = np.zeros(steps * bsz, dtype=np.int64)
-    for b, enc in enumerate(encs):
-        flags[enc.predicate * bsz + b] = 1
-    feat = T.concat([out["top"], T.embedding(head.ind, flags)], axis=1)
-    return T.add(T.matmul(feat, head.W), head.b)
-
-
-def student_forward(student, encs, train=False, rng=None):
-    """Task logits for one same-length group; also returns the main-side
-    encoder output so callers can reuse the representations."""
-    if student.task == "pair":
-        out_a = student.encoder.encode_batch(_stack_ids(encs), train, rng)
-        out_b = student.encoder.encode_batch(_stack_ids(encs, "partner"), train, rng)
-        return student.head(_pooled(out_a), _pooled(out_b)), out_a
-    out = student.encoder.encode_batch(_stack_ids(encs), train, rng)
-    if student.task == "tag":
-        return _tag_logits(student.head, out, encs), out
-    return student.head(_pooled(out)), out
-
+# batch plumbing
 
 def example_rows(out, b) -> Tensor:
-    """Token representations of batch member b from the step-major output."""
-    idx = np.arange(out["steps"]) * out["batch"] + b
-    return T.embedding(out["top"], idx)
+    """Token representations of batch member b from the step-major student
+    encoder output."""
+    return T.embedding(out["top"], step_major_rows(out["batch"], out["steps"])[b])
 
 
-def gold_rows(student, encs) -> np.ndarray:
-    """One-hot targets aligned with the batched logits (step-major for tags)."""
-    n_classes = student.codec.n_classes
-    if student.task == "tag":
-        bsz, steps = len(encs), encs[0].main.n
-        ids = np.zeros(steps * bsz, dtype=np.int64)
-        for b, enc in enumerate(encs):
-            for j, tag in enumerate(enc.tag_ids):
-                ids[j * bsz + b] = tag
-        return one_hot(ids, n_classes)
+def gold_rows(model, encs) -> np.ndarray:
+    """One-hot targets aligned with the batched logits (stacked by sentence
+    for tags)."""
+    n_classes = model.codec.n_classes
+    if model.task == "tag":
+        return one_hot(np.concatenate([enc.tag_ids for enc in encs]), n_classes)
     return one_hot([enc.label for enc in encs], n_classes)
+
+
+def _blocks(arr, off):
+    """Per-example row blocks [off[b], off[b + 1]) of a stacked array."""
+    return [arr[off[b]:off[b + 1]].copy() for b in range(len(off) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +245,29 @@ class TeacherSignals:
     computed once per dataset and indexed by example position."""
 
     def __init__(self, teachers: TeacherSet, data, cfg: DistillConfig, n_dep_labels):
-        self.task_dists = {m.kind: [m.class_distribution(enc) for enc in data]
-                           for m in teachers.all}
-        self.feats = None
+        soft = cfg.mode == "B" and cfg.teacher_mode == "soft"
+        self.task_dists = {m.kind: [] for m in teachers.all}
+        self.feats = {m.kind: [] for m in teachers.all} if cfg.mode == "A" else None
         self.arc_shared = None
-        self.arc_by_teacher = None
+        self.arc_by_teacher = {m.kind: [] for m in teachers.dep} if soft else None
         self.tstar_shared = None
-        self.tstar_by_teacher = None
-        if cfg.mode == "A":
-            self.feats = {m.kind: [m.reps(enc.main).mat.data.copy() for enc in data]
-                          for m in teachers.all}
-            return
-        if cfg.teacher_mode == "hard":
+        self.tstar_by_teacher = {m.kind: [] for m in teachers.con} if soft else None
+        for m in teachers.all:
+            for chunk in m.batches(data):
+                encs = [data[i] for i in chunk]
+                mat, off = main = m.reps([enc.main for enc in encs])
+                dists = T.softmax(m.head_logits(encs, main), axis=-1).data
+                self.task_dists[m.kind] += _blocks(dists, off) if m.task == "tag" \
+                    else list(dists)
+                if self.feats is not None:
+                    self.feats[m.kind] += _blocks(mat.data, off)
+                if soft:
+                    rows = [T.slice_rows(mat, off[b], off[b + 1]) for b in range(len(encs))]
+                    if m.structure == "dep":
+                        self.arc_by_teacher[m.kind] += [soft_arc_targets(m, r) for r in rows]
+                    else:
+                        self.tstar_by_teacher[m.kind] += [soft_con_target(m, r) for r in rows]
+        if cfg.mode == "B" and cfg.teacher_mode == "hard":
             if teachers.dep:
                 self.arc_shared = [
                     hard_arc_targets(enc.main.heads, enc.main.dep_label_ids,
@@ -300,25 +275,11 @@ class TeacherSignals:
                     for enc in data]
             if teachers.con:
                 self.tstar_shared = [enc.main.bintree for enc in data]
-        else:
-            self.arc_by_teacher = {
-                m.kind: [soft_arc_targets(m, enc.main) for enc in data]
-                for m in teachers.dep}
-            self.tstar_by_teacher = {
-                m.kind: [soft_con_target(m, enc.main) for enc in data]
-                for m in teachers.con}
 
     def dist_rows(self, kind, idxs, task):
         """Teacher distribution rows aligned with the batched student logits."""
         per_ex = [self.task_dists[kind][i] for i in idxs]
-        if task != "tag":
-            return np.stack([np.asarray(d).reshape(-1) for d in per_ex])
-        bsz, steps = len(idxs), per_ex[0].shape[0]
-        rows = np.zeros((steps * bsz, per_ex[0].shape[1]))
-        for b, d in enumerate(per_ex):
-            for j in range(steps):
-                rows[j * bsz + b] = d[j]
-        return rows
+        return np.concatenate(per_ex) if task == "tag" else np.stack(per_ex)
 
     def arc_targets(self, kind, i):
         if self.arc_shared is not None:
@@ -343,7 +304,7 @@ def _mean_terms(terms):
 
 def output_loss_batch(student, encs, idxs, signals, kinds, alpha,
                       train=True, rng=None):
-    logits, out = student_forward(student, encs, train=train, rng=rng)
+    logits, out = student.forward(encs, train=train, rng=rng)
     gold = gold_rows(student, encs)
     teacher_rows = [signals.dist_rows(k, idxs, student.task) for k in kinds] \
         if signals is not None else []
@@ -380,7 +341,7 @@ def syn_loss_batch(student, out, encs, idxs, signals, cfg, models):
 def sem_loss_batch(student, encs, cfg, rng, train=True):
     """Masked-word loss over a batch (per-example sums, averaged over the
     batch); masking and the extra forward run on the main side."""
-    ids = _stack_ids(encs)
+    ids = stack_ids(encs)
     targets = []
     for b, enc in enumerate(encs):
         for j in sample_mask_positions(enc.main.n, cfg.mask_ratio, rng):
@@ -394,10 +355,6 @@ def sem_loss_batch(student, encs, cfg, rng, train=True):
 # ---------------------------------------------------------------------------
 # prediction and metrics
 
-def _argmax_rows(logits_data):
-    return logits_data.argmax(axis=-1)
-
-
 def predict(model, data):
     """Task predictions; class ids for cls/pair, tag-id arrays for tag.
 
@@ -407,32 +364,13 @@ def predict(model, data):
     if not data:
         raise ValueError("empty evaluation set")
     preds = [None] * len(data)
-    if isinstance(model, StudentModel):
-        groups = {}
-        for i, enc in enumerate(data):
-            groups.setdefault(_length_key(enc), []).append(i)
-        for key in sorted(groups):
-            idxs = groups[key]
-            for lo in range(0, len(idxs), 128):
-                chunk = idxs[lo:lo + 128]
-                encs = [data[i] for i in chunk]
-                logits, out = student_forward(model, encs)
-                if model.task == "tag":
-                    steps, bsz = out["steps"], out["batch"]
-                    lab = _argmax_rows(logits.data).reshape(steps, bsz)
-                    for b, i in enumerate(chunk):
-                        preds[i] = lab[:, b].copy()
-                else:
-                    lab = _argmax_rows(logits.data)
-                    for b, i in enumerate(chunk):
-                        preds[i] = int(lab[b])
-        return preds
-    for i, enc in enumerate(data):
-        logits = model.logits(enc)
+    for chunk in model.batches(data):
+        encs = [data[i] for i in chunk]
+        lab = model.logits(encs).data.argmax(axis=-1)
         if model.task == "tag":
-            preds[i] = _argmax_rows(logits.data)
-        else:
-            preds[i] = int(_argmax_rows(logits.data.reshape(-1)[None, :])[0])
+            lab = _blocks(lab, offsets([enc.main.n for enc in encs]))
+        for i, pred in zip(chunk, lab):
+            preds[i] = pred if model.task == "tag" else int(pred)
     return preds
 
 
@@ -637,23 +575,22 @@ def train_teacher(model, train_data, dev_data, *, iters=2000, batch_size=32,
         encs = [train_data[i] for i in idxs]
 
         def build_loss():
-            terms = []
-            for enc in encs:
-                logits = model.logits(enc, train=True, rng=state.rng)
-                gold = gold_rows(model, [enc]) if model.task != "tag" else \
-                    one_hot(enc.tag_ids, model.codec.n_classes)
-                terms.append(output_distill_loss(gold, [], logits, alpha=1.0))
-                if co_train_struct:
-                    reps = model.reps(enc.main, train=True, rng=state.rng).mat
-                    if model.structure == "dep":
-                        arc, lab, best = hard_arc_targets(
-                            enc.main.heads, enc.main.dep_label_ids, n_dep)
-                        terms.append(dep_inject_loss(
-                            model.struct_head(reps), arc, lab, best))
-                    else:
-                        terms.append(con_inject_loss(
-                            model.struct_head(reps), enc.main.bintree))
-            return _mean_terms(terms)
+            main = model.reps([enc.main for enc in encs], train=True, rng=state.rng)
+            loss = output_distill_loss(gold_rows(model, encs), [], model.head_logits(
+                encs, main, train=True, rng=state.rng), alpha=1.0)
+            if not co_train_struct:
+                return loss
+            mat, off = main
+            struct = []
+            for b, enc in enumerate(encs):
+                scores = model.struct_head(T.slice_rows(mat, off[b], off[b + 1]))
+                if model.structure == "dep":
+                    arc, lab, best = hard_arc_targets(
+                        enc.main.heads, enc.main.dep_label_ids, n_dep)
+                    struct.append(dep_inject_loss(scores, arc, lab, best))
+                else:
+                    struct.append(con_inject_loss(scores, enc.main.bintree))
+            return _mean_terms([loss, _mean_terms(struct)])
 
         val = _optimize(state, build_loss, f"teacher/{model.kind}")
         state.t += 1
@@ -735,7 +672,7 @@ def distill_student(student, teachers, train_data, dev_data,
                 takes_turn = (m.structure == "dep") == dep_turn
                 if cfg.lam1 > 0 and takes_turn:
                     def syn_plus_reg(m=m):
-                        _, out = student_forward(student, encs, train=True, rng=rng)
+                        _, out = student.forward(encs, train=True, rng=rng)
                         syn = syn_loss_batch(student, out, encs, idxs,
                                              signals, cfg, [m])
                         if cfg.zeta > 0:

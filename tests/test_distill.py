@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -10,7 +11,6 @@ from synkd.distill import (
     DistillError,
     TeacherSet,
     anneal_alpha,
-    apply_temperature,
     ce_sum,
     combine_syn,
     con_inject_loss,
@@ -25,6 +25,7 @@ from synkd.distill import (
     semantic_lm_loss,
     total_loss,
 )
+from synkd.cli import main
 from synkd.encoders import ArcScores, ScoredSpans, span_order
 from synkd.gradcheck import check_case
 from synkd.structures import BinTree, SpanScores, score_tree
@@ -61,19 +62,19 @@ def test_config_validation():
     assert cfg.alpha(5000) == 0.5
     assert DistillConfig(alpha_fixed=1.0).alpha(17) == 1.0
     for bad in (dict(eta=1.5), dict(mode="C"), dict(teacher_mode="warm"),
-                dict(mask_ratio=0.0), dict(temperature=0.0), dict(lam1=-0.1)):
+                dict(mask_ratio=0.0), dict(lam1=-0.1)):
         with pytest.raises(DistillError):
             DistillConfig(**bad)
 
 
-def test_temperature():
-    d = np.array([0.6, 0.4])
-    assert apply_temperature(d, 1.0) is d
-    hot = apply_temperature(d, 2.0)
-    assert hot.sum() == pytest.approx(1.0)
-    assert hot[0] < 0.6  # flattened
-    cold = apply_temperature(d, 0.5)
-    assert cold[0] > 0.6  # sharpened
+def test_temperature(tmp_path, capsys):
+    # training never applied a temperature, so there is no knob for one
+    with pytest.raises(TypeError):
+        DistillConfig(temperature=2.0)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"temperature": 2.0}))
+    assert main(["distill", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "unknown key 'temperature'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------- output distill
@@ -144,6 +145,17 @@ def test_output_distill_minimized_at_target():
         loss = output_distill_loss(y, [p_t], logits, alpha=0.4)
         tape.backward(loss)
     assert np.abs(logits.grad).max() < 1e-12
+
+
+@pytest.mark.parametrize("gold", [0, 1])
+def test_output_distill_confident_logits_stay_finite(gold):
+    # float32 softmax underflows at a 120 logit gap; 0 * log 0 used to give NaN
+    logits = Tensor(np.array([[0.0, 120.0]], dtype=np.float32), requires_grad=True)
+    with T.Tape() as tape:
+        loss = output_distill_loss(one_hot([gold], 2), [], logits, 1.0)
+        tape.backward(loss)
+    assert loss.item() == pytest.approx(120.0 if gold == 0 else 0.0, abs=1e-4)
+    assert np.isfinite(logits.grad).all()
 
 
 def test_output_distill_gradient():

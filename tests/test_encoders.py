@@ -158,38 +158,38 @@ def test_tree_encode_chain_is_sequential():
     cell, _ = make_childsum(3, 4, rng)
     n = 5
     xs = [Tensor(rng.standard_normal((1, 3))) for _ in range(n)]
-    rows = E.tree_encode(chain_graph(n), xs, cell, direction="bottom-up")
+    rows = E.tree_encode([chain_graph(n)], T.concat(xs), cell, direction="bottom-up")
     st = None
     for i in range(n):
         st = cell.step(xs[i], [] if st is None else [st])
-        np.testing.assert_array_equal(rows[i].data, st.h.data)
+        np.testing.assert_array_equal(rows.data[i:i + 1], st.h.data)
 
 
 def test_tree_encode_both_doubles_width():
     rng = np.random.default_rng(6)
     up, _ = make_childsum(3, 4, rng)
     down, _ = make_childsum(3, 4, rng)
-    xs = [Tensor(rng.standard_normal((1, 3))) for _ in range(4)]
+    xs = Tensor(rng.standard_normal((4, 3)))
     g = chain_graph(4)
-    rows = E.tree_encode(g, xs, up, down, "both")
-    assert rows[0].shape == (1, 8)
-    assert E.tree_encode(g, xs, up, direction="bottom-up")[0].shape == (1, 4)
+    rows = E.tree_encode([g], xs, up, down, "both")
+    assert rows.shape == (4, 8)
+    assert E.tree_encode([g], xs, up, direction="bottom-up").shape == (4, 4)
 
 
 def test_tree_encode_sibling_permutation():
     # star tree: child order permuted in the graph, Child-Sum unchanged, N-ary not
     rng = np.random.default_rng(7)
-    xs = [Tensor(rng.standard_normal((1, 3))) for _ in range(4)]
+    xs = Tensor(rng.standard_normal((4, 3)))
     g1 = E.EncGraph([[], [], [], [0, 1, 2]], [3, 3, 3, -1], [0, 1, 2, 3], [0, 1, 2, 3])
     g2 = E.EncGraph([[], [], [], [2, 0, 1]], [3, 3, 3, -1], [0, 1, 2, 3], [1, 2, 0, 3])
     cs, _ = make_childsum(3, 4, rng)
-    a = E.tree_encode(g1, xs, cs, direction="bottom-up")[3]
-    b = E.tree_encode(g2, xs, cs, direction="bottom-up")[3]
-    assert a.data.tobytes() == b.data.tobytes()
+    a = E.tree_encode([g1], xs, cs, direction="bottom-up").data[3]
+    b = E.tree_encode([g2], xs, cs, direction="bottom-up").data[3]
+    assert a.tobytes() == b.tobytes()
     na, _ = make_nary(3, 4, rng, n_ary=3)
-    a = E.tree_encode(g1, xs, na, direction="bottom-up")[3]
-    b = E.tree_encode(g2, xs, na, direction="bottom-up")[3]
-    assert not np.allclose(a.data, b.data)
+    a = E.tree_encode([g1], xs, na, direction="bottom-up").data[3]
+    b = E.tree_encode([g2], xs, na, direction="bottom-up").data[3]
+    assert not np.allclose(a, b)
 
 
 def test_tree_encode_fd_gradient():
@@ -201,9 +201,8 @@ def test_tree_encode_fd_gradient():
     xs_data = rng.standard_normal((3, 3))
 
     def f():
-        xs = [Tensor(xs_data[i:i + 1]) for i in range(3)]
-        rows = E.tree_encode(g, xs, up, down, "both")
-        return T.sum_(T.tanh(E.token_matrix(rows, g.token_rows)))
+        rows = E.tree_encode([g], Tensor(xs_data), up, down, "both")
+        return T.sum_(T.tanh(T.embedding(rows, g.token_rows)))
 
     assert check_case(f, p.all()) < 1e-6
 
@@ -211,13 +210,20 @@ def test_tree_encode_fd_gradient():
 # ---------------------------------------------------------------------------
 # GCN
 
+def dense_adjacency(n, edges):
+    """Symmetric 0/1 adjacency with self-loops, the reference for gcn_edges."""
+    a = np.eye(n)
+    for i, j in edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
 def test_gcn_zero_params_half_gate():
     h = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=F64)
-    adj = E.adjacency(2, [(0, 1)], dtype=F64)
     w = Tensor(np.zeros((2, 2), dtype=F64))
     b = Tensor(np.zeros(2, dtype=F64))
-    out = E.gcn_layer(adj, Tensor(h), w, b)
-    expected = np.maximum(0.5 * (adj.data @ h), 0)
+    out = E.gcn_layer(Tensor(h), E.gcn_edges([2], [[(0, 1)]]), w, b)
+    expected = np.maximum(0.5 * (dense_adjacency(2, [(0, 1)]) @ h), 0)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
@@ -226,7 +232,7 @@ def test_gcn_single_node_self_loop():
     h = rng.standard_normal((1, 3))
     w = rng.standard_normal((3, 3))
     b = rng.standard_normal(3)
-    out = E.gcn_layer(E.adjacency(1, [], dtype=F64), Tensor(h), Tensor(w), Tensor(b))
+    out = E.gcn_layer(Tensor(h), E.gcn_edges([1], [[]]), Tensor(w), Tensor(b))
     gate = 1 / (1 + np.exp(-(h @ w + b)))
     np.testing.assert_allclose(out.data, np.maximum(h * gate, 0), atol=1e-12)
 
@@ -237,10 +243,10 @@ def test_gcn_fd_gradient():
     w = p.add("W", (3, 3), rng, dtype=F64)
     b = p.add("b", (3,), init="zeros", dtype=F64)
     h_data = rng.standard_normal((4, 3))
-    adj = E.adjacency(4, [(0, 1), (1, 2), (2, 3)], dtype=F64)
+    edges = E.gcn_edges([4], [[(0, 1), (1, 2), (2, 3)]])
 
     def f():
-        return T.sum_(T.tanh(E.gcn_layer(adj, Tensor(h_data), w, b)))
+        return T.sum_(T.tanh(E.gcn_layer(Tensor(h_data), edges, w, b)))
 
     assert check_case(f, [w, b]) < 1e-6
 
@@ -256,17 +262,22 @@ def make_student_encoder(vocab, emb, hid, layers=3, seed=0, dtype=F64):
     return enc, p
 
 
+def encode_one(enc, ids):
+    out = enc.encode_batch(np.asarray(ids)[None, :])
+    return out["top"], out["l1f"]
+
+
 def test_student_single_token():
     enc, _ = make_student_encoder(10, 4, 5)
-    reps, l1f = enc.encode([3])
-    assert reps.mat.shape == (1, 10)
+    reps, l1f = encode_one(enc, [3])
+    assert reps.shape == (1, 10)
     assert l1f.shape == (1, 5)
 
 
 def test_student_paper_width():
     enc, _ = make_student_encoder(20, 8, 350)
-    reps, _ = enc.encode([1, 2, 3])
-    assert reps.mat.shape == (3, 700)
+    reps, _ = encode_one(enc, [1, 2, 3])
+    assert reps.shape == (3, 700)
 
 
 def test_student_batch_matches_single():
@@ -275,9 +286,9 @@ def test_student_batch_matches_single():
     out = enc.encode_batch(ids)
     top = out["top"].data
     for b in range(2):
-        reps, _ = enc.encode(ids[b])
+        reps, _ = encode_one(enc, ids[b])
         got = np.stack([top[t * 2 + b] for t in range(3)])
-        np.testing.assert_allclose(got, reps.mat.data, atol=1e-12)
+        np.testing.assert_allclose(got, reps.data, atol=1e-12)
 
 
 def test_student_reversal_swaps_halves_with_tied_weights():
@@ -291,11 +302,11 @@ def test_student_reversal_swaps_halves_with_tied_weights():
             w.data[h:, :] = w.data[:h, :]
             layer["b"]["W"].data[...] = w.data
     ids = [2, 7, 3, 9, 4]
-    fwd, _ = enc.encode(ids)
-    rev, _ = enc.encode(ids[::-1])
+    fwd, _ = encode_one(enc, ids)
+    rev, _ = encode_one(enc, ids[::-1])
     n = len(ids)
-    swapped = np.concatenate([rev.mat.data[:, h:], rev.mat.data[:, :h]], axis=1)
-    np.testing.assert_allclose(fwd.mat.data, swapped[::-1], atol=1e-12)
+    swapped = np.concatenate([rev.data[:, h:], rev.data[:, :h]], axis=1)
+    np.testing.assert_allclose(fwd.data, swapped[::-1], atol=1e-12)
 
 
 def test_student_fd_gradient():
@@ -423,9 +434,9 @@ def test_codec_and_teacher_row_counts():
     n = enc.main.n
     for kind in E.TEACHER_KINDS:
         model = E.make_teacher(kind, codec, emb_dim=8, hidden=6, rng=rng)
-        reps = model.reps(enc.main)
-        assert reps.n == n, kind
-        logits = model.logits(enc)
+        reps, _ = model.reps([enc.main])
+        assert reps.shape[0] == n, kind
+        logits = model.logits([enc])
         assert logits.shape == (1, codec.n_classes)
 
 
@@ -435,13 +446,57 @@ def test_student_model_reps_and_logits():
     student = E.StudentModel(codec, emb_dim=8, hidden=6, arc_dim=5,
                              rng=np.random.default_rng(1))
     enc = codec.encode(data[0])
-    reps = student.reps(enc.main)
-    assert reps.mat.shape == (enc.main.n, 12)
-    assert student.logits(enc).shape == (1, 2)
-    arcs = student.arc_scorer(reps.mat)
+    reps, _ = student.reps([enc.main])
+    assert reps.shape == (enc.main.n, 12)
+    assert student.logits([enc]).shape == (1, 2)
+    arcs = student.arc_scorer(reps)
     assert arcs.arc_logits.shape == (enc.main.n, enc.main.n + 1)
-    spans = student.span_scorer(reps.mat)
+    spans = student.span_scorer(reps)
     assert spans.tensor.shape[1] == len(codec.con_labels)
+
+
+@pytest.mark.parametrize("task", ["cls", "pair", "tag"])
+def test_batched_reps_and_logits_match_single(task):
+    data = D.gen_synthetic(7, seed=34, task=task, max_len=9)
+    codec = E.Codec(data, task)
+    encs = [codec.encode(ex) for ex in data]
+    assert len({e.main.n for e in encs}) > 1  # a mixed-length batch
+    models = [E.make_teacher(kind, codec, emb_dim=8, hidden=6, dtype=F64,
+                             rng=np.random.default_rng(3)) for kind in E.TEACHER_KINDS]
+    student = E.StudentModel(codec, emb_dim=8, hidden=6, n_layers=2, dtype=F64,
+                             rng=np.random.default_rng(4))
+    for m in models + [student]:
+        mat, off = m.reps([e.main for e in encs])
+        np.testing.assert_array_equal(off, np.cumsum([0] + [e.main.n for e in encs]))
+        single = np.concatenate([m.reps([e.main])[0].data for e in encs])
+        np.testing.assert_allclose(mat.data, single, rtol=0, atol=1e-12, err_msg=m.kind)
+    for m in models:
+        single = np.concatenate([m.logits([e]).data for e in encs])
+        np.testing.assert_allclose(m.logits(encs).data, single, rtol=0, atol=1e-12,
+                                   err_msg=m.kind)
+
+
+def test_childsum_sibling_permutation_in_batch_is_bitwise():
+    rng = np.random.default_rng(13)
+    up, _ = make_childsum(3, 4, rng)
+    down, _ = make_childsum(3, 4, rng)
+    star = [[1, 3, 4, 2], [], [], [], [5], []]  # node 0 has four children
+
+    def graph(children):
+        parent = [-1] * len(children)
+        for v, cs in enumerate(children):
+            for c in cs:
+                parent[c] = v
+        return E.EncGraph(children, parent, list(range(len(children))),
+                          E._topo_order(children, 0, len(children)))
+
+    others = [E.dep_enc_graph([2, 0, 2]), E.dep_enc_graph([0, 1, 1, 3])]
+    x = Tensor(rng.standard_normal((13, 3)))
+    base = E.tree_encode([others[0], graph(star), others[1]], x, up, down, "both")
+    for perm in ([2, 4, 1, 3], [4, 3, 2, 1]):
+        permuted = [perm] + star[1:]
+        got = E.tree_encode([others[0], graph(permuted), others[1]], x, up, down, "both")
+        assert got.data.tobytes() == base.data.tobytes()
 
 
 def test_codec_round_trip():

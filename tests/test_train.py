@@ -23,7 +23,6 @@ from synkd.train import (
     read_log,
     save_checkpoint,
     save_run_state,
-    student_forward,
     tagging_metrics,
     train_teacher,
 )
@@ -49,6 +48,32 @@ def small_teachers(codec, seed=2):
         m = make_teacher(kind, codec, emb_dim=10, hidden=8, n_layers=1, rng=rng)
         (dep if m.structure == "dep" else con).append(m)
     return TeacherSet(dep=dep, con=con)
+
+
+# ------------------------------------------------------- parameter layout
+
+# fingerprints of freshly built teachers in the per-gate parameter layout
+# that SYD1 v1 checkpoints store (names, shapes, init order); the fused gate
+# blocks of the level kernels are built at run time and must not change it
+TEACHER_FINGERPRINTS = {
+    "tlstm-dep": ("27ad0e10f1cc94b8a2db1be1bc64e38fff37a4baf0d21d83ebb055626016042c",
+                  "fc906d66303d1b7f19f91c3047073065517e83368088c492c2b561313f19f440"),
+    "gcn-dep": ("4d4e9cb3aaa573aa8e9ffc6d982776219fbe8fd69bf5a89320bc4563d26d414b",
+                "7b4e45a928d961cffdaf7217ae70799c46a7d06f4b8a85c77d5d62148608ca22"),
+    "tlstm-con": ("8acd04a1cc7317599726a70cc7e502e7bda7ddaafab4b7aa0e6ab99f6a606cf6",
+                  "d532e66f66fba32feb2a59380039f0bf8724f62eb45f35f63937af5f09597465"),
+    "gcn-con": ("e308d442ed1271fe51eebb724d4eb487a65e28882ff0d285d71865b6c7b810f7",
+                "d3d490cf697fad61dedb859f7d158efd924a8490a7a462905e7dae3fc9b9ef0e"),
+}
+
+
+def test_teacher_parameter_layout_pinned():
+    codec = Codec(gen_synthetic(20, seed=0), "cls")
+    for kind, (plain, with_head) in TEACHER_FINGERPRINTS.items():
+        m = make_teacher(kind, codec, emb_dim=8, hidden=6, rng=np.random.default_rng(7))
+        assert params_fingerprint(m.p) == plain, kind
+        m.add_structure_head(arc_dim=5)
+        assert params_fingerprint(m.p) == with_head, kind
 
 
 # ------------------------------------------------------------------ schedule
@@ -188,9 +213,9 @@ def test_student_batched_matches_single():
     codec, encs = small_data(24, seed=4)
     student = small_student(codec)
     group = [e for e in encs if e.main.n == encs[0].main.n][:5]
-    logits, _ = student_forward(student, group)
+    logits, _ = student.forward(group)
     for b, enc in enumerate(group):
-        single = student.logits(enc)
+        single = student.logits([enc])
         np.testing.assert_allclose(logits.data[b], single.data[0], atol=1e-5)
 
 
