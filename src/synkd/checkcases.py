@@ -155,6 +155,21 @@ def case_segment_sum(rng):
                                  np.random.default_rng(0))), [x]
 
 
+def case_lstm_scan(rng):
+    # every instance checks both directions at B=3, T=4 and a one-step scan
+    bsz, hid = 3, 2
+    u = rand_param(rng, (hid, 4 * hid))
+    xws = [rand_param(rng, (steps * bsz, 4 * hid), scale=1.0) for steps in (4, 4, 1)]
+    reverse = (False, True, bool(rng.integers(2)))
+
+    def f():
+        outs = [T.lstm_scan(xw, u, bsz, rev) for xw, rev in zip(xws, reverse)]
+        return T.add(weighted_sum(T.concat(outs[:2], axis=1), np.random.default_rng(0)),
+                     weighted_sum(outs[2], np.random.default_rng(1)))
+
+    return f, [u] + xws
+
+
 def case_log_softmax(rng):
     x = rand_param(rng, (int(rng.integers(1, 4)), int(rng.integers(2, 5))), scale=2.0)
     axis = int(rng.integers(0, 2))
@@ -288,6 +303,7 @@ SUITES = {
     "student_bilstm": case_student_bilstm,
     "segment_sum": case_segment_sum,
     "log_softmax": case_log_softmax,
+    "lstm_scan": case_lstm_scan,
     "output_distill": case_output_distill,
     "feat_distill": case_feat_distill,
     "syn_combine": case_syn_combine,

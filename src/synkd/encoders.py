@@ -389,15 +389,14 @@ class StudentEncoder:
     """Stacked BiLSTM over a same-length batch, step-major layout.
 
     All (T, B) step tensors are flattened to row index t*B + b so each time
-    step is a contiguous (B, d) row block.
+    step is a contiguous (B, d) row block. Each layer direction is one input
+    projection over all rows plus one `lstm_scan` over the steps.
     """
 
     def __init__(self, p: Params, prefix, vocab_size, emb_dim, hid,
                  n_layers=3, emb_dropout=0.4, rng=None, dtype=np.float32):
         self.hid = hid
-        self.n_layers = n_layers
         self.emb_dropout = emb_dropout
-        self.dtype = dtype
         self.emb = p.add(f"{prefix}/emb", (vocab_size, emb_dim), rng, dtype=dtype)
         self.layers = []
         for l in range(n_layers):
@@ -411,24 +410,6 @@ class StudentEncoder:
                 }
             self.layers.append(layer)
 
-    def _direction(self, x_steps, ps, reverse):
-        bsz = x_steps[0].shape[0]
-        h = Tensor(np.zeros((bsz, self.hid), dtype=self.dtype))
-        c = Tensor(np.zeros((bsz, self.hid), dtype=self.dtype))
-        order = range(len(x_steps) - 1, -1, -1) if reverse else range(len(x_steps))
-        outs = [None] * len(x_steps)
-        for t in order:
-            gates = T.add(T.add(T.matmul(x_steps[t], ps["W"]),
-                                T.matmul(h, ps["U"])), ps["b"])
-            i = T.sigmoid(T.slice_cols(gates, 0, self.hid))
-            f = T.sigmoid(T.slice_cols(gates, self.hid, 2 * self.hid))
-            o = T.sigmoid(T.slice_cols(gates, 2 * self.hid, 3 * self.hid))
-            u = T.tanh(T.slice_cols(gates, 3 * self.hid, 4 * self.hid))
-            c = T.add(T.mul(f, c), T.mul(i, u))
-            h = T.mul(o, T.tanh(c))
-            outs[t] = h
-        return outs
-
     def encode_batch(self, ids, train=False, rng=None):
         """ids: (B, T) int array -> {"top": (T*B, 2h), "l1f": (T*B, h)}."""
         ids = np.asarray(ids, dtype=np.int64)
@@ -439,16 +420,15 @@ class StudentEncoder:
         x = T.embedding(self.emb, flat)
         if train and self.emb_dropout > 0:
             x = T.dropout(x, self.emb_dropout, rng)
-        x_steps = [T.slice_rows(x, t * bsz, (t + 1) * bsz) for t in range(steps)]
         l1f = None
         for l, layer in enumerate(self.layers):
-            fwd = self._direction(x_steps, layer["f"], reverse=False)
-            bwd = self._direction(x_steps, layer["b"], reverse=True)
+            fwd, bwd = (T.lstm_scan(T.add(T.matmul(x, layer[d]["W"]), layer[d]["b"]),
+                                    layer[d]["U"], bsz, reverse=d == "b")
+                        for d in ("f", "b"))
             if l == 0:
-                l1f = T.concat(fwd, axis=0)
-            x_steps = [T.concat([fwd[t], bwd[t]], axis=1) for t in range(steps)]
-        top = T.concat(x_steps, axis=0)
-        return {"top": top, "l1f": l1f, "batch": bsz, "steps": steps}
+                l1f = fwd
+            x = T.concat([fwd, bwd], axis=1)
+        return {"top": x, "l1f": l1f, "batch": bsz, "steps": steps}
 
 
 # ---------------------------------------------------------------------------
@@ -993,20 +973,6 @@ class StudentModel(BaseModel):
         tops = [self.encoder.encode_batch(np.asarray(s.token_ids)[None, :], train, rng)["top"]
                 for s in sides]
         return T.concat(tops, axis=0), offsets([s.n for s in sides])
-
-    def lm_logits_from_states(self, fwd_states: Tensor, positions) -> Tensor:
-        """Logits for predicting tokens at `positions` from the forward state of
-        the previous position; position 0 uses the learned begin state."""
-        rows = []
-        for j in positions:
-            if j == 0:
-                rows.append(self.lm_begin)
-            else:
-                rows.append(T.slice_rows(fwd_states, j - 1, j))
-        states = T.concat(rows, axis=0) if rows else None
-        if states is None:
-            raise ValueError("no positions to predict")
-        return T.add(T.matmul(states, self.lm_W), self.lm_b)
 
 
 def length_key(enc):

@@ -435,6 +435,83 @@ def segment_sum(x: Tensor, seg_ids, n_segments: int) -> Tensor:
     return _emit(out, (x,), back)
 
 
+def lstm_scan(xw: Tensor, u: Tensor, bsz: int, reverse: bool = False) -> Tensor:
+    """One LSTM direction over a step-major batch as a single op.
+
+    xw is (T*B, 4h): row t*B + b holds step t's input projection plus bias
+    for batch member b; u is the (h, 4h) recurrent matrix. Gates are in the
+    order [i, f, o, u], the state starts at zero and reverse=True runs from
+    the last step to the first. Returns the (T*B, h) hidden states in the
+    same row layout. Backward is hand-written BPTT over the saved gates."""
+    if xw.data.ndim != 2 or u.data.ndim != 2 or u.shape[1] != 4 * u.shape[0] \
+            or xw.shape[1] != u.shape[1] or bsz < 1 or xw.shape[0] % bsz:
+        raise ValueError(f"lstm_scan: need xw (T*B, 4h) with B={bsz} and u (h, 4h), "
+                         f"got {xw.shape} and {u.shape}")
+    hid = u.shape[0]
+    steps = xw.shape[0] // bsz
+    dtype = np.result_type(xw.data, u.data)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    xg = xw.data.reshape(steps, bsz, 4 * hid)
+    acts = np.empty((steps, bsz, 4 * hid), dtype=dtype)  # activated [i, f, o, u]
+    cells = np.empty((steps, bsz, hid), dtype=dtype)
+    tanh_c = np.empty_like(cells)
+    hs = np.empty_like(cells)
+    with np.errstate(over="ignore"):
+        for k, t in enumerate(order):
+            z = acts[t]
+            if k:
+                np.matmul(hs[order[k - 1]], u.data, out=z)
+                z += xg[t]
+            else:
+                z[...] = xg[t]
+            sig = z[:, :3 * hid]
+            np.negative(sig, out=sig)
+            np.exp(sig, out=sig)
+            sig += 1.0
+            np.divide(1.0, sig, out=sig)
+            np.tanh(z[:, 3 * hid:], out=z[:, 3 * hid:])
+            np.multiply(z[:, :hid], z[:, 3 * hid:], out=cells[t])
+            if k:
+                cells[t] += z[:, hid:2 * hid] * cells[order[k - 1]]
+            np.tanh(cells[t], out=tanh_c[t])
+            np.multiply(z[:, 2 * hid:3 * hid], tanh_c[t], out=hs[t])
+    out = Tensor(hs.reshape(steps * bsz, hid))
+
+    def prev(a):
+        """a[t] moved to the step after t in scan order; zero at the first."""
+        p = np.zeros_like(a)
+        if reverse:
+            p[:-1] = a[1:]
+        else:
+            p[1:] = a[:-1]
+        return p
+
+    def back(grad):
+        # d(pre-activation) = upstream * partner * activation slope, where the
+        # upstream is dc for i, f, u and dh for o; everything but dc and dh is
+        # known before the reverse sweep
+        slope = acts.copy()
+        slope[..., :3 * hid] *= 1.0 - acts[..., :3 * hid]
+        slope[..., 3 * hid:] = 1.0 - acts[..., 3 * hid:] ** 2
+        slope *= np.concatenate((acts[..., 3 * hid:], prev(cells), tanh_c,
+                                 acts[..., :hid]), axis=2)
+        dc_dh = acts[..., 2 * hid:3 * hid] * (1.0 - tanh_c * tanh_c)
+        gh = grad.reshape(steps, bsz, hid)
+        dz_all = np.empty_like(acts)
+        dh_next = dc_next = 0.0
+        for t in reversed(order):
+            dh = gh[t] + dh_next
+            dc = dh * dc_dh[t]
+            dc += dc_next
+            np.multiply(np.concatenate((dc, dc, dh, dc), axis=1), slope[t], out=dz_all[t])
+            dc_next = dc * acts[t, :, hid:2 * hid]
+            dh_next = dz_all[t] @ u.data.T
+        dz = dz_all.reshape(steps * bsz, 4 * hid)
+        return [dz, prev(hs).reshape(steps * bsz, hid).T @ dz]
+
+    return _emit(out, (xw, u), back)
+
+
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     out = Tensor(a.data[start:stop].copy())
 

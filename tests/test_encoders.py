@@ -309,6 +309,73 @@ def test_student_reversal_swaps_halves_with_tied_weights():
     np.testing.assert_allclose(fwd.data, swapped[::-1], atol=1e-12)
 
 
+def reference_bilstm(enc, ids):
+    """Per-step stacked BiLSTM built from elementary tape ops:
+    gates = (x@W + h@U) + b in the order [i, f, o, u]; returns top, l1f."""
+    bsz, steps = ids.shape
+    hid = enc.hid
+    x = [T.embedding(enc.emb, ids[:, t]) for t in range(steps)]
+    l1f = None
+    for l, layer in enumerate(enc.layers):
+        outs = {}
+        for d, ps in layer.items():
+            h = c = Tensor(np.zeros((bsz, hid)))
+            hs = [None] * steps
+            for t in (range(steps - 1, -1, -1) if d == "b" else range(steps)):
+                z = T.add(T.add(T.matmul(x[t], ps["W"]), T.matmul(h, ps["U"])), ps["b"])
+                i, f, o = (T.sigmoid(T.slice_cols(z, k * hid, (k + 1) * hid))
+                           for k in range(3))
+                u = T.tanh(T.slice_cols(z, 3 * hid, 4 * hid))
+                c = T.add(T.mul(f, c), T.mul(i, u))
+                h = hs[t] = T.mul(o, T.tanh(c))
+            outs[d] = hs
+        if l == 0:
+            l1f = T.concat(outs["f"], axis=0)
+        x = [T.concat([outs["f"][t], outs["b"][t]], axis=1) for t in range(steps)]
+    return T.concat(x, axis=0), l1f
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+def test_student_matches_per_step_reference(steps):
+    enc, p = make_student_encoder(11, 4, 3, layers=2, seed=8)
+    brng = np.random.default_rng(9)
+    for t in p.all():
+        if t.data.ndim == 1:  # nonzero biases, so their place in the sum is tested
+            t.data[...] = brng.standard_normal(t.shape)
+    ids = np.random.default_rng(10).integers(0, 11, size=(3, steps))
+    w_top = Tensor(np.random.default_rng(11).standard_normal((steps * 3, 6)))
+    w_l1 = Tensor(np.random.default_rng(12).standard_normal((steps * 3, 3)))
+
+    def run(encode):
+        for t in p.all():
+            t.grad = None
+        with T.Tape() as tape:
+            top, l1f = encode()
+            tape.backward(T.add(T.sum_(T.mul(top, w_top)), T.sum_(T.mul(l1f, w_l1))))
+        return top.data, l1f.data, [t.grad.copy() for t in p.all()]
+
+    def fused():
+        out = enc.encode_batch(ids)
+        return out["top"], out["l1f"]
+
+    got, want = run(fused), run(lambda: reference_bilstm(enc, ids))
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+    for name, g, r in zip(p.names(), got[2], want[2]):
+        np.testing.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_student_tape_length_independent_of_steps():
+    enc, _ = make_student_encoder(9, 4, 3, layers=3)
+
+    def tape_len(steps):
+        with T.Tape() as tape:
+            enc.encode_batch(np.zeros((2, steps), dtype=np.int64))
+        return len(tape)
+
+    assert tape_len(3) == tape_len(12)
+
+
 def test_student_fd_gradient():
     enc, p = make_student_encoder(8, 3, 3, layers=2, seed=4)
     ids = np.array([[1, 2, 0, 5]])

@@ -51,6 +51,11 @@ def test_shape_errors():
         T.take(f64(np.zeros((2, 2))), [4])
     with pytest.raises(ValueError):
         T.concat([])
+    u = f64(np.zeros((2, 8)))
+    with pytest.raises(ValueError):  # 5 rows are not whole steps of B=2
+        T.lstm_scan(f64(np.zeros((5, 8))), u, 2)
+    with pytest.raises(ValueError):  # gate width is not 4h
+        T.lstm_scan(f64(np.zeros((4, 6))), f64(np.zeros((2, 6))), 2)
 
 
 # ---------------------------------------------------------------------------
