@@ -48,11 +48,6 @@ class DistillConfig:
         if self.alpha_fixed is not None and not 0.0 <= self.alpha_fixed <= 1.0:
             raise DistillError(f"alpha_fixed must be in [0, 1], got {self.alpha_fixed}")
 
-    def alpha(self, t: int) -> float:
-        if self.alpha_fixed is not None:
-            return self.alpha_fixed
-        return anneal_alpha(t, self.total_iters)
-
 
 @dataclass
 class TeacherSet:

@@ -7,9 +7,12 @@ arc/label scorer, span scorer). All parameters live in per-model Params
 registries so the full parameter vector is enumerable for regularization
 and checkpointing.
 
-Teachers encode a whole batch of sentences at once: tree cells run once per
-tree level across every tree of the batch (dynamic batching), and the GCN
-sums messages over the batch's stacked edge lists.
+Every model encodes a whole batch of sentences at once through
+`reps(sides) -> (rows, offsets)`: the token rows of all sentences stacked in
+input order plus their row offsets, which the shared task heads, losses and
+scorers consume. Tree cells run once per tree level across every tree of the
+batch (dynamic batching), the GCN sums messages over the batch's stacked edge
+lists, and the student runs one BiLSTM batch per sentence length.
 """
 from __future__ import annotations
 
@@ -437,6 +440,10 @@ class StudentEncoder:
 def segment_mean(mat: Tensor, off) -> Tensor:
     """Mean of each block of rows [off[b], off[b + 1]) -> (B, width)."""
     counts = np.diff(off)
+    # equal blocks sum through one reshape, in segment_sum's row order
+    if (counts == counts[0]).all():
+        n = counts[0]
+        return T.scale(T.sum_(T.reshape(mat, (counts.size, n, mat.shape[1])), axis=1), 1.0 / n)
     total = T.segment_sum(mat, np.repeat(np.arange(counts.size), counts), counts.size)
     scale = np.repeat((1.0 / counts)[:, None], mat.shape[1], axis=1)
     return T.mul(total, Tensor(scale.astype(mat.dtype)))
@@ -942,7 +949,7 @@ class StudentModel(BaseModel):
         return T.add(T.matmul(mat, w), b)
 
     def batches(self, data):
-        """Same-length groups (the encoder's batches are rectangular), each
+        """Same-length groups, so each chunk is one encoder batch, each
         chunked to BATCH_ROWS."""
         groups = {}
         for i, enc in enumerate(data):
@@ -950,50 +957,35 @@ class StudentModel(BaseModel):
         return [idxs[lo:lo + BATCH_ROWS] for _, idxs in sorted(groups.items())
                 for lo in range(0, len(idxs), BATCH_ROWS)]
 
-    def forward(self, encs, train=False, rng=None):
-        """Task logits for one same-length group plus the main-side encoder
-        output (step-major rows t*B + b); tag logits are stacked by sentence."""
-        out = self.encoder.encode_batch(stack_ids(encs), train, rng)
-        if self.task == "pair":
-            out_b = self.encoder.encode_batch(stack_ids(encs, "partner"), train, rng)
-            return self.head(_pooled(out), _pooled(out_b)), out
-        if self.task == "tag":
-            bsz, steps = out["batch"], out["steps"]
-            mat = T.embedding(out["top"], step_major_rows(bsz, steps).reshape(-1))
-            return self.head(mat, np.arange(bsz) * steps
-                             + np.array([e.predicate for e in encs])), out
-        return self.head(_pooled(out)), out
-
-    def logits(self, encs, train=False, rng=None) -> Tensor:
-        return self.forward(encs, train, rng)[0]
-
     def reps(self, sides, train=False, rng=None):
         """Stacked token rows of a batch of sides plus their row offsets; the
-        batched training and prediction path is `forward`."""
-        tops = [self.encoder.encode_batch(np.asarray(s.token_ids)[None, :], train, rng)["top"]
-                for s in sides]
-        return T.concat(tops, axis=0), offsets([s.n for s in sides])
+        sides of each length are encoded as one batch."""
+        off = offsets([s.n for s in sides])
+        groups = {}
+        for b, s in enumerate(sides):
+            groups.setdefault(s.n, []).append(b)
+        tops, rows, base = [], np.empty(off[-1], dtype=np.int64), 0
+        for steps, members in groups.items():
+            top = self.encoder.encode_batch(stack_ids([sides[b] for b in members]),
+                                            train, rng)["top"]
+            # step-major row t*B + k of member k -> its sentence-stacked row
+            rows[off[members][:, None] + np.arange(steps)] = (
+                base + np.arange(steps) * len(members) + np.arange(len(members))[:, None])
+            tops.append(top)
+            base += top.shape[0]
+        return T.embedding(tops[0] if len(tops) == 1 else T.concat(tops, axis=0), rows), off
 
 
 def length_key(enc):
     return (enc.main.n, enc.partner.n if enc.partner is not None else -1)
 
 
-def step_major_rows(bsz, steps) -> np.ndarray:
-    """(B, T) rows of each batch member in a step-major (row t*B + b) output."""
-    return np.arange(steps)[None, :] * bsz + np.arange(bsz)[:, None]
-
-
-def stack_ids(encs, side="main"):
-    ids = [np.asarray(getattr(e, side).token_ids) for e in encs]
+def stack_ids(sides):
+    """(B, T) token ids of same-length sides."""
+    ids = [np.asarray(s.token_ids) for s in sides]
     if len({a.size for a in ids}) > 1:
         raise ValueError("a student batch needs sentences of one length")
     return np.stack(ids)
-
-
-def _pooled(out):
-    cube = T.reshape(out["top"], (out["steps"], out["batch"], out["top"].shape[1]))
-    return T.mean(cube, axis=0)  # (B, width)
 
 
 def make_teacher(kind, codec, emb_dim=300, hidden=300, n_layers=2, rng=None,

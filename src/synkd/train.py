@@ -39,7 +39,7 @@ from .distill import (
     soft_con_target,
     total_loss,
 )
-from .encoders import length_key, offsets, stack_ids, step_major_rows
+from .encoders import length_key, offsets, stack_ids
 from .syntax_data import MASK, DataError
 from .tensor import Adam, Tensor
 
@@ -217,12 +217,6 @@ class BatchSampler:
 # ---------------------------------------------------------------------------
 # batch plumbing
 
-def example_rows(out, b) -> Tensor:
-    """Token representations of batch member b from the step-major student
-    encoder output."""
-    return T.embedding(out["top"], step_major_rows(out["batch"], out["steps"])[b])
-
-
 def gold_rows(model, encs) -> np.ndarray:
     """One-hot targets aligned with the batched logits (stacked by sentence
     for tags)."""
@@ -248,10 +242,10 @@ class TeacherSignals:
         soft = cfg.mode == "B" and cfg.teacher_mode == "soft"
         self.task_dists = {m.kind: [] for m in teachers.all}
         self.feats = {m.kind: [] for m in teachers.all} if cfg.mode == "A" else None
-        self.arc_shared = None
-        self.arc_by_teacher = {m.kind: [] for m in teachers.dep} if soft else None
-        self.tstar_shared = None
-        self.tstar_by_teacher = {m.kind: [] for m in teachers.con} if soft else None
+        # mode-B structure targets per teacher kind: arc/label targets of the
+        # dependency teachers, reference trees T* of the constituency ones
+        self.arcs = {m.kind: [] for m in teachers.dep}
+        self.trees = {m.kind: [] for m in teachers.con}
         for m in teachers.all:
             for chunk in m.batches(data):
                 encs = [data[i] for i in chunk]
@@ -264,32 +258,21 @@ class TeacherSignals:
                 if soft:
                     rows = [T.slice_rows(mat, off[b], off[b + 1]) for b in range(len(encs))]
                     if m.structure == "dep":
-                        self.arc_by_teacher[m.kind] += [soft_arc_targets(m, r) for r in rows]
+                        self.arcs[m.kind] += [soft_arc_targets(m, r) for r in rows]
                     else:
-                        self.tstar_by_teacher[m.kind] += [soft_con_target(m, r) for r in rows]
+                        self.trees[m.kind] += [soft_con_target(m, r) for r in rows]
         if cfg.mode == "B" and cfg.teacher_mode == "hard":
             if teachers.dep:
-                self.arc_shared = [
-                    hard_arc_targets(enc.main.heads, enc.main.dep_label_ids,
-                                     n_dep_labels)
-                    for enc in data]
-            if teachers.con:
-                self.tstar_shared = [enc.main.bintree for enc in data]
+                arcs = [hard_arc_targets(enc.main.heads, enc.main.dep_label_ids,
+                                         n_dep_labels) for enc in data]
+                self.arcs = {m.kind: arcs for m in teachers.dep}
+            trees = [enc.main.bintree for enc in data]
+            self.trees = {m.kind: trees for m in teachers.con}
 
     def dist_rows(self, kind, idxs, task):
         """Teacher distribution rows aligned with the batched student logits."""
         per_ex = [self.task_dists[kind][i] for i in idxs]
         return np.concatenate(per_ex) if task == "tag" else np.stack(per_ex)
-
-    def arc_targets(self, kind, i):
-        if self.arc_shared is not None:
-            return self.arc_shared[i]
-        return self.arc_by_teacher[kind][i]
-
-    def con_target(self, kind, i):
-        if self.tstar_shared is not None:
-            return self.tstar_shared[i]
-        return self.tstar_by_teacher[kind][i]
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +285,27 @@ def _mean_terms(terms):
     return T.scale(total, 1.0 / len(terms))
 
 
-def output_loss_batch(student, encs, idxs, signals, kinds, alpha,
+def output_loss_batch(model, encs, idxs, signals, kinds, alpha,
                       train=True, rng=None):
-    logits, out = student.forward(encs, train=train, rng=rng)
-    gold = gold_rows(student, encs)
-    teacher_rows = [signals.dist_rows(k, idxs, student.task) for k in kinds] \
+    """Output loss of any model against gold mixed with the given teachers'
+    distributions, plus the main side's (rows, offsets) for reuse."""
+    main = model.reps([enc.main for enc in encs], train, rng)
+    logits = model.head_logits(encs, main, train, rng)
+    teacher_rows = [signals.dist_rows(k, idxs, model.task) for k in kinds] \
         if signals is not None else []
-    return output_distill_loss(gold, teacher_rows, logits, alpha), out
+    return output_distill_loss(gold_rows(model, encs), teacher_rows, logits, alpha), main
 
 
-def syn_loss_batch(student, out, encs, idxs, signals, cfg, models):
-    """Mode-A feature regression or mode-B structure injection for one batch,
-    averaged over the given teachers (all share one structure type)."""
+def syn_loss_batch(student, main, idxs, signals, cfg, models):
+    """Mode-A feature regression or mode-B structure injection for one batch
+    from the student's main-side (rows, offsets), averaged over the given
+    teachers (all share one structure type)."""
     structure = models[0].structure
     kinds = [m.kind for m in models]
     per_teacher = {k: [] for k in kinds}
-    for b, (enc, i) in enumerate(zip(encs, idxs)):
-        rows = example_rows(out, b)
+    mat, off = main
+    for b, i in enumerate(idxs):
+        rows = T.slice_rows(mat, off[b], off[b + 1])
         if cfg.mode == "A":
             for k in kinds:
                 t_mat = Tensor(signals.feats[k][i])
@@ -329,19 +316,19 @@ def syn_loss_batch(student, out, encs, idxs, signals, cfg, models):
         elif structure == "dep":
             scores = student.arc_scorer(rows)
             for k in kinds:
-                arc, lab, best = signals.arc_targets(k, i)
+                arc, lab, best = signals.arcs[k][i]
                 per_teacher[k].append(dep_inject_loss(scores, arc, lab, best))
         else:
             scored = student.span_scorer(rows)
             for k in kinds:
-                per_teacher[k].append(con_inject_loss(scored, signals.con_target(k, i)))
+                per_teacher[k].append(con_inject_loss(scored, signals.trees[k][i]))
     return _mean_terms([_mean_terms(per_teacher[k]) for k in kinds])
 
 
 def sem_loss_batch(student, encs, cfg, rng, train=True):
     """Masked-word loss over a batch (per-example sums, averaged over the
     batch); masking and the extra forward run on the main side."""
-    ids = stack_ids(encs)
+    ids = stack_ids([enc.main for enc in encs])
     targets = []
     for b, enc in enumerate(encs):
         for j in sample_mask_positions(enc.main.n, cfg.mask_ratio, rng):
@@ -575,12 +562,10 @@ def train_teacher(model, train_data, dev_data, *, iters=2000, batch_size=32,
         encs = [train_data[i] for i in idxs]
 
         def build_loss():
-            main = model.reps([enc.main for enc in encs], train=True, rng=state.rng)
-            loss = output_distill_loss(gold_rows(model, encs), [], model.head_logits(
-                encs, main, train=True, rng=state.rng), alpha=1.0)
+            loss, (mat, off) = output_loss_batch(model, encs, idxs, None, [], 1.0,
+                                                 rng=state.rng)
             if not co_train_struct:
                 return loss
-            mat, off = main
             struct = []
             for b, enc in enumerate(encs):
                 scores = model.struct_head(T.slice_rows(mat, off[b], off[b + 1]))
@@ -672,9 +657,8 @@ def distill_student(student, teachers, train_data, dev_data,
                 takes_turn = (m.structure == "dep") == dep_turn
                 if cfg.lam1 > 0 and takes_turn:
                     def syn_plus_reg(m=m):
-                        _, out = student.forward(encs, train=True, rng=rng)
-                        syn = syn_loss_batch(student, out, encs, idxs,
-                                             signals, cfg, [m])
+                        main = student.reps([enc.main for enc in encs], True, rng)
+                        syn = syn_loss_batch(student, main, idxs, signals, cfg, [m])
                         if cfg.zeta > 0:
                             return T.add(syn, reg_loss(reg_params, cfg.zeta))
                         return syn
@@ -686,7 +670,7 @@ def distill_student(student, teachers, train_data, dev_data,
         else:
             def all_loss():
                 kinds = [m.kind for m in teachers.all]
-                out_loss, out = output_loss_batch(
+                out_loss, main = output_loss_batch(
                     student, encs, idxs, signals, kinds, alpha, rng=rng)
                 parts["loss_output"] = float(out_loss.data)
                 syn = sem = reg = None
@@ -697,14 +681,12 @@ def distill_student(student, teachers, train_data, dev_data,
                     con_t = teachers.con if cfg.eta < 1.0 else []
                     if dep_t and con_t:
                         syn = combine_syn(
-                            syn_loss_batch(student, out, encs, idxs,
-                                           signals, cfg, dep_t),
-                            syn_loss_batch(student, out, encs, idxs,
-                                           signals, cfg, con_t),
+                            syn_loss_batch(student, main, idxs, signals, cfg, dep_t),
+                            syn_loss_batch(student, main, idxs, signals, cfg, con_t),
                             cfg.eta)
                     elif dep_t or con_t:
-                        syn = syn_loss_batch(student, out, encs, idxs,
-                                             signals, cfg, dep_t or con_t)
+                        syn = syn_loss_batch(student, main, idxs, signals, cfg,
+                                             dep_t or con_t)
                 if syn is not None:
                     parts["loss_syn"] = float(syn.data)
                     if cfg.zeta > 0:

@@ -537,7 +537,7 @@ def test_batched_reps_and_logits_match_single(task):
         np.testing.assert_array_equal(off, np.cumsum([0] + [e.main.n for e in encs]))
         single = np.concatenate([m.reps([e.main])[0].data for e in encs])
         np.testing.assert_allclose(mat.data, single, rtol=0, atol=1e-12, err_msg=m.kind)
-    for m in models:
+    for m in models + [student]:
         single = np.concatenate([m.logits([e]).data for e in encs])
         np.testing.assert_allclose(m.logits(encs).data, single, rtol=0, atol=1e-12,
                                    err_msg=m.kind)

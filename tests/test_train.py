@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from synkd.distill import DistillConfig, DistillError, TeacherSet
-from synkd.encoders import Codec, GcnModel, StudentModel, make_teacher, TEACHER_KINDS
+from synkd.encoders import (Codec, GcnModel, StudentEncoder, StudentModel, TEACHER_KINDS,
+                            make_teacher)
 from synkd.syntax_data import DataError, Example, gen_synthetic
 from synkd.train import (
     BatchSampler,
@@ -213,7 +214,7 @@ def test_student_batched_matches_single():
     codec, encs = small_data(24, seed=4)
     student = small_student(codec)
     group = [e for e in encs if e.main.n == encs[0].main.n][:5]
-    logits, _ = student.forward(group)
+    logits = student.logits(group)
     for b, enc in enumerate(group):
         single = student.logits([enc])
         np.testing.assert_allclose(logits.data[b], single.data[0], atol=1e-5)
@@ -358,6 +359,28 @@ def test_distill_one_sided_teacher_sets():
                                 DistillConfig(total_iters=3), sched,
                                 batch_size=4, lr=1e-3, seed=0)
         assert (3, "all") in state.trace
+
+
+def test_syntax_step_encodes_main_side_once(monkeypatch):
+    codec, encs = small_data(16, seed=20, task="pair")
+    student = small_student(codec)
+    teacher = make_teacher("gcn-dep", codec, emb_dim=10, n_layers=1,
+                           rng=np.random.default_rng(2))
+    calls = []
+    encode = StudentEncoder.encode_batch
+
+    def counted(self, ids, train=False, rng=None):
+        calls.append(np.array(ids))
+        return encode(self, ids, train, rng)
+
+    monkeypatch.setattr(StudentEncoder, "encode_batch", counted)
+    state = distill_student(student, TeacherSet(dep=[teacher]), encs, None,
+                            DistillConfig(lam2=0.0), Schedule(total=1, g1=1, g2=1),
+                            batch_size=4, lr=1e-3, seed=0)
+    assert state.trace == [(1, "output/gcn-dep"), (1, "dep/gcn-dep")]
+    # the output step encodes both sides, the syntax step the main side only
+    assert len(calls) == 3
+    np.testing.assert_array_equal(calls[2], calls[0])
 
 
 def test_distill_mode_a_runs_and_registers_projections():
