@@ -22,7 +22,7 @@ from .distill import (
     total_loss,
 )
 from .encoders import (
-    ArcScores,
+    ArcLabelScorer,
     ChildSumCell,
     NaryCell,
     Params,
@@ -33,11 +33,11 @@ from .encoders import (
     dep_enc_graph,
     gcn_edges,
     gcn_layer,
-    span_order,
+    offsets,
     tree_encode,
 )
 from .gradcheck import rand_param
-from .structures import BinTree, score_tree, SpanScores
+from .structures import BinTree
 from .tensor import Tensor
 
 F64 = np.float64
@@ -228,33 +228,28 @@ def case_semantic_lm(rng):
 
 
 def case_dep_inject(rng):
-    n, n_labels = int(rng.integers(2, 6)), int(rng.integers(1, 4))
-    heads = random_heads(rng, n)
-    arc = np.zeros((n, n + 1))
-    lab = rng.dirichlet(np.ones(n_labels), size=n)
-    for i, h in enumerate(heads):
-        arc[i, h] = 1.0
-    best = arc.argmax(axis=1)
-    scores = ArcScores(rand_param(rng, (n, n + 1), scale=1.0),
-                       rand_param(rng, (n, n + 1, n_labels), scale=1.0))
-    f = lambda: dep_inject_loss(scores, arc, lab, best)
-    return f, [scores.arc_logits, scores.label_logits]
+    # a mixed-length batch through the scorer, so the padded candidate
+    # columns are checked along with the loss
+    n_labels, p, sizes = int(rng.integers(1, 4)), Params(), batch_sizes(rng)
+    scorer = ArcLabelScorer(p, "arc", 3, n_labels, 3, rng, dtype=F64)
+    mat, off = rand_param(rng, (sum(sizes), 3), scale=1.0), offsets(sizes)
+    targets = []
+    for n in sizes:
+        arc = one_hot(random_heads(rng, n), n + 1)
+        targets.append((arc, rng.dirichlet(np.ones(n_labels), size=n), arc.argmax(axis=1)))
+    return (lambda: dep_inject_loss(scorer(mat, off), targets)), p.all() + [mat]
 
 
 def case_con_inject(rng):
-    # redraw until the hinge is active with a safe margin so the finite
-    # differences never cross the kink at zero
-    for _ in range(100):
-        n, n_labels = int(rng.integers(2, 6)), int(rng.integers(1, 3))
-        ref = random_bintree(rng, n, n_labels)
-        order = span_order(n)
-        scored = ScoredSpans(
-            n, rand_param(rng, (len(order), n_labels), scale=2.0),
-            {span: r for r, span in enumerate(order)})
-        val = con_inject_loss(scored, ref)
-        if val.item() > 0.05:
-            return (lambda: con_inject_loss(scored, ref)), [scored.tensor]
-    raise RuntimeError("no active-hinge instance found")
+    # reference spans score 10 lower, so relabeling T* (two labels at least)
+    # gains 11 a span on average and every hinge stays far above its kink
+    n_labels, sizes = int(rng.integers(2, 4)), batch_sizes(rng)
+    refs = [random_bintree(rng, n, n_labels) for n in sizes]
+    scored = ScoredSpans(rand_param(rng, (sum(n * (n + 1) // 2 for n in sizes), n_labels),
+                                    scale=2.0), offsets(sizes))
+    for b, ref in enumerate(refs):
+        scored.tensor.data.reshape(-1)[scored.flat_ids(b, ref)] -= 10.0
+    return (lambda: con_inject_loss(scored, refs)), [scored.tensor]
 
 
 def case_reg(rng):

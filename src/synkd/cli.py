@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .distill import DistillConfig, DistillError, TeacherSet
+from .distill import DistillConfig, DistillError, TeacherSet, soft_arc_targets, soft_con_targets
 from .encoders import Codec, StudentModel, TEACHER_KINDS, make_teacher
 from .gradcheck import run_all
 from .probe import (
@@ -28,7 +28,7 @@ from .probe import (
     syntax_distribution,
     write_distribution,
 )
-from .structures import SpanScores, cyk_max, unbinarize
+from .structures import cyk_max, unbinarize  # noqa: F401 (cyk_max: perfbench/tracing.py)
 from .syntax_data import DataError, gen_synthetic, load_jsonl, render_bracketed, save_jsonl
 from .train import (
     RunLog,
@@ -492,16 +492,15 @@ def cmd_induce(args):
         raise CliError("induce needs a student checkpoint with structure heads")
     encs = _encode_all(model.codec, _load_examples(cfg, "data"))
     con_itos = model.codec.con_labels.itos
-    tree_lines, head_lines = [], []
-    for enc in encs:
-        rows, _ = model.reps([enc.main])
-        heads = model.arc_scorer(rows).arc_logits.data.argmax(axis=1)
-        head_lines.append(" ".join(str(int(h)) for h in heads))
-        scored = model.span_scorer(rows)
-        bt, _ = cyk_max(SpanScores(scored.n, scored.to_table()))
-        named = bt.map_labels(lambda l: con_itos[l])
-        named.tokens = list(enc.raw.sent.tokens)
-        tree_lines.append(render_bracketed(unbinarize(named)))
+    tree_lines, head_lines = [None] * len(encs), [None] * len(encs)
+    for chunk in model.batches(encs):
+        main = model.reps([encs[i].main for i in chunk])
+        for i, (_, _, heads), bt in zip(chunk, soft_arc_targets(model.arc_scorer, main),
+                                        soft_con_targets(model.span_scorer, main)):
+            head_lines[i] = " ".join(str(int(h)) for h in heads)
+            named = bt.map_labels(lambda l: con_itos[l])
+            named.tokens = list(encs[i].raw.sent.tokens)
+            tree_lines[i] = render_bracketed(unbinarize(named))
     os.makedirs(out, exist_ok=True)
     trees_path = os.path.join(out, "induced_trees.txt")
     heads_path = os.path.join(out, "induced_heads.txt")

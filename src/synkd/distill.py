@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .structures import BinTree, SpanScores, cyk_augmented, cyk_max, hamming, score_tree
+from .structures import cyk_augmented, cyk_max, hamming, score_tree
 from .tensor import Tensor
 
 
@@ -190,54 +190,53 @@ def mask_ids(ids: np.ndarray, positions, mask_id: int) -> np.ndarray:
 
 def hard_arc_targets(heads, dep_label_ids, n_labels):
     """One-hot arc/label targets straight from the parse."""
-    n = len(heads)
-    arc = np.zeros((n, n + 1), dtype=np.float64)
-    lab = np.zeros((n, n_labels), dtype=np.float64)
-    for i, h in enumerate(heads):
-        arc[i, h] = 1.0
-        lab[i, dep_label_ids[i]] = 1.0
-    return arc, lab, np.asarray(heads, dtype=np.int64)
+    heads = np.asarray(heads, dtype=np.int64)
+    return one_hot(heads, heads.size + 1), one_hot(dep_label_ids, n_labels), heads
 
 
-def soft_arc_targets(teacher, rows: Tensor):
-    """Teacher head's predicted arc distribution and its argmax-arc labels,
-    from the teacher's (n, d) token representations of one sentence."""
-    scores = teacher.struct_head(rows)
+def soft_arc_targets(scorer, main):
+    """Per sentence of a batch's (rows, offsets): an arc scorer's arc
+    distribution, its label distribution at the argmax arc, and that arc."""
+    scores = scorer(*main)
     arc = T.softmax(scores.arc_logits, axis=1).data.astype(np.float64)
-    best = arc.argmax(axis=1)
-    n = rows.shape[0]
-    lab_all = T.softmax(scores.label_logits, axis=-1).data.astype(np.float64)
-    lab = lab_all[np.arange(n), best, :]
-    return arc, lab, best
+    best = arc.argmax(axis=1)  # padded candidates have zero weight
+    lab = T.softmax(scores.label_logits, axis=-1).data[np.arange(best.size), best]
+    off = main[1]
+    return [(arc[lo:hi, :hi - lo + 1].copy(), lab[lo:hi].astype(np.float64), best[lo:hi])
+            for lo, hi in zip(off[:-1], off[1:])]
 
 
-def soft_con_target(teacher, rows: Tensor) -> BinTree:
-    """The teacher span scorer's CYK argmax tree, used as T* in soft mode."""
-    scored = teacher.struct_head(rows)
-    tree, _ = cyk_max(SpanScores(scored.n, scored.to_table()))
-    return tree
+def soft_con_targets(scorer, main):
+    """Per sentence of a batch's (rows, offsets): a span scorer's CYK argmax
+    tree, used as T* in soft mode."""
+    scored = scorer(*main)
+    return [cyk_max(scored.chart(b))[0] for b in range(len(main[1]) - 1)]
 
 
-def dep_inject_loss(student_scores, teacher_arc, teacher_label, teacher_best) -> Tensor:
+def dep_inject_loss(scores, targets) -> Tensor:
     """Arc cross-entropy over every dependent plus label cross-entropy at the
-    teacher's best arc per dependent."""
-    arc_logits = student_scores.arc_logits
+    teacher's best arc per dependent, summed over the batch; targets holds
+    per sentence its (n, n + 1) arc and (n, n_labels) label distributions and
+    its (n,) best arcs."""
+    arc_logits = scores.arc_logits
     n, cols = arc_logits.shape
-    teacher_arc = np.asarray(teacher_arc, dtype=np.float64)
-    teacher_label = np.asarray(teacher_label, dtype=np.float64)
-    teacher_best = np.asarray(teacher_best, dtype=np.int64)
-    if teacher_arc.shape != (n, cols):
-        raise DistillError(f"arc target shape {teacher_arc.shape} != {(n, cols)}")
-    n_labels = student_scores.label_logits.shape[2]
-    if teacher_label.shape != (n, n_labels):
-        raise DistillError(f"label target shape {teacher_label.shape} != {(n, n_labels)}")
+    n_labels = scores.label_logits.shape[2]
+    lens = np.diff(scores.off)
+    shapes = [((k, k + 1), (k, n_labels)) for k in lens]
+    if [(np.shape(arc), np.shape(lab)) for arc, lab, _ in targets] != shapes:
+        raise DistillError(f"arc/label target shapes differ from {shapes}")
+    teacher_arc = np.zeros((n, cols), dtype=np.float64)
+    for lo, k, (arc, _, _) in zip(scores.off, lens, targets):
+        teacher_arc[lo:lo + k, :k + 1] = arc
+    teacher_label = np.concatenate([lab for _, lab, _ in targets]).astype(np.float64)
+    teacher_best = np.concatenate([best for _, _, best in targets]).astype(np.int64)
     _check_normalized("arc target", teacher_arc)
     _check_normalized("label target", teacher_label)
 
     log_arc = T.log_softmax(arc_logits, axis=1)
     arc_term = T.scale(T.sum_(T.mul(Tensor(teacher_arc.astype(log_arc.dtype)), log_arc)), -1.0)
 
-    log_lab = T.log_softmax(student_scores.label_logits, axis=-1)
+    log_lab = T.log_softmax(scores.label_logits, axis=-1)
     flat = (np.arange(n) * cols + teacher_best)[:, None] * n_labels + np.arange(n_labels)
     picked = T.take(log_lab, flat.reshape(-1))
     lab_term = T.scale(T.sum_(T.mul(Tensor(teacher_label.reshape(-1).astype(log_lab.dtype)),
@@ -245,30 +244,30 @@ def dep_inject_loss(student_scores, teacher_arc, teacher_label, teacher_best) ->
     return T.add(arc_term, lab_term)
 
 
-def con_inject_loss(scored, t_star: BinTree) -> Tensor:
-    """Structured hinge max(0, max_t [Scr(t) + hamming(t, T*)] - Scr(T*)).
+def con_inject_loss(scored, trees) -> Tensor:
+    """Structured hinge max(0, max_t [Scr(t) + hamming(t, T*)] - Scr(T*)),
+    summed over the batch; trees holds T* per sentence of `scored`.
 
-    The max runs through the hamming-augmented CYK chart; gradients flow into
-    the scores of the offending tree's spans (+) and the reference spans (-).
+    Each sentence's max runs through its own hamming-augmented CYK chart;
+    gradients flow into the scores of the offending trees' spans (+) and the
+    reference spans (-) of the sentences whose hinge is active.
     """
-    if t_star.n != scored.n:
-        raise DistillError(f"reference length {t_star.n} != scored length {scored.n}")
-    table = scored.to_table()
-    s = SpanScores(scored.n, table)
-    t_hat, aug_score = cyk_augmented(s, t_star)
-    margin = aug_score - score_tree(s, t_star)
-    if margin <= 0:
+    if [t.n for t in trees] != np.diff(scored.off).tolist():
+        raise DistillError(f"reference lengths {[t.n for t in trees]} != scored "
+                           f"lengths {np.diff(scored.off).tolist()}")
+    hat, star, delta = [], [], 0
+    for b, t_star in enumerate(trees):
+        s = scored.chart(b)
+        t_hat, aug_score = cyk_augmented(s, t_star)
+        if aug_score - score_tree(s, t_star) > 0:
+            hat.append(scored.flat_ids(b, t_hat))
+            star.append(scored.flat_ids(b, t_star))
+            delta += hamming(t_hat, t_star)
+    if not hat:
         return Tensor(np.array(0.0, dtype=scored.tensor.dtype))
-
-    n_labels = scored.n_labels
-
-    def gather_sum(tree):
-        flat = np.array([scored.index[(i, j)] * n_labels + l
-                         for (i, j), l in tree.spans.items()], dtype=np.int64)
-        return T.sum_(T.take(scored.tensor, flat))
-
-    delta = Tensor(np.array(float(hamming(t_hat, t_star)), dtype=scored.tensor.dtype))
-    return T.add(T.sub(gather_sum(t_hat), gather_sum(t_star)), delta)
+    gap = T.sub(T.sum_(T.take(scored.tensor, np.concatenate(hat))),
+                T.sum_(T.take(scored.tensor, np.concatenate(star))))
+    return T.add(gap, Tensor(np.array(float(delta), dtype=scored.tensor.dtype)))
 
 
 def reg_loss(params, zeta: float) -> Tensor:

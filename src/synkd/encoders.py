@@ -12,7 +12,8 @@ Every model encodes a whole batch of sentences at once through
 input order plus their row offsets, which the shared task heads, losses and
 scorers consume. Tree cells run once per tree level across every tree of the
 batch (dynamic batching), the GCN sums messages over the batch's stacked edge
-lists, and the student runs one BiLSTM batch per sentence length.
+lists, the student runs one BiLSTM batch per sentence length, and the arc and
+span scorers score every sentence of a batch in a fixed number of tape ops.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .structures import BinTree, binarize
+from .structures import BinTree, SpanScores, binarize
 from .syntax_data import DataError, Example, LabelVocab, Vocab
 from .tensor import Tensor
 
@@ -495,12 +496,19 @@ class TagHead:
 
 @dataclass
 class ArcScores:
-    arc_logits: Tensor    # (n, n+1); column 0 is the virtual root
-    label_logits: Tensor  # (n, n+1, n_labels)
+    """Arc and label logits of a batch, stacked by dependent: column 0 is the
+    virtual root, column c the dependent's own sentence's token c - 1, and
+    the columns past its sentence's length hold ArcLabelScorer.PAD_LOGIT."""
+    arc_logits: Tensor    # (total tokens, n_max + 1)
+    label_logits: Tensor  # (total tokens, n_max + 1, n_labels)
+    off: np.ndarray       # token offsets of the batch's sentences
 
 
 class ArcLabelScorer:
-    """Bilinear-plus-linear head/dependent scorer with a learned root column."""
+    """Bilinear-plus-linear head/dependent scorer with a learned root column
+    (Dozat & Manning 2017, arXiv:1611.01734)."""
+
+    PAD_LOGIT = -1e9  # zero softmax weight, yet 0 * PAD_LOGIT stays finite
 
     def __init__(self, p: Params, prefix, in_dim, n_labels, arc_dim, rng,
                  dtype=np.float32):
@@ -519,44 +527,57 @@ class ArcLabelScorer:
         self.bl = p.add(f"{prefix}/bl", (n_labels,), init="zeros", dtype=dtype)
         self.dtype = dtype
 
-    def __call__(self, reps: Tensor) -> ArcScores:
-        n = reps.shape[0]
-        hd = T.tanh(T.add(T.matmul(reps, self.Wd), self.bd))
-        hh = T.tanh(T.add(T.matmul(reps, self.Wh), self.bh))
-        cand = T.concat([self.root, hh], axis=0)  # (n+1, a)
-        bilinear = T.matmul(T.matmul(hd, self.A), T.transpose(cand))
-        ones_row = Tensor(np.ones((1, n + 1), dtype=self.dtype))
-        ones_col = Tensor(np.ones((n, 1), dtype=self.dtype))
-        lin_d = T.matmul(T.matmul(hd, self.wd), ones_row)
-        lin_h = T.matmul(ones_col, T.transpose(T.matmul(cand, self.wh)))
-        arc = T.add(T.add(bilinear, lin_d), lin_h)
-        dep_idx = np.repeat(np.arange(n), n + 1)
-        head_idx = np.tile(np.arange(n + 1), n)
-        pair = T.concat([T.embedding(hd, dep_idx), T.embedding(cand, head_idx)], axis=1)
+    def __call__(self, mat: Tensor, off) -> ArcScores:
+        """Scores of every dependent of rows [off[b], off[b + 1]) of `mat`."""
+        lens = np.diff(off)
+        n, col = mat.shape[0], np.arange(lens.max() + 1)
+        real = col <= np.repeat(lens, lens)[:, None]
+        # row of each (dependent, column) candidate in [root; hh]: the root
+        # for column 0 and for padding, else the sentence's token col - 1
+        head = np.where(real & (col > 0), np.repeat(off[:-1], lens)[:, None] + col, 0)
+        dep = np.repeat(np.arange(n), col.size)
+        hd = T.tanh(T.add(T.matmul(mat, self.Wd), self.bd))
+        hh = T.tanh(T.add(T.matmul(mat, self.Wh), self.bh))
+        cand = T.embedding(T.concat([self.root, hh], axis=0), head.reshape(-1))
+        bilinear = T.sum_(T.mul(T.embedding(T.matmul(hd, self.A), dep), cand),
+                          axis=1, keepdims=True)
+        lin = T.add(T.embedding(T.matmul(hd, self.wd), dep), T.matmul(cand, self.wh))
+        pad = np.where(real, 0.0, self.PAD_LOGIT).astype(self.dtype)
+        arc = T.add(T.reshape(T.add(bilinear, lin), (n, col.size)), Tensor(pad))
+        pair = T.concat([T.embedding(hd, dep), cand], axis=1)
         labels = T.add(T.matmul(pair, self.Wl), self.bl)
-        return ArcScores(arc, T.reshape(labels, (n, n + 1, self.n_labels)))
+        return ArcScores(arc, T.reshape(labels, (n, col.size, self.n_labels)), np.asarray(off))
 
 
 def span_order(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
+    """(i, j) arrays of every span 0 <= i < j <= n, by start, then end."""
+    return np.triu_indices(n + 1, 1)
 
 
 @dataclass
 class ScoredSpans:
-    """Differentiable span scores plus the dense table for the chart."""
-    n: int
-    tensor: Tensor  # (n_spans, n_labels) in span_order
-    index: dict     # (i, j) -> row
+    """Differentiable span scores of a batch: each sentence's spans in
+    span_order, sentence after sentence."""
+    tensor: Tensor   # (total spans, n_labels)
+    off: np.ndarray  # token offsets of the batch's sentences
 
-    @property
-    def n_labels(self):
-        return self.tensor.shape[1]
+    def __post_init__(self):
+        lens = np.diff(self.off)
+        self.span_off = offsets(lens * (lens + 1) // 2)
 
-    def to_table(self) -> np.ndarray:
-        table = np.zeros((self.n, self.n + 1, self.n_labels), dtype=np.float64)
-        for (i, j), r in self.index.items():
-            table[i, j] = self.tensor.data[r]
-        return table
+    def chart(self, b) -> SpanScores:
+        """Dense score table of sentence b, for the chart algorithms."""
+        n = int(self.off[b + 1] - self.off[b])
+        table = np.zeros((n, n + 1, self.tensor.shape[1]), dtype=np.float64)
+        table[span_order(n)] = self.tensor.data[self.span_off[b]:self.span_off[b + 1]]
+        return SpanScores(n, table)
+
+    def flat_ids(self, b, tree: BinTree) -> np.ndarray:
+        """Flat indices into `tensor` of the labeled spans of sentence b's tree;
+        span (i, j) is row i * n - i * (i - 1) / 2 + j - i - 1 of its block."""
+        (i, j), label = np.array(list(tree.spans)).T, np.array(list(tree.spans.values()))
+        rows = self.span_off[b] + i * tree.n - i * (i - 1) // 2 + j - i - 1
+        return rows * self.tensor.shape[1] + label
 
 
 class SpanScorer:
@@ -569,18 +590,17 @@ class SpanScorer:
         self.b = p.add(f"{prefix}/b", (n_labels,), init="zeros", dtype=dtype)
         self.dtype = dtype
 
-    def __call__(self, reps: Tensor) -> ScoredSpans:
-        n = reps.shape[0]
-        zero = Tensor(np.zeros((1, reps.shape[1]), dtype=self.dtype))
-        bounds = T.concat([zero, reps], axis=0)  # b_k = rep of token k-1, b_0 = 0
-        spans = span_order(n)
-        i_idx = np.array([i for i, _ in spans], dtype=np.int64)
-        j_idx = np.array([j for _, j in spans], dtype=np.int64)
-        bi = T.embedding(bounds, i_idx)
-        bj = T.embedding(bounds, j_idx)
+    def __call__(self, mat: Tensor, off) -> ScoredSpans:
+        """Scores of every span of every sentence of rows [off[b], off[b + 1])."""
+        zero = Tensor(np.zeros((1, mat.shape[1]), dtype=self.dtype))
+        # fencepost k > 0 of sentence b is its token k - 1, row off[b] + k of
+        # bounds; every fencepost 0 is the zero row
+        bounds = T.concat([zero, mat], axis=0)
+        spans = [(o, *span_order(n)) for o, n in zip(off[:-1], np.diff(off))]
+        bi = T.embedding(bounds, np.concatenate([np.where(i > 0, o + i, 0) for o, i, _ in spans]))
+        bj = T.embedding(bounds, np.concatenate([o + j for o, _, j in spans]))
         feat = T.concat([T.sub(bj, bi), bi, bj], axis=1)
-        scores = T.add(T.matmul(feat, self.W), self.b)
-        return ScoredSpans(n, scores, {s: r for r, s in enumerate(spans)})
+        return ScoredSpans(T.add(T.matmul(feat, self.W), self.b), np.asarray(off))
 
 
 # ---------------------------------------------------------------------------

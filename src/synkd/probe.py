@@ -21,22 +21,25 @@ from .tensor import Adam, Tensor
 PROBE_KINDS = ("constituent-labeling", "dependency-labeling")
 
 
-def token_reps(model, enc) -> np.ndarray:
-    """Detached top-layer representations; the frozen backbone stays out of
-    any tape."""
-    mat, _ = model.reps([enc.main])
-    return mat.data.copy()
+def _main_rows(model, data):
+    """Detached top-layer rows of each example's main side, in data order, from
+    one pass per `model.batches` chunk; the frozen backbone stays off any tape."""
+    reps = [None] * len(data)
+    for chunk in model.batches(data):
+        mat, off = model.reps([data[i].main for i in chunk])
+        for b, i in enumerate(chunk):
+            reps[i] = mat.data[off[b]:off[b + 1]].copy()
+    return reps
 
 
 def constituent_instances(model, data):
     """One instance per labeled span of the original tree: feature
     [r_end - r_start; r_start; r_end], target the span's label id."""
+    if any(enc.raw.con is None for enc in data):
+        raise DataError("constituent probing needs constituency annotation")
     codec = model.codec
     feats, labels = [], []
-    for enc in data:
-        if enc.raw.con is None:
-            raise DataError("constituent probing needs constituency annotation")
-        reps = token_reps(model, enc)
+    for enc, reps in zip(data, _main_rows(model, data)):
         for i, j, label in enc.raw.con.spans():
             a, b = reps[i], reps[j - 1]
             feats.append(np.concatenate([b - a, a, b]))
@@ -47,11 +50,10 @@ def constituent_instances(model, data):
 def dependency_instances(model, data):
     """One instance per non-root arc: feature [r_head; r_dep], target the
     arc's relation label id."""
+    if any(enc.main.heads is None for enc in data):
+        raise DataError("dependency probing needs dependency annotation")
     feats, labels = [], []
-    for enc in data:
-        if enc.main.heads is None:
-            raise DataError("dependency probing needs dependency annotation")
-        reps = token_reps(model, enc)
+    for enc, reps in zip(data, _main_rows(model, data)):
         for i, h in enumerate(enc.main.heads):
             if h == 0:
                 continue

@@ -160,10 +160,10 @@ class SpanScores:
         table = np.asarray(table, dtype=np.float64)
         if table.shape[0] < n or table.shape[1] < n + 1 or table.ndim != 3:
             raise DataError(f"score table shape {table.shape} too small for n={n}")
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                if not np.isfinite(table[i, j]).all():
-                    raise DataError(f"non-finite score at span ({i}, {j})")
+        i, j = np.triu_indices(n + 1, 1)
+        bad = np.flatnonzero(~np.isfinite(table[i, j]).all(axis=-1))
+        if bad.size:
+            raise DataError(f"non-finite score at span ({i[bad[0]]}, {j[bad[0]]})")
         self.n = n
         self.table = table
 
@@ -186,35 +186,31 @@ def _chart_max(n, table):
     (argmax returns the first maximum).
     """
     best_label = np.argmax(table, axis=2)
-    best_label_score = np.take_along_axis(
-        table, best_label[:, :, None], axis=2)[:, :, 0]
+    label_score = np.take_along_axis(
+        table, best_label[:, :, None], axis=2)[:n, :n + 1, 0]
 
-    best = np.full((n, n + 1), -np.inf)
+    # by_start[i, w] and by_end[i + w, w] hold the best score of span (i, i + w),
+    # so all splits of one width are two slices; split[i, w] is the left width
+    by_start = np.zeros((n, n + 1))
+    by_end = np.zeros((n + 1, n + 1))
     split = np.zeros((n, n + 1), dtype=np.int64)
-    for i in range(n):
-        best[i, i + 1] = best_label_score[i, i + 1]
-    for width in range(2, n + 1):
-        for i in range(0, n - width + 1):
-            j = i + width
-            acc, arg = -np.inf, -1
-            for k in range(i + 1, j):
-                v = best[i, k] + best[k, j]
-                if v > acc:
-                    acc, arg = v, k
-            best[i, j] = acc + best_label_score[i, j]
-            split[i, j] = arg
+    by_start[:, 1] = by_end[1:, 1] = np.diagonal(label_score, 1)
+    for w in range(2, n + 1):
+        v = by_start[:n - w + 1, 1:w] + by_end[w:, w - 1:0:-1]
+        split[:n - w + 1, w] = v.argmax(axis=1) + 1
+        by_start[:n - w + 1, w] = by_end[w:, w] = v.max(axis=1) + np.diagonal(label_score, w)
 
     spans = {}
 
     def walk(i, j):
         spans[(i, j)] = int(best_label[i, j])
         if j - i > 1:
-            k = split[i, j]
+            k = i + split[i, j - i]
             walk(i, k)
             walk(k, j)
 
     walk(0, n)
-    return BinTree(n, spans), float(best[0, n])
+    return BinTree(n, spans), float(by_start[0, n])
 
 
 def cyk_max(s: SpanScores):

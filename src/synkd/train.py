@@ -15,6 +15,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .distill import (
     sample_mask_positions,
     semantic_lm_loss,
     soft_arc_targets,
-    soft_con_target,
+    soft_con_targets,
     total_loss,
 )
 from .encoders import length_key, offsets, stack_ids
@@ -226,6 +227,15 @@ def gold_rows(model, encs) -> np.ndarray:
     return one_hot([enc.label for enc in encs], n_classes)
 
 
+def hard_targets(structure, encs, n_dep_labels):
+    """Mode-B targets of the main sides straight from their parses: arc/label
+    one-hots (dep) or binarized trees (con), one per example."""
+    if structure == "dep":
+        return [hard_arc_targets(enc.main.heads, enc.main.dep_label_ids, n_dep_labels)
+                for enc in encs]
+    return [enc.main.bintree for enc in encs]
+
+
 def _blocks(arr, off):
     """Per-example row blocks [off[b], off[b + 1]) of a stacked array."""
     return [arr[off[b]:off[b + 1]].copy() for b in range(len(off) - 1)]
@@ -244,8 +254,7 @@ class TeacherSignals:
         self.feats = {m.kind: [] for m in teachers.all} if cfg.mode == "A" else None
         # mode-B structure targets per teacher kind: arc/label targets of the
         # dependency teachers, reference trees T* of the constituency ones
-        self.arcs = {m.kind: [] for m in teachers.dep}
-        self.trees = {m.kind: [] for m in teachers.con}
+        self.targets = {m.kind: [] for m in teachers.all}
         for m in teachers.all:
             for chunk in m.batches(data):
                 encs = [data[i] for i in chunk]
@@ -256,18 +265,13 @@ class TeacherSignals:
                 if self.feats is not None:
                     self.feats[m.kind] += _blocks(mat.data, off)
                 if soft:
-                    rows = [T.slice_rows(mat, off[b], off[b + 1]) for b in range(len(encs))]
-                    if m.structure == "dep":
-                        self.arcs[m.kind] += [soft_arc_targets(m, r) for r in rows]
-                    else:
-                        self.trees[m.kind] += [soft_con_target(m, r) for r in rows]
+                    soft_targets = soft_arc_targets if m.structure == "dep" \
+                        else soft_con_targets
+                    self.targets[m.kind] += soft_targets(m.struct_head, main)
         if cfg.mode == "B" and cfg.teacher_mode == "hard":
-            if teachers.dep:
-                arcs = [hard_arc_targets(enc.main.heads, enc.main.dep_label_ids,
-                                         n_dep_labels) for enc in data]
-                self.arcs = {m.kind: arcs for m in teachers.dep}
-            trees = [enc.main.bintree for enc in data]
-            self.trees = {m.kind: trees for m in teachers.con}
+            hard = {s: hard_targets(s, data, n_dep_labels)
+                    for s in {m.structure for m in teachers.all}}
+            self.targets = {m.kind: hard[m.structure] for m in teachers.all}
 
     def dist_rows(self, kind, idxs, task):
         """Teacher distribution rows aligned with the batched student logits."""
@@ -277,13 +281,6 @@ class TeacherSignals:
 
 # ---------------------------------------------------------------------------
 # loss assembly over a batch
-
-def _mean_terms(terms):
-    total = terms[0]
-    for t_ in terms[1:]:
-        total = T.add(total, t_)
-    return T.scale(total, 1.0 / len(terms))
-
 
 def output_loss_batch(model, encs, idxs, signals, kinds, alpha,
                       train=True, rng=None):
@@ -296,33 +293,31 @@ def output_loss_batch(model, encs, idxs, signals, kinds, alpha,
     return output_distill_loss(gold_rows(model, encs), teacher_rows, logits, alpha), main
 
 
+def inject_loss_batch(scorer, structure, main, target_sets):
+    """Mode-B loss of one structure head over a batch's (rows, offsets) against
+    each set of per-sentence targets, summed over the sets and the batch."""
+    scores = scorer(*main)
+    inject = dep_inject_loss if structure == "dep" else con_inject_loss
+    return reduce(T.add, [inject(scores, targets) for targets in target_sets])
+
+
 def syn_loss_batch(student, main, idxs, signals, cfg, models):
     """Mode-A feature regression or mode-B structure injection for one batch
-    from the student's main-side (rows, offsets), averaged over the given
-    teachers (all share one structure type)."""
-    structure = models[0].structure
+    from the student's main-side (rows, offsets), averaged over the batch and
+    the given teachers (all share one structure type)."""
     kinds = [m.kind for m in models]
-    per_teacher = {k: [] for k in kinds}
-    mat, off = main
-    for b, i in enumerate(idxs):
-        rows = T.slice_rows(mat, off[b], off[b + 1])
-        if cfg.mode == "A":
-            for k in kinds:
-                t_mat = Tensor(signals.feats[k][i])
-                per_teacher[k].append(feat_distill(
-                    t_mat, rows,
-                    lambda m, k=k: student.project(f"f_t/{k}", m),
-                    lambda m: student.project("f_s", m)))
-        elif structure == "dep":
-            scores = student.arc_scorer(rows)
-            for k in kinds:
-                arc, lab, best = signals.arcs[k][i]
-                per_teacher[k].append(dep_inject_loss(scores, arc, lab, best))
-        else:
-            scored = student.span_scorer(rows)
-            for k in kinds:
-                per_teacher[k].append(con_inject_loss(scored, signals.trees[k][i]))
-    return _mean_terms([_mean_terms(per_teacher[k]) for k in kinds])
+    mat, _ = main
+    if cfg.mode == "A":
+        total = reduce(T.add, [feat_distill(
+            Tensor(np.concatenate([signals.feats[k][i] for i in idxs])), mat,
+            lambda m, k=k: student.project(f"f_t/{k}", m),
+            lambda m: student.project("f_s", m)) for k in kinds])
+    else:
+        structure = models[0].structure
+        scorer = student.arc_scorer if structure == "dep" else student.span_scorer
+        total = inject_loss_batch(scorer, structure, main,
+                                  [[signals.targets[k][i] for i in idxs] for k in kinds])
+    return T.scale(total, 1.0 / (len(idxs) * len(kinds)))
 
 
 def sem_loss_batch(student, encs, cfg, rng, train=True):
@@ -562,20 +557,12 @@ def train_teacher(model, train_data, dev_data, *, iters=2000, batch_size=32,
         encs = [train_data[i] for i in idxs]
 
         def build_loss():
-            loss, (mat, off) = output_loss_batch(model, encs, idxs, None, [], 1.0,
-                                                 rng=state.rng)
+            loss, main = output_loss_batch(model, encs, idxs, None, [], 1.0, rng=state.rng)
             if not co_train_struct:
                 return loss
-            struct = []
-            for b, enc in enumerate(encs):
-                scores = model.struct_head(T.slice_rows(mat, off[b], off[b + 1]))
-                if model.structure == "dep":
-                    arc, lab, best = hard_arc_targets(
-                        enc.main.heads, enc.main.dep_label_ids, n_dep)
-                    struct.append(dep_inject_loss(scores, arc, lab, best))
-                else:
-                    struct.append(con_inject_loss(scores, enc.main.bintree))
-            return _mean_terms([loss, _mean_terms(struct)])
+            struct = inject_loss_batch(model.struct_head, model.structure, main,
+                                       [hard_targets(model.structure, encs, n_dep)])
+            return T.scale(T.add(loss, T.scale(struct, 1.0 / len(encs))), 0.5)
 
         val = _optimize(state, build_loss, f"teacher/{model.kind}")
         state.t += 1

@@ -23,12 +23,15 @@ from synkd.distill import (
     reg_loss,
     sample_mask_positions,
     semantic_lm_loss,
+    soft_arc_targets,
+    soft_con_targets,
     total_loss,
 )
 from synkd.cli import main
-from synkd.encoders import ArcScores, ScoredSpans, span_order
+from synkd.encoders import (ArcLabelScorer, ArcScores, Params, ScoredSpans, SpanScorer,
+                            offsets, span_order)
 from synkd.gradcheck import check_case
-from synkd.structures import BinTree, SpanScores, score_tree
+from synkd.structures import BinTree, score_tree
 from synkd.tensor import Tensor
 
 from oracles import enum_best, random_bintree, random_table
@@ -38,10 +41,7 @@ def scored_from_array(arr):
     arr = np.asarray(arr, dtype=np.float64)
     # infer n from the span count n(n+1)/2
     n = int((math.isqrt(8 * arr.shape[0] + 1) - 1) // 2)
-    order = span_order(n)
-    assert len(order) == arr.shape[0]
-    return ScoredSpans(n, Tensor(arr, requires_grad=True),
-                       {span: r for r, span in enumerate(order)})
+    return ScoredSpans(Tensor(arr, requires_grad=True), offsets([n]))
 
 
 # ---------------------------------------------------------------- schedule
@@ -314,14 +314,15 @@ def uniform_arc_scores(n, n_labels):
     return ArcScores(
         arc_logits=Tensor(np.zeros((n, n + 1)), requires_grad=True),
         label_logits=Tensor(np.zeros((n, n + 1, n_labels)), requires_grad=True),
+        off=offsets([n]),
     )
 
 
 def test_dep_inject_uniform_hand_value():
     # hard teacher, student uniform over n+1 = 3 heads, 2 tokens:
     # arc term = 2 ln 3; one label type keeps the label term at exactly 0
-    arc, lab, best = hard_arc_targets([0, 1], [0, 0], n_labels=1)
-    loss = dep_inject_loss(uniform_arc_scores(2, 1), arc, lab, best)
+    target = hard_arc_targets([0, 1], [0, 0], n_labels=1)
+    loss = dep_inject_loss(uniform_arc_scores(2, 1), [target])
     assert loss.item() == pytest.approx(2 * math.log(3.0), abs=1e-9)
 
 
@@ -330,12 +331,13 @@ def test_dep_inject_zero_at_hard_match():
     scores = ArcScores(
         arc_logits=Tensor(200.0 * (arc - 0.5), requires_grad=True),
         label_logits=Tensor(np.zeros((3, 4, 3)), requires_grad=True),
+        off=offsets([3]),
     )
     big = np.zeros((3, 4, 3))
     for i, h in enumerate([0, 1, 1]):
         big[i, h, [1, 0, 2][i]] = 200.0
     scores.label_logits.data[:] = big - 100.0
-    assert dep_inject_loss(scores, arc, lab, best).item() < 1e-6
+    assert dep_inject_loss(scores, [(arc, lab, best)]).item() < 1e-6
 
 
 def test_dep_inject_soft_lower_bound_is_teacher_entropy():
@@ -347,15 +349,16 @@ def test_dep_inject_soft_lower_bound_is_teacher_entropy():
     scores = ArcScores(
         arc_logits=Tensor(np.log(t_arc)),
         label_logits=Tensor(np.zeros((n, n + 1, L))),
+        off=offsets([n]),
     )
     for i in range(n):
         scores.label_logits.data[i, best[i]] = np.log(t_lab[i])
-    got = dep_inject_loss(scores, t_arc, t_lab, best).item()
+    got = dep_inject_loss(scores, [(t_arc, t_lab, best)]).item()
     entropy = -(t_arc * np.log(t_arc)).sum() - (t_lab * np.log(t_lab)).sum()
     assert got == pytest.approx(entropy, abs=1e-9)
     # any other student is strictly worse
     other = uniform_arc_scores(n, L)
-    assert dep_inject_loss(other, t_arc, t_lab, best).item() > entropy
+    assert dep_inject_loss(other, [(t_arc, t_lab, best)]).item() > entropy
 
 
 def test_dep_inject_monotone_in_head_mass():
@@ -366,19 +369,21 @@ def test_dep_inject_monotone_in_head_mass():
         logits = np.zeros((2, 3))
         logits[0, 2] = z
         logits[1, 0] = z
-        scores = ArcScores(Tensor(logits), Tensor(np.zeros((2, 3, 1))))
-        val = dep_inject_loss(scores, arc, lab, best).item()
+        scores = ArcScores(Tensor(logits), Tensor(np.zeros((2, 3, 1))), offsets([2]))
+        val = dep_inject_loss(scores, [(arc, lab, best)]).item()
         if prev is not None:
             assert val < prev
         prev = val
 
 
 def test_dep_inject_shape_mismatch():
-    arc, lab, best = hard_arc_targets([0, 1], [0, 0], n_labels=2)
+    target = hard_arc_targets([0, 1], [0, 0], n_labels=2)
     with pytest.raises(DistillError):
-        dep_inject_loss(uniform_arc_scores(3, 2), arc, lab, best)
+        dep_inject_loss(uniform_arc_scores(3, 2), [target])
     with pytest.raises(DistillError):
-        dep_inject_loss(uniform_arc_scores(2, 3), arc, lab, best)
+        dep_inject_loss(uniform_arc_scores(2, 3), [target])
+    with pytest.raises(DistillError):
+        dep_inject_loss(uniform_arc_scores(2, 2), [target, target])
 
 
 def test_dep_inject_gradient():
@@ -388,8 +393,9 @@ def test_dep_inject_gradient():
     scores = ArcScores(
         arc_logits=Tensor(rng.normal(size=(n, n + 1)), requires_grad=True),
         label_logits=Tensor(rng.normal(size=(n, n + 1, L)), requires_grad=True),
+        off=offsets([n]),
     )
-    f = lambda: dep_inject_loss(scores, arc, lab, best)
+    f = lambda: dep_inject_loss(scores, [(arc, lab, best)])
     assert check_case(f, [scores.arc_logits, scores.label_logits]) < 1e-6
 
 
@@ -398,12 +404,9 @@ def test_dep_inject_gradient():
 def test_con_inject_margin_satisfied():
     rng = np.random.default_rng(2)
     ref = random_bintree(4, 3, rng)
-    arr = np.zeros((len(span_order(4)), 3))
-    scored = scored_from_array(arr)
-    for (i, j), l in ref.spans.items():
-        arr[scored.index[(i, j)], l] = 10.0
-    scored = scored_from_array(arr)
-    assert con_inject_loss(scored, ref).item() == 0.0
+    scored = scored_from_array(np.zeros((10, 3)))
+    scored.tensor.data.reshape(-1)[scored.flat_ids(0, ref)] = 10.0
+    assert con_inject_loss(scored, [ref]).item() == 0.0
 
 
 def test_con_inject_uniform_zero_matches_enumeration():
@@ -411,8 +414,8 @@ def test_con_inject_uniform_zero_matches_enumeration():
     rng = np.random.default_rng(8)
     n = 3
     ref = random_bintree(n, 1, rng)
-    scored = scored_from_array(np.zeros((len(span_order(n)), 1)))
-    loss = con_inject_loss(scored, ref).item()
+    scored = scored_from_array(np.zeros((n * (n + 1) // 2, 1)))
+    loss = con_inject_loss(scored, [ref]).item()
     _, aug_best = enum_best(np.zeros((n, n + 1, 1)), n, ref=ref)
     assert loss == pytest.approx(aug_best, abs=1e-9)
     assert loss >= 1.0  # some span must disagree under the +1 bonus
@@ -425,11 +428,10 @@ def test_con_inject_nonnegative_and_matches_chart():
         n_l = int(rng.integers(1, 4))
         ref = random_bintree(n, n_l, rng)
         table = random_table(n, n_l, rng)
-        rows = np.stack([table[i, j] for (i, j) in span_order(n)])
-        scored = scored_from_array(rows)
-        loss = con_inject_loss(scored, ref).item()
+        scored = scored_from_array(table[span_order(n)])
+        loss = con_inject_loss(scored, [ref]).item()
         assert loss >= 0.0
-        s = SpanScores(n, scored.to_table())
+        s = scored.chart(0)
         _, aug = enum_best(s.table[:n, :n + 1], n, ref=ref)
         expect = max(0.0, aug - score_tree(s, ref))
         assert loss == pytest.approx(expect, abs=1e-9)
@@ -438,21 +440,63 @@ def test_con_inject_nonnegative_and_matches_chart():
 def test_con_inject_length_mismatch():
     rng = np.random.default_rng(1)
     ref = random_bintree(3, 2, rng)
-    scored = scored_from_array(np.zeros((len(span_order(4)), 2)))
+    scored = scored_from_array(np.zeros((10, 2)))
     with pytest.raises(DistillError):
-        con_inject_loss(scored, ref)
+        con_inject_loss(scored, [ref])
+    with pytest.raises(DistillError):
+        con_inject_loss(scored, [])
 
 
 def test_con_inject_gradient():
     rng = np.random.default_rng(23)
     n, n_l = 4, 2
     ref = random_bintree(n, n_l, rng)
-    rows = rng.normal(size=(len(span_order(n)), n_l))
+    rows = rng.normal(size=(n * (n + 1) // 2, n_l))
     scored = scored_from_array(rows)
-    if con_inject_loss(scored, ref).item() <= 0:  # need an active hinge
+    if con_inject_loss(scored, [ref]).item() <= 0:  # need an active hinge
         pytest.skip("hinge inactive for this draw")
-    f = lambda: con_inject_loss(scored, ref)
+    f = lambda: con_inject_loss(scored, [ref])
     assert check_case(f, [scored.tensor]) < 1e-6
+
+
+# ------------------------------------------------- batched structure heads
+
+def test_batched_structure_heads_match_batch_of_one():
+    rng = np.random.default_rng(41)
+    sizes, d, n_labels = [3, 5, 2], 4, 3
+    p = Params()
+    arc_scorer = ArcLabelScorer(p, "arc", d, n_labels, 4, rng, dtype=np.float64)
+    span_scorer = SpanScorer(p, "span", d, n_labels, rng, dtype=np.float64)
+    for t in p.all():  # nonzero root row and biases too
+        t.data[...] = rng.normal(size=t.shape)
+    mat, off = Tensor(rng.normal(size=(sum(sizes), d))), offsets(sizes)
+    singles = [(Tensor(mat.data[lo:hi]), offsets([hi - lo]))
+               for lo, hi in zip(off[:-1], off[1:])]
+    arcs, spans = arc_scorer(mat, off), span_scorer(mat, off)
+    soft_arcs = soft_arc_targets(arc_scorer, (mat, off))
+    soft_trees = soft_con_targets(span_scorer, (mat, off))
+    refs = [random_bintree(n, n_labels, rng) for n in sizes]
+    arc_probs = T.softmax(arcs.arc_logits, axis=1).data
+    close = dict(rtol=0, atol=1e-12)
+    dep_sum = con_sum = 0.0
+    for b, (lo, n) in enumerate(zip(off, sizes)):
+        one_arcs, one_spans = arc_scorer(*singles[b]), span_scorer(*singles[b])
+        np.testing.assert_allclose(arcs.arc_logits.data[lo:lo + n, :n + 1],
+                                   one_arcs.arc_logits.data, **close)
+        np.testing.assert_allclose(arcs.label_logits.data[lo:lo + n, :n + 1],
+                                   one_arcs.label_logits.data, **close)
+        assert (arc_probs[lo:lo + n, n + 1:] == 0.0).all()  # padded candidates
+        np.testing.assert_allclose(spans.chart(b).table, one_spans.chart(0).table, **close)
+        (arc, lab, best), = soft_arc_targets(arc_scorer, singles[b])
+        np.testing.assert_allclose(soft_arcs[b][0], arc, **close)
+        np.testing.assert_allclose(soft_arcs[b][1], lab, **close)
+        np.testing.assert_array_equal(soft_arcs[b][2], best)
+        assert soft_trees[b] == soft_con_targets(span_scorer, singles[b])[0]
+        dep_sum += dep_inject_loss(one_arcs, [soft_arcs[b]]).item()
+        con_sum += con_inject_loss(one_spans, [refs[b]]).item()
+    assert dep_inject_loss(arcs, soft_arcs).item() == pytest.approx(dep_sum, rel=1e-12)
+    assert con_sum > 0.0
+    assert con_inject_loss(spans, refs).item() == pytest.approx(con_sum, rel=1e-12)
 
 
 # ----------------------------------------------------------- reg and total

@@ -8,7 +8,7 @@ from synkd import encoders as E
 from synkd import syntax_data as D
 from synkd import tensor as T
 from synkd.gradcheck import check_case
-from synkd.structures import binarize, cyk_max, SpanScores
+from synkd.structures import BinTree, binarize, cyk_max
 from synkd.tensor import Tensor
 
 F64 = np.float64
@@ -422,13 +422,13 @@ def make_arc_scorer(in_dim, n_labels, arc_dim, seed=0):
 def test_arc_probs_normalized_and_uniform_at_zero():
     scorer, p = make_arc_scorer(5, 3, 4)
     reps = Tensor(np.random.default_rng(0).standard_normal((4, 5)))
-    out = scorer(reps)
+    out = scorer(reps, E.offsets([4]))
     probs = T.softmax(out.arc_logits, axis=1).data
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(4), atol=1e-6)
     assert out.label_logits.shape == (4, 5, 3)
     for t in p.all():
         t.data[...] = 0.0
-    probs = T.softmax(scorer(reps).arc_logits, axis=1).data
+    probs = T.softmax(scorer(reps, E.offsets([4])).arc_logits, axis=1).data
     np.testing.assert_allclose(probs, np.full((4, 5), 0.2), atol=1e-9)
 
 
@@ -436,7 +436,7 @@ def test_arc_scores_match_hand_computation():
     scorer, p = make_arc_scorer(3, 2, 3, seed=7)
     rng = np.random.default_rng(1)
     reps = rng.standard_normal((2, 3))
-    out = scorer(Tensor(reps))
+    out = scorer(Tensor(reps), E.offsets([2]))
     hd = np.tanh(reps @ scorer.Wd.data + scorer.bd.data)
     hh = np.tanh(reps @ scorer.Wh.data + scorer.bh.data)
     cand = np.vstack([scorer.root.data, hh])
@@ -461,9 +461,16 @@ def make_span_scorer(in_dim, n_labels, seed=0):
 def test_span_scorer_table_size():
     scorer, _ = make_span_scorer(4, 3)
     reps = Tensor(np.random.default_rng(0).standard_normal((5, 4)))
-    out = scorer(reps)
+    out = scorer(reps, E.offsets([5]))
     assert out.tensor.shape == (5 * 6 // 2, 3)
-    assert len(out.index) == 15
+    i, j = E.span_order(5)
+    assert list(zip(i, j)) == [(i, j) for i in range(5) for j in range(i + 1, 6)]
+    # the computed flat index of every labeled span reads the chart's entry
+    tree = BinTree(5, {(a, b): (a + b) % 3 for a, b in [(0, 5), (0, 1), (1, 5), (1, 2), (2, 5),
+                                                       (2, 3), (3, 5), (3, 4), (4, 5)]})
+    chart = out.chart(0).table
+    np.testing.assert_array_equal(out.tensor.data.reshape(-1)[out.flat_ids(0, tree)],
+                                  [chart[a, b, l] for (a, b), l in tree.spans.items()])
 
 
 def test_span_scorer_zero_params_tie_break():
@@ -471,9 +478,9 @@ def test_span_scorer_zero_params_tie_break():
     for t in p.all():
         t.data[...] = 0.0
     reps = Tensor(np.random.default_rng(0).standard_normal((4, 4)))
-    out = scorer(reps)
+    out = scorer(reps, E.offsets([4]))
     assert np.all(out.tensor.data == 0.0)
-    tree, score = cyk_max(SpanScores(4, out.to_table()))
+    tree, score = cyk_max(out.chart(0))
     assert score == 0.0
     assert tree.split_of(0, 4) == 1
     assert all(l == 0 for l in tree.spans.values())
@@ -484,7 +491,7 @@ def test_span_scorer_fd_gradient():
     reps_data = np.random.default_rng(2).standard_normal((3, 3))
 
     def f():
-        out = scorer(Tensor(reps_data))
+        out = scorer(Tensor(reps_data), E.offsets([3]))
         return T.sum_(T.tanh(out.tensor))
 
     assert check_case(f, p.all()) < 1e-6
@@ -513,12 +520,12 @@ def test_student_model_reps_and_logits():
     student = E.StudentModel(codec, emb_dim=8, hidden=6, arc_dim=5,
                              rng=np.random.default_rng(1))
     enc = codec.encode(data[0])
-    reps, _ = student.reps([enc.main])
-    assert reps.shape == (enc.main.n, 12)
+    main = student.reps([enc.main])
+    assert main[0].shape == (enc.main.n, 12)
     assert student.logits([enc]).shape == (1, 2)
-    arcs = student.arc_scorer(reps)
+    arcs = student.arc_scorer(*main)
     assert arcs.arc_logits.shape == (enc.main.n, enc.main.n + 1)
-    spans = student.span_scorer(reps)
+    spans = student.span_scorer(*main)
     assert spans.tensor.shape[1] == len(codec.con_labels)
 
 

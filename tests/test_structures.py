@@ -95,6 +95,44 @@ def test_cyk_ties_resolved_low_split_low_label():
     assert score == 0.0
 
 
+def loop_chart(n, table):
+    """The split loop span by span, the reference for the chart's tie-break:
+    lowest split point, then lowest label."""
+    best = np.full((n, n + 1), -np.inf)
+    split = {}
+    for i in range(n):
+        best[i, i + 1] = table[i, i + 1].max()
+    for width in range(2, n + 1):
+        for i in range(n - width + 1):
+            j = i + width
+            acc, arg = -np.inf, -1
+            for k in range(i + 1, j):
+                if best[i, k] + best[k, j] > acc:
+                    acc, arg = best[i, k] + best[k, j], k
+            best[i, j] = acc + table[i, j].max()
+            split[(i, j)] = arg
+    spans = {}
+
+    def walk(i, j):
+        spans[(i, j)] = int(np.argmax(table[i, j]))
+        if j - i > 1:
+            walk(i, split[(i, j)])
+            walk(split[(i, j)], j)
+
+    walk(0, n)
+    return BinTree(n, spans), float(best[0, n])
+
+
+def test_cyk_matches_split_loop_bitwise():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n, n_labels = int(rng.integers(1, 13)), int(rng.integers(1, 4))
+        table = random_table(n, n_labels, rng)
+        if rng.random() < 0.5:  # small integers: ties at every level
+            table = np.round(table)
+        assert cyk_max(SpanScores(n, table)) == loop_chart(n, table)
+
+
 def test_cyk_dominates_arbitrary_trees():
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -110,6 +148,15 @@ def test_cyk_dominates_arbitrary_trees():
 def test_cyk_rejects_empty():
     with pytest.raises(D.DataError):
         SpanScores(0, np.zeros((0, 1, 1)))
+
+
+def test_span_scores_reject_non_finite_in_span():
+    table = np.zeros((3, 4, 2))
+    table[2, 1, 0] = table[0, 0, 1] = np.nan  # j <= i: outside every span
+    SpanScores(3, table)
+    table[1, 3, 1] = np.inf
+    with pytest.raises(D.DataError, match=r"span \(1, 3\)"):
+        SpanScores(3, table)
 
 
 # ---------------------------------------------------------------------------

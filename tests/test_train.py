@@ -13,6 +13,7 @@ from synkd.train import (
     RunLog,
     RunState,
     Schedule,
+    TeacherSignals,
     classification_metrics,
     dev_metric_key,
     distill_student,
@@ -267,6 +268,42 @@ def test_train_teacher_beats_majority(tmp_path):
                      rng=np.random.default_rng(99))
     fresh.p.load_state_dict(load_checkpoint(tmp_path / "t.syd1"))
     assert evaluate(fresh, dev)["accuracy"] == acc
+
+
+def test_co_trained_teachers_feed_soft_distillation(tmp_path):
+    # structure heads co-trained on dep and con teachers, then a soft-target
+    # mode-B distillation through the early and the joint phase
+    codec, encs = small_data(24, seed=21)
+    teachers = small_teachers(codec)
+    for m in teachers.all:
+        m.add_structure_head(arc_dim=5)
+        head = {n: m.p[n].data.copy() for n in m.p.names() if n.startswith(("arc/", "span/"))}
+        state = train_teacher(m, encs, None, iters=3, batch_size=6, lr=1e-2, seed=0,
+                              co_train_struct=True)
+        assert len(state.trace) == 3
+        assert all(not np.array_equal(m.p[n].data, v) for n, v in head.items()
+                   if n.endswith(("/W", "/Wd", "/Wl"))), m.kind
+    cfg = DistillConfig(total_iters=4, teacher_mode="soft")
+    signals = TeacherSignals(teachers, encs, cfg, len(codec.dep_labels))
+    for m in teachers.all:
+        assert len(signals.targets[m.kind]) == len(encs)
+        for enc, target in zip(encs, signals.targets[m.kind]):
+            if m.structure == "dep":
+                arc, lab, best = target
+                assert arc.shape == (enc.main.n, enc.main.n + 1)
+                np.testing.assert_allclose(arc.sum(axis=1), 1.0, atol=1e-6)
+                np.testing.assert_array_equal(best, arc.argmax(axis=1))
+            else:
+                assert target.n == enc.main.n
+    log = RunLog(tmp_path / "log.jsonl")
+    state = distill_student(small_student(codec), teachers, encs, None, cfg,
+                            Schedule(total=4, g1=2, g2=1), batch_size=4, lr=1e-3,
+                            seed=0, log=log, signals=signals)
+    log.close()
+    assert {what for _, what in state.trace} >= {
+        "dep/tlstm-dep", "dep/gcn-dep", "con/tlstm-con", "con/gcn-con", "all"}
+    syn = [r["value"] for r in read_log(tmp_path / "log.jsonl") if r["metric"] == "loss_syn"]
+    assert len(syn) == 4 and np.isfinite(syn).all() and min(syn) > 0.0
 
 
 def test_train_teacher_missing_annotation():
