@@ -7,6 +7,8 @@ real-valued data is checked.
 """
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from . import tensor as T
@@ -128,14 +130,14 @@ def case_gcn(rng):
 
 
 def case_student_bilstm(rng):
+    # a packed batch of three lengths in shuffled order
     vocab, emb, hid, layers = 6, 3, 2, 2
-    bsz, steps = 2, 3
     p = Params()
     enc = StudentEncoder(p, "s", vocab, emb, hid, n_layers=layers,
                          emb_dropout=0.0, rng=rng, dtype=F64)
-    ids = rng.integers(0, vocab, size=(bsz, steps))
-    w_top = Tensor(rng.standard_normal((steps * bsz, 2 * hid)).astype(F64))
-    w_l1 = Tensor(rng.standard_normal((steps * bsz, hid)).astype(F64))
+    ids = [rng.integers(0, vocab, size=n) for n in rng.permutation([1, 2, 3])]
+    w_top = Tensor(rng.standard_normal((6, 2 * hid)).astype(F64))
+    w_l1 = Tensor(rng.standard_normal((6, hid)).astype(F64))
 
     def f():
         out = enc.encode_batch(ids)
@@ -156,16 +158,19 @@ def case_segment_sum(rng):
 
 
 def case_lstm_scan(rng):
-    # every instance checks both directions at B=3, T=4 and a one-step scan
-    bsz, hid = 3, 2
+    # both directions of an equal-length batch (B=3, T=4) and of a packed one
+    # whose length-1 row leaves after the first step going forward and joins
+    # at the last step in reverse, plus a one-step scan
+    hid = 2
     u = rand_param(rng, (hid, 4 * hid))
-    xws = [rand_param(rng, (steps * bsz, 4 * hid), scale=1.0) for steps in (4, 4, 1)]
-    reverse = (False, True, bool(rng.integers(2)))
+    counts = ([3] * 4, [3, 2, 1, 1], [3])
+    xws = [rand_param(rng, (sum(c), 4 * hid), scale=1.0) for c in counts]
+    runs = [(0, False), (0, True), (1, False), (1, True), (2, bool(rng.integers(2)))]
 
     def f():
-        outs = [T.lstm_scan(xw, u, bsz, rev) for xw, rev in zip(xws, reverse)]
-        return T.add(weighted_sum(T.concat(outs[:2], axis=1), np.random.default_rng(0)),
-                     weighted_sum(outs[2], np.random.default_rng(1)))
+        outs = [T.lstm_scan(xws[i], u, counts[i], rev) for i, rev in runs]
+        return reduce(T.add, [weighted_sum(o, np.random.default_rng(k))
+                              for k, o in enumerate(outs)])
 
     return f, [u] + xws
 
@@ -214,16 +219,15 @@ def case_syn_combine(rng):
 
 
 def case_semantic_lm(rng):
-    h, vocab = 3, 6
-    bsz, steps = 2, 3
+    h, vocab, sizes = 3, 6, [2, 3]
     student = type("LM", (), {})()
     student.lm_W = rand_param(rng, (h, vocab))
     student.lm_b = rand_param(rng, (vocab,))
     student.lm_begin = rand_param(rng, (1, h))
-    l1f = rand_param(rng, (steps * bsz, h))
+    l1f = rand_param(rng, (sum(sizes), h))
     targets = [(0, 0, int(rng.integers(vocab))),
-               (1, int(rng.integers(1, steps)), int(rng.integers(vocab)))]
-    f = lambda: semantic_lm_loss(student, l1f, bsz, targets)
+               (1, int(rng.integers(1, sizes[1])), int(rng.integers(vocab)))]
+    f = lambda: semantic_lm_loss(student, l1f, offsets(sizes), targets)
     return f, [l1f, student.lm_W, student.lm_b, student.lm_begin]
 
 
@@ -284,7 +288,7 @@ def case_total(rng):
         out = output_distill_loss(y, teachers, logits, alpha=0.5)
         syn = combine_syn(feat_distill(t_dep, s_mat, ident, ident),
                           feat_distill(t_con, s_mat, ident, ident), 0.5)
-        sem = semantic_lm_loss(student, l1f, 1, masked)
+        sem = semantic_lm_loss(student, l1f, [0, n], masked)
         reg = reg_loss(params, 0.2)
         return total_loss(out, syn=syn, sem=sem, reg=reg, lam1=0.6, lam2=0.2)
 

@@ -21,8 +21,6 @@ from .encoders import Codec, StudentModel, TEACHER_KINDS, make_teacher
 from .gradcheck import run_all
 from .probe import (
     PROBE_KINDS,
-    constituent_instances,
-    dependency_instances,
     majority_accuracy,
     probe_train_eval,
     syntax_distribution,
@@ -462,11 +460,8 @@ def cmd_probe(args):
     model, _ = load_model_dir(need(cfg, "model"))
     train_encs = _encode_all(model.codec, _load_examples(cfg, "train"))
     eval_encs = _encode_all(model.codec, _load_examples(cfg, "data"))
-    acc = probe_train_eval(model, kind, train_encs, eval_encs,
-                           iters=cfg["probe_iters"], seed=cfg["seed"])
-    build = (constituent_instances if kind == "constituent-labeling"
-             else dependency_instances)
-    _, y_eval = build(model, eval_encs)
+    acc, y_eval = probe_train_eval(model, kind, train_encs, eval_encs,
+                                   iters=cfg["probe_iters"], seed=cfg["seed"])
     report = {"command": "probe", "probe_task": kind, "accuracy": acc,
               "majority_baseline": majority_accuracy(y_eval),
               "n_eval_instances": int(len(y_eval))}

@@ -153,12 +153,13 @@ def sample_mask_positions(n: int, ratio: float, rng: np.random.Generator):
     return pos
 
 
-def semantic_lm_loss(student, l1f: Tensor, batch: int, targets) -> Tensor:
+def semantic_lm_loss(student, l1f: Tensor, off, targets) -> Tensor:
     """Masked-word prediction from the prior-word forward state.
 
-    l1f: (T*B, h) step-major layer-1 forward states computed over the MASKED
-    input ids. targets: iterable of (b, j, token_id) for masked positions;
-    position 0 is predicted from the learned begin state. Returns the sum of
+    l1f: (N, h) layer-1 forward states computed over the MASKED input ids,
+    stacked by sentence with sentence b at rows [off[b], off[b + 1]).
+    targets: iterable of (b, j, token_id) for masked positions; position 0
+    is predicted from the learned begin state. Returns the sum of
     cross-entropies (not the mean), one term per masked position.
     """
     targets = list(targets)
@@ -168,7 +169,7 @@ def semantic_lm_loss(student, l1f: Tensor, batch: int, targets) -> Tensor:
     prior = [(b, j, tok) for b, j, tok in targets if j > 0]
     begin = [(b, j, tok) for b, j, tok in targets if j == 0]
     if prior:
-        rows = np.array([(j - 1) * batch + b for b, j, _ in prior], dtype=np.int64)
+        rows = np.array([off[b] + j - 1 for b, j, _ in prior], dtype=np.int64)
         logits = T.add(T.matmul(T.embedding(l1f, rows), student.lm_W), student.lm_b)
         loss = ce_sum(logits, [tok for _, _, tok in prior])
     if begin:
@@ -181,10 +182,11 @@ def semantic_lm_loss(student, l1f: Tensor, batch: int, targets) -> Tensor:
     return loss
 
 
-def mask_ids(ids: np.ndarray, positions, mask_id: int) -> np.ndarray:
-    out = np.array(ids, dtype=np.int64, copy=True)
+def mask_ids(ids, positions, mask_id: int):
+    """Copies of the token-id sequences with each (b, j, _) position masked."""
+    out = [np.array(s, dtype=np.int64) for s in ids]
     for b, j, _ in positions:
-        out[b, j] = mask_id
+        out[b][j] = mask_id
     return out
 
 

@@ -12,8 +12,9 @@ Every model encodes a whole batch of sentences at once through
 input order plus their row offsets, which the shared task heads, losses and
 scorers consume. Tree cells run once per tree level across every tree of the
 batch (dynamic batching), the GCN sums messages over the batch's stacked edge
-lists, the student runs one BiLSTM batch per sentence length, and the arc and
-span scorers score every sentence of a batch in a fixed number of tape ops.
+lists, the student runs one packed BiLSTM batch over sentences of any
+lengths, and the arc and span scorers score every sentence of a batch in a
+fixed number of tape ops.
 """
 from __future__ import annotations
 
@@ -390,11 +391,13 @@ def dep_edges(heads):
 # BiLSTM student
 
 class StudentEncoder:
-    """Stacked BiLSTM over a same-length batch, step-major layout.
+    """Stacked BiLSTM over a batch of sentences of any lengths.
 
-    All (T, B) step tensors are flattened to row index t*B + b so each time
-    step is a contiguous (B, d) row block. Each layer direction is one input
-    projection over all rows plus one `lstm_scan` over the steps.
+    Inside, the batch is packed: sentences are stably sorted longest first
+    and step t is one row block of the sentences longer than t, so no padded
+    row is computed. Each layer direction is one input projection over all
+    rows plus one `lstm_scan` over the steps; one gather at the end puts
+    the rows back in sentence order.
     """
 
     def __init__(self, p: Params, prefix, vocab_size, emb_dim, hid,
@@ -415,24 +418,34 @@ class StudentEncoder:
             self.layers.append(layer)
 
     def encode_batch(self, ids, train=False, rng=None):
-        """ids: (B, T) int array -> {"top": (T*B, 2h), "l1f": (T*B, h)}."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 2 or ids.size == 0:
-            raise ValueError(f"ids must be a non-empty (B, T) array, got {ids.shape}")
-        bsz, steps = ids.shape
-        flat = ids.T.reshape(-1)  # step-major: row t*B + b
-        x = T.embedding(self.emb, flat)
+        """ids: B token-id sequences (rows of a (B, T) array work too) ->
+        {"top": (N, 2h), "l1f": (N, h)} stacked by sentence in input order,
+        N the total token count; l1f is the first layer's forward state."""
+        seqs = [np.asarray(s, dtype=np.int64) for s in ids]
+        lengths = np.array([s.size for s in seqs], dtype=np.int64)
+        if not seqs or lengths.min() < 1 or any(s.ndim != 1 for s in seqs):
+            raise ValueError("ids must be a non-empty batch of non-empty 1-d sequences")
+        # packed row of sentence b's token j: the block of step j, then b's
+        # rank in a stable longest-first sort
+        rank = np.empty_like(lengths)
+        rank[np.argsort(-lengths, kind="stable")] = np.arange(lengths.size)
+        valid = np.arange(lengths.max()) < lengths[:, None]
+        counts = valid.sum(axis=0)
+        pos = (offsets(counts)[:-1] + rank[:, None])[valid]
+        packed = np.empty(pos.size, dtype=np.int64)
+        packed[pos] = np.concatenate(seqs)
+        x = T.embedding(self.emb, packed)
         if train and self.emb_dropout > 0:
             x = T.dropout(x, self.emb_dropout, rng)
         l1f = None
         for l, layer in enumerate(self.layers):
             fwd, bwd = (T.lstm_scan(T.add(T.matmul(x, layer[d]["W"]), layer[d]["b"]),
-                                    layer[d]["U"], bsz, reverse=d == "b")
+                                    layer[d]["U"], counts, reverse=d == "b")
                         for d in ("f", "b"))
             if l == 0:
                 l1f = fwd
             x = T.concat([fwd, bwd], axis=1)
-        return {"top": x, "l1f": l1f, "batch": bsz, "steps": steps}
+        return {"top": T.embedding(x, pos), "l1f": T.embedding(l1f, pos)}
 
 
 # ---------------------------------------------------------------------------
@@ -968,44 +981,11 @@ class StudentModel(BaseModel):
         w, b = self.projections[which]
         return T.add(T.matmul(mat, w), b)
 
-    def batches(self, data):
-        """Same-length groups, so each chunk is one encoder batch, each
-        chunked to BATCH_ROWS."""
-        groups = {}
-        for i, enc in enumerate(data):
-            groups.setdefault(length_key(enc), []).append(i)
-        return [idxs[lo:lo + BATCH_ROWS] for _, idxs in sorted(groups.items())
-                for lo in range(0, len(idxs), BATCH_ROWS)]
-
     def reps(self, sides, train=False, rng=None):
-        """Stacked token rows of a batch of sides plus their row offsets; the
-        sides of each length are encoded as one batch."""
-        off = offsets([s.n for s in sides])
-        groups = {}
-        for b, s in enumerate(sides):
-            groups.setdefault(s.n, []).append(b)
-        tops, rows, base = [], np.empty(off[-1], dtype=np.int64), 0
-        for steps, members in groups.items():
-            top = self.encoder.encode_batch(stack_ids([sides[b] for b in members]),
-                                            train, rng)["top"]
-            # step-major row t*B + k of member k -> its sentence-stacked row
-            rows[off[members][:, None] + np.arange(steps)] = (
-                base + np.arange(steps) * len(members) + np.arange(len(members))[:, None])
-            tops.append(top)
-            base += top.shape[0]
-        return T.embedding(tops[0] if len(tops) == 1 else T.concat(tops, axis=0), rows), off
-
-
-def length_key(enc):
-    return (enc.main.n, enc.partner.n if enc.partner is not None else -1)
-
-
-def stack_ids(sides):
-    """(B, T) token ids of same-length sides."""
-    ids = [np.asarray(s.token_ids) for s in sides]
-    if len({a.size for a in ids}) > 1:
-        raise ValueError("a student batch needs sentences of one length")
-    return np.stack(ids)
+        """Stacked token rows of a batch of sides plus their row offsets, from
+        one packed encoder batch."""
+        return (self.encoder.encode_batch([s.token_ids for s in sides], train, rng)["top"],
+                offsets([s.n for s in sides]))
 
 
 def make_teacher(kind, codec, emb_dim=300, hidden=300, n_layers=2, rng=None,

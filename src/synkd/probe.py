@@ -76,9 +76,9 @@ def majority_accuracy(labels) -> float:
 
 
 def probe_train_eval(model, kind, train_data, eval_data, *, iters=400,
-                     batch=64, lr=1e-2, seed=0) -> float:
+                     batch=64, lr=1e-2, seed=0) -> tuple[float, np.ndarray]:
     """Train a linear probe on frozen representations; returns held-out
-    accuracy in percent."""
+    accuracy in percent and the held-out instances' labels."""
     x_tr, y_tr = _instances(model, train_data, kind)
     x_ev, y_ev = _instances(model, eval_data, kind)
     n_classes = int(max(y_tr.max(), y_ev.max())) + 1
@@ -97,7 +97,7 @@ def probe_train_eval(model, kind, train_data, eval_data, *, iters=400,
             tape.backward(loss)
         opt.step()
     pred = (x_ev @ w.data + b.data).argmax(axis=1)
-    return 100.0 * float((pred == y_ev).mean())
+    return 100.0 * float((pred == y_ev).mean()), y_ev
 
 
 # ---------------------------------------------------------------------------

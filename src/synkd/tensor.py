@@ -435,55 +435,68 @@ def segment_sum(x: Tensor, seg_ids, n_segments: int) -> Tensor:
     return _emit(out, (x,), back)
 
 
-def lstm_scan(xw: Tensor, u: Tensor, bsz: int, reverse: bool = False) -> Tensor:
-    """One LSTM direction over a step-major batch as a single op.
+def lstm_scan(xw: Tensor, u: Tensor, counts, reverse: bool = False) -> Tensor:
+    """One LSTM direction over a packed batch of sequences as a single op.
 
-    xw is (T*B, 4h): row t*B + b holds step t's input projection plus bias
-    for batch member b; u is the (h, 4h) recurrent matrix. Gates are in the
-    order [i, f, o, u], the state starts at zero and reverse=True runs from
-    the last step to the first. Returns the (T*B, h) hidden states in the
-    same row layout. Backward is hand-written BPTT over the saved gates."""
+    Sequences are sorted longest first and counts[t] >= 1 of them run at step
+    t (non-increasing). Step t is the row block of xw (sum(counts), 4h) after
+    those of the steps before it, one row per running sequence, holding its
+    input projection plus bias; u is the (h, 4h) recurrent matrix and gates
+    are [i, f, o, u]. States start at zero: going forward a sequence drops out
+    after its last step; reverse=True scans from the last step to the first
+    and each sequence joins at its own last step. Returns the hidden states in
+    xw's row layout; backward is hand-written BPTT over the saved gates."""
+    counts = np.asarray(counts, dtype=np.int64).tolist()
     if xw.data.ndim != 2 or u.data.ndim != 2 or u.shape[1] != 4 * u.shape[0] \
-            or xw.shape[1] != u.shape[1] or bsz < 1 or xw.shape[0] % bsz:
-        raise ValueError(f"lstm_scan: need xw (T*B, 4h) with B={bsz} and u (h, 4h), "
-                         f"got {xw.shape} and {u.shape}")
+            or xw.shape[1] != u.shape[1] or not counts or counts[-1] < 1 \
+            or any(a < b for a, b in zip(counts, counts[1:])) \
+            or sum(counts) != xw.shape[0]:
+        raise ValueError(f"lstm_scan: need xw (sum(counts), 4h), u (h, 4h) and "
+                         f"non-increasing positive counts, got {xw.shape}, "
+                         f"{u.shape} and {counts}")
     hid = u.shape[0]
-    steps = xw.shape[0] // bsz
+    starts = np.cumsum([0] + counts).tolist()
+    order = range(len(counts) - 1, -1, -1) if reverse else range(len(counts))
+    # scan-order blocks (lo, n, plo, m): rows [lo, lo + n) of a step, whose
+    # first m rows continue rows [plo, plo + m) of the step before in scan order
+    blocks = []
+    for k, t in enumerate(order):
+        p = order[k - 1] if k else t
+        blocks.append((starts[t], counts[t], starts[p],
+                       min(counts[t], counts[p]) if k else 0))
+    xg = xw.data
     dtype = np.result_type(xw.data, u.data)
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    xg = xw.data.reshape(steps, bsz, 4 * hid)
-    acts = np.empty((steps, bsz, 4 * hid), dtype=dtype)  # activated [i, f, o, u]
-    cells = np.empty((steps, bsz, hid), dtype=dtype)
+    acts = np.empty(xg.shape, dtype=dtype)  # activated [i, f, o, u]
+    cells = np.empty((xg.shape[0], hid), dtype=dtype)
     tanh_c = np.empty_like(cells)
     hs = np.empty_like(cells)
     with np.errstate(over="ignore"):
-        for k, t in enumerate(order):
-            z = acts[t]
-            if k:
-                np.matmul(hs[order[k - 1]], u.data, out=z)
-                z += xg[t]
-            else:
-                z[...] = xg[t]
+        for lo, n, plo, m in blocks:
+            z, c = acts[lo:lo + n], cells[lo:lo + n]
+            if m:
+                np.matmul(hs[plo:plo + m], u.data, out=z[:m])
+                z[:m] += xg[lo:lo + m]
+            if m < n:
+                z[m:] = xg[lo + m:lo + n]
             sig = z[:, :3 * hid]
             np.negative(sig, out=sig)
             np.exp(sig, out=sig)
             sig += 1.0
             np.divide(1.0, sig, out=sig)
             np.tanh(z[:, 3 * hid:], out=z[:, 3 * hid:])
-            np.multiply(z[:, :hid], z[:, 3 * hid:], out=cells[t])
-            if k:
-                cells[t] += z[:, hid:2 * hid] * cells[order[k - 1]]
-            np.tanh(cells[t], out=tanh_c[t])
-            np.multiply(z[:, 2 * hid:3 * hid], tanh_c[t], out=hs[t])
-    out = Tensor(hs.reshape(steps * bsz, hid))
+            np.multiply(z[:, :hid], z[:, 3 * hid:], out=c)
+            if m:
+                c[:m] += z[:m, hid:2 * hid] * cells[plo:plo + m]
+            np.tanh(c, out=tanh_c[lo:lo + n])
+            np.multiply(z[:, 2 * hid:3 * hid], tanh_c[lo:lo + n], out=hs[lo:lo + n])
+    out = Tensor(hs)
 
     def prev(a):
-        """a[t] moved to the step after t in scan order; zero at the first."""
+        """Each row's state from the step before in scan order; zero where a
+        sequence starts."""
         p = np.zeros_like(a)
-        if reverse:
-            p[:-1] = a[1:]
-        else:
-            p[1:] = a[:-1]
+        for lo, _, plo, m in blocks:
+            p[lo:lo + m] = a[plo:plo + m]
         return p
 
     def back(grad):
@@ -491,23 +504,24 @@ def lstm_scan(xw: Tensor, u: Tensor, bsz: int, reverse: bool = False) -> Tensor:
         # upstream is dc for i, f, u and dh for o; everything but dc and dh is
         # known before the reverse sweep
         slope = acts.copy()
-        slope[..., :3 * hid] *= 1.0 - acts[..., :3 * hid]
-        slope[..., 3 * hid:] = 1.0 - acts[..., 3 * hid:] ** 2
-        slope *= np.concatenate((acts[..., 3 * hid:], prev(cells), tanh_c,
-                                 acts[..., :hid]), axis=2)
-        dc_dh = acts[..., 2 * hid:3 * hid] * (1.0 - tanh_c * tanh_c)
-        gh = grad.reshape(steps, bsz, hid)
-        dz_all = np.empty_like(acts)
-        dh_next = dc_next = 0.0
-        for t in reversed(order):
-            dh = gh[t] + dh_next
-            dc = dh * dc_dh[t]
-            dc += dc_next
-            np.multiply(np.concatenate((dc, dc, dh, dc), axis=1), slope[t], out=dz_all[t])
-            dc_next = dc * acts[t, :, hid:2 * hid]
-            dh_next = dz_all[t] @ u.data.T
-        dz = dz_all.reshape(steps * bsz, 4 * hid)
-        return [dz, prev(hs).reshape(steps * bsz, hid).T @ dz]
+        slope[:, :3 * hid] *= 1.0 - acts[:, :3 * hid]
+        slope[:, 3 * hid:] = 1.0 - acts[:, 3 * hid:] ** 2
+        slope *= np.concatenate((acts[:, 3 * hid:], prev(cells), tanh_c,
+                                 acts[:, :hid]), axis=1)
+        dc_dh = acts[:, 2 * hid:3 * hid] * (1.0 - tanh_c * tanh_c)
+        dz = np.empty_like(acts)
+        # dh and dc of each row, plus what flows back from the step after it
+        dh_all, dc_all = grad.copy(), np.zeros_like(cells)
+        for lo, n, plo, m in reversed(blocks):
+            dh = dh_all[lo:lo + n]
+            dc = dh * dc_dh[lo:lo + n]
+            dc += dc_all[lo:lo + n]
+            np.multiply(np.concatenate((dc, dc, dh, dc), axis=1), slope[lo:lo + n],
+                        out=dz[lo:lo + n])
+            if m:
+                np.multiply(dc[:m], acts[lo:lo + m, hid:2 * hid], out=dc_all[plo:plo + m])
+                dh_all[plo:plo + m] += dz[lo:lo + m] @ u.data.T
+        return [dz, prev(hs).T @ dz]
 
     return _emit(out, (xw, u), back)
 

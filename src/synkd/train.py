@@ -40,7 +40,7 @@ from .distill import (
     soft_con_targets,
     total_loss,
 )
-from .encoders import length_key, offsets, stack_ids
+from .encoders import offsets
 from .syntax_data import MASK, DataError
 from .tensor import Adam, Tensor
 
@@ -201,7 +201,8 @@ class BatchSampler:
             raise ValueError("empty training set")
         buckets = {}
         for i, enc in enumerate(data):
-            buckets.setdefault(length_key(enc), []).append(i)
+            key = (enc.main.n, enc.partner.n if enc.partner is not None else -1)
+            buckets.setdefault(key, []).append(i)
         self.buckets = [np.array(v, dtype=np.int64)
                         for _, v in sorted(buckets.items())]
         sizes = np.array([len(b) for b in self.buckets], dtype=np.float64)
@@ -323,14 +324,14 @@ def syn_loss_batch(student, main, idxs, signals, cfg, models):
 def sem_loss_batch(student, encs, cfg, rng, train=True):
     """Masked-word loss over a batch (per-example sums, averaged over the
     batch); masking and the extra forward run on the main side."""
-    ids = stack_ids([enc.main for enc in encs])
+    ids = [enc.main.token_ids for enc in encs]
     targets = []
     for b, enc in enumerate(encs):
         for j in sample_mask_positions(enc.main.n, cfg.mask_ratio, rng):
-            targets.append((b, j, int(ids[b, j])))
-    masked = mask_ids(ids, targets, MASK)
-    out = student.encoder.encode_batch(masked, train=train, rng=rng)
-    loss = semantic_lm_loss(student, out["l1f"], len(encs), targets)
+            targets.append((b, j, int(ids[b][j])))
+    out = student.encoder.encode_batch(mask_ids(ids, targets, MASK), train=train, rng=rng)
+    loss = semantic_lm_loss(student, out["l1f"], offsets([enc.main.n for enc in encs]),
+                            targets)
     return T.scale(loss, 1.0 / len(encs))
 
 

@@ -281,11 +281,11 @@ def test_07_dependency_probe_direction(desk):
     student on at least 4 of 5 seeds."""
     wins, pairs = 0, []
     for seed in range(N_SEEDS):
-        p_b = probe_train_eval(desk["students_b"][seed], "dependency-labeling",
-                               desk["train"], desk["test"], seed=seed)
-        p_0 = probe_train_eval(desk["students_base"][seed],
-                               "dependency-labeling",
-                               desk["train"], desk["test"], seed=seed)
+        p_b, _ = probe_train_eval(desk["students_b"][seed], "dependency-labeling",
+                                  desk["train"], desk["test"], seed=seed)
+        p_0, _ = probe_train_eval(desk["students_base"][seed],
+                                  "dependency-labeling",
+                                  desk["train"], desk["test"], seed=seed)
         wins += p_b >= p_0
         pairs.append((p_b, p_0))
     assert wins >= 4, pairs

@@ -243,14 +243,14 @@ def test_semantic_lm_uniform_hand_value():
     stu = lm_student(h=4, vocab=50, zeros=True)
     l1f = Tensor(np.random.default_rng(0).normal(size=(6, 4)))
     targets = [(0, 0, 7), (0, 2, 13), (0, 4, 49)]
-    loss = semantic_lm_loss(stu, l1f, batch=1, targets=targets)
+    loss = semantic_lm_loss(stu, l1f, off=[0, 6], targets=targets)
     assert loss.item() == pytest.approx(3 * math.log(50.0), abs=1e-9)
 
 
 def test_semantic_lm_empty_mask_is_zero():
     stu = lm_student(h=4, vocab=10, zeros=True)
     l1f = Tensor(np.zeros((3, 4)))
-    assert semantic_lm_loss(stu, l1f, batch=1, targets=[]).item() == 0.0
+    assert semantic_lm_loss(stu, l1f, off=[0, 3], targets=[]).item() == 0.0
 
 
 def test_semantic_lm_position_zero_uses_begin_state():
@@ -258,28 +258,30 @@ def test_semantic_lm_position_zero_uses_begin_state():
     stu = lm_student(h=4, vocab=10, rng=rng)
     l1f = Tensor(rng.normal(size=(5, 4)))
     with T.Tape() as tape:
-        loss = semantic_lm_loss(stu, l1f, batch=1, targets=[(0, 0, 3)])
+        loss = semantic_lm_loss(stu, l1f, off=[0, 5], targets=[(0, 0, 3)])
         tape.backward(loss)
     assert np.abs(stu.lm_begin.grad).max() > 0  # begin state actually used
     # and a j>0 mask must not touch it
     stu2 = lm_student(h=4, vocab=10, rng=np.random.default_rng(5))
     with T.Tape() as tape:
-        loss = semantic_lm_loss(stu2, l1f, batch=1, targets=[(0, 2, 3)])
+        loss = semantic_lm_loss(stu2, l1f, off=[0, 5], targets=[(0, 2, 3)])
         tape.backward(loss)
     assert stu2.lm_begin.grad is None  # never on the tape for that path
 
 
-def test_semantic_lm_step_major_rows():
-    # batch of 2: (b=1, j=2) must read row (j-1)*B + b = 3
+def test_semantic_lm_sentence_offset_rows():
+    # sentences of lengths 4, 2, 3 stacked at offsets 0, 4, 6: a mask at
+    # (b, j > 0) reads row off[b] + j - 1, a mask at j = 0 reads no row
     rng = np.random.default_rng(9)
     stu = lm_student(h=3, vocab=6, rng=rng)
-    l1f_data = rng.normal(size=(8, 3))  # T=4, B=2
+    l1f_data = rng.normal(size=(9, 3))
     l1f = Tensor(l1f_data, requires_grad=True)
+    targets = [(1, 1, 4), (0, 3, 2), (2, 0, 5), (2, 2, 1)]
     with T.Tape() as tape:
-        loss = semantic_lm_loss(stu, l1f, batch=2, targets=[(1, 2, 4)])
+        loss = semantic_lm_loss(stu, l1f, off=[0, 4, 6, 9], targets=targets)
         tape.backward(loss)
     touched = np.where(np.abs(l1f.grad).sum(axis=1) > 0)[0]
-    assert touched.tolist() == [3]
+    assert touched.tolist() == [2, 4, 7]
 
 
 def test_semantic_lm_gradient():
@@ -287,7 +289,7 @@ def test_semantic_lm_gradient():
     stu = lm_student(h=4, vocab=8, rng=rng)
     l1f = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     targets = [(0, 0, 1), (1, 0, 2), (0, 2, 5), (1, 1, 7)]
-    f = lambda: semantic_lm_loss(stu, l1f, batch=2, targets=targets)
+    f = lambda: semantic_lm_loss(stu, l1f, off=[0, 3, 6], targets=targets)
     assert check_case(f, [l1f, stu.lm_W, stu.lm_b, stu.lm_begin]) < 1e-6
 
 
@@ -302,10 +304,10 @@ def test_sample_mask_positions_forced():
 
 
 def test_mask_ids():
-    ids = np.array([[5, 6, 7], [8, 9, 10]])
+    ids = [np.array([5, 6, 7]), np.array([8, 9, 10, 11])]
     out = mask_ids(ids, [(0, 1, 6), (1, 2, 10)], mask_id=2)
-    assert out.tolist() == [[5, 2, 7], [8, 9, 2]]
-    assert ids[0, 1] == 6  # original untouched
+    assert [a.tolist() for a in out] == [[5, 2, 7], [8, 9, 2, 11]]
+    assert ids[0][1] == 6  # original untouched
 
 
 # ------------------------------------------------------------- dep inject

@@ -287,7 +287,7 @@ def test_student_batch_matches_single():
     top = out["top"].data
     for b in range(2):
         reps, _ = encode_one(enc, ids[b])
-        got = np.stack([top[t * 2 + b] for t in range(3)])
+        got = top[3 * b:3 * (b + 1)]  # stacked by sentence
         np.testing.assert_allclose(got, reps.data, atol=1e-12)
 
 
@@ -309,9 +309,15 @@ def test_student_reversal_swaps_halves_with_tied_weights():
     np.testing.assert_allclose(fwd.data, swapped[::-1], atol=1e-12)
 
 
+def sentence_rows(bsz, steps):
+    """Step-major row t*B + b of each sentence-stacked row b*T + t."""
+    return (np.arange(steps) * bsz + np.arange(bsz)[:, None]).reshape(-1)
+
+
 def reference_bilstm(enc, ids):
     """Per-step stacked BiLSTM built from elementary tape ops:
-    gates = (x@W + h@U) + b in the order [i, f, o, u]; returns top, l1f."""
+    gates = (x@W + h@U) + b in the order [i, f, o, u]; returns top, l1f
+    stacked by sentence."""
     bsz, steps = ids.shape
     hid = enc.hid
     x = [T.embedding(enc.emb, ids[:, t]) for t in range(steps)]
@@ -332,7 +338,8 @@ def reference_bilstm(enc, ids):
         if l == 0:
             l1f = T.concat(outs["f"], axis=0)
         x = [T.concat([outs["f"][t], outs["b"][t]], axis=1) for t in range(steps)]
-    return T.concat(x, axis=0), l1f
+    rows = sentence_rows(bsz, steps)
+    return T.embedding(T.concat(x, axis=0), rows), T.embedding(l1f, rows)
 
 
 @pytest.mark.parametrize("steps", [1, 5])
@@ -363,6 +370,162 @@ def test_student_matches_per_step_reference(steps):
     np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
     for name, g, r in zip(p.names(), got[2], want[2]):
         np.testing.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=name)
+
+
+def set_biases(p, seed):
+    """Nonzero biases, so their place in the gate sums is tested."""
+    rng = np.random.default_rng(seed)
+    for t in p.all():
+        if t.data.ndim == 1:
+            t.data[...] = rng.standard_normal(t.shape)
+
+
+def encode_and_grads(p, encode, w_top, w_l1):
+    """top, l1f and every parameter gradient of sum(top*w_top) + sum(l1f*w_l1),
+    where encode() returns a list of (top, l1f) pieces stacked by sentence."""
+    for t in p.all():
+        t.grad = None
+    with T.Tape() as tape:
+        pieces = encode()
+        top = T.concat([a for a, _ in pieces], axis=0)
+        l1f = T.concat([b for _, b in pieces], axis=0)
+        tape.backward(T.add(T.sum_(T.mul(top, w_top)), T.sum_(T.mul(l1f, w_l1))))
+    return top.data, l1f.data, [t.grad.copy() for t in p.all()]
+
+
+def test_student_packed_matches_batch_of_one():
+    # lengths 1, 3 and 7 in shuffled input order: packed, every sentence
+    # leaves (forward) and joins (reverse) the scan at its own length
+    enc, p = make_student_encoder(11, 4, 3, layers=3, seed=13)
+    set_biases(p, 14)
+    rng = np.random.default_rng(15)
+    ids = [rng.integers(0, 11, size=n) for n in (3, 1, 7)]
+    w_top = Tensor(rng.standard_normal((11, 6)))
+    w_l1 = Tensor(rng.standard_normal((11, 3)))
+
+    def packed():
+        out = enc.encode_batch(ids)
+        return [(out["top"], out["l1f"])]
+
+    def one_by_one():
+        outs = [enc.encode_batch([s]) for s in ids]
+        return [(o["top"], o["l1f"]) for o in outs]
+
+    got = encode_and_grads(p, packed, w_top, w_l1)
+    want = encode_and_grads(p, one_by_one, w_top, w_l1)
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+    for name, g, r in zip(p.names(), got[2], want[2]):
+        np.testing.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=name)
+
+
+def step_major_lstm_scan(xw, u, bsz, reverse=False):
+    """The equal-length scan over a step-major (T*B, 4h) batch that the
+    packed `lstm_scan` replaced, kept verbatim as the bitwise reference."""
+    hid = u.shape[0]
+    steps = xw.shape[0] // bsz
+    dtype = np.result_type(xw.data, u.data)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    xg = xw.data.reshape(steps, bsz, 4 * hid)
+    acts = np.empty((steps, bsz, 4 * hid), dtype=dtype)
+    cells = np.empty((steps, bsz, hid), dtype=dtype)
+    tanh_c = np.empty_like(cells)
+    hs = np.empty_like(cells)
+    with np.errstate(over="ignore"):
+        for k, t in enumerate(order):
+            z = acts[t]
+            if k:
+                np.matmul(hs[order[k - 1]], u.data, out=z)
+                z += xg[t]
+            else:
+                z[...] = xg[t]
+            sig = z[:, :3 * hid]
+            np.negative(sig, out=sig)
+            np.exp(sig, out=sig)
+            sig += 1.0
+            np.divide(1.0, sig, out=sig)
+            np.tanh(z[:, 3 * hid:], out=z[:, 3 * hid:])
+            np.multiply(z[:, :hid], z[:, 3 * hid:], out=cells[t])
+            if k:
+                cells[t] += z[:, hid:2 * hid] * cells[order[k - 1]]
+            np.tanh(cells[t], out=tanh_c[t])
+            np.multiply(z[:, 2 * hid:3 * hid], tanh_c[t], out=hs[t])
+    out = Tensor(hs.reshape(steps * bsz, hid))
+
+    def prev(a):
+        p = np.zeros_like(a)
+        if reverse:
+            p[:-1] = a[1:]
+        else:
+            p[1:] = a[:-1]
+        return p
+
+    def back(grad):
+        slope = acts.copy()
+        slope[..., :3 * hid] *= 1.0 - acts[..., :3 * hid]
+        slope[..., 3 * hid:] = 1.0 - acts[..., 3 * hid:] ** 2
+        slope *= np.concatenate((acts[..., 3 * hid:], prev(cells), tanh_c,
+                                 acts[..., :hid]), axis=2)
+        dc_dh = acts[..., 2 * hid:3 * hid] * (1.0 - tanh_c * tanh_c)
+        gh = grad.reshape(steps, bsz, hid)
+        dz_all = np.empty_like(acts)
+        dh_next = dc_next = 0.0
+        for t in reversed(order):
+            dh = gh[t] + dh_next
+            dc = dh * dc_dh[t]
+            dc += dc_next
+            np.multiply(np.concatenate((dc, dc, dh, dc), axis=1), slope[t], out=dz_all[t])
+            dc_next = dc * acts[t, :, hid:2 * hid]
+            dh_next = dz_all[t] @ u.data.T
+        dz = dz_all.reshape(steps * bsz, 4 * hid)
+        return [dz, prev(hs).reshape(steps * bsz, hid).T @ dz]
+
+    return T._emit(out, (xw, u), back)
+
+
+def step_major_encode(enc, ids, train, rng):
+    """The equal-length student encoder before packing: step-major rows,
+    gathered into sentence order at the end."""
+    bsz, steps = ids.shape
+    x = T.embedding(enc.emb, ids.T.reshape(-1))
+    if train:
+        x = T.dropout(x, enc.emb_dropout, rng)
+    l1f = None
+    for l, layer in enumerate(enc.layers):
+        fwd, bwd = (step_major_lstm_scan(T.add(T.matmul(x, layer[d]["W"]), layer[d]["b"]),
+                                         layer[d]["U"], bsz, reverse=d == "b")
+                    for d in ("f", "b"))
+        if l == 0:
+            l1f = fwd
+        x = T.concat([fwd, bwd], axis=1)
+    rows = sentence_rows(bsz, steps)
+    return T.embedding(x, rows), T.embedding(l1f, rows)
+
+
+def test_student_equal_length_matches_step_major_scan_bitwise():
+    # float32 as in training, with nonzero biases and embedding dropout
+    p = E.Params()
+    enc = E.StudentEncoder(p, "s", 13, 5, 4, 3, emb_dropout=0.3,
+                           rng=np.random.default_rng(16), dtype=np.float32)
+    set_biases(p, 17)
+    rng = np.random.default_rng(18)
+    ids = rng.integers(0, 13, size=(4, 6))
+    w_top = Tensor(rng.standard_normal((24, 8)).astype(np.float32))
+    w_l1 = Tensor(rng.standard_normal((24, 4)).astype(np.float32))
+
+    def packed():
+        out = enc.encode_batch(ids, train=True, rng=np.random.default_rng(19))
+        return [(out["top"], out["l1f"])]
+
+    got = encode_and_grads(p, packed, w_top, w_l1)
+    want = encode_and_grads(
+        p, lambda: [step_major_encode(enc, ids, True, np.random.default_rng(19))],
+        w_top, w_l1)
+    assert got[0].dtype == np.float32
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    for name, g, r in zip(p.names(), got[2], want[2]):
+        np.testing.assert_array_equal(g, r, err_msg=name)
 
 
 def test_student_tape_length_independent_of_steps():

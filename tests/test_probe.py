@@ -52,10 +52,10 @@ def test_probe_runs_and_tracks_majority():
     student = small_student(codec)
     train, held = encs[:30], encs[30:]
     for kind in PROBE_KINDS:
-        acc = probe_train_eval(student, kind, train, held, iters=200, seed=0)
+        acc, y_held = probe_train_eval(student, kind, train, held, iters=200, seed=0)
         assert 0.0 <= acc <= 100.0
         build = constituent_instances if kind == PROBE_KINDS[0] else dependency_instances
-        _, y_held = build(student, held)
+        np.testing.assert_array_equal(y_held, build(student, held)[1])
         assert acc >= majority_accuracy(y_held) - 15.0
 
 

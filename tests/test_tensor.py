@@ -52,10 +52,17 @@ def test_shape_errors():
     with pytest.raises(ValueError):
         T.concat([])
     u = f64(np.zeros((2, 8)))
-    with pytest.raises(ValueError):  # 5 rows are not whole steps of B=2
-        T.lstm_scan(f64(np.zeros((5, 8))), u, 2)
+    T.lstm_scan(f64(np.zeros((5, 8))), u, [2, 2, 1])
+    with pytest.raises(ValueError):  # counts sum to 4, not the 5 rows
+        T.lstm_scan(f64(np.zeros((5, 8))), u, [2, 2])
+    with pytest.raises(ValueError):  # counts increase
+        T.lstm_scan(f64(np.zeros((5, 8))), u, [2, 3])
+    with pytest.raises(ValueError):  # a step with no running sequence
+        T.lstm_scan(f64(np.zeros((5, 8))), u, [3, 2, 0])
+    with pytest.raises(ValueError):  # no steps
+        T.lstm_scan(f64(np.zeros((0, 8))), u, [])
     with pytest.raises(ValueError):  # gate width is not 4h
-        T.lstm_scan(f64(np.zeros((4, 6))), f64(np.zeros((2, 6))), 2)
+        T.lstm_scan(f64(np.zeros((4, 6))), f64(np.zeros((2, 6))), [2, 2])
 
 
 # ---------------------------------------------------------------------------
