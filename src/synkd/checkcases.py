@@ -39,7 +39,7 @@ from .encoders import (
     tree_encode,
 )
 from .gradcheck import rand_param
-from .structures import BinTree
+from .structures import BinTree, span_ids, tree_spans
 from .tensor import Tensor
 
 F64 = np.float64
@@ -251,8 +251,7 @@ def case_con_inject(rng):
     refs = [random_bintree(rng, n, n_labels) for n in sizes]
     scored = ScoredSpans(rand_param(rng, (sum(n * (n + 1) // 2 for n in sizes), n_labels),
                                     scale=2.0), offsets(sizes))
-    for b, ref in enumerate(refs):
-        scored.tensor.data.reshape(-1)[scored.flat_ids(b, ref)] -= 10.0
+    scored.tensor.data.reshape(-1)[span_ids(sizes, tree_spans(refs), n_labels)] -= 10.0
     return (lambda: con_inject_loss(scored, refs)), [scored.tensor]
 
 

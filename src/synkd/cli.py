@@ -9,9 +9,15 @@ stderr plus a nonzero exit code.
 """
 from __future__ import annotations
 
+import os
+
+# one BLAS thread unless the user set one: numpy reads these on first import,
+# and this code's matrices are too small to gain from thread hand-off
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import json
-import os
 import sys
 
 import numpy as np

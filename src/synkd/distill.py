@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .structures import cyk_augmented, cyk_max, hamming, score_tree
+from .structures import chart_max, chart_trees, span_ids, tree_spans
+from .structures import cyk_augmented  # noqa: F401 (perfbench/tests/test_tracing.py)
 from .tensor import Tensor
 
 
@@ -211,8 +212,8 @@ def soft_arc_targets(scorer, main):
 def soft_con_targets(scorer, main):
     """Per sentence of a batch's (rows, offsets): a span scorer's CYK argmax
     tree, used as T* in soft mode."""
-    scored = scorer(*main)
-    return [cyk_max(scored.chart(b))[0] for b in range(len(main[1]) - 1)]
+    lens = np.diff(main[1])
+    return chart_trees(lens, chart_max(lens, scorer(*main).tensor.data)[0])
 
 
 def dep_inject_loss(scores, targets) -> Tensor:
@@ -250,26 +251,28 @@ def con_inject_loss(scored, trees) -> Tensor:
     """Structured hinge max(0, max_t [Scr(t) + hamming(t, T*)] - Scr(T*)),
     summed over the batch; trees holds T* per sentence of `scored`.
 
-    Each sentence's max runs through its own hamming-augmented CYK chart;
-    gradients flow into the scores of the offending trees' spans (+) and the
-    reference spans (-) of the sentences whose hinge is active.
+    One Hamming-augmented chart runs over the whole batch; gradients flow
+    into the scores of the offending trees' spans (+) and the reference spans
+    (-) of the sentences whose hinge is active.
     """
-    if [t.n for t in trees] != np.diff(scored.off).tolist():
+    lens = np.diff(scored.off)
+    if [t.n for t in trees] != lens.tolist():
         raise DistillError(f"reference lengths {[t.n for t in trees]} != scored "
-                           f"lengths {np.diff(scored.off).tolist()}")
-    hat, star, delta = [], [], 0
-    for b, t_star in enumerate(trees):
-        s = scored.chart(b)
-        t_hat, aug_score = cyk_augmented(s, t_star)
-        if aug_score - score_tree(s, t_star) > 0:
-            hat.append(scored.flat_ids(b, t_hat))
-            star.append(scored.flat_ids(b, t_star))
-            delta += hamming(t_hat, t_star)
-    if not hat:
-        return Tensor(np.array(0.0, dtype=scored.tensor.dtype))
-    gap = T.sub(T.sum_(T.take(scored.tensor, np.concatenate(hat))),
-                T.sum_(T.take(scored.tensor, np.concatenate(star))))
-    return T.add(gap, Tensor(np.array(float(delta), dtype=scored.tensor.dtype)))
+                           f"lengths {lens.tolist()}")
+    data, n_labels = scored.tensor.data, scored.tensor.shape[1]
+    star = span_ids(lens, tree_spans(trees), n_labels)
+    hat, aug = chart_max(lens, data, star)
+    # Scr(T*) of each sentence, summed one span at a time in its tree's order
+    per = 2 * lens - 1
+    scr = np.zeros((lens.size, per.max()))
+    scr[np.arange(per.max()) < per[:, None]] = data.reshape(-1)[star]
+    active = np.repeat(aug - np.cumsum(scr, axis=1)[:, -1] > 0, per)
+    if not active.any():
+        return Tensor(np.array(0.0, dtype=data.dtype))
+    hat, star = span_ids(lens, hat, n_labels)[active], star[active]
+    delta = np.isin(hat, star, invert=True).sum()
+    gap = T.sub(T.sum_(T.take(scored.tensor, hat)), T.sum_(T.take(scored.tensor, star)))
+    return T.add(gap, Tensor(np.array(float(delta), dtype=data.dtype)))
 
 
 def reg_loss(params, zeta: float) -> Tensor:

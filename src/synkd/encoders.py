@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .structures import BinTree, SpanScores, binarize
+from .structures import BinTree, binarize, span_order
 from .syntax_data import DataError, Example, LabelVocab, Vocab
 from .tensor import Tensor
 
@@ -562,35 +562,12 @@ class ArcLabelScorer:
         return ArcScores(arc, T.reshape(labels, (n, col.size, self.n_labels)), np.asarray(off))
 
 
-def span_order(n):
-    """(i, j) arrays of every span 0 <= i < j <= n, by start, then end."""
-    return np.triu_indices(n + 1, 1)
-
-
 @dataclass
 class ScoredSpans:
     """Differentiable span scores of a batch: each sentence's spans in
-    span_order, sentence after sentence."""
+    span_order, sentence after sentence, the layout of structures.chart_max."""
     tensor: Tensor   # (total spans, n_labels)
     off: np.ndarray  # token offsets of the batch's sentences
-
-    def __post_init__(self):
-        lens = np.diff(self.off)
-        self.span_off = offsets(lens * (lens + 1) // 2)
-
-    def chart(self, b) -> SpanScores:
-        """Dense score table of sentence b, for the chart algorithms."""
-        n = int(self.off[b + 1] - self.off[b])
-        table = np.zeros((n, n + 1, self.tensor.shape[1]), dtype=np.float64)
-        table[span_order(n)] = self.tensor.data[self.span_off[b]:self.span_off[b + 1]]
-        return SpanScores(n, table)
-
-    def flat_ids(self, b, tree: BinTree) -> np.ndarray:
-        """Flat indices into `tensor` of the labeled spans of sentence b's tree;
-        span (i, j) is row i * n - i * (i - 1) / 2 + j - i - 1 of its block."""
-        (i, j), label = np.array(list(tree.spans)).T, np.array(list(tree.spans.values()))
-        rows = self.span_off[b] + i * tree.n - i * (i - 1) // 2 + j - i - 1
-        return rows * self.tensor.shape[1] + label
 
 
 class SpanScorer:

@@ -1,9 +1,9 @@
 """Learning-free chart algorithms over labeled spans.
 
 Binarization (right-branching, null-labeled intermediates, unary chains
-collapsed into composite labels), CYK maximum search, loss-augmented CYK
-with the hamming cost folded into the chart, and hamming distance between
-binary trees as labeled span sets. All functions are pure.
+collapsed into composite labels) and CYK maximum search: one chart per batch
+of sentences of any lengths, optionally with the Hamming cost to reference
+trees folded in. All functions are pure.
 """
 from __future__ import annotations
 
@@ -144,7 +144,12 @@ def unbinarize(bt: BinTree, tokens=None) -> ConstTree:
 
 
 # ---------------------------------------------------------------------------
-# span scores
+# span scores and the batched chart
+
+def span_order(n):
+    """(i, j) arrays of every span 0 <= i < j <= n, by start, then end."""
+    return np.triu_indices(n + 1, 1)
+
 
 class SpanScores:
     """Dense scores over every span (i, j), 0 <= i < j <= n, and every label.
@@ -160,83 +165,107 @@ class SpanScores:
         table = np.asarray(table, dtype=np.float64)
         if table.shape[0] < n or table.shape[1] < n + 1 or table.ndim != 3:
             raise DataError(f"score table shape {table.shape} too small for n={n}")
-        i, j = np.triu_indices(n + 1, 1)
+        i, j = span_order(n)
         bad = np.flatnonzero(~np.isfinite(table[i, j]).all(axis=-1))
         if bad.size:
             raise DataError(f"non-finite score at span ({i[bad[0]]}, {j[bad[0]]})")
         self.n = n
         self.table = table
 
-    @property
-    def n_labels(self):
-        return self.table.shape[2]
+
+def tree_spans(trees) -> np.ndarray:
+    """(i, j, label) rows of every tree's labeled spans, tree after tree."""
+    return np.array([(i, j, l) for t in trees for (i, j), l in t.spans.items()],
+                    dtype=np.int64).reshape(-1, 3)
 
 
-def score_tree(s: SpanScores, t: BinTree) -> float:
-    """Scr(t): sum of each chosen span's assigned-label score."""
-    if t.n != s.n:
-        raise DataError(f"tree length {t.n} != scores length {s.n}")
-    return float(sum(s.table[i, j, l] for (i, j), l in t.spans.items()))
+def span_ids(lens, spans, n_labels) -> np.ndarray:
+    """Flat ids into a batch's span rows (each sentence's spans in span_order,
+    n_labels scores a row) of 2 n_b - 1 (i, j, label) spans per sentence b;
+    span (i, j) of an n-token sentence is row i * n - i * (i - 1) / 2 + j - i - 1
+    of its block."""
+    lens = np.asarray(lens, dtype=np.int64)
+    per, blocks = 2 * lens - 1, lens * (lens + 1) // 2
+    if len(spans) != per.sum():
+        raise DataError(f"{len(spans)} spans for trees over {lens.tolist()} tokens")
+    i, j, label = np.asarray(spans, dtype=np.int64).T
+    bad = np.flatnonzero((label < 0) | (label >= n_labels))
+    if bad.size:
+        raise DataError(f"span label {label[bad[0]]} outside score table ({n_labels} labels)")
+    n, start = np.repeat(lens, per), np.repeat(np.cumsum(blocks) - blocks, per)
+    return (start + i * n - i * (i - 1) // 2 + j - i - 1) * n_labels + label
 
 
-def _chart_max(n, table):
-    """Shared CYK core over a dense (i, j, l) table.
+def chart_max(lens, rows, cost_ref=None):
+    """Best full binary bracketing of every sentence of a batch, in one chart.
 
-    Tie-breaks deterministically: lowest split point, then lowest label id
-    (argmax returns the first maximum).
+    rows stacks each sentence's (n (n + 1) / 2, n_labels) span scores in
+    span_order; cost_ref (flat ids of reference labeled spans into rows) adds
+    1 to every other labeled span. Sentence b is padded to the longest and
+    reads its result at (0, n_b), which is exact: a span's best score depends
+    only on the spans inside it. Ties go to the lowest split, then the lowest
+    label. Returns each sentence's best tree as 2 n_b - 1 (i, j, label) rows
+    in pre-order, sentence after sentence, and the (B,) best totals.
     """
-    best_label = np.argmax(table, axis=2)
-    label_score = np.take_along_axis(
-        table, best_label[:, :, None], axis=2)[:n, :n + 1, 0]
+    lens = np.asarray(lens, dtype=np.int64)
+    if lens.size == 0 or lens.min() < 1:
+        raise DataError("empty sentence")
+    nb, n = lens.size, int(lens.max())
+    i, j = span_order(n)
+    b, pos = np.nonzero(j <= lens[:, None])  # span_order(n_b) is span_order(n) cut at n_b
+    i, width = i[pos], j[pos] - i[pos]
+    rows = np.asarray(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        k = bad[0]
+        raise DataError(f"non-finite score at span ({i[k]}, {i[k] + width[k]}) of sentence {b[k]}")
+    if cost_ref is not None:
+        rows = rows + 1.0
+        rows.reshape(-1)[cost_ref] -= 1.0
 
-    # by_start[i, w] and by_end[i + w, w] hold the best score of span (i, i + w),
-    # so all splits of one width are two slices; split[i, w] is the left width
-    by_start = np.zeros((n, n + 1))
-    by_end = np.zeros((n + 1, n + 1))
-    split = np.zeros((n, n + 1), dtype=np.int64)
-    by_start[:, 1] = by_end[1:, 1] = np.diagonal(label_score, 1)
+    # by_start[b, i, w] and by_end[b, i + w, w] hold the best score of span
+    # (i, i + w) of sentence b (its label's score until width w is done), so
+    # all splits of one width are two slices; split[b, i, w] is the left width
+    label = np.zeros((nb, n, n + 1), dtype=np.int64)
+    by_start, by_end = np.zeros((nb, n, n + 1)), np.zeros((nb, n + 1, n + 1))
+    label[b, i, width] = best = rows.argmax(axis=1)
+    by_start[b, i, width] = rows[np.arange(b.size), best]
+    by_end[:, 1:, 1] = by_start[:, :, 1]
+    split = np.zeros((nb, n, n + 1), dtype=np.int64)
     for w in range(2, n + 1):
-        v = by_start[:n - w + 1, 1:w] + by_end[w:, w - 1:0:-1]
-        split[:n - w + 1, w] = v.argmax(axis=1) + 1
-        by_start[:n - w + 1, w] = by_end[w:, w] = v.max(axis=1) + np.diagonal(label_score, w)
+        v = by_start[:, :n - w + 1, 1:w] + by_end[:, w:, w - 1:0:-1]
+        split[:, :n - w + 1, w] = v.argmax(axis=2) + 1
+        by_start[:, :n - w + 1, w] = by_end[:, w:, w] = v.max(axis=2) + by_start[:, :n - w + 1, w]
 
-    spans = {}
+    out = []
+    for sb, lb, m in zip(split, label, lens.tolist()):
+        sb, lb, stack = sb[:m, :m + 1].tolist(), lb[:m, :m + 1].tolist(), [(0, m)]
+        while stack:
+            p, q = stack.pop()
+            out.append((p, q, lb[p][q - p]))
+            if q - p > 1:
+                k = p + sb[p][q - p]
+                stack += [(k, q), (p, k)]
+    return np.array(out, dtype=np.int64), by_start[np.arange(nb), 0, lens]
 
-    def walk(i, j):
-        spans[(i, j)] = int(best_label[i, j])
-        if j - i > 1:
-            k = i + split[i, j - i]
-            walk(i, k)
-            walk(k, j)
 
-    walk(0, n)
-    return BinTree(n, spans), float(by_start[0, n])
+def chart_trees(lens, spans):
+    """BinTrees of the per-sentence span rows chart_max returns."""
+    lens = np.asarray(lens).tolist()
+    return [BinTree(m, {(i, j): l for i, j, l in part.tolist()})
+            for m, part in zip(lens, np.split(spans, np.cumsum([2 * m - 1 for m in lens])[:-1]))]
 
 
 def cyk_max(s: SpanScores):
-    """Maximum-scoring full binary bracketing; O(n^3 * |L|)."""
-    return _chart_max(s.n, s.table)
+    """Maximum-scoring full binary bracketing of one sentence; O(n^3 * |L|)."""
+    spans, scores = chart_max([s.n], s.table[span_order(s.n)])
+    return chart_trees([s.n], spans)[0], float(scores[0])
 
 
 def cyk_augmented(s: SpanScores, ref: BinTree):
-    """max over trees of Scr(t) + hamming(t, ref), hamming folded into the chart.
-
-    Every labeled span absent from ref gets +1, so the returned score is the
-    augmented total.
-    """
-    if ref.n != s.n:
-        raise DataError(f"reference length {ref.n} != scores length {s.n}")
-    aug = s.table.copy()
-    aug[:s.n, :s.n + 1, :] += 1.0
-    for (i, j), l in ref.spans.items():
-        if not 0 <= l < s.n_labels:
-            raise DataError(f"reference label {l} outside score table")
-        aug[i, j, l] -= 1.0
-    return _chart_max(s.n, aug)
-
-
-def hamming(t: BinTree, ref: BinTree) -> int:
-    """Labeled spans of t absent from ref (one-sided, label-sensitive)."""
-    if t.n != ref.n:
-        raise DataError(f"tree lengths differ: {t.n} vs {ref.n}")
-    return sum(1 for (i, j), l in t.spans.items() if ref.spans.get((i, j)) != l)
+    """max over trees of Scr(t) + hamming(t, ref), hamming folded into the
+    chart: every labeled span absent from ref gets +1, so the returned score
+    is the augmented total."""
+    ref_ids = span_ids([s.n], tree_spans([ref]), s.table.shape[2])
+    spans, scores = chart_max([s.n], s.table[span_order(s.n)], ref_ids)
+    return chart_trees([s.n], spans)[0], float(scores[0])

@@ -301,3 +301,16 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout.strip().splitlines()[-1])["command"] == "gen-data"
+
+
+def test_cli_pins_one_blas_thread_unless_set():
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = ("import os, sys; import synkd.cli; assert 'numpy' in sys.modules; "
+            f"print(*(os.environ[v] for v in {blas!r}))")
+    for given, expect in ((None, "1 1 1"), ("3", "3 1 1")):
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == expect.split()

@@ -31,7 +31,8 @@ from synkd.cli import main
 from synkd.encoders import (ArcLabelScorer, ArcScores, Params, ScoredSpans, SpanScorer,
                             offsets, span_order)
 from synkd.gradcheck import check_case
-from synkd.structures import BinTree, score_tree
+from synkd.structures import BinTree, SpanScores, cyk_max, span_ids, tree_spans
+from synkd.syntax_data import DataError
 from synkd.tensor import Tensor
 
 from oracles import enum_best, random_bintree, random_table
@@ -407,7 +408,7 @@ def test_con_inject_margin_satisfied():
     rng = np.random.default_rng(2)
     ref = random_bintree(4, 3, rng)
     scored = scored_from_array(np.zeros((10, 3)))
-    scored.tensor.data.reshape(-1)[scored.flat_ids(0, ref)] = 10.0
+    scored.tensor.data.reshape(-1)[span_ids([4], tree_spans([ref]), 3)] = 10.0
     assert con_inject_loss(scored, [ref]).item() == 0.0
 
 
@@ -433,9 +434,8 @@ def test_con_inject_nonnegative_and_matches_chart():
         scored = scored_from_array(table[span_order(n)])
         loss = con_inject_loss(scored, [ref]).item()
         assert loss >= 0.0
-        s = scored.chart(0)
-        _, aug = enum_best(s.table[:n, :n + 1], n, ref=ref)
-        expect = max(0.0, aug - score_tree(s, ref))
+        _, aug = enum_best(table, n, ref=ref)
+        expect = max(0.0, aug - sum(table[i, j, l] for (i, j), l in ref.spans.items()))
         assert loss == pytest.approx(expect, abs=1e-9)
 
 
@@ -447,6 +447,28 @@ def test_con_inject_length_mismatch():
         con_inject_loss(scored, [ref])
     with pytest.raises(DistillError):
         con_inject_loss(scored, [])
+
+
+def test_con_inject_and_soft_targets_reject_bad_scores():
+    # the batched chart keeps the per-sentence checks: a non-finite score in
+    # any sentence's spans, and a reference label outside the score table
+    rng = np.random.default_rng(3)
+    sizes, n_labels = [2, 4, 1], 2
+    refs = [random_bintree(n, n_labels, rng) for n in sizes]
+    rows = rng.normal(size=(3 + 10 + 1, n_labels))
+    rows[3 + 7, 1] = np.inf  # sentence 1, span (2, 3)
+    scored = ScoredSpans(Tensor(rows, requires_grad=True), offsets(sizes))
+    with pytest.raises(DataError, match=r"span \(2, 3\) of sentence 1"):
+        con_inject_loss(scored, refs)
+    span_scorer = SpanScorer(Params(), "span", 2, n_labels, rng, dtype=np.float64)
+    mat = rng.normal(size=(sum(sizes), 2))
+    mat[4] = np.nan  # token 2 of sentence 1: every span reaching past it
+    with pytest.raises(DataError, match="of sentence 1"):
+        soft_con_targets(span_scorer, (Tensor(mat), offsets(sizes)))
+    rows[3 + 7, 1] = 0.0
+    refs[2].spans[(0, 1)] = n_labels
+    with pytest.raises(DataError, match="outside score table"):
+        con_inject_loss(scored, refs)
 
 
 def test_con_inject_gradient():
@@ -475,6 +497,7 @@ def test_batched_structure_heads_match_batch_of_one():
     singles = [(Tensor(mat.data[lo:hi]), offsets([hi - lo]))
                for lo, hi in zip(off[:-1], off[1:])]
     arcs, spans = arc_scorer(mat, off), span_scorer(mat, off)
+    span_lo = offsets([n * (n + 1) // 2 for n in sizes])
     soft_arcs = soft_arc_targets(arc_scorer, (mat, off))
     soft_trees = soft_con_targets(span_scorer, (mat, off))
     refs = [random_bintree(n, n_labels, rng) for n in sizes]
@@ -488,12 +511,16 @@ def test_batched_structure_heads_match_batch_of_one():
         np.testing.assert_allclose(arcs.label_logits.data[lo:lo + n, :n + 1],
                                    one_arcs.label_logits.data, **close)
         assert (arc_probs[lo:lo + n, n + 1:] == 0.0).all()  # padded candidates
-        np.testing.assert_allclose(spans.chart(b).table, one_spans.chart(0).table, **close)
+        np.testing.assert_allclose(spans.tensor.data[span_lo[b]:span_lo[b + 1]],
+                                   one_spans.tensor.data, **close)
         (arc, lab, best), = soft_arc_targets(arc_scorer, singles[b])
         np.testing.assert_allclose(soft_arcs[b][0], arc, **close)
         np.testing.assert_allclose(soft_arcs[b][1], lab, **close)
         np.testing.assert_array_equal(soft_arcs[b][2], best)
         assert soft_trees[b] == soft_con_targets(span_scorer, singles[b])[0]
+        table = np.zeros((n, n + 1, n_labels))
+        table[span_order(n)] = one_spans.tensor.data
+        assert soft_trees[b] == cyk_max(SpanScores(n, table))[0]
         dep_sum += dep_inject_loss(one_arcs, [soft_arcs[b]]).item()
         con_sum += con_inject_loss(one_spans, [refs[b]]).item()
     assert dep_inject_loss(arcs, soft_arcs).item() == pytest.approx(dep_sum, rel=1e-12)

@@ -8,7 +8,7 @@ from synkd import encoders as E
 from synkd import syntax_data as D
 from synkd import tensor as T
 from synkd.gradcheck import check_case
-from synkd.structures import BinTree, binarize, cyk_max
+from synkd.structures import BinTree, binarize, chart_max, chart_trees, span_ids, tree_spans
 from synkd.tensor import Tensor
 
 F64 = np.float64
@@ -628,11 +628,12 @@ def test_span_scorer_table_size():
     assert out.tensor.shape == (5 * 6 // 2, 3)
     i, j = E.span_order(5)
     assert list(zip(i, j)) == [(i, j) for i in range(5) for j in range(i + 1, 6)]
-    # the computed flat index of every labeled span reads the chart's entry
+    # the computed flat index of every labeled span reads that span's row
     tree = BinTree(5, {(a, b): (a + b) % 3 for a, b in [(0, 5), (0, 1), (1, 5), (1, 2), (2, 5),
                                                        (2, 3), (3, 5), (3, 4), (4, 5)]})
-    chart = out.chart(0).table
-    np.testing.assert_array_equal(out.tensor.data.reshape(-1)[out.flat_ids(0, tree)],
+    chart = np.zeros((5, 6, 3))
+    chart[i, j] = out.tensor.data
+    np.testing.assert_array_equal(out.tensor.data.reshape(-1)[span_ids([5], tree_spans([tree]), 3)],
                                   [chart[a, b, l] for (a, b), l in tree.spans.items()])
 
 
@@ -643,7 +644,8 @@ def test_span_scorer_zero_params_tie_break():
     reps = Tensor(np.random.default_rng(0).standard_normal((4, 4)))
     out = scorer(reps, E.offsets([4]))
     assert np.all(out.tensor.data == 0.0)
-    tree, score = cyk_max(out.chart(0))
+    spans, (score,) = chart_max([4], out.tensor.data)
+    (tree,) = chart_trees([4], spans)
     assert score == 0.0
     assert tree.split_of(0, 4) == 1
     assert all(l == 0 for l in tree.spans.values())

@@ -4,13 +4,32 @@ import pytest
 
 from oracles import all_bracketings, catalan, enum_best, random_bintree, random_table
 from synkd import syntax_data as D
-from synkd.structures import (BinTree, SpanScores, binarize, cyk_augmented,
-                              cyk_max, hamming, score_tree, unbinarize)
+from synkd.structures import (BinTree, SpanScores, binarize, chart_max, chart_trees,
+                              cyk_augmented, cyk_max, span_ids, span_order, tree_spans,
+                              unbinarize)
 
 
 def tree(text):
     (t,) = D.parse_bracketed(text)
     return t
+
+
+def ids(n, t, n_labels):
+    """Flat ids of t's labeled spans in the span rows of an n-token sentence."""
+    return span_ids([n], tree_spans([t]), n_labels)
+
+
+def score_tree(table, t):
+    """Scr(t) read through the flat span ids of the batched layout."""
+    rows = table[span_order(t.n)]
+    return float(rows.reshape(-1)[ids(t.n, t, table.shape[2])].sum())
+
+
+def hamming(t, ref):
+    """Labeled spans of t absent from ref, counted on flat span ids as the
+    structured hinge counts them."""
+    n_labels = 1 + max(max(t.spans.values()), max(ref.spans.values()))
+    return int(np.isin(ids(t.n, t, n_labels), ids(t.n, ref, n_labels), invert=True).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +152,77 @@ def test_cyk_matches_split_loop_bitwise():
         assert cyk_max(SpanScores(n, table)) == loop_chart(n, table)
 
 
+def batch_rows(tables, lens):
+    """A batch's span rows: each table's spans in span_order, table after table."""
+    return np.concatenate([t[span_order(n)] for t, n in zip(tables, lens)])
+
+
+def random_split_tree(n, n_labels, rng):
+    """A random bracketing by random splits; unlike random_bintree it does not
+    enumerate all bracketings, which takes seconds at n = 12."""
+    spans, todo = {}, [(0, n)]
+    while todo:
+        i, j = todo.pop()
+        spans[(i, j)] = int(rng.integers(n_labels))
+        if j - i > 1:
+            k = int(rng.integers(i + 1, j))
+            todo += [(i, k), (k, j)]
+    return BinTree(n, spans)
+
+
+def test_batched_chart_matches_split_loop_bitwise():
+    # mixed lengths in one chart, n = 1 beside n = 12, with and without the
+    # hamming cost; the cost is the chart's +1 / -1 on the table
+    rng = np.random.default_rng(31)
+    for k in range(24):
+        lens = [1, 12] + [int(n) for n in rng.integers(1, 13, size=int(rng.integers(0, 6)))]
+        lens = [int(n) for n in rng.permutation(lens)]
+        n_labels = int(rng.integers(1, 4))
+        tables = [random_table(n, n_labels, rng) for n in lens]
+        if k % 2:  # small integers: ties at every level
+            tables = [np.round(t) for t in tables]
+        refs = [random_split_tree(n, n_labels, rng) for n in lens]
+        for cost in (False, True):
+            ref_ids = span_ids(lens, tree_spans(refs), n_labels) if cost else None
+            spans, scores = chart_max(lens, batch_rows(tables, lens), ref_ids)
+            for t, score, table, ref, n in zip(chart_trees(lens, spans), scores, tables,
+                                               refs, lens):
+                if cost:
+                    table = table + 1.0
+                    for (i, j), l in ref.spans.items():
+                        table[i, j, l] -= 1.0
+                assert (t, float(score)) == loop_chart(n, table)
+
+
+def test_batched_chart_rejects_bad_input():
+    rng = np.random.default_rng(37)
+    lens = [2, 3]
+    rows = batch_rows([random_table(n, 2, rng) for n in lens], lens)
+    bad = rows.copy()
+    bad[3 + 3, 1] = np.nan  # sentence 1, span (1, 2)
+    with pytest.raises(D.DataError, match=r"span \(1, 2\) of sentence 1"):
+        chart_max(lens, bad)
+    with pytest.raises(D.DataError, match="empty"):
+        chart_max([2, 0], rows[:3])
+    refs = [random_bintree(n, 2, rng) for n in lens]
+    refs[1].spans[(0, 3)] = 2
+    with pytest.raises(D.DataError, match="label 2 outside"):
+        span_ids(lens, tree_spans(refs), 2)
+    with pytest.raises(D.DataError, match="label 2 outside"):
+        cyk_augmented(SpanScores(3, random_table(3, 2, rng)), refs[1])
+    with pytest.raises(D.DataError, match="spans for trees"):
+        span_ids([2, 2], tree_spans(refs), 3)
+
+
 def test_cyk_dominates_arbitrary_trees():
     rng = np.random.default_rng(3)
     for _ in range(5):
         n = int(rng.integers(2, 8))
         table = random_table(n, 3, rng)
-        s = SpanScores(n, table)
-        _, best = cyk_max(s)
+        _, best = cyk_max(SpanScores(n, table))
         for _ in range(20):
             t = random_bintree(n, 3, rng)
-            assert score_tree(s, t) <= best + 1e-12
+            assert score_tree(table, t) <= best + 1e-12
 
 
 def test_cyk_rejects_empty():
@@ -192,10 +272,9 @@ def test_augmented_margin_satisfied_returns_ref():
     table = random_table(n, 3, rng, scale=0.1)
     for (i, j), l in ref.spans.items():
         table[i, j, l] += 50.0
-    s = SpanScores(n, table)
-    t, aug = cyk_augmented(s, ref)
+    t, aug = cyk_augmented(SpanScores(n, table), ref)
     assert t == ref
-    assert aug - score_tree(s, t) == pytest.approx(0.0, abs=1e-9)
+    assert aug - score_tree(table, t) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_augmented_uniform_zero_n3_matches_bruteforce():
@@ -242,10 +321,9 @@ def test_hamming_equals_dp_bookkeeping():
     for _ in range(15):
         n = int(rng.integers(2, 7))
         table = random_table(n, 3, rng)
-        s = SpanScores(n, table)
         ref = random_bintree(n, 3, rng)
-        t, aug = cyk_augmented(s, ref)
-        assert aug - score_tree(s, t) == pytest.approx(hamming(t, ref), abs=1e-9)
+        t, aug = cyk_augmented(SpanScores(n, table), ref)
+        assert aug - score_tree(table, t) == pytest.approx(hamming(t, ref), abs=1e-9)
 
 
 def test_catalan_counts():
