@@ -133,8 +133,7 @@ def case_student_bilstm(rng):
     # a packed batch of three lengths in shuffled order
     vocab, emb, hid, layers = 6, 3, 2, 2
     p = Params()
-    enc = StudentEncoder(p, "s", vocab, emb, hid, n_layers=layers,
-                         emb_dropout=0.0, rng=rng, dtype=F64)
+    enc = StudentEncoder(p, "s", vocab, emb, hid, n_layers=layers, rng=rng, dtype=F64)
     ids = [rng.integers(0, vocab, size=n) for n in rng.permutation([1, 2, 3])]
     w_top = Tensor(rng.standard_normal((6, 2 * hid)).astype(F64))
     w_l1 = Tensor(rng.standard_normal((6, hid)).astype(F64))

@@ -19,6 +19,7 @@ fixed number of tape ops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,10 +76,11 @@ class Params:
             t.data = arr.astype(t.data.dtype)
 
 
-@dataclass
-class CellState:
-    h: Tensor  # (1, hidden)
-    c: Tensor  # (1, hidden)
+EMB_DROPOUT = 0.4  # dropout rate on every model's input embeddings in training
+
+
+def _dropout(x: Tensor, train, rng) -> Tensor:
+    return T.dropout(x, EMB_DROPOUT, rng) if train else x
 
 
 @dataclass
@@ -92,25 +94,10 @@ class LevelKids:
 
 
 # ---------------------------------------------------------------------------
-# tree cells
-
-class TreeCell:
-    """A cell runs one tree level at a time: `fuse` concatenates the per-gate
-    parameters into the blocks the level kernel multiplies by, and `level`
-    maps the level's projected inputs plus its children's states to the new
-    (h, c) rows."""
-
-    def step(self, x: Tensor, children) -> CellState:
-        """One parent, through the level kernel."""
-        w, b, rec = self.fuse()
-        zero = Tensor(np.zeros((1, self.hid), dtype=x.dtype))
-        k = len(children)
-        kids = LevelKids(np.zeros(k, dtype=np.int64), np.arange(k), np.arange(1, k + 1))
-        h, c = self.level(rec, T.add(T.matmul(x, w), b), kids,
-                          T.concat([zero] + [s.h for s in children], axis=0),
-                          T.concat([zero] + [s.c for s in children], axis=0))
-        return CellState(h, c)
-
+# tree cells: each runs one tree level at a time. `fuse` concatenates the
+# per-gate parameters into the blocks the level kernel multiplies by, and
+# `level` maps the level's projected inputs plus its children's states to the
+# new (h, c) rows.
 
 def _lstm_update(pre, hid, forget_sum):
     """h, c from [i, o, u] pre-activations plus the gated child-memory sum."""
@@ -127,7 +114,7 @@ def _row_keys(*mats):
     return m.view(np.dtype((np.void, m.shape[1] * m.itemsize))).ravel()
 
 
-class ChildSumCell(TreeCell):
+class ChildSumCell:
     """Child-Sum TreeLSTM cell: gates from the summed child state, one forget
     gate per child computed from that child's own hidden state.
 
@@ -140,7 +127,6 @@ class ChildSumCell(TreeCell):
 
     def __init__(self, p: Params, prefix, in_dim, hid, rng, dtype=np.float32):
         self.hid = hid
-        self.dtype = dtype
         self.W, self.U, self.b = {}, {}, {}
         for g in self.GATES:
             self.W[g] = p.add(f"{prefix}/W{g}", (in_dim, hid), rng, dtype=dtype)
@@ -168,14 +154,13 @@ class ChildSumCell(TreeCell):
         return _lstm_update(pre, hid, T.segment_sum(T.mul(f, kid_c), seg, n))
 
 
-class NaryCell(TreeCell):
+class NaryCell:
     """N-ary TreeLSTM cell with per-branch U matrices and per-(child, branch)
     forget matrices; absent children contribute zero state."""
 
     def __init__(self, p: Params, prefix, in_dim, hid, rng, n_ary=2, dtype=np.float32):
         self.hid = hid
         self.n_ary = n_ary
-        self.dtype = dtype
         self.W, self.b, self.U = {}, {}, {}
         for g in ("i", "o", "u", "f"):
             self.W[g] = p.add(f"{prefix}/W{g}", (in_dim, hid), rng, dtype=dtype)
@@ -352,7 +337,8 @@ def _level_pass(cell, x, level, dst, src, slot):
     for hi in np.cumsum(np.bincount(level)):
         a, z = np.searchsorted(dst, [lo, hi])
         kids = LevelKids(dst[a:z] - lo, slot[a:z], src[a:z])
-        # projected per level, so a level of one node computes what step() does
+        # projected per level, not once for all nodes: this keeps the float
+        # rounding that existing checkpoints were trained with
         xw = T.add(T.matmul(T.embedding(x, perm[lo:hi]), w), b)
         h, c = cell.level(rec, xw, kids, H, C)
         H, C = T.concat([H, h], axis=0), T.concat([C, c], axis=0)
@@ -401,9 +387,8 @@ class StudentEncoder:
     """
 
     def __init__(self, p: Params, prefix, vocab_size, emb_dim, hid,
-                 n_layers=3, emb_dropout=0.4, rng=None, dtype=np.float32):
+                 n_layers=3, rng=None, dtype=np.float32):
         self.hid = hid
-        self.emb_dropout = emb_dropout
         self.emb = p.add(f"{prefix}/emb", (vocab_size, emb_dim), rng, dtype=dtype)
         self.layers = []
         for l in range(n_layers):
@@ -434,9 +419,7 @@ class StudentEncoder:
         pos = (offsets(counts)[:-1] + rank[:, None])[valid]
         packed = np.empty(pos.size, dtype=np.int64)
         packed[pos] = np.concatenate(seqs)
-        x = T.embedding(self.emb, packed)
-        if train and self.emb_dropout > 0:
-            x = T.dropout(x, self.emb_dropout, rng)
+        x = _dropout(T.embedding(self.emb, packed), train, rng)
         l1f = None
         for l, layer in enumerate(self.layers):
             fwd, bwd = (T.lstm_scan(T.add(T.matmul(x, layer[d]["W"]), layer[d]["b"]),
@@ -465,7 +448,6 @@ def segment_mean(mat: Tensor, off) -> Tensor:
 
 class ClassifyHead:
     def __init__(self, p: Params, prefix, in_dim, n_classes, rng, dtype=np.float32):
-        self.n_classes = n_classes
         self.W = p.add(f"{prefix}/W", (in_dim, n_classes), rng, dtype=dtype)
         self.b = p.add(f"{prefix}/b", (n_classes,), init="zeros", dtype=dtype)
 
@@ -477,7 +459,6 @@ class PairHead:
     """Feedforward over [u; v; u*v; u-v; u+v]."""
 
     def __init__(self, p: Params, prefix, in_dim, n_classes, rng, dtype=np.float32):
-        self.n_classes = n_classes
         self.W = p.add(f"{prefix}/W", (5 * in_dim, n_classes), rng, dtype=dtype)
         self.b = p.add(f"{prefix}/b", (n_classes,), init="zeros", dtype=dtype)
 
@@ -491,7 +472,6 @@ class TagHead:
 
     def __init__(self, p: Params, prefix, in_dim, n_tags, rng,
                  ind_dim=16, dtype=np.float32):
-        self.n_tags = n_tags
         self.ind = p.add(f"{prefix}/ind", (2, ind_dim), rng, dtype=dtype)
         self.W = p.add(f"{prefix}/W", (in_dim + ind_dim, n_tags), rng, dtype=dtype)
         self.b = p.add(f"{prefix}/b", (n_tags,), init="zeros", dtype=dtype)
@@ -526,7 +506,6 @@ class ArcLabelScorer:
     def __init__(self, p: Params, prefix, in_dim, n_labels, arc_dim, rng,
                  dtype=np.float32):
         self.n_labels = n_labels
-        self.arc_dim = arc_dim
         a = arc_dim
         self.Wd = p.add(f"{prefix}/Wd", (in_dim, a), rng, dtype=dtype)
         self.bd = p.add(f"{prefix}/bd", (a,), init="zeros", dtype=dtype)
@@ -574,8 +553,6 @@ class SpanScorer:
     """Feedforward scorer over fencepost endpoint features [b_j - b_i; b_i; b_j]."""
 
     def __init__(self, p: Params, prefix, in_dim, n_labels, rng, dtype=np.float32):
-        self.n_labels = n_labels
-        self.in_dim = in_dim
         self.W = p.add(f"{prefix}/W", (3 * in_dim, n_labels), rng, dtype=dtype)
         self.b = p.add(f"{prefix}/b", (n_labels,), init="zeros", dtype=dtype)
         self.dtype = dtype
@@ -629,8 +606,7 @@ class Codec:
             yield ex.partner
 
     def encode(self, ex: Example):
-        enc = EncodedExample(self, ex)
-        return enc
+        return EncodedExample(self, ex)
 
     def to_json(self):
         return {
@@ -655,54 +631,73 @@ class Codec:
 
 
 class EncodedSide:
+    """One sentence of an example: its length and token ids up front, and every
+    parse view built on first read, so each model builds only the views it
+    reads (the student reads none). A view of a missing parse is None; a
+    label outside the codec's vocabulary raises DataError when read."""
+
     def __init__(self, codec: Codec, ex: Example):
+        self.codec, self.raw = codec, ex
         self.n = len(ex.sent)
         self.token_ids = codec.vocab.encode(ex.sent.tokens)
-        if ex.dep is not None:
-            self.heads = list(ex.dep.heads)
-            self.dep_label_ids = codec.dep_labels.encode(ex.dep.labels)
-            self.dep_graph = dep_enc_graph(self.heads)
-        else:
-            self.heads = self.dep_label_ids = self.dep_graph = None
-        if ex.con is not None:
-            bt = binarize(ex.con)
-            self.bintree = bt.map_labels(lambda l: int(codec.con_labels.stoi[l]))
-            self.con_graph, con_spans = con_enc_graph(self.bintree)
-            # per con node: ("word", token id) for leaves, ("label", label id) inside
-            self.con_inputs = []
-            for (i, j) in con_spans:
-                if j - i == 1:
-                    self.con_inputs.append(("word", int(self.token_ids[i])))
-                else:
-                    self.con_inputs.append(("label", self.bintree.spans[(i, j)]))
-            # GCN over the original constituency tree: tokens + every tree node
-            self.con_gcn = _con_gcn_graph(codec, ex, self.token_ids)
-        else:
-            self.bintree = self.con_graph = self.con_inputs = self.con_gcn = None
 
+    @cached_property
+    def heads(self):
+        return None if self.raw.dep is None else list(self.raw.dep.heads)
 
-def _con_gcn_graph(codec, ex, token_ids):
-    """Node inputs and edges for the constituency GCN: token nodes 0..n-1,
-    then one node per original tree node (preterminals included)."""
-    n = len(ex.sent)
-    inputs = [("word", int(token_ids[i])) for i in range(n)]
-    edges = []
+    @cached_property
+    def dep_label_ids(self):
+        return None if self.raw.dep is None else self.codec.dep_labels.encode(self.raw.dep.labels)
 
-    def visit(node, start, parent_id):
-        nid = len(inputs)
-        inputs.append(("label", int(codec.con_labels.stoi[node.label])))
-        if parent_id is not None:
-            edges.append((parent_id, nid))
-        if node.is_leaf:
-            edges.append((nid, start))
-            return start + 1
-        pos = start
-        for c in node.children:
-            pos = visit(c, pos, nid)
-        return pos
+    @cached_property
+    def dep_graph(self):
+        return None if self.raw.dep is None else dep_enc_graph(self.heads)
 
-    visit(ex.con.root, 0, None)
-    return inputs, edges, n
+    @cached_property
+    def bintree(self):
+        """The binarized constituency tree with label ids."""
+        if self.raw.con is None:
+            return None
+        bt = binarize(self.raw.con)
+        ids = self.codec.con_labels.encode(bt.spans.values()).tolist()
+        return BinTree(bt.n, dict(zip(bt.spans, ids)), tokens=bt.tokens)
+
+    @cached_property
+    def con_tree(self):
+        """(graph, node inputs) of the constituency TreeLSTM over the binarized
+        tree: ("word", token id) at a leaf, ("label", label id) inside."""
+        if self.raw.con is None:
+            return None
+        graph, spans = con_enc_graph(self.bintree)
+        return graph, [("word", int(self.token_ids[i])) if j - i == 1
+                       else ("label", self.bintree.spans[(i, j)]) for i, j in spans]
+
+    @cached_property
+    def con_gcn(self):
+        """(node inputs, edges) of the constituency GCN over the original tree:
+        token nodes 0..n-1, then one node per tree node (preterminals
+        included)."""
+        if self.raw.con is None:
+            return None
+        labels, edges = [], []
+
+        def visit(node, start, parent_id):
+            nid = self.n + len(labels)
+            labels.append(node.label)
+            if parent_id is not None:
+                edges.append((parent_id, nid))
+            if node.is_leaf:
+                edges.append((nid, start))
+                return start + 1
+            pos = start
+            for c in node.children:
+                pos = visit(c, pos, nid)
+            return pos
+
+        visit(self.raw.con.root, 0, None)
+        label_ids = self.codec.con_labels.encode(labels).tolist()
+        return ([("word", int(t)) for t in self.token_ids]
+                + [("label", l) for l in label_ids], edges)
 
 
 class EncodedExample:
@@ -729,11 +724,10 @@ BATCH_ROWS = 128  # sentences per forward pass when predicting
 class BaseModel:
     """Common plumbing: params registry, batching, task head dispatch."""
 
-    def __init__(self, codec: Codec, rng, dtype=np.float32, emb_dropout=0.4):
+    def __init__(self, codec: Codec, rng, dtype=np.float32):
         self.codec = codec
         self.task = codec.task
         self.dtype = dtype
-        self.emb_dropout = emb_dropout
         self.p = Params()
         self.rng = rng
 
@@ -748,19 +742,16 @@ class BaseModel:
             self.head = ClassifyHead(self.p, "head", rep_dim, self.codec.n_classes,
                                      self.rng, dtype=self.dtype)
 
-    def _dropout(self, x, train, rng):
-        if train and self.emb_dropout > 0:
-            return T.dropout(x, self.emb_dropout, rng)
-        return x
-
-    def _node_rows(self, inputs, train, rng) -> Tensor:
-        """Input rows for stacked ("word" | "label", id) node inputs: word and
-        label embeddings share one dropout and are interleaved by one gather."""
+    def _node_rows(self, graph_inputs, train, rng) -> Tensor:
+        """Stacked input rows for each graph's ("word" | "label", id) node
+        inputs: word and label embeddings share one dropout and are
+        interleaved by one gather."""
+        inputs = [p for node_inputs in graph_inputs for p in node_inputs]
         is_word = np.array([k == "word" for k, _ in inputs], dtype=bool)
         ids = np.array([i for _, i in inputs], dtype=np.int64)
-        x = self._dropout(T.concat([T.embedding(self.emb, ids[is_word]),
-                                    T.embedding(self.label_emb, ids[~is_word])],
-                                   axis=0), train, rng)
+        x = _dropout(T.concat([T.embedding(self.emb, ids[is_word]),
+                               T.embedding(self.label_emb, ids[~is_word])], axis=0),
+                     train, rng)
         n_words = int(is_word.sum())
         order = np.empty(ids.size, dtype=np.int64)
         order[is_word] = np.arange(n_words)
@@ -814,9 +805,8 @@ class DepTreeLstmModel(BaseModel):
     structure = "dep"
 
     def __init__(self, codec, emb_dim=300, hidden=300, n_layers=2, rng=None,
-                 dtype=np.float32, emb_dropout=0.4):
-        super().__init__(codec, rng, dtype, emb_dropout)
-        self.hidden = hidden
+                 dtype=np.float32):
+        super().__init__(codec, rng, dtype)
         self.emb = self.p.add("emb", (len(codec.vocab), emb_dim), rng, dtype=dtype)
         self.cells = []
         for l in range(n_layers):
@@ -831,7 +821,7 @@ class DepTreeLstmModel(BaseModel):
     def reps(self, sides, train=False, rng=None):
         """Stacked token rows of a batch of sides plus their row offsets."""
         ids = np.concatenate([s.token_ids for s in sides])
-        x = self._dropout(T.embedding(self.emb, ids), train, rng)
+        x = _dropout(T.embedding(self.emb, ids), train, rng)
         graphs = [s.dep_graph for s in sides]
         for up, down in self.cells:
             x = tree_encode(graphs, x, up, down, "both")
@@ -845,9 +835,8 @@ class ConTreeLstmModel(BaseModel):
     structure = "con"
 
     def __init__(self, codec, emb_dim=300, hidden=300, n_layers=2, rng=None,
-                 dtype=np.float32, emb_dropout=0.4):
-        super().__init__(codec, rng, dtype, emb_dropout)
-        self.hidden = hidden
+                 dtype=np.float32):
+        super().__init__(codec, rng, dtype)
         self.emb = self.p.add("emb", (len(codec.vocab), emb_dim), rng, dtype=dtype)
         self.label_emb = self.p.add("label_emb", (len(codec.con_labels), emb_dim),
                                     rng, dtype=dtype)
@@ -863,8 +852,8 @@ class ConTreeLstmModel(BaseModel):
 
     def reps(self, sides, train=False, rng=None):
         """Stacked token rows of a batch of sides plus their row offsets."""
-        graphs = [s.con_graph for s in sides]
-        x = self._node_rows([p for s in sides for p in s.con_inputs], train, rng)
+        graphs, inputs = zip(*(s.con_tree for s in sides))
+        x = self._node_rows(inputs, train, rng)
         for up, down in self.cells:
             x = tree_encode(graphs, x, up, down, "both")
         node_off = offsets([len(g.children) for g in graphs])
@@ -877,8 +866,8 @@ class GcnModel(BaseModel):
     """Gated GCN over either syntactic graph; output width equals emb width."""
 
     def __init__(self, codec, structure, emb_dim=300, n_layers=2, rng=None,
-                 dtype=np.float32, emb_dropout=0.4):
-        super().__init__(codec, rng, dtype, emb_dropout)
+                 dtype=np.float32):
+        super().__init__(codec, rng, dtype)
         self.structure = structure
         self.kind = f"gcn-{structure}"
         self.emb = self.p.add("emb", (len(codec.vocab), emb_dim), rng, dtype=dtype)
@@ -899,13 +888,13 @@ class GcnModel(BaseModel):
         tok_off = offsets([s.n for s in sides])
         if self.structure == "dep":
             ids = np.concatenate([s.token_ids for s in sides])
-            h = self._dropout(T.embedding(self.emb, ids), train, rng)
+            h = _dropout(T.embedding(self.emb, ids), train, rng)
             edges = gcn_edges([s.n for s in sides], [dep_edges(s.heads) for s in sides])
         else:
-            graphs = [s.con_gcn for s in sides]
-            sizes = [len(inputs) for inputs, _, _ in graphs]
-            h = self._node_rows([p for inputs, _, _ in graphs for p in inputs], train, rng)
-            edges = gcn_edges(sizes, [e for _, e, _ in graphs])
+            inputs, trees = zip(*(s.con_gcn for s in sides))
+            sizes = [len(i) for i in inputs]
+            h = self._node_rows(inputs, train, rng)
+            edges = gcn_edges(sizes, trees)
         for w, b in self.layers:
             h = gcn_layer(h, edges, w, b)
         if self.structure == "con":  # token nodes lead each graph
@@ -920,17 +909,16 @@ class StudentModel(BaseModel):
     kind = "student"
     structure = "seq"
 
-    def __init__(self, codec, emb_dim=300, hidden=350, n_layers=3, arc_dim=None,
-                 rng=None, dtype=np.float32, emb_dropout=0.4):
-        super().__init__(codec, rng, dtype, emb_dropout)
+    def __init__(self, codec, emb_dim=300, hidden=350, n_layers=3, rng=None,
+                 dtype=np.float32):
+        super().__init__(codec, rng, dtype)
         self.hidden = hidden
         self.encoder = StudentEncoder(self.p, "enc", len(codec.vocab), emb_dim,
-                                      hidden, n_layers, emb_dropout, rng, dtype)
+                                      hidden, n_layers, rng, dtype)
         self.rep_dim = 2 * hidden
         self._make_head(self.rep_dim)
-        arc_dim = arc_dim or hidden
         self.arc_scorer = ArcLabelScorer(self.p, "arc", self.rep_dim,
-                                         len(codec.dep_labels), arc_dim, rng, dtype)
+                                         len(codec.dep_labels), hidden, rng, dtype)
         self.span_scorer = SpanScorer(self.p, "span", self.rep_dim,
                                       len(codec.con_labels), rng, dtype)
         self.lm_W = self.p.add("lm/W", (hidden, len(codec.vocab)), rng, dtype=dtype)
@@ -966,15 +954,15 @@ class StudentModel(BaseModel):
 
 
 def make_teacher(kind, codec, emb_dim=300, hidden=300, n_layers=2, rng=None,
-                 dtype=np.float32, emb_dropout=0.4):
+                 dtype=np.float32):
     if kind == "tlstm-dep":
-        return DepTreeLstmModel(codec, emb_dim, hidden, n_layers, rng, dtype, emb_dropout)
+        return DepTreeLstmModel(codec, emb_dim, hidden, n_layers, rng, dtype)
     if kind == "tlstm-con":
-        return ConTreeLstmModel(codec, emb_dim, hidden, n_layers, rng, dtype, emb_dropout)
+        return ConTreeLstmModel(codec, emb_dim, hidden, n_layers, rng, dtype)
     if kind == "gcn-dep":
-        return GcnModel(codec, "dep", emb_dim, n_layers, rng, dtype, emb_dropout)
+        return GcnModel(codec, "dep", emb_dim, n_layers, rng, dtype)
     if kind == "gcn-con":
-        return GcnModel(codec, "con", emb_dim, n_layers, rng, dtype, emb_dropout)
+        return GcnModel(codec, "con", emb_dim, n_layers, rng, dtype)
     raise ValueError(f"unknown teacher kind {kind!r}")
 
 

@@ -37,14 +37,13 @@ def constituent_instances(model, data):
     [r_end - r_start; r_start; r_end], target the span's label id."""
     if any(enc.raw.con is None for enc in data):
         raise DataError("constituent probing needs constituency annotation")
-    codec = model.codec
     feats, labels = [], []
     for enc, reps in zip(data, _main_rows(model, data)):
         for i, j, label in enc.raw.con.spans():
             a, b = reps[i], reps[j - 1]
             feats.append(np.concatenate([b - a, a, b]))
-            labels.append(codec.con_labels.stoi[label])
-    return np.stack(feats), np.array(labels, dtype=np.int64)
+            labels.append(label)
+    return np.stack(feats), model.codec.con_labels.encode(labels)
 
 
 def dependency_instances(model, data):

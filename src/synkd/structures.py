@@ -56,9 +56,6 @@ class BinTree:
                 return k
         raise DataError(f"span ({i}, {j}) has no binary split")
 
-    def labeled_spans(self):
-        return {(i, j, l) for (i, j), l in self.spans.items()}
-
     def map_labels(self, fn):
         return BinTree(self.n, {s: fn(l) for s, l in self.spans.items()},
                        tokens=self.tokens)

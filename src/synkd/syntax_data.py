@@ -91,7 +91,6 @@ class LabelVocab:
 @dataclass
 class Sentence:
     tokens: list
-    ids: np.ndarray | None = None
 
     def __len__(self):
         return len(self.tokens)
@@ -259,50 +258,6 @@ class Example:
                 raise DataError("partner dep tree length mismatch")
             if self.partner.con.leaves() != self.partner.sent.tokens:
                 raise DataError("partner constituency leaves do not match tokens")
-
-
-# ---------------------------------------------------------------------------
-# CoNLL-style dependency text: ID FORM HEAD DEPREL, blank-line separated
-
-def parse_conll_dep(text):
-    out = []
-    block, start_ln = [], None
-    for ln, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            if block:
-                out.append(_parse_dep_block(block, start_ln))
-                block, start_ln = [], None
-            continue
-        if start_ln is None:
-            start_ln = ln
-        block.append((ln, line))
-    if block:
-        out.append(_parse_dep_block(block, start_ln))
-    return out
-
-
-def _parse_dep_block(block, start_ln):
-    tokens, heads, labels = [], [], []
-    for ln, line in block:
-        cols = line.split()
-        if len(cols) != 4:
-            raise DataError(f"line {ln}: expected 4 columns, got {len(cols)}")
-        idx, form, head, deprel = cols
-        try:
-            idx, head = int(idx), int(head)
-        except ValueError:
-            raise DataError(f"line {ln}: non-integer ID or HEAD") from None
-        if idx != len(tokens) + 1:
-            raise DataError(f"line {ln}: token IDs must count 1..n, got {idx}")
-        tokens.append(form)
-        heads.append(head)
-        labels.append(deprel)
-    try:
-        tree = DepTree(heads, labels)
-    except DataError as e:
-        raise DataError(f"line {start_ln}: {e}") from None
-    return Sentence(tokens), tree
 
 
 # ---------------------------------------------------------------------------

@@ -543,9 +543,9 @@ def train_teacher(model, train_data, dev_data, *, iters=2000, batch_size=32,
     structure targets during distillation.
     """
     for enc in list(train_data) + list(dev_data or []):
-        if model.structure == "dep" and enc.main.heads is None:
+        if model.structure == "dep" and enc.main.raw.dep is None:
             raise DataError("teacher needs dependency annotation")
-        if model.structure == "con" and enc.main.bintree is None:
+        if model.structure == "con" and enc.main.raw.con is None:
             raise DataError("teacher needs constituency annotation")
     if co_train_struct and not hasattr(model, "struct_head"):
         model.add_structure_head()
@@ -579,20 +579,19 @@ def train_teacher(model, train_data, dev_data, *, iters=2000, batch_size=32,
 # ---------------------------------------------------------------------------
 # distillation
 
-def prepare_student(student, teachers, cfg, proj_dim=None):
+def prepare_student(student, teachers, cfg):
     """Register mode-A projection parameters (idempotent); must run before the
     optimizer or any checkpoint of the student is created."""
     if teachers is not None and cfg.mode == "A" and cfg.lam1 > 0:
         for m in teachers.all:
-            student.add_projection(m.kind, m.rep_dim,
-                                   proj_dim or student.rep_dim)
+            student.add_projection(m.kind, m.rep_dim, student.rep_dim)
 
 
 def distill_student(student, teachers, train_data, dev_data,
                     cfg: DistillConfig = None, sched: Schedule = None, *,
                     batch_size=32, lr=1e-5, eval_every=200, patience=10,
                     seed=0, log=None, state=None, signals=None,
-                    proj_dim=None, stop_after=None) -> RunState:
+                    stop_after=None) -> RunState:
     """Algorithm-1 turn-taking distillation (teachers=None trains the plain
     supervised student with the same plumbing).
 
@@ -609,7 +608,7 @@ def distill_student(student, teachers, train_data, dev_data,
         for m in teachers.all:
             if m.codec.vocab.itos != student_vocab:
                 raise DistillError(f"teacher/student vocab mismatch ({m.kind})")
-        prepare_student(student, teachers, cfg, proj_dim)
+        prepare_student(student, teachers, cfg)
         if signals is None:
             signals = TeacherSignals(teachers, train_data, cfg,
                                      len(student.codec.dep_labels))

@@ -1,13 +1,29 @@
-"""Brute-force oracles used by tests: exhaustive search over bracketings.
+"""Brute-force oracles used by tests: exhaustive search over bracketings,
+plus one tree-cell update with hand-set child states.
 
-Deliberately independent of the chart code — plain Python loops, first
-strict maximum kept, bracketings enumerated split-ascending / left-major so
-the first maximum agrees with the documented chart tie-break (lowest split,
-then lowest label id).
+The search is deliberately independent of the chart code — plain Python
+loops, first strict maximum kept, bracketings enumerated split-ascending /
+left-major so the first maximum agrees with the documented chart tie-break
+(lowest split, then lowest label id).
 """
 import numpy as np
 
+from synkd import tensor as T
+from synkd.encoders import LevelKids
 from synkd.structures import BinTree
+from synkd.tensor import Tensor
+
+
+def one_parent(cell, x, kids):
+    """(h, c) of one parent with input row x and hand-set child states
+    kids = [(h, c), ...] in slot order, through the cell's fused level kernel."""
+    w, b, rec = cell.fuse()
+    zero = Tensor(np.zeros((1, cell.hid), dtype=x.dtype))
+    k = len(kids)
+    level = LevelKids(np.zeros(k, dtype=np.int64), np.arange(k), np.arange(1, k + 1))
+    return cell.level(rec, T.add(T.matmul(x, w), b), level,
+                      T.concat([zero] + [h for h, _ in kids], axis=0),
+                      T.concat([zero] + [c for _, c in kids], axis=0))
 
 
 def all_bracketings(n):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import enum_best, random_bintree, random_table
+from oracles import enum_best, one_parent, random_bintree, random_table
 from synkd import encoders as E
 from synkd.distill import (DistillConfig, TeacherSet, combine_syn,
                            output_distill_loss, reg_loss, total_loss)
@@ -119,13 +119,13 @@ def test_04_encoder_equivalences():
     p = E.Params()
     cs = E.ChildSumCell(p, "c", 3, 4, rng, dtype=F64)
     x = Tensor(rng.standard_normal((1, 3)))
-    kids = [E.CellState(Tensor(rng.standard_normal((1, 4))),
-                        Tensor(rng.standard_normal((1, 4)))) for _ in range(5)]
-    out = cs.step(x, kids)
+    kids = [(Tensor(rng.standard_normal((1, 4))),
+             Tensor(rng.standard_normal((1, 4)))) for _ in range(5)]
+    out_h, out_c = one_parent(cs, x, kids)
     for perm in ([4, 3, 2, 1, 0], [2, 0, 4, 1, 3], [1, 4, 0, 3, 2]):
-        other = cs.step(x, [kids[i] for i in perm])
-        assert out.h.data.tobytes() == other.h.data.tobytes()
-        assert out.c.data.tobytes() == other.c.data.tobytes()
+        other_h, other_c = one_parent(cs, x, [kids[i] for i in perm])
+        assert out_h.data.tobytes() == other_h.data.tobytes()
+        assert out_c.data.tobytes() == other_c.data.tobytes()
 
     na = E.NaryCell(E.Params(), "c", 3, 4, rng, n_ary=1, dtype=F64)
     for g in ("i", "o", "u", "f"):
@@ -134,14 +134,18 @@ def test_04_encoder_equivalences():
     for g in ("i", "o", "u"):
         na.U[g][0].data[...] = cs.U[g].data
     na.Uf[0][0].data[...] = cs.U["f"].data
-    state_cs = cs.step(x, [])
-    state_na = na.step(x, [])
+    state_cs = one_parent(cs, x, [])
+    state_na = one_parent(na, x, [])
     for step in range(4):  # a 4-node chain, leaf upward
-        np.testing.assert_allclose(state_cs.h.data, state_na.h.data, atol=1e-9)
-        np.testing.assert_allclose(state_cs.c.data, state_na.c.data, atol=1e-9)
+        np.testing.assert_allclose(state_cs[0].data, state_na[0].data, atol=1e-9)
+        np.testing.assert_allclose(state_cs[1].data, state_na[1].data, atol=1e-9)
         x_t = Tensor(rng.standard_normal((1, 3)))
-        state_cs = cs.step(x_t, [state_cs])
-        state_na = na.step(x_t, [state_na])
+        state_cs = one_parent(cs, x_t, [state_cs])
+        state_na = one_parent(na, x_t, [state_na])
+    # the same chain as one tree, both directions, through the batched encoder
+    chain, xs = E.dep_enc_graph([2, 3, 4, 0]), Tensor(rng.standard_normal((4, 3)))
+    np.testing.assert_allclose(E.tree_encode([chain], xs, cs).data,
+                               E.tree_encode([chain], xs, na).data, atol=1e-9)
     print("[4] PASS encoder equivalences: permutation-free child-sum, "
           "child-sum == N=1 on a chain")
 

@@ -91,7 +91,8 @@ def test_teacher_artifacts(workspace):
     first = workspace["teachers"].split(",")[0]
     for name in ("model.syd1", "codec.json", "log.jsonl", "config.resolved.json"):
         assert os.path.exists(os.path.join(first, name)), name
-    meta = json.loads(open(os.path.join(first, "config.resolved.json")).read())
+    with open(os.path.join(first, "config.resolved.json"), encoding="utf-8") as fh:
+        meta = json.load(fh)
     assert meta["artifacts"]["model_kind"] == "tlstm-dep"
 
 
@@ -230,6 +231,47 @@ def test_induce_outputs_and_two_token_bracketing(workspace, tmp_path, capsys):
     head_vals = [int(h) for h in heads[0].split()]
     assert len(head_vals) == 2
     assert all(0 <= h <= 2 for h in head_vals)
+
+
+def unseen_label_data(workspace, path, old, new):
+    """The test split with every `old` replaced by `new`, which training never saw."""
+    text = (workspace["data"] / "test.jsonl").read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    return path
+
+
+def one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])["error"]
+
+
+def test_unseen_labels_fail_only_models_that_read_them(workspace, tmp_path, capsys):
+    student = tmp_path / "su"
+    assert main(distill_args(workspace, student)) == 0
+    con_data = unseen_label_data(workspace, tmp_path / "con.jsonl", "(Det the)", "(DT the)")
+    dep_data = unseen_label_data(workspace, tmp_path / "dep.jsonl", '"det"', '"dt"')
+    # the student reads token ids only
+    for data in (con_data, dep_data):
+        rc, out, _ = run(capsys, "eval", "--model", str(student), "--data", str(data),
+                         "--out", str(tmp_path / "ev"))
+        assert rc == 0 and last_json(out)["n"] == 10
+    rc, _, _ = run(capsys, "induce", "--model", str(student), "--data", str(con_data),
+                   "--out", str(tmp_path / "ind"))
+    assert rc == 0
+    # the constituency teachers and the constituent probe read the labels
+    for teacher in workspace["teachers"].split(",")[2:]:
+        rc, out, err = run(capsys, "eval", "--model", teacher, "--data", str(con_data),
+                           "--out", str(tmp_path / "evt"))
+        assert rc == 1 and not out
+        assert one_error_line(err) == "DataError: unknown label 'DT'"
+    rc, _, err = run(capsys, "probe", "--model", str(student),
+                     "--train", str(workspace["data"] / "train.jsonl"),
+                     "--data", str(con_data), "--probe-task", "constituent-labeling",
+                     "--probe-iters", "5", "--out", str(tmp_path / "pr"))
+    assert rc == 1
+    assert one_error_line(err) == "DataError: unknown label 'DT'"
 
 
 def test_induce_rejects_teacher_checkpoint(workspace, tmp_path, capsys):

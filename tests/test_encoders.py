@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import one_parent
 from synkd import encoders as E
 from synkd import syntax_data as D
 from synkd import tensor as T
@@ -33,8 +34,16 @@ def make_nary(in_dim, hid, rng, n_ary=2, fill=None):
 
 
 def state(h, c):
-    return E.CellState(Tensor(np.array([[h]], dtype=F64)),
-                       Tensor(np.array([[c]], dtype=F64)))
+    return (Tensor(np.array([[h]], dtype=F64)), Tensor(np.array([[c]], dtype=F64)))
+
+
+def random_state(rng, hid):
+    return (Tensor(rng.standard_normal((1, hid))), Tensor(rng.standard_normal((1, hid))))
+
+
+def leaf(cell, x):
+    """h of a lone leaf: tree_encode over a one-node graph."""
+    return E.tree_encode([E.dep_enc_graph([0])], x, cell, direction="bottom-up")
 
 
 RNG = np.random.default_rng(99)
@@ -45,8 +54,8 @@ RNG = np.random.default_rng(99)
 
 def test_childsum_zero_params_leaf():
     cell, _ = make_childsum(3, 4, RNG, fill=0.0)
-    out = cell.step(Tensor(np.ones((1, 3), dtype=F64)), [])
-    np.testing.assert_array_equal(out.h.data, np.zeros((1, 4)))
+    out = leaf(cell, Tensor(np.ones((1, 3), dtype=F64)))
+    np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
 
 def test_childsum_scalar_hand_case():
@@ -54,46 +63,42 @@ def test_childsum_scalar_hand_case():
     cell, _ = make_childsum(1, 1, RNG, fill=1.0)
     for name in ("c/bi", "c/bf", "c/bo", "c/bu"):
         cell.b[name[-1]].data[...] = 0.0
-    out = cell.step(Tensor(np.array([[1.0]], dtype=F64)),
-                    [state(0.5, 0.5)])
+    out_h, out_c = one_parent(cell, Tensor(np.array([[1.0]], dtype=F64)),
+                              [state(0.5, 0.5)])
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
     i = o = f = sig(1.0 + 0.5)
     u = math.tanh(1.5)
     c = i * u + f * 0.5
     h = o * math.tanh(c)
-    assert out.h.data[0, 0] == pytest.approx(h, abs=1e-12)
-    assert out.c.data[0, 0] == pytest.approx(c, abs=1e-12)
+    assert out_h.data[0, 0] == pytest.approx(h, abs=1e-12)
+    assert out_c.data[0, 0] == pytest.approx(c, abs=1e-12)
 
 
 def test_childsum_permutation_invariant_bitwise():
     rng = np.random.default_rng(1)
     cell, _ = make_childsum(3, 5, rng)
     x = Tensor(rng.standard_normal((1, 3)))
-    kids = [E.CellState(Tensor(rng.standard_normal((1, 5))),
-                        Tensor(rng.standard_normal((1, 5)))) for _ in range(4)]
-    a = cell.step(x, kids)
-    b = cell.step(x, list(reversed(kids)))
-    c = cell.step(x, [kids[2], kids[0], kids[3], kids[1]])
-    assert a.h.data.tobytes() == b.h.data.tobytes() == c.h.data.tobytes()
+    kids = [random_state(rng, 5) for _ in range(4)]
+    a, _ = one_parent(cell, x, kids)
+    b, _ = one_parent(cell, x, list(reversed(kids)))
+    c, _ = one_parent(cell, x, [kids[2], kids[0], kids[3], kids[1]])
+    assert a.data.tobytes() == b.data.tobytes() == c.data.tobytes()
 
 
 def test_nary_zero_params_leaf():
     cell, _ = make_nary(3, 4, RNG, fill=0.0)
-    out = cell.step(Tensor(np.ones((1, 3), dtype=F64)), [])
-    np.testing.assert_array_equal(out.h.data, np.zeros((1, 4)))
+    out = leaf(cell, Tensor(np.ones((1, 3), dtype=F64)))
+    np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
 
 def test_nary_order_sensitive():
     rng = np.random.default_rng(2)
     cell, _ = make_nary(3, 4, rng)
     x = Tensor(rng.standard_normal((1, 3)))
-    k1 = E.CellState(Tensor(rng.standard_normal((1, 4))),
-                     Tensor(rng.standard_normal((1, 4))))
-    k2 = E.CellState(Tensor(rng.standard_normal((1, 4))),
-                     Tensor(rng.standard_normal((1, 4))))
-    a = cell.step(x, [k1, k2])
-    b = cell.step(x, [k2, k1])
-    assert not np.allclose(a.h.data, b.h.data)
+    k1, k2 = random_state(rng, 4), random_state(rng, 4)
+    a, _ = one_parent(cell, x, [k1, k2])
+    b, _ = one_parent(cell, x, [k2, k1])
+    assert not np.allclose(a.data, b.data)
 
 
 def test_nary_scalar_hand_case():
@@ -101,15 +106,15 @@ def test_nary_scalar_hand_case():
     cell, p = make_nary(1, 1, RNG, fill=1.0)
     for g in ("i", "o", "u", "f"):
         cell.b[g].data[...] = 0.0
-    out = cell.step(Tensor(np.array([[1.0]], dtype=F64)),
-                    [state(0.5, 0.5), state(0.5, 0.5)])
+    out_h, _ = one_parent(cell, Tensor(np.array([[1.0]], dtype=F64)),
+                          [state(0.5, 0.5), state(0.5, 0.5)])
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
     i = o = sig(2.0)
     u = math.tanh(2.0)
     f = sig(2.0)
     c = i * u + 2 * (f * 0.5)
     h = o * math.tanh(c)
-    assert out.h.data[0, 0] == pytest.approx(h, abs=1e-12)
+    assert out_h.data[0, 0] == pytest.approx(h, abs=1e-12)
 
 
 def test_childsum_equals_nary1_on_chain():
@@ -124,25 +129,22 @@ def test_childsum_equals_nary1_on_chain():
     na.b["f"].data[...] = cs.b["f"].data
     na.Uf[0][0].data[...] = cs.U["f"].data
     x = Tensor(rng.standard_normal((1, 3)))
-    kid = E.CellState(Tensor(rng.standard_normal((1, 4))),
-                      Tensor(rng.standard_normal((1, 4))))
-    a = cs.step(x, [kid])
-    b = na.step(x, [kid])
-    np.testing.assert_allclose(a.h.data, b.h.data, atol=1e-9)
-    np.testing.assert_allclose(a.c.data, b.c.data, atol=1e-9)
+    kid = random_state(rng, 4)
+    a_h, a_c = one_parent(cs, x, [kid])
+    b_h, b_c = one_parent(na, x, [kid])
+    np.testing.assert_allclose(a_h.data, b_h.data, atol=1e-9)
+    np.testing.assert_allclose(a_c.data, b_c.data, atol=1e-9)
     # leaf case too
-    np.testing.assert_allclose(cs.step(x, []).h.data, na.step(x, []).h.data,
-                               atol=1e-9)
+    np.testing.assert_allclose(leaf(cs, x).data, leaf(na, x).data, atol=1e-9)
 
 
 def test_gate_ranges():
     rng = np.random.default_rng(4)
     cell, _ = make_childsum(3, 6, rng)
-    out = cell.step(Tensor(rng.standard_normal((1, 3)) * 5),
-                    [E.CellState(Tensor(rng.standard_normal((1, 6))),
-                                 Tensor(rng.standard_normal((1, 6))))])
-    assert np.all(np.abs(np.tanh(out.c.data)) < 1.0)
-    assert np.all(np.abs(out.h.data) < 1.0)
+    out_h, out_c = one_parent(cell, Tensor(rng.standard_normal((1, 3)) * 5),
+                              [random_state(rng, 6)])
+    assert np.all(np.abs(np.tanh(out_c.data)) < 1.0)
+    assert np.all(np.abs(out_h.data) < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +163,8 @@ def test_tree_encode_chain_is_sequential():
     rows = E.tree_encode([chain_graph(n)], T.concat(xs), cell, direction="bottom-up")
     st = None
     for i in range(n):
-        st = cell.step(xs[i], [] if st is None else [st])
-        np.testing.assert_array_equal(rows.data[i:i + 1], st.h.data)
+        st = one_parent(cell, xs[i], [] if st is None else [st])
+        np.testing.assert_array_equal(rows.data[i:i + 1], st[0].data)
 
 
 def test_tree_encode_both_doubles_width():
@@ -257,8 +259,7 @@ def test_gcn_fd_gradient():
 def make_student_encoder(vocab, emb, hid, layers=3, seed=0, dtype=F64):
     p = E.Params()
     rng = np.random.default_rng(seed)
-    enc = E.StudentEncoder(p, "s", vocab, emb, hid, layers, emb_dropout=0.0,
-                           rng=rng, dtype=dtype)
+    enc = E.StudentEncoder(p, "s", vocab, emb, hid, layers, rng=rng, dtype=dtype)
     return enc, p
 
 
@@ -489,7 +490,7 @@ def step_major_encode(enc, ids, train, rng):
     bsz, steps = ids.shape
     x = T.embedding(enc.emb, ids.T.reshape(-1))
     if train:
-        x = T.dropout(x, enc.emb_dropout, rng)
+        x = T.dropout(x, E.EMB_DROPOUT, rng)
     l1f = None
     for l, layer in enumerate(enc.layers):
         fwd, bwd = (step_major_lstm_scan(T.add(T.matmul(x, layer[d]["W"]), layer[d]["b"]),
@@ -505,8 +506,8 @@ def step_major_encode(enc, ids, train, rng):
 def test_student_equal_length_matches_step_major_scan_bitwise():
     # float32 as in training, with nonzero biases and embedding dropout
     p = E.Params()
-    enc = E.StudentEncoder(p, "s", 13, 5, 4, 3, emb_dropout=0.3,
-                           rng=np.random.default_rng(16), dtype=np.float32)
+    enc = E.StudentEncoder(p, "s", 13, 5, 4, 3, rng=np.random.default_rng(16),
+                           dtype=np.float32)
     set_biases(p, 17)
     rng = np.random.default_rng(18)
     ids = rng.integers(0, 13, size=(4, 6))
@@ -682,8 +683,7 @@ def test_codec_and_teacher_row_counts():
 def test_student_model_reps_and_logits():
     data = D.gen_synthetic(8, seed=32)
     codec = E.Codec(data, "cls")
-    student = E.StudentModel(codec, emb_dim=8, hidden=6, arc_dim=5,
-                             rng=np.random.default_rng(1))
+    student = E.StudentModel(codec, emb_dim=8, hidden=6, rng=np.random.default_rng(1))
     enc = codec.encode(data[0])
     main = student.reps([enc.main])
     assert main[0].shape == (enc.main.n, 12)

@@ -39,9 +39,8 @@ def test_binarize_already_binary():
     t = tree("(S (NP (Det the) (N cat)) (VP (V sees) (N cats)))")
     bt = binarize(t)
     assert bt.n == 4
-    assert bt.labeled_spans() == set(
-        [(0, 4, "S"), (0, 2, "NP"), (0, 1, "Det"), (1, 2, "N"),
-         (2, 4, "VP"), (2, 3, "V"), (3, 4, "N")])
+    assert bt.spans == {(0, 4): "S", (0, 2): "NP", (0, 1): "Det", (1, 2): "N",
+                        (2, 4): "VP", (2, 3): "V", (3, 4): "N"}
 
 
 def test_binarize_ternary_adds_null_span():

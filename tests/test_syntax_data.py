@@ -4,8 +4,6 @@ import pytest
 
 from synkd import syntax_data as D
 
-CONLL_TWO = "1 cats 2 nsubj\n2 sleep 0 root\n"
-
 
 def test_vocab_reserved_and_order_independent():
     a = D.Vocab.build([["b", "a", "a"], ["c"]])
@@ -26,41 +24,7 @@ def test_label_vocab_null_reserved():
 
 
 # ---------------------------------------------------------------------------
-# dependency parsing
-
-def test_conll_minimal_block():
-    (sent, tree), = D.parse_conll_dep(CONLL_TWO)
-    assert sent.tokens == ["cats", "sleep"]
-    assert tree.heads == [2, 0]
-    assert tree.labels == ["nsubj", "root"]
-
-
-def test_conll_two_cycle_rejected():
-    with pytest.raises(D.DataError, match="cycle at token 1"):
-        D.parse_conll_dep("1 a 2 dep\n2 b 1 dep\n")
-
-
-def test_conll_multiple_roots_rejected():
-    with pytest.raises(D.DataError, match="multiple roots"):
-        D.parse_conll_dep("1 a 0 root\n2 b 0 root\n")
-
-
-def test_conll_ragged_rejected():
-    with pytest.raises(D.DataError, match="line 2: expected 4 columns"):
-        D.parse_conll_dep("1 a 0 root\n2 b 1\n")
-
-
-def test_conll_fixture_hand_count():
-    # ten sentences of lengths 1..10, all chains rooted at token 1
-    blocks = []
-    for n in range(1, 11):
-        lines = ["1 w1 0 root"]
-        lines += [f"{i} w{i} {i - 1} dep" for i in range(2, n + 1)]
-        blocks.append("\n".join(lines))
-    parsed = D.parse_conll_dep("\n\n".join(blocks))
-    assert len(parsed) == 10
-    assert [len(s.tokens) for s, _ in parsed] == list(range(1, 11))
-
+# dependency trees
 
 def test_dep_tree_validation():
     with pytest.raises(D.DataError, match="cycle at token 1"):
@@ -69,6 +33,8 @@ def test_dep_tree_validation():
         D.DepTree([0, 3, 2], ["a", "b", "c"])
     with pytest.raises(D.DataError, match="head out of range"):
         D.DepTree([0, 7], ["a", "b"])
+    with pytest.raises(D.DataError, match="multiple roots"):
+        D.DepTree([0, 0], ["root", "root"])
 
 
 # ---------------------------------------------------------------------------

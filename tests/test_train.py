@@ -1,12 +1,13 @@
-import copy
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from synkd.distill import DistillConfig, DistillError, TeacherSet
-from synkd.encoders import (Codec, GcnModel, StudentEncoder, StudentModel, TEACHER_KINDS,
-                            make_teacher)
+from synkd.distill import (DistillConfig, DistillError, TeacherSet, soft_arc_targets,
+                           soft_con_targets)
+from synkd.encoders import (Codec, EncodedSide, GcnModel, StudentEncoder, StudentModel,
+                            TEACHER_KINDS, make_teacher)
 from synkd.syntax_data import DataError, Example, gen_synthetic
 from synkd.train import (
     BatchSampler,
@@ -222,16 +223,25 @@ def test_student_batched_matches_single():
 
 
 def test_student_predict_ignores_trees():
-    codec, encs = small_data(16, seed=6)
+    # the student reads token ids only, so predicting, evaluating and induce
+    # decoding build none of the sides' parse views
+    codec, encs = small_data(16, seed=6, task="pair")
     student = small_student(codec)
-    with_trees = predict(student, encs)
-    stripped = copy.copy(encs)
-    for enc in stripped:
-        enc.main.heads = None
-        enc.main.bintree = None
-        enc.main.dep_graph = None
-        enc.main.con_graph = None
-    assert predict(student, stripped) == with_trees
+    predict(student, encs)
+    evaluate(student, encs)
+    main = student.reps([enc.main for enc in encs])
+    soft_arc_targets(student.arc_scorer, main)
+    soft_con_targets(student.span_scorer, main)
+    views = {name for name, attr in vars(EncodedSide).items()
+             if isinstance(attr, functools.cached_property)}
+    assert views >= {"heads", "dep_label_ids", "dep_graph", "bintree", "con_tree", "con_gcn"}
+    for enc in encs:
+        for side in (enc.main, enc.partner):
+            assert not views & set(vars(side))
+    # a teacher builds the views it reads, and only those
+    gcn_dep = make_teacher("gcn-dep", codec, emb_dim=10, n_layers=1, rng=np.random.default_rng(2))
+    predict(gcn_dep, encs[:1])
+    assert views & set(vars(encs[0].main)) == {"heads"}
 
 
 def test_pair_and_tag_tasks_run():
