@@ -499,7 +499,9 @@ class ArcScores:
 
 class ArcLabelScorer:
     """Bilinear-plus-linear head/dependent scorer with a learned root column
-    (Dozat & Manning 2017, arXiv:1611.01734)."""
+    (Dozat & Manning 2017, arXiv:1611.01734). The linear term scores the head
+    only: a dependent-only term adds the same value to every candidate of a
+    dependent, so it cancels in the arc softmax and gets no gradient."""
 
     PAD_LOGIT = -1e9  # zero softmax weight, yet 0 * PAD_LOGIT stays finite
 
@@ -513,7 +515,6 @@ class ArcLabelScorer:
         self.bh = p.add(f"{prefix}/bh", (a,), init="zeros", dtype=dtype)
         self.root = p.add(f"{prefix}/root", (1, a), init="zeros", dtype=dtype)
         self.A = p.add(f"{prefix}/A", (a, a), rng, dtype=dtype)
-        self.wd = p.add(f"{prefix}/wd", (a, 1), rng, dtype=dtype)
         self.wh = p.add(f"{prefix}/wh", (a, 1), rng, dtype=dtype)
         self.Wl = p.add(f"{prefix}/Wl", (2 * a, n_labels), rng, dtype=dtype)
         self.bl = p.add(f"{prefix}/bl", (n_labels,), init="zeros", dtype=dtype)
@@ -533,7 +534,7 @@ class ArcLabelScorer:
         cand = T.embedding(T.concat([self.root, hh], axis=0), head.reshape(-1))
         bilinear = T.sum_(T.mul(T.embedding(T.matmul(hd, self.A), dep), cand),
                           axis=1, keepdims=True)
-        lin = T.add(T.embedding(T.matmul(hd, self.wd), dep), T.matmul(cand, self.wh))
+        lin = T.matmul(cand, self.wh)
         pad = np.where(real, 0.0, self.PAD_LOGIT).astype(self.dtype)
         arc = T.add(T.reshape(T.add(bilinear, lin), (n, col.size)), Tensor(pad))
         pair = T.concat([T.embedding(hd, dep), cand], axis=1)

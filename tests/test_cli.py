@@ -8,7 +8,7 @@ import pytest
 
 from synkd.cli import main
 from synkd.syntax_data import parse_bracketed
-from synkd.train import read_log
+from synkd.train import load_checkpoint, read_log, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -249,7 +249,7 @@ def one_error_line(err):
 
 def test_unseen_labels_fail_only_models_that_read_them(workspace, tmp_path, capsys):
     student = tmp_path / "su"
-    assert main(distill_args(workspace, student)) == 0
+    assert run(capsys, *distill_args(workspace, student))[0] == 0
     con_data = unseen_label_data(workspace, tmp_path / "con.jsonl", "(Det the)", "(DT the)")
     dep_data = unseen_label_data(workspace, tmp_path / "dep.jsonl", '"det"', '"dt"')
     # the student reads token ids only
@@ -272,6 +272,19 @@ def test_unseen_labels_fail_only_models_that_read_them(workspace, tmp_path, caps
                      "--probe-iters", "5", "--out", str(tmp_path / "pr"))
     assert rc == 1
     assert one_error_line(err) == "DataError: unknown label 'DT'"
+
+
+def test_student_with_dependent_arc_term_rejected(workspace, tmp_path, capsys):
+    # a student saved while the arc scorer still had its dependent-only term
+    student = tmp_path / "sw"
+    assert run(capsys, *distill_args(workspace, student))[0] == 0
+    state = load_checkpoint(student / "model.syd1")
+    state["arc/wd"] = np.zeros((8, 1), dtype=np.float32)
+    save_checkpoint(student / "model.syd1", state)
+    rc, out, err = run(capsys, "eval", "--model", str(student), "--data",
+                       str(workspace["data"] / "test.jsonl"), "--out", str(tmp_path / "ev"))
+    assert rc == 1 and not out
+    assert "arc/wd" in one_error_line(err)
 
 
 def test_induce_rejects_teacher_checkpoint(workspace, tmp_path, capsys):

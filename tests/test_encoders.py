@@ -605,7 +605,6 @@ def test_arc_scores_match_hand_computation():
     hh = np.tanh(reps @ scorer.Wh.data + scorer.bh.data)
     cand = np.vstack([scorer.root.data, hh])
     expect = hd @ scorer.A.data @ cand.T
-    expect += (hd @ scorer.wd.data) @ np.ones((1, 3))
     expect += np.ones((2, 1)) @ (cand @ scorer.wh.data).T
     np.testing.assert_allclose(out.arc_logits.data, expect, atol=1e-9)
     sm = np.exp(expect) / np.exp(expect).sum(axis=1, keepdims=True)

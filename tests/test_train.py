@@ -60,9 +60,9 @@ def small_teachers(codec, seed=2):
 # blocks of the level kernels are built at run time and must not change it
 TEACHER_FINGERPRINTS = {
     "tlstm-dep": ("27ad0e10f1cc94b8a2db1be1bc64e38fff37a4baf0d21d83ebb055626016042c",
-                  "fc906d66303d1b7f19f91c3047073065517e83368088c492c2b561313f19f440"),
+                  "50e2858a88b2762a5d8c4dfd9c5c7d9dfc5c24e70e33bed5aeda66a50f1d31b5"),
     "gcn-dep": ("4d4e9cb3aaa573aa8e9ffc6d982776219fbe8fd69bf5a89320bc4563d26d414b",
-                "7b4e45a928d961cffdaf7217ae70799c46a7d06f4b8a85c77d5d62148608ca22"),
+                "4e6995cf3f099f3f46b577f8d759ad9ef7875a0321576ca0f45af3fb60cd5783"),
     "tlstm-con": ("8acd04a1cc7317599726a70cc7e502e7bda7ddaafab4b7aa0e6ab99f6a606cf6",
                   "d532e66f66fba32feb2a59380039f0bf8724f62eb45f35f63937af5f09597465"),
     "gcn-con": ("e308d442ed1271fe51eebb724d4eb487a65e28882ff0d285d71865b6c7b810f7",
