@@ -8,6 +8,7 @@ trees folded in. All functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,9 +144,14 @@ def unbinarize(bt: BinTree, tokens=None) -> ConstTree:
 # ---------------------------------------------------------------------------
 # span scores and the batched chart
 
+@lru_cache(maxsize=None)
 def span_order(n):
-    """(i, j) arrays of every span 0 <= i < j <= n, by start, then end."""
-    return np.triu_indices(n + 1, 1)
+    """(i, j) arrays of every span 0 <= i < j <= n, by start, then end.
+
+    Built once per n and shared by every caller, so both are read-only."""
+    i, j = np.triu_indices(n + 1, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 class SpanScores:

@@ -9,6 +9,7 @@ models have measurable headroom over surface heuristics.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,44 +158,45 @@ class ConstNode:
 
 @dataclass
 class ConstTree:
+    """A constituency tree. Its leaves and spans are collected once, when it
+    is built; nodes are not changed after that."""
     root: ConstNode
     n: int = field(init=False)
+    _leaves: list = field(init=False, repr=False, compare=False)
+    _spans: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.n = len(self.leaves())
+        self._leaves, self._spans = [], []
+        _collect(self.root, self._leaves, self._spans)
+        self.n = len(self._leaves)
+
+    @classmethod
+    def _parsed(cls, root, leaves, spans):
+        """The tree of root whose leaves and spans a parser collected already."""
+        tree = cls.__new__(cls)
+        tree.root, tree._leaves, tree._spans, tree.n = root, leaves, spans, len(leaves)
+        return tree
 
     def leaves(self):
-        out = []
-        _collect_leaves(self.root, out)
-        return out
+        return list(self._leaves)
 
     def spans(self):
-        """(i, j, label) for every node, 0-based half-open, preterminals included."""
-        out = []
-        _collect_spans(self.root, 0, out)
-        return out
+        """(i, j, label) for every node, 0-based half-open, preterminals
+        included, children before their parent."""
+        return list(self._spans)
 
     def __eq__(self, other):
         return isinstance(other, ConstTree) and self.root == other.root
 
 
-def _collect_leaves(node, out):
+def _collect(node, leaves, spans):
+    start = len(leaves)
     if node.is_leaf:
-        out.append(node.word)
+        leaves.append(node.word)
     else:
         for c in node.children:
-            _collect_leaves(c, out)
-
-
-def _collect_spans(node, start, out):
-    if node.is_leaf:
-        out.append((start, start + 1, node.label))
-        return start + 1
-    end = start
-    for c in node.children:
-        end = _collect_spans(c, end, out)
-    out.append((start, end, node.label))
-    return end
+            _collect(c, leaves, spans)
+    spans.append((start, len(leaves), node.label))
 
 
 def check_laminar(spans, n):
@@ -263,71 +265,58 @@ class Example:
 # ---------------------------------------------------------------------------
 # PTB-style bracketed constituency text
 
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 def parse_bracketed(text):
-    trees, pos = [], 0
-    while True:
-        pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            return trees
-        node, pos = _parse_node(text, pos)
-        trees.append(ConstTree(node))
-
-
-def _skip_ws(text, pos):
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _read_atom(text, pos):
-    start = pos
-    while pos < len(text) and not text[pos].isspace() and text[pos] not in "()":
-        pos += 1
-    if pos == start:
-        raise DataError(f"expected a symbol at offset {start}")
-    return text[start:pos], pos
-
-
-def _parse_node(text, pos):
-    if text[pos] != "(":
-        raise DataError(f"expected '(' at offset {pos}")
-    pos = _skip_ws(text, pos + 1)
-    if pos >= len(text):
-        raise DataError(f"unexpected end of input at offset {len(text)}")
-    if text[pos] == ")":
-        raise DataError(f"empty node at offset {pos}")
-    if text[pos] == "(":
-        label = None  # PTB-style unlabeled wrapper, e.g. "( (S ...) )"
-    else:
-        label, pos = _read_atom(text, pos)
-    children, words = [], []
-    while True:
-        pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            raise DataError(f"unexpected end of input at offset {len(text)}")
-        ch = text[pos]
-        if ch == ")":
-            pos += 1
-            break
-        if ch == "(":
-            node, pos = _parse_node(text, pos)
-            children.append(node)
+    """Every tree of PTB-style bracketed text, in one pass over its tokens;
+    each node adds its leaf and span to its tree as it closes."""
+    trees, stack = [], []  # stack: [label, first leaf, children, words] of open nodes
+    want_label = False  # the token after "(" is the label unless it is "("
+    for m in _TOKEN.finditer(text):
+        tok = m[0]
+        if want_label:
+            want_label = False
+            if tok == ")":
+                raise DataError(f"empty node at offset {m.start()}")
+            if tok != "(":
+                stack[-1][0] = tok
+                continue
+        if tok == "(":
+            if not stack:
+                leaves, spans = [], []
+            stack.append([None, len(leaves), [], []])
+            want_label = True
+        elif not stack:
+            raise DataError(f"expected '(' at offset {m.start()}")
+        elif tok != ")":
+            stack[-1][3].append(tok)
         else:
-            word, pos = _read_atom(text, pos)
-            words.append(word)
-    if words and children:
-        raise DataError(f"node {label!r} mixes words and subtrees at offset {pos}")
-    if len(words) > 1:
-        raise DataError(f"node {label!r} has multiple words at offset {pos}")
-    if not words and not children:
-        raise DataError(f"empty node {label!r} at offset {pos}")
-    if label is None:
-        if len(children) != 1:
-            raise DataError(f"unlabeled node must wrap one subtree at offset {pos}")
-        return children[0], pos
-    if words:
-        return ConstNode(label, word=words[0]), pos
-    return ConstNode(label, children=children), pos
+            label, start, children, words = stack.pop()
+            if words and children:
+                raise DataError(f"node {label!r} mixes words and subtrees at offset {m.end()}")
+            if len(words) > 1:
+                raise DataError(f"node {label!r} has multiple words at offset {m.end()}")
+            if not words and not children:
+                raise DataError(f"empty node {label!r} at offset {m.end()}")
+            if label is None:  # PTB-style unlabeled wrapper, e.g. "( (S ...) )"
+                if len(children) != 1:
+                    raise DataError(f"unlabeled node must wrap one subtree at offset {m.end()}")
+                node = children[0]
+            elif words:
+                node = ConstNode(label, word=words[0])
+                leaves.append(words[0])
+                spans.append((start, start + 1, label))
+            else:
+                node = ConstNode(label, children=children)
+                spans.append((start, len(leaves), label))
+            if stack:
+                stack[-1][2].append(node)
+            else:
+                trees.append(ConstTree._parsed(node, leaves, spans))
+    if stack:
+        raise DataError(f"unexpected end of input at offset {len(text)}")
+    return trees
 
 
 def render_bracketed(node) -> str:

@@ -445,7 +445,15 @@ def lstm_scan(xw: Tensor, u: Tensor, counts, reverse: bool = False) -> Tensor:
     are [i, f, o, u]. States start at zero: going forward a sequence drops out
     after its last step; reverse=True scans from the last step to the first
     and each sequence joins at its own last step. Returns the hidden states in
-    xw's row layout; backward is hand-written BPTT over the saved gates."""
+    xw's row layout; backward is hand-written BPTT over the saved gates.
+
+    Inside, the gates of step rows [lo, lo + n) live gate-major in one flat
+    buffer: a contiguous (4, n, h) block at offset 4h * lo, filled from xw and
+    the recurrent product through transposed views, so every gate op of a
+    step runs on contiguous memory. The recurrent product stays one
+    (m, h) @ (h, 4h) matmul, the same BLAS call as on row-major rows, so the
+    result does not depend on how the BLAS kernel orders sums for a narrower
+    matrix. Backward copies the blocks back to (rows, 4h) once."""
     counts = np.asarray(counts, dtype=np.int64).tolist()
     if xw.data.ndim != 2 or u.data.ndim != 2 or u.shape[1] != 4 * u.shape[0] \
             or xw.shape[1] != u.shape[1] or not counts or counts[-1] < 1 \
@@ -466,29 +474,38 @@ def lstm_scan(xw: Tensor, u: Tensor, counts, reverse: bool = False) -> Tensor:
                        min(counts[t], counts[p]) if k else 0))
     xg = xw.data
     dtype = np.result_type(xw.data, u.data)
-    acts = np.empty(xg.shape, dtype=dtype)  # activated [i, f, o, u]
+    gates = np.empty(xg.size, dtype=dtype)  # activated [i, f, o, u], gate-major blocks
+
+    def block(lo, n):
+        return gates[4 * hid * lo:4 * hid * (lo + n)].reshape(4, n, hid)
+
+    def gate_major(a, lo, n):
+        """Rows [lo, lo + n) of a (rows, 4h) array as a (4, n, h) view."""
+        return a[lo:lo + n].reshape(n, 4, hid).transpose(1, 0, 2)
+
+    rec = np.empty((counts[0], 4 * hid), dtype=dtype)  # one step's h_prev @ u
     cells = np.empty((xg.shape[0], hid), dtype=dtype)
     tanh_c = np.empty_like(cells)
     hs = np.empty_like(cells)
     with np.errstate(over="ignore"):
         for lo, n, plo, m in blocks:
-            z, c = acts[lo:lo + n], cells[lo:lo + n]
+            z, c = block(lo, n), cells[lo:lo + n]
             if m:
-                np.matmul(hs[plo:plo + m], u.data, out=z[:m])
-                z[:m] += xg[lo:lo + m]
+                np.matmul(hs[plo:plo + m], u.data, out=rec[:m])
+                np.add(gate_major(rec, 0, m), gate_major(xg, lo, m), out=z[:, :m])
             if m < n:
-                z[m:] = xg[lo + m:lo + n]
-            sig = z[:, :3 * hid]
+                z[:, m:] = gate_major(xg, lo + m, n - m)
+            sig = z[:3]
             np.negative(sig, out=sig)
             np.exp(sig, out=sig)
             sig += 1.0
             np.divide(1.0, sig, out=sig)
-            np.tanh(z[:, 3 * hid:], out=z[:, 3 * hid:])
-            np.multiply(z[:, :hid], z[:, 3 * hid:], out=c)
+            np.tanh(z[3], out=z[3])
+            np.multiply(z[0], z[3], out=c)
             if m:
-                c[:m] += z[:m, hid:2 * hid] * cells[plo:plo + m]
+                c[:m] += z[1, :m] * cells[plo:plo + m]
             np.tanh(c, out=tanh_c[lo:lo + n])
-            np.multiply(z[:, 2 * hid:3 * hid], tanh_c[lo:lo + n], out=hs[lo:lo + n])
+            np.multiply(z[2], tanh_c[lo:lo + n], out=hs[lo:lo + n])
     out = Tensor(hs)
 
     def prev(a):
@@ -500,6 +517,9 @@ def lstm_scan(xw: Tensor, u: Tensor, counts, reverse: bool = False) -> Tensor:
         return p
 
     def back(grad):
+        acts = np.empty(xg.shape, dtype=dtype)
+        for lo, n, _, _ in blocks:
+            gate_major(acts, lo, n)[...] = block(lo, n)
         # d(pre-activation) = upstream * partner * activation slope, where the
         # upstream is dc for i, f, u and dh for o; everything but dc and dh is
         # known before the reverse sweep

@@ -1,5 +1,6 @@
 """Brute-force oracles used by tests: exhaustive search over bracketings,
-plus one tree-cell update with hand-set child states.
+one tree-cell update with hand-set child states, and the row-major packed
+LSTM scan that the gate-major one must match bitwise.
 
 The search is deliberately independent of the chart code — plain Python
 loops, first strict maximum kept, bracketings enumerated split-ascending /
@@ -84,3 +85,97 @@ def random_bintree(n, n_labels, rng):
 
 def random_table(n, n_labels, rng, scale=1.0):
     return (rng.standard_normal((n, n + 1, n_labels)) * scale).astype(np.float64)
+
+
+def row_major_lstm_scan(xw: Tensor, u: Tensor, counts, reverse: bool = False) -> Tensor:
+    """The packed scan over row-major (rows, 4h) gate blocks that the
+    gate-major `lstm_scan` replaced, kept verbatim as the bitwise reference.
+
+    One LSTM direction over a packed batch of sequences as a single op.
+
+    Sequences are sorted longest first and counts[t] >= 1 of them run at step
+    t (non-increasing). Step t is the row block of xw (sum(counts), 4h) after
+    those of the steps before it, one row per running sequence, holding its
+    input projection plus bias; u is the (h, 4h) recurrent matrix and gates
+    are [i, f, o, u]. States start at zero: going forward a sequence drops out
+    after its last step; reverse=True scans from the last step to the first
+    and each sequence joins at its own last step. Returns the hidden states in
+    xw's row layout; backward is hand-written BPTT over the saved gates."""
+    counts = np.asarray(counts, dtype=np.int64).tolist()
+    if xw.data.ndim != 2 or u.data.ndim != 2 or u.shape[1] != 4 * u.shape[0] \
+            or xw.shape[1] != u.shape[1] or not counts or counts[-1] < 1 \
+            or any(a < b for a, b in zip(counts, counts[1:])) \
+            or sum(counts) != xw.shape[0]:
+        raise ValueError(f"lstm_scan: need xw (sum(counts), 4h), u (h, 4h) and "
+                         f"non-increasing positive counts, got {xw.shape}, "
+                         f"{u.shape} and {counts}")
+    hid = u.shape[0]
+    starts = np.cumsum([0] + counts).tolist()
+    order = range(len(counts) - 1, -1, -1) if reverse else range(len(counts))
+    # scan-order blocks (lo, n, plo, m): rows [lo, lo + n) of a step, whose
+    # first m rows continue rows [plo, plo + m) of the step before in scan order
+    blocks = []
+    for k, t in enumerate(order):
+        p = order[k - 1] if k else t
+        blocks.append((starts[t], counts[t], starts[p],
+                       min(counts[t], counts[p]) if k else 0))
+    xg = xw.data
+    dtype = np.result_type(xw.data, u.data)
+    acts = np.empty(xg.shape, dtype=dtype)  # activated [i, f, o, u]
+    cells = np.empty((xg.shape[0], hid), dtype=dtype)
+    tanh_c = np.empty_like(cells)
+    hs = np.empty_like(cells)
+    with np.errstate(over="ignore"):
+        for lo, n, plo, m in blocks:
+            z, c = acts[lo:lo + n], cells[lo:lo + n]
+            if m:
+                np.matmul(hs[plo:plo + m], u.data, out=z[:m])
+                z[:m] += xg[lo:lo + m]
+            if m < n:
+                z[m:] = xg[lo + m:lo + n]
+            sig = z[:, :3 * hid]
+            np.negative(sig, out=sig)
+            np.exp(sig, out=sig)
+            sig += 1.0
+            np.divide(1.0, sig, out=sig)
+            np.tanh(z[:, 3 * hid:], out=z[:, 3 * hid:])
+            np.multiply(z[:, :hid], z[:, 3 * hid:], out=c)
+            if m:
+                c[:m] += z[:m, hid:2 * hid] * cells[plo:plo + m]
+            np.tanh(c, out=tanh_c[lo:lo + n])
+            np.multiply(z[:, 2 * hid:3 * hid], tanh_c[lo:lo + n], out=hs[lo:lo + n])
+    out = Tensor(hs)
+
+    def prev(a):
+        """Each row's state from the step before in scan order; zero where a
+        sequence starts."""
+        p = np.zeros_like(a)
+        for lo, _, plo, m in blocks:
+            p[lo:lo + m] = a[plo:plo + m]
+        return p
+
+    def back(grad):
+        # d(pre-activation) = upstream * partner * activation slope, where the
+        # upstream is dc for i, f, u and dh for o; everything but dc and dh is
+        # known before the reverse sweep
+        slope = acts.copy()
+        slope[:, :3 * hid] *= 1.0 - acts[:, :3 * hid]
+        slope[:, 3 * hid:] = 1.0 - acts[:, 3 * hid:] ** 2
+        slope *= np.concatenate((acts[:, 3 * hid:], prev(cells), tanh_c,
+                                 acts[:, :hid]), axis=1)
+        dc_dh = acts[:, 2 * hid:3 * hid] * (1.0 - tanh_c * tanh_c)
+        dz = np.empty_like(acts)
+        # dh and dc of each row, plus what flows back from the step after it
+        dh_all, dc_all = grad.copy(), np.zeros_like(cells)
+        for lo, n, plo, m in reversed(blocks):
+            dh = dh_all[lo:lo + n]
+            dc = dh * dc_dh[lo:lo + n]
+            dc += dc_all[lo:lo + n]
+            np.multiply(np.concatenate((dc, dc, dh, dc), axis=1), slope[lo:lo + n],
+                        out=dz[lo:lo + n])
+            if m:
+                np.multiply(dc[:m], acts[lo:lo + m, hid:2 * hid], out=dc_all[plo:plo + m])
+                dh_all[plo:plo + m] += dz[lo:lo + m] @ u.data.T
+        return [dz, prev(hs).T @ dz]
+
+    return T._emit(out, (xw, u), back)

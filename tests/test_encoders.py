@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import one_parent
+from oracles import one_parent, row_major_lstm_scan
 from synkd import encoders as E
 from synkd import syntax_data as D
 from synkd import tensor as T
@@ -523,6 +523,33 @@ def test_student_equal_length_matches_step_major_scan_bitwise():
         p, lambda: [step_major_encode(enc, ids, True, np.random.default_rng(19))],
         w_top, w_l1)
     assert got[0].dtype == np.float32
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    for name, g, r in zip(p.names(), got[2], want[2]):
+        np.testing.assert_array_equal(g, r, err_msg=name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_student_mixed_lengths_match_row_major_scan_bitwise(dtype, monkeypatch):
+    # mixed lengths, so the forward scans lose rows and the reverse ones gain
+    # them; with nonzero biases and embedding dropout
+    p = E.Params()
+    enc = E.StudentEncoder(p, "s", 13, 5, 4, 3, rng=np.random.default_rng(20),
+                           dtype=dtype)
+    set_biases(p, 21)
+    rng = np.random.default_rng(22)
+    ids = [rng.integers(0, 13, size=n) for n in (3, 1, 7, 7, 2, 5)]
+    w_top = Tensor(rng.standard_normal((25, 8)).astype(dtype))
+    w_l1 = Tensor(rng.standard_normal((25, 4)).astype(dtype))
+
+    def encode():
+        out = enc.encode_batch(ids, train=True, rng=np.random.default_rng(23))
+        return [(out["top"], out["l1f"])]
+
+    got = encode_and_grads(p, encode, w_top, w_l1)
+    monkeypatch.setattr(T, "lstm_scan", row_major_lstm_scan)
+    want = encode_and_grads(p, encode, w_top, w_l1)
+    assert got[0].dtype == dtype
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
     for name, g, r in zip(p.names(), got[2], want[2]):

@@ -238,6 +238,16 @@ def test_span_scores_reject_non_finite_in_span():
         SpanScores(3, table)
 
 
+def test_span_order_shared_and_read_only():
+    i, j = span_order(4)
+    assert span_order(4)[0] is i  # one cached pair per n
+    np.testing.assert_array_equal(np.stack([i, j]), np.triu_indices(5, 1))
+    for a in (i, j):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 3
+    np.testing.assert_array_equal(span_order(4)[0], np.triu_indices(5, 1)[0])
+
+
 # ---------------------------------------------------------------------------
 # augmented CYK and hamming
 

@@ -59,6 +59,20 @@ def test_bracketed_empty_node():
         D.parse_bracketed("(S x (NP y))")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x (S a)", "expected '(' at offset 0"),
+    ("(S a) )", "expected '(' at offset 6"),
+    ("(S a b)", "node 'S' has multiple words at offset 7"),
+    ("(S )", "empty node 'S' at offset 4"),
+    ("( (A a) (B b))", "unlabeled node must wrap one subtree at offset 14"),
+    ("(S (A a)", "unexpected end of input at offset 8"),
+])
+def test_bracketed_errors_name_offset(text, message):
+    with pytest.raises(D.DataError) as err:
+        D.parse_bracketed(text)
+    assert str(err.value) == message
+
+
 def test_bracketed_multiple_trees_and_unicode():
     trees = D.parse_bracketed("(A x)  (B (C é) (D ß))")
     assert [t.n for t in trees] == [1, 2]
@@ -72,6 +86,10 @@ def test_bracketed_render_round_trip_random():
         (back,) = D.parse_bracketed(text)
         assert back == ex.con
         assert D.render_bracketed(back) == text
+        # the parser's own leaves and spans match a walk of the built tree
+        assert back.leaves() == ex.con.leaves() and back.spans() == ex.con.spans()
+        (wrapped,) = D.parse_bracketed(f"( {text} )")
+        assert wrapped.spans() == ex.con.spans()
     del rng
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from oracles import row_major_lstm_scan
 from synkd import tensor as T
 from synkd.gradcheck import check_case, rand_param
 
@@ -63,6 +64,32 @@ def test_shape_errors():
         T.lstm_scan(f64(np.zeros((0, 8))), u, [])
     with pytest.raises(ValueError):  # gate width is not 4h
         T.lstm_scan(f64(np.zeros((4, 6))), f64(np.zeros((2, 6))), [2, 2])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hid", [3, 16])
+@pytest.mark.parametrize("counts", [[5, 5, 3, 3, 1], [4]])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_scan_matches_row_major_reference_bitwise(dtype, hid, counts, reverse):
+    # [5, 5, 3, 3, 1] makes rows drop out going forward and join in reverse;
+    # [4] is a one-step scan with no recurrent product
+    rng = np.random.default_rng(hid * 10 + len(counts))
+    xw = T.Tensor((2.0 * rng.standard_normal((sum(counts), 4 * hid))).astype(dtype),
+                  requires_grad=True)
+    u = T.Tensor(rng.standard_normal((hid, 4 * hid)).astype(dtype), requires_grad=True)
+    w = T.Tensor(rng.standard_normal((sum(counts), hid)).astype(dtype))
+
+    def run(scan):
+        xw.grad = u.grad = None
+        with T.Tape() as tape:
+            out = scan(xw, u, counts, reverse)
+            tape.backward(T.sum_(T.mul(out, w)))
+        return out.data, xw.grad, u.grad
+
+    got, want = run(T.lstm_scan), run(row_major_lstm_scan)
+    assert got[0].dtype == dtype
+    for name, g, r in zip(("h", "d xw", "d u"), got, want):
+        np.testing.assert_array_equal(g, r, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
