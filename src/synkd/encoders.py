@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tensor as T
-from .structures import BinTree, binarize, span_order
+from .structures import UNARY_SEP, BinTree, binarize, span_order
 from .syntax_data import DataError, Example, LabelVocab, Vocab
 from .tensor import Tensor
 
@@ -574,6 +574,19 @@ class SpanScorer:
 # ---------------------------------------------------------------------------
 # vocabulary bundle and encoded examples
 
+def _con_labels(spans):
+    """Every node label of a tree plus the labels `binarize` gives it, read
+    off its post-order spans: a run of equal (i, j) spans is a unary chain,
+    labeled by its nodes joined from the outermost to the innermost."""
+    chain = []
+    for (i, j, label), after in zip(spans, spans[1:] + [(None, None, None)]):
+        yield label
+        chain.append(label)
+        if after[:2] != (i, j):
+            yield UNARY_SEP.join(reversed(chain))
+            chain = []
+
+
 class Codec:
     """Vocabularies shared by every model in one run, built from training data."""
 
@@ -585,8 +598,7 @@ class Codec:
             for e in self._sides(ex):
                 token_lists.append(e.sent.tokens)
                 dep_labels.update(e.dep.labels)
-                con_labels.update(l for _, _, l in e.con.spans())
-                con_labels.update(binarize(e.con).spans.values())
+                con_labels.update(_con_labels(e.con.spans()))
             if task == "tag":
                 tags.update(ex.tags)
             else:

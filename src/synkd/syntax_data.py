@@ -120,13 +120,18 @@ def validate_heads(heads):
     for i, h in enumerate(heads):
         if not 0 <= h <= n:
             raise DataError(f"head out of range at token {i + 1}")
+    # walk up from each token in order until a token known to reach the root;
+    # a walk of more than n steps is in a cycle
+    rooted = [True] + [False] * n
     for i in range(1, n + 1):
-        cur, steps = i, 0
-        while cur != 0:
-            cur = heads[cur - 1]
-            steps += 1
-            if steps > n:
+        path, cur = [], i
+        while not rooted[cur]:
+            path.append(cur)
+            if len(path) > n:
                 raise DataError(f"cycle at token {i}")
+            cur = heads[cur - 1]
+        for t in path:
+            rooted[t] = True
     roots = [i + 1 for i, h in enumerate(heads) if h == 0]
     if len(roots) > 1:
         raise DataError(f"multiple roots (tokens {', '.join(map(str, roots))})")
@@ -199,19 +204,6 @@ def _collect(node, leaves, spans):
     spans.append((start, len(leaves), node.label))
 
 
-def check_laminar(spans, n):
-    """Raise unless spans are pairwise nested-or-disjoint and cover (0, n)."""
-    ivs = sorted({(i, j) for i, j, _ in spans})
-    if (0, n) not in ivs:
-        raise DataError(f"span set does not cover (0, {n})")
-    for a, (i1, j1) in enumerate(ivs):
-        for i2, j2 in ivs[a + 1:]:
-            if i2 >= j1:
-                break
-            if i1 < i2 < j1 < j2:
-                raise DataError(f"crossing spans ({i1},{j1}) and ({i2},{j2})")
-
-
 @dataclass
 class Example:
     """One annotated sentence plus exactly one task payload.
@@ -248,7 +240,6 @@ class Example:
             raise DataError(f"dep tree length {len(self.dep)} != sentence length {n}")
         if self.con.leaves() != self.sent.tokens:
             raise DataError("constituency leaves do not match tokens")
-        check_laminar(self.con.spans(), n)
         kind = self.payload_kind()
         if kind == "tag":
             if len(self.tags) != n:
@@ -265,43 +256,46 @@ class Example:
 # ---------------------------------------------------------------------------
 # PTB-style bracketed constituency text
 
-_TOKEN = re.compile(r"[()]|[^\s()]+")
+# a token is a whole preterminal "(L w)", an opening "(L", a bare paren or a word
+_TOKEN = re.compile(r"\(\s*([^\s()]+)\s+([^\s()]+)\s*\)|\(\s*([^\s()]+)|([()]|[^\s()]+)")
+
+
+def _token_at(text, k):
+    """The k-th token of text, found again only to name an error's offset."""
+    return list(_TOKEN.finditer(text))[k]
 
 
 def parse_bracketed(text):
     """Every tree of PTB-style bracketed text, in one pass over its tokens;
     each node adds its leaf and span to its tree as it closes."""
     trees, stack = [], []  # stack: [label, first leaf, children, words] of open nodes
-    want_label = False  # the token after "(" is the label unless it is "("
-    for m in _TOKEN.finditer(text):
-        tok = m[0]
-        if want_label:
-            want_label = False
-            if tok == ")":
-                raise DataError(f"empty node at offset {m.start()}")
-            if tok != "(":
-                stack[-1][0] = tok
-                continue
-        if tok == "(":
+    for k, (label, word, opening, tok) in enumerate(_TOKEN.findall(text)):
+        if word or opening or tok == "(":
             if not stack:
                 leaves, spans = [], []
-            stack.append([None, len(leaves), [], []])
-            want_label = True
+            if not word:  # "(L", or an unlabeled "(" as in "( (S ...) )"
+                stack.append([opening or None, len(leaves), [], []])
+                continue
+            node = ConstNode(label, word=word)
+            spans.append((len(leaves), len(leaves) + 1, label))
+            leaves.append(word)
         elif not stack:
-            raise DataError(f"expected '(' at offset {m.start()}")
+            raise DataError(f"expected '(' at offset {_token_at(text, k).start()}")
         elif tok != ")":
             stack[-1][3].append(tok)
+            continue
         else:
             label, start, children, words = stack.pop()
-            if words and children:
-                raise DataError(f"node {label!r} mixes words and subtrees at offset {m.end()}")
-            if len(words) > 1:
-                raise DataError(f"node {label!r} has multiple words at offset {m.end()}")
-            if not words and not children:
-                raise DataError(f"empty node {label!r} at offset {m.end()}")
-            if label is None:  # PTB-style unlabeled wrapper, e.g. "( (S ...) )"
-                if len(children) != 1:
-                    raise DataError(f"unlabeled node must wrap one subtree at offset {m.end()}")
+            if label is None and not children and not words:
+                raise DataError(f"empty node at offset {_token_at(text, k).start()}")
+            fault = (f"node {label!r} mixes words and subtrees" if words and children
+                     else f"node {label!r} has multiple words" if len(words) > 1
+                     else f"empty node {label!r}" if not words and not children
+                     else "unlabeled node must wrap one subtree"
+                     if label is None and len(children) != 1 else None)
+            if fault:
+                raise DataError(f"{fault} at offset {_token_at(text, k).end()}")
+            if label is None:
                 node = children[0]
             elif words:
                 node = ConstNode(label, word=words[0])
@@ -310,10 +304,10 @@ def parse_bracketed(text):
             else:
                 node = ConstNode(label, children=children)
                 spans.append((start, len(leaves), label))
-            if stack:
-                stack[-1][2].append(node)
-            else:
-                trees.append(ConstTree._parsed(node, leaves, spans))
+        if stack:
+            stack[-1][2].append(node)
+        else:
+            trees.append(ConstTree._parsed(node, leaves, spans))
     if stack:
         raise DataError(f"unexpected end of input at offset {len(text)}")
     return trees
@@ -576,8 +570,6 @@ def _sentence_from_fields(d, prefix, where):
     labels = d[prefix + "dep_labels"]
     if len(heads) != len(tokens):
         raise DataError(f"{where}: len(dep_heads) != len(tokens)")
-    if len(labels) != len(tokens):
-        raise DataError(f"{where}: len(dep_labels) != len(tokens)")
     try:
         dep = DepTree(list(heads), list(labels))
         trees = parse_bracketed(d[prefix + "con_tree"])
@@ -585,10 +577,7 @@ def _sentence_from_fields(d, prefix, where):
         raise DataError(f"{where}: {e}") from None
     if len(trees) != 1:
         raise DataError(f"{where}: con_tree must hold exactly one tree")
-    con = trees[0]
-    if con.leaves() != list(tokens):
-        raise DataError(f"{where}: constituency leaves do not match tokens")
-    return Sentence(list(tokens)), dep, con
+    return Sentence(list(tokens)), dep, trees[0]
 
 
 def example_from_dict(d: dict, where: str = "record") -> Example:
@@ -597,8 +586,6 @@ def example_from_dict(d: dict, where: str = "record") -> Example:
     if "tags" in d:
         if "predicate" not in d:
             raise DataError(f"{where}: tag payload missing 'predicate'")
-        if len(d["tags"]) != len(sent):
-            raise DataError(f"{where}: len(tags) != len(tokens)")
         ex.tags = list(d["tags"])
         ex.predicate = int(d["predicate"])
     elif "pair_tokens" in d:
@@ -611,7 +598,10 @@ def example_from_dict(d: dict, where: str = "record") -> Example:
         ex.label = int(d["label"])
     else:
         raise DataError(f"{where}: no task payload field")
-    ex.validate()
+    try:
+        ex.validate()
+    except DataError as e:
+        raise DataError(f"{where}: {e}") from None
     return ex
 
 

@@ -1,17 +1,22 @@
 """Brute-force oracles used by tests: exhaustive search over bracketings,
-one tree-cell update with hand-set child states, and the row-major packed
-LSTM scan that the gate-major one must match bitwise.
+one tree-cell update with hand-set child states, the row-major packed LSTM
+scan that the gate-major one must match bitwise, the fine-token bracket
+parser that the coarse-token one must match, and a laminarity check for
+constituency span sets.
 
 The search is deliberately independent of the chart code — plain Python
 loops, first strict maximum kept, bracketings enumerated split-ascending /
 left-major so the first maximum agrees with the documented chart tie-break
 (lowest split, then lowest label id).
 """
+import re
+
 import numpy as np
 
 from synkd import tensor as T
 from synkd.encoders import LevelKids
 from synkd.structures import BinTree
+from synkd.syntax_data import ConstNode, ConstTree, DataError
 from synkd.tensor import Tensor
 
 
@@ -179,3 +184,74 @@ def row_major_lstm_scan(xw: Tensor, u: Tensor, counts, reverse: bool = False) ->
         return [dz, prev(hs).T @ dz]
 
     return T._emit(out, (xw, u), back)
+
+
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def reference_parse_bracketed(text):
+    """The bracket parser over one token per paren, label and word that the
+    coarse-token `parse_bracketed` replaced, kept verbatim as the reference
+    for its trees and its error messages and offsets.
+
+    Every tree of PTB-style bracketed text, in one pass over its tokens;
+    each node adds its leaf and span to its tree as it closes."""
+    trees, stack = [], []  # stack: [label, first leaf, children, words] of open nodes
+    want_label = False  # the token after "(" is the label unless it is "("
+    for m in _TOKEN.finditer(text):
+        tok = m[0]
+        if want_label:
+            want_label = False
+            if tok == ")":
+                raise DataError(f"empty node at offset {m.start()}")
+            if tok != "(":
+                stack[-1][0] = tok
+                continue
+        if tok == "(":
+            if not stack:
+                leaves, spans = [], []
+            stack.append([None, len(leaves), [], []])
+            want_label = True
+        elif not stack:
+            raise DataError(f"expected '(' at offset {m.start()}")
+        elif tok != ")":
+            stack[-1][3].append(tok)
+        else:
+            label, start, children, words = stack.pop()
+            if words and children:
+                raise DataError(f"node {label!r} mixes words and subtrees at offset {m.end()}")
+            if len(words) > 1:
+                raise DataError(f"node {label!r} has multiple words at offset {m.end()}")
+            if not words and not children:
+                raise DataError(f"empty node {label!r} at offset {m.end()}")
+            if label is None:  # PTB-style unlabeled wrapper, e.g. "( (S ...) )"
+                if len(children) != 1:
+                    raise DataError(f"unlabeled node must wrap one subtree at offset {m.end()}")
+                node = children[0]
+            elif words:
+                node = ConstNode(label, word=words[0])
+                leaves.append(words[0])
+                spans.append((start, start + 1, label))
+            else:
+                node = ConstNode(label, children=children)
+                spans.append((start, len(leaves), label))
+            if stack:
+                stack[-1][2].append(node)
+            else:
+                trees.append(ConstTree._parsed(node, leaves, spans))
+    if stack:
+        raise DataError(f"unexpected end of input at offset {len(text)}")
+    return trees
+
+
+def check_laminar(spans, n):
+    """Raise unless spans are pairwise nested-or-disjoint and cover (0, n)."""
+    ivs = sorted({(i, j) for i, j, _ in spans})
+    if (0, n) not in ivs:
+        raise DataError(f"span set does not cover (0, {n})")
+    for a, (i1, j1) in enumerate(ivs):
+        for i2, j2 in ivs[a + 1:]:
+            if i2 >= j1:
+                break
+            if i1 < i2 < j1 < j2:
+                raise DataError(f"crossing spans ({i1},{j1}) and ({i2},{j2})")

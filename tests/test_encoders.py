@@ -764,6 +764,32 @@ def test_childsum_sibling_permutation_in_batch_is_bitwise():
         assert got.data.tobytes() == base.data.tobytes()
 
 
+def _binarized_con_labels(examples):
+    labels = set()
+    for ex in examples:
+        for side in (ex, ex.partner) if ex.partner is not None else (ex,):
+            labels.update(l for _, _, l in side.con.spans())
+            labels.update(binarize(side.con).spans.values())
+    return D.LabelVocab.build(sorted(labels), reserve_null=True).itos
+
+
+def test_codec_con_labels_match_binarization():
+    desk = D.gen_synthetic(1000, max_len=12, seed=0)
+    assert E.Codec(desk, "cls").con_labels.itos == _binarized_con_labels(desk)
+    pairs = D.gen_synthetic(40, seed=34, task="pair")
+    assert E.Codec(pairs, "pair").con_labels.itos == _binarized_con_labels(pairs)
+    hand = []
+    for text in ["(S (X (Y (A a))) (B b) (C c) (D d))", "(R (S (T (A a) (B b) (C c))))",
+                 "(S (NP (N n)))", "(A (A (A a)))", "(S (U (V (W w) (X x))) (Y (Z z)))",
+                 "(S (A a) (Q (R (B b) (C c) (D d) (E e))))"]:
+        (con,) = D.parse_bracketed(text)
+        hand.append(D.Example(D.Sentence(con.leaves()),
+                              D.DepTree(list(range(con.n)), ["dep"] * con.n), con, label=0))
+    codec = E.Codec(hand, "cls")
+    assert codec.con_labels.itos == _binarized_con_labels(hand)
+    assert {"X|Y|A", "R|S|T", "S|NP|N", "A|A|A", "U|V"} <= set(codec.con_labels.itos)
+
+
 def test_codec_round_trip():
     data = D.gen_synthetic(8, seed=33, task="pair")
     codec = E.Codec(data, "pair")

@@ -1,7 +1,10 @@
 """Dataset model, parsers, synthetic generator, JSONL round trip."""
+import json
+
 import numpy as np
 import pytest
 
+from oracles import check_laminar, reference_parse_bracketed
 from synkd import syntax_data as D
 
 
@@ -35,6 +38,63 @@ def test_dep_tree_validation():
         D.DepTree([0, 7], ["a", "b"])
     with pytest.raises(D.DataError, match="multiple roots"):
         D.DepTree([0, 0], ["root", "root"])
+
+
+def test_validate_heads_long_chain():
+    n = 2000
+    D.validate_heads([0] + list(range(1, n)))  # token k + 1 hangs off token k
+    D.validate_heads(list(range(2, n + 1)) + [0])  # the root comes last
+    with pytest.raises(D.DataError, match="^cycle at token 1$"):
+        D.validate_heads(list(range(2, n + 1)) + [n // 2])
+
+
+def _first_cycle_token(heads):
+    """The first token whose walk to the root never ends, by walking every
+    token up to n steps (the quadratic check that `validate_heads` replaced)."""
+    n = len(heads)
+    for i in range(1, n + 1):
+        cur, steps = i, 0
+        while cur != 0 and steps <= n:
+            cur, steps = heads[cur - 1], steps + 1
+        if cur != 0:
+            return i
+    return None
+
+
+@pytest.mark.parametrize("heads, token", [
+    ([1], 1),
+    ([2, 1], 1),
+    ([0, 3, 2], 2),
+    ([0, 2], 2),
+    ([0, 1, 4, 5, 3], 3),
+    ([3, 0, 4, 5, 4], 1),
+    ([0, 1, 2, 5, 4], 4),
+    ([0, 4, 2, 3], 2),
+    ([0, 3, 3, 1], 2),
+])
+def test_validate_heads_cycle_token(heads, token):
+    assert _first_cycle_token(heads) == token
+    with pytest.raises(D.DataError) as err:
+        D.validate_heads(heads)
+    assert str(err.value) == f"cycle at token {token}"
+
+
+def test_validate_heads_names_first_cycle_on_random_heads():
+    rng = np.random.default_rng(21)
+    cycles = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        root = int(rng.integers(n))  # one root, so a cycle is the only fault
+        heads = [0 if k == root else int(rng.integers(1, n + 1)) for k in range(n)]
+        token = _first_cycle_token(heads)
+        if token is None:
+            D.validate_heads(heads)
+            continue
+        cycles += 1
+        with pytest.raises(D.DataError) as err:
+            D.validate_heads(heads)
+        assert str(err.value) == f"cycle at token {token}"
+    assert cycles > 100
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +151,79 @@ def test_bracketed_render_round_trip_random():
         (wrapped,) = D.parse_bracketed(f"( {text} )")
         assert wrapped.spans() == ex.con.spans()
     del rng
+
+
+def _parse_or_error(parse, text):
+    try:
+        return parse(text)
+    except D.DataError as e:
+        return str(e)
+
+
+def _assert_parses_like_reference(text):
+    want = _parse_or_error(reference_parse_bracketed, text)
+    got = _parse_or_error(D.parse_bracketed, text)
+    if isinstance(want, str):
+        assert got == want, text
+        return
+    assert not isinstance(got, str), (text, got)
+    assert [D.render_bracketed(t) for t in got] == [D.render_bracketed(t) for t in want], text
+    assert [t.leaves() for t in got] == [t.leaves() for t in want], text
+    assert [t.spans() for t in got] == [t.spans() for t in want], text
+    assert got == want, text
+
+
+def _random_bracketed(rng, depth=0):
+    """Bracketed text of a random tree: unary chains, nodes of 1-4 children,
+    odd labels and words, and random spacing around the parens."""
+    sp = lambda: ["", " ", "  ", "\n "][int(rng.integers(4))]
+    label = ["S", "NP", "A|B", "é", "x-1", "Ünï"][int(rng.integers(6))]
+    if depth >= 3 or rng.random() < 0.3:
+        word = ["a", "bb", "ß", "w.1", "9"][int(rng.integers(5))]
+        return f"({sp()}{label} {sp()}{word}{sp()})"
+    kids = " ".join(_random_bracketed(rng, depth + 1)
+                    for _ in range(int(rng.integers(1, 5))))
+    return f"({sp()}{label}{sp()} {kids}{sp()})"
+
+
+def _mutations(text):
+    """Every deletion of one character and every replacement or insertion of
+    one of "(", ")", " " and "x" at each position, in order."""
+    for i in range(len(text) + 1):
+        if i < len(text):
+            yield text[:i] + text[i + 1:]
+        for c in "() x":
+            if i < len(text):
+                yield text[:i] + c + text[i + 1:]
+            yield text[:i] + c + text[i:]
+
+
+@pytest.mark.parametrize("text", [
+    "", "   ", "(", ")", "()", "( )", "((", "(()", "(( (A a)))", "( (A a))", "((A a))",
+    "(S ())", "(S (()))", "(( ))", "(S (A a) ( ))", "(A a)(B b)", "(A a) x", "(A (B b) x)",
+    "(A x (B b))", "(A\tx\n)", "( A  x )", "(A(B b)(C c))", "(A a b c)", "(S (A a)",
+    "((S a)", "x (S a)", "(S a) )", "(S a b)", "(S )", "( (A a) (B b))", "(A a))",
+])
+def test_bracketed_matches_reference_on_pinned_cases(text):
+    _assert_parses_like_reference(text)
+
+
+def test_bracketed_matches_reference_on_generated_and_mutated_text():
+    rng = np.random.default_rng(17)
+    texts = [D.render_bracketed(ex.con) for ex in D.gen_synthetic(60, seed=19)]
+    texts += [D.render_bracketed(ex.partner.con)
+              for ex in D.gen_synthetic(10, seed=19, task="pair")]
+    texts += [_random_bracketed(rng) for _ in range(120)]
+    texts += [f"( {t} )" for t in texts[::10]] + [f"(({t}))" for t in texts[5::10]]
+    for text in texts:
+        _assert_parses_like_reference(text)
+    checked = errors = 0
+    for text in texts[::12]:
+        for bad in _mutations(text):
+            _assert_parses_like_reference(bad)
+            checked += 1
+            errors += isinstance(_parse_or_error(D.parse_bracketed, bad), str)
+    assert checked > 2000 and 0 < errors < checked
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +334,23 @@ def test_jsonl_length_mismatch_names_line(tmp_path):
         D.load_jsonl(p)
 
 
+def test_jsonl_validation_errors_name_line(tmp_path):
+    exs = D.gen_synthetic(2, seed=1, task="tag")
+    records = [D.example_to_dict(ex) for ex in exs]
+    records[1]["predicate"] = 99
+    p = tmp_path / "pred.jsonl"
+    p.write_text("".join(json.dumps(d) + "\n" for d in records), encoding="utf-8")
+    with pytest.raises(D.DataError, match="^line 2: predicate index 99 out of range$"):
+        D.load_jsonl(p)
+    (pair,) = D.gen_synthetic(1, seed=1, task="pair")
+    d = D.example_to_dict(pair)
+    d["pair_tokens"] = d["pair_tokens"][::-1]
+    p.write_text(json.dumps(d) + "\n", encoding="utf-8")
+    with pytest.raises(D.DataError,
+                       match="^line 1: partner constituency leaves do not match tokens$"):
+        D.load_jsonl(p)
+
+
 def test_jsonl_missing_payload_names_line(tmp_path):
     exs = D.gen_synthetic(1, seed=1)
     import json
@@ -216,8 +366,17 @@ def test_jsonl_missing_payload_names_line(tmp_path):
 # laminarity
 
 def test_check_laminar():
-    D.check_laminar([(0, 3, "S"), (0, 1, "A"), (1, 3, "B")], 3)
+    check_laminar([(0, 3, "S"), (0, 1, "A"), (1, 3, "B")], 3)
     with pytest.raises(D.DataError, match="crossing"):
-        D.check_laminar([(0, 3, "S"), (0, 2, "A"), (1, 3, "B")], 3)
+        check_laminar([(0, 3, "S"), (0, 2, "A"), (1, 3, "B")], 3)
     with pytest.raises(D.DataError, match="cover"):
-        D.check_laminar([(0, 1, "A")], 2)
+        check_laminar([(0, 1, "A")], 2)
+
+
+def test_generated_and_loaded_trees_are_laminar(tmp_path):
+    for task in ("cls", "pair", "tag"):
+        exs = D.gen_synthetic(60, max_len=20, seed=23, task=task)
+        D.save_jsonl(exs, tmp_path / f"{task}.jsonl")
+        for ex in exs + D.load_jsonl(tmp_path / f"{task}.jsonl"):
+            for side in (ex, ex.partner) if ex.partner is not None else (ex,):
+                check_laminar(side.con.spans(), len(side.sent))
