@@ -288,19 +288,20 @@ def parse_bracketed(text):
             label, start, children, words = stack.pop()
             if label is None and not children and not words:
                 raise DataError(f"empty node at offset {_token_at(text, k).start()}")
-            fault = (f"node {label!r} mixes words and subtrees" if words and children
-                     else f"node {label!r} has multiple words" if len(words) > 1
-                     else f"empty node {label!r}" if not words and not children
-                     else "unlabeled node must wrap one subtree"
-                     if label is None and len(children) != 1 else None)
-            if fault:
-                raise DataError(f"{fault} at offset {_token_at(text, k).end()}")
+            # a one-word node "(L w)" is a single token, so words here are faults
+            if words and children:
+                raise DataError(f"node {label!r} mixes words and subtrees at offset "
+                                f"{_token_at(text, k).end()}")
+            if len(words) > 1:
+                raise DataError(f"node {label!r} has multiple words at offset "
+                                f"{_token_at(text, k).end()}")
+            if not words and not children:
+                raise DataError(f"empty node {label!r} at offset {_token_at(text, k).end()}")
+            if label is None and len(children) != 1:
+                raise DataError("unlabeled node must wrap one subtree at offset "
+                                f"{_token_at(text, k).end()}")
             if label is None:
                 node = children[0]
-            elif words:
-                node = ConstNode(label, word=words[0])
-                leaves.append(words[0])
-                spans.append((start, start + 1, label))
             else:
                 node = ConstNode(label, children=children)
                 spans.append((start, len(leaves), label))
