@@ -54,70 +54,6 @@ class CliError(Exception):
 
 TASK_ALIASES = {"classify": "cls", "pair": "pair", "tag": "tag"}
 
-DEFAULTS = {
-    # run identity
-    "task": "classify",
-    "seed": 0,
-    "out": None,
-    # data paths / file layout
-    "train": None,
-    "dev": None,
-    "data": None,
-    "teachers": None,
-    "model": None,
-    "dep_only": None,
-    "con_only": None,
-    # distillation scalars
-    "mode": "B",
-    "teacher_mode": "hard",
-    "eta": 0.5,
-    "lambda1": 0.6,
-    "lambda2": 0.2,
-    "zeta": 0.2,
-    "alpha_fixed": None,
-    "mask_ratio": 0.15,
-    # schedule / optimization
-    "iters": 10_000,
-    "g1": 300,
-    "g2": 128,
-    "batch": 32,
-    "lr": None,
-    "eval_every": 200,
-    "patience": 10,
-    # model sizes
-    "emb_dim": 300,
-    "hidden": 350,
-    "layers": 3,
-    "teacher_emb": 300,
-    "teacher_hidden": 300,
-    "teacher_layers": 2,
-    # ablations
-    "no_sem": False,
-    "no_syn": False,
-    "no_reg": False,
-    "no_anneal": False,
-    # teacher pre-training
-    "kind": None,
-    "co_train_struct": False,
-    # synthetic data generation
-    "n": 1000,
-    "n_dev": 200,
-    "n_test": 200,
-    "max_len": 12,
-    "grammar_size": 5,
-    # probing
-    "probe_task": None,
-    "probe_iters": 400,
-    # gradient checks
-    "cases": 25,
-    "suites": None,
-}
-
-COMMAND_DEFAULTS = {
-    "train-teacher": {"iters": 2000, "lr": 1e-3},
-    "distill": {"lr": 1e-5},
-}
-
 
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
@@ -127,67 +63,88 @@ def _is_num(v):
     return _is_int(v) or isinstance(v, float)
 
 
-def _opt(pred):
-    return lambda v: v is None or pred(v)
+def _at_least(lo):
+    return lambda v: _is_int(v) and v >= lo, f"integer >= {lo}"
 
 
-def _path(v):
-    return v is None or isinstance(v, str)
+def _one_of(choices):
+    return lambda v: isinstance(v, str) and v in choices, f"one of {'|'.join(choices)}"
 
 
-def _boolean(v):
-    return isinstance(v, bool)
+def _optional(rule):
+    pred, req = rule
+    return lambda v: v is None or pred(v), req
 
 
-RULES = {
-    "task": (lambda v: v in TASK_ALIASES, "one of classify|pair|tag"),
-    "seed": (lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "out": (_path, "path string"),
-    "train": (_path, "path string"),
-    "dev": (_path, "path string"),
-    "data": (_path, "path string"),
-    "teachers": (lambda v: v is None or isinstance(v, (str, list)),
-                 "comma-separated dirs or list"),
-    "model": (_path, "path string"),
-    "dep_only": (_path, "path string"),
-    "con_only": (_path, "path string"),
-    "mode": (lambda v: v in ("A", "B"), "A or B"),
-    "teacher_mode": (lambda v: v in ("soft", "hard"), "soft or hard"),
-    "eta": (lambda v: _is_num(v) and 0.0 <= v <= 1.0, "in [0, 1]"),
-    "lambda1": (lambda v: _is_num(v) and v >= 0.0, ">= 0"),
-    "lambda2": (lambda v: _is_num(v) and v >= 0.0, ">= 0"),
-    "zeta": (lambda v: _is_num(v) and v >= 0.0, ">= 0"),
-    "alpha_fixed": (_opt(lambda v: _is_num(v) and 0.0 <= v <= 1.0), "in [0, 1]"),
-    "mask_ratio": (lambda v: _is_num(v) and 0.0 < v < 1.0, "in (0, 1)"),
-    "iters": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "g1": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "g2": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "batch": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "lr": (_opt(lambda v: _is_num(v) and v > 0.0), "> 0"),
-    "eval_every": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "patience": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "emb_dim": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "hidden": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "layers": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "teacher_emb": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "teacher_hidden": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "teacher_layers": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "no_sem": (_boolean, "boolean"),
-    "no_syn": (_boolean, "boolean"),
-    "no_reg": (_boolean, "boolean"),
-    "no_anneal": (_boolean, "boolean"),
-    "kind": (_opt(lambda v: v in TEACHER_KINDS), f"one of {'|'.join(TEACHER_KINDS)}"),
-    "co_train_struct": (_boolean, "boolean"),
-    "n": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "n_dev": (lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "n_test": (lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "max_len": (lambda v: _is_int(v) and 4 <= v <= 20, "integer in [4, 20]"),
-    "grammar_size": (lambda v: _is_int(v) and v >= 2, "integer >= 2"),
-    "probe_task": (_opt(lambda v: v in PROBE_KINDS), f"one of {'|'.join(PROBE_KINDS)}"),
-    "probe_iters": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "cases": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "suites": (lambda v: v is None or isinstance(v, (str, list)),
-               "comma-separated names or list"),
+PATH = (lambda v: v is None or isinstance(v, str), "path string")
+FLAG = (lambda v: isinstance(v, bool), "boolean")
+WEIGHT = (lambda v: _is_num(v) and v >= 0.0, ">= 0")
+UNIT = (lambda v: _is_num(v) and 0.0 <= v <= 1.0, "in [0, 1]")
+LISTING = lambda v: v is None or isinstance(v, (str, list))
+
+# key: (default, predicate, requirement named when the predicate fails)
+CONFIG = {
+    # run identity
+    "task": ("classify", *_one_of(TASK_ALIASES)),
+    "seed": (0, *_at_least(0)),
+    "out": (None, *PATH),
+    # data paths / file layout
+    "train": (None, *PATH),
+    "dev": (None, *PATH),
+    "data": (None, *PATH),
+    "teachers": (None, LISTING, "comma-separated dirs or list"),
+    "model": (None, *PATH),
+    "dep_only": (None, *PATH),
+    "con_only": (None, *PATH),
+    # distillation scalars
+    "mode": ("B", lambda v: v in ("A", "B"), "A or B"),
+    "teacher_mode": ("hard", lambda v: v in ("soft", "hard"), "soft or hard"),
+    "eta": (0.5, *UNIT),
+    "lambda1": (0.6, *WEIGHT),
+    "lambda2": (0.2, *WEIGHT),
+    "zeta": (0.2, *WEIGHT),
+    "alpha_fixed": (None, *_optional(UNIT)),
+    "mask_ratio": (0.15, lambda v: _is_num(v) and 0.0 < v < 1.0, "in (0, 1)"),
+    # schedule / optimization; a null lr takes the command's default
+    "iters": (10_000, *_at_least(1)),
+    "g1": (300, *_at_least(1)),
+    "g2": (128, *_at_least(1)),
+    "batch": (32, *_at_least(1)),
+    "lr": (None, *_optional((lambda v: _is_num(v) and v > 0.0, "> 0"))),
+    "eval_every": (200, *_at_least(1)),
+    "patience": (10, *_at_least(1)),
+    # model sizes
+    "emb_dim": (300, *_at_least(1)),
+    "hidden": (350, *_at_least(1)),
+    "layers": (3, *_at_least(1)),
+    "teacher_emb": (300, *_at_least(1)),
+    "teacher_hidden": (300, *_at_least(1)),
+    "teacher_layers": (2, *_at_least(1)),
+    # ablations
+    "no_sem": (False, *FLAG),
+    "no_syn": (False, *FLAG),
+    "no_reg": (False, *FLAG),
+    "no_anneal": (False, *FLAG),
+    # teacher pre-training
+    "kind": (None, *_optional(_one_of(TEACHER_KINDS))),
+    "co_train_struct": (False, *FLAG),
+    # synthetic data generation
+    "n": (1000, *_at_least(1)),
+    "n_dev": (200, *_at_least(0)),
+    "n_test": (200, *_at_least(0)),
+    "max_len": (12, lambda v: _is_int(v) and 4 <= v <= 20, "integer in [4, 20]"),
+    "grammar_size": (5, *_at_least(2)),
+    # probing
+    "probe_task": (None, *_optional(_one_of(PROBE_KINDS))),
+    "probe_iters": (400, *_at_least(1)),
+    # gradient checks
+    "cases": (25, *_at_least(1)),
+    "suites": (None, LISTING, "comma-separated names or list"),
+}
+
+COMMAND_DEFAULTS = {
+    "train-teacher": {"iters": 2000, "lr": 1e-3},
+    "distill": {"lr": 1e-5},
 }
 
 
@@ -198,8 +155,9 @@ def resolve(args, command):
     explicitly (anything else may be adapted, e.g. schedule defaults for
     short runs).
     """
-    cfg = dict(DEFAULTS)
-    cfg.update(COMMAND_DEFAULTS.get(command, {}))
+    command_defaults = COMMAND_DEFAULTS.get(command, {})
+    cfg = {key: default for key, (default, _, _) in CONFIG.items()}
+    cfg.update(command_defaults)
     explicit = set()
     config_path = getattr(args, "config", None)
     if config_path:
@@ -224,9 +182,11 @@ def resolve(args, command):
             cfg[key] = val
             explicit.add(key)
     for key, val in cfg.items():
-        pred, req = RULES[key]
+        _, pred, req = CONFIG[key]
         if not pred(val):
             raise CliError(f"config key {key!r}={val!r} invalid: expected {req}")
+    if cfg["lr"] is None:
+        cfg["lr"] = command_defaults.get("lr")
     return cfg, explicit
 
 
@@ -340,8 +300,6 @@ def cmd_gen_data(args):
 
 def cmd_train_teacher(args):
     cfg, _ = resolve(args, "train-teacher")
-    if cfg["lr"] is None:
-        cfg["lr"] = COMMAND_DEFAULTS["train-teacher"]["lr"]
     kind = need(cfg, "kind")
     out = need(cfg, "out")
     examples = _load_examples(cfg, "train")
@@ -366,44 +324,37 @@ def cmd_train_teacher(args):
     return 0
 
 
-def _load_teachers(cfg, codec):
+def _load_teachers(cfg):
+    """The frozen teachers and their codec, the first teacher's; (None, None)
+    when no teacher is named."""
     spec = cfg["teachers"]
-    if spec is None:
-        return None
+    if not spec:
+        return None, None
     dirs = spec.split(",") if isinstance(spec, str) else list(spec)
-    dep, con = [], []
+    dep, con, codec = [], [], None
     for d in dirs:
-        model, meta = load_model_dir(d.strip())
+        model, _ = load_model_dir(d.strip())
         if model.kind not in TEACHER_KINDS:
             raise CliError(f"{d}: not a teacher checkpoint ({model.kind!r})")
+        codec = codec or model.codec
         if model.codec.to_json() != codec.to_json():
             raise CliError(f"{d}: teacher codec differs from the first teacher's")
         if cfg["teacher_mode"] == "soft" and not hasattr(model, "struct_head"):
             raise CliError(f"{d}: teacher lacks a structure head; retrain with "
                            "co_train_struct for teacher_mode=soft")
         (dep if model.structure == "dep" else con).append(model)
-    return TeacherSet(dep=dep, con=con)
-
-
-def _teacher_codec(cfg):
-    spec = cfg["teachers"]
-    dirs = spec.split(",") if isinstance(spec, str) else list(spec)
-    first = dirs[0].strip()
-    return Codec.from_json(_read_json(os.path.join(first, "codec.json"), "codec"))
+    return TeacherSet(dep=dep, con=con), codec
 
 
 def cmd_distill(args):
     cfg, explicit = resolve(args, "distill")
-    if cfg["lr"] is None:
-        cfg["lr"] = COMMAND_DEFAULTS["distill"]["lr"]
     out = need(cfg, "out")
     examples = _load_examples(cfg, "train")
-    if cfg["teachers"]:
-        codec = _teacher_codec(cfg)
-        _check_task(codec, cfg)
-    else:
+    teachers, codec = _load_teachers(cfg)
+    if teachers is None:
         codec = Codec(examples, TASK_ALIASES[cfg["task"]])
-    teachers = _load_teachers(cfg, codec)
+    else:
+        _check_task(codec, cfg)
     train_encs = _encode_all(codec, examples)
     dev_encs = _encode_all(codec, load_jsonl(cfg["dev"])) if cfg["dev"] else None
     dcfg = DistillConfig(

@@ -468,12 +468,11 @@ class PairHead:
 
 
 class TagHead:
-    """Per-token logits with a predicate-indicator embedding appended."""
+    """Per-token logits with a 16-wide predicate-indicator embedding appended."""
 
-    def __init__(self, p: Params, prefix, in_dim, n_tags, rng,
-                 ind_dim=16, dtype=np.float32):
-        self.ind = p.add(f"{prefix}/ind", (2, ind_dim), rng, dtype=dtype)
-        self.W = p.add(f"{prefix}/W", (in_dim + ind_dim, n_tags), rng, dtype=dtype)
+    def __init__(self, p: Params, prefix, in_dim, n_tags, rng, dtype=np.float32):
+        self.ind = p.add(f"{prefix}/ind", (2, 16), rng, dtype=dtype)
+        self.W = p.add(f"{prefix}/W", (in_dim + 16, n_tags), rng, dtype=dtype)
         self.b = p.add(f"{prefix}/b", (n_tags,), init="zeros", dtype=dtype)
 
     def __call__(self, mat: Tensor, predicate) -> Tensor:
@@ -793,12 +792,13 @@ class BaseModel:
             return self.head(mat, off[:-1] + np.array([e.predicate for e in encs]))
         return self.head(segment_mean(mat, off))
 
-    def add_structure_head(self, arc_dim=64):
-        """Arc/label scorer for dependency models, span scorer for constituency
-        models; used when soft teacher structure targets are enabled."""
+    def add_structure_head(self):
+        """Arc/label scorer (64-wide arc space) for dependency models, span
+        scorer for constituency models; used when soft teacher structure
+        targets are enabled."""
         if self.structure == "dep":
             self.struct_head = ArcLabelScorer(self.p, "arc", self.rep_dim,
-                                              len(self.codec.dep_labels), arc_dim,
+                                              len(self.codec.dep_labels), 64,
                                               self.rng, self.dtype)
         elif self.structure == "con":
             self.struct_head = SpanScorer(self.p, "span", self.rep_dim,

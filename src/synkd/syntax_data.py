@@ -581,6 +581,14 @@ def _sentence_from_fields(d, prefix, where):
     return Sentence(list(tokens)), dep, trees[0]
 
 
+def _index(d, key, where):
+    """A non-negative integer field, not a bool, float or string."""
+    v = d[key]
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise DataError(f"{where}: {key} must be a non-negative integer, got {v!r}")
+    return v
+
+
 def example_from_dict(d: dict, where: str = "record") -> Example:
     sent, dep, con = _sentence_from_fields(d, "", where)
     ex = Example(sent, dep, con)
@@ -588,15 +596,15 @@ def example_from_dict(d: dict, where: str = "record") -> Example:
         if "predicate" not in d:
             raise DataError(f"{where}: tag payload missing 'predicate'")
         ex.tags = list(d["tags"])
-        ex.predicate = int(d["predicate"])
+        ex.predicate = _index(d, "predicate", where)
     elif "pair_tokens" in d:
         if "label" not in d:
             raise DataError(f"{where}: pair payload missing 'label'")
         ps, pd_, pc = _sentence_from_fields(d, "pair_", where)
         ex.partner = Example(ps, pd_, pc)
-        ex.label = int(d["label"])
+        ex.label = _index(d, "label", where)
     elif "label" in d:
-        ex.label = int(d["label"])
+        ex.label = _index(d, "label", where)
     else:
         raise DataError(f"{where}: no task payload field")
     try:

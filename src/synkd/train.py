@@ -144,23 +144,18 @@ def params_fingerprint(p) -> str:
 class RunLog:
     """Append-only JSONL metric log: {iteration, split, metric, value}."""
 
-    def __init__(self, path, flush_every=200):
-        self.path = path
+    def __init__(self, path):
         self.fh = open(path, "a", encoding="utf-8")
-        self.flush_every = flush_every
-        self._pending = 0
 
     def log(self, iteration, split, metric, value):
         row = {"iteration": int(iteration), "split": split,
                "metric": metric, "value": float(value)}
         self.fh.write(json.dumps(row) + "\n")
-        self._pending += 1
-        if self._pending >= self.flush_every:
-            self.fh.flush()
-            self._pending = 0
+
+    def flush(self):
+        self.fh.flush()
 
     def close(self):
-        self.fh.flush()
         self.fh.close()
 
     def __enter__(self):
@@ -180,9 +175,11 @@ def read_log(path):
     return rows
 
 
-def _emit(log, iteration, split, metric, value):
+def _emit(log, iteration, split, metric, value, flush=False):
     if log is not None:
         log.log(iteration, split, metric, value)
+        if flush:
+            log.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +490,19 @@ def load_run_state(run_dir, model, lr=None) -> RunState:
 # optimization helpers
 
 def _optimize(state: RunState, build_loss, what):
-    """One update: forward, finiteness check, backward, Adam step, trace."""
+    """One update: forward, finiteness check, backward, Adam step, trace. A
+    FloatingPointError leaves with the failed objective as its `objective`."""
     state.adam.zero_grad()
     with T.Tape() as tape:
-        loss = build_loss()
-        val = float(loss.data)
-        if not np.isfinite(val):
-            raise FloatingPointError(
-                f"iteration {state.t + 1}: non-finite {what} loss ({val})")
+        try:
+            loss = build_loss()
+            val = float(loss.data)
+            if not np.isfinite(val):
+                raise FloatingPointError(
+                    f"iteration {state.t + 1}: non-finite {what} loss ({val})")
+        except FloatingPointError as e:
+            e.objective = what
+            raise
         # a loss that degenerated to a constant (e.g. every hinge in the
         # batch at zero) has no gradient; the step is a no-op
         if tape.contains(loss):
@@ -510,24 +512,46 @@ def _optimize(state: RunState, build_loss, what):
     return val
 
 
-def _eval_and_stop(model, state, dev_data, eval_every, patience, log) -> bool:
-    """Early-stopping bookkeeping; returns True when patience is exhausted."""
-    if dev_data is None or state.t % eval_every != 0:
-        return False
-    metrics = evaluate(model, dev_data)
+def run_loop(model, state, data, step, total, dev_data, *, batch_size, eval_every,
+             patience, log, stop_after=None) -> RunState:
+    """The training loop of teachers and student alike: draw a batch, let
+    `step(encs, idxs)` make its updates and return its loss parts, log them,
+    eval on dev with early stopping, and finally restore the best parameters.
+    `stop_after` suspends mid-run without that restore, for save/resume. Dev
+    rows, and the `nonfinite/<objective>` row of a failed step, are flushed."""
+    sampler = BatchSampler(data)
     key = dev_metric_key(model.task)
-    for name, value in metrics.items():
-        _emit(log, state.t, "dev", name, value)
-    state.history.append({"iteration": state.t, "metric": key,
-                          "value": metrics[key]})
-    if metrics[key] > state.best_metric:
-        state.best_metric = metrics[key]
-        state.best_iter = state.t
-        state.best_params = model.p.state_dict()
-        state.bad_evals = 0
-    else:
-        state.bad_evals += 1
-    return state.bad_evals >= patience
+    while state.t < total:
+        if stop_after is not None and state.t >= stop_after:
+            return state
+        idxs = sampler.draw(state.rng, batch_size)
+        try:
+            parts = step([data[i] for i in idxs], idxs)
+        except FloatingPointError as e:
+            _emit(log, state.t + 1, "train", f"nonfinite/{e.objective}", 1.0, flush=True)
+            raise
+        state.t += 1
+        for name, value in parts.items():
+            _emit(log, state.t, "train", name, value)
+        if dev_data is None or state.t % eval_every != 0:
+            continue
+        metrics = evaluate(model, dev_data)
+        for name, value in metrics.items():
+            _emit(log, state.t, "dev", name, value, flush=True)
+        state.history.append({"iteration": state.t, "metric": key, "value": metrics[key]})
+        if metrics[key] > state.best_metric:
+            state.best_metric = metrics[key]
+            state.best_iter = state.t
+            state.best_params = model.p.state_dict()
+            state.bad_evals = 0
+        else:
+            state.bad_evals += 1
+        if state.bad_evals >= patience:
+            state.stopped = True
+            break
+    if state.best_params is not None:
+        model.p.load_state_dict(state.best_params)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +575,9 @@ def train_teacher(model, train_data, dev_data, *, iters=2000, batch_size=32,
         model.add_structure_head()
     state = RunState(seed=seed, adam=Adam(model.parameters(), lr=lr))
     _emit(log, 0, "train", "n_params", model.p.n_scalars())
-    sampler = BatchSampler(train_data)
     n_dep = len(model.codec.dep_labels)
-    while state.t < iters:
-        idxs = sampler.draw(state.rng, batch_size)
-        encs = [train_data[i] for i in idxs]
 
+    def step(encs, idxs):
         def build_loss():
             loss, main = output_loss_batch(model, encs, idxs, None, [], 1.0, rng=state.rng)
             if not co_train_struct:
@@ -565,15 +586,11 @@ def train_teacher(model, train_data, dev_data, *, iters=2000, batch_size=32,
                                        [hard_targets(model.structure, encs, n_dep)])
             return T.scale(T.add(loss, T.scale(struct, 1.0 / len(encs))), 0.5)
 
-        val = _optimize(state, build_loss, f"teacher/{model.kind}")
-        state.t += 1
-        _emit(log, state.t, "train", "loss", val)
-        if _eval_and_stop(model, state, dev_data, eval_every, patience, log):
-            state.stopped = True
-            break
-    if state.best_params is not None:
-        model.p.load_state_dict(state.best_params)
-    return state
+        return {"loss": _optimize(state, build_loss, f"teacher/{model.kind}")}
+
+    return run_loop(model, state, train_data, step, iters, dev_data,
+                    batch_size=batch_size, eval_every=eval_every,
+                    patience=patience, log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -614,14 +631,9 @@ def distill_student(student, teachers, train_data, dev_data,
                                      len(student.codec.dep_labels))
     if state is None:
         state = RunState(seed=seed, adam=Adam(student.parameters(), lr=lr))
-    sampler = BatchSampler(train_data)
     reg_params = student.parameters()
 
-    while state.t < sched.total:
-        if stop_after is not None and state.t >= stop_after:
-            return state
-        idxs = sampler.draw(state.rng, batch_size)
-        encs = [train_data[i] for i in idxs]
+    def step(encs, idxs):
         t_now = state.t + 1
         alpha = cfg.alpha_fixed if cfg.alpha_fixed is not None \
             else anneal_alpha(t_now, sched.total)
@@ -685,14 +697,8 @@ def distill_student(student, teachers, train_data, dev_data,
                                   lam1=cfg.lam1, lam2=cfg.lam2)
 
             _optimize(state, all_loss, "all")
+        return parts
 
-        state.t += 1
-        for name, value in parts.items():
-            _emit(log, state.t, "train", name, value)
-        if _eval_and_stop(student, state, dev_data, eval_every, patience, log):
-            state.stopped = True
-            break
-
-    if state.best_params is not None:
-        student.p.load_state_dict(state.best_params)
-    return state
+    return run_loop(student, state, train_data, step, sched.total, dev_data,
+                    batch_size=batch_size, eval_every=eval_every,
+                    patience=patience, log=log, stop_after=stop_after)

@@ -1,8 +1,9 @@
 """Brute-force oracles used by tests: exhaustive search over bracketings,
 one tree-cell update with hand-set child states, the row-major packed LSTM
 scan that the gate-major one must match bitwise, the fine-token bracket
-parser that the coarse-token one must match, and a laminarity check for
-constituency span sets.
+parser that the coarse-token one must match, a laminarity check for
+constituency span sets, and the per-function training loops of teacher
+pre-training and distillation that the shared `run_loop` must match bitwise.
 
 The search is deliberately independent of the chart code — plain Python
 loops, first strict maximum kept, bracketings enumerated split-ascending /
@@ -14,10 +15,28 @@ import re
 import numpy as np
 
 from synkd import tensor as T
+from synkd.distill import (DistillConfig, DistillError, anneal_alpha, combine_syn, reg_loss,
+                           total_loss)
 from synkd.encoders import LevelKids
 from synkd.structures import BinTree
 from synkd.syntax_data import ConstNode, ConstTree, DataError
-from synkd.tensor import Tensor
+from synkd.tensor import Adam, Tensor
+from synkd.train import (
+    BatchSampler,
+    RunState,
+    Schedule,
+    TeacherSignals,
+    _emit,
+    _optimize,
+    dev_metric_key,
+    evaluate,
+    hard_targets,
+    inject_loss_batch,
+    output_loss_batch,
+    prepare_student,
+    sem_loss_batch,
+    syn_loss_batch,
+)
 
 
 def one_parent(cell, x, kids):
@@ -255,3 +274,184 @@ def check_laminar(spans, n):
                 break
             if i1 < i2 < j1 < j2:
                 raise DataError(f"crossing spans ({i1},{j1}) and ({i2},{j2})")
+
+
+def _eval_and_stop(model, state, dev_data, eval_every, patience, log) -> bool:
+    """Early-stopping bookkeeping; returns True when patience is exhausted."""
+    if dev_data is None or state.t % eval_every != 0:
+        return False
+    metrics = evaluate(model, dev_data)
+    key = dev_metric_key(model.task)
+    for name, value in metrics.items():
+        _emit(log, state.t, "dev", name, value)
+    state.history.append({"iteration": state.t, "metric": key,
+                          "value": metrics[key]})
+    if metrics[key] > state.best_metric:
+        state.best_metric = metrics[key]
+        state.best_iter = state.t
+        state.best_params = model.p.state_dict()
+        state.bad_evals = 0
+    else:
+        state.bad_evals += 1
+    return state.bad_evals >= patience
+
+
+def reference_train_teacher(model, train_data, dev_data, *, iters=2000, batch_size=32,
+                            lr=1e-3, eval_every=200, patience=10, seed=0, log=None,
+                            co_train_struct=False) -> RunState:
+    """`train_teacher` with its own copy of the training loop, as it was
+    before both training functions shared `run_loop`; kept verbatim as the
+    reference their trajectories must match bit for bit.
+
+    Supervised pre-training of one tree teacher with early stopping.
+
+    With co_train_struct the teacher's arc/label (dep) or span (con) head is
+    fitted to the input parses alongside the task loss, enabling soft
+    structure targets during distillation.
+    """
+    for enc in list(train_data) + list(dev_data or []):
+        if model.structure == "dep" and enc.main.raw.dep is None:
+            raise DataError("teacher needs dependency annotation")
+        if model.structure == "con" and enc.main.raw.con is None:
+            raise DataError("teacher needs constituency annotation")
+    if co_train_struct and not hasattr(model, "struct_head"):
+        model.add_structure_head()
+    state = RunState(seed=seed, adam=Adam(model.parameters(), lr=lr))
+    _emit(log, 0, "train", "n_params", model.p.n_scalars())
+    sampler = BatchSampler(train_data)
+    n_dep = len(model.codec.dep_labels)
+    while state.t < iters:
+        idxs = sampler.draw(state.rng, batch_size)
+        encs = [train_data[i] for i in idxs]
+
+        def build_loss():
+            loss, main = output_loss_batch(model, encs, idxs, None, [], 1.0, rng=state.rng)
+            if not co_train_struct:
+                return loss
+            struct = inject_loss_batch(model.struct_head, model.structure, main,
+                                       [hard_targets(model.structure, encs, n_dep)])
+            return T.scale(T.add(loss, T.scale(struct, 1.0 / len(encs))), 0.5)
+
+        val = _optimize(state, build_loss, f"teacher/{model.kind}")
+        state.t += 1
+        _emit(log, state.t, "train", "loss", val)
+        if _eval_and_stop(model, state, dev_data, eval_every, patience, log):
+            state.stopped = True
+            break
+    if state.best_params is not None:
+        model.p.load_state_dict(state.best_params)
+    return state
+
+
+def reference_distill_student(student, teachers, train_data, dev_data,
+                              cfg: DistillConfig = None, sched: Schedule = None, *,
+                              batch_size=32, lr=1e-5, eval_every=200, patience=10,
+                              seed=0, log=None, state=None, signals=None,
+                              stop_after=None) -> RunState:
+    """`distill_student` with its own copy of the training loop, kept like
+    `reference_train_teacher`.
+
+    Algorithm-1 turn-taking distillation (teachers=None trains the plain
+    supervised student with the same plumbing).
+
+    Early phase (t <= G1): per batch optimize L_sem, then per teacher in the
+    fixed visiting order optimize L_output and, per the G2 flag, that
+    teacher's dependency or constituency syntax loss (plus L_reg). Late
+    phase: one L_all step per batch. `stop_after` suspends mid-run without
+    restoring the best checkpoint, for save/resume.
+    """
+    cfg = cfg or DistillConfig()
+    sched = sched or Schedule()
+    if teachers is not None:
+        student_vocab = student.codec.vocab.itos
+        for m in teachers.all:
+            if m.codec.vocab.itos != student_vocab:
+                raise DistillError(f"teacher/student vocab mismatch ({m.kind})")
+        prepare_student(student, teachers, cfg)
+        if signals is None:
+            signals = TeacherSignals(teachers, train_data, cfg,
+                                     len(student.codec.dep_labels))
+    if state is None:
+        state = RunState(seed=seed, adam=Adam(student.parameters(), lr=lr))
+    sampler = BatchSampler(train_data)
+    reg_params = student.parameters()
+
+    while state.t < sched.total:
+        if stop_after is not None and state.t >= stop_after:
+            return state
+        idxs = sampler.draw(state.rng, batch_size)
+        encs = [train_data[i] for i in idxs]
+        t_now = state.t + 1
+        alpha = cfg.alpha_fixed if cfg.alpha_fixed is not None \
+            else anneal_alpha(t_now, sched.total)
+        rng = state.rng
+        parts = {"loss_output": 0.0, "loss_syn": 0.0, "loss_sem": 0.0}
+
+        if teachers is None:
+            parts["loss_output"] = _optimize(state, lambda: output_loss_batch(
+                student, encs, idxs, None, [], 1.0, rng=rng)[0], "supervised")
+        elif t_now <= sched.g1:
+            if cfg.lam2 > 0:
+                parts["loss_sem"] = _optimize(
+                    state, lambda: sem_loss_batch(student, encs, cfg, rng), "sem")
+            dep_turn = sched.dep_turn(t_now)
+            out_vals, syn_vals = [], []
+            for m in teachers.all:
+                out_vals.append(_optimize(state, lambda m=m: output_loss_batch(
+                    student, encs, idxs, signals, [m.kind], alpha, rng=rng)[0],
+                    f"output/{m.kind}"))
+                takes_turn = (m.structure == "dep") == dep_turn
+                if cfg.lam1 > 0 and takes_turn:
+                    def syn_plus_reg(m=m):
+                        main = student.reps([enc.main for enc in encs], True, rng)
+                        syn = syn_loss_batch(student, main, idxs, signals, cfg, [m])
+                        if cfg.zeta > 0:
+                            return T.add(syn, reg_loss(reg_params, cfg.zeta))
+                        return syn
+                    syn_vals.append(_optimize(state, syn_plus_reg,
+                                              f"{m.structure}/{m.kind}"))
+            parts["loss_output"] = float(np.mean(out_vals))
+            if syn_vals:
+                parts["loss_syn"] = float(np.mean(syn_vals))
+        else:
+            def all_loss():
+                kinds = [m.kind for m in teachers.all]
+                out_loss, main = output_loss_batch(
+                    student, encs, idxs, signals, kinds, alpha, rng=rng)
+                parts["loss_output"] = float(out_loss.data)
+                syn = sem = reg = None
+                if cfg.lam1 > 0:
+                    # a structure type with no teachers (or zero weight under
+                    # eta) drops out; a lone group keeps full weight
+                    dep_t = teachers.dep if cfg.eta > 0.0 else []
+                    con_t = teachers.con if cfg.eta < 1.0 else []
+                    if dep_t and con_t:
+                        syn = combine_syn(
+                            syn_loss_batch(student, main, idxs, signals, cfg, dep_t),
+                            syn_loss_batch(student, main, idxs, signals, cfg, con_t),
+                            cfg.eta)
+                    elif dep_t or con_t:
+                        syn = syn_loss_batch(student, main, idxs, signals, cfg,
+                                             dep_t or con_t)
+                if syn is not None:
+                    parts["loss_syn"] = float(syn.data)
+                    if cfg.zeta > 0:
+                        reg = reg_loss(reg_params, cfg.zeta)
+                if cfg.lam2 > 0:
+                    sem = sem_loss_batch(student, encs, cfg, rng)
+                    parts["loss_sem"] = float(sem.data)
+                return total_loss(out_loss, syn=syn, sem=sem, reg=reg,
+                                  lam1=cfg.lam1, lam2=cfg.lam2)
+
+            _optimize(state, all_loss, "all")
+
+        state.t += 1
+        for name, value in parts.items():
+            _emit(log, state.t, "train", name, value)
+        if _eval_and_stop(student, state, dev_data, eval_every, patience, log):
+            state.stopped = True
+            break
+
+    if state.best_params is not None:
+        student.p.load_state_dict(state.best_params)
+    return state

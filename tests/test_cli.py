@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from synkd.cli import main
+from synkd.cli import build_parser, main, resolve
 from synkd.syntax_data import parse_bracketed
 from synkd.train import load_checkpoint, read_log, save_checkpoint
 
@@ -336,6 +336,30 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
                      "--out", str(tmp_path / "x"))
     assert rc == 1
     assert "mystery" in json.loads(err.strip().splitlines()[-1])["error"]
+
+
+def test_null_lr_takes_the_command_default(tmp_path):
+    cfg = tmp_path / "lr.json"
+    cfg.write_text('{"lr": null}')
+    for command, lr in (("train-teacher", 1e-3), ("distill", 1e-5), ("eval", None)):
+        args = build_parser().parse_args([command, "--config", str(cfg)])
+        assert resolve(args, command)[0]["lr"] == lr
+
+
+def test_mistyped_label_is_one_json_error_line(tmp_path, capsys):
+    rc, _, _ = run(capsys, "gen-data", "--seed", "2", "--n", "4", "--n-dev", "0",
+                   "--n-test", "0", "--out", str(tmp_path / "d"))
+    assert rc == 0
+    path = tmp_path / "d" / "train.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[2]["label"] = 0.5
+    path.write_text("".join(json.dumps(d) + "\n" for d in records))
+    rc, _, err = run(capsys, "train-teacher", "--kind", "gcn-dep", "--train", str(path),
+                     "--out", str(tmp_path / "t"))
+    assert rc == 1
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"] == (
+        "DataError: line 3: label must be a non-negative integer, got 0.5")
 
 
 def test_missing_files_rejected(tmp_path, capsys):

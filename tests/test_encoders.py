@@ -595,7 +595,7 @@ def test_pair_head_width_and_zero_diff():
 def test_tag_head_shape():
     rng = np.random.default_rng(12)
     p = E.Params()
-    head = E.TagHead(p, "h", 6, 4, rng, ind_dim=3, dtype=F64)
+    head = E.TagHead(p, "h", 6, 4, rng, dtype=F64)
     mat = Tensor(rng.standard_normal((5, 6)))
     out = head(mat, predicate=2)
     assert out.shape == (5, 4)

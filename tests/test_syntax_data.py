@@ -362,6 +362,23 @@ def test_jsonl_missing_payload_names_line(tmp_path):
         D.load_jsonl(p)
 
 
+@pytest.mark.parametrize("task, key, value", [
+    ("cls", "label", 0.5), ("cls", "label", True), ("cls", "label", "1"),
+    ("cls", "label", -1), ("cls", "label", None), ("pair", "label", 1.0),
+    ("pair", "label", -2), ("tag", "predicate", None), ("tag", "predicate", False),
+    ("tag", "predicate", "0"), ("tag", "predicate", -1), ("tag", "predicate", 0.0),
+])
+def test_jsonl_integer_fields_checked(tmp_path, task, key, value):
+    # label and predicate are taken only as non-negative non-bool integers
+    records = [D.example_to_dict(ex) for ex in D.gen_synthetic(2, seed=4, task=task)]
+    records[1][key] = value
+    p = tmp_path / "ints.jsonl"
+    p.write_text("".join(json.dumps(d) + "\n" for d in records), encoding="utf-8")
+    with pytest.raises(D.DataError,
+                       match=f"^line 2: {key} must be a non-negative integer, got "):
+        D.load_jsonl(p)
+
+
 # ---------------------------------------------------------------------------
 # laminarity
 

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import reference_distill_student, reference_train_teacher
 
 from synkd.distill import (DistillConfig, DistillError, TeacherSet, soft_arc_targets,
                            soft_con_targets)
@@ -23,7 +24,9 @@ from synkd.train import (
     load_run_state,
     params_fingerprint,
     predict,
+    prepare_student,
     read_log,
+    run_loop,
     save_checkpoint,
     save_run_state,
     tagging_metrics,
@@ -60,9 +63,9 @@ def small_teachers(codec, seed=2):
 # blocks of the level kernels are built at run time and must not change it
 TEACHER_FINGERPRINTS = {
     "tlstm-dep": ("27ad0e10f1cc94b8a2db1be1bc64e38fff37a4baf0d21d83ebb055626016042c",
-                  "50e2858a88b2762a5d8c4dfd9c5c7d9dfc5c24e70e33bed5aeda66a50f1d31b5"),
+                  "bab712a060800400a3299093cbeacf1e801aa15deca8fb54673a79d335538e79"),
     "gcn-dep": ("4d4e9cb3aaa573aa8e9ffc6d982776219fbe8fd69bf5a89320bc4563d26d414b",
-                "4e6995cf3f099f3f46b577f8d759ad9ef7875a0321576ca0f45af3fb60cd5783"),
+                "3815e4421545f76700e990aa99b3f72b4a53153ecb90ce0e315b6593396afd0a"),
     "tlstm-con": ("8acd04a1cc7317599726a70cc7e502e7bda7ddaafab4b7aa0e6ab99f6a606cf6",
                   "d532e66f66fba32feb2a59380039f0bf8724f62eb45f35f63937af5f09597465"),
     "gcn-con": ("e308d442ed1271fe51eebb724d4eb487a65e28882ff0d285d71865b6c7b810f7",
@@ -75,7 +78,7 @@ def test_teacher_parameter_layout_pinned():
     for kind, (plain, with_head) in TEACHER_FINGERPRINTS.items():
         m = make_teacher(kind, codec, emb_dim=8, hidden=6, rng=np.random.default_rng(7))
         assert params_fingerprint(m.p) == plain, kind
-        m.add_structure_head(arc_dim=5)
+        m.add_structure_head()
         assert params_fingerprint(m.p) == with_head, kind
 
 
@@ -137,15 +140,24 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_run_log_round_trip(tmp_path):
+    # a dev eval's rows are on disk while the run and its log are still open
+    codec, encs = small_data(24, seed=22)
     path = tmp_path / "log.jsonl"
-    with RunLog(path, flush_every=2) as log:
-        log.log(1, "train", "loss", 0.5)
-        log.log(200, "dev", "accuracy", 91.25)
+    seen = []
+
+    def step(encs, idxs):
+        seen.append(read_log(path))
+        return {"loss": 0.5}
+
+    with RunLog(path) as log:
+        run_loop(small_student(codec), RunState(seed=0), encs[:16], step, 3, encs[16:],
+                 batch_size=4, eval_every=2, patience=5, log=log)
     rows = read_log(path)
-    assert rows == [
-        {"iteration": 1, "split": "train", "metric": "loss", "value": 0.5},
-        {"iteration": 200, "split": "dev", "metric": "accuracy", "value": 91.25},
-    ]
+    assert seen[2] == rows[:4]
+    assert [(r["iteration"], r["split"], r["metric"]) for r in rows] == [
+        (1, "train", "loss"), (2, "train", "loss"), (2, "dev", "accuracy"),
+        (2, "dev", "macro_f1"), (3, "train", "loss")]
+    assert rows[0]["value"] == 0.5
 
 
 # ------------------------------------------------------------------ batching
@@ -286,7 +298,7 @@ def test_co_trained_teachers_feed_soft_distillation(tmp_path):
     codec, encs = small_data(24, seed=21)
     teachers = small_teachers(codec)
     for m in teachers.all:
-        m.add_structure_head(arc_dim=5)
+        m.add_structure_head()
         head = {n: m.p[n].data.copy() for n in m.p.names() if n.startswith(("arc/", "span/"))}
         state = train_teacher(m, encs, None, iters=3, batch_size=6, lr=1e-2, seed=0,
                               co_train_struct=True)
@@ -467,6 +479,24 @@ def test_distill_nan_abort():
                         batch_size=4, seed=0)
 
 
+def test_nonfinite_loss_names_its_objective_in_the_log(tmp_path):
+    # the row is flushed before the error leaves, so it is on disk even
+    # while the log is still open
+    codec, encs = small_data(12, seed=16)
+    teachers = small_teachers(codec)
+    for student_teachers, objective in ((None, "supervised"), (teachers, "sem")):
+        student = small_student(codec)
+        student.p["enc/emb"].data[:] = np.nan
+        path = tmp_path / f"{objective}.jsonl"
+        with RunLog(path) as log:
+            with pytest.raises(FloatingPointError, match="iteration 1"):
+                distill_student(student, student_teachers, encs, None,
+                                DistillConfig(), Schedule(total=2, g1=1, g2=1),
+                                batch_size=4, seed=0, log=log)
+            assert read_log(path) == [{"iteration": 1, "split": "train",
+                                       "metric": f"nonfinite/{objective}", "value": 1.0}]
+
+
 def test_optimize_skips_constant_loss():
     # a loss with no parameter ancestry (e.g. every hinge in the batch at
     # zero) must be a logged no-op, not a backward error
@@ -535,7 +565,6 @@ def test_resume_reproduces_trajectory(tmp_path):
     save_run_state(tmp_path / "run", student_b, state_b)
 
     _, encs_c, student_c, teachers_c = fresh()
-    from synkd.train import prepare_student
     prepare_student(student_c, teachers_c, cfg)
     state_c = load_run_state(tmp_path / "run", student_c)
     assert state_c.t == 3
@@ -547,3 +576,82 @@ def test_resume_reproduces_trajectory(tmp_path):
     assert state_c.trace == state_a.trace
     assert state_c.history == state_a.history
     assert state_c.best_iter == state_a.best_iter
+
+
+# ------------------------------------------------- shared loop vs reference
+
+def run_outcome(model, state, log_path):
+    return (params_fingerprint(model.p), state.trace, state.history, state.best_iter,
+            state.stopped, log_path.read_bytes())
+
+
+def teacher_outcome(train, codec, encs, kind, co_train_struct, log_path):
+    model = make_teacher(kind, codec, emb_dim=6, hidden=4, n_layers=1,
+                         rng=np.random.default_rng(3))
+    with RunLog(log_path) as log:
+        state = train(model, encs[:14], encs[14:], iters=6, batch_size=4, lr=1e-2,
+                      eval_every=2, patience=2, seed=0, log=log,
+                      co_train_struct=co_train_struct)
+    return run_outcome(model, state, log_path)
+
+
+STUDENT_CASES = {
+    "supervised": dict(teachers=False),
+    "mode-A": dict(cfg=DistillConfig(mode="A")),
+    "hard": dict(),
+    "hard-eta1": dict(cfg=DistillConfig(eta=1.0)),
+    "soft": dict(cfg=DistillConfig(teacher_mode="soft")),
+    "soft-eta1": dict(cfg=DistillConfig(teacher_mode="soft", eta=1.0)),
+    "early-stop": dict(teachers=False, lr=0.1, eval_every=1, patience=1),
+    "resume": dict(stop_after=3),
+}
+
+
+def student_outcome(distill, codec, encs, teachers, case, run_dir):
+    opts = dict(cfg=DistillConfig(), lr=1e-2, eval_every=2, patience=3, stop_after=None)
+    opts.update(STUDENT_CASES[case])
+    tset = teachers if opts.pop("teachers", True) else None
+    cfg, stop_after = opts.pop("cfg"), opts.pop("stop_after")
+    args = (encs[:14], encs[14:], cfg, Schedule(total=6, g1=3, g2=1))
+    student = small_student(codec)
+    run_dir.mkdir()
+    log_path = run_dir / "log.jsonl"
+    with RunLog(log_path) as log:
+        state = distill(student, tset, *args, batch_size=4, seed=0, log=log,
+                        stop_after=stop_after, **opts)
+    if stop_after is not None:
+        assert state.t == stop_after
+        save_run_state(run_dir, student, state)
+        student = small_student(codec)
+        prepare_student(student, tset, cfg)
+        with RunLog(log_path) as log:
+            state = distill(student, tset, *args, batch_size=4, seed=0, log=log,
+                            state=load_run_state(run_dir, student), **opts)
+    return run_outcome(student, state, log_path)
+
+
+@pytest.mark.parametrize("task", ["cls", "tag", "pair"])
+def test_run_loop_bitwise_matches_reference(task, tmp_path):
+    # both training functions on the shared run_loop against verbatim copies
+    # of their former per-function loops: parameters, trace, dev history,
+    # best iteration, early stop and run-log bytes are equal
+    codec, encs = small_data(20, seed=31, task=task, max_len=6)
+    teachers = small_teachers(codec)
+    for m in teachers.all:
+        m.add_structure_head()
+    for kind in TEACHER_KINDS:
+        for co in (False, True):
+            got, want = (teacher_outcome(train, codec, encs, kind, co,
+                                         tmp_path / f"{who}-{kind}-{co}.jsonl")
+                         for who, train in (("new", train_teacher),
+                                            ("ref", reference_train_teacher)))
+            assert got == want, (kind, co)
+    for case in STUDENT_CASES:
+        got, want = (student_outcome(distill, codec, encs, teachers, case,
+                                     tmp_path / f"{who}-{case}")
+                     for who, distill in (("new", distill_student),
+                                          ("ref", reference_distill_student)))
+        assert got == want, case
+        if case == "early-stop":
+            assert want[4], "the early-stop case must stop early"
+
