@@ -671,8 +671,8 @@ class EncodedSide:
         if self.raw.con is None:
             return None
         bt = binarize(self.raw.con)
-        ids = self.codec.con_labels.encode(bt.spans.values()).tolist()
-        return BinTree(bt.n, dict(zip(bt.spans, ids)), tokens=bt.tokens)
+        bt.spans = dict(zip(bt.spans, self.codec.con_labels.encode(bt.spans.values()).tolist()))
+        return bt
 
     @cached_property
     def con_tree(self):
@@ -691,25 +691,32 @@ class EncodedSide:
         included)."""
         if self.raw.con is None:
             return None
-        labels, edges = [], []
-
-        def visit(node, start, parent_id):
-            nid = self.n + len(labels)
-            labels.append(node.label)
-            if parent_id is not None:
-                edges.append((parent_id, nid))
-            if node.is_leaf:
-                edges.append((nid, start))
-                return start + 1
-            pos = start
-            for c in node.children:
-                pos = visit(c, pos, nid)
-            return pos
-
-        visit(self.raw.con.root, 0, None)
-        label_ids = self.codec.con_labels.encode(labels).tolist()
+        spans, n = self.raw.con.spans(), self.n
+        m = len(spans)
+        # node n + k, the k-th in pre-order, is n plus its depth plus the nodes
+        # left of it, as many as precede the preterminal of its first token i
+        # in post-order: left[i] - n + 1 (a preterminal follows a node ending
+        # where it starts). Edges come in pre-order, a parent edge per node but
+        # the root (its slot falls in the n cut off) and a word edge per leaf.
+        left = [p for p, ((i, _, _), (_, e, _))
+                in enumerate(zip(spans, [(0, 0, 0)] + spans), n - 1) if e == i]
+        labels, edges = [None] * (n + m), [None] * (2 * n + m - 1)
+        starts, ids = [-1], [None]  # first leaf and id of each ancestor of the node visited
+        for q, (i, j, label) in zip(range(n + m - 2, n - 2, -1), reversed(spans)):
+            while starts[-1] >= j:
+                starts.pop()
+                ids.pop()
+            li = left[i]
+            nid = len(ids) + li
+            labels[nid] = label
+            edges[nid + i - 1] = (ids[-1], nid)
+            if q == li:  # a preterminal
+                edges[nid + i] = (nid, i)
+            starts.append(i)
+            ids.append(nid)
+        label_ids = self.codec.con_labels.encode(labels[n:]).tolist()
         return ([("word", int(t)) for t in self.token_ids]
-                + [("label", l) for l in label_ids], edges)
+                + [("label", l) for l in label_ids], edges[n:])
 
 
 class EncodedExample:

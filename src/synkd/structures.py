@@ -40,16 +40,12 @@ class BinTree:
         self._check_binary(0, self.n)
 
     def _check_binary(self, i, j):
-        if j - i == 1:
-            if (i, j) not in self.spans:
-                raise DataError(f"leaf span ({i}, {j}) missing")
-            return
-        for k in range(i + 1, j):
-            if (i, k) in self.spans and (k, j) in self.spans:
-                self._check_binary(i, k)
-                self._check_binary(k, j)
-                return
-        raise DataError(f"span ({i}, {j}) has no binary split")
+        # (i, j) is a span: the root is checked above, and split_of finds
+        # only splits into two spans
+        if j - i > 1:
+            k = self.split_of(i, j)
+            self._check_binary(i, k)
+            self._check_binary(k, j)
 
     def split_of(self, i, j):
         for k in range(i + 1, j):
@@ -72,33 +68,23 @@ def binarize(tree: ConstTree) -> BinTree:
     unary chains collapse into composite labels joined by '|', making
     unbinarize an exact inverse.
     """
-    spans = {}
-
-    def visit(node, start):
-        if node.is_leaf:
-            spans[(start, start + 1)] = node.label
-            return start + 1, node.label
-        if len(node.children) == 1:
-            end, child_label = visit(node.children[0], start)
-            label = node.label + UNARY_SEP + child_label
-            spans[(start, end)] = label
-            return end, label
-        end = seq(node.children, start)
-        spans[(start, end)] = node.label
-        return end, node.label
-
-    def seq(children, start):
-        # chain children right-branching; the glue spans get the null label
-        end, _ = visit(children[0], start)
-        if len(children) == 1:
-            return end
-        rest_end = seq(children[1:], end)
-        if len(children) > 2:
-            spans[(end, rest_end)] = NULL_LABEL
-        return rest_end
-
-    end, _ = visit(tree.root, 0)
-    return BinTree(end, spans, tokens=tree.leaves())
+    spans, last = {}, None
+    starts = []  # first leaf of each subtree whose parent is not reached yet
+    for i, j, label in tree.spans():
+        if (i, j) == last:  # the parent of a one-child node: a unary chain
+            spans[last] = label + UNARY_SEP + spans[last]
+            continue
+        last = (i, j)
+        k = len(starts)  # starts[k:] are the node's children
+        while k and starts[k - 1] >= i:
+            k -= 1
+        # children 2 .. m-1 of m start the glue spans, inserted innermost first
+        for s in reversed(starts[k + 1:-1]):
+            spans[(s, j)] = NULL_LABEL
+        spans[last] = label
+        del starts[k:]
+        starts.append(i)
+    return BinTree(tree.n, spans, tokens=tree.leaves())
 
 
 def unbinarize(bt: BinTree, tokens=None) -> ConstTree:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -161,26 +162,36 @@ class ConstNode:
         return render_bracketed(self)
 
 
-@dataclass
 class ConstTree:
-    """A constituency tree. Its leaves and spans are collected once, when it
-    is built; nodes are not changed after that."""
-    root: ConstNode
-    n: int = field(init=False)
-    _leaves: list = field(init=False, repr=False, compare=False)
-    _spans: list = field(init=False, repr=False, compare=False)
+    """A constituency tree as its leaves and its post-order spans. A tree built
+    from nodes collects both once; a parsed tree builds its nodes from them on
+    the first read of `root`. Nodes are not changed after that."""
 
-    def __post_init__(self):
+    def __init__(self, root: ConstNode):
+        self.root = root
         self._leaves, self._spans = [], []
-        _collect(self.root, self._leaves, self._spans)
+        _collect(root, self._leaves, self._spans)
         self.n = len(self._leaves)
 
     @classmethod
-    def _parsed(cls, root, leaves, spans):
-        """The tree of root whose leaves and spans a parser collected already."""
+    def _parsed(cls, leaves, spans):
+        """The tree of the leaves and post-order spans a parser collected."""
         tree = cls.__new__(cls)
-        tree.root, tree._leaves, tree._spans, tree.n = root, leaves, spans, len(leaves)
+        tree._leaves, tree._spans, tree.n = leaves, spans, len(leaves)
         return tree
+
+    @cached_property
+    def root(self) -> ConstNode:
+        # a node's children are the unattached earlier subtrees inside it
+        built = []  # (first leaf, node) of subtrees whose parent is not built yet
+        for i, _, label in self._spans:
+            k = len(built)
+            while k and built[k - 1][0] >= i:
+                k -= 1
+            kids = [c for _, c in built[k:]]
+            del built[k:]
+            built.append((i, ConstNode(label, kids, None if kids else self._leaves[i])))
+        return built[0][1]
 
     def leaves(self):
         return list(self._leaves)
@@ -267,22 +278,21 @@ def _token_at(text, k):
 
 def parse_bracketed(text):
     """Every tree of PTB-style bracketed text, in one pass over its tokens;
-    each node adds its leaf and span to its tree as it closes."""
-    trees, stack = [], []  # stack: [label, first leaf, children, words] of open nodes
+    each node adds its leaf and span to its tree as it closes, unbuilt."""
+    trees, stack = [], []  # stack: [label, first leaf, #children, #words] of open nodes
     for k, (label, word, opening, tok) in enumerate(_TOKEN.findall(text)):
         if word or opening or tok == "(":
             if not stack:
                 leaves, spans = [], []
             if not word:  # "(L", or an unlabeled "(" as in "( (S ...) )"
-                stack.append([opening or None, len(leaves), [], []])
+                stack.append([opening or None, len(leaves), 0, 0])
                 continue
-            node = ConstNode(label, word=word)
             spans.append((len(leaves), len(leaves) + 1, label))
             leaves.append(word)
         elif not stack:
             raise DataError(f"expected '(' at offset {_token_at(text, k).start()}")
         elif tok != ")":
-            stack[-1][3].append(tok)
+            stack[-1][3] += 1
             continue
         else:
             label, start, children, words = stack.pop()
@@ -292,23 +302,20 @@ def parse_bracketed(text):
             if words and children:
                 raise DataError(f"node {label!r} mixes words and subtrees at offset "
                                 f"{_token_at(text, k).end()}")
-            if len(words) > 1:
+            if words > 1:
                 raise DataError(f"node {label!r} has multiple words at offset "
                                 f"{_token_at(text, k).end()}")
             if not words and not children:
                 raise DataError(f"empty node {label!r} at offset {_token_at(text, k).end()}")
-            if label is None and len(children) != 1:
+            if label is None and children != 1:
                 raise DataError("unlabeled node must wrap one subtree at offset "
                                 f"{_token_at(text, k).end()}")
-            if label is None:
-                node = children[0]
-            else:
-                node = ConstNode(label, children=children)
+            if label is not None:  # an unlabeled node only wraps its one subtree
                 spans.append((start, len(leaves), label))
         if stack:
-            stack[-1][2].append(node)
+            stack[-1][2] += 1
         else:
-            trees.append(ConstTree._parsed(node, leaves, spans))
+            trees.append(ConstTree._parsed(leaves, spans))
     if stack:
         raise DataError(f"unexpected end of input at offset {len(text)}")
     return trees
@@ -458,26 +465,6 @@ class _Grammar:
                 return con, subj, vp
 
 
-def _subtree_span(tree: ConstTree, target: ConstNode):
-    for_all = []
-    _collect_spans_with_nodes(tree.root, 0, for_all)
-    for i, j, node in for_all:
-        if node is target:
-            return i, j
-    raise DataError("target node not in tree")
-
-
-def _collect_spans_with_nodes(node, start, out):
-    if node.is_leaf:
-        out.append((start, start + 1, node))
-        return start + 1
-    end = start
-    for c in node.children:
-        end = _collect_spans_with_nodes(c, end, out)
-    out.append((start, end, node))
-    return end
-
-
 def _make_example(grammar, rng, task, label, max_len):
     con, subj, vp = grammar.sentence(rng, bool(label) if task != "pair" else True, max_len)
     tokens = con.leaves()
@@ -485,12 +472,14 @@ def _make_example(grammar, rng, task, label, max_len):
     if task == "cls":
         ex.label = label
     elif task == "tag":
-        i, j = _subtree_span(con, subj)
+        # in every shape the verb phrase ends the sentence, starting with its
+        # verb, and the subject comes right before it
+        vi = len(tokens) - ConstTree(vp).n
+        i = vi - ConstTree(subj).n
         tags = ["O"] * len(tokens)
         tags[i] = "B-SUBJ"
-        for k in range(i + 1, j):
+        for k in range(i + 1, vi):
             tags[k] = "I-SUBJ"
-        vi, _ = _subtree_span(con, vp.children[0])
         ex.tags = tags
         ex.predicate = vi
     elif task == "pair":
@@ -547,33 +536,43 @@ def example_to_dict(ex: Example) -> dict:
         "con_tree": render_bracketed(ex.con),
     }
     kind = ex.payload_kind()
-    if kind == "cls":
+    if kind != "tag":
         d["label"] = ex.label
-    elif kind == "pair":
-        d["label"] = ex.label
+    if kind == "pair":
         p = ex.partner
         d["pair_tokens"] = p.sent.tokens
         d["pair_dep_heads"] = list(p.dep.heads)
         d["pair_dep_labels"] = list(p.dep.labels)
         d["pair_con_tree"] = render_bracketed(p.con)
-    else:
+    if kind == "tag":
         d["tags"] = list(ex.tags)
         d["predicate"] = ex.predicate
     return d
 
 
+def _field(d, key, where, item=None):
+    """d[key] if it is a string or, given an item type, a list of such items,
+    read in one pass; a bool is not an int here."""
+    if key not in d:
+        raise DataError(f"{where}: missing field {key!r}")
+    v = d[key]
+    if not (type(v) is str if item is None
+            else type(v) is list and set(map(type, v)) <= {item}):
+        raise DataError(f"{where}: {key} must be a " + (
+            "string" if item is None else f"list of {'strings' if item is str else 'integers'}"))
+    return v
+
+
 def _sentence_from_fields(d, prefix, where):
-    for f in ("tokens", "dep_heads", "dep_labels", "con_tree"):
-        if prefix + f not in d:
-            raise DataError(f"{where}: missing field {prefix + f!r}")
-    tokens = d[prefix + "tokens"]
-    heads = d[prefix + "dep_heads"]
-    labels = d[prefix + "dep_labels"]
+    tokens = _field(d, prefix + "tokens", where, str)
+    heads = _field(d, prefix + "dep_heads", where, int)
+    labels = _field(d, prefix + "dep_labels", where, str)
+    text = _field(d, prefix + "con_tree", where)
     if len(heads) != len(tokens):
         raise DataError(f"{where}: len(dep_heads) != len(tokens)")
     try:
         dep = DepTree(list(heads), list(labels))
-        trees = parse_bracketed(d[prefix + "con_tree"])
+        trees = parse_bracketed(text)
     except DataError as e:
         raise DataError(f"{where}: {e}") from None
     if len(trees) != 1:
@@ -589,24 +588,31 @@ def _index(d, key, where):
     return v
 
 
+# the fields of each task payload; a record holds those of exactly one
+_PAYLOADS = {"tag": {"tags", "predicate"}, "cls": {"label"},
+             "pair": {"label", "pair_tokens", "pair_dep_heads", "pair_dep_labels",
+                      "pair_con_tree"}}
+_PAYLOAD_FIELDS = set().union(*_PAYLOADS.values())
+
+
 def example_from_dict(d: dict, where: str = "record") -> Example:
+    if type(d) is not dict:
+        raise DataError(f"{where}: record must be a JSON object")
     sent, dep, con = _sentence_from_fields(d, "", where)
+    given = _PAYLOAD_FIELDS & d.keys()
+    kind = "tag" if given & _PAYLOADS["tag"] else "pair" if given - {"label"} else "cls"
+    if given != _PAYLOADS[kind]:
+        missing, stray = _PAYLOADS[kind] - given, given - _PAYLOADS[kind]
+        raise DataError(f"{where}: {kind} payload " + (
+            f"missing {min(missing)!r}" if missing else f"with stray field {min(stray)!r}"))
     ex = Example(sent, dep, con)
-    if "tags" in d:
-        if "predicate" not in d:
-            raise DataError(f"{where}: tag payload missing 'predicate'")
-        ex.tags = list(d["tags"])
+    if kind == "tag":
+        ex.tags = list(_field(d, "tags", where, str))
         ex.predicate = _index(d, "predicate", where)
-    elif "pair_tokens" in d:
-        if "label" not in d:
-            raise DataError(f"{where}: pair payload missing 'label'")
-        ps, pd_, pc = _sentence_from_fields(d, "pair_", where)
-        ex.partner = Example(ps, pd_, pc)
-        ex.label = _index(d, "label", where)
-    elif "label" in d:
-        ex.label = _index(d, "label", where)
     else:
-        raise DataError(f"{where}: no task payload field")
+        if kind == "pair":
+            ex.partner = Example(*_sentence_from_fields(d, "pair_", where))
+        ex.label = _index(d, "label", where)
     try:
         ex.validate()
     except DataError as e:

@@ -2,8 +2,11 @@
 one tree-cell update with hand-set child states, the row-major packed LSTM
 scan that the gate-major one must match bitwise, the fine-token bracket
 parser that the coarse-token one must match, a laminarity check for
-constituency span sets, and the per-function training loops of teacher
-pre-training and distillation that the shared `run_loop` must match bitwise.
+constituency span sets, the node-walking binarization and constituency GCN
+graph that the span-reading ones must match, the per-function training
+loops of teacher pre-training and distillation that the shared `run_loop`
+must match bitwise, and generators of random bracketed trees and of mutated
+JSONL records.
 
 The search is deliberately independent of the chart code — plain Python
 loops, first strict maximum kept, bracketings enumerated split-ascending /
@@ -18,8 +21,8 @@ from synkd import tensor as T
 from synkd.distill import (DistillConfig, DistillError, anneal_alpha, combine_syn, reg_loss,
                            total_loss)
 from synkd.encoders import LevelKids
-from synkd.structures import BinTree
-from synkd.syntax_data import ConstNode, ConstTree, DataError
+from synkd.structures import UNARY_SEP, BinTree
+from synkd.syntax_data import NULL_LABEL, ConstNode, ConstTree, DataError
 from synkd.tensor import Adam, Tensor
 from synkd.train import (
     BatchSampler,
@@ -257,7 +260,7 @@ def reference_parse_bracketed(text):
             if stack:
                 stack[-1][2].append(node)
             else:
-                trees.append(ConstTree._parsed(node, leaves, spans))
+                trees.append(ConstTree(node))
     if stack:
         raise DataError(f"unexpected end of input at offset {len(text)}")
     return trees
@@ -274,6 +277,116 @@ def check_laminar(spans, n):
                 break
             if i1 < i2 < j1 < j2:
                 raise DataError(f"crossing spans ({i1},{j1}) and ({i2},{j2})")
+
+
+def reference_binarize(tree: ConstTree) -> BinTree:
+    """The node-walking `binarize` that the span-reading one replaced, kept
+    verbatim as the reference for its spans and their insertion order.
+
+    Right-branching binarization.
+
+    Intermediate nodes introduced to split >2-child nodes carry NULL_LABEL;
+    unary chains collapse into composite labels joined by '|', making
+    unbinarize an exact inverse.
+    """
+    spans = {}
+
+    def visit(node, start):
+        if node.is_leaf:
+            spans[(start, start + 1)] = node.label
+            return start + 1, node.label
+        if len(node.children) == 1:
+            end, child_label = visit(node.children[0], start)
+            label = node.label + UNARY_SEP + child_label
+            spans[(start, end)] = label
+            return end, label
+        end = seq(node.children, start)
+        spans[(start, end)] = node.label
+        return end, node.label
+
+    def seq(children, start):
+        # chain children right-branching; the glue spans get the null label
+        end, _ = visit(children[0], start)
+        if len(children) == 1:
+            return end
+        rest_end = seq(children[1:], end)
+        if len(children) > 2:
+            spans[(end, rest_end)] = NULL_LABEL
+        return rest_end
+
+    end, _ = visit(tree.root, 0)
+    return BinTree(end, spans, tokens=tree.leaves())
+
+
+def reference_con_gcn(self):
+    """The node-walking `EncodedSide.con_gcn` that the span-reading one
+    replaced, kept verbatim as the reference for its node inputs and its
+    edges in order; `self` is an `EncodedSide`.
+
+    (node inputs, edges) of the constituency GCN over the original tree:
+    token nodes 0..n-1, then one node per tree node (preterminals
+    included)."""
+    if self.raw.con is None:
+        return None
+    labels, edges = [], []
+
+    def visit(node, start, parent_id):
+        nid = self.n + len(labels)
+        labels.append(node.label)
+        if parent_id is not None:
+            edges.append((parent_id, nid))
+        if node.is_leaf:
+            edges.append((nid, start))
+            return start + 1
+        pos = start
+        for c in node.children:
+            pos = visit(c, pos, nid)
+        return pos
+
+    visit(self.raw.con.root, 0, None)
+    label_ids = self.codec.con_labels.encode(labels).tolist()
+    return ([("word", int(t)) for t in self.token_ids]
+            + [("label", l) for l in label_ids], edges)
+
+
+def random_bracketed(rng, depth=0):
+    """Bracketed text of a random tree: unary chains, nodes of 1-4 children,
+    odd labels and words, and random spacing around the parens."""
+    sp = lambda: ["", " ", "  ", "\n "][int(rng.integers(4))]
+    label = ["S", "NP", "A|B", "é", "x-1", "Ünï"][int(rng.integers(6))]
+    if depth >= 3 or rng.random() < 0.3:
+        word = ["a", "bb", "ß", "w.1", "9"][int(rng.integers(5))]
+        return f"({sp()}{label} {sp()}{word}{sp()})"
+    kids = " ".join(random_bracketed(rng, depth + 1)
+                    for _ in range(int(rng.integers(1, 5))))
+    return f"({sp()}{label}{sp()} {kids}{sp()})"
+
+
+# every JSON type, empty values included
+JSON_VALUES = [None, True, False, 0, 1, -1, 2.5, "", "x", "OOO", "(S x)", [], [0], ["x"],
+               [True], [None], [1.0], [[]], {}, {"a": 1}]
+
+
+def record_mutants(record, rng):
+    """Mutated copies of a JSONL record: the record replaced by each JSON
+    value, each field set to each JSON value and dropped, a random item of
+    each list field set to each scalar, the list cut short, and each payload
+    field it lacks plus an unknown one added."""
+    yield from JSON_VALUES
+    for key, value in record.items():
+        for v in JSON_VALUES:
+            yield {**record, key: v}
+        yield {k: v for k, v in record.items() if k != key}
+        if isinstance(value, list):
+            k = int(rng.integers(len(value)))
+            for v in JSON_VALUES:
+                if not isinstance(v, (list, dict)):
+                    yield {**record, key: value[:k] + [v] + value[k + 1:]}
+            yield {**record, key: value[:-1]}
+    for key in ("label", "tags", "predicate", "pair_tokens", "pair_con_tree", "note"):
+        if key not in record:
+            for v in JSON_VALUES:
+                yield {**record, key: v}
 
 
 def _eval_and_stop(model, state, dev_data, eval_every, patience, log) -> bool:

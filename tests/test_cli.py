@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from synkd.cli import build_parser, main, resolve
-from synkd.syntax_data import parse_bracketed
+from synkd.syntax_data import example_to_dict, gen_synthetic, parse_bracketed
 from synkd.train import load_checkpoint, read_log, save_checkpoint
 
 
@@ -360,6 +360,30 @@ def test_mistyped_label_is_one_json_error_line(tmp_path, capsys):
     (line,) = err.strip().splitlines()
     assert json.loads(line)["error"] == (
         "DataError: line 3: label must be a non-negative integer, got 0.5")
+
+
+@pytest.mark.parametrize("task, key, value, message", [
+    ("cls", "dep_heads", "12", "dep_heads must be a list of integers"),
+    ("cls", "con_tree", 3, "con_tree must be a string"),
+    ("cls", "tokens", 4, "tokens must be a list of strings"),
+    ("cls", "dep_labels", None, "dep_labels must be a list of strings"),
+    ("tag", "tags", "OOO", "tags must be a list of strings"),
+    ("pair", "pair_dep_heads", [0.0], "pair_dep_heads must be a list of integers"),
+    ("cls", "tags", ["O"], "tag payload missing 'predicate'"),
+    ("tag", "label", 1, "tag payload with stray field 'label'"),
+])
+def test_mistyped_field_is_one_json_error_line(tmp_path, capsys, task, key, value, message):
+    records = [example_to_dict(ex) for ex in gen_synthetic(3, seed=6, task=task)]
+    records[1][key] = value
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in records))
+    rc, _, err = run(capsys, "train-teacher", "--kind", "gcn-con", "--train", str(path),
+                     "--task", "classify" if task == "cls" else task,
+                     "--out", str(tmp_path / "t"))
+    assert rc == 1
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"] == f"DataError: line 2: {message}"
 
 
 def test_missing_files_rejected(tmp_path, capsys):

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import one_parent, row_major_lstm_scan
+from oracles import (one_parent, random_bracketed, reference_binarize, reference_con_gcn,
+                     row_major_lstm_scan)
 from synkd import encoders as E
 from synkd import syntax_data as D
 from synkd import tensor as T
 from synkd.gradcheck import check_case
 from synkd.structures import BinTree, binarize, chart_max, chart_trees, span_ids, tree_spans
 from synkd.tensor import Tensor
+from synkd.train import evaluate
 
 F64 = np.float64
 
@@ -788,6 +790,69 @@ def test_codec_con_labels_match_binarization():
     codec = E.Codec(hand, "cls")
     assert codec.con_labels.itos == _binarized_con_labels(hand)
     assert {"X|Y|A", "R|S|T", "S|NP|N", "A|A|A", "U|V"} <= set(codec.con_labels.itos)
+
+
+HAND_TREES = [
+    "(A a)", "(A (B b))", "(S (A (B (C x))))", "(S (X (Y (A a))) (B b) (C c) (D d))",
+    "(R (S (T (A a) (B b) (C c))))", "(S (A a) (Q (R (B b) (C c) (D d) (E e))))",
+    "( (S (A a) (B b) (C c)) )", "((S (NP (N n)) (VP (V v) (NP (D d) (N m)))))",
+    "(S (U (V (W w) (X x))) (Y (Z z)))", "(S (A a) (B (C c)) (D (E (F f) (G g) (H h))))",
+]
+
+
+def _chain_example(con):
+    return D.Example(D.Sentence(con.leaves()),
+                     D.DepTree(list(range(con.n)), ["dep"] * con.n), con, label=0)
+
+
+def test_span_binarize_and_con_gcn_match_node_walks():
+    # generated trees built from nodes and parsed back from their text, random
+    # bracketed trees, and hand cases: unary chains over preterminals and
+    # internal nodes, unlabeled wrappers, and nodes of 3 and 4 children
+    rng = np.random.default_rng(37)
+    trees = []
+    for ex in D.gen_synthetic(60, seed=38) + D.gen_synthetic(20, seed=39, task="pair"):
+        for side in (ex, ex.partner) if ex.partner is not None else (ex,):
+            trees += [side.con, *D.parse_bracketed(D.render_bracketed(side.con))]
+    trees += [D.parse_bracketed(random_bracketed(rng))[0] for _ in range(200)]
+    hand = [D.parse_bracketed(text)[0] for text in HAND_TREES]
+    trees += hand + [D.ConstTree(t.root) for t in hand]
+    codec = E.Codec([_chain_example(t) for t in trees], "cls")
+    for con in trees:
+        got, want = binarize(con), reference_binarize(con)
+        assert list(got.spans.items()) == list(want.spans.items()), D.render_bracketed(con)
+        assert (got.n, got.tokens) == (want.n, want.tokens)
+        side = codec.encode(_chain_example(con)).main
+        assert side.con_gcn == reference_con_gcn(side), D.render_bracketed(con)
+        ids = codec.con_labels.encode(want.spans.values()).tolist()
+        assert list(side.bintree.spans.items()) == list(zip(want.spans, ids))
+    assert sum(E.UNARY_SEP in l for t in trees for l in binarize(t).spans.values()) > 100
+    assert sum(D.NULL_LABEL in binarize(t).spans.values() for t in trees) > 100
+
+
+def test_loaded_trees_build_no_nodes_in_eval_and_forward(tmp_path, monkeypatch):
+    # the student reads no tree and the con teachers read spans, so loading,
+    # encoding and running them builds no ConstNode
+    D.save_jsonl(D.gen_synthetic(16, seed=40, max_len=12), tmp_path / "d.jsonl")
+    built = []
+    init = D.ConstNode.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(D.ConstNode, "__init__", counting_init)
+    data = D.load_jsonl(tmp_path / "d.jsonl")
+    codec = E.Codec(data, "cls")
+    encs = [codec.encode(ex) for ex in data]
+    rng = np.random.default_rng(41)
+    evaluate(E.StudentModel(codec, emb_dim=8, hidden=6, n_layers=2, rng=rng), encs)
+    for kind in ("gcn-con", "tlstm-con"):
+        evaluate(E.make_teacher(kind, codec, emb_dim=8, hidden=6, rng=rng), encs)
+    assert all(e.main.con_gcn and e.main.bintree for e in encs)
+    assert built == []
+    D.render_bracketed(data[0].con)  # the counter does see nodes built on a read of root
+    assert len(built) == len(data[0].con.spans())
 
 
 def test_codec_round_trip():

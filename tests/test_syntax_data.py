@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import check_laminar, reference_parse_bracketed
+from oracles import check_laminar, random_bracketed, record_mutants, reference_parse_bracketed
 from synkd import syntax_data as D
 
 
@@ -173,19 +173,6 @@ def _assert_parses_like_reference(text):
     assert got == want, text
 
 
-def _random_bracketed(rng, depth=0):
-    """Bracketed text of a random tree: unary chains, nodes of 1-4 children,
-    odd labels and words, and random spacing around the parens."""
-    sp = lambda: ["", " ", "  ", "\n "][int(rng.integers(4))]
-    label = ["S", "NP", "A|B", "é", "x-1", "Ünï"][int(rng.integers(6))]
-    if depth >= 3 or rng.random() < 0.3:
-        word = ["a", "bb", "ß", "w.1", "9"][int(rng.integers(5))]
-        return f"({sp()}{label} {sp()}{word}{sp()})"
-    kids = " ".join(_random_bracketed(rng, depth + 1)
-                    for _ in range(int(rng.integers(1, 5))))
-    return f"({sp()}{label}{sp()} {kids}{sp()})"
-
-
 def _mutations(text):
     """Every deletion of one character and every replacement or insertion of
     one of "(", ")", " " and "x" at each position, in order."""
@@ -213,7 +200,7 @@ def test_bracketed_matches_reference_on_generated_and_mutated_text():
     texts = [D.render_bracketed(ex.con) for ex in D.gen_synthetic(60, seed=19)]
     texts += [D.render_bracketed(ex.partner.con)
               for ex in D.gen_synthetic(10, seed=19, task="pair")]
-    texts += [_random_bracketed(rng) for _ in range(120)]
+    texts += [random_bracketed(rng) for _ in range(120)]
     texts += [f"( {t} )" for t in texts[::10]] + [f"(({t}))" for t in texts[5::10]]
     for text in texts:
         _assert_parses_like_reference(text)
@@ -377,6 +364,51 @@ def test_jsonl_integer_fields_checked(tmp_path, task, key, value):
     with pytest.raises(D.DataError,
                        match=f"^line 2: {key} must be a non-negative integer, got "):
         D.load_jsonl(p)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dep_heads", ["1", "0"], "dep_heads must be a list of integers"),
+    ("dep_heads", [True, 0], "dep_heads must be a list of integers"),
+    ("con_tree", 7, "con_tree must be a string"),
+    ("tokens", 5, "tokens must be a list of strings"),
+    ("dep_labels", None, "dep_labels must be a list of strings"),
+    ("tags", "OOO", "tags must be a list of strings"),
+    ("pair_tokens", ["a", 1], "pair_tokens must be a list of strings"),
+    ("pair_con_tree", ["(S a)"], "pair_con_tree must be a string"),
+])
+def test_jsonl_field_types_checked(tmp_path, key, value, message):
+    task = "tag" if key == "tags" else "pair" if key.startswith("pair_") else "cls"
+    records = [D.example_to_dict(ex) for ex in D.gen_synthetic(2, seed=4, task=task)]
+    records[1][key] = value
+    p = tmp_path / "types.jsonl"
+    p.write_text("".join(json.dumps(d) + "\n" for d in records), encoding="utf-8")
+    with pytest.raises(D.DataError) as err:
+        D.load_jsonl(p)
+    assert str(err.value) == f"line 2: {message}"
+
+
+def test_jsonl_mutated_records_load_equal_or_name_their_line(tmp_path):
+    # every mutant either loads as exactly the record written (an unknown
+    # field aside) or fails as a DataError naming its line
+    rng = np.random.default_rng(29)
+    p = tmp_path / "mutant.jsonl"
+    loaded = failed = 0
+    for task in ("cls", "pair", "tag"):
+        first, record = (D.example_to_dict(ex) for ex in D.gen_synthetic(2, seed=8, task=task))
+        for mutant in record_mutants(record, rng):
+            p.write_text(json.dumps(first) + "\n" + json.dumps(mutant) + "\n",
+                         encoding="utf-8")
+            try:
+                _, ex = D.load_jsonl(p)
+            except D.DataError as e:
+                assert str(e).startswith("line 2: "), (mutant, str(e))
+                failed += 1
+                continue
+            mutant.pop("note", None)
+            assert (json.dumps(D.example_to_dict(ex), sort_keys=True)
+                    == json.dumps(mutant, sort_keys=True)), mutant
+            loaded += 1
+    assert loaded > 50 and failed > 600
 
 
 # ---------------------------------------------------------------------------
