@@ -693,11 +693,12 @@ class EncodedSide:
             return None
         spans, n = self.raw.con.spans(), self.n
         m = len(spans)
-        # node n + k, the k-th in pre-order, is n plus its depth plus the nodes
-        # left of it, as many as precede the preterminal of its first token i
-        # in post-order: left[i] - n + 1 (a preterminal follows a node ending
-        # where it starts). Edges come in pre-order, a parent edge per node but
-        # the root (its slot falls in the n cut off) and a word edge per leaf.
+        # node n + k is the k-th in pre-order, k being its depth plus the nodes
+        # before the preterminal of its first token i in post-order (a
+        # preterminal follows a node ending where it starts); left[i] holds
+        # n - 1 plus that count. The edge slots start n early, where the root's
+        # parent edge falls, and each node's edges follow one parent edge per
+        # earlier non-root node and one word edge per earlier token.
         left = [p for p, ((i, _, _), (_, e, _))
                 in enumerate(zip(spans, [(0, 0, 0)] + spans), n - 1) if e == i]
         labels, edges = [None] * (n + m), [None] * (2 * n + m - 1)
