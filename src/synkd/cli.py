@@ -80,7 +80,8 @@ PATH = (lambda v: v is None or isinstance(v, str), "path string")
 FLAG = (lambda v: isinstance(v, bool), "boolean")
 WEIGHT = (lambda v: _is_num(v) and v >= 0.0, ">= 0")
 UNIT = (lambda v: _is_num(v) and 0.0 <= v <= 1.0, "in [0, 1]")
-LISTING = lambda v: v is None or isinstance(v, (str, list))
+LISTING = lambda v: (v is None or isinstance(v, str)
+                     or isinstance(v, list) and all(isinstance(x, str) for x in v))
 
 # key: (default, predicate, requirement named when the predicate fails)
 CONFIG = {
@@ -92,7 +93,7 @@ CONFIG = {
     "train": (None, *PATH),
     "dev": (None, *PATH),
     "data": (None, *PATH),
-    "teachers": (None, LISTING, "comma-separated dirs or list"),
+    "teachers": (None, LISTING, "comma-separated dirs or list of dirs"),
     "model": (None, *PATH),
     "dep_only": (None, *PATH),
     "con_only": (None, *PATH),
@@ -139,7 +140,7 @@ CONFIG = {
     "probe_iters": (400, *_at_least(1)),
     # gradient checks
     "cases": (25, *_at_least(1)),
-    "suites": (None, LISTING, "comma-separated names or list"),
+    "suites": (None, LISTING, "comma-separated names or list of names"),
 }
 
 COMMAND_DEFAULTS = {
@@ -450,9 +451,8 @@ def cmd_induce(args):
         for i, (_, _, heads), bt in zip(chunk, soft_arc_targets(model.arc_scorer, main),
                                         soft_con_targets(model.span_scorer, main)):
             head_lines[i] = " ".join(str(int(h)) for h in heads)
-            named = bt.map_labels(lambda l: con_itos[l])
-            named.tokens = list(encs[i].raw.sent.tokens)
-            tree_lines[i] = render_bracketed(unbinarize(named))
+            bt.spans = {s: con_itos[l] for s, l in bt.spans.items()}
+            tree_lines[i] = render_bracketed(unbinarize(bt, encs[i].raw.sent.tokens))
     os.makedirs(out, exist_ok=True)
     trees_path = os.path.join(out, "induced_trees.txt")
     heads_path = os.path.join(out, "induced_heads.txt")

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .syntax_data import NULL_LABEL, ConstNode, ConstTree, DataError
+from .syntax_data import NULL_LABEL, ConstTree, DataError
 
 UNARY_SEP = "|"  # composite label glue for collapsed unary chains
 
@@ -53,10 +53,6 @@ class BinTree:
                 return k
         raise DataError(f"span ({i}, {j}) has no binary split")
 
-    def map_labels(self, fn):
-        return BinTree(self.n, {s: fn(l) for s, l in self.spans.items()},
-                       tokens=self.tokens)
-
 
 # ---------------------------------------------------------------------------
 # binarization
@@ -88,43 +84,20 @@ def binarize(tree: ConstTree) -> BinTree:
 
 
 def unbinarize(bt: BinTree, tokens=None) -> ConstTree:
-    """Inverse of binarize: splice out null spans, unfold composite labels."""
+    """Inverse of binarize: splice out null spans, unfold composite labels.
+
+    Sorted by end, then by start descending, the spans of a binary tree are in
+    post-order; a dropped null span leaves its children to its parent."""
     tokens = tokens if tokens is not None else bt.tokens
     if tokens is None:
         raise DataError("unbinarize needs tokens (none stored on the tree)")
     if len(tokens) != bt.n:
         raise DataError(f"token count {len(tokens)} != tree length {bt.n}")
-
-    def wrap_unary(label, node_builder):
-        parts = label.split(UNARY_SEP)
-        node = node_builder(parts[-1])
-        for lab in reversed(parts[:-1]):
-            node = ConstNode(lab, children=[node])
-        return node
-
-    def build(i, j):
-        label = bt.spans[(i, j)]
-        if j - i == 1:
-            return wrap_unary(label, lambda lab: ConstNode(lab, word=tokens[i]))
-        kids = children(i, j)
-        return wrap_unary(label, lambda lab: ConstNode(lab, children=kids))
-
-    def children(i, j):
-        k = bt.split_of(i, j)
-        out = []
-        for a, b in ((i, k), (k, j)):
-            if b - a > 1 and bt.spans[(a, b)] == NULL_LABEL:
-                out.extend(children(a, b))
-            else:
-                out.append(build(a, b))
-        return out
-
-    root_label = bt.spans[(0, bt.n)]
-    if root_label == NULL_LABEL and bt.n > 1:
-        root = ConstNode(NULL_LABEL, children=children(0, bt.n))
-    else:
-        root = build(0, bt.n)
-    return ConstTree(root)
+    spans = []
+    for (i, j), label in sorted(bt.spans.items(), key=lambda s: (s[0][1], -s[0][0])):
+        if label != NULL_LABEL or j - i == 1 or j - i == bt.n:
+            spans += [(i, j, part) for part in reversed(label.split(UNARY_SEP))]
+    return ConstTree._parsed(list(tokens), spans)
 
 
 # ---------------------------------------------------------------------------

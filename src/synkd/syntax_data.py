@@ -159,13 +159,14 @@ class ConstNode:
                 and self.word == other.word and self.children == other.children)
 
     def __repr__(self):
-        return render_bracketed(self)
+        return render_bracketed(ConstTree(self))
 
 
 class ConstTree:
-    """A constituency tree as its leaves and its post-order spans. A tree built
-    from nodes collects both once; a parsed tree builds its nodes from them on
-    the first read of `root`. Nodes are not changed after that."""
+    """A constituency tree as its leaves and its post-order spans, which every
+    walk over it reads. A tree built from nodes collects both once; a parsed
+    tree builds its nodes from them on the first read of `root`. Nodes are not
+    changed after that."""
 
     def __init__(self, root: ConstNode):
         self.root = root
@@ -202,7 +203,9 @@ class ConstTree:
         return list(self._spans)
 
     def __eq__(self, other):
-        return isinstance(other, ConstTree) and self.root == other.root
+        # post-order spans and leaves fix the node tree
+        return (isinstance(other, ConstTree) and self._leaves == other._leaves
+                and self._spans == other._spans)
 
 
 def _collect(node, leaves, spans):
@@ -321,13 +324,19 @@ def parse_bracketed(text):
     return trees
 
 
-def render_bracketed(node) -> str:
-    if isinstance(node, ConstTree):
-        node = node.root
-    if node.is_leaf:
-        return f"({node.label} {node.word})"
-    inner = " ".join(render_bracketed(c) for c in node.children)
-    return f"({node.label} {inner})"
+def render_bracketed(tree: ConstTree) -> str:
+    starts, texts = [], []  # first leaf and text of subtrees whose parent is not reached yet
+    for i, _, label in tree._spans:
+        k = len(starts)
+        while k and starts[k - 1] >= i:
+            k -= 1
+        if k == len(starts):
+            starts.append(i)
+            texts.append(f"({label} {tree._leaves[i]})")
+        else:  # its first child starts at i too
+            texts[k:] = [f"({label} {' '.join(texts[k:])})"]
+            del starts[k + 1:]
+    return texts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -351,38 +360,37 @@ ARC_LABEL = {
 
 def percolate_deps(tree: ConstTree) -> DepTree:
     """Dependency tree from head-child rules over the synthetic grammar."""
-    n = tree.n
-    heads = [None] * n
-    labels = [None] * n
-
-    def head_of(node, start):
-        # returns (head token index 0-based, end position)
-        if node.is_leaf:
-            return start, start + 1
-        rule = HEAD_CHILD.get(node.label)
+    heads = [None] * tree.n
+    labels = [None] * tree.n
+    done = []  # (first leaf, head token, label) of subtrees whose parent is not reached yet
+    for i, _, label in tree._spans:
+        k = len(done)
+        while k and done[k - 1][0] >= i:
+            k -= 1
+        if k == len(done):  # a preterminal heads itself
+            done.append((i, i, label))
+            continue
+        rule = HEAD_CHILD.get(label)
         if rule is None:
-            raise DataError(f"no head rule for constituent {node.label!r}")
-        spans = []
-        pos = start
-        for c in node.children:
-            h, pos = head_of(c, pos)
-            spans.append((c, h))
-        head_idx = next((h for c, h in spans if c.label == rule), None)
-        if head_idx is None:
-            raise DataError(f"head child {rule!r} missing under {node.label!r}")
-        for c, h in spans:
-            if h == head_idx:
-                continue
-            lab = ARC_LABEL.get((node.label, c.label))
-            if lab is None:
-                raise DataError(f"no arc label for {node.label!r} -> {c.label!r}")
-            heads[h] = head_idx + 1
-            labels[h] = lab
-        return head_idx, pos
-
-    root_head, _ = head_of(tree.root, 0)
-    heads[root_head] = 0
-    labels[root_head] = "root"
+            raise DataError(f"no head rule for constituent {label!r}")
+        kids = done[k:]
+        del done[k:]
+        for _, head, c in kids:  # the first child labeled `rule` gives the head
+            if c == rule:
+                break
+        else:
+            raise DataError(f"head child {rule!r} missing under {label!r}")
+        for _, h, c in kids:
+            if h != head:
+                lab = ARC_LABEL.get((label, c))
+                if lab is None:
+                    raise DataError(f"no arc label for {label!r} -> {c!r}")
+                heads[h] = head + 1
+                labels[h] = lab
+        done.append((i, head, label))
+    root = done[0][1]
+    heads[root] = 0
+    labels[root] = "root"
     return DepTree(heads, labels)
 
 

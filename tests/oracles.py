@@ -2,8 +2,9 @@
 one tree-cell update with hand-set child states, the row-major packed LSTM
 scan that the gate-major one must match bitwise, the fine-token bracket
 parser that the coarse-token one must match, a laminarity check for
-constituency span sets, the node-walking binarization and constituency GCN
-graph that the span-reading ones must match, the per-function training
+constituency span sets, the node-walking binarization, constituency GCN
+graph, bracketed rendering, head percolation, unbinarization and tree
+equality that the span-reading ones must match, the per-function training
 loops of teacher pre-training and distillation that the shared `run_loop`
 must match bitwise, and generators of random bracketed trees and of mutated
 JSONL records.
@@ -22,7 +23,8 @@ from synkd.distill import (DistillConfig, DistillError, anneal_alpha, combine_sy
                            total_loss)
 from synkd.encoders import LevelKids
 from synkd.structures import UNARY_SEP, BinTree
-from synkd.syntax_data import NULL_LABEL, ConstNode, ConstTree, DataError
+from synkd.syntax_data import (ARC_LABEL, HEAD_CHILD, NULL_LABEL, ConstNode, ConstTree,
+                               DataError, DepTree)
 from synkd.tensor import Adam, Tensor
 from synkd.train import (
     BatchSampler,
@@ -347,6 +349,106 @@ def reference_con_gcn(self):
     label_ids = self.codec.con_labels.encode(labels).tolist()
     return ([("word", int(t)) for t in self.token_ids]
             + [("label", l) for l in label_ids], edges)
+
+
+def reference_render_bracketed(node) -> str:
+    """The node-walking `render_bracketed` that the span-reading one replaced,
+    kept verbatim as the reference for its text; it takes a tree or a node."""
+    if isinstance(node, ConstTree):
+        node = node.root
+    if node.is_leaf:
+        return f"({node.label} {node.word})"
+    inner = " ".join(reference_render_bracketed(c) for c in node.children)
+    return f"({node.label} {inner})"
+
+
+def reference_percolate_deps(tree: ConstTree) -> DepTree:
+    """The node-walking `percolate_deps` that the span-reading one replaced,
+    kept verbatim as the reference for its heads, labels and messages.
+
+    Dependency tree from head-child rules over the synthetic grammar."""
+    n = tree.n
+    heads = [None] * n
+    labels = [None] * n
+
+    def head_of(node, start):
+        # returns (head token index 0-based, end position)
+        if node.is_leaf:
+            return start, start + 1
+        rule = HEAD_CHILD.get(node.label)
+        if rule is None:
+            raise DataError(f"no head rule for constituent {node.label!r}")
+        spans = []
+        pos = start
+        for c in node.children:
+            h, pos = head_of(c, pos)
+            spans.append((c, h))
+        head_idx = next((h for c, h in spans if c.label == rule), None)
+        if head_idx is None:
+            raise DataError(f"head child {rule!r} missing under {node.label!r}")
+        for c, h in spans:
+            if h == head_idx:
+                continue
+            lab = ARC_LABEL.get((node.label, c.label))
+            if lab is None:
+                raise DataError(f"no arc label for {node.label!r} -> {c.label!r}")
+            heads[h] = head_idx + 1
+            labels[h] = lab
+        return head_idx, pos
+
+    root_head, _ = head_of(tree.root, 0)
+    heads[root_head] = 0
+    labels[root_head] = "root"
+    return DepTree(heads, labels)
+
+
+def reference_unbinarize(bt: BinTree, tokens=None) -> ConstTree:
+    """The node-building `unbinarize` that the span-emitting one replaced,
+    kept verbatim as the reference for its leaves and spans.
+
+    Inverse of binarize: splice out null spans, unfold composite labels."""
+    tokens = tokens if tokens is not None else bt.tokens
+    if tokens is None:
+        raise DataError("unbinarize needs tokens (none stored on the tree)")
+    if len(tokens) != bt.n:
+        raise DataError(f"token count {len(tokens)} != tree length {bt.n}")
+
+    def wrap_unary(label, node_builder):
+        parts = label.split(UNARY_SEP)
+        node = node_builder(parts[-1])
+        for lab in reversed(parts[:-1]):
+            node = ConstNode(lab, children=[node])
+        return node
+
+    def build(i, j):
+        label = bt.spans[(i, j)]
+        if j - i == 1:
+            return wrap_unary(label, lambda lab: ConstNode(lab, word=tokens[i]))
+        kids = children(i, j)
+        return wrap_unary(label, lambda lab: ConstNode(lab, children=kids))
+
+    def children(i, j):
+        k = bt.split_of(i, j)
+        out = []
+        for a, b in ((i, k), (k, j)):
+            if b - a > 1 and bt.spans[(a, b)] == NULL_LABEL:
+                out.extend(children(a, b))
+            else:
+                out.append(build(a, b))
+        return out
+
+    root_label = bt.spans[(0, bt.n)]
+    if root_label == NULL_LABEL and bt.n > 1:
+        root = ConstNode(NULL_LABEL, children=children(0, bt.n))
+    else:
+        root = build(0, bt.n)
+    return ConstTree(root)
+
+
+def reference_tree_eq(tree: ConstTree, other) -> bool:
+    """The node-comparing `ConstTree.__eq__` that the span-comparing one
+    replaced, kept verbatim as the reference for its answer."""
+    return isinstance(other, ConstTree) and tree.root == other.root
 
 
 def random_bracketed(rng, depth=0):

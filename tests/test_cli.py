@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from synkd.cli import build_parser, main, resolve
+from synkd.cli import CONFIG, build_parser, main, resolve
 from synkd.syntax_data import example_to_dict, gen_synthetic, parse_bracketed
 from synkd.train import load_checkpoint, read_log, save_checkpoint
 
@@ -111,6 +111,19 @@ def test_distill_eval_pipeline(workspace, tmp_path, capsys):
     report = last_json(out)
     assert 0.0 <= report["accuracy"] <= 100.0
     assert json.loads((tmp_path / "ev" / "eval.json").read_text()) == report
+
+
+@pytest.mark.parametrize("switch, value", [
+    ("--no-syn", ["--lambda1", "0"]), ("--no-sem", ["--lambda2", "0"]),
+    ("--no-reg", ["--zeta", "0"]), ("--no-anneal", ["--alpha-fixed", "1"])])
+def test_distill_ablation_switch_is_its_value(workspace, tmp_path, capsys, switch, value):
+    runs = {}
+    for name, extra in (("switch", [switch]), ("value", value), ("default", [])):
+        assert main(distill_args(workspace, tmp_path / name, *extra)) == 0
+        runs[name] = [(tmp_path / name / f).read_bytes() for f in ("model.syd1", "log.jsonl")]
+    capsys.readouterr()
+    assert runs["switch"] == runs["value"]
+    assert all(a != b for a, b in zip(runs["switch"], runs["default"]))
 
 
 def test_resolved_config_reproduces_run(workspace, tmp_path, capsys):
@@ -336,6 +349,41 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
                      "--out", str(tmp_path / "x"))
     assert rc == 1
     assert "mystery" in json.loads(err.strip().splitlines()[-1])["error"]
+
+
+# one wrongly typed value per config key, run by a command that reads the key
+WRONG_TYPES = {
+    "task": ("gen-data", 1), "seed": ("gen-data", "1"), "out": ("gen-data", 1),
+    "n": ("gen-data", "10"), "n_dev": ("gen-data", "2"), "n_test": ("gen-data", 2.0),
+    "max_len": ("gen-data", "8"), "grammar_size": ("gen-data", [4]),
+    "train": ("train-teacher", 1), "dev": ("train-teacher", ["dev.jsonl"]),
+    "kind": ("train-teacher", 1), "iters": ("train-teacher", "5"),
+    "batch": ("train-teacher", "8"), "lr": ("train-teacher", "0.1"),
+    "eval_every": ("train-teacher", "1"), "patience": ("train-teacher", "3"),
+    "teacher_emb": ("train-teacher", "8"), "teacher_hidden": ("train-teacher", "8"),
+    "teacher_layers": ("train-teacher", "1"), "co_train_struct": ("train-teacher", "yes"),
+    "teachers": ("distill", [1]), "teacher_mode": ("distill", 1), "mode": ("distill", 1),
+    "eta": ("distill", "0.5"), "lambda1": ("distill", "0"), "lambda2": ("distill", "0"),
+    "zeta": ("distill", "0"), "alpha_fixed": ("distill", "1"), "mask_ratio": ("distill", "0.1"),
+    "g1": ("distill", "4"), "g2": ("distill", "2"), "emb_dim": ("distill", "8"),
+    "hidden": ("distill", "8"), "layers": ("distill", "1"), "no_sem": ("distill", "yes"),
+    "no_syn": ("distill", "yes"), "no_reg": ("distill", 1), "no_anneal": ("distill", "yes"),
+    "model": ("eval", 1), "data": ("eval", 2), "dep_only": ("probe", 1), "con_only": ("probe", 1),
+    "probe_task": ("probe", 1), "probe_iters": ("probe", "5"),
+    "cases": ("gradcheck", "2"), "suites": ("gradcheck", [["reg"]]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG))
+def test_mistyped_config_value_is_one_json_error_line(tmp_path, capsys, key):
+    command, value = WRONG_TYPES[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc, _, err = run(capsys, command, "--config", str(cfg))
+    assert rc == 1
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert f"config key {key!r}=" in json.loads(line)["error"]
 
 
 def test_null_lr_takes_the_command_default(tmp_path):

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from oracles import (one_parent, random_bracketed, reference_binarize, reference_con_gcn,
-                     row_major_lstm_scan)
+                     reference_percolate_deps, reference_render_bracketed, reference_tree_eq,
+                     reference_unbinarize, row_major_lstm_scan)
+from synkd import cli
 from synkd import encoders as E
 from synkd import syntax_data as D
 from synkd import tensor as T
 from synkd.gradcheck import check_case
-from synkd.structures import BinTree, binarize, chart_max, chart_trees, span_ids, tree_spans
+from synkd.structures import (BinTree, binarize, chart_max, chart_trees, span_ids, tree_spans,
+                              unbinarize)
 from synkd.tensor import Tensor
 from synkd.train import evaluate
 
@@ -830,18 +833,102 @@ def test_span_binarize_and_con_gcn_match_node_walks():
     assert sum(D.NULL_LABEL in binarize(t).spans.values() for t in trees) > 100
 
 
-def test_loaded_trees_build_no_nodes_in_eval_and_forward(tmp_path, monkeypatch):
-    # the student reads no tree and the con teachers read spans, so loading,
-    # encoding and running them builds no ConstNode
-    D.save_jsonl(D.gen_synthetic(16, seed=40, max_len=12), tmp_path / "d.jsonl")
+def _heads_or_message(percolate, tree):
+    try:
+        dep = percolate(tree)
+    except D.DataError as e:
+        return str(e)
+    return dep.heads, dep.labels
+
+
+def _renamed(tree, labels):
+    """Copies of a tree with one span's label renamed to each of labels."""
+    spans = tree.spans()
+    for k, (i, j, old) in enumerate(spans):
+        for new in labels:
+            if new != old:
+                yield D.ConstTree._parsed(tree.leaves(), spans[:k] + [(i, j, new)] + spans[k + 1:])
+
+
+def test_span_render_percolate_unbinarize_and_eq_match_node_walks():
+    # generated cls, pair and tag trees and long composed ones, built from
+    # nodes and parsed back; random bracketed trees; hand cases; and trees
+    # unbinarized from charts over null and composite labels
+    rng = np.random.default_rng(51)
     built = []
-    init = D.ConstNode.__init__
+    for task, seed in (("cls", 52), ("pair", 53), ("tag", 54)):
+        for ex in D.gen_synthetic(40, seed=seed, task=task):
+            built += [ex.con] + ([ex.partner.con] if ex.partner is not None else [])
+    clauses, k = D.gen_synthetic(60, seed=55), 0
+    for size in [3, 4, 5] * 5:
+        built.append(D.ConstTree(D.ConstNode("S", [c.con.root for c in clauses[k:k + size]])))
+        k += size
+    trees = built + [D.parse_bracketed(D.render_bracketed(t))[0] for t in built]
+    trees += [D.parse_bracketed(random_bracketed(rng))[0] for _ in range(200)]
+    hand = [D.parse_bracketed(text)[0] for text in HAND_TREES]
+    trees += hand + [D.ConstTree(t.root) for t in hand]
+    labels = [D.NULL_LABEL, "S", "NP", "VP", "S|VP", "NP|N|X", D.NULL_LABEL + "|A"]
+    lens = [n for n in range(1, 25) for _ in range(20)]
+    rows = rng.normal(size=(sum(n * (n + 1) // 2 for n in lens), len(labels)))
+    for bt in chart_trees(lens, chart_max(lens, rows)[0]):
+        bt.spans = {s: labels[l] for s, l in bt.spans.items()}
+        tokens = [f"w{i}" for i in range(bt.n)]
+        got, want = unbinarize(bt, tokens), reference_unbinarize(bt, tokens)
+        assert (got.leaves(), got.spans()) == (want.leaves(), want.spans())
+        trees.append(got)
+
+    for t in trees:
+        text = reference_render_bracketed(t)
+        assert D.render_bracketed(t) == text
+        bt = binarize(t)
+        got, want = unbinarize(bt), reference_unbinarize(bt)
+        assert (got.leaves(), got.spans()) == (want.leaves(), want.spans()), text
+        # the node walk checks a node's head rule before its children, so on
+        # a tree with several faults it may name an outer one first
+        heads = _heads_or_message(D.percolate_deps, t)
+        ref_heads = _heads_or_message(reference_percolate_deps, t)
+        assert heads == ref_heads or (
+            type(heads) is str and ref_heads.startswith("no head rule")), text
+    for t in built[:60]:  # valid trees, so each copy has one fault
+        for bad in _renamed(t, ["XX", "NP", "VP", "N"]):
+            assert (_heads_or_message(D.percolate_deps, bad)
+                    == _heads_or_message(reference_percolate_deps, bad))
+    answers = []
+    for a, b in zip(trees, trees[1:] + trees[:1]):
+        for other in (a, b, unbinarize(binarize(a)), D.parse_bracketed(D.render_bracketed(a))[0],
+                      D.render_bracketed(a)):
+            answers.append(a == other)
+            assert answers[-1] == reference_tree_eq(a, other)
+    assert repr(hand[3].root) == reference_render_bracketed(hand[3].root)
+    assert 0 < sum(answers) < len(answers)
+    assert sum(type(_heads_or_message(D.percolate_deps, t)) is tuple for t in trees) >= len(built)
+    with pytest.raises(D.DataError, match="needs tokens"):
+        unbinarize(BinTree(1, {(0, 1): "A"}))
+    with pytest.raises(D.DataError, match="token count 2 != tree length 1"):
+        unbinarize(BinTree(1, {(0, 1): "A"}), ["a", "b"])
+
+
+def test_loaded_trees_build_no_nodes_in_eval_and_forward(tmp_path, monkeypatch):
+    # the student reads no tree and every walk over a tree reads its spans, so
+    # loading, encoding, running the models, rendering, head percolation,
+    # comparing trees and induce build no ConstNode
+    D.save_jsonl(D.gen_synthetic(16, seed=40, max_len=12), tmp_path / "d.jsonl")
+    assert cli.main(["distill", "--train", str(tmp_path / "d.jsonl"), "--iters", "2",
+                     "--batch", "8", "--emb-dim", "8", "--hidden", "6", "--layers", "1",
+                     "--out", str(tmp_path / "student")]) == 0
+    built, bintrees = [], []
+    init, post_init = D.ConstNode.__init__, BinTree.__post_init__
 
     def counting_init(self, *args, **kwargs):
         built.append(args[0])
         init(self, *args, **kwargs)
 
+    def counting_post_init(self):
+        bintrees.append(self.n)
+        post_init(self)
+
     monkeypatch.setattr(D.ConstNode, "__init__", counting_init)
+    monkeypatch.setattr(BinTree, "__post_init__", counting_post_init)
     data = D.load_jsonl(tmp_path / "d.jsonl")
     codec = E.Codec(data, "cls")
     encs = [codec.encode(ex) for ex in data]
@@ -850,8 +937,15 @@ def test_loaded_trees_build_no_nodes_in_eval_and_forward(tmp_path, monkeypatch):
     for kind in ("gcn-con", "tlstm-con"):
         evaluate(E.make_teacher(kind, codec, emb_dim=8, hidden=6, rng=rng), encs)
     assert all(e.main.con_gcn and e.main.bintree for e in encs)
+    for ex in data:
+        assert D.percolate_deps(ex.con) == ex.dep
+        assert D.parse_bracketed(D.render_bracketed(ex.con)) == [ex.con]
+    del bintrees[:]
+    assert cli.main(["induce", "--model", str(tmp_path / "student"), "--data",
+                     str(tmp_path / "d.jsonl"), "--out", str(tmp_path / "induced")]) == 0
+    assert bintrees == [len(ex.sent) for ex in data]  # one per sentence, from the chart
     assert built == []
-    D.render_bracketed(data[0].con)  # the counter does see nodes built on a read of root
+    data[0].con.root  # the counter does see nodes built on a read of root
     assert len(built) == len(data[0].con.spans())
 
 

@@ -289,7 +289,8 @@ def test_augmented_margin_satisfied_returns_ref():
 def test_augmented_uniform_zero_n3_matches_bruteforce():
     n = 3
     table = np.zeros((n, n + 1, 2))
-    ref = binarize(tree("(S (A a) (X (B b) (C c)))")).map_labels(lambda l: 0)
+    # the binarized "(S (A a) (X (B b) (C c)))" with every label 0
+    ref = BinTree(3, {(0, 1): 0, (1, 2): 0, (2, 3): 0, (1, 3): 0, (0, 3): 0})
     got_t, got_s = cyk_augmented(SpanScores(n, table), ref)
     exp_t, exp_s = enum_best(table, n, ref=ref)
     assert got_s == exp_s
