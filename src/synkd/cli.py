@@ -321,7 +321,8 @@ def cmd_train_teacher(args):
     save_model_dir(out, model)
     write_resolved(out, "train-teacher", cfg, extra={"model_kind": kind})
     _say({"command": "train-teacher", "kind": kind, "iters_run": state.t,
-          "best_dev": state.best_metric if dev_encs else None, "out": out})
+          "best_dev": None if state.best_iter < 0 else state.best_metric,
+          "out": out})
     return 0
 
 
@@ -392,7 +393,8 @@ def cmd_distill(args):
     write_resolved(out, "distill", cfg,
                    extra={"model_kind": "student", "projections": projections})
     _say({"command": "distill", "iters_run": state.t,
-          "best_dev": state.best_metric if dev_encs else None, "out": out})
+          "best_dev": None if state.best_iter < 0 else state.best_metric,
+          "out": out})
     return 0
 
 

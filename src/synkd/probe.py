@@ -2,8 +2,8 @@
 constituency dominance analysis over eta-ablated students.
 
 Probes are linear softmax classifiers over detached top-layer token
-representations; the backbone is never part of the computation graph, so its
-parameters cannot move.
+representations, trained by Adam on a closed-form gradient with no tape; the
+backbone is never part of a computation graph, so its parameters cannot move.
 """
 from __future__ import annotations
 
@@ -14,22 +14,24 @@ import os
 import numpy as np
 
 from . import tensor as T
-from .distill import ce_sum
+from .distill import ce_sum  # noqa: F401  (perfbench's tracer test reads probe.ce_sum)
 from .syntax_data import DataError
-from .tensor import Adam, Tensor
+from .tensor import Adam
 
 PROBE_KINDS = ("constituent-labeling", "dependency-labeling")
 
 
 def _main_rows(model, data):
-    """Detached top-layer rows of each example's main side, in data order, from
-    one pass per `model.batches` chunk; the frozen backbone stays off any tape."""
-    reps = [None] * len(data)
+    """Detached top-layer rows of every example's main side stacked in one
+    matrix, and each example's first row in it, from one pass per
+    `model.batches` chunk; the frozen backbone stays off any tape."""
+    mats, first, base = [], np.zeros(len(data), dtype=np.int64), 0
     for chunk in model.batches(data):
         mat, off = model.reps([data[i].main for i in chunk])
-        for b, i in enumerate(chunk):
-            reps[i] = mat.data[off[b]:off[b + 1]].copy()
-    return reps
+        mats.append(mat.data)
+        first[list(chunk)] = base + off[:-1]
+        base += int(off[-1])
+    return np.concatenate(mats), first
 
 
 def constituent_instances(model, data):
@@ -37,13 +39,15 @@ def constituent_instances(model, data):
     [r_end - r_start; r_start; r_end], target the span's label id."""
     if any(enc.raw.con is None for enc in data):
         raise DataError("constituent probing needs constituency annotation")
-    feats, labels = [], []
-    for enc, reps in zip(data, _main_rows(model, data)):
+    rows, first = _main_rows(model, data)
+    starts, ends, labels = [], [], []
+    for enc, o in zip(data, first.tolist()):
         for i, j, label in enc.raw.con.spans():
-            a, b = reps[i], reps[j - 1]
-            feats.append(np.concatenate([b - a, a, b]))
+            starts.append(o + i)
+            ends.append(o + j - 1)
             labels.append(label)
-    return np.stack(feats), model.codec.con_labels.encode(labels)
+    a, b = rows[starts], rows[ends]
+    return np.concatenate([b - a, a, b], axis=1), model.codec.con_labels.encode(labels)
 
 
 def dependency_instances(model, data):
@@ -51,22 +55,28 @@ def dependency_instances(model, data):
     arc's relation label id."""
     if any(enc.main.heads is None for enc in data):
         raise DataError("dependency probing needs dependency annotation")
-    feats, labels = [], []
-    for enc, reps in zip(data, _main_rows(model, data)):
+    rows, first = _main_rows(model, data)
+    heads, deps, labels = [], [], []
+    for enc, o in zip(data, first.tolist()):
         for i, h in enumerate(enc.main.heads):
             if h == 0:
                 continue
-            feats.append(np.concatenate([reps[h - 1], reps[i]]))
+            heads.append(o + h - 1)
+            deps.append(o + i)
             labels.append(int(enc.main.dep_label_ids[i]))
-    return np.stack(feats), np.array(labels, dtype=np.int64)
+    return (np.concatenate([rows[heads], rows[deps]], axis=1),
+            np.array(labels, dtype=np.int64))
 
 
-def _instances(model, data, kind):
-    if kind == "constituent-labeling":
-        return constituent_instances(model, data)
-    if kind == "dependency-labeling":
-        return dependency_instances(model, data)
-    raise ValueError(f"unknown probe task {kind!r}; expected one of {PROBE_KINDS}")
+def _instances(model, data, kind, split):
+    """The probe instances of one split; a split without any is a DataError."""
+    if kind not in PROBE_KINDS:
+        raise ValueError(f"unknown probe task {kind!r}; expected one of {PROBE_KINDS}")
+    build = constituent_instances if kind == PROBE_KINDS[0] else dependency_instances
+    x, y = build(model, data) if data else (None, ())
+    if len(y) == 0:
+        raise DataError(f"{kind} probe has no instances in the {split} split")
+    return x, y
 
 
 def majority_accuracy(labels) -> float:
@@ -74,26 +84,37 @@ def majority_accuracy(labels) -> float:
     return 100.0 * float(np.bincount(labels).max()) / len(labels)
 
 
+def ce_mean_grads(x, targets, w, b):
+    """Gradients of the mean over rows of -log softmax(x @ w + b)[row, target]
+    with respect to w and b, i.e. x.T @ (softmax - onehot) / n and its column
+    sums. They are formed with the float ops, in order, of the tape's backward
+    through `add(matmul(x, w), b)`, `ce_sum` and a 1/n scale, so a probe
+    trains bitwise as it did on the tape."""
+    logits = x @ w + b
+    z = logits - logits.max(axis=-1, keepdims=True)
+    y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    g = np.zeros_like(y)
+    g[np.arange(len(x)), targets] = (np.ones((), dtype=y.dtype) * float(1.0 / len(x))) * -1.0
+    g = g - np.exp(y) * g.sum(axis=-1, keepdims=True)
+    return x.T @ g, g.sum(axis=0)
+
+
 def probe_train_eval(model, kind, train_data, eval_data, *, iters=400,
                      batch=64, lr=1e-2, seed=0) -> tuple[float, np.ndarray]:
     """Train a linear probe on frozen representations; returns held-out
     accuracy in percent and the held-out instances' labels."""
-    x_tr, y_tr = _instances(model, train_data, kind)
-    x_ev, y_ev = _instances(model, eval_data, kind)
+    x_tr, y_tr = _instances(model, train_data, kind, "train")
+    x_ev, y_ev = _instances(model, eval_data, kind, "held-out")
     n_classes = int(max(y_tr.max(), y_ev.max())) + 1
     rng = np.random.default_rng(seed)
     dtype = x_tr.dtype
     w = T.xavier((x_tr.shape[1], n_classes), rng, dtype=dtype)
     b = T.zeros((n_classes,), dtype=dtype, requires_grad=True)
     opt = Adam([w, b], lr=lr)
+    take = min(batch, len(x_tr))
     for _ in range(iters):
-        take = min(batch, len(x_tr))
         idx = rng.choice(len(x_tr), size=take, replace=False)
-        opt.zero_grad()
-        with T.Tape() as tape:
-            logits = T.add(T.matmul(Tensor(x_tr[idx]), w), b)
-            loss = T.scale(ce_sum(logits, y_tr[idx]), 1.0 / take)
-            tape.backward(loss)
+        w.grad, b.grad = ce_mean_grads(x_tr[idx], y_tr[idx], w.data, b.data)
         opt.step()
     pred = (x_ev @ w.data + b.data).argmax(axis=1)
     return 100.0 * float((pred == y_ev).mean()), y_ev

@@ -6,8 +6,11 @@ constituency span sets, the node-walking binarization, constituency GCN
 graph, bracketed rendering, head percolation, unbinarization and tree
 equality that the span-reading ones must match, the per-function training
 loops of teacher pre-training and distillation that the shared `run_loop`
-must match bitwise, and generators of random bracketed trees and of mutated
-JSONL records.
+must match bitwise, the taped probe training loop and per-span/per-arc
+instance builders (`reference_probe_train_eval`,
+`reference_constituent_instances`, `reference_dependency_instances`) that the
+closed-form probe step and gathered instances must match bitwise, and
+generators of random bracketed trees and of mutated JSONL records.
 
 The search is deliberately independent of the chart code — plain Python
 loops, first strict maximum kept, bracketings enumerated split-ascending /
@@ -19,8 +22,8 @@ import re
 import numpy as np
 
 from synkd import tensor as T
-from synkd.distill import (DistillConfig, DistillError, anneal_alpha, combine_syn, reg_loss,
-                           total_loss)
+from synkd.distill import (DistillConfig, DistillError, anneal_alpha, ce_sum, combine_syn,
+                           reg_loss, total_loss)
 from synkd.encoders import LevelKids
 from synkd.structures import UNARY_SEP, BinTree
 from synkd.syntax_data import (ARC_LABEL, HEAD_CHILD, NULL_LABEL, ConstNode, ConstTree,
@@ -670,3 +673,73 @@ def reference_distill_student(student, teachers, train_data, dev_data,
     if state.best_params is not None:
         student.p.load_state_dict(state.best_params)
     return state
+
+
+def _reference_main_rows(model, data):
+    """Detached top-layer rows of each example's main side, in data order, from
+    one pass per `model.batches` chunk; the frozen backbone stays off any tape."""
+    reps = [None] * len(data)
+    for chunk in model.batches(data):
+        mat, off = model.reps([data[i].main for i in chunk])
+        for b, i in enumerate(chunk):
+            reps[i] = mat.data[off[b]:off[b + 1]].copy()
+    return reps
+
+
+def reference_constituent_instances(model, data):
+    """One instance per labeled span of the original tree: feature
+    [r_end - r_start; r_start; r_end], target the span's label id; one
+    `concatenate` per span, as before the instances were gathered."""
+    if any(enc.raw.con is None for enc in data):
+        raise DataError("constituent probing needs constituency annotation")
+    feats, labels = [], []
+    for enc, reps in zip(data, _reference_main_rows(model, data)):
+        for i, j, label in enc.raw.con.spans():
+            a, b = reps[i], reps[j - 1]
+            feats.append(np.concatenate([b - a, a, b]))
+            labels.append(label)
+    return np.stack(feats), model.codec.con_labels.encode(labels)
+
+
+def reference_dependency_instances(model, data):
+    """One instance per non-root arc: feature [r_head; r_dep], target the
+    arc's relation label id; one `concatenate` per arc."""
+    if any(enc.main.heads is None for enc in data):
+        raise DataError("dependency probing needs dependency annotation")
+    feats, labels = [], []
+    for enc, reps in zip(data, _reference_main_rows(model, data)):
+        for i, h in enumerate(enc.main.heads):
+            if h == 0:
+                continue
+            feats.append(np.concatenate([reps[h - 1], reps[i]]))
+            labels.append(int(enc.main.dep_label_ids[i]))
+    return np.stack(feats), np.array(labels, dtype=np.int64)
+
+
+def reference_probe_train_eval(model, kind, train_data, eval_data, *, iters=400,
+                               batch=64, lr=1e-2, seed=0):
+    """`probe_train_eval` as it was on the tape: each step records matmul,
+    add and `ce_sum` scaled by 1/take and walks the reverse tape; its loop is
+    kept verbatim as the reference the closed-form step must match bit for
+    bit."""
+    build = {"constituent-labeling": reference_constituent_instances,
+             "dependency-labeling": reference_dependency_instances}[kind]
+    x_tr, y_tr = build(model, train_data)
+    x_ev, y_ev = build(model, eval_data)
+    n_classes = int(max(y_tr.max(), y_ev.max())) + 1
+    rng = np.random.default_rng(seed)
+    dtype = x_tr.dtype
+    w = T.xavier((x_tr.shape[1], n_classes), rng, dtype=dtype)
+    b = T.zeros((n_classes,), dtype=dtype, requires_grad=True)
+    opt = Adam([w, b], lr=lr)
+    for _ in range(iters):
+        take = min(batch, len(x_tr))
+        idx = rng.choice(len(x_tr), size=take, replace=False)
+        opt.zero_grad()
+        with T.Tape() as tape:
+            logits = T.add(T.matmul(Tensor(x_tr[idx]), w), b)
+            loss = T.scale(ce_sum(logits, y_tr[idx]), 1.0 / take)
+            tape.backward(loss)
+        opt.step()
+    pred = (x_ev @ w.data + b.data).argmax(axis=1)
+    return 100.0 * float((pred == y_ev).mean()), y_ev

@@ -113,6 +113,26 @@ def test_distill_eval_pipeline(workspace, tmp_path, capsys):
     assert json.loads((tmp_path / "ev" / "eval.json").read_text()) == report
 
 
+def _no_constants(name):
+    raise ValueError(f"not valid JSON: {name}")
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "distill"])
+def test_best_dev_is_null_when_no_dev_eval_ran(workspace, tmp_path, capsys, command):
+    data = workspace["data"]
+    if command == "train-teacher":
+        args = ["train-teacher", "--kind", "gcn-dep", "--train", str(data / "train.jsonl"),
+                "--dev", str(data / "dev.jsonl"), "--iters", "2", "--teacher-emb", "10",
+                "--teacher-hidden", "8", "--out", str(tmp_path / "t")]
+    else:
+        args = distill_args(workspace, tmp_path / "s", "--iters", "2", "--g1", "2",
+                            "--g2", "1")
+    rc, out, _ = run(capsys, *args)
+    assert rc == 0
+    lines = out.strip().splitlines()
+    assert json.loads(lines[-1], parse_constant=_no_constants)["best_dev"] is None
+
+
 @pytest.mark.parametrize("switch, value", [
     ("--no-syn", ["--lambda1", "0"]), ("--no-sem", ["--lambda2", "0"]),
     ("--no-reg", ["--zeta", "0"]), ("--no-anneal", ["--alpha-fixed", "1"])])
@@ -216,6 +236,22 @@ def test_probe_dominance_outputs(workspace, tmp_path, capsys):
     assert sum(b["count"] for b in summary["bins"]) == summary["n"] == 10
     assert (tmp_path / "dom" / "dominance_hist.csv").exists()
     assert (tmp_path / "dom" / "dominance_summary.json").exists()
+
+
+def test_probe_without_instances_is_one_json_error_line(workspace, tmp_path, capsys):
+    one_token = tmp_path / "one.jsonl"
+    one_token.write_text(json.dumps({
+        "tokens": ["runs"], "dep_heads": [0], "dep_labels": ["root"],
+        "con_tree": "(S (V runs))", "label": 0}) + "\n")
+    gcn_dep = workspace["teachers"].split(",")[1]
+    rc, out, err = run(capsys, "probe", "--model", gcn_dep,
+                       "--train", str(one_token),
+                       "--data", str(workspace["data"] / "test.jsonl"),
+                       "--probe-task", "dependency-labeling",
+                       "--probe-iters", "5", "--out", str(tmp_path / "pr"))
+    assert rc == 1 and not out
+    assert one_error_line(err) == ("DataError: dependency-labeling probe has no "
+                                   "instances in the train split")
 
 
 # -------------------------------------------------------------------- induce

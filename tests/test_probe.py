@@ -2,11 +2,16 @@ import csv
 import json
 
 import numpy as np
+import oracles
 import pytest
 
+from synkd import encoders, gradcheck, probe
+from synkd import tensor as T
+from synkd.distill import ce_sum
 from synkd.encoders import Codec, StudentModel
 from synkd.probe import (
     PROBE_KINDS,
+    ce_mean_grads,
     constituent_instances,
     dependency_instances,
     dominance_scores,
@@ -16,7 +21,8 @@ from synkd.probe import (
     syntax_distribution,
     write_distribution,
 )
-from synkd.syntax_data import DataError, Example, gen_synthetic
+from synkd.syntax_data import DataError, Example, example_from_dict, gen_synthetic
+from synkd.tensor import Adam, Tensor
 from synkd.train import params_fingerprint
 
 
@@ -26,9 +32,9 @@ def small_data(n=32, seed=0, task="cls", max_len=8):
     return codec, [codec.encode(ex) for ex in examples]
 
 
-def small_student(codec, seed=1):
+def small_student(codec, seed=1, dtype=np.float32):
     return StudentModel(codec, emb_dim=10, hidden=8, n_layers=2,
-                        rng=np.random.default_rng(seed))
+                        rng=np.random.default_rng(seed), dtype=dtype)
 
 
 # ------------------------------------------------------------------- probing
@@ -83,6 +89,81 @@ def test_probe_rejects_missing_annotation():
         probe_train_eval(student, "constituent-labeling", bare[:4], bare[4:])
     with pytest.raises(DataError, match="dependency"):
         probe_train_eval(student, "dependency-labeling", bare[:4], bare[4:])
+
+
+def test_probe_without_instances_names_task_and_split():
+    codec, encs = small_data(8, seed=5)
+    one_token = codec.encode(example_from_dict(
+        {"tokens": ["runs"], "dep_heads": [0], "dep_labels": ["root"],
+         "con_tree": "(S (V runs))", "label": 0}))
+    student = small_student(codec)
+    kind = "dependency-labeling"
+    with pytest.raises(DataError, match=f"{kind} probe has no instances in the train split"):
+        probe_train_eval(student, kind, [one_token] * 3, encs)
+    with pytest.raises(DataError, match=f"{kind} probe has no instances in the held-out split"):
+        probe_train_eval(student, kind, encs, [one_token])
+    with pytest.raises(DataError, match="constituent-labeling probe has no instances"):
+        probe_train_eval(student, "constituent-labeling", [], encs)
+
+
+def _trained(monkeypatch, module, fn, *args, **kw):
+    """fn's (accuracy, held-out labels) plus the bytes of the probe's final
+    w and b, read off the Adam that `module` builds."""
+    made = []
+
+    def keep(params, lr):
+        made.append(Adam(params, lr=lr))
+        return made[-1]
+
+    monkeypatch.setattr(module, "Adam", keep)
+    acc, y_held = fn(*args, **kw)
+    w, b = made[0].params
+    return acc, y_held.tobytes(), w.data.tobytes(), b.data.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_probe_bitwise_matches_tape_reference(monkeypatch, dtype):
+    # five sentences per `batches` chunk, so the gathers cross chunk borders
+    monkeypatch.setattr(encoders, "BATCH_ROWS", 5)
+    codec, encs = small_data(24, seed=9)
+    student = small_student(codec, dtype=dtype)
+    train, held = encs[:18], encs[18:]
+    n_train = {}
+    for kind, build, ref in (
+            (PROBE_KINDS[0], constituent_instances, oracles.reference_constituent_instances),
+            (PROBE_KINDS[1], dependency_instances, oracles.reference_dependency_instances)):
+        x, y = build(student, train)
+        x_ref, y_ref = ref(student, train)
+        assert x.dtype == x_ref.dtype == dtype and x.shape == x_ref.shape
+        assert x.tobytes() == x_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+        n_train[kind] = len(y)
+    for kind in PROBE_KINDS:
+        for batch in (16, n_train[kind], n_train[kind] + 7):
+            for seed in (0, 1, 2):
+                kw = dict(iters=40, batch=batch, lr=5e-2, seed=seed)
+                got = _trained(monkeypatch, probe, probe_train_eval,
+                               student, kind, train, held, **kw)
+                want = _trained(monkeypatch, oracles, oracles.reference_probe_train_eval,
+                                student, kind, train, held, **kw)
+                assert got == want, (kind, batch, seed)
+
+
+def test_probe_gradient_matches_finite_differences_f64():
+    rng = np.random.default_rng(11)
+    for n, d, c in ((1, 3, 2), (5, 4, 3), (7, 6, 5)):
+        x = rng.normal(size=(n, d))
+        targets = rng.integers(c, size=n)
+        w = Tensor(rng.normal(size=(d, c)), requires_grad=True)
+        b = Tensor(rng.normal(size=(c,)), requires_grad=True)
+
+        def loss():  # the loss the probe optimized on the tape
+            return T.scale(ce_sum(T.add(T.matmul(Tensor(x), w), b), targets), 1.0 / n)
+
+        num_w, num_b = gradcheck.numeric_grad(loss, [w, b])
+        got_w, got_b = ce_mean_grads(x, targets, w.data, b.data)
+        assert got_w.dtype == got_b.dtype == np.float64
+        assert gradcheck.rel_err(got_w, num_w) < gradcheck.RTOL
+        assert gradcheck.rel_err(got_b, num_b) < gradcheck.RTOL
 
 
 # ----------------------------------------------------------------- dominance
