@@ -19,6 +19,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -63,27 +64,40 @@ def _is_num(v):
     return _is_int(v) or isinstance(v, float)
 
 
+# A rule is (predicate, requirement named when the predicate fails, argparse
+# options of the key's flag).
+
 def _at_least(lo):
-    return lambda v: _is_int(v) and v >= lo, f"integer >= {lo}"
+    return lambda v: _is_int(v) and v >= lo, f"integer >= {lo}", {"type": int}
 
 
 def _one_of(choices):
-    return lambda v: isinstance(v, str) and v in choices, f"one of {'|'.join(choices)}"
+    return (lambda v: isinstance(v, str) and v in choices,
+            f"one of {'|'.join(choices)}", {"choices": list(choices)})
 
 
 def _optional(rule):
-    pred, req = rule
-    return lambda v: v is None or pred(v), req
+    pred, req, opts = rule
+    return lambda v: v is None or pred(v), req, opts
 
 
-PATH = (lambda v: v is None or isinstance(v, str), "path string")
-FLAG = (lambda v: isinstance(v, bool), "boolean")
-WEIGHT = (lambda v: _is_num(v) and v >= 0.0, ">= 0")
-UNIT = (lambda v: _is_num(v) and 0.0 <= v <= 1.0, "in [0, 1]")
-LISTING = lambda v: (v is None or isinstance(v, str)
-                     or isinstance(v, list) and all(isinstance(x, str) for x in v))
+def _help(rule, text):
+    pred, req, opts = rule
+    return pred, req, {**opts, "help": text}
 
-# key: (default, predicate, requirement named when the predicate fails)
+
+PATH = (lambda v: v is None or isinstance(v, str), "path string", {})
+FLAG = (lambda v: isinstance(v, bool), "boolean", {"action": "store_true", "default": None})
+WEIGHT = (lambda v: _is_num(v) and v >= 0.0, ">= 0", {"type": float})
+UNIT = (lambda v: _is_num(v) and 0.0 <= v <= 1.0, "in [0, 1]", {"type": float})
+
+
+def _listing(req, text):
+    return (lambda v: v is None or isinstance(v, str)
+            or isinstance(v, list) and all(isinstance(x, str) for x in v)), req, {"help": text}
+
+
+# key: (default, *rule); the one place a key and its flag are declared
 CONFIG = {
     # run identity
     "task": ("classify", *_one_of(TASK_ALIASES)),
@@ -93,25 +107,27 @@ CONFIG = {
     "train": (None, *PATH),
     "dev": (None, *PATH),
     "data": (None, *PATH),
-    "teachers": (None, LISTING, "comma-separated dirs or list of dirs"),
-    "model": (None, *PATH),
-    "dep_only": (None, *PATH),
-    "con_only": (None, *PATH),
+    "teachers": (None, *_listing("comma-separated dirs or list of dirs",
+                                 "comma-separated teacher run dirs")),
+    "model": (None, *_help(PATH, "run dir holding the checkpoint")),
+    "dep_only": (None, *_help(PATH, "run dir of the eta=1 student")),
+    "con_only": (None, *_help(PATH, "run dir of the eta=0 student")),
     # distillation scalars
-    "mode": ("B", lambda v: v in ("A", "B"), "A or B"),
-    "teacher_mode": ("hard", lambda v: v in ("soft", "hard"), "soft or hard"),
+    "mode": ("B", *_one_of(("A", "B"))),
+    "teacher_mode": ("hard", *_one_of(("soft", "hard"))),
     "eta": (0.5, *UNIT),
     "lambda1": (0.6, *WEIGHT),
     "lambda2": (0.2, *WEIGHT),
     "zeta": (0.2, *WEIGHT),
     "alpha_fixed": (None, *_optional(UNIT)),
-    "mask_ratio": (0.15, lambda v: _is_num(v) and 0.0 < v < 1.0, "in (0, 1)"),
+    # config-only: no command takes it as a flag
+    "mask_ratio": (0.15, lambda v: _is_num(v) and 0.0 < v < 1.0, "in (0, 1)", {}),
     # schedule / optimization; a null lr takes the command's default
     "iters": (10_000, *_at_least(1)),
     "g1": (300, *_at_least(1)),
     "g2": (128, *_at_least(1)),
     "batch": (32, *_at_least(1)),
-    "lr": (None, *_optional((lambda v: _is_num(v) and v > 0.0, "> 0"))),
+    "lr": (None, *_optional((lambda v: _is_num(v) and v > 0.0, "> 0", {"type": float}))),
     "eval_every": (200, *_at_least(1)),
     "patience": (10, *_at_least(1)),
     # model sizes
@@ -133,19 +149,35 @@ CONFIG = {
     "n": (1000, *_at_least(1)),
     "n_dev": (200, *_at_least(0)),
     "n_test": (200, *_at_least(0)),
-    "max_len": (12, lambda v: _is_int(v) and 4 <= v <= 20, "integer in [4, 20]"),
+    "max_len": (12, lambda v: _is_int(v) and 4 <= v <= 20, "integer in [4, 20]", {"type": int}),
     "grammar_size": (5, *_at_least(2)),
     # probing
     "probe_task": (None, *_optional(_one_of(PROBE_KINDS))),
     "probe_iters": (400, *_at_least(1)),
     # gradient checks
     "cases": (25, *_at_least(1)),
-    "suites": (None, LISTING, "comma-separated names or list of names"),
+    "suites": (None, *_listing("comma-separated names or list of names",
+                               "comma-separated suite names")),
 }
 
-COMMAND_DEFAULTS = {
-    "train-teacher": {"iters": 2000, "lr": 1e-3},
-    "distill": {"lr": 1e-5},
+_SCHEDULE = "iters batch lr eval_every patience"
+
+# command: (help, the keys it takes as flags besides seed/task/out, its defaults)
+COMMANDS = {
+    "gen-data": ("write synthetic train/dev/test JSONL",
+                 "n n_dev n_test max_len grammar_size", {}),
+    "train-teacher": ("supervised tree-teacher pre-training",
+                      f"kind train dev {_SCHEDULE} teacher_emb teacher_hidden "
+                      "teacher_layers co_train_struct", {"iters": 2000, "lr": 1e-3}),
+    "distill": ("distill frozen teachers into the student",
+                "train dev teachers teacher_mode emb_dim hidden layers mode eta lambda1 "
+                f"lambda2 zeta alpha_fixed g1 g2 {_SCHEDULE} no_sem no_syn no_reg no_anneal",
+                {"lr": 1e-5}),
+    "eval": ("metrics of a saved model on a dataset", "model data", {}),
+    "probe": ("linear probes and dominance analysis",
+              "model train data probe_task probe_iters dep_only con_only", {}),
+    "induce": ("emit induced trees and head lists", "model data", {}),
+    "gradcheck": ("finite-difference gradient suites", "cases suites", {}),
 }
 
 
@@ -156,8 +188,8 @@ def resolve(args, command):
     explicitly (anything else may be adapted, e.g. schedule defaults for
     short runs).
     """
-    command_defaults = COMMAND_DEFAULTS.get(command, {})
-    cfg = {key: default for key, (default, _, _) in CONFIG.items()}
+    command_defaults = COMMANDS[command][2]
+    cfg = {key: default for key, (default, *_) in CONFIG.items()}
     cfg.update(command_defaults)
     explicit = set()
     config_path = getattr(args, "config", None)
@@ -183,7 +215,7 @@ def resolve(args, command):
             cfg[key] = val
             explicit.add(key)
     for key, val in cfg.items():
-        _, pred, req = CONFIG[key]
+        _, pred, req, _ = CONFIG[key]
         if not pred(val):
             raise CliError(f"config key {key!r}={val!r} invalid: expected {req}")
     if cfg["lr"] is None:
@@ -191,9 +223,9 @@ def resolve(args, command):
     return cfg, explicit
 
 
-def need(cfg, key, flag=None):
+def need(cfg, key):
     if cfg.get(key) is None:
-        raise CliError(f"missing required option {flag or '--' + key.replace('_', '-')}")
+        raise CliError(f"missing required option --{key.replace('_', '-')}")
     return cfg[key]
 
 
@@ -202,11 +234,9 @@ def write_resolved(out_dir, command, cfg, extra=None):
     payload = {"command": command, "config": dict(cfg)}
     if extra:
         payload["artifacts"] = extra
-    path = os.path.join(out_dir, "config.resolved.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "config.resolved.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _say(payload):
@@ -233,25 +263,30 @@ def _read_json(path, what):
 def load_model_dir(path):
     """Rebuild a saved model (teacher or student) from its run directory."""
     meta = _read_json(os.path.join(path, "config.resolved.json"), "run config")
-    codec = Codec.from_json(_read_json(os.path.join(path, "codec.json"), "codec"))
+    try:
+        codec = Codec.from_json(_read_json(os.path.join(path, "codec.json"), "codec"))
+    except KeyError as e:
+        raise CliError(f"{path}: codec.json lacks key {e.args[0]!r}") from None
     mcfg = meta.get("config", {})
     art = meta.get("artifacts", {})
     kind = art.get("model_kind")
-    rng = np.random.default_rng(0)
     if kind == "student":
-        model = StudentModel(codec, emb_dim=mcfg["emb_dim"], hidden=mcfg["hidden"],
-                             n_layers=mcfg["layers"], rng=rng)
+        dims, build = ("emb_dim", "hidden", "layers"), StudentModel
+    elif kind in TEACHER_KINDS:
+        dims = ("teacher_emb", "teacher_hidden", "teacher_layers")
+        build = partial(make_teacher, kind)
+    else:
+        raise CliError(f"{path}: unrecognized model_kind {kind!r}")
+    for key in dims:
+        if key not in mcfg:
+            raise CliError(f"{path}: config.resolved.json lacks key {key!r}")
+    model = build(codec, *(mcfg[key] for key in dims), rng=np.random.default_rng(0))
+    if kind == "student":
         for key, (t_dim, c_dim) in sorted(art.get("projections", {}).items()):
             if key.startswith("f_t/"):
                 model.add_projection(key[len("f_t/"):], t_dim, c_dim)
-    elif kind in TEACHER_KINDS:
-        model = make_teacher(kind, codec, emb_dim=mcfg["teacher_emb"],
-                             hidden=mcfg["teacher_hidden"],
-                             n_layers=mcfg["teacher_layers"], rng=rng)
-        if mcfg.get("co_train_struct"):
-            model.add_structure_head()
-    else:
-        raise CliError(f"{path}: unrecognized model_kind {kind!r}")
+    elif mcfg.get("co_train_struct"):
+        model.add_structure_head()
     model.p.load_state_dict(load_checkpoint(os.path.join(path, "model.syd1")))
     return model, meta
 
@@ -496,101 +531,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--task", choices=sorted(TASK_ALIASES))
-    p.add_argument("--out")
-
-
-def _add_distill_scalars(p):
-    p.add_argument("--mode", choices=["A", "B"])
-    p.add_argument("--eta", type=float)
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.add_argument("--zeta", type=float)
-    p.add_argument("--alpha-fixed", type=float)
-    p.add_argument("--g1", type=int)
-    p.add_argument("--g2", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--eval-every", type=int)
-    p.add_argument("--patience", type=int)
-    for flag in ("--no-sem", "--no-syn", "--no-reg", "--no-anneal"):
-        p.add_argument(flag, action="store_true", default=None)
-
-
 def build_parser():
     parser = _Parser(prog="synkd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="write synthetic train/dev/test JSONL")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-dev", type=int)
-    p.add_argument("--n-test", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--grammar-size", type=int)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train-teacher", help="supervised tree-teacher pre-training")
-    _add_common(p)
-    p.add_argument("--kind", choices=list(TEACHER_KINDS))
-    p.add_argument("--train")
-    p.add_argument("--dev")
-    p.add_argument("--iters", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--eval-every", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--teacher-emb", type=int)
-    p.add_argument("--teacher-hidden", type=int)
-    p.add_argument("--teacher-layers", type=int)
-    p.add_argument("--co-train-struct", action="store_true", default=None)
-    p.set_defaults(func=cmd_train_teacher)
-
-    p = sub.add_parser("distill", help="distill frozen teachers into the student")
-    _add_common(p)
-    p.add_argument("--train")
-    p.add_argument("--dev")
-    p.add_argument("--teachers", help="comma-separated teacher run dirs")
-    p.add_argument("--teacher-mode", choices=["soft", "hard"])
-    p.add_argument("--emb-dim", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--layers", type=int)
-    _add_distill_scalars(p)
-    p.set_defaults(func=cmd_distill)
-
-    p = sub.add_parser("eval", help="metrics of a saved model on a dataset")
-    _add_common(p)
-    p.add_argument("--model", help="run dir holding the checkpoint")
-    p.add_argument("--data")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("probe", help="linear probes and dominance analysis")
-    _add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--train")
-    p.add_argument("--data", help="held-out probe evaluation set")
-    p.add_argument("--probe-task", choices=list(PROBE_KINDS))
-    p.add_argument("--probe-iters", type=int)
-    p.add_argument("--dep-only", help="run dir of the eta=1 student")
-    p.add_argument("--con-only", help="run dir of the eta=0 student")
-    p.set_defaults(func=cmd_probe)
-
-    p = sub.add_parser("induce", help="emit induced trees and head lists")
-    _add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.set_defaults(func=cmd_induce)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient suites")
-    _add_common(p)
-    p.add_argument("--cases", type=int)
-    p.add_argument("--suites", help="comma-separated suite names")
-    p.set_defaults(func=cmd_gradcheck)
-
+    for command, (text, keys, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="JSON config file")
+        for key in ("seed", "task", "out", *keys.split()):
+            p.add_argument("--" + key.replace("_", "-"), **CONFIG[key][3])
+        # looked up by name on every build, so a rebound cli.cmd_* is the one called
+        p.set_defaults(func=globals()["cmd_" + command.replace("-", "_")])
     return parser
 
 

@@ -577,11 +577,10 @@ def zeros(shape, dtype=None, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype or DEFAULT_DTYPE), requires_grad=requires_grad)
 
 
-def xavier(shape, rng: np.random.Generator, dtype=None, gain: float = 1.0) -> Tensor:
+def xavier(shape, rng: np.random.Generator, dtype=None) -> Tensor:
     """Glorot-uniform initialized parameter tensor."""
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
     fan_out = shape[1] if len(shape) > 1 else shape[0]
-    limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
+    limit = np.sqrt(6.0 / (shape[0] + fan_out))
     data = rng.uniform(-limit, limit, size=shape).astype(dtype or DEFAULT_DTYPE)
     return Tensor(data, requires_grad=True)
 
@@ -589,54 +588,19 @@ def xavier(shape, rng: np.random.Generator, dtype=None, gain: float = 1.0) -> Te
 # ---------------------------------------------------------------------------
 # Adam
 
-def adam_step(params, grads, state: dict, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> bool:
-    """One Adam update in place.
-
-    state holds first/second moment arrays ("m", "v"), the step count "t"
-    and a "skipped" counter. Any non-finite gradient skips the whole step
-    and bumps the counter. Returns True when the update was applied.
-    """
-    if "m" not in state:
-        state["m"] = [np.zeros_like(p.data) for p in params]
-        state["v"] = [np.zeros_like(p.data) for p in params]
-        state["t"] = 0
-        state["skipped"] = 0
-    for p, m in zip(params, state["m"]):
-        if m.shape != p.data.shape:
-            raise ValueError(
-                f"adam state shape {m.shape} does not match param shape {p.data.shape}")
-    gs = []
-    for p, g in zip(params, grads):
-        if g is None:
-            g = np.zeros_like(p.data)
-        if not np.isfinite(g).all():
-            state["skipped"] += 1
-            return False
-        gs.append(g)
-    state["t"] += 1
-    t = state["t"]
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
-    for p, g, m, v in zip(params, gs, state["m"], state["v"]):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    return True
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam optimizer over a fixed parameter list."""
+    """Adam optimizer over a fixed parameter list.
 
-    def __init__(self, params, lr: float = 1e-5,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    state holds first/second moment arrays ("m", "v"), the step count "t"
+    and a "skipped" counter.
+    """
+
+    def __init__(self, params, lr: float = 1e-5):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.state = {}
 
     @property
@@ -644,9 +608,37 @@ class Adam:
         return self.state.get("skipped", 0)
 
     def step(self) -> bool:
-        grads = [p.grad for p in self.params]
-        return adam_step(self.params, grads, self.state, self.lr,
-                         self.beta1, self.beta2, self.eps)
+        """One update in place. Any non-finite gradient skips the whole step
+        and bumps the skipped counter. Returns True when the update was
+        applied."""
+        params, state = self.params, self.state
+        if "m" not in state:
+            state["m"] = [np.zeros_like(p.data) for p in params]
+            state["v"] = [np.zeros_like(p.data) for p in params]
+            state["t"] = 0
+            state["skipped"] = 0
+        for p, m in zip(params, state["m"]):
+            if m.shape != p.data.shape:
+                raise ValueError(
+                    f"adam state shape {m.shape} does not match param shape {p.data.shape}")
+        gs = []
+        for p in params:
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            if not np.isfinite(g).all():
+                state["skipped"] += 1
+                return False
+            gs.append(g)
+        state["t"] += 1
+        t = state["t"]
+        c1 = 1.0 - BETA1 ** t
+        c2 = 1.0 - BETA2 ** t
+        for p, g, m, v in zip(params, gs, state["m"], state["v"]):
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        return True
 
     def zero_grad(self):
         for p in self.params:

@@ -101,6 +101,8 @@ def load_checkpoint(path) -> dict:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise ValueError(f"{path}: not a SYD1 checkpoint")
+    if len(blob) == 4:
+        raise ValueError(f"{path}: truncated checkpoint")
     if blob[4] != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {blob[4]}")
     pos, out = 5, {}

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -345,6 +347,21 @@ def test_induce_rejects_teacher_checkpoint(workspace, tmp_path, capsys):
     assert "student" in json.loads(err.strip().splitlines()[-1])["error"]
 
 
+@pytest.mark.parametrize("name, drop", [
+    ("config.resolved.json", "teacher_emb"), ("codec.json", "vocab")])
+def test_incomplete_model_dir_is_one_json_error_line(workspace, tmp_path, capsys, name, drop):
+    model = tmp_path / "m"
+    shutil.copytree(workspace["teachers"].split(",")[0], model)
+    payload = json.loads((model / name).read_text())
+    del (payload["config"] if name == "config.resolved.json" else payload)[drop]
+    (model / name).write_text(json.dumps(payload))
+    rc, out, err = run(capsys, "eval", "--model", str(model), "--data",
+                       str(workspace["data"] / "test.jsonl"), "--out", str(tmp_path / "ev"))
+    assert rc == 1 and not out
+    assert "Traceback" not in err
+    assert one_error_line(err) == f"{model}: {name} lacks key {drop!r}"
+
+
 # ------------------------------------------------------------------ gradcheck
 
 def test_gradcheck_command(tmp_path, capsys):
@@ -501,3 +518,60 @@ def test_cli_pins_one_blas_thread_unless_set():
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.split() == expect.split()
+
+
+# ------------------------------------------------------------------- flag set
+
+# every command's flags as (type, choices, action, default), as the parser
+# declared them flag by flag before it was built from CONFIG and COMMANDS
+_STR, _INT, _FLOAT = (None, None, "store", None), (int, None, "store", None), \
+    (float, None, "store", None)
+_SWITCH = (None, None, "store_true", None)
+_COMMON = {"--config": _STR, "--seed": _INT, "--out": _STR,
+           "--task": (None, ["classify", "pair", "tag"], "store", None)}
+_SCHEDULE = {"--iters": _INT, "--batch": _INT, "--lr": _FLOAT, "--eval-every": _INT,
+             "--patience": _INT}
+FLAG_SET = {
+    "gen-data": {**_COMMON, "--n": _INT, "--n-dev": _INT, "--n-test": _INT,
+                 "--max-len": _INT, "--grammar-size": _INT},
+    "train-teacher": {
+        **_COMMON, **_SCHEDULE, "--train": _STR, "--dev": _STR,
+        "--kind": (None, ["tlstm-dep", "gcn-dep", "tlstm-con", "gcn-con"], "store", None),
+        "--teacher-emb": _INT, "--teacher-hidden": _INT, "--teacher-layers": _INT,
+        "--co-train-struct": _SWITCH},
+    "distill": {
+        **_COMMON, **_SCHEDULE, "--train": _STR, "--dev": _STR, "--teachers": _STR,
+        "--teacher-mode": (None, ["soft", "hard"], "store", None),
+        "--emb-dim": _INT, "--hidden": _INT, "--layers": _INT,
+        "--mode": (None, ["A", "B"], "store", None), "--eta": _FLOAT,
+        "--lambda1": _FLOAT, "--lambda2": _FLOAT, "--zeta": _FLOAT,
+        "--alpha-fixed": _FLOAT, "--g1": _INT, "--g2": _INT, "--no-sem": _SWITCH,
+        "--no-syn": _SWITCH, "--no-reg": _SWITCH, "--no-anneal": _SWITCH},
+    "eval": {**_COMMON, "--model": _STR, "--data": _STR},
+    "probe": {
+        **_COMMON, "--model": _STR, "--train": _STR, "--data": _STR,
+        "--probe-task": (None, ["constituent-labeling", "dependency-labeling"], "store", None),
+        "--probe-iters": _INT, "--dep-only": _STR, "--con-only": _STR},
+    "induce": {**_COMMON, "--model": _STR, "--data": _STR},
+    "gradcheck": {**_COMMON, "--cases": _INT, "--suites": _STR},
+}
+_ACTIONS = {argparse._StoreAction: "store", argparse._StoreTrueAction: "store_true"}
+
+
+def test_flag_set_is_pinned():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(FLAG_SET)
+    dests = set()
+    for command, parser in sub.choices.items():
+        flags = {}
+        for a in parser._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            (flag,) = a.option_strings
+            flags[flag] = (a.type, a.choices, _ACTIONS.get(type(a), type(a).__name__),
+                           a.default)
+            dests.add(a.dest)
+        assert flags == FLAG_SET[command], command
+    # every key but mask_ratio can be set from the command line
+    assert dests == set(CONFIG) - {"mask_ratio"} | {"config"}

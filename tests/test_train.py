@@ -137,6 +137,20 @@ def test_checkpoint_round_trip(tmp_path):
     vers.write_bytes(raw[:4] + bytes([9]) + raw[5:])
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(vers)
+    trunc.write_bytes(raw[:4])
+    with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(trunc)
+    # every proper prefix fails with ValueError or holds the first arrays
+    names = list(state)
+    for cut in range(len(raw)):
+        trunc.write_bytes(raw[:cut])
+        try:
+            got = load_checkpoint(trunc)
+        except ValueError:
+            continue
+        assert list(got) == names[:len(got)] and len(got) < len(names)
+        for k in got:
+            assert np.array_equal(got[k], np.asarray(state[k], dtype=np.float32))
 
 
 def test_run_log_round_trip(tmp_path):
