@@ -1,5 +1,5 @@
 """Command-line surface: data generation, teacher pre-training, distillation,
-evaluation, probing, structure induction and gradient checks.
+evaluation, probing and structure induction.
 
 Configuration comes from an optional JSON file (--config) merged with flag
 overrides; ablation matrices are scripted by varying the JSON. Every command
@@ -25,7 +25,6 @@ import numpy as np
 
 from .distill import DistillConfig, DistillError, TeacherSet, soft_arc_targets, soft_con_targets
 from .encoders import Codec, StudentModel, TEACHER_KINDS, make_teacher
-from .gradcheck import run_all
 from .probe import (
     PROBE_KINDS,
     majority_accuracy,
@@ -92,11 +91,6 @@ WEIGHT = (lambda v: _is_num(v) and v >= 0.0, ">= 0", {"type": float})
 UNIT = (lambda v: _is_num(v) and 0.0 <= v <= 1.0, "in [0, 1]", {"type": float})
 
 
-def _listing(req, text):
-    return (lambda v: v is None or isinstance(v, str)
-            or isinstance(v, list) and all(isinstance(x, str) for x in v)), req, {"help": text}
-
-
 # key: (default, *rule); the one place a key and its flag are declared
 CONFIG = {
     # run identity
@@ -107,8 +101,10 @@ CONFIG = {
     "train": (None, *PATH),
     "dev": (None, *PATH),
     "data": (None, *PATH),
-    "teachers": (None, *_listing("comma-separated dirs or list of dirs",
-                                 "comma-separated teacher run dirs")),
+    "teachers": (None, lambda v: v is None or isinstance(v, str)
+                 or isinstance(v, list) and all(isinstance(x, str) for x in v),
+                 "comma-separated dirs or list of dirs",
+                 {"help": "comma-separated teacher run dirs"}),
     "model": (None, *_help(PATH, "run dir holding the checkpoint")),
     "dep_only": (None, *_help(PATH, "run dir of the eta=1 student")),
     "con_only": (None, *_help(PATH, "run dir of the eta=0 student")),
@@ -137,11 +133,6 @@ CONFIG = {
     "teacher_emb": (300, *_at_least(1)),
     "teacher_hidden": (300, *_at_least(1)),
     "teacher_layers": (2, *_at_least(1)),
-    # ablations
-    "no_sem": (False, *FLAG),
-    "no_syn": (False, *FLAG),
-    "no_reg": (False, *FLAG),
-    "no_anneal": (False, *FLAG),
     # teacher pre-training
     "kind": (None, *_optional(_one_of(TEACHER_KINDS))),
     "co_train_struct": (False, *FLAG),
@@ -154,10 +145,6 @@ CONFIG = {
     # probing
     "probe_task": (None, *_optional(_one_of(PROBE_KINDS))),
     "probe_iters": (400, *_at_least(1)),
-    # gradient checks
-    "cases": (25, *_at_least(1)),
-    "suites": (None, *_listing("comma-separated names or list of names",
-                               "comma-separated suite names")),
 }
 
 _SCHEDULE = "iters batch lr eval_every patience"
@@ -171,13 +158,12 @@ COMMANDS = {
                       "teacher_layers co_train_struct", {"iters": 2000, "lr": 1e-3}),
     "distill": ("distill frozen teachers into the student",
                 "train dev teachers teacher_mode emb_dim hidden layers mode eta lambda1 "
-                f"lambda2 zeta alpha_fixed g1 g2 {_SCHEDULE} no_sem no_syn no_reg no_anneal",
+                f"lambda2 zeta alpha_fixed g1 g2 {_SCHEDULE}",
                 {"lr": 1e-5}),
     "eval": ("metrics of a saved model on a dataset", "model data", {}),
     "probe": ("linear probes and dominance analysis",
               "model train data probe_task probe_iters dep_only con_only", {}),
     "induce": ("emit induced trees and head lists", "model data", {}),
-    "gradcheck": ("finite-difference gradient suites", "cases suites", {}),
 }
 
 
@@ -254,15 +240,21 @@ def save_model_dir(out_dir, model):
 
 
 def _read_json(path, what):
+    """A model directory's JSON object file."""
     if not os.path.exists(path):
         raise CliError(f"{what} not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise CliError(f"{path}: top level must be an object")
+    return payload
 
 
 def load_model_dir(path):
     """Rebuild a saved model (teacher or student) from its run directory."""
     meta = _read_json(os.path.join(path, "config.resolved.json"), "run config")
+    if not all(isinstance(meta.get(part, {}), dict) for part in ("config", "artifacts")):
+        raise CliError(f"{path}: config.resolved.json 'config' and 'artifacts' must be objects")
     try:
         codec = Codec.from_json(_read_json(os.path.join(path, "codec.json"), "codec"))
     except KeyError as e:
@@ -280,6 +272,11 @@ def load_model_dir(path):
     for key in dims:
         if key not in mcfg:
             raise CliError(f"{path}: config.resolved.json lacks key {key!r}")
+    for key in (*dims, "co_train_struct"):
+        _, pred, req, _ = CONFIG[key]
+        if key in mcfg and not pred(mcfg[key]):
+            raise CliError(f"{path}: config.resolved.json key {key!r}={mcfg[key]!r} "
+                           f"invalid: expected {req}")
     model = build(codec, *(mcfg[key] for key in dims), rng=np.random.default_rng(0))
     if kind == "student":
         for key, (t_dim, c_dim) in sorted(art.get("projections", {}).items()):
@@ -396,14 +393,13 @@ def cmd_distill(args):
     dev_encs = _encode_all(codec, load_jsonl(cfg["dev"])) if cfg["dev"] else None
     dcfg = DistillConfig(
         eta=cfg["eta"],
-        lam1=0.0 if cfg["no_syn"] else cfg["lambda1"],
-        lam2=0.0 if cfg["no_sem"] else cfg["lambda2"],
-        zeta=0.0 if cfg["no_reg"] else cfg["zeta"],
-        total_iters=cfg["iters"],
+        lam1=cfg["lambda1"],
+        lam2=cfg["lambda2"],
+        zeta=cfg["zeta"],
         mode=cfg["mode"],
         teacher_mode=cfg["teacher_mode"],
         mask_ratio=cfg["mask_ratio"],
-        alpha_fixed=1.0 if cfg["no_anneal"] else cfg["alpha_fixed"],
+        alpha_fixed=cfg["alpha_fixed"],
     )
     # default phase lengths shrink to fit short runs; explicit values are
     # taken literally and validated by the schedule itself
@@ -501,25 +497,6 @@ def cmd_induce(args):
     _say({"command": "induce", "n": len(encs), "trees": trees_path,
           "heads": heads_path})
     return 0
-
-
-def cmd_gradcheck(args):
-    cfg, _ = resolve(args, "gradcheck")
-    suites = cfg["suites"]
-    names = (suites.split(",") if isinstance(suites, str) else suites) or None
-    try:
-        results = run_all(n_cases=cfg["cases"], seed=cfg["seed"], names=names)
-    except KeyError as e:
-        raise CliError(str(e.args[0])) from None
-    for row in results:
-        _say(row)
-    if cfg["out"]:
-        os.makedirs(cfg["out"], exist_ok=True)
-        with open(os.path.join(cfg["out"], "gradcheck.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2)
-        write_resolved(cfg["out"], "gradcheck", cfg)
-    return 0 if all(r["ok"] for r in results) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -292,16 +292,16 @@ def offsets(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
 
-def tree_encode(graphs, x: Tensor, up_cell, down_cell=None, direction="both") -> Tensor:
-    """Node representations for a batch of trees, one cell call per level.
+def tree_encode(graphs, x: Tensor, up_cell, down_cell) -> Tensor:
+    """Bidirectional node representations for a batch of trees, one cell call
+    per level and direction.
 
-    x stacks every graph's node inputs in graph order. bottom-up: children
-    feed parents, level by height; top-down: the parent state is the single
-    child input of each node (roots get zero state), level by depth; both:
-    concat. Returns the (total nodes, width) matrix in the rows of x.
+    x stacks every graph's node inputs in graph order. Bottom-up (up_cell):
+    children feed parents, level by height. Top-down (down_cell): the parent
+    state is the single child input of each node (roots get zero state), level
+    by depth. Returns the (total nodes, 2 * hid) matrix [bottom-up | top-down]
+    in the rows of x.
     """
-    if direction not in ("bottom-up", "top-down", "both"):
-        raise ValueError(f"unknown direction {direction!r}")
     node_off = offsets([len(g.children) for g in graphs])
     if x.shape[0] != node_off[-1]:
         raise ValueError(f"{x.shape[0]} input rows for {node_off[-1]} tree nodes")
@@ -311,15 +311,11 @@ def tree_encode(graphs, x: Tensor, up_cell, down_cell=None, direction="both") ->
         [(v + o, c + o, q) for g, o in zip(graphs, node_off)
          for v, cs in enumerate(g.children) for q, c in enumerate(cs)],
         dtype=np.int64).reshape(-1, 3).T
-    outs = []
-    if direction in ("bottom-up", "both"):
-        level = np.concatenate([g.height for g in graphs])
-        outs.append(_level_pass(up_cell, x, level, parent, child, slot))
-    if direction in ("top-down", "both"):
-        level = np.concatenate([g.depth for g in graphs])
-        outs.append(_level_pass(down_cell if down_cell is not None else up_cell,
-                                x, level, child, parent, np.zeros_like(slot)))
-    return outs[0] if len(outs) == 1 else T.concat(outs, axis=1)
+    height = np.concatenate([g.height for g in graphs])
+    depth = np.concatenate([g.depth for g in graphs])
+    return T.concat([_level_pass(up_cell, x, height, parent, child, slot),
+                     _level_pass(down_cell, x, depth, child, parent, np.zeros_like(slot))],
+                    axis=1)
 
 
 def _level_pass(cell, x, level, dst, src, slot):
@@ -845,7 +841,7 @@ class DepTreeLstmModel(BaseModel):
         x = _dropout(T.embedding(self.emb, ids), train, rng)
         graphs = [s.dep_graph for s in sides]
         for up, down in self.cells:
-            x = tree_encode(graphs, x, up, down, "both")
+            x = tree_encode(graphs, x, up, down)
         return x, offsets([s.n for s in sides])  # dependency nodes are the tokens
 
 
@@ -876,7 +872,7 @@ class ConTreeLstmModel(BaseModel):
         graphs, inputs = zip(*(s.con_tree for s in sides))
         x = self._node_rows(inputs, train, rng)
         for up, down in self.cells:
-            x = tree_encode(graphs, x, up, down, "both")
+            x = tree_encode(graphs, x, up, down)
         node_off = offsets([len(g.children) for g in graphs])
         rows = np.concatenate([np.asarray(g.token_rows) + o
                                for g, o in zip(graphs, node_off)])

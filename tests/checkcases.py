@@ -1,8 +1,9 @@
-"""Registered gradient-check instances: one suite per encoder and per loss.
+"""Registered gradient-check instances: one suite per encoder, fused op and
+loss; acceptance test 1 runs every suite.
 
 Every make_case builds a small random float64 instance (hidden sizes <= 6,
 sentences <= 5 tokens) and returns (f, params) for the finite-difference
-harness in gradcheck. Token ids and targets are constants; everything with
+harness in gradcheck.py. Token ids and targets are constants; everything with
 real-valued data is checked.
 """
 from __future__ import annotations
@@ -11,8 +12,9 @@ from functools import reduce
 
 import numpy as np
 
-from . import tensor as T
-from .distill import (
+from gradcheck import rand_param
+from synkd import tensor as T
+from synkd.distill import (
     combine_syn,
     con_inject_loss,
     dep_inject_loss,
@@ -23,7 +25,7 @@ from .distill import (
     semantic_lm_loss,
     total_loss,
 )
-from .encoders import (
+from synkd.encoders import (
     ArcLabelScorer,
     ChildSumCell,
     NaryCell,
@@ -38,9 +40,8 @@ from .encoders import (
     offsets,
     tree_encode,
 )
-from .gradcheck import rand_param
-from .structures import BinTree, span_ids, tree_spans
-from .tensor import Tensor
+from synkd.structures import BinTree, span_ids, tree_spans
+from synkd.tensor import Tensor
 
 F64 = np.float64
 
@@ -91,7 +92,7 @@ def case_childsum(rng):
     x = rand_param(rng, (sum(len(g.children) for g in graphs), in_dim))
 
     def f():
-        return weighted_sum(tree_encode(graphs, x, up, down_cell=down, direction="both"),
+        return weighted_sum(tree_encode(graphs, x, up, down),
                             np.random.default_rng(0))
 
     return f, p.all() + [x]
@@ -106,7 +107,7 @@ def case_nary(rng):
     x = rand_param(rng, (sum(len(g.children) for g in graphs), in_dim))
 
     def f():
-        return weighted_sum(tree_encode(graphs, x, up, down_cell=down, direction="both"),
+        return weighted_sum(tree_encode(graphs, x, up, down),
                             np.random.default_rng(0))
 
     return f, p.all() + [x]

@@ -12,12 +12,13 @@ import time
 import numpy as np
 import pytest
 
+from checkcases import SUITES
+from gradcheck import run_suite
 from oracles import enum_best, one_parent, random_bintree, random_table
 from synkd import encoders as E
 from synkd.distill import (DistillConfig, TeacherSet, combine_syn,
                            output_distill_loss, reg_loss, total_loss)
 from synkd.encoders import Codec, StudentModel, make_teacher, TEACHER_KINDS
-from synkd.gradcheck import run_all
 from synkd.probe import probe_train_eval
 from synkd.structures import SpanScores, cyk_augmented, cyk_max
 from synkd.syntax_data import gen_synthetic
@@ -34,7 +35,7 @@ F64 = np.float64
 def test_01_gradient_suite():
     """All autodiff paths agree with central finite differences in f64."""
     t0 = time.time()
-    results = run_all(n_cases=25, seed=0)
+    results = [run_suite(name, make_case, 25, seed=0) for name, make_case in SUITES.items()]
     elapsed = time.time() - t0
     names = {r["name"] for r in results}
     assert {"childsum_treelstm", "nary_treelstm", "gcn", "student_bilstm",
@@ -144,8 +145,8 @@ def test_04_encoder_equivalences():
         state_na = one_parent(na, x_t, [state_na])
     # the same chain as one tree, both directions, through the batched encoder
     chain, xs = E.dep_enc_graph([2, 3, 4, 0]), Tensor(rng.standard_normal((4, 3)))
-    np.testing.assert_allclose(E.tree_encode([chain], xs, cs).data,
-                               E.tree_encode([chain], xs, na).data, atol=1e-9)
+    np.testing.assert_allclose(E.tree_encode([chain], xs, cs, cs).data,
+                               E.tree_encode([chain], xs, na, na).data, atol=1e-9)
     print("[4] PASS encoder equivalences: permutation-free child-sum, "
           "child-sum == N=1 on a chain")
 

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -135,17 +136,18 @@ def test_best_dev_is_null_when_no_dev_eval_ran(workspace, tmp_path, capsys, comm
     assert json.loads(lines[-1], parse_constant=_no_constants)["best_dev"] is None
 
 
-@pytest.mark.parametrize("switch, value", [
-    ("--no-syn", ["--lambda1", "0"]), ("--no-sem", ["--lambda2", "0"]),
-    ("--no-reg", ["--zeta", "0"]), ("--no-anneal", ["--alpha-fixed", "1"])])
-def test_distill_ablation_switch_is_its_value(workspace, tmp_path, capsys, switch, value):
-    runs = {}
-    for name, extra in (("switch", [switch]), ("value", value), ("default", [])):
+def test_each_ablation_value_changes_the_run(workspace, tmp_path, capsys):
+    # the paper's ablations (no syntax injection, no semantic loss, no
+    # regularizer, no annealing) are config values; each changes what the run writes
+    def written(name, *extra):
         assert main(distill_args(workspace, tmp_path / name, *extra)) == 0
-        runs[name] = [(tmp_path / name / f).read_bytes() for f in ("model.syd1", "log.jsonl")]
+        return [(tmp_path / name / f).read_bytes() for f in ("model.syd1", "log.jsonl")]
+
+    default = written("default")
+    for flag, value in (("--lambda1", "0"), ("--lambda2", "0"), ("--zeta", "0"),
+                        ("--alpha-fixed", "1")):
+        assert all(a != b for a, b in zip(written(flag, flag, value), default)), flag
     capsys.readouterr()
-    assert runs["switch"] == runs["value"]
-    assert all(a != b for a, b in zip(runs["switch"], runs["default"]))
 
 
 def test_resolved_config_reproduces_run(workspace, tmp_path, capsys):
@@ -347,37 +349,68 @@ def test_induce_rejects_teacher_checkpoint(workspace, tmp_path, capsys):
     assert "student" in json.loads(err.strip().splitlines()[-1])["error"]
 
 
-@pytest.mark.parametrize("name, drop", [
-    ("config.resolved.json", "teacher_emb"), ("codec.json", "vocab")])
-def test_incomplete_model_dir_is_one_json_error_line(workspace, tmp_path, capsys, name, drop):
+_DROP = object()
+
+
+@pytest.mark.parametrize("name, where, value, message", [
+    pytest.param("config.resolved.json", ("config", "teacher_emb"), _DROP,
+                 "{model}: config.resolved.json lacks key 'teacher_emb'",
+                 id="config.resolved.json-teacher_emb"),
+    pytest.param("codec.json", ("vocab",), _DROP, "{model}: codec.json lacks key 'vocab'",
+                 id="codec.json-vocab"),
+    pytest.param("config.resolved.json", ("config", "teacher_hidden"), "4",
+                 "{model}: config.resolved.json key 'teacher_hidden'='4' invalid: "
+                 "expected integer >= 1", id="config.resolved.json-teacher_hidden"),
+    pytest.param("config.resolved.json", ("config", "co_train_struct"), "no",
+                 "{model}: config.resolved.json key 'co_train_struct'='no' invalid: "
+                 "expected boolean", id="config.resolved.json-co_train_struct"),
+    pytest.param("config.resolved.json", ("artifacts",), [],
+                 "{model}: config.resolved.json 'config' and 'artifacts' must be objects",
+                 id="config.resolved.json-artifacts"),
+    pytest.param("config.resolved.json", (), [],
+                 "{model}/config.resolved.json: top level must be an object",
+                 id="config.resolved.json-list"),
+    pytest.param("codec.json", (), [], "{model}/codec.json: top level must be an object",
+                 id="codec.json-list"),
+])
+def test_incomplete_model_dir_is_one_json_error_line(workspace, tmp_path, capsys,
+                                                     name, where, value, message):
+    # value goes to the key path `where` (the whole file when empty); _DROP deletes the key
     model = tmp_path / "m"
     shutil.copytree(workspace["teachers"].split(",")[0], model)
     payload = json.loads((model / name).read_text())
-    del (payload["config"] if name == "config.resolved.json" else payload)[drop]
+    if not where:
+        payload = value
+    else:
+        *outer, key = where
+        fields = functools.reduce(dict.__getitem__, outer, payload)
+        if value is _DROP:
+            del fields[key]
+        else:
+            fields[key] = value
     (model / name).write_text(json.dumps(payload))
     rc, out, err = run(capsys, "eval", "--model", str(model), "--data",
                        str(workspace["data"] / "test.jsonl"), "--out", str(tmp_path / "ev"))
     assert rc == 1 and not out
     assert "Traceback" not in err
-    assert one_error_line(err) == f"{model}: {name} lacks key {drop!r}"
+    assert one_error_line(err) == message.format(model=model)
 
 
-# ------------------------------------------------------------------ gradcheck
-
-def test_gradcheck_command(tmp_path, capsys):
-    rc, out, _ = run(capsys, "gradcheck", "--cases", "2", "--suites",
-                     "reg,syn_combine", "--out", str(tmp_path / "gc"))
-    assert rc == 0
-    rows = [json.loads(l) for l in out.strip().splitlines()]
-    assert [r["name"] for r in rows] == ["reg", "syn_combine"]
-    assert all(r["ok"] for r in rows)
-    assert (tmp_path / "gc" / "gradcheck.json").exists()
-
-
-def test_gradcheck_unknown_suite(capsys):
-    rc, _, err = run(capsys, "gradcheck", "--cases", "1", "--suites", "nosuch")
-    assert rc == 1
-    assert "nosuch" in json.loads(err.strip().splitlines()[-1])["error"]
+def test_model_dir_with_a_removed_key_loads_but_does_not_replay(workspace, tmp_path, capsys):
+    # every command used to write the no_* ablation switches into its resolved config
+    model = tmp_path / "m"
+    shutil.copytree(workspace["teachers"].split(",")[0], model)
+    resolved = model / "config.resolved.json"
+    meta = json.loads(resolved.read_text())
+    meta["config"]["no_sem"] = False
+    resolved.write_text(json.dumps(meta))
+    rc, out, _ = run(capsys, "eval", "--model", str(model), "--data",
+                     str(workspace["data"] / "test.jsonl"), "--out", str(tmp_path / "ev"))
+    assert rc == 0 and last_json(out)["n"] == 10
+    rc, out, err = run(capsys, "train-teacher", "--config", str(resolved),
+                       "--out", str(tmp_path / "t"))
+    assert rc == 1 and not out
+    assert one_error_line(err) == f"config {resolved}: unknown key 'no_sem'"
 
 
 # -------------------------------------------------------------------- errors
@@ -419,11 +452,9 @@ WRONG_TYPES = {
     "eta": ("distill", "0.5"), "lambda1": ("distill", "0"), "lambda2": ("distill", "0"),
     "zeta": ("distill", "0"), "alpha_fixed": ("distill", "1"), "mask_ratio": ("distill", "0.1"),
     "g1": ("distill", "4"), "g2": ("distill", "2"), "emb_dim": ("distill", "8"),
-    "hidden": ("distill", "8"), "layers": ("distill", "1"), "no_sem": ("distill", "yes"),
-    "no_syn": ("distill", "yes"), "no_reg": ("distill", 1), "no_anneal": ("distill", "yes"),
+    "hidden": ("distill", "8"), "layers": ("distill", "1"),
     "model": ("eval", 1), "data": ("eval", 2), "dep_only": ("probe", 1), "con_only": ("probe", 1),
     "probe_task": ("probe", 1), "probe_iters": ("probe", "5"),
-    "cases": ("gradcheck", "2"), "suites": ("gradcheck", [["reg"]]),
 }
 
 
@@ -522,8 +553,8 @@ def test_cli_pins_one_blas_thread_unless_set():
 
 # ------------------------------------------------------------------- flag set
 
-# every command's flags as (type, choices, action, default), as the parser
-# declared them flag by flag before it was built from CONFIG and COMMANDS
+# every command's flags as (type, choices, action, default): the pinned CLI
+# surface that the parser built from CONFIG and COMMANDS must match
 _STR, _INT, _FLOAT = (None, None, "store", None), (int, None, "store", None), \
     (float, None, "store", None)
 _SWITCH = (None, None, "store_true", None)
@@ -545,15 +576,13 @@ FLAG_SET = {
         "--emb-dim": _INT, "--hidden": _INT, "--layers": _INT,
         "--mode": (None, ["A", "B"], "store", None), "--eta": _FLOAT,
         "--lambda1": _FLOAT, "--lambda2": _FLOAT, "--zeta": _FLOAT,
-        "--alpha-fixed": _FLOAT, "--g1": _INT, "--g2": _INT, "--no-sem": _SWITCH,
-        "--no-syn": _SWITCH, "--no-reg": _SWITCH, "--no-anneal": _SWITCH},
+        "--alpha-fixed": _FLOAT, "--g1": _INT, "--g2": _INT},
     "eval": {**_COMMON, "--model": _STR, "--data": _STR},
     "probe": {
         **_COMMON, "--model": _STR, "--train": _STR, "--data": _STR,
         "--probe-task": (None, ["constituent-labeling", "dependency-labeling"], "store", None),
         "--probe-iters": _INT, "--dep-only": _STR, "--con-only": _STR},
     "induce": {**_COMMON, "--model": _STR, "--data": _STR},
-    "gradcheck": {**_COMMON, "--cases": _INT, "--suites": _STR},
 }
 _ACTIONS = {argparse._StoreAction: "store", argparse._StoreTrueAction: "store_true"}
 

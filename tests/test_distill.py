@@ -30,11 +30,11 @@ from synkd.distill import (
 from synkd.cli import main
 from synkd.encoders import (ArcLabelScorer, ArcScores, Params, ScoredSpans, SpanScorer,
                             offsets, span_order)
-from synkd.gradcheck import check_case
 from synkd.structures import BinTree, SpanScores, cyk_max, span_ids, tree_spans
 from synkd.syntax_data import DataError
 from synkd.tensor import Tensor
 
+from gradcheck import check_case
 from oracles import enum_best, random_bintree, random_table
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import check_case
 from oracles import (one_parent, random_bracketed, reference_binarize, reference_con_gcn,
                      reference_percolate_deps, reference_render_bracketed, reference_tree_eq,
                      reference_unbinarize, row_major_lstm_scan)
@@ -11,7 +12,6 @@ from synkd import cli
 from synkd import encoders as E
 from synkd import syntax_data as D
 from synkd import tensor as T
-from synkd.gradcheck import check_case
 from synkd.structures import (BinTree, binarize, chart_max, chart_trees, span_ids, tree_spans,
                               unbinarize)
 from synkd.tensor import Tensor
@@ -46,9 +46,14 @@ def random_state(rng, hid):
     return (Tensor(rng.standard_normal((1, hid))), Tensor(rng.standard_normal((1, hid))))
 
 
+def bottom_up(graphs, x, cell):
+    """The bottom-up half of tree_encode: its first hid columns."""
+    return E.tree_encode(graphs, x, cell, cell).data[:, :cell.hid]
+
+
 def leaf(cell, x):
-    """h of a lone leaf: tree_encode over a one-node graph."""
-    return E.tree_encode([E.dep_enc_graph([0])], x, cell, direction="bottom-up")
+    """h of a lone leaf: the bottom-up pass over a one-node graph."""
+    return bottom_up([E.dep_enc_graph([0])], x, cell)
 
 
 RNG = np.random.default_rng(99)
@@ -60,7 +65,7 @@ RNG = np.random.default_rng(99)
 def test_childsum_zero_params_leaf():
     cell, _ = make_childsum(3, 4, RNG, fill=0.0)
     out = leaf(cell, Tensor(np.ones((1, 3), dtype=F64)))
-    np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
+    np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
 
 def test_childsum_scalar_hand_case():
@@ -93,7 +98,7 @@ def test_childsum_permutation_invariant_bitwise():
 def test_nary_zero_params_leaf():
     cell, _ = make_nary(3, 4, RNG, fill=0.0)
     out = leaf(cell, Tensor(np.ones((1, 3), dtype=F64)))
-    np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
+    np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
 
 def test_nary_order_sensitive():
@@ -140,7 +145,7 @@ def test_childsum_equals_nary1_on_chain():
     np.testing.assert_allclose(a_h.data, b_h.data, atol=1e-9)
     np.testing.assert_allclose(a_c.data, b_c.data, atol=1e-9)
     # leaf case too
-    np.testing.assert_allclose(leaf(cs, x).data, leaf(na, x).data, atol=1e-9)
+    np.testing.assert_allclose(leaf(cs, x), leaf(na, x), atol=1e-9)
 
 
 def test_gate_ranges():
@@ -165,11 +170,11 @@ def test_tree_encode_chain_is_sequential():
     cell, _ = make_childsum(3, 4, rng)
     n = 5
     xs = [Tensor(rng.standard_normal((1, 3))) for _ in range(n)]
-    rows = E.tree_encode([chain_graph(n)], T.concat(xs), cell, direction="bottom-up")
+    rows = bottom_up([chain_graph(n)], T.concat(xs), cell)
     st = None
     for i in range(n):
         st = one_parent(cell, xs[i], [] if st is None else [st])
-        np.testing.assert_array_equal(rows.data[i:i + 1], st[0].data)
+        np.testing.assert_array_equal(rows[i:i + 1], st[0].data)
 
 
 def test_tree_encode_both_doubles_width():
@@ -178,9 +183,9 @@ def test_tree_encode_both_doubles_width():
     down, _ = make_childsum(3, 4, rng)
     xs = Tensor(rng.standard_normal((4, 3)))
     g = chain_graph(4)
-    rows = E.tree_encode([g], xs, up, down, "both")
+    rows = E.tree_encode([g], xs, up, down)
     assert rows.shape == (4, 8)
-    assert E.tree_encode([g], xs, up, direction="bottom-up").shape == (4, 4)
+    assert bottom_up([g], xs, up).shape == (4, 4)
 
 
 def test_tree_encode_sibling_permutation():
@@ -190,12 +195,12 @@ def test_tree_encode_sibling_permutation():
     g1 = E.EncGraph([[], [], [], [0, 1, 2]], [3, 3, 3, -1], [0, 1, 2, 3], [0, 1, 2, 3])
     g2 = E.EncGraph([[], [], [], [2, 0, 1]], [3, 3, 3, -1], [0, 1, 2, 3], [1, 2, 0, 3])
     cs, _ = make_childsum(3, 4, rng)
-    a = E.tree_encode([g1], xs, cs, direction="bottom-up").data[3]
-    b = E.tree_encode([g2], xs, cs, direction="bottom-up").data[3]
+    a = bottom_up([g1], xs, cs)[3]
+    b = bottom_up([g2], xs, cs)[3]
     assert a.tobytes() == b.tobytes()
     na, _ = make_nary(3, 4, rng, n_ary=3)
-    a = E.tree_encode([g1], xs, na, direction="bottom-up").data[3]
-    b = E.tree_encode([g2], xs, na, direction="bottom-up").data[3]
+    a = bottom_up([g1], xs, na)[3]
+    b = bottom_up([g2], xs, na)[3]
     assert not np.allclose(a, b)
 
 
@@ -208,7 +213,7 @@ def test_tree_encode_fd_gradient():
     xs_data = rng.standard_normal((3, 3))
 
     def f():
-        rows = E.tree_encode([g], Tensor(xs_data), up, down, "both")
+        rows = E.tree_encode([g], Tensor(xs_data), up, down)
         return T.sum_(T.tanh(T.embedding(rows, g.token_rows)))
 
     assert check_case(f, p.all()) < 1e-6
@@ -762,10 +767,10 @@ def test_childsum_sibling_permutation_in_batch_is_bitwise():
 
     others = [E.dep_enc_graph([2, 0, 2]), E.dep_enc_graph([0, 1, 1, 3])]
     x = Tensor(rng.standard_normal((13, 3)))
-    base = E.tree_encode([others[0], graph(star), others[1]], x, up, down, "both")
+    base = E.tree_encode([others[0], graph(star), others[1]], x, up, down)
     for perm in ([2, 4, 1, 3], [4, 3, 2, 1]):
         permuted = [perm] + star[1:]
-        got = E.tree_encode([others[0], graph(permuted), others[1]], x, up, down, "both")
+        got = E.tree_encode([others[0], graph(permuted), others[1]], x, up, down)
         assert got.data.tobytes() == base.data.tobytes()
 
 

@@ -1,11 +1,12 @@
 import csv
 import json
 
+import gradcheck
 import numpy as np
 import oracles
 import pytest
 
-from synkd import encoders, gradcheck, probe
+from synkd import encoders, probe
 from synkd import tensor as T
 from synkd.distill import ce_sum
 from synkd.encoders import Codec, StudentModel

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
+from gradcheck import check_case, rand_param, run_suite
 from oracles import row_major_lstm_scan
 from synkd import tensor as T
-from synkd.gradcheck import check_case, rand_param
 
 RNG = np.random.default_rng(12345)
 
@@ -232,6 +232,21 @@ def test_fd_random_graphs():
             return T.sum_(T.mul(h, T.sigmoid(x)))
 
         _fd_ok(f, [w, b, x])
+
+
+def test_nan_gradient_fails_the_check():
+    # a NaN gradient is an infinite error, whichever param holds it and
+    # whichever case of the suite it comes from
+    def make_case(rng):
+        clean, hole = rand_param(rng, (2,)), rand_param(rng, (2,))
+        mask = T.Tensor(np.array([np.nan, 1.0]))
+        f = lambda: T.add(T.sum_(T.mul(clean, clean)), T.sum_(T.mul(hole, mask)))
+        return f, [clean, hole]
+
+    f, params = make_case(np.random.default_rng(0))
+    assert check_case(f, params) == check_case(f, params[::-1]) == np.inf
+    result = run_suite("nan", make_case, 2)
+    assert result["max_rel_err"] == np.inf and not result["ok"]
 
 
 # ---------------------------------------------------------------------------
