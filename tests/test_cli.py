@@ -136,18 +136,28 @@ def test_best_dev_is_null_when_no_dev_eval_ran(workspace, tmp_path, capsys, comm
     assert json.loads(lines[-1], parse_constant=_no_constants)["best_dev"] is None
 
 
-def test_each_ablation_value_changes_the_run(workspace, tmp_path, capsys):
-    # the paper's ablations (no syntax injection, no semantic loss, no
-    # regularizer, no annealing) are config values; each changes what the run writes
-    def written(name, *extra):
-        assert main(distill_args(workspace, tmp_path / name, *extra)) == 0
-        return [(tmp_path / name / f).read_bytes() for f in ("model.syd1", "log.jsonl")]
+@pytest.fixture(scope="module")
+def default_run(workspace, tmp_path_factory):
+    out = tmp_path_factory.mktemp("default")
+    assert main(distill_args(workspace, out)) == 0
+    return [(out / f).read_bytes() for f in ("model.syd1", "log.jsonl")]
 
-    default = written("default")
-    for flag, value in (("--lambda1", "0"), ("--lambda2", "0"), ("--zeta", "0"),
-                        ("--alpha-fixed", "1")):
-        assert all(a != b for a, b in zip(written(flag, flag, value), default)), flag
+
+@pytest.mark.parametrize("switch, value", [
+    ("--no-syn", ["--lambda1", "0"]), ("--no-sem", ["--lambda2", "0"]),
+    ("--no-reg", ["--zeta", "0"]), ("--no-anneal", ["--alpha-fixed", "1"])])
+def test_distill_ablation_switch_is_its_value(workspace, default_run, tmp_path, capsys,
+                                              switch, value):
+    # the paper's ablations (no syntax injection, no semantic loss, no
+    # regularizer, no annealing) are config values, not switches of their own;
+    # each value changes what the run writes
+    rc, _, err = run(capsys, *distill_args(workspace, tmp_path / "switch", switch))
+    assert rc == 2
+    assert one_error_line(err) == f"unrecognized arguments: {switch}"
+    assert main(distill_args(workspace, tmp_path / "value", *value)) == 0
     capsys.readouterr()
+    written = [(tmp_path / "value" / f).read_bytes() for f in ("model.syd1", "log.jsonl")]
+    assert all(a != b for a, b in zip(written, default_run))
 
 
 def test_resolved_config_reproduces_run(workspace, tmp_path, capsys):
