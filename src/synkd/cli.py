@@ -244,7 +244,10 @@ def _read_json(path, what):
     if not os.path.exists(path):
         raise CliError(f"{what} not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise CliError(f"{path}: invalid JSON ({e.msg})") from None
     if not isinstance(payload, dict):
         raise CliError(f"{path}: top level must be an object")
     return payload

@@ -276,14 +276,11 @@ def con_inject_loss(scored, trees) -> Tensor:
 
 
 def reg_loss(params, zeta: float) -> Tensor:
-    """(zeta / 2) * ||Theta||^2 over the given parameter tensors."""
-    total = None
-    for p in params:
-        sq = T.sum_(T.mul(p, p))
-        total = sq if total is None else T.add(total, sq)
-    if total is None:
+    """(zeta / 2) * ||Theta||^2 over the given parameter tensors, one tape op."""
+    params = list(params)
+    if not params:
         return Tensor(np.array(0.0))
-    return T.scale(total, zeta / 2.0)
+    return T.scaled_sq_sum(params, zeta / 2.0)
 
 
 def total_loss(output: Tensor, syn=None, sem=None, reg=None,

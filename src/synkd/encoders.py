@@ -63,6 +63,8 @@ class Params:
         return {k: t.data.copy() for k, t in self.tensors.items()}
 
     def load_state_dict(self, state):
+        """Copy `state` into the parameters' arrays in place, so views held by
+        an optimizer keep pointing at them."""
         missing = set(self.tensors) - set(state)
         extra = set(state) - set(self.tensors)
         if missing or extra:
@@ -73,7 +75,7 @@ class Params:
             if arr.shape != t.data.shape:
                 raise ValueError(
                     f"shape mismatch for {k!r}: {arr.shape} vs {t.data.shape}")
-            t.data = arr.astype(t.data.dtype)
+            t.data[...] = arr
 
 
 EMB_DROPOUT = 0.4  # dropout rate on every model's input embeddings in training

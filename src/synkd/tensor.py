@@ -570,6 +570,33 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _emit(out, (a,), back)
 
 
+def scaled_sq_sum(tensors, c: float) -> Tensor:
+    """c * (sum of the squared entries of every tensor) as one op, bitwise
+    equal to the left fold scale(add(...add(sum_(mul(t0, t0)), ...)), c):
+    each tensor's squares are summed on their own and the sums added in
+    order. Backward gives each tensor the fold's two mul contributions, one
+    after the other, so it lists each tensor twice among its parents."""
+    tensors = list(tensors)
+    if not tensors:
+        raise ValueError("scaled_sq_sum: empty input list")
+    c = float(c)
+    total = None
+    for t in tensors:
+        sq = np.asarray((t.data * t.data).sum())
+        total = sq if total is None else np.asarray(total + sq)
+    out = Tensor(total * c)
+
+    def back(g):
+        gc = g * c
+        grads = []
+        for t in tensors:
+            d = t.data * np.asarray(gc, dtype=t.dtype)
+            grads += [d, d]
+        return grads
+
+    return _emit(out, tuple(t for t in tensors for _ in range(2)), back)
+
+
 # ---------------------------------------------------------------------------
 # parameter helpers
 
@@ -594,50 +621,88 @@ BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 class Adam:
     """Adam optimizer over a fixed parameter list.
 
-    state holds first/second moment arrays ("m", "v"), the step count "t"
-    and a "skipped" counter.
+    The optimizer owns the parameters' storage: one flat buffer per dtype.
+    On construction it copies each parameter's data into its buffer and
+    rebinds `data` to a view of it, so one elementwise update over a buffer
+    steps every parameter of that dtype. From then on a parameter is set by
+    writing into its `data` in place (as `Params.load_state_dict` does);
+    `step` refuses a parameter whose `data` was rebound.
+
+    state holds first/second moment arrays ("m", "v", one flat array per
+    buffer), the step count "t" and a "skipped" counter; it is empty until
+    the first step. `views` splits flat arrays such as state["m"] into
+    per-parameter views.
     """
 
     def __init__(self, params, lr: float = 1e-5):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("Adam: a parameter is listed twice")
         self.lr = lr
         self.state = {}
+        dtypes = list(dict.fromkeys(p.dtype for p in self.params))
+        ends = [0] * len(dtypes)
+        self._slots = []  # per parameter: (buffer index, start, stop)
+        for p in self.params:
+            b = dtypes.index(p.dtype)
+            self._slots.append((b, ends[b], ends[b] + p.size))
+            ends[b] += p.size
+        self.buffers = [np.empty(n, dtype=d) for d, n in zip(dtypes, ends)]
+        self._views = self.views(self.buffers)
+        for p, view in zip(self.params, self._views):
+            view[...] = p.data
+            p.data = view
+        self._grads = [np.zeros_like(buf) for buf in self.buffers]
+        self._grad_views = self.views(self._grads)
+
+    def views(self, flats):
+        """Per-parameter views, in parameter order, of arrays laid out like
+        the buffers (one flat array per dtype)."""
+        return [flats[b][lo:hi].reshape(p.shape)
+                for p, (b, lo, hi) in zip(self.params, self._slots)]
+
+    def init_state(self, t: int = 0, skipped: int = 0):
+        """Zero moments at step count t; the first step calls this."""
+        self.state = {"m": [np.zeros_like(buf) for buf in self.buffers],
+                      "v": [np.zeros_like(buf) for buf in self.buffers],
+                      "t": t, "skipped": skipped}
 
     @property
     def skipped(self) -> int:
         return self.state.get("skipped", 0)
 
     def step(self) -> bool:
-        """One update in place. Any non-finite gradient skips the whole step
-        and bumps the skipped counter. Returns True when the update was
-        applied."""
-        params, state = self.params, self.state
-        if "m" not in state:
-            state["m"] = [np.zeros_like(p.data) for p in params]
-            state["v"] = [np.zeros_like(p.data) for p in params]
-            state["t"] = 0
-            state["skipped"] = 0
-        for p, m in zip(params, state["m"]):
-            if m.shape != p.data.shape:
+        """One update in place. The gradients are gathered into one flat
+        array per buffer (None counts as zeros); any non-finite value skips
+        the whole step and bumps the skipped counter. Returns True when the
+        update was applied."""
+        if "m" not in self.state:
+            self.init_state()
+        state = self.state
+        for p, view, gview in zip(self.params, self._views, self._grad_views):
+            if p.data is not view:
+                raise RuntimeError(
+                    "Adam: a parameter's data was rebound; write into it in place")
+            if p.grad is None:
+                gview.fill(0)
+            elif p.grad.shape != view.shape:
                 raise ValueError(
-                    f"adam state shape {m.shape} does not match param shape {p.data.shape}")
-        gs = []
-        for p in params:
-            g = np.zeros_like(p.data) if p.grad is None else p.grad
-            if not np.isfinite(g).all():
-                state["skipped"] += 1
-                return False
-            gs.append(g)
+                    f"grad shape {p.grad.shape} does not match param shape {view.shape}")
+            else:
+                gview[...] = p.grad
+        if not all(np.isfinite(g).all() for g in self._grads):
+            state["skipped"] += 1
+            return False
         state["t"] += 1
         t = state["t"]
         c1 = 1.0 - BETA1 ** t
         c2 = 1.0 - BETA2 ** t
-        for p, g, m, v in zip(params, gs, state["m"], state["v"]):
+        for buf, g, m, v in zip(self.buffers, self._grads, state["m"], state["v"]):
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2
             v += (1.0 - BETA2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            buf -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         return True
 
     def zero_grad(self):

@@ -433,9 +433,9 @@ def save_run_state(run_dir, model, state: RunState):
         save_checkpoint(os.path.join(run_dir, "best.syd1"), state.best_params)
     adam_state = state.adam.state if state.adam is not None else {}
     if adam_state:
-        names = model.p.names()
         moments = {}
-        for name, m, v in zip(names, adam_state["m"], adam_state["v"]):
+        for name, m, v in zip(model.p.names(), state.adam.views(adam_state["m"]),
+                              state.adam.views(adam_state["v"])):
             moments[f"m/{name}"] = m
             moments[f"v/{name}"] = v
         save_checkpoint(os.path.join(run_dir, "adam.syd1"), moments)
@@ -467,15 +467,14 @@ def load_run_state(run_dir, model, lr=None) -> RunState:
     adam_path = os.path.join(run_dir, "adam.syd1")
     if os.path.exists(adam_path) and meta["adam_t"] > 0:
         moments = load_checkpoint(adam_path)
-        names = model.p.names()
-        adam.state = {
-            "m": [moments[f"m/{n}"].astype(p.data.dtype)
-                  for n, p in zip(names, model.parameters())],
-            "v": [moments[f"v/{n}"].astype(p.data.dtype)
-                  for n, p in zip(names, model.parameters())],
-            "t": meta["adam_t"],
-            "skipped": meta["adam_skipped"],
-        }
+        adam.init_state(meta["adam_t"], meta["adam_skipped"])
+        for key in ("m", "v"):
+            for name, view in zip(model.p.names(), adam.views(adam.state[key])):
+                arr = moments[f"{key}/{name}"]
+                if arr.shape != view.shape:
+                    raise ValueError(f"adam {key} shape {arr.shape} does not match "
+                                     f"param {name!r} shape {view.shape}")
+                view[...] = arr
     rng = np.random.default_rng(meta["seed"])
     rng.bit_generator.state = meta["rng_state"]
     best_path = os.path.join(run_dir, "best.syd1")

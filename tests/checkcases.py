@@ -256,9 +256,12 @@ def case_con_inject(rng):
 
 
 def case_reg(rng):
+    # the first tensor also feeds a second term, so the L2 op's gradient adds
+    # to one it did not make
     ps = [rand_param(rng, (2, 3)), rand_param(rng, (4,))]
+    w = Tensor(rng.standard_normal((2, 3)))
     zeta = float(rng.random()) + 0.1
-    return (lambda: reg_loss(ps, zeta)), ps
+    return (lambda: T.add(reg_loss(ps, zeta), T.sum_(T.tanh(T.mul(ps[0], w))))), ps
 
 
 def case_total(rng):

@@ -9,7 +9,9 @@ loops of teacher pre-training and distillation that the shared `run_loop`
 must match bitwise, the taped probe training loop and per-span/per-arc
 instance builders (`reference_probe_train_eval`,
 `reference_constituent_instances`, `reference_dependency_instances`) that the
-closed-form probe step and gathered instances must match bitwise, and
+closed-form probe step and gathered instances must match bitwise, the
+per-tensor Adam (`ReferenceAdam`) and taped L2 fold (`reference_reg_loss`)
+that the flat-buffer Adam and the one-op `reg_loss` must match bitwise, and
 generators of random bracketed trees and of mutated JSONL records.
 
 The search is deliberately independent of the chart code — plain Python
@@ -23,12 +25,12 @@ import numpy as np
 
 from synkd import tensor as T
 from synkd.distill import (DistillConfig, DistillError, anneal_alpha, ce_sum, combine_syn,
-                           reg_loss, total_loss)
+                           total_loss)
 from synkd.encoders import LevelKids
 from synkd.structures import UNARY_SEP, BinTree
 from synkd.syntax_data import (ARC_LABEL, HEAD_CHILD, NULL_LABEL, ConstNode, ConstTree,
                                DataError, DepTree)
-from synkd.tensor import Adam, Tensor
+from synkd.tensor import ADAM_EPS, BETA1, BETA2, Adam, Tensor
 from synkd.train import (
     BatchSampler,
     RunState,
@@ -494,6 +496,72 @@ def record_mutants(record, rng):
                 yield {**record, key: v}
 
 
+class ReferenceAdam:
+    """`tensor.Adam` as it was before it owned one flat buffer per dtype: one
+    moment pair, one isfinite scan and a dozen numpy calls per parameter, and
+    the parameters keep their own arrays. Its moments are already per
+    parameter, so `views` is the identity and `save_run_state` can write
+    them."""
+
+    def __init__(self, params, lr: float = 1e-5):
+        self.params = list(params)
+        self.lr = lr
+        self.state = {}
+
+    @property
+    def skipped(self) -> int:
+        return self.state.get("skipped", 0)
+
+    def views(self, flats):
+        return flats
+
+    def step(self) -> bool:
+        params, state = self.params, self.state
+        if "m" not in state:
+            state["m"] = [np.zeros_like(p.data) for p in params]
+            state["v"] = [np.zeros_like(p.data) for p in params]
+            state["t"] = 0
+            state["skipped"] = 0
+        for p, m in zip(params, state["m"]):
+            if m.shape != p.data.shape:
+                raise ValueError(
+                    f"adam state shape {m.shape} does not match param shape {p.data.shape}")
+        gs = []
+        for p in params:
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            if not np.isfinite(g).all():
+                state["skipped"] += 1
+                return False
+            gs.append(g)
+        state["t"] += 1
+        t = state["t"]
+        c1 = 1.0 - BETA1 ** t
+        c2 = 1.0 - BETA2 ** t
+        for p, g, m, v in zip(params, gs, state["m"], state["v"]):
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        return True
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad = None
+
+
+def reference_reg_loss(params, zeta: float) -> Tensor:
+    """`reg_loss` as a taped left fold: a mul and a sum_ per tensor, the sums
+    added in order, then one scale."""
+    total = None
+    for p in params:
+        sq = T.sum_(T.mul(p, p))
+        total = sq if total is None else T.add(total, sq)
+    if total is None:
+        return Tensor(np.array(0.0))
+    return T.scale(total, zeta / 2.0)
+
+
 def _eval_and_stop(model, state, dev_data, eval_every, patience, log) -> bool:
     """Early-stopping bookkeeping; returns True when patience is exhausted."""
     if dev_data is None or state.t % eval_every != 0:
@@ -519,7 +587,9 @@ def reference_train_teacher(model, train_data, dev_data, *, iters=2000, batch_si
                             co_train_struct=False) -> RunState:
     """`train_teacher` with its own copy of the training loop, as it was
     before both training functions shared `run_loop`; kept verbatim as the
-    reference their trajectories must match bit for bit.
+    reference their trajectories must match bit for bit. It steps
+    `ReferenceAdam`, and the student's copy adds `reference_reg_loss`, so the
+    comparison covers the flat-buffer Adam and the one-op L2 term too.
 
     Supervised pre-training of one tree teacher with early stopping.
 
@@ -534,7 +604,7 @@ def reference_train_teacher(model, train_data, dev_data, *, iters=2000, batch_si
             raise DataError("teacher needs constituency annotation")
     if co_train_struct and not hasattr(model, "struct_head"):
         model.add_structure_head()
-    state = RunState(seed=seed, adam=Adam(model.parameters(), lr=lr))
+    state = RunState(seed=seed, adam=ReferenceAdam(model.parameters(), lr=lr))
     _emit(log, 0, "train", "n_params", model.p.n_scalars())
     sampler = BatchSampler(train_data)
     n_dep = len(model.codec.dep_labels)
@@ -590,7 +660,7 @@ def reference_distill_student(student, teachers, train_data, dev_data,
             signals = TeacherSignals(teachers, train_data, cfg,
                                      len(student.codec.dep_labels))
     if state is None:
-        state = RunState(seed=seed, adam=Adam(student.parameters(), lr=lr))
+        state = RunState(seed=seed, adam=ReferenceAdam(student.parameters(), lr=lr))
     sampler = BatchSampler(train_data)
     reg_params = student.parameters()
 
@@ -624,7 +694,7 @@ def reference_distill_student(student, teachers, train_data, dev_data,
                         main = student.reps([enc.main for enc in encs], True, rng)
                         syn = syn_loss_batch(student, main, idxs, signals, cfg, [m])
                         if cfg.zeta > 0:
-                            return T.add(syn, reg_loss(reg_params, cfg.zeta))
+                            return T.add(syn, reference_reg_loss(reg_params, cfg.zeta))
                         return syn
                     syn_vals.append(_optimize(state, syn_plus_reg,
                                               f"{m.structure}/{m.kind}"))
@@ -654,7 +724,7 @@ def reference_distill_student(student, teachers, train_data, dev_data,
                 if syn is not None:
                     parts["loss_syn"] = float(syn.data)
                     if cfg.zeta > 0:
-                        reg = reg_loss(reg_params, cfg.zeta)
+                        reg = reference_reg_loss(reg_params, cfg.zeta)
                 if cfg.lam2 > 0:
                     sem = sem_loss_batch(student, encs, cfg, rng)
                     parts["loss_sem"] = float(sem.data)

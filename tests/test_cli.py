@@ -406,6 +406,19 @@ def test_incomplete_model_dir_is_one_json_error_line(workspace, tmp_path, capsys
     assert one_error_line(err) == message.format(model=model)
 
 
+@pytest.mark.parametrize("name", ["config.resolved.json", "codec.json"])
+def test_model_dir_file_that_is_not_json_is_one_json_error_line(workspace, tmp_path,
+                                                                capsys, name):
+    model = tmp_path / "m"
+    shutil.copytree(workspace["teachers"].split(",")[0], model)
+    (model / name).write_text('{"command": ')
+    rc, out, err = run(capsys, "eval", "--model", str(model), "--data",
+                       str(workspace["data"] / "test.jsonl"), "--out", str(tmp_path / "ev"))
+    assert rc == 1 and not out
+    assert "Traceback" not in err
+    assert one_error_line(err) == f"{model}/{name}: invalid JSON (Expecting value)"
+
+
 def test_model_dir_with_a_removed_key_loads_but_does_not_replay(workspace, tmp_path, capsys):
     # every command used to write the no_* ablation switches into its resolved config
     model = tmp_path / "m"

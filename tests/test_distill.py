@@ -35,7 +35,7 @@ from synkd.syntax_data import DataError
 from synkd.tensor import Tensor
 
 from gradcheck import check_case
-from oracles import enum_best, random_bintree, random_table
+from oracles import enum_best, random_bintree, random_table, reference_reg_loss
 
 
 def scored_from_array(arr):
@@ -552,6 +552,28 @@ def test_reg_loss_gradient_is_zeta_theta():
         loss = reg_loss([theta], 0.4)
         tape.backward(loss)
     np.testing.assert_allclose(theta.grad, 0.4 * theta.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtypes", [(np.float32,) * 4, (np.float32, np.float64) * 2])
+def test_reg_loss_bitwise_matches_taped_fold(dtypes):
+    # two parameters also feed a second term, one recorded before the L2 term
+    # and one after it, so their adjoints add up in both orders; one tensor
+    # is a constant that gets no gradient
+    rng = np.random.default_rng(23)
+    shapes = [(4, 3), (5,), (), (2, 2, 3)]
+    init = [rng.standard_normal(s).astype(d) for s, d in zip(shapes, dtypes)]
+    other, const = (Tensor(rng.standard_normal(s).astype(dtypes[0])) for s in ((4, 3), 3))
+
+    def run(reg):
+        ps = [Tensor(a.copy(), requires_grad=True) for a in init]
+        with T.Tape() as tape:
+            before = T.sum_(T.mul(ps[0], other))
+            loss = T.add(before, reg(ps[:2] + [const] + ps[2:], 0.3))
+            loss = T.add(loss, T.sum_(T.tanh(ps[3])))
+            tape.backward(loss)
+        return loss.data.tobytes(), [(p.grad.dtype, p.grad.tobytes()) for p in ps]
+
+    assert run(reg_loss) == run(reference_reg_loss)
 
 
 def test_total_loss_arithmetic():

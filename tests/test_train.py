@@ -10,6 +10,7 @@ from synkd.distill import (DistillConfig, DistillError, TeacherSet, soft_arc_tar
 from synkd.encoders import (Codec, EncodedSide, GcnModel, StudentEncoder, StudentModel,
                             TEACHER_KINDS, make_teacher)
 from synkd.syntax_data import DataError, Example, gen_synthetic
+from synkd.tensor import Adam
 from synkd.train import (
     BatchSampler,
     RunLog,
@@ -590,6 +591,44 @@ def test_resume_reproduces_trajectory(tmp_path):
     assert state_c.trace == state_a.trace
     assert state_c.history == state_a.history
     assert state_c.best_iter == state_a.best_iter
+
+
+def test_loads_write_into_the_optimizer_buffers(tmp_path):
+    # a state loaded after the optimizer exists lands in its flat buffers:
+    # a step then moves the loaded model, and every parameter still views one
+    codec, encs = small_data(24, seed=19)
+    student = small_student(codec)
+    adam = Adam(student.parameters(), lr=1e-2)
+    loaded = small_student(codec, seed=7).p.state_dict()
+    student.p.load_state_dict(loaded)
+    for name, p in zip(student.p.names(), student.parameters()):
+        assert p.data.tobytes() == loaded[name].tobytes()
+        p.grad = np.ones_like(p.data)
+    assert adam.step()
+    for name, p in zip(student.p.names(), student.parameters()):
+        assert not np.array_equal(p.data, loaded[name]), name
+        assert np.shares_memory(p.data, adam.buffers[0]), name
+
+    # run state: parameters and moments are copied into the new optimizer
+    state = distill_student(student, None, encs, None, DistillConfig(),
+                            Schedule(total=2, g1=1, g2=1), batch_size=4, lr=1e-2,
+                            seed=0, stop_after=2)
+    save_run_state(tmp_path / "run", student, state)
+    fresh = small_student(codec)
+    back = load_run_state(tmp_path / "run", fresh)
+    moments = load_checkpoint(tmp_path / "run" / "adam.syd1")
+    for name, p, m in zip(fresh.p.names(), fresh.parameters(),
+                          back.adam.views(back.adam.state["m"])):
+        assert np.shares_memory(p.data, back.adam.buffers[0]), name
+        assert m.tobytes() == moments[f"m/{name}"].tobytes(), name
+    assert params_fingerprint(fresh.p) == params_fingerprint(student.p)
+
+    # a moment of the wrong shape is refused at load, naming its parameter
+    name = fresh.p.names()[1]
+    moments[f"v/{name}"] = moments[f"v/{name}"].reshape(-1)[:-1]
+    save_checkpoint(tmp_path / "run" / "adam.syd1", moments)
+    with pytest.raises(ValueError, match=f"adam v shape .* param {name!r}"):
+        load_run_state(tmp_path / "run", small_student(codec))
 
 
 # ------------------------------------------------- shared loop vs reference
