@@ -673,9 +673,9 @@ class Adam:
 
     def step(self) -> bool:
         """One update in place. The gradients are gathered into one flat
-        array per buffer (None counts as zeros); any non-finite value skips
-        the whole step and bumps the skipped counter. Returns True when the
-        update was applied."""
+        array per buffer, each in its parameter's dtype (None counts as
+        zeros); any non-finite value skips the whole step and bumps the
+        skipped counter. Returns True when the update was applied."""
         if "m" not in self.state:
             self.init_state()
         state = self.state
