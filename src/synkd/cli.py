@@ -519,19 +519,23 @@ def build_parser():
         p.add_argument("--config", help="JSON config file")
         for key in ("seed", "task", "out", *keys.split()):
             p.add_argument("--" + key.replace("_", "-"), **CONFIG[key][3])
-        # looked up by name on every build, so a rebound cli.cmd_* is the one called
-        p.set_defaults(func=globals()["cmd_" + command.replace("-", "_")])
     return parser
 
 
+_PARSER = None  # built by the first main call and reused by the later ones
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        # looked up by name on every call, so a rebound cli.cmd_* is the one called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except CliError as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 1

@@ -10,11 +10,12 @@ and checkpointing.
 Every model encodes a whole batch of sentences at once through
 `reps(sides) -> (rows, offsets)`: the token rows of all sentences stacked in
 input order plus their row offsets, which the shared task heads, losses and
-scorers consume. Tree cells run once per tree level across every tree of the
-batch (dynamic batching), the GCN sums messages over the batch's stacked edge
-lists, the student runs one packed BiLSTM batch over sentences of any
-lengths, and the arc and span scorers score every sentence of a batch in a
-fixed number of tape ops.
+scorers consume. Each TreeLSTM layer direction is one tape op that runs the
+cell level by level across every tree of the batch (dynamic batching), over
+level plans built once per batch; the GCN sums messages over the batch's
+stacked edge arrays, the student runs one packed BiLSTM batch over sentences
+of any lengths, and the arc and span scorers score every sentence of a batch
+in a fixed number of tape ops.
 """
 from __future__ import annotations
 
@@ -85,29 +86,41 @@ def _dropout(x: Tensor, train, rng) -> Tensor:
     return T.dropout(x, EMB_DROPOUT, rng) if train else x
 
 
-@dataclass
-class LevelKids:
-    """Incoming edges of the parents in one level, ordered by (seg, slot):
-    edge k feeds the state at buffer row src[k] (row 0 is the zero state) to
-    the level's parent seg[k] as its slot[k]-th child."""
-    seg: np.ndarray
-    slot: np.ndarray
-    src: np.ndarray
-
-
 # ---------------------------------------------------------------------------
-# tree cells: each runs one tree level at a time. `fuse` concatenates the
-# per-gate parameters into the blocks the level kernel multiplies by, and
-# `level` maps the level's projected inputs plus its children's states to the
-# new (h, c) rows.
+# tree cells on raw arrays: `fuse` concatenates the per-gate parameters into
+# the blocks the level pass multiplies by; for a level with children,
+# `forward` maps its projected inputs xw plus the children's states to the
+# shared LSTM update's inputs, and `backward` maps their adjoints to
+# (d xw, (buffer rows, d kid_h, d kid_c), recurrent block gradients).
 
-def _lstm_update(pre, hid, forget_sum):
-    """h, c from [i, o, u] pre-activations plus the gated child-memory sum."""
-    io = T.sigmoid(T.slice_cols(pre, 0, 2 * hid))
-    c = T.mul(T.slice_cols(io, 0, hid), T.tanh(T.slice_cols(pre, 2 * hid, 3 * hid)))
+def _sigmoid(a):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-a))
+
+
+def _lstm_forward(pre, hid, forget_sum):
+    """h, c from [i, o, u] pre-activations plus the gated child-memory sum,
+    and the activations (io, u, tanh c) the backward step reads."""
+    io = _sigmoid(pre[:, :2 * hid])
+    # tanh of a contiguous copy, as in the taped cells: numpy's SIMD loops
+    # need not round a strided input the same way
+    u = np.tanh(np.ascontiguousarray(pre[:, 2 * hid:3 * hid]))
+    c = io[:, :hid] * u
     if forget_sum is not None:
-        c = T.add(c, forget_sum)
-    return T.mul(T.slice_cols(io, hid, 2 * hid), T.tanh(c)), c
+        c = c + forget_sum
+    tc = np.tanh(c)
+    return io[:, hid:] * tc, c, (io, u, tc)
+
+
+def _lstm_backward(dh, dc, saved):
+    """Adjoints of the [i, o, u] pre-activations (n, 3h) and of c, the
+    latter also that of the child-memory sum, from those of h and c."""
+    io, u, tc = saved
+    hid = u.shape[1]
+    i, o = io[:, :hid], io[:, hid:]
+    dc = dc + dh * o * (1.0 - tc * tc)
+    return np.concatenate((dc * u * i * (1.0 - i), dh * tc * o * (1.0 - o),
+                           dc * i * (1.0 - u * u)), axis=1), dc
 
 
 def _row_keys(*mats):
@@ -141,19 +154,27 @@ class ChildSumCell:
         b = T.concat([self.b[g] for g in "iouf"], axis=0)
         return w, b, (T.concat([self.U[g] for g in "iou"], axis=1), self.U["f"])
 
-    def level(self, rec, xw, kids: LevelKids, H: Tensor, C: Tensor):
+    def forward(self, rec, xw, seg, slot, src, H, C):
         hid, n = self.hid, xw.shape[0]
-        pre = T.slice_cols(xw, 0, 3 * hid)
-        if not kids.src.size:
-            return _lstm_update(pre, hid, None)
-        order = np.lexsort((_row_keys(H.data[kids.src], C.data[kids.src]), kids.seg))
-        seg, src = kids.seg[order], kids.src[order]
-        kid_h, kid_c = T.embedding(H, src), T.embedding(C, src)
+        kid_h, kid_c = H[src], C[src]
+        order = np.lexsort((_row_keys(kid_h, kid_c), seg))
+        seg, src, kid_h, kid_c = seg[order], src[order], kid_h[order], kid_c[order]
         u_iou, u_f = rec
-        pre = T.add(pre, T.matmul(T.segment_sum(kid_h, seg, n), u_iou))
-        f = T.sigmoid(T.add(T.embedding(T.slice_cols(xw, 3 * hid, 4 * hid), seg),
-                            T.matmul(kid_h, u_f)))
-        return _lstm_update(pre, hid, T.segment_sum(T.mul(f, kid_c), seg, n))
+        kid_sum = T._add_rows(np.zeros((n, hid), dtype=kid_h.dtype), seg, kid_h)
+        pre = xw[:, :3 * hid] + kid_sum @ u_iou
+        f = _sigmoid(xw[seg, 3 * hid:] + kid_h @ u_f)
+        forget = T._add_rows(np.zeros((n, hid), dtype=f.dtype), seg, f * kid_c)
+        return pre, forget, (seg, src, kid_h, kid_c, kid_sum, f)
+
+    def backward(self, rec, saved, d_pre, dc):
+        seg, src, kid_h, kid_c, kid_sum, f = saved
+        u_iou, u_f = rec
+        d_fc = dc[seg]
+        d_f = d_fc * kid_c * f * (1.0 - f)
+        d_kid_h = d_f @ u_f.T + (d_pre @ u_iou.T)[seg]
+        d_x_f = T._add_rows(np.zeros_like(dc), seg, d_f)
+        return (np.concatenate((d_pre, d_x_f), axis=1), (src, d_kid_h, d_fc * f),
+                (kid_sum.T @ d_pre, kid_h.T @ d_f))
 
 
 class NaryCell:
@@ -174,7 +195,7 @@ class NaryCell:
                     for q in range(n_ary)] for k in range(n_ary)]
 
     def fuse(self):
-        """Input block and bias as [i, o, u, f_0 .. f_N-1]; the recurrent
+        """Input block and bias as [i, o, u, f_0 .. f_N-1]; the one recurrent
         block (N h, 3h + N h) holds, in row block q, child q's weights into
         every gate."""
         n = self.n_ary
@@ -183,22 +204,28 @@ class NaryCell:
         rec = T.concat([T.concat([self.U[g][q] for g in "iou"]
                                  + [self.Uf[k][q] for k in range(n)], axis=1)
                         for q in range(n)], axis=0)
-        return w, b, rec
+        return w, b, (rec,)
 
-    def level(self, rec, xw, kids: LevelKids, H: Tensor, C: Tensor):
+    def forward(self, rec, xw, seg, slot, src, H, C):
         hid, n, m = self.hid, xw.shape[0], self.n_ary
-        if not kids.src.size:
-            return _lstm_update(xw, hid, None)
-        if kids.slot.max() >= m:
-            raise ValueError(f"{kids.slot.max() + 1} children exceed N={m}; binarize first")
+        if slot.max() >= m:
+            raise ValueError(f"{slot.max() + 1} children exceed N={m}; binarize first")
         rows = np.zeros((n, m), dtype=np.int64)  # absent children read the zero row
-        rows[kids.seg, kids.slot] = kids.src
+        rows[seg, slot] = src
         flat = rows.reshape(-1)
-        kid_h = T.reshape(T.embedding(H, flat), (n, m * hid))
-        kid_c = T.reshape(T.embedding(C, flat), (n, m * hid))
-        pre = T.add(xw, T.matmul(kid_h, rec))
-        fc = T.mul(T.sigmoid(T.slice_cols(pre, 3 * hid, (3 + m) * hid)), kid_c)
-        return _lstm_update(pre, hid, T.sum_(T.reshape(fc, (n, m, hid)), axis=1))
+        kid_h, kid_c = H[flat].reshape(n, m * hid), C[flat].reshape(n, m * hid)
+        pre = xw + kid_h @ rec[0]
+        f = _sigmoid(pre[:, 3 * hid:])
+        return pre, (f * kid_c).reshape(n, m, hid).sum(axis=1), (flat, kid_h, kid_c, f)
+
+    def backward(self, rec, saved, d_pre, dc):
+        n, m = dc.shape[0], self.n_ary
+        flat, kid_h, kid_c, f = saved
+        d_fc = np.tile(dc, m)
+        d_pre = np.concatenate((d_pre, d_fc * kid_c * f * (1.0 - f)), axis=1)
+        d_kid_h = (d_pre @ rec[0].T).reshape(n * m, -1)
+        return (d_pre, (flat, d_kid_h, (d_fc * f).reshape(n * m, -1)),
+                (kid_h.T @ d_pre,))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +256,12 @@ class EncGraph:
                 depth[v] = depth[parent[v]] + 1
         self.height, self.depth = np.array(height), np.array(depth)
 
+    @cached_property
+    def edges(self):
+        """(parent, child, slot) per tree edge, slot being the child's
+        position among its siblings."""
+        return np.array([(v, c, q) for v, cs in enumerate(self.children)
+                         for q, c in enumerate(cs)], dtype=np.int64).reshape(-1, 3)
 
 def dep_enc_graph(heads) -> EncGraph:
     n = len(heads)
@@ -294,54 +327,106 @@ def offsets(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
 
-def tree_encode(graphs, x: Tensor, up_cell, down_cell) -> Tensor:
-    """Bidirectional node representations for a batch of trees, one cell call
-    per level and direction.
-
-    x stacks every graph's node inputs in graph order. Bottom-up (up_cell):
-    children feed parents, level by height. Top-down (down_cell): the parent
-    state is the single child input of each node (roots get zero state), level
-    by depth. Returns the (total nodes, 2 * hid) matrix [bottom-up | top-down]
-    in the rows of x.
-    """
-    node_off = offsets([len(g.children) for g in graphs])
-    if x.shape[0] != node_off[-1]:
-        raise ValueError(f"{x.shape[0]} input rows for {node_off[-1]} tree nodes")
-    # (parent, child, slot) per tree edge, slot being the child's position
-    # among its siblings
-    parent, child, slot = np.array(
-        [(v + o, c + o, q) for g, o in zip(graphs, node_off)
-         for v, cs in enumerate(g.children) for q, c in enumerate(cs)],
-        dtype=np.int64).reshape(-1, 3).T
-    height = np.concatenate([g.height for g in graphs])
-    depth = np.concatenate([g.depth for g in graphs])
-    return T.concat([_level_pass(up_cell, x, height, parent, child, slot),
-                     _level_pass(down_cell, x, depth, child, parent, np.zeros_like(slot))],
-                    axis=1)
+@dataclass
+class LevelPlan:
+    """One direction of a batch's level schedule: nodes sorted stably by
+    level (perm, its inverse pos) and per level its sorted rows [lo, hi) and
+    incoming edges by (seg, slot), edge k feeding buffer row src[k] (row 0
+    the zero state, 1 + r sorted row r) to node seg[k] as child slot[k]."""
+    perm: np.ndarray
+    pos: np.ndarray
+    levels: list  # (lo, hi, seg, slot, src) per level
 
 
-def _level_pass(cell, x, level, dst, src, slot):
-    """Nodes sorted by level; each level's inputs come from the state buffer
-    of lower levels, which grows by one block of rows per level."""
+def _level_plan(level, dst, src, slot) -> LevelPlan:
     perm = np.argsort(level, kind="stable")
     pos = np.empty_like(perm)
     pos[perm] = np.arange(perm.size)
-    dst, src = pos[dst], pos[src] + 1  # buffer row 0 is the zero state
+    dst, src = pos[dst], pos[src] + 1
     order = np.lexsort((slot, dst))
     dst, src, slot = dst[order], src[order], slot[order]
+    levels, lo = [], 0
+    for hi in np.cumsum(np.bincount(level)).tolist():
+        a, z = np.searchsorted(dst, [lo, hi]).tolist()
+        levels.append((lo, hi, dst[a:z] - lo, slot[a:z], src[a:z]))
+        lo = hi
+    return LevelPlan(perm, pos, levels)
+
+
+def level_plans(graphs):
+    """(bottom-up, top-down) LevelPlans of a batch of trees, read by every
+    layer. Bottom-up, children feed parents, level by height; top-down, the
+    parent state is the single child input of each node (roots get zero
+    state), level by depth."""
+    node_off = offsets([len(g.children) for g in graphs])
+    parent, child, slot = np.concatenate(
+        [g.edges + (o, o, 0) for g, o in zip(graphs, node_off)]).T
+    height = np.concatenate([g.height for g in graphs])
+    depth = np.concatenate([g.depth for g in graphs])
+    return (_level_plan(height, parent, child, slot),
+            _level_plan(depth, child, parent, np.zeros_like(slot)))
+
+
+def tree_encode(plans, x: Tensor, up_cell, down_cell) -> Tensor:
+    """Bidirectional node representations for a batch of trees: x stacks
+    every tree's node inputs in tree order, `plans` are the batch's
+    `level_plans`. Returns the (total nodes, 2 * hid) matrix
+    [bottom-up (up_cell) | top-down (down_cell)] in the rows of x."""
+    if x.shape[0] != plans[0].perm.size:
+        raise ValueError(f"{x.shape[0]} input rows for {plans[0].perm.size} tree nodes")
+    return T.concat([_level_pass(up_cell, x, plans[0]),
+                     _level_pass(down_cell, x, plans[1])], axis=1)
+
+
+def _level_pass(cell, x, plan: LevelPlan):
+    """One direction as one tape op. Level by level, the nodes' inputs are
+    projected and their children's states read from (1 + nodes, h) H and C
+    buffers, whose row 0 is the zero state, and the new states written after
+    them; backward sweeps the levels in reverse.
+
+    Every parameter block gets one gradient per level, in reverse level
+    order, so they add up as they would had each level been its own ops: a
+    block the cell reads unfused (ChildSum's U_f) may also collect gradients
+    from another pass of the same tape, as in a pair batch."""
     w, b, rec = cell.fuse()
-    H = C = Tensor(np.zeros((1, cell.hid), dtype=x.dtype))
-    lo = 0
-    for hi in np.cumsum(np.bincount(level)):
-        a, z = np.searchsorted(dst, [lo, hi])
-        kids = LevelKids(dst[a:z] - lo, slot[a:z], src[a:z])
+    recs, hid = [r.data for r in rec], cell.hid
+    H = np.zeros((1 + plan.perm.size, hid), dtype=x.dtype)
+    C = np.zeros_like(H)
+    steps = []
+    for lo, hi, seg, slot, src in plan.levels:
+        xe = x.data[plan.perm[lo:hi]]
         # projected per level, not once for all nodes: this keeps the float
         # rounding that existing checkpoints were trained with
-        xw = T.add(T.matmul(T.embedding(x, perm[lo:hi]), w), b)
-        h, c = cell.level(rec, xw, kids, H, C)
-        H, C = T.concat([H, h], axis=0), T.concat([C, c], axis=0)
-        lo = hi
-    return T.embedding(H, pos + 1)
+        xw = xe @ w.data + b.data
+        pre, forget, kids = (cell.forward(recs, xw, seg, slot, src, H, C) if src.size
+                             else (xw, None, None))
+        H[1 + lo:1 + hi], C[1 + lo:1 + hi], lstm = _lstm_forward(pre, hid, forget)
+        steps.append((xe, lstm, kids))
+    out = Tensor(H[plan.pos + 1])
+
+    def back(g):
+        dH, dC = np.zeros_like(H), np.zeros_like(C)
+        dH[plan.pos + 1] = g
+        gx = np.zeros_like(x.data)
+        grads = [gx]
+        for (lo, hi, *_), (xe, lstm, kids) in zip(reversed(plan.levels), reversed(steps)):
+            d_pre, dc = _lstm_backward(dH[1 + lo:1 + hi], dC[1 + lo:1 + hi], lstm)
+            d_xw, kids, d_rec = (cell.backward(recs, kids, d_pre, dc) if kids else
+                                 (np.pad(d_pre, ((0, 0), (0, w.shape[1] - 3 * hid))), (), ()))
+            gx[plan.perm[lo:hi]] = d_xw @ w.data.T
+            grads += [xe.T @ d_xw, d_xw.sum(axis=0), *d_rec]
+            if kids:
+                # the children's adjoints gathered apart, then added to the
+                # buffers' in one sum per row, as a taped gather would
+                src, d_kid_h, d_kid_c = kids
+                for buf, d in ((dH, d_kid_h), (dC, d_kid_c)):
+                    buf[:1 + lo] += T._add_rows(np.zeros((1 + lo, hid), dtype=d.dtype), src, d)
+        return grads
+
+    parents = [x]
+    for _, _, _, _, src in reversed(plan.levels):
+        parents += [w, b, *(rec if src.size else ())]
+    return T._emit(out, tuple(parents), back)
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +443,20 @@ def gcn_layer(h: Tensor, edges, w: Tensor, b: Tensor) -> Tensor:
 
 def gcn_edges(sizes, trees):
     """(src, dst) messages for a batch of graphs stacked block-diagonally:
-    each node to itself, and both ways along every (a, b) edge of each
-    graph's tree, as in a symmetric 0/1 adjacency with self-loops."""
+    each node to itself, and both ways along every (a, b) row of each
+    graph's edge array, as in a symmetric 0/1 adjacency with self-loops."""
     off = offsets(sizes)
-    e = np.array([(a + o, b + o) for t, o in zip(trees, off) for a, b in t],
-                 dtype=np.int64).reshape(-1, 2)
+    e = np.concatenate([np.asarray(t, dtype=np.int64).reshape(-1, 2) + o
+                        for t, o in zip(trees, off)])
     loops = np.arange(off[-1])
     return np.concatenate([loops, e[:, 0], e[:, 1]]), np.concatenate([loops, e[:, 1], e[:, 0]])
 
 
-def dep_edges(heads):
-    return [(i, h - 1) for i, h in enumerate(heads) if h != 0]
+def dep_edges(heads) -> np.ndarray:
+    """(dependent, head) node pairs of a 1-based head list, by dependent."""
+    heads = np.asarray(heads, dtype=np.int64)
+    dep = np.flatnonzero(heads)
+    return np.stack([dep, heads[dep] - 1], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +752,11 @@ class EncodedSide:
         return None if self.raw.dep is None else dep_enc_graph(self.heads)
 
     @cached_property
+    def dep_gcn(self):
+        """Edge array of the dependency GCN: (dependent, head) rows."""
+        return None if self.raw.dep is None else dep_edges(self.raw.dep.heads)
+
+    @cached_property
     def bintree(self):
         """The binarized constituency tree with label ids."""
         if self.raw.con is None:
@@ -674,19 +767,22 @@ class EncodedSide:
 
     @cached_property
     def con_tree(self):
-        """(graph, node inputs) of the constituency TreeLSTM over the binarized
-        tree: ("word", token id) at a leaf, ("label", label id) inside."""
+        """(graph, is_word, ids) of the constituency TreeLSTM over the
+        binarized tree: a leaf's input is its token id, an inner node's its
+        label id."""
         if self.raw.con is None:
             return None
         graph, spans = con_enc_graph(self.bintree)
-        return graph, [("word", int(self.token_ids[i])) if j - i == 1
-                       else ("label", self.bintree.spans[(i, j)]) for i, j in spans]
+        is_word = np.array([j - i == 1 for i, j in spans], dtype=bool)
+        ids = np.array([self.token_ids[i] if j - i == 1 else self.bintree.spans[(i, j)]
+                        for i, j in spans], dtype=np.int64)
+        return graph, is_word, ids
 
     @cached_property
     def con_gcn(self):
-        """(node inputs, edges) of the constituency GCN over the original tree:
-        token nodes 0..n-1, then one node per tree node (preterminals
-        included)."""
+        """(is_word, ids, edges) of the constituency GCN over the original
+        tree: token nodes 0..n-1 with token ids, then one node per tree node
+        (preterminals included) with label ids; edges holds (a, b) rows."""
         if self.raw.con is None:
             return None
         spans, n = self.raw.con.spans(), self.n
@@ -713,9 +809,9 @@ class EncodedSide:
                 edges[nid + i] = (nid, i)
             starts.append(i)
             ids.append(nid)
-        label_ids = self.codec.con_labels.encode(labels[n:]).tolist()
-        return ([("word", int(t)) for t in self.token_ids]
-                + [("label", l) for l in label_ids], edges[n:])
+        return (np.arange(n + m) < n,
+                np.concatenate([self.token_ids, self.codec.con_labels.encode(labels[n:])]),
+                np.array(edges[n:], dtype=np.int64).reshape(-1, 2))
 
 
 class EncodedExample:
@@ -760,13 +856,10 @@ class BaseModel:
             self.head = ClassifyHead(self.p, "head", rep_dim, self.codec.n_classes,
                                      self.rng, dtype=self.dtype)
 
-    def _node_rows(self, graph_inputs, train, rng) -> Tensor:
-        """Stacked input rows for each graph's ("word" | "label", id) node
-        inputs: word and label embeddings share one dropout and are
+    def _node_rows(self, is_word, ids, train, rng) -> Tensor:
+        """Input rows of nodes that read a word (is_word) or a label
+        embedding, by id: word and label embeddings share one dropout and are
         interleaved by one gather."""
-        inputs = [p for node_inputs in graph_inputs for p in node_inputs]
-        is_word = np.array([k == "word" for k, _ in inputs], dtype=bool)
-        ids = np.array([i for _, i in inputs], dtype=np.int64)
         x = _dropout(T.concat([T.embedding(self.emb, ids[is_word]),
                                T.embedding(self.label_emb, ids[~is_word])], axis=0),
                      train, rng)
@@ -841,9 +934,9 @@ class DepTreeLstmModel(BaseModel):
         """Stacked token rows of a batch of sides plus their row offsets."""
         ids = np.concatenate([s.token_ids for s in sides])
         x = _dropout(T.embedding(self.emb, ids), train, rng)
-        graphs = [s.dep_graph for s in sides]
+        plans = level_plans([s.dep_graph for s in sides])
         for up, down in self.cells:
-            x = tree_encode(graphs, x, up, down)
+            x = tree_encode(plans, x, up, down)
         return x, offsets([s.n for s in sides])  # dependency nodes are the tokens
 
 
@@ -871,10 +964,11 @@ class ConTreeLstmModel(BaseModel):
 
     def reps(self, sides, train=False, rng=None):
         """Stacked token rows of a batch of sides plus their row offsets."""
-        graphs, inputs = zip(*(s.con_tree for s in sides))
-        x = self._node_rows(inputs, train, rng)
+        graphs, is_word, ids = zip(*(s.con_tree for s in sides))
+        x = self._node_rows(np.concatenate(is_word), np.concatenate(ids), train, rng)
+        plans = level_plans(graphs)
         for up, down in self.cells:
-            x = tree_encode(graphs, x, up, down)
+            x = tree_encode(plans, x, up, down)
         node_off = offsets([len(g.children) for g in graphs])
         rows = np.concatenate([np.asarray(g.token_rows) + o
                                for g, o in zip(graphs, node_off)])
@@ -908,11 +1002,11 @@ class GcnModel(BaseModel):
         if self.structure == "dep":
             ids = np.concatenate([s.token_ids for s in sides])
             h = _dropout(T.embedding(self.emb, ids), train, rng)
-            edges = gcn_edges([s.n for s in sides], [dep_edges(s.heads) for s in sides])
+            edges = gcn_edges([s.n for s in sides], [s.dep_gcn for s in sides])
         else:
-            inputs, trees = zip(*(s.con_gcn for s in sides))
-            sizes = [len(i) for i in inputs]
-            h = self._node_rows(inputs, train, rng)
+            is_word, ids, trees = zip(*(s.con_gcn for s in sides))
+            sizes = [i.size for i in ids]
+            h = self._node_rows(np.concatenate(is_word), np.concatenate(ids), train, rng)
             edges = gcn_edges(sizes, trees)
         for w, b in self.layers:
             h = gcn_layer(h, edges, w, b)

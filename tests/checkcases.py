@@ -28,6 +28,7 @@ from synkd.distill import (
 from synkd.encoders import (
     ArcLabelScorer,
     ChildSumCell,
+    EncGraph,
     NaryCell,
     Params,
     ScoredSpans,
@@ -37,6 +38,7 @@ from synkd.encoders import (
     dep_enc_graph,
     gcn_edges,
     gcn_layer,
+    level_plans,
     offsets,
     tree_encode,
 )
@@ -83,16 +85,27 @@ def batch_sizes(rng):
 
 # ----------------------------------------------------------------- encoders
 
+def star_graph():
+    """A root with three children: in the top-down pass one parent state
+    feeds several nodes."""
+    return dep_enc_graph([0, 1, 1, 1])
+
+
+def unary_graph():
+    """Node 1 has a single child, so its second N-ary slot is absent."""
+    return EncGraph([[], [0], [1, 3], []], [1, 2, -1, 2], [0, 3], [0, 3, 1, 2])
+
+
 def case_childsum(rng):
     in_dim, hid = 3, 2
     p = Params()
     up = ChildSumCell(p, "up", in_dim, hid, rng, dtype=F64)
     down = ChildSumCell(p, "down", in_dim, hid, rng, dtype=F64)
-    graphs = [dep_enc_graph(random_heads(rng, n)) for n in batch_sizes(rng)]
+    graphs = [dep_enc_graph(random_heads(rng, n)) for n in batch_sizes(rng)] + [star_graph()]
     x = rand_param(rng, (sum(len(g.children) for g in graphs), in_dim))
 
     def f():
-        return weighted_sum(tree_encode(graphs, x, up, down),
+        return weighted_sum(tree_encode(level_plans(graphs), x, up, down),
                             np.random.default_rng(0))
 
     return f, p.all() + [x]
@@ -104,10 +117,11 @@ def case_nary(rng):
     up = NaryCell(p, "up", in_dim, hid, rng, n_ary=2, dtype=F64)
     down = NaryCell(p, "down", in_dim, hid, rng, n_ary=2, dtype=F64)
     graphs = [con_enc_graph(random_bintree(rng, n, 2))[0] for n in batch_sizes(rng)]
+    graphs.append(unary_graph())
     x = rand_param(rng, (sum(len(g.children) for g in graphs), in_dim))
 
     def f():
-        return weighted_sum(tree_encode(graphs, x, up, down),
+        return weighted_sum(tree_encode(level_plans(graphs), x, up, down),
                             np.random.default_rng(0))
 
     return f, p.all() + [x]

@@ -1,6 +1,8 @@
 """Brute-force oracles used by tests: exhaustive search over bracketings,
-one tree-cell update with hand-set child states, the row-major packed LSTM
-scan that the gate-major one must match bitwise, the fine-token bracket
+one tree-cell update with hand-set child states, the taped tree kernels
+(`reference_tree_encode`) and teacher `reference_reps` that the one-op level
+pass and the per-side edge and input arrays must match bitwise, the row-major
+packed LSTM scan that the gate-major one must match bitwise, the fine-token bracket
 parser that the coarse-token one must match, a laminarity check for
 constituency span sets, the node-walking binarization, constituency GCN
 graph, bracketed rendering, head percolation, unbinarization and tree
@@ -20,13 +22,15 @@ left-major so the first maximum agrees with the documented chart tie-break
 (lowest split, then lowest label id).
 """
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
 from synkd import tensor as T
 from synkd.distill import (DistillConfig, DistillError, anneal_alpha, ce_sum, combine_syn,
                            total_loss)
-from synkd.encoders import LevelKids
+from synkd.encoders import (ChildSumCell, _dropout, _row_keys, con_enc_graph, gcn_layer,
+                            offsets)
 from synkd.structures import UNARY_SEP, BinTree
 from synkd.syntax_data import (ARC_LABEL, HEAD_CHILD, NULL_LABEL, ConstNode, ConstTree,
                                DataError, DepTree)
@@ -49,16 +53,206 @@ from synkd.train import (
 )
 
 
+@dataclass
+class LevelKids:
+    """Incoming edges of the parents in one level, ordered by (seg, slot):
+    edge k feeds the state at buffer row src[k] (row 0 is the zero state) to
+    the level's parent seg[k] as its slot[k]-th child."""
+    seg: np.ndarray
+    slot: np.ndarray
+    src: np.ndarray
+
+
+def _lstm_update(pre, hid, forget_sum):
+    """h, c from [i, o, u] pre-activations plus the gated child-memory sum."""
+    io = T.sigmoid(T.slice_cols(pre, 0, 2 * hid))
+    c = T.mul(T.slice_cols(io, 0, hid), T.tanh(T.slice_cols(pre, 2 * hid, 3 * hid)))
+    if forget_sum is not None:
+        c = T.add(c, forget_sum)
+    return T.mul(T.slice_cols(io, hid, 2 * hid), T.tanh(c)), c
+
+
+def _childsum_level(cell, rec, xw, kids: LevelKids, H: Tensor, C: Tensor):
+    hid, n = cell.hid, xw.shape[0]
+    pre = T.slice_cols(xw, 0, 3 * hid)
+    if not kids.src.size:
+        return _lstm_update(pre, hid, None)
+    order = np.lexsort((_row_keys(H.data[kids.src], C.data[kids.src]), kids.seg))
+    seg, src = kids.seg[order], kids.src[order]
+    kid_h, kid_c = T.embedding(H, src), T.embedding(C, src)
+    u_iou, u_f = rec
+    pre = T.add(pre, T.matmul(T.segment_sum(kid_h, seg, n), u_iou))
+    f = T.sigmoid(T.add(T.embedding(T.slice_cols(xw, 3 * hid, 4 * hid), seg),
+                        T.matmul(kid_h, u_f)))
+    return _lstm_update(pre, hid, T.segment_sum(T.mul(f, kid_c), seg, n))
+
+
+def _nary_level(cell, rec, xw, kids: LevelKids, H: Tensor, C: Tensor):
+    (rec,) = rec
+    hid, n, m = cell.hid, xw.shape[0], cell.n_ary
+    if not kids.src.size:
+        return _lstm_update(xw, hid, None)
+    if kids.slot.max() >= m:
+        raise ValueError(f"{kids.slot.max() + 1} children exceed N={m}; binarize first")
+    rows = np.zeros((n, m), dtype=np.int64)  # absent children read the zero row
+    rows[kids.seg, kids.slot] = kids.src
+    flat = rows.reshape(-1)
+    kid_h = T.reshape(T.embedding(H, flat), (n, m * hid))
+    kid_c = T.reshape(T.embedding(C, flat), (n, m * hid))
+    pre = T.add(xw, T.matmul(kid_h, rec))
+    fc = T.mul(T.sigmoid(T.slice_cols(pre, 3 * hid, (3 + m) * hid)), kid_c)
+    return _lstm_update(pre, hid, T.sum_(T.reshape(fc, (n, m, hid)), axis=1))
+
+
+def reference_level(cell, rec, xw, kids: LevelKids, H: Tensor, C: Tensor):
+    """The taped per-level kernel of either tree cell that the fused level
+    pass replaced: the level's projected inputs plus its children's states to
+    the new (h, c) rows, about 25 tape ops."""
+    level = _childsum_level if isinstance(cell, ChildSumCell) else _nary_level
+    return level(cell, rec, xw, kids, H, C)
+
+
+def reference_tree_encode(graphs, x: Tensor, up_cell, down_cell) -> Tensor:
+    """The taped `tree_encode` that the one-op level pass replaced, kept
+    verbatim as the bitwise reference: one cell call per level and direction,
+    the batch's edge array rebuilt on every call.
+
+    x stacks every graph's node inputs in graph order. Bottom-up (up_cell):
+    children feed parents, level by height. Top-down (down_cell): the parent
+    state is the single child input of each node (roots get zero state), level
+    by depth. Returns the (total nodes, 2 * hid) matrix [bottom-up | top-down]
+    in the rows of x.
+    """
+    node_off = offsets([len(g.children) for g in graphs])
+    if x.shape[0] != node_off[-1]:
+        raise ValueError(f"{x.shape[0]} input rows for {node_off[-1]} tree nodes")
+    # (parent, child, slot) per tree edge, slot being the child's position
+    # among its siblings
+    parent, child, slot = np.array(
+        [(v + o, c + o, q) for g, o in zip(graphs, node_off)
+         for v, cs in enumerate(g.children) for q, c in enumerate(cs)],
+        dtype=np.int64).reshape(-1, 3).T
+    height = np.concatenate([g.height for g in graphs])
+    depth = np.concatenate([g.depth for g in graphs])
+    return T.concat([_reference_level_pass(up_cell, x, height, parent, child, slot),
+                     _reference_level_pass(down_cell, x, depth, child, parent,
+                                           np.zeros_like(slot))],
+                    axis=1)
+
+
+def _reference_level_pass(cell, x, level, dst, src, slot):
+    """Nodes sorted by level; each level's inputs come from the state buffer
+    of lower levels, which grows by one block of rows per level."""
+    perm = np.argsort(level, kind="stable")
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(perm.size)
+    dst, src = pos[dst], pos[src] + 1  # buffer row 0 is the zero state
+    order = np.lexsort((slot, dst))
+    dst, src, slot = dst[order], src[order], slot[order]
+    w, b, rec = cell.fuse()
+    H = C = Tensor(np.zeros((1, cell.hid), dtype=x.dtype))
+    lo = 0
+    for hi in np.cumsum(np.bincount(level)):
+        a, z = np.searchsorted(dst, [lo, hi])
+        kids = LevelKids(dst[a:z] - lo, slot[a:z], src[a:z])
+        # projected per level, not once for all nodes: this keeps the float
+        # rounding that existing checkpoints were trained with
+        xw = T.add(T.matmul(T.embedding(x, perm[lo:hi]), w), b)
+        h, c = reference_level(cell, rec, xw, kids, H, C)
+        H, C = T.concat([H, h], axis=0), T.concat([C, c], axis=0)
+        lo = hi
+    return T.embedding(H, pos + 1)
+
+
+def reference_gcn_edges(sizes, trees):
+    """The `gcn_edges` over lists of (a, b) tuples that the array-reading one
+    replaced. (src, dst) messages for a batch of graphs stacked
+    block-diagonally: each node to itself, and both ways along every (a, b)
+    edge of each graph's tree, as in a symmetric 0/1 adjacency with
+    self-loops."""
+    off = offsets(sizes)
+    e = np.array([(a + o, b + o) for t, o in zip(trees, off) for a, b in t],
+                 dtype=np.int64).reshape(-1, 2)
+    loops = np.arange(off[-1])
+    return np.concatenate([loops, e[:, 0], e[:, 1]]), np.concatenate([loops, e[:, 1], e[:, 0]])
+
+
+def _reference_node_rows(model, graph_inputs, train, rng) -> Tensor:
+    """Stacked input rows for each graph's ("word" | "label", id) node
+    inputs: word and label embeddings share one dropout and are
+    interleaved by one gather."""
+    inputs = [p for node_inputs in graph_inputs for p in node_inputs]
+    is_word = np.array([k == "word" for k, _ in inputs], dtype=bool)
+    ids = np.array([i for _, i in inputs], dtype=np.int64)
+    x = _dropout(T.concat([T.embedding(model.emb, ids[is_word]),
+                           T.embedding(model.label_emb, ids[~is_word])], axis=0),
+                 train, rng)
+    n_words = int(is_word.sum())
+    order = np.empty(ids.size, dtype=np.int64)
+    order[is_word] = np.arange(n_words)
+    order[~is_word] = n_words + np.arange(ids.size - n_words)
+    return T.embedding(x, order)
+
+
+def _reference_con_tree(side):
+    """(graph, node inputs) of the constituency TreeLSTM over the binarized
+    tree: ("word", token id) at a leaf, ("label", label id) inside."""
+    graph, spans = con_enc_graph(side.bintree)
+    return graph, [("word", int(side.token_ids[i])) if j - i == 1
+                   else ("label", side.bintree.spans[(i, j)]) for i, j in spans]
+
+
+def reference_reps(model, sides, train=False, rng=None):
+    """A tree teacher's `reps` as it was before the one-op level pass and the
+    per-side edge and node-input arrays: `reference_tree_encode` for the
+    TreeLSTMs, and for the GCNs the edge and input tuples rebuilt into arrays
+    on every call."""
+    if model.kind == "tlstm-dep":
+        ids = np.concatenate([s.token_ids for s in sides])
+        x = _dropout(T.embedding(model.emb, ids), train, rng)
+        graphs = [s.dep_graph for s in sides]
+        for up, down in model.cells:
+            x = reference_tree_encode(graphs, x, up, down)
+        return x, offsets([s.n for s in sides])
+    if model.kind == "tlstm-con":
+        graphs, inputs = zip(*(_reference_con_tree(s) for s in sides))
+        x = _reference_node_rows(model, inputs, train, rng)
+        for up, down in model.cells:
+            x = reference_tree_encode(graphs, x, up, down)
+        node_off = offsets([len(g.children) for g in graphs])
+        rows = np.concatenate([np.asarray(g.token_rows) + o
+                               for g, o in zip(graphs, node_off)])
+        return T.embedding(x, rows), offsets([s.n for s in sides])
+    tok_off = offsets([s.n for s in sides])
+    if model.structure == "dep":
+        ids = np.concatenate([s.token_ids for s in sides])
+        h = _dropout(T.embedding(model.emb, ids), train, rng)
+        edges = reference_gcn_edges([s.n for s in sides],
+                                    [[(i, hd - 1) for i, hd in enumerate(s.heads) if hd != 0]
+                                     for s in sides])
+    else:
+        inputs, trees = zip(*(reference_con_gcn(s) for s in sides))
+        sizes = [len(i) for i in inputs]
+        h = _reference_node_rows(model, inputs, train, rng)
+        edges = reference_gcn_edges(sizes, trees)
+    for w, b in model.layers:
+        h = gcn_layer(h, edges, w, b)
+    if model.structure == "con":  # token nodes lead each graph
+        h = T.embedding(h, np.concatenate([o + np.arange(s.n) for o, s in
+                                           zip(offsets(sizes), sides)]))
+    return h, tok_off
+
+
 def one_parent(cell, x, kids):
     """(h, c) of one parent with input row x and hand-set child states
-    kids = [(h, c), ...] in slot order, through the cell's fused level kernel."""
+    kids = [(h, c), ...] in slot order, through the taped level kernel."""
     w, b, rec = cell.fuse()
     zero = Tensor(np.zeros((1, cell.hid), dtype=x.dtype))
     k = len(kids)
     level = LevelKids(np.zeros(k, dtype=np.int64), np.arange(k), np.arange(1, k + 1))
-    return cell.level(rec, T.add(T.matmul(x, w), b), level,
-                      T.concat([zero] + [h for h, _ in kids], axis=0),
-                      T.concat([zero] + [c for _, c in kids], axis=0))
+    return reference_level(cell, rec, T.add(T.matmul(x, w), b), level,
+                           T.concat([zero] + [h for h, _ in kids], axis=0),
+                           T.concat([zero] + [c for _, c in kids], axis=0))
 
 
 def all_bracketings(n):

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from synkd import cli
 from synkd.cli import CONFIG, build_parser, main, resolve
 from synkd.syntax_data import example_to_dict, gen_synthetic, parse_bracketed
 from synkd.train import load_checkpoint, read_log, save_checkpoint
@@ -627,3 +628,17 @@ def test_flag_set_is_pinned():
         assert flags == FLAG_SET[command], command
     # every key but mask_ratio can be set from the command line
     assert dests == set(CONFIG) - {"mask_ratio"} | {"config"}
+
+
+def test_main_builds_its_parser_once_and_calls_the_current_command(monkeypatch):
+    # the tracer rebinds cli.cmd_* after the parser exists; main must call the
+    # rebound function, not one bound when the parser was built
+    monkeypatch.setattr(cli, "_PARSER", None)
+    built, ran = [], []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: ran.append("first") or 0)
+    assert main(["eval"]) == 0
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: ran.append("second") or 3)
+    assert main(["eval", "--data", "x.jsonl"]) == 3
+    assert built == [1] and ran == ["first", "second"]

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from gradcheck import check_case
+from checkcases import star_graph, unary_graph
 from oracles import (one_parent, random_bracketed, reference_binarize, reference_con_gcn,
                      reference_percolate_deps, reference_render_bracketed, reference_tree_eq,
-                     reference_unbinarize, row_major_lstm_scan)
+                     reference_reps, reference_tree_encode, reference_unbinarize,
+                     row_major_lstm_scan)
 from synkd import cli
 from synkd import encoders as E
 from synkd import syntax_data as D
@@ -48,7 +50,7 @@ def random_state(rng, hid):
 
 def bottom_up(graphs, x, cell):
     """The bottom-up half of tree_encode: its first hid columns."""
-    return E.tree_encode(graphs, x, cell, cell).data[:, :cell.hid]
+    return E.tree_encode(E.level_plans(graphs), x, cell, cell).data[:, :cell.hid]
 
 
 def leaf(cell, x):
@@ -183,7 +185,7 @@ def test_tree_encode_both_doubles_width():
     down, _ = make_childsum(3, 4, rng)
     xs = Tensor(rng.standard_normal((4, 3)))
     g = chain_graph(4)
-    rows = E.tree_encode([g], xs, up, down)
+    rows = E.tree_encode(E.level_plans([g]), xs, up, down)
     assert rows.shape == (4, 8)
     assert bottom_up([g], xs, up).shape == (4, 4)
 
@@ -213,10 +215,130 @@ def test_tree_encode_fd_gradient():
     xs_data = rng.standard_normal((3, 3))
 
     def f():
-        rows = E.tree_encode([g], Tensor(xs_data), up, down)
+        rows = E.tree_encode(E.level_plans([g]), Tensor(xs_data), up, down)
         return T.sum_(T.tanh(T.embedding(rows, g.token_rows)))
 
     assert check_case(f, p.all()) < 1e-6
+
+
+# (tokens, dependency heads, tree): a single-node tree, unary chains in both
+# trees, and equal leaves under one head, whose Child-Sum states tie when no
+# dropout separates them
+TREE_CORNERS = [
+    ("a", [0], "(A a)"),
+    ("x y z", [0, 1, 2], "(S (A (B (C x))) (D (E y)) (F z))"),
+    ("a a a b", [4, 4, 4, 0], "(S (A a) (A a) (A a) (B b))"),
+]
+
+
+def corner_examples(task):
+    sides = [dict(sent=D.Sentence(words.split()), dep=D.DepTree(heads, ["dep"] * len(heads)),
+                  con=D.parse_bracketed(con)[0]) for words, heads, con in TREE_CORNERS]
+    if task == "tag":
+        return [D.Example(**s, tags=["O"] * len(s["sent"]), predicate=0) for s in sides]
+    if task == "pair":
+        return [D.Example(**s, label=k % 2, partner=D.Example(**sides[k - 1]))
+                for k, s in enumerate(sides)]
+    return [D.Example(**s, label=k % 2) for k, s in enumerate(sides)]
+
+
+def logits_and_grads(model, encs, train):
+    """Logits of a batch and every parameter's gradient of a fixed random
+    functional of them."""
+    for t in model.parameters():
+        t.grad = None
+    with T.Tape() as tape:
+        out = model.logits(encs, train=train, rng=np.random.default_rng(5))
+        w = np.random.default_rng(6).standard_normal(out.shape).astype(out.dtype)
+        tape.backward(T.sum_(T.mul(out, Tensor(w))))
+    return [out.data] + [t.grad for t in model.parameters()]
+
+
+def assert_teachers_match_reference(kinds, task, monkeypatch):
+    """Outputs and gradients of each teacher kind equal those of its
+    `reference_reps`, bitwise, in f32 and f64, with and without dropout."""
+    data = D.gen_synthetic(10, seed=35, task=task, max_len=9) + corner_examples(task)
+    codec = E.Codec(data, task)
+    encs = [codec.encode(ex) for ex in data]
+    for kind in kinds:
+        for dtype in (np.float32, F64):
+            model = E.make_teacher(kind, codec, emb_dim=5, hidden=4, dtype=dtype,
+                                   rng=np.random.default_rng(3))
+            rng = np.random.default_rng(4)
+            for t in model.parameters():  # nonzero biases too
+                t.data[...] = rng.standard_normal(t.shape) * 0.5
+            for train in (True, False):
+                got = logits_and_grads(model, encs, train)
+                with monkeypatch.context() as m:
+                    m.setattr(model, "reps", lambda sides, train=False, rng=None:
+                              reference_reps(model, sides, train, rng))
+                    want = logits_and_grads(model, encs, train)
+                for name, g, r in zip(["logits"] + model.p.names(), got, want):
+                    where = f"{kind} {task} {dtype.__name__} train={train} {name}"
+                    assert (g is None) == (r is None), where
+                    np.testing.assert_array_equal(g, r, err_msg=where)
+
+
+@pytest.mark.parametrize("task", ["cls", "tag", "pair"])
+def test_tree_encode_matches_taped_reference_bitwise(task, monkeypatch):
+    # pair batches read every cell twice on one tape, so ChildSum's unfused
+    # U_f adds the partner pass's level gradients before the main pass's
+    assert_teachers_match_reference(("tlstm-dep", "tlstm-con"), task, monkeypatch)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_tree_encode_on_corner_graphs_matches_taped_reference_bitwise(dtype):
+    # a lone node, a chain, N-ary nodes with one and two absent children
+    # (unary_graph) and three leaves with equal inputs under one root
+    rng = np.random.default_rng(36)
+    graphs = [E.dep_enc_graph([0]), chain_graph(4), unary_graph(), star_graph()]
+    x_data = rng.standard_normal((13, 3)).astype(dtype)
+    x_data[10:13] = x_data[10]
+    for cell in (E.ChildSumCell, lambda *a, **k: E.NaryCell(*a, n_ary=3, **k)):
+        p = E.Params()
+        up, down = (cell(p, name, 3, 4, rng, dtype=dtype) for name in ("up", "down"))
+        for t in p.all():
+            t.data[...] = rng.standard_normal(t.shape)
+        w = rng.standard_normal((13, 8)).astype(dtype)
+        runs = []
+        for encode in (lambda x: E.tree_encode(E.level_plans(graphs), x, up, down),
+                       lambda x: reference_tree_encode(graphs, x, up, down)):
+            x = Tensor(x_data.copy(), requires_grad=True)
+            for t in p.all():
+                t.grad = None
+            with T.Tape() as tape:
+                out = encode(x)
+                tape.backward(T.sum_(T.mul(out, Tensor(w))))
+            runs.append([out.data, x.grad] + [t.grad for t in p.all()])
+        for name, g, r in zip(["out", "x"] + p.names(), *runs):
+            np.testing.assert_array_equal(g, r, err_msg=name)
+
+
+def right_branching(words):
+    if len(words) == 1:
+        return f"(A {words[0]})"
+    return f"(S (A {words[0]}) {right_branching(words[1:])})"
+
+
+def test_tree_teacher_tape_length_independent_of_depth():
+    # a 3-node and a 12-node chain: each level pass is one tape op
+    def chain_example(n):
+        words = [f"w{i}" for i in range(n)]
+        return D.Example(D.Sentence(words), D.DepTree(list(range(n)), ["dep"] * n),
+                         D.parse_bracketed(right_branching(words))[0], label=0)
+
+    data = [chain_example(3), chain_example(12)]
+    codec = E.Codec(data, "cls")
+    short, long = (codec.encode(ex) for ex in data)
+    for kind in ("tlstm-dep", "tlstm-con"):
+        model = E.make_teacher(kind, codec, emb_dim=5, hidden=4, rng=np.random.default_rng(0))
+
+        def tape_len(enc):
+            with T.Tape() as tape:
+                model.logits([enc], train=True, rng=np.random.default_rng(1))
+            return len(tape)
+
+        assert tape_len(short) == tape_len(long), kind
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +383,13 @@ def test_gcn_fd_gradient():
         return T.sum_(T.tanh(E.gcn_layer(Tensor(h_data), edges, w, b)))
 
     assert check_case(f, [w, b]) < 1e-6
+
+
+@pytest.mark.parametrize("task", ["cls", "tag", "pair"])
+def test_gcn_reps_match_tuple_reference_bitwise(task, monkeypatch):
+    # the per-side edge and input arrays give the messages and input rows the
+    # tuple lists rebuilt on every call gave
+    assert_teachers_match_reference(("gcn-dep", "gcn-con"), task, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
@@ -767,10 +896,10 @@ def test_childsum_sibling_permutation_in_batch_is_bitwise():
 
     others = [E.dep_enc_graph([2, 0, 2]), E.dep_enc_graph([0, 1, 1, 3])]
     x = Tensor(rng.standard_normal((13, 3)))
-    base = E.tree_encode([others[0], graph(star), others[1]], x, up, down)
+    base = E.tree_encode(E.level_plans([others[0], graph(star), others[1]]), x, up, down)
     for perm in ([2, 4, 1, 3], [4, 3, 2, 1]):
         permuted = [perm] + star[1:]
-        got = E.tree_encode([others[0], graph(permuted), others[1]], x, up, down)
+        got = E.tree_encode(E.level_plans([others[0], graph(permuted), others[1]]), x, up, down)
         assert got.data.tobytes() == base.data.tobytes()
 
 
@@ -831,7 +960,11 @@ def test_span_binarize_and_con_gcn_match_node_walks():
         assert list(got.spans.items()) == list(want.spans.items()), D.render_bracketed(con)
         assert (got.n, got.tokens) == (want.n, want.tokens)
         side = codec.encode(_chain_example(con)).main
-        assert side.con_gcn == reference_con_gcn(side), D.render_bracketed(con)
+        is_word, node_ids, edges = side.con_gcn
+        want_inputs, want_edges = reference_con_gcn(side)
+        assert [("word" if w else "label", i) for w, i in
+                zip(is_word.tolist(), node_ids.tolist())] == want_inputs, D.render_bracketed(con)
+        assert edges.tolist() == [list(e) for e in want_edges], D.render_bracketed(con)
         ids = codec.con_labels.encode(want.spans.values()).tolist()
         assert list(side.bintree.spans.items()) == list(zip(want.spans, ids))
     assert sum(E.UNARY_SEP in l for t in trees for l in binarize(t).spans.values()) > 100

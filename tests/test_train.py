@@ -268,7 +268,7 @@ def test_student_predict_ignores_trees():
     # a teacher builds the views it reads, and only those
     gcn_dep = make_teacher("gcn-dep", codec, emb_dim=10, n_layers=1, rng=np.random.default_rng(2))
     predict(gcn_dep, encs[:1])
-    assert views & set(vars(encs[0].main)) == {"heads"}
+    assert views & set(vars(encs[0].main)) == {"dep_gcn"}
 
 
 def test_pair_and_tag_tasks_run():
