@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from gradcheck import check_case
 from checkcases import star_graph, unary_graph
+from gradcheck import check_case
 from oracles import (one_parent, random_bracketed, reference_binarize, reference_con_gcn,
                      reference_percolate_deps, reference_render_bracketed, reference_tree_eq,
                      reference_reps, reference_tree_encode, reference_unbinarize,
