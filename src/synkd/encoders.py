@@ -12,10 +12,11 @@ Every model encodes a whole batch of sentences at once through
 input order plus their row offsets, which the shared task heads, losses and
 scorers consume. Each TreeLSTM layer direction is one tape op that runs the
 cell level by level across every tree of the batch (dynamic batching), over
-level plans built once per batch; the GCN sums messages over the batch's
-stacked edge arrays, the student runs one packed BiLSTM batch over sentences
-of any lengths, and the arc and span scorers score every sentence of a batch
-in a fixed number of tape ops.
+level plans built once per batch; each GCN layer is one tape op that sums
+every node's messages in a fixed order over a message plan built once per
+batch, the student runs one packed BiLSTM batch over sentences of any
+lengths, and the arc and span scorers score every sentence of a batch in a
+fixed number of tape ops.
 """
 from __future__ import annotations
 
@@ -432,24 +433,85 @@ def _level_pass(cell, x, plan: LevelPlan):
 # ---------------------------------------------------------------------------
 # GCN
 
-def gcn_layer(h: Tensor, edges, w: Tensor, b: Tensor) -> Tensor:
-    """Gated propagation: each node's features are gated by its own sigmoid
-    gate, then summed over in-neighbors (self included) and rectified.
-    edges: (src, dst) message arrays from gcn_edges."""
-    src, dst = edges
-    gate = T.sigmoid(T.add(T.matmul(h, w), b))
-    return T.relu(T.segment_sum(T.embedding(T.mul(h, gate), src), dst, h.shape[0]))
+@dataclass
+class MessagePlan:
+    """A batch's GCN messages, message k going from node src[k] to dst[k],
+    laid out for summing in message order. Nodes are sorted stably by
+    message count, most first, node i at sorted row pos[i]; every node counts
+    as many messages in as out. Column q of a table lists the q-th message of
+    each node with more than q, by sorted row, in table[bounds[q]:bounds[q + 1]],
+    so the columns hold every message once."""
+    src: np.ndarray
+    dst: np.ndarray
+    pos: np.ndarray
+    bounds: list
+
+    def _table(self, ends, starts):
+        """Each node's `starts` rows in message order, over the messages
+        that `ends` at it, column by column."""
+        order = np.argsort(ends, kind="stable")
+        ends = ends[order]
+        rank = np.arange(ends.size) - offsets(np.bincount(ends, minlength=self.pos.size))[ends]
+        table = np.empty_like(starts)
+        table[np.array(self.bounds, dtype=np.int64)[rank] + self.pos[ends]] = starts[order]
+        return table
+
+    @cached_property
+    def into(self):
+        """Source rows summed into each node: the forward table."""
+        return self._table(self.dst, self.src)
+
+    @cached_property
+    def out_of(self):
+        """Destination rows each node sends to: the backward table, built by
+        the first backward pass only."""
+        return self._table(self.src, self.dst)
+
+    def sum(self, x, table):
+        """Row i adds the rows of x that `table` lists for node i to +0 in
+        message order, the float order of np.add.at over the messages."""
+        acc = np.zeros_like(x)
+        for lo, hi in zip(self.bounds, self.bounds[1:]):
+            # take, not x[...]: the same rows, gathered several times faster
+            acc[:hi - lo] += x.take(table[lo:hi], axis=0)
+        return acc.take(self.pos, axis=0)
 
 
-def gcn_edges(sizes, trees):
-    """(src, dst) messages for a batch of graphs stacked block-diagonally:
-    each node to itself, and both ways along every (a, b) row of each
-    graph's edge array, as in a symmetric 0/1 adjacency with self-loops."""
+def gcn_layer(h: Tensor, plan: MessagePlan, w: Tensor, b: Tensor) -> Tensor:
+    """Gated propagation as one tape op: each node's features are gated by
+    its own sigmoid gate, then summed over in-neighbors (self included) in
+    the plan's message order and rectified. Backward repeats the float order
+    of the taped composition (matmul, add, sigmoid, mul, gather, segment sum,
+    relu), so the two adjoints of h add the gated product's first."""
+    if h.shape[0] != plan.pos.size:
+        raise ValueError(f"{h.shape[0]} input rows for {plan.pos.size} graph nodes")
+    gate = _sigmoid(h.data @ w.data + b.data)
+    s = plan.sum(h.data * gate, plan.into)
+
+    def back(g):
+        d_msg = plan.sum(g * (s > 0), plan.out_of)
+        d_pre = d_msg * h.data * gate * (1.0 - gate)
+        return [d_msg * gate + d_pre @ w.data.T, h.data.T @ d_pre, d_pre.sum(axis=0)]
+
+    return T._emit(Tensor(np.maximum(s, 0)), (h, w, b), back)
+
+
+def gcn_edges(sizes, trees) -> MessagePlan:
+    """The MessagePlan of a batch of graphs stacked block-diagonally, built
+    once and read by every layer: each node messages itself, then both ways
+    along every (a, b) row of each graph's (k, 2) edge array, a to b before
+    b to a, as in a symmetric 0/1 adjacency with self-loops."""
     off = offsets(sizes)
-    e = np.concatenate([np.asarray(t, dtype=np.int64).reshape(-1, 2) + o
-                        for t, o in zip(trees, off)])
+    e = np.concatenate(trees).reshape(-1, 2).astype(np.int64, copy=False)
+    e += np.repeat(off[:-1], [len(t) for t in trees])[:, None]
     loops = np.arange(off[-1])
-    return np.concatenate([loops, e[:, 0], e[:, 1]]), np.concatenate([loops, e[:, 1], e[:, 0]])
+    src, dst = np.concatenate([loops, e[:, 0], e[:, 1]]), np.concatenate([loops, e[:, 1], e[:, 0]])
+    count = np.bincount(dst, minlength=loops.size)
+    pos = np.empty_like(loops)
+    pos[np.argsort(-count, kind="stable")] = loops
+    # column q holds the nodes with more than q messages
+    return MessagePlan(src, dst, pos,
+                       offsets(loops.size - np.cumsum(np.bincount(count))[:-1]).tolist())
 
 
 def dep_edges(heads) -> np.ndarray:
@@ -997,22 +1059,22 @@ class GcnModel(BaseModel):
 
     def reps(self, sides, train=False, rng=None):
         """Stacked token rows of a batch of sides plus their row offsets; the
-        graphs of the batch form one block-diagonal message list."""
+        graphs of the batch form one message plan, which every layer reads.
+        A constituency graph's token rows are its word nodes."""
         tok_off = offsets([s.n for s in sides])
         if self.structure == "dep":
             ids = np.concatenate([s.token_ids for s in sides])
             h = _dropout(T.embedding(self.emb, ids), train, rng)
-            edges = gcn_edges([s.n for s in sides], [s.dep_gcn for s in sides])
+            plan = gcn_edges([s.n for s in sides], [s.dep_gcn for s in sides])
         else:
             is_word, ids, trees = zip(*(s.con_gcn for s in sides))
-            sizes = [i.size for i in ids]
-            h = self._node_rows(np.concatenate(is_word), np.concatenate(ids), train, rng)
-            edges = gcn_edges(sizes, trees)
+            is_word = np.concatenate(is_word)
+            h = self._node_rows(is_word, np.concatenate(ids), train, rng)
+            plan = gcn_edges([i.size for i in ids], trees)
         for w, b in self.layers:
-            h = gcn_layer(h, edges, w, b)
-        if self.structure == "con":  # token nodes lead each graph
-            h = T.embedding(h, np.concatenate([o + np.arange(s.n) for o, s in
-                                               zip(offsets(sizes), sides)]))
+            h = gcn_layer(h, plan, w, b)
+        if self.structure == "con":
+            h = T.embedding(h, np.flatnonzero(is_word))
         return h, tok_off
 
 

@@ -130,7 +130,12 @@ def case_nary(rng):
 def case_gcn(rng):
     d = 3
     sizes = batch_sizes(rng)
-    edges = gcn_edges(sizes, [dep_edges(random_heads(rng, n)) for n in sizes])
+    trees = [dep_edges(random_heads(rng, n)) for n in sizes]
+    # a star in (parent, child) rows, as constituency graphs give them, whose
+    # hub fills every column of the message plan, and a lone node
+    sizes += [4, 1]
+    trees += [star_graph().edges[:, :2], np.zeros((0, 2), dtype=np.int64)]
+    edges = gcn_edges(sizes, trees)
     x = rand_param(rng, (sum(sizes), d))
     ws = [rand_param(rng, (d, d)) for _ in range(2)]
     bs = [rand_param(rng, (d,)) for _ in range(2)]

@@ -1,7 +1,8 @@
 """Brute-force oracles used by tests: exhaustive search over bracketings,
 one tree-cell update with hand-set child states, the taped tree kernels
-(`reference_tree_encode`) and teacher `reference_reps` that the one-op level
-pass and the per-side edge and input arrays must match bitwise, the row-major
+(`reference_tree_encode`), the taped GCN layer (`reference_gcn_layer`) and
+teacher `reference_reps` that the one-op level pass, the one-op GCN layer and
+the per-side edge and input arrays must match bitwise, the row-major
 packed LSTM scan that the gate-major one must match bitwise, the fine-token bracket
 parser that the coarse-token one must match, a laminarity check for
 constituency span sets, the node-walking binarization, constituency GCN
@@ -29,8 +30,7 @@ import numpy as np
 from synkd import tensor as T
 from synkd.distill import (DistillConfig, DistillError, anneal_alpha, ce_sum, combine_syn,
                            total_loss)
-from synkd.encoders import (ChildSumCell, _dropout, _row_keys, con_enc_graph, gcn_layer,
-                            offsets)
+from synkd.encoders import ChildSumCell, _dropout, _row_keys, con_enc_graph, offsets
 from synkd.structures import UNARY_SEP, BinTree
 from synkd.syntax_data import (ARC_LABEL, HEAD_CHILD, NULL_LABEL, ConstNode, ConstTree,
                                DataError, DepTree)
@@ -177,6 +177,16 @@ def reference_gcn_edges(sizes, trees):
     return np.concatenate([loops, e[:, 0], e[:, 1]]), np.concatenate([loops, e[:, 1], e[:, 0]])
 
 
+def reference_gcn_layer(h: Tensor, edges, w: Tensor, b: Tensor) -> Tensor:
+    """The taped `gcn_layer` that the one-op one replaced, over
+    `reference_gcn_edges`' (src, dst) arrays: each node's features gated by
+    its own sigmoid gate, summed over in-neighbors (self included) and
+    rectified."""
+    src, dst = edges
+    gate = T.sigmoid(T.add(T.matmul(h, w), b))
+    return T.relu(T.segment_sum(T.embedding(T.mul(h, gate), src), dst, h.shape[0]))
+
+
 def _reference_node_rows(model, graph_inputs, train, rng) -> Tensor:
     """Stacked input rows for each graph's ("word" | "label", id) node
     inputs: word and label embeddings share one dropout and are
@@ -203,9 +213,10 @@ def _reference_con_tree(side):
 
 
 def reference_reps(model, sides, train=False, rng=None):
-    """A tree teacher's `reps` as it was before the one-op level pass and the
-    per-side edge and node-input arrays: `reference_tree_encode` for the
-    TreeLSTMs, and for the GCNs the edge and input tuples rebuilt into arrays
+    """A tree teacher's `reps` as it was before the one-op level pass, the
+    one-op GCN layer and the per-side edge and node-input arrays:
+    `reference_tree_encode` for the TreeLSTMs, and for the GCNs
+    `reference_gcn_layer` over the edge and input tuples rebuilt into arrays
     on every call."""
     if model.kind == "tlstm-dep":
         ids = np.concatenate([s.token_ids for s in sides])
@@ -236,7 +247,7 @@ def reference_reps(model, sides, train=False, rng=None):
         h = _reference_node_rows(model, inputs, train, rng)
         edges = reference_gcn_edges(sizes, trees)
     for w, b in model.layers:
-        h = gcn_layer(h, edges, w, b)
+        h = reference_gcn_layer(h, edges, w, b)
     if model.structure == "con":  # token nodes lead each graph
         h = T.embedding(h, np.concatenate([o + np.arange(s.n) for o, s in
                                            zip(offsets(sizes), sides)]))

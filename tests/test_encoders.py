@@ -7,8 +7,9 @@ import pytest
 from checkcases import star_graph, unary_graph
 from gradcheck import check_case
 from oracles import (one_parent, random_bracketed, reference_binarize, reference_con_gcn,
-                     reference_percolate_deps, reference_render_bracketed, reference_tree_eq,
-                     reference_reps, reference_tree_encode, reference_unbinarize,
+                     reference_gcn_edges, reference_gcn_layer, reference_percolate_deps,
+                     reference_render_bracketed, reference_tree_eq, reference_reps,
+                     reference_tree_encode, reference_unbinarize,
                      row_major_lstm_scan)
 from synkd import cli
 from synkd import encoders as E
@@ -320,25 +321,49 @@ def right_branching(words):
     return f"(S (A {words[0]}) {right_branching(words[1:])})"
 
 
+def chain_example(n):
+    """An n-token sentence whose dependency and constituency trees are chains."""
+    words = [f"w{i}" for i in range(n)]
+    return D.Example(D.Sentence(words), D.DepTree(list(range(n)), ["dep"] * n),
+                     D.parse_bracketed(right_branching(words))[0], label=0)
+
+
+def star_example(n):
+    """An n-token sentence whose first token heads every other one and whose
+    constituency root has a preterminal per token."""
+    words = [f"w{i}" for i in range(n)]
+    con = "(S " + " ".join(f"(X {w})" for w in words) + ")"
+    return D.Example(D.Sentence(words), D.DepTree([0] + [1] * (n - 1), ["dep"] * n),
+                     D.parse_bracketed(con)[0], label=0)
+
+
+def tape_len(model, enc):
+    with T.Tape() as tape:
+        model.logits([enc], train=True, rng=np.random.default_rng(1))
+    return len(tape)
+
+
 def test_tree_teacher_tape_length_independent_of_depth():
     # a 3-node and a 12-node chain: each level pass is one tape op
-    def chain_example(n):
-        words = [f"w{i}" for i in range(n)]
-        return D.Example(D.Sentence(words), D.DepTree(list(range(n)), ["dep"] * n),
-                         D.parse_bracketed(right_branching(words))[0], label=0)
-
     data = [chain_example(3), chain_example(12)]
     codec = E.Codec(data, "cls")
     short, long = (codec.encode(ex) for ex in data)
     for kind in ("tlstm-dep", "tlstm-con"):
         model = E.make_teacher(kind, codec, emb_dim=5, hidden=4, rng=np.random.default_rng(0))
+        assert tape_len(model, short) == tape_len(model, long), kind
 
-        def tape_len(enc):
-            with T.Tape() as tape:
-                model.logits([enc], train=True, rng=np.random.default_rng(1))
-            return len(tape)
 
-        assert tape_len(short) == tape_len(long), kind
+def test_gcn_teacher_tape_length_one_op_per_layer():
+    # chains of 3 and 12 tokens and a 12-token star: each layer is one tape
+    # op, whatever the sentence length or fan-out
+    data = [chain_example(3), chain_example(12), star_example(12)]
+    codec = E.Codec(data, "cls")
+    encs = [codec.encode(ex) for ex in data]
+    for kind in ("gcn-dep", "gcn-con"):
+        two, three = ([tape_len(E.make_teacher(kind, codec, emb_dim=5, n_layers=n,
+                                               rng=np.random.default_rng(0)), enc)
+                       for enc in encs] for n in (2, 3))
+        assert len(set(two)) == 1 and [b - a for a, b in zip(two, three)] == [1, 1, 1], kind
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +415,83 @@ def test_gcn_reps_match_tuple_reference_bitwise(task, monkeypatch):
     # the per-side edge and input arrays give the messages and input rows the
     # tuple lists rebuilt on every call gave
     assert_teachers_match_reference(("gcn-dep", "gcn-con"), task, monkeypatch)
+
+
+def gcn_batches():
+    """(sizes, edge arrays) of the dependency graphs, in (dependent, head)
+    rows, and of the constituency graphs, in (parent, child) rows, of a batch
+    mixing a one-token sentence, a 9-token star and desk sentences."""
+    data = [chain_example(1), star_example(9)] + D.gen_synthetic(8, seed=41, task="cls")
+    codec = E.Codec(data, "cls")
+    sides = [codec.encode(ex).main for ex in data]
+    return {"dep": ([s.n for s in sides], [s.dep_gcn for s in sides]),
+            "con": ([s.con_gcn[0].size for s in sides], [s.con_gcn[2] for s in sides])}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_gcn_layer_matches_taped_reference_bitwise(dtype):
+    # two layers of the one-op layer over a message plan against the taped
+    # composition over (src, dst) arrays: output and every gradient, with
+    # and without dropout on the input
+    def run(layer, n, train):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((n, 5)).astype(dtype), requires_grad=True)
+        params = [Tensor((rng.standard_normal(shape) * 0.5).astype(dtype), requires_grad=True)
+                  for _ in range(2) for shape in ((5, 5), (5,))]
+        with T.Tape() as tape:
+            h = T.dropout(x, E.EMB_DROPOUT, np.random.default_rng(13)) if train else x
+            for w, b in zip(params[::2], params[1::2]):
+                h = layer(h, w, b)
+            weights = rng.standard_normal(h.shape).astype(dtype)
+            tape.backward(T.sum_(T.mul(h, Tensor(weights))))
+        return [h.data] + [t.grad for t in [x] + params]
+
+    for structure, (sizes, trees) in gcn_batches().items():
+        plan, edges = E.gcn_edges(sizes, trees), reference_gcn_edges(sizes, trees)
+        for train in (True, False):
+            got = run(lambda h, w, b: E.gcn_layer(h, plan, w, b), sum(sizes), train)
+            want = run(lambda h, w, b: reference_gcn_layer(h, edges, w, b), sum(sizes), train)
+            for name, g, r in zip(["out", "x", "W0", "b0", "W1", "b1"], got, want):
+                where = f"{structure} {dtype.__name__} train={train} {name}"
+                assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), where
+
+
+def test_gcn_message_plan_columns_hold_each_message_once(monkeypatch):
+    # a 9-token star in the batch adds columns only its hub reads; the
+    # backward table is built by a backward pass alone, which adds rows as
+    # the forward sum does, without np.add.at
+    for structure, (sizes, trees) in gcn_batches().items():
+        plan = E.gcn_edges(sizes, trees)
+        n_messages = sum(sizes) + 2 * sum(len(t) for t in trees)
+        widths = np.diff(plan.bounds)
+        assert plan.into.size == n_messages == widths.sum(), structure
+        assert widths[0] == sum(sizes) and np.all(widths[1:] <= widths[:-1]), structure
+        assert widths[9:].tolist() == [1] * (widths.size - 9), structure
+        h = Tensor(np.random.default_rng(14).standard_normal((sum(sizes), 3)),
+                   requires_grad=True)
+        w, b = Tensor(np.eye(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        E.gcn_layer(h, plan, w, b)
+        assert "out_of" not in vars(plan), structure
+        with monkeypatch.context() as m:
+            m.setattr(T, "_add_rows", None)
+            with T.Tape() as tape:
+                tape.backward(T.sum_(E.gcn_layer(h, plan, w, b)))
+        assert "out_of" in vars(plan) and h.grad is not None, structure
+
+
+def test_gcn_reps_without_tape_build_no_backward_table(monkeypatch):
+    plans = []
+    monkeypatch.setattr(E, "gcn_edges", lambda *a, real=E.gcn_edges: plans.append(real(*a))
+                        or plans[-1])
+    data = D.gen_synthetic(6, seed=43, task="cls")
+    codec = E.Codec(data, "cls")
+    encs = [codec.encode(ex) for ex in data]
+    for kind in ("gcn-dep", "gcn-con"):
+        model = E.make_teacher(kind, codec, emb_dim=5, n_layers=2, rng=np.random.default_rng(0))
+        model.logits(encs)
+        with T.Tape() as tape:
+            tape.backward(T.sum_(model.logits(encs, train=True, rng=np.random.default_rng(1))))
+    assert ["out_of" in vars(p) for p in plans] == [False, True, False, True]
 
 
 # ---------------------------------------------------------------------------
