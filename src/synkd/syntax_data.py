@@ -4,7 +4,9 @@ Sentences carry two parallel syntactic annotations: a dependency tree
 (heads + relation labels) and a constituency tree. The synthetic generator
 produces an agreement-classification corpus from a small PCFG where the
 class label is a deterministic function of the gold tree, so structure-aware
-models have measurable headroom over surface heuristics.
+models have measurable headroom over surface heuristics. It emits each
+sentence as its leaves and post-order spans; no tree node is built until a
+reader asks for a tree's root.
 """
 from __future__ import annotations
 
@@ -397,7 +399,6 @@ def percolate_deps(tree: ConstTree) -> DepTree:
 # ---------------------------------------------------------------------------
 # synthetic agreement corpus
 
-SG, PL = 0, 1
 NOUNS = [("cat", "cats"), ("dog", "dogs"), ("bird", "birds"), ("horse", "horses"),
          ("fox", "foxes"), ("cow", "cows"), ("pig", "pigs"), ("owl", "owls")]
 VERBS = [("runs", "run"), ("jumps", "jump"), ("barks", "bark"), ("sings", "sing"),
@@ -412,8 +413,28 @@ SHAPES = ["simple", "pp", "rc", "fronted"]
 SHAPE_WEIGHTS = [0.15, 0.30, 0.25, 0.30]
 
 
-def _pre(pos, word):
-    return ConstNode(pos, word=word)
+# the draw of Generator.choice(len(SHAPES), p=SHAPE_WEIGHTS): one uniform, one index
+_SHAPE_CDF = np.cumsum(SHAPE_WEIGHTS)
+_SHAPE_CDF /= _SHAPE_CDF[-1]
+
+_NP = "(NP (Det w) (N w))"
+_PP = f"(PP (P w) {_NP})"
+# the fronted phrase and the subject's modifier of each shape, and the verb
+# phrase of each length
+_PARTS = {"simple": ("", ""), "pp": ("", _PP), "rc": ("", f"(RC (RP w) (VPE (VN w) {_NP}))"),
+          "fronted": (_PP, "")}
+_VP = {3: f"(VP (V w) {_NP})", 2: "(VP (V w) (Adv w))"}
+
+
+def _layout(text):
+    (tree,) = parse_bracketed(text)
+    return tuple(tree._spans), percolate_deps(tree)
+
+
+# post-order spans and dependency tree of every sentence of a shape and
+# verb-phrase length; its words fill the leaves
+_LAYOUTS = {(shape, k): _layout(f"(S {front} (NP (Det w) (N w) {mod}) {vp})")
+            for shape, (front, mod) in _PARTS.items() for k, vp in _VP.items()}
 
 
 class _Grammar:
@@ -426,91 +447,67 @@ class _Grammar:
         self.preps = PREPS[:max(1, min(size, len(PREPS)))]
         self.advs = ADVS[:max(1, min(size, len(ADVS)))]
 
-    def simple_np(self, rng, num):
-        noun = self.nouns[rng.integers(len(self.nouns))][num]
-        return ConstNode("NP", [_pre("Det", DET), _pre("N", noun)])
+    def simple_np(self, rng):
+        num = int(rng.integers(2))
+        return [DET, self.nouns[rng.integers(len(self.nouns))][num]]
 
     def sentence(self, rng, agree, max_len):
-        """One parsed sentence whose main verb agrees with its subject iff `agree`."""
+        """The words of one sentence whose main verb agrees with its subject
+        iff `agree`, drawn again until it fits max_len, with its layout key,
+        subject number, subject start and verb position."""
         while True:
-            shape = rng.choice(len(SHAPES), p=SHAPE_WEIGHTS)
+            shape = SHAPES[_SHAPE_CDF.searchsorted(rng.random(), side="right")]
             subj_num = int(rng.integers(2))
-            verb_num = subj_num if agree else 1 - subj_num
-            verb = self.verbs[rng.integers(len(self.verbs))][verb_num]
-            subj_noun = self.nouns[rng.integers(len(self.nouns))][subj_num]
+            verb = self.verbs[rng.integers(len(self.verbs))][subj_num if agree else 1 - subj_num]
+            subj = [DET, self.nouns[rng.integers(len(self.nouns))][subj_num]]
+            # the verb phrase is drawn before the subject's modifier that
+            # precedes it: this order fixes the corpus of a seed
+            vp = [verb] + (self.simple_np(rng) if rng.random() < 0.5
+                           else [self.advs[rng.integers(len(self.advs))]])
+            mod = []
+            if shape != "simple":  # a PP, fronted or in the subject, or an RC
+                mod = [RELPRON, self.emb_verbs[rng.integers(len(self.emb_verbs))]] \
+                    if shape == "rc" else [self.preps[rng.integers(len(self.preps))]]
+                mod += self.simple_np(rng)
+            front, subj = (mod, subj) if shape == "fronted" else ([], subj + mod)
+            vi = len(front) + len(subj)
+            if vi + len(vp) <= max_len:
+                return front + subj + vp, (shape, len(vp)), subj_num, len(front), vi
 
-            if rng.random() < 0.5:
-                vp = ConstNode("VP", [_pre("V", verb),
-                                      self.simple_np(rng, int(rng.integers(2)))])
-            else:
-                vp = ConstNode("VP", [_pre("V", verb),
-                                      _pre("Adv", self.advs[rng.integers(len(self.advs))])])
 
-            subj_core = [_pre("Det", DET), _pre("N", subj_noun)]
-            name = SHAPES[shape]
-            if name == "simple":
-                subj = ConstNode("NP", subj_core)
-                root = ConstNode("S", [subj, vp])
-            elif name == "pp":
-                pp = ConstNode("PP", [_pre("P", self.preps[rng.integers(len(self.preps))]),
-                                      self.simple_np(rng, int(rng.integers(2)))])
-                subj = ConstNode("NP", subj_core + [pp])
-                root = ConstNode("S", [subj, vp])
-            elif name == "rc":
-                vpe = ConstNode("VPE", [_pre("VN", self.emb_verbs[rng.integers(len(self.emb_verbs))]),
-                                        self.simple_np(rng, int(rng.integers(2)))])
-                rc = ConstNode("RC", [_pre("RP", RELPRON), vpe])
-                subj = ConstNode("NP", subj_core + [rc])
-                root = ConstNode("S", [subj, vp])
-            else:  # fronted PP, then a simple subject
-                pp = ConstNode("PP", [_pre("P", self.preps[rng.integers(len(self.preps))]),
-                                      self.simple_np(rng, int(rng.integers(2)))])
-                subj = ConstNode("NP", subj_core)
-                root = ConstNode("S", [pp, subj, vp])
-
-            con = ConstTree(root)
-            if con.n <= max_len:
-                return con, subj, vp
+def _example(tokens, key):
+    spans, dep = _LAYOUTS[key]
+    tree = DepTree.__new__(DepTree)  # a copy of the layout's tree, checked when built
+    tree.heads, tree.labels = list(dep.heads), list(dep.labels)
+    return Example(Sentence(tokens), tree, ConstTree._parsed(list(tokens), list(spans)))
 
 
 def _make_example(grammar, rng, task, label, max_len):
-    con, subj, vp = grammar.sentence(rng, bool(label) if task != "pair" else True, max_len)
-    tokens = con.leaves()
-    ex = Example(Sentence(tokens), percolate_deps(con), con)
+    tokens, key, num, i, vi = grammar.sentence(rng, bool(label) if task != "pair" else True,
+                                               max_len)
+    ex = _example(tokens, key)
     if task == "cls":
         ex.label = label
     elif task == "tag":
-        # in every shape the verb phrase ends the sentence, starting with its
-        # verb, and the subject comes right before it
-        vi = len(tokens) - ConstTree(vp).n
-        i = vi - ConstTree(subj).n
-        tags = ["O"] * len(tokens)
-        tags[i] = "B-SUBJ"
-        for k in range(i + 1, vi):
-            tags[k] = "I-SUBJ"
-        ex.tags = tags
+        # the subject runs from token i up to the verb at vi
+        ex.tags = ["O"] * i + ["B-SUBJ"] + ["I-SUBJ"] * (vi - i - 1) + ["O"] * (len(tokens) - vi)
         ex.predicate = vi
     elif task == "pair":
         # label = whether the two subjects share grammatical number
-        num1 = _subject_number(con, subj)
         while True:
-            con2, subj2, _ = grammar.sentence(rng, True, max_len)
-            if (_subject_number(con2, subj2) == num1) == bool(label):
+            tokens2, key2, num2, _, _ = grammar.sentence(rng, True, max_len)
+            if (num2 == num) == bool(label):
                 break
         ex.label = label
-        ex.partner = Example(Sentence(con2.leaves()), percolate_deps(con2), con2)
+        ex.partner = _example(tokens2, key2)
     else:
         raise DataError(f"unknown task {task!r}")
     return ex
 
 
-def _subject_number(con, subj):
-    noun = subj.children[1].word
-    return SG if any(noun == sg for sg, _ in NOUNS) else PL
-
-
 def gen_synthetic(n_examples, max_len=12, seed=0, task="cls", grammar_size=5):
-    """Deterministic synthetic corpus; class balance kept within [0.4, 0.6]."""
+    """Deterministic synthetic corpus; class balance kept within [0.4, 0.6].
+    Each sentence's words fill the leaves of its shape's post-order spans."""
     if max_len > 20:
         raise DataError("max_len must be <= 20")
     if max_len < 4:

@@ -14,8 +14,11 @@ instance builders (`reference_probe_train_eval`,
 `reference_constituent_instances`, `reference_dependency_instances`) that the
 closed-form probe step and gathered instances must match bitwise, the
 per-tensor Adam (`ReferenceAdam`) and taped L2 fold (`reference_reg_loss`)
-that the flat-buffer Adam and the one-op `reg_loss` must match bitwise, and
-generators of random bracketed trees and of mutated JSONL records.
+that the flat-buffer Adam and the one-op `reg_loss` must match bitwise, the
+per-sentence hard arc targets (`hard_arc_targets`) that the batched ones
+must equal, the node-building synthetic generator (`reference_gen_synthetic`)
+whose corpora the span-emitting one must equal, and generators of random
+bracketed trees and of mutated JSONL records.
 
 The search is deliberately independent of the chart code — plain Python
 loops, first strict maximum kept, bracketings enumerated split-ascending /
@@ -29,11 +32,12 @@ import numpy as np
 
 from synkd import tensor as T
 from synkd.distill import (DistillConfig, DistillError, anneal_alpha, ce_sum, combine_syn,
-                           total_loss)
+                           one_hot, total_loss)
 from synkd.encoders import ChildSumCell, _dropout, _row_keys, con_enc_graph, offsets
 from synkd.structures import UNARY_SEP, BinTree
-from synkd.syntax_data import (ARC_LABEL, HEAD_CHILD, NULL_LABEL, ConstNode, ConstTree,
-                               DataError, DepTree)
+from synkd.syntax_data import (ARC_LABEL, DET, HEAD_CHILD, NOUNS, NULL_LABEL, RELPRON,
+                               SHAPE_WEIGHTS, SHAPES, ConstNode, ConstTree, DataError,
+                               DepTree, Example, Sentence, _Grammar, percolate_deps)
 from synkd.tensor import ADAM_EPS, BETA1, BETA2, Adam, Tensor
 from synkd.train import (
     BatchSampler,
@@ -661,6 +665,122 @@ def reference_tree_eq(tree: ConstTree, other) -> bool:
     return isinstance(other, ConstTree) and tree.root == other.root
 
 
+def _pre(pos, word):
+    return ConstNode(pos, word=word)
+
+
+class _ReferenceGrammar(_Grammar):
+    """The node-building sentence generator that the span-emitting
+    `_Grammar.sentence` replaced, kept verbatim as the reference for its
+    corpora and their random draws."""
+
+    def simple_np(self, rng, num):
+        noun = self.nouns[rng.integers(len(self.nouns))][num]
+        return ConstNode("NP", [_pre("Det", DET), _pre("N", noun)])
+
+    def sentence(self, rng, agree, max_len):
+        while True:
+            shape = rng.choice(len(SHAPES), p=SHAPE_WEIGHTS)
+            subj_num = int(rng.integers(2))
+            verb_num = subj_num if agree else 1 - subj_num
+            verb = self.verbs[rng.integers(len(self.verbs))][verb_num]
+            subj_noun = self.nouns[rng.integers(len(self.nouns))][subj_num]
+
+            if rng.random() < 0.5:
+                vp = ConstNode("VP", [_pre("V", verb),
+                                      self.simple_np(rng, int(rng.integers(2)))])
+            else:
+                vp = ConstNode("VP", [_pre("V", verb),
+                                      _pre("Adv", self.advs[rng.integers(len(self.advs))])])
+
+            subj_core = [_pre("Det", DET), _pre("N", subj_noun)]
+            name = SHAPES[shape]
+            if name == "simple":
+                subj = ConstNode("NP", subj_core)
+                root = ConstNode("S", [subj, vp])
+            elif name == "pp":
+                pp = ConstNode("PP", [_pre("P", self.preps[rng.integers(len(self.preps))]),
+                                      self.simple_np(rng, int(rng.integers(2)))])
+                subj = ConstNode("NP", subj_core + [pp])
+                root = ConstNode("S", [subj, vp])
+            elif name == "rc":
+                vpe = ConstNode("VPE", [_pre("VN", self.emb_verbs[rng.integers(len(self.emb_verbs))]),
+                                        self.simple_np(rng, int(rng.integers(2)))])
+                rc = ConstNode("RC", [_pre("RP", RELPRON), vpe])
+                subj = ConstNode("NP", subj_core + [rc])
+                root = ConstNode("S", [subj, vp])
+            else:  # fronted PP, then a simple subject
+                pp = ConstNode("PP", [_pre("P", self.preps[rng.integers(len(self.preps))]),
+                                      self.simple_np(rng, int(rng.integers(2)))])
+                subj = ConstNode("NP", subj_core)
+                root = ConstNode("S", [pp, subj, vp])
+
+            con = ConstTree(root)
+            if con.n <= max_len:
+                return con, subj, vp
+
+
+def subject_number(subj):
+    """0 (singular) or 1 (plural): the number of a subject NP node's noun."""
+    noun = subj.children[1].word
+    return 0 if any(noun == sg for sg, _ in NOUNS) else 1
+
+
+def _reference_make_example(grammar, rng, task, label, max_len):
+    con, subj, vp = grammar.sentence(rng, bool(label) if task != "pair" else True, max_len)
+    tokens = con.leaves()
+    ex = Example(Sentence(tokens), percolate_deps(con), con)
+    if task == "cls":
+        ex.label = label
+    elif task == "tag":
+        vi = len(tokens) - ConstTree(vp).n
+        i = vi - ConstTree(subj).n
+        tags = ["O"] * len(tokens)
+        tags[i] = "B-SUBJ"
+        for k in range(i + 1, vi):
+            tags[k] = "I-SUBJ"
+        ex.tags = tags
+        ex.predicate = vi
+    elif task == "pair":
+        num1 = subject_number(subj)
+        while True:
+            con2, subj2, _ = grammar.sentence(rng, True, max_len)
+            if (subject_number(subj2) == num1) == bool(label):
+                break
+        ex.label = label
+        ex.partner = Example(Sentence(con2.leaves()), percolate_deps(con2), con2)
+    else:
+        raise DataError(f"unknown task {task!r}")
+    return ex
+
+
+def reference_gen_synthetic(n_examples, max_len=12, seed=0, task="cls", grammar_size=5):
+    """The node-building `gen_synthetic` that the span-emitting one replaced,
+    kept verbatim as the reference for its corpora; also returns how many
+    class-balance retries it made."""
+    if max_len > 20:
+        raise DataError("max_len must be <= 20")
+    if max_len < 4:
+        raise DataError("max_len too small for any sentence shape")
+    grammar = _ReferenceGrammar(grammar_size)
+    achievable = [k for k in range(n_examples + 1)
+                  if 0.4 * n_examples <= k <= 0.6 * n_examples]
+    attempt = 0
+    while True:
+        rng = np.random.default_rng([seed, attempt])
+        if task == "tag":
+            labels = [1] * n_examples
+        else:
+            labels = [int(rng.integers(2)) for _ in range(n_examples)]
+        examples = [_reference_make_example(grammar, rng, task, lab, max_len)
+                    for lab in labels]
+        if task == "tag" or not achievable or sum(labels) in achievable:
+            for ex in examples:
+                ex.validate()
+            return examples, attempt
+        attempt += 1
+
+
 def random_bracketed(rng, depth=0):
     """Bracketed text of a random tree: unary chains, nodes of 1-4 children,
     odd labels and words, and random spacing around the parens."""
@@ -753,6 +873,14 @@ class ReferenceAdam:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
+
+
+def hard_arc_targets(heads, dep_label_ids, n_labels):
+    """One sentence's one-hot arc/label targets and heads, built on their own
+    as the batched `train.hard_targets` replaced; its values, dtypes and
+    shapes are the reference for each example's views."""
+    heads = np.asarray(heads, dtype=np.int64)
+    return one_hot(heads, heads.size + 1), one_hot(dep_label_ids, n_labels), heads
 
 
 def reference_reg_loss(params, zeta: float) -> Tensor:

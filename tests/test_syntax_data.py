@@ -1,10 +1,12 @@
 """Dataset model, parsers, synthetic generator, JSONL round trip."""
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from oracles import check_laminar, random_bracketed, record_mutants, reference_parse_bracketed
+from oracles import (check_laminar, random_bracketed, record_mutants, reference_gen_synthetic,
+                     reference_parse_bracketed, subject_number)
 from synkd import syntax_data as D
 
 
@@ -264,7 +266,7 @@ def test_gen_pair_and_tag_variants():
     pairs = D.gen_synthetic(40, seed=4, task="pair")
     for ex in pairs:
         assert ex.payload_kind() == "pair"
-        num = lambda t: D._subject_number(t.con, next(
+        num = lambda t: subject_number(next(
             c for c in t.con.root.children if c.label == "NP"))
         assert ex.label == int(num(ex) == num(ex.partner))
     tags = D.gen_synthetic(40, seed=4, task="tag")
@@ -273,6 +275,95 @@ def test_gen_pair_and_tag_variants():
         assert len(ex.tags) == len(ex.sent)
         assert ex.tags.count("B-SUBJ") == 1
         assert ex.sent.tokens[ex.predicate] in {w for pair in D.VERBS for w in pair}
+
+
+def _corpus_view(examples):
+    return [(D.example_to_dict(ex), ex.con.spans(),
+             ex.partner.con.spans() if ex.partner else None) for ex in examples]
+
+
+@pytest.mark.parametrize("task", ["cls", "pair", "tag"])
+def test_gen_equals_node_building_reference(task):
+    # the span-emitting generator makes the corpus of the node-building one,
+    # draw for draw, for every length bound and grammar size
+    for seed in (0, 5, 11):
+        for max_len in (4, 6, 12, 20):
+            for size in (1, 2, 5, 8):
+                want, _ = reference_gen_synthetic(12, max_len, seed, task, size)
+                got = D.gen_synthetic(12, max_len, seed, task, size)
+                assert _corpus_view(got) == _corpus_view(want), (seed, max_len, size)
+    # small corpora often miss the class balance and are drawn again
+    retried = 0
+    for seed in range(8):
+        want, attempt = reference_gen_synthetic(10, 12, seed, task)
+        assert _corpus_view(D.gen_synthetic(10, 12, seed, task)) == _corpus_view(want)
+        retried += attempt >= 1
+    assert retried or task == "tag"
+
+
+class _CountingRng:
+    """A generator that counts its uniform draws: two per sentence drawn."""
+
+    def __init__(self, rng):
+        self.rng, self.uniforms = rng, 0
+
+    def random(self):
+        self.uniforms += 1
+        return self.rng.random()
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+
+def test_gen_redraws_sentences_longer_than_max_len(monkeypatch):
+    # at max_len 4 only a bare subject with an adverb fits, so most drawn
+    # sentences are rejected and drawn again
+    rngs, make = [], np.random.default_rng
+
+    def counting_rng(seed):
+        rngs.append(_CountingRng(make(seed)))
+        return rngs[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    got = D.gen_synthetic(20, max_len=4, seed=3, task="tag")
+    monkeypatch.undo()
+    assert {len(ex.sent) for ex in got} == {4}
+    assert sum(r.uniforms for r in rngs) > 4 * 2 * len(got)
+    want, _ = reference_gen_synthetic(20, 4, 3, "tag")
+    assert _corpus_view(got) == _corpus_view(want)
+
+
+def test_gen_builds_no_const_nodes(monkeypatch):
+    # sentences are emitted as leaves and post-order spans; nodes are built
+    # only when a tree's root is read
+    built, init = [], D.ConstNode.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(D.ConstNode, "__init__", counting_init)
+    corpora = [D.gen_synthetic(30, seed=21, task=task) for task in ("cls", "pair", "tag")]
+    assert built == []
+    corpora[1][0].partner.con.root  # the counter does see nodes built on a read of root
+    assert len(built) == len(corpora[1][0].partner.con.spans())
+
+
+# SHA-256 of the JSONL bytes of gen_synthetic(30, max_len=12, seed=20, task=...);
+# a drift the reference generator would share, such as a change of numpy's
+# random streams, changes them
+CORPUS_DIGESTS = {
+    "cls": "5fa09e38fd80a2485584b1f3e2cb6e0b4d427818e062b2122891e4ac9034f304",
+    "pair": "c9fbcf9b02fc31e34ec1dbadf7e0af2838c6041976747200f5defca8e1b5f893",
+    "tag": "cf1fee24527bde5ab745f1d9942cb71088a9f457aa1d8e0978ccc1735ab6b095",
+}
+
+
+@pytest.mark.parametrize("task", sorted(CORPUS_DIGESTS))
+def test_gen_corpus_digest(task, tmp_path):
+    path = tmp_path / f"{task}.jsonl"
+    D.save_jsonl(D.gen_synthetic(30, max_len=12, seed=20, task=task), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CORPUS_DIGESTS[task]
 
 
 def test_gen_guards():

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import reference_distill_student, reference_train_teacher
+from oracles import hard_arc_targets, reference_distill_student, reference_train_teacher
 
 from synkd.distill import (DistillConfig, DistillError, TeacherSet, soft_arc_targets,
                            soft_con_targets)
@@ -21,6 +21,7 @@ from synkd.train import (
     dev_metric_key,
     distill_student,
     evaluate,
+    hard_targets,
     load_checkpoint,
     load_run_state,
     params_fingerprint,
@@ -341,6 +342,27 @@ def test_co_trained_teachers_feed_soft_distillation(tmp_path):
         "dep/tlstm-dep", "dep/gcn-dep", "con/tlstm-con", "con/gcn-con", "all"}
     syn = [r["value"] for r in read_log(tmp_path / "log.jsonl") if r["metric"] == "loss_syn"]
     assert len(syn) == 4 and np.isfinite(syn).all() and min(syn) > 0.0
+
+
+def test_hard_dep_targets_equal_per_sentence_one_hots():
+    # rows taken from identity tables equal one_hot of each sentence's parse
+    # in values, dtypes and shapes
+    codec, encs = small_data(40, seed=22, max_len=12)
+    n_labels = len(codec.dep_labels)
+    got = hard_targets("dep", encs, n_labels)
+    assert len(got) == len(encs) and hard_targets("dep", [], n_labels) == []
+    for enc, target in zip(encs, got):
+        want = hard_arc_targets(enc.main.heads, enc.main.dep_label_ids, n_labels)
+        for a, b in zip(target, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+    assert [t.n for t in hard_targets("con", encs, n_labels)] == [e.main.n for e in encs]
+    # in hard mode the teachers of one structure share one target list
+    signals = TeacherSignals(small_teachers(codec), encs, DistillConfig(), n_labels)
+    assert signals.targets["tlstm-dep"] is signals.targets["gcn-dep"]
+    assert signals.targets["tlstm-con"] is signals.targets["gcn-con"]
+    for a, b in zip(signals.targets["gcn-dep"], got):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_train_teacher_missing_annotation():
