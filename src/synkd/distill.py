@@ -191,6 +191,12 @@ def mask_ids(ids, positions, mask_id: int):
     return out
 
 
+def hard_arc_targets(heads, dep_label_ids, n_labels):
+    """One-hot arc/label targets straight from the parse."""
+    heads = np.asarray(heads, dtype=np.int64)
+    return one_hot(heads, heads.size + 1), one_hot(dep_label_ids, n_labels), heads
+
+
 def soft_arc_targets(scorer, main):
     """Per sentence of a batch's (rows, offsets): an arc scorer's arc
     distribution, its label distribution at the argmax arc, and that arc."""

@@ -739,17 +739,19 @@ class Codec:
 
     def __init__(self, examples, task):
         self.task = task
-        token_lists = []
-        dep_labels, con_labels, tags, classes = set(), set(), set(), set()
+        token_lists, span_lists = [], set()
+        dep_labels, tags, classes = set(), set(), set()
         for ex in examples:
             for e in self._sides(ex):
                 token_lists.append(e.sent.tokens)
                 dep_labels.update(e.dep.labels)
-                con_labels.update(_con_labels(e.con.spans()))
+                span_lists.add(tuple(e.con.spans()))
             if task == "tag":
                 tags.update(ex.tags)
             else:
                 classes.add(ex.label)
+        # sentences of one shape share their spans: each distinct tree is read once
+        con_labels = {lab for spans in span_lists for lab in _con_labels(list(spans))}
         self.vocab = Vocab.build(token_lists)
         self.dep_labels = LabelVocab.build(sorted(dep_labels))
         self.con_labels = LabelVocab.build(sorted(con_labels), reserve_null=True)

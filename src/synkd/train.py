@@ -29,6 +29,7 @@ from .distill import (
     con_inject_loss,
     dep_inject_loss,
     feat_distill,
+    hard_arc_targets,
     mask_ids,
     one_hot,
     output_distill_loss,
@@ -227,20 +228,12 @@ def gold_rows(model, encs) -> np.ndarray:
 
 
 def hard_targets(structure, encs, n_dep_labels):
-    """Mode-B targets of the main sides straight from their parses, one per
-    example: (n, n + 1) arc and (n, n_labels) label one-hots and the heads
-    (dep), or the binarized tree (con)."""
-    if structure != "dep":
-        return [enc.main.bintree for enc in encs]
-    # one-hot rows are taken from identity tables, one per sentence length
-    arc = {n: np.eye(n + 1) for n in {enc.main.n for enc in encs}}
-    lab = np.eye(n_dep_labels)
-    out = []
-    for enc in encs:
-        heads = np.array(enc.main.heads, dtype=np.int64)
-        out.append((arc[heads.size].take(heads, axis=0),
-                    lab.take(enc.main.dep_label_ids, axis=0), heads))
-    return out
+    """Mode-B targets of the main sides straight from their parses: arc/label
+    one-hots (dep) or binarized trees (con), one per example."""
+    if structure == "dep":
+        return [hard_arc_targets(enc.main.heads, enc.main.dep_label_ids, n_dep_labels)
+                for enc in encs]
+    return [enc.main.bintree for enc in encs]
 
 
 def _blocks(arr, off):

@@ -15,10 +15,9 @@ instance builders (`reference_probe_train_eval`,
 closed-form probe step and gathered instances must match bitwise, the
 per-tensor Adam (`ReferenceAdam`) and taped L2 fold (`reference_reg_loss`)
 that the flat-buffer Adam and the one-op `reg_loss` must match bitwise, the
-per-sentence hard arc targets (`hard_arc_targets`) that the batched ones
-must equal, the node-building synthetic generator (`reference_gen_synthetic`)
-whose corpora the span-emitting one must equal, and generators of random
-bracketed trees and of mutated JSONL records.
+node-building synthetic generator (`reference_gen_synthetic`) whose corpora
+the span-emitting one must equal, and generators of random bracketed trees
+and of mutated JSONL records.
 
 The search is deliberately independent of the chart code — plain Python
 loops, first strict maximum kept, bracketings enumerated split-ascending /
@@ -32,7 +31,7 @@ import numpy as np
 
 from synkd import tensor as T
 from synkd.distill import (DistillConfig, DistillError, anneal_alpha, ce_sum, combine_syn,
-                           one_hot, total_loss)
+                           total_loss)
 from synkd.encoders import ChildSumCell, _dropout, _row_keys, con_enc_graph, offsets
 from synkd.structures import UNARY_SEP, BinTree
 from synkd.syntax_data import (ARC_LABEL, DET, HEAD_CHILD, NOUNS, NULL_LABEL, RELPRON,
@@ -873,14 +872,6 @@ class ReferenceAdam:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
-
-
-def hard_arc_targets(heads, dep_label_ids, n_labels):
-    """One sentence's one-hot arc/label targets and heads, built on their own
-    as the batched `train.hard_targets` replaced; its values, dtypes and
-    shapes are the reference for each example's views."""
-    heads = np.asarray(heads, dtype=np.int64)
-    return one_hot(heads, heads.size + 1), one_hot(dep_label_ids, n_labels), heads
 
 
 def reference_reg_loss(params, zeta: float) -> Tensor:

