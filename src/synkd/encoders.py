@@ -10,17 +10,18 @@ and checkpointing.
 Every model encodes a whole batch of sentences at once through
 `reps(sides) -> (rows, offsets)`: the token rows of all sentences stacked in
 input order plus their row offsets, which the shared task heads, losses and
-scorers consume. Each TreeLSTM layer direction is one tape op that runs the
-cell level by level across every tree of the batch (dynamic batching), over
-level plans built once per batch; each GCN layer is one tape op that sums
-every node's messages in a fixed order over a message plan built once per
-batch, the student runs one packed BiLSTM batch over sentences of any
-lengths, and the arc and span scorers score every sentence of a batch in a
-fixed number of tape ops.
+scorers consume. Every tree teacher reads a sentence's tree as one (k, 2)
+edge array, and stacks the batch's arrays into one plan per `reps` call: each
+TreeLSTM layer direction is one tape op that runs the cell level by level
+across every tree of the batch (dynamic batching), over level plans built
+from (child, parent) rows; each GCN layer is one tape op that sums every
+node's messages in a fixed order over a message plan. The student runs one
+packed BiLSTM batch over sentences of any lengths, and the arc and span
+scorers score every sentence of a batch in a fixed number of tape ops.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -230,102 +231,19 @@ class NaryCell:
 
 
 # ---------------------------------------------------------------------------
-# generic rooted-tree encoding
-
-@dataclass
-class EncGraph:
-    """Rooted tree over encoder nodes plus the token -> node row map.
-
-    height (leaves 0) and depth (root 0) are each node's level in a batched
-    bottom-up and top-down pass."""
-    children: list     # per node: ordered child node indices
-    parent: list       # per node: parent index, -1 at the root
-    token_rows: list   # token position -> node index
-    order: list        # topological order, children before parents
-    height: np.ndarray = field(init=False)
-    depth: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        n = len(self.children)
-        height, depth, parent = [0] * n, [0] * n, self.parent
-        for v in self.order:
-            p = parent[v]
-            if p >= 0 and height[p] <= height[v]:
-                height[p] = height[v] + 1
-        for v in reversed(self.order):
-            if parent[v] >= 0:
-                depth[v] = depth[parent[v]] + 1
-        self.height, self.depth = np.array(height), np.array(depth)
-
-    @cached_property
-    def edges(self):
-        """(parent, child, slot) per tree edge, slot being the child's
-        position among its siblings."""
-        return np.array([(v, c, q) for v, cs in enumerate(self.children)
-                         for q, c in enumerate(cs)], dtype=np.int64).reshape(-1, 3)
-
-def dep_enc_graph(heads) -> EncGraph:
-    n = len(heads)
-    children = [[] for _ in range(n)]
-    parent = [-1] * n
-    for i, h in enumerate(heads):
-        if h != 0:
-            children[h - 1].append(i)
-            parent[i] = h - 1
-    root = heads.index(0)
-    order = _topo_order(children, root, n)
-    return EncGraph(children, parent, list(range(n)), order)
-
-
-def con_enc_graph(bt: BinTree):
-    """Nodes are the binarized tree's spans; returns the graph plus each
-    node's span so callers can pick word vs label inputs."""
-    spans = []
-
-    def build(i, j):
-        if j - i == 1:
-            spans.append((i, j))
-            return len(spans) - 1
-        k = bt.split_of(i, j)
-        left = build(i, k)
-        right = build(k, j)
-        spans.append((i, j))
-        me = len(spans) - 1
-        kids[me] = [left, right]
-        return me
-
-    kids = {}
-    build(0, bt.n)
-    m = len(spans)
-    children = [kids.get(v, []) for v in range(m)]
-    parent = [-1] * m
-    for v, cs in enumerate(children):
-        for c in cs:
-            parent[c] = v
-    token_rows = [None] * bt.n
-    for v, (i, j) in enumerate(spans):
-        if j - i == 1:
-            token_rows[i] = v
-    order = _topo_order(children, m - 1, m)
-    return EncGraph(children, parent, token_rows, order), spans
-
-
-def _topo_order(children, root, n):
-    """Reversed breadth-first order from the root: children before parents."""
-    order = [root]
-    for v in order:
-        order.extend(children[v])
-        if len(order) > n:
-            raise DataError(f"node {v} closes a cycle")
-    if len(order) != n:
-        raise DataError("tree does not reach all nodes")
-    order.reverse()
-    return order
-
+# tree level plans
 
 def offsets(counts) -> np.ndarray:
     """Row offsets of stacked blocks: block b is rows [off[b], off[b + 1])."""
     return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+def _stack_edges(sizes, trees):
+    """Node count of a batch of graphs of sizes[b] nodes, and their (k, 2)
+    edge rows stacked, each graph's node ids shifted past those before it."""
+    off = offsets(sizes)
+    e = np.concatenate(trees).reshape(-1, 2).astype(np.int64, copy=False)
+    return int(off[-1]), e + np.repeat(off[:-1], [len(t) for t in trees])[:, None]
 
 
 @dataclass
@@ -354,16 +272,30 @@ def _level_plan(level, dst, src, slot) -> LevelPlan:
     return LevelPlan(perm, pos, levels)
 
 
-def level_plans(graphs):
+def level_plans(sizes, edges):
     """(bottom-up, top-down) LevelPlans of a batch of trees, read by every
-    layer. Bottom-up, children feed parents, level by height; top-down, the
-    parent state is the single child input of each node (roots get zero
-    state), level by depth."""
-    node_off = offsets([len(g.children) for g in graphs])
-    parent, child, slot = np.concatenate(
-        [g.edges + (o, o, 0) for g, o in zip(graphs, node_off)]).T
-    height = np.concatenate([g.height for g in graphs])
-    depth = np.concatenate([g.depth for g in graphs])
+    layer: tree b has sizes[b] nodes and one (child, parent) row per edge in
+    edges[b]. Bottom-up, children feed parents, level by height, each child
+    in the slot of its rank among its siblings' rows; top-down, the parent
+    state is the single child input of each node (roots get zero state),
+    level by depth."""
+    n, e = _stack_edges(sizes, edges)
+    child, parent = e[np.argsort(e[:, 1], kind="stable")].T
+    slot = np.arange(parent.size) - offsets(np.bincount(parent, minlength=n))[parent]
+    up = np.full(n, -1, dtype=np.int64)
+    up[child] = parent
+    # round k visits every node with a k-th ancestor anc: the node is at
+    # depth k or more, anc at height k or more, and k only grows
+    depth, height = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    live, anc = child, parent
+    for k in range(1, n + 1):
+        if not live.size:
+            break
+        depth[live], height[anc] = k, k
+        anc = up[anc]
+        live, anc = live[anc >= 0], anc[anc >= 0]
+    else:
+        raise DataError(f"an edge above node {int(live[0])} closes a cycle")
     return (_level_plan(height, parent, child, slot),
             _level_plan(depth, child, parent, np.zeros_like(slot)))
 
@@ -501,10 +433,8 @@ def gcn_edges(sizes, trees) -> MessagePlan:
     once and read by every layer: each node messages itself, then both ways
     along every (a, b) row of each graph's (k, 2) edge array, a to b before
     b to a, as in a symmetric 0/1 adjacency with self-loops."""
-    off = offsets(sizes)
-    e = np.concatenate(trees).reshape(-1, 2).astype(np.int64, copy=False)
-    e += np.repeat(off[:-1], [len(t) for t in trees])[:, None]
-    loops = np.arange(off[-1])
+    n, e = _stack_edges(sizes, trees)
+    loops = np.arange(n)
     src, dst = np.concatenate([loops, e[:, 0], e[:, 1]]), np.concatenate([loops, e[:, 1], e[:, 0]])
     count = np.bincount(dst, minlength=loops.size)
     pos = np.empty_like(loops)
@@ -519,6 +449,21 @@ def dep_edges(heads) -> np.ndarray:
     heads = np.asarray(heads, dtype=np.int64)
     dep = np.flatnonzero(heads)
     return np.stack([dep, heads[dep] - 1], axis=1)
+
+
+def con_edges(bt: BinTree):
+    """(spans, edges) of a binarized tree: its (i, j) spans in post-order,
+    which sorting by end, then by start descending gives, and one (child,
+    parent) row of span indices per child, left child first. In post-order
+    an inner node's children are the last two nodes still without a parent."""
+    spans = sorted(bt.spans, key=lambda s: (s[1], -s[0]))
+    edges, roots = [], []
+    for v, (i, j) in enumerate(spans):
+        if j - i > 1:
+            right, left = roots.pop(), roots.pop()
+            edges += [(left, v), (right, v)]
+        roots.append(v)
+    return spans, np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -812,12 +757,8 @@ class EncodedSide:
         return None if self.raw.dep is None else self.codec.dep_labels.encode(self.raw.dep.labels)
 
     @cached_property
-    def dep_graph(self):
-        return None if self.raw.dep is None else dep_enc_graph(self.heads)
-
-    @cached_property
     def dep_gcn(self):
-        """Edge array of the dependency GCN: (dependent, head) rows."""
+        """Edge array of both dependency teachers: (dependent, head) rows."""
         return None if self.raw.dep is None else dep_edges(self.raw.dep.heads)
 
     @cached_property
@@ -831,16 +772,17 @@ class EncodedSide:
 
     @cached_property
     def con_tree(self):
-        """(graph, is_word, ids) of the constituency TreeLSTM over the
-        binarized tree: a leaf's input is its token id, an inner node's its
-        label id."""
+        """(is_word, ids, edges) of the constituency TreeLSTM over the
+        binarized tree's spans in post-order: a leaf's input is its token id,
+        an inner node's its label id; edges holds (child, parent) rows."""
         if self.raw.con is None:
             return None
-        graph, spans = con_enc_graph(self.bintree)
-        is_word = np.array([j - i == 1 for i, j in spans], dtype=bool)
-        ids = np.array([self.token_ids[i] if j - i == 1 else self.bintree.spans[(i, j)]
-                        for i, j in spans], dtype=np.int64)
-        return graph, is_word, ids
+        bt = self.bintree
+        spans, edges = con_edges(bt)
+        is_word = np.array([j - i == 1 for i, j in spans])
+        ids = np.array([bt.spans[s] for s in spans], dtype=np.int64)
+        ids[is_word] = self.token_ids  # the leaves, in token order
+        return is_word, ids, edges
 
     @cached_property
     def con_gcn(self):
@@ -998,7 +940,7 @@ class DepTreeLstmModel(BaseModel):
         """Stacked token rows of a batch of sides plus their row offsets."""
         ids = np.concatenate([s.token_ids for s in sides])
         x = _dropout(T.embedding(self.emb, ids), train, rng)
-        plans = level_plans([s.dep_graph for s in sides])
+        plans = level_plans([s.n for s in sides], [s.dep_gcn for s in sides])
         for up, down in self.cells:
             x = tree_encode(plans, x, up, down)
         return x, offsets([s.n for s in sides])  # dependency nodes are the tokens
@@ -1028,15 +970,13 @@ class ConTreeLstmModel(BaseModel):
 
     def reps(self, sides, train=False, rng=None):
         """Stacked token rows of a batch of sides plus their row offsets."""
-        graphs, is_word, ids = zip(*(s.con_tree for s in sides))
-        x = self._node_rows(np.concatenate(is_word), np.concatenate(ids), train, rng)
-        plans = level_plans(graphs)
+        is_word, ids, trees = zip(*(s.con_tree for s in sides))
+        is_word = np.concatenate(is_word)
+        x = self._node_rows(is_word, np.concatenate(ids), train, rng)
+        plans = level_plans([i.size for i in ids], trees)
         for up, down in self.cells:
             x = tree_encode(plans, x, up, down)
-        node_off = offsets([len(g.children) for g in graphs])
-        rows = np.concatenate([np.asarray(g.token_rows) + o
-                               for g, o in zip(graphs, node_off)])
-        return T.embedding(x, rows), offsets([s.n for s in sides])
+        return T.embedding(x, np.flatnonzero(is_word)), offsets([s.n for s in sides])
 
 
 class GcnModel(BaseModel):

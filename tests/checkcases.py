@@ -28,14 +28,12 @@ from synkd.distill import (
 from synkd.encoders import (
     ArcLabelScorer,
     ChildSumCell,
-    EncGraph,
     NaryCell,
     Params,
     ScoredSpans,
     StudentEncoder,
-    con_enc_graph,
+    con_edges,
     dep_edges,
-    dep_enc_graph,
     gcn_edges,
     gcn_layer,
     level_plans,
@@ -85,15 +83,30 @@ def batch_sizes(rng):
 
 # ----------------------------------------------------------------- encoders
 
+def dep_tree(heads):
+    """(size, edges) of a dependency tree, as `level_plans` reads it."""
+    return len(heads), dep_edges(heads)
+
+
+def con_tree(bt):
+    """(size, edges) of a binarized constituency tree over its spans."""
+    return 2 * bt.n - 1, con_edges(bt)[1]
+
+
+def plans_of(trees):
+    """The level plans of a batch of (size, edges) trees."""
+    return level_plans(*zip(*trees))
+
+
 def star_graph():
     """A root with three children: in the top-down pass one parent state
     feeds several nodes."""
-    return dep_enc_graph([0, 1, 1, 1])
+    return dep_tree([0, 1, 1, 1])
 
 
 def unary_graph():
     """Node 1 has a single child, so its second N-ary slot is absent."""
-    return EncGraph([[], [0], [1, 3], []], [1, 2, -1, 2], [0, 3], [0, 3, 1, 2])
+    return 4, np.array([[0, 1], [1, 2], [3, 2]])
 
 
 def case_childsum(rng):
@@ -101,11 +114,11 @@ def case_childsum(rng):
     p = Params()
     up = ChildSumCell(p, "up", in_dim, hid, rng, dtype=F64)
     down = ChildSumCell(p, "down", in_dim, hid, rng, dtype=F64)
-    graphs = [dep_enc_graph(random_heads(rng, n)) for n in batch_sizes(rng)] + [star_graph()]
-    x = rand_param(rng, (sum(len(g.children) for g in graphs), in_dim))
+    trees = [dep_tree(random_heads(rng, n)) for n in batch_sizes(rng)] + [star_graph()]
+    x = rand_param(rng, (sum(n for n, _ in trees), in_dim))
 
     def f():
-        return weighted_sum(tree_encode(level_plans(graphs), x, up, down),
+        return weighted_sum(tree_encode(plans_of(trees), x, up, down),
                             np.random.default_rng(0))
 
     return f, p.all() + [x]
@@ -116,12 +129,12 @@ def case_nary(rng):
     p = Params()
     up = NaryCell(p, "up", in_dim, hid, rng, n_ary=2, dtype=F64)
     down = NaryCell(p, "down", in_dim, hid, rng, n_ary=2, dtype=F64)
-    graphs = [con_enc_graph(random_bintree(rng, n, 2))[0] for n in batch_sizes(rng)]
-    graphs.append(unary_graph())
-    x = rand_param(rng, (sum(len(g.children) for g in graphs), in_dim))
+    trees = [con_tree(random_bintree(rng, n, 2)) for n in batch_sizes(rng)]
+    trees.append(unary_graph())
+    x = rand_param(rng, (sum(n for n, _ in trees), in_dim))
 
     def f():
-        return weighted_sum(tree_encode(level_plans(graphs), x, up, down),
+        return weighted_sum(tree_encode(plans_of(trees), x, up, down),
                             np.random.default_rng(0))
 
     return f, p.all() + [x]
@@ -134,7 +147,7 @@ def case_gcn(rng):
     # a star in (parent, child) rows, as constituency graphs give them, whose
     # hub fills every column of the message plan, and a lone node
     sizes += [4, 1]
-    trees += [star_graph().edges[:, :2], np.zeros((0, 2), dtype=np.int64)]
+    trees += [star_graph()[1][:, ::-1], np.zeros((0, 2), dtype=np.int64)]
     edges = gcn_edges(sizes, trees)
     x = rand_param(rng, (sum(sizes), d))
     ws = [rand_param(rng, (d, d)) for _ in range(2)]

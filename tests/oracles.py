@@ -1,6 +1,9 @@
 """Brute-force oracles used by tests: exhaustive search over bracketings,
-one tree-cell update with hand-set child states, the taped tree kernels
-(`reference_tree_encode`), the taped GCN layer (`reference_gcn_layer`) and
+one tree-cell update with hand-set child states, the per-sentence
+`EncGraph` tree builders and the level plans built from them
+(`reference_level_plans`) that the edge-array `level_plans` must match
+bitwise, the taped tree kernels (`reference_tree_encode`), the taped GCN
+layer (`reference_gcn_layer`) and
 teacher `reference_reps` that the one-op level pass, the one-op GCN layer and
 the per-side edge and input arrays must match bitwise, the row-major
 packed LSTM scan that the gate-major one must match bitwise, the fine-token bracket
@@ -25,14 +28,14 @@ left-major so the first maximum agrees with the documented chart tie-break
 (lowest split, then lowest label id).
 """
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from synkd import tensor as T
 from synkd.distill import (DistillConfig, DistillError, anneal_alpha, ce_sum, combine_syn,
                            total_loss)
-from synkd.encoders import ChildSumCell, _dropout, _row_keys, con_enc_graph, offsets
+from synkd.encoders import ChildSumCell, _dropout, _level_plan, _row_keys, offsets
 from synkd.structures import UNARY_SEP, BinTree
 from synkd.syntax_data import (ARC_LABEL, DET, HEAD_CHILD, NOUNS, NULL_LABEL, RELPRON,
                                SHAPE_WEIGHTS, SHAPES, ConstNode, ConstTree, DataError,
@@ -54,6 +57,123 @@ from synkd.train import (
     sem_loss_batch,
     syn_loss_batch,
 )
+
+
+@dataclass
+class EncGraph:
+    """Rooted tree over encoder nodes plus the token -> node row map: the
+    per-sentence tree format that edge arrays replaced.
+
+    height (leaves 0) and depth (root 0) are each node's level in a batched
+    bottom-up and top-down pass."""
+    children: list     # per node: ordered child node indices
+    parent: list       # per node: parent index, -1 at the root
+    token_rows: list   # token position -> node index
+    order: list        # topological order, children before parents
+    height: np.ndarray = field(init=False)
+    depth: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        n = len(self.children)
+        height, depth, parent = [0] * n, [0] * n, self.parent
+        for v in self.order:
+            p = parent[v]
+            if p >= 0 and height[p] <= height[v]:
+                height[p] = height[v] + 1
+        for v in reversed(self.order):
+            if parent[v] >= 0:
+                depth[v] = depth[parent[v]] + 1
+        self.height, self.depth = np.array(height), np.array(depth)
+
+    @property
+    def edges(self):
+        """(parent, child, slot) per tree edge, slot being the child's
+        position among its siblings."""
+        return np.array([(v, c, q) for v, cs in enumerate(self.children)
+                         for q, c in enumerate(cs)], dtype=np.int64).reshape(-1, 3)
+
+
+def dep_enc_graph(heads) -> EncGraph:
+    n = len(heads)
+    children = [[] for _ in range(n)]
+    parent = [-1] * n
+    for i, h in enumerate(heads):
+        if h != 0:
+            children[h - 1].append(i)
+            parent[i] = h - 1
+    root = heads.index(0)
+    order = _topo_order(children, root, n)
+    return EncGraph(children, parent, list(range(n)), order)
+
+
+def con_enc_graph(bt: BinTree):
+    """Nodes are the binarized tree's spans; returns the graph plus each
+    node's span so callers can pick word vs label inputs."""
+    spans = []
+
+    def build(i, j):
+        if j - i == 1:
+            spans.append((i, j))
+            return len(spans) - 1
+        k = bt.split_of(i, j)
+        left = build(i, k)
+        right = build(k, j)
+        spans.append((i, j))
+        me = len(spans) - 1
+        kids[me] = [left, right]
+        return me
+
+    kids = {}
+    build(0, bt.n)
+    m = len(spans)
+    children = [kids.get(v, []) for v in range(m)]
+    parent = [-1] * m
+    for v, cs in enumerate(children):
+        for c in cs:
+            parent[c] = v
+    token_rows = [None] * bt.n
+    for v, (i, j) in enumerate(spans):
+        if j - i == 1:
+            token_rows[i] = v
+    order = _topo_order(children, m - 1, m)
+    return EncGraph(children, parent, token_rows, order), spans
+
+
+def edge_enc_graph(n, edges) -> EncGraph:
+    """The EncGraph of an n-node tree given as (child, parent) rows, the
+    children of each node in row order."""
+    children, parent = [[] for _ in range(n)], [-1] * n
+    for c, p in np.asarray(edges).reshape(-1, 2).tolist():
+        children[p].append(c)
+        parent[c] = p
+    return EncGraph(children, parent, list(range(n)),
+                    _topo_order(children, parent.index(-1), n))
+
+
+def _topo_order(children, root, n):
+    """Reversed breadth-first order from the root: children before parents."""
+    order = [root]
+    for v in order:
+        order.extend(children[v])
+        if len(order) > n:
+            raise DataError(f"node {v} closes a cycle")
+    if len(order) != n:
+        raise DataError("tree does not reach all nodes")
+    order.reverse()
+    return order
+
+
+def reference_level_plans(graphs):
+    """The `level_plans` over EncGraphs that the edge-array one replaced:
+    each graph's (parent, child, slot) edges, heights and depths built per
+    sentence in Python, then stacked."""
+    node_off = offsets([len(g.children) for g in graphs])
+    parent, child, slot = np.concatenate(
+        [g.edges + (o, o, 0) for g, o in zip(graphs, node_off)]).T
+    height = np.concatenate([g.height for g in graphs])
+    depth = np.concatenate([g.depth for g in graphs])
+    return (_level_plan(height, parent, child, slot),
+            _level_plan(depth, child, parent, np.zeros_like(slot)))
 
 
 @dataclass
@@ -224,7 +344,7 @@ def reference_reps(model, sides, train=False, rng=None):
     if model.kind == "tlstm-dep":
         ids = np.concatenate([s.token_ids for s in sides])
         x = _dropout(T.embedding(model.emb, ids), train, rng)
-        graphs = [s.dep_graph for s in sides]
+        graphs = [dep_enc_graph(s.heads) for s in sides]
         for up, down in model.cells:
             x = reference_tree_encode(graphs, x, up, down)
         return x, offsets([s.n for s in sides])

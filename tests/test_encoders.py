@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from checkcases import star_graph, unary_graph
+from checkcases import dep_tree, plans_of, random_bintree, random_heads, star_graph, unary_graph
 from gradcheck import check_case
-from oracles import (one_parent, random_bracketed, reference_binarize, reference_con_gcn,
-                     reference_gcn_edges, reference_gcn_layer, reference_percolate_deps,
+from oracles import (con_enc_graph, dep_enc_graph, edge_enc_graph, one_parent,
+                     random_bracketed, reference_binarize, reference_con_gcn,
+                     reference_gcn_edges, reference_gcn_layer, reference_level_plans,
+                     reference_percolate_deps,
                      reference_render_bracketed, reference_tree_eq, reference_reps,
                      reference_tree_encode, reference_unbinarize,
                      row_major_lstm_scan)
@@ -49,14 +51,14 @@ def random_state(rng, hid):
     return (Tensor(rng.standard_normal((1, hid))), Tensor(rng.standard_normal((1, hid))))
 
 
-def bottom_up(graphs, x, cell):
+def bottom_up(trees, x, cell):
     """The bottom-up half of tree_encode: its first hid columns."""
-    return E.tree_encode(E.level_plans(graphs), x, cell, cell).data[:, :cell.hid]
+    return E.tree_encode(plans_of(trees), x, cell, cell).data[:, :cell.hid]
 
 
 def leaf(cell, x):
     """h of a lone leaf: the bottom-up pass over a one-node graph."""
-    return bottom_up([E.dep_enc_graph([0])], x, cell)
+    return bottom_up([dep_tree([0])], x, cell)
 
 
 RNG = np.random.default_rng(99)
@@ -165,7 +167,7 @@ def test_gate_ranges():
 
 def chain_graph(n):
     heads = [i + 2 for i in range(n - 1)] + [0]  # head of i is i+1; last is root
-    return E.dep_enc_graph(heads)
+    return dep_tree(heads)
 
 
 def test_tree_encode_chain_is_sequential():
@@ -186,7 +188,7 @@ def test_tree_encode_both_doubles_width():
     down, _ = make_childsum(3, 4, rng)
     xs = Tensor(rng.standard_normal((4, 3)))
     g = chain_graph(4)
-    rows = E.tree_encode(E.level_plans([g]), xs, up, down)
+    rows = E.tree_encode(plans_of([g]), xs, up, down)
     assert rows.shape == (4, 8)
     assert bottom_up([g], xs, up).shape == (4, 4)
 
@@ -195,8 +197,8 @@ def test_tree_encode_sibling_permutation():
     # star tree: child order permuted in the graph, Child-Sum unchanged, N-ary not
     rng = np.random.default_rng(7)
     xs = Tensor(rng.standard_normal((4, 3)))
-    g1 = E.EncGraph([[], [], [], [0, 1, 2]], [3, 3, 3, -1], [0, 1, 2, 3], [0, 1, 2, 3])
-    g2 = E.EncGraph([[], [], [], [2, 0, 1]], [3, 3, 3, -1], [0, 1, 2, 3], [1, 2, 0, 3])
+    g1 = 4, np.array([[0, 3], [1, 3], [2, 3]])
+    g2 = 4, np.array([[2, 3], [0, 3], [1, 3]])
     cs, _ = make_childsum(3, 4, rng)
     a = bottom_up([g1], xs, cs)[3]
     b = bottom_up([g2], xs, cs)[3]
@@ -212,12 +214,12 @@ def test_tree_encode_fd_gradient():
     p = E.Params()
     up = E.ChildSumCell(p, "up", 3, 3, rng, dtype=F64)
     down = E.ChildSumCell(p, "down", 3, 3, rng, dtype=F64)
-    g = E.dep_enc_graph([2, 0, 2])
+    g = dep_tree([2, 0, 2])
     xs_data = rng.standard_normal((3, 3))
 
     def f():
-        rows = E.tree_encode(E.level_plans([g]), Tensor(xs_data), up, down)
-        return T.sum_(T.tanh(T.embedding(rows, g.token_rows)))
+        rows = E.tree_encode(plans_of([g]), Tensor(xs_data), up, down)
+        return T.sum_(T.tanh(T.embedding(rows, np.arange(3))))
 
     assert check_case(f, p.all()) < 1e-6
 
@@ -292,7 +294,8 @@ def test_tree_encode_on_corner_graphs_matches_taped_reference_bitwise(dtype):
     # a lone node, a chain, N-ary nodes with one and two absent children
     # (unary_graph) and three leaves with equal inputs under one root
     rng = np.random.default_rng(36)
-    graphs = [E.dep_enc_graph([0]), chain_graph(4), unary_graph(), star_graph()]
+    trees = [dep_tree([0]), chain_graph(4), unary_graph(), star_graph()]
+    graphs = [edge_enc_graph(*t) for t in trees]
     x_data = rng.standard_normal((13, 3)).astype(dtype)
     x_data[10:13] = x_data[10]
     for cell in (E.ChildSumCell, lambda *a, **k: E.NaryCell(*a, n_ary=3, **k)):
@@ -302,7 +305,7 @@ def test_tree_encode_on_corner_graphs_matches_taped_reference_bitwise(dtype):
             t.data[...] = rng.standard_normal(t.shape)
         w = rng.standard_normal((13, 8)).astype(dtype)
         runs = []
-        for encode in (lambda x: E.tree_encode(E.level_plans(graphs), x, up, down),
+        for encode in (lambda x: E.tree_encode(plans_of(trees), x, up, down),
                        lambda x: reference_tree_encode(graphs, x, up, down)):
             x = Tensor(x_data.copy(), requires_grad=True)
             for t in p.all():
@@ -313,6 +316,48 @@ def test_tree_encode_on_corner_graphs_matches_taped_reference_bitwise(dtype):
             runs.append([out.data, x.grad] + [t.grad for t in p.all()])
         for name, g, r in zip(["out", "x"] + p.names(), *runs):
             np.testing.assert_array_equal(g, r, err_msg=name)
+
+
+def assert_plans_equal(got, want, where):
+    for direction, g, w in zip(("up", "down"), got, want):
+        np.testing.assert_array_equal(g.perm, w.perm, err_msg=f"{where} {direction} perm")
+        np.testing.assert_array_equal(g.pos, w.pos, err_msg=f"{where} {direction} pos")
+        assert len(g.levels) == len(w.levels), where
+        for k, (gl, wl) in enumerate(zip(g.levels, w.levels)):
+            for name, a, b in zip(("lo", "hi", "seg", "slot", "src"), gl, wl):
+                np.testing.assert_array_equal(a, b, err_msg=f"{where} {direction} {k} {name}")
+
+
+def test_level_plans_from_edges_match_graph_reference_bitwise():
+    # random dependency trees of 1..30 tokens and random binarized trees over
+    # as many, one token included, batched a few at a time; the binarized
+    # trees' spans come in the order of the recursive graph builder's nodes
+    rng = np.random.default_rng(41)
+    batches = [[1], [1, 1], [2, 1, 30]] + [rng.integers(1, 31, size=rng.integers(1, 6)).tolist()
+                                           for _ in range(40)]
+    for ns in batches:
+        heads = [random_heads(rng, n) for n in ns]
+        assert_plans_equal(E.level_plans(ns, [E.dep_edges(h) for h in heads]),
+                           reference_level_plans([dep_enc_graph(h) for h in heads]),
+                           f"dep {ns}")
+        bts = [random_bintree(rng, n, 3) for n in ns]
+        graphs, trees = [], []
+        for bt in bts:
+            spans, edges = E.con_edges(bt)
+            graph, want = con_enc_graph(bt)
+            assert spans == want
+            graphs.append(graph)
+            trees.append(edges)
+        assert_plans_equal(E.level_plans([2 * n - 1 for n in ns], trees),
+                           reference_level_plans(graphs), f"con {ns}")
+
+
+@pytest.mark.parametrize("edges", [[[0, 1], [1, 2], [2, 0]], [[0, 0]], [[3, 0], [0, 1], [1, 0]]])
+def test_level_plans_reject_a_cycle(edges):
+    # no root above these nodes: the ancestor walk stops after as many rounds
+    # as the batch has nodes
+    with pytest.raises(D.DataError, match="closes a cycle"):
+        E.level_plans([2, 4], [np.array([[1, 0]]), np.array(edges)])
 
 
 def right_branching(words):
@@ -995,19 +1040,14 @@ def test_childsum_sibling_permutation_in_batch_is_bitwise():
     star = [[1, 3, 4, 2], [], [], [], [5], []]  # node 0 has four children
 
     def graph(children):
-        parent = [-1] * len(children)
-        for v, cs in enumerate(children):
-            for c in cs:
-                parent[c] = v
-        return E.EncGraph(children, parent, list(range(len(children))),
-                          E._topo_order(children, 0, len(children)))
+        return len(children), np.array([(c, v) for v, cs in enumerate(children) for c in cs])
 
-    others = [E.dep_enc_graph([2, 0, 2]), E.dep_enc_graph([0, 1, 1, 3])]
+    others = [dep_tree([2, 0, 2]), dep_tree([0, 1, 1, 3])]
     x = Tensor(rng.standard_normal((13, 3)))
-    base = E.tree_encode(E.level_plans([others[0], graph(star), others[1]]), x, up, down)
+    base = E.tree_encode(plans_of([others[0], graph(star), others[1]]), x, up, down)
     for perm in ([2, 4, 1, 3], [4, 3, 2, 1]):
         permuted = [perm] + star[1:]
-        got = E.tree_encode(E.level_plans([others[0], graph(permuted), others[1]]), x, up, down)
+        got = E.tree_encode(plans_of([others[0], graph(permuted), others[1]]), x, up, down)
         assert got.data.tobytes() == base.data.tobytes()
 
 

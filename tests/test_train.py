@@ -262,7 +262,7 @@ def test_student_predict_ignores_trees():
     soft_con_targets(student.span_scorer, main)
     views = {name for name, attr in vars(EncodedSide).items()
              if isinstance(attr, functools.cached_property)}
-    assert views >= {"heads", "dep_label_ids", "dep_graph", "bintree", "con_tree", "con_gcn"}
+    assert views >= {"heads", "dep_label_ids", "bintree", "con_tree", "con_gcn"}
     for enc in encs:
         for side in (enc.main, enc.partner):
             assert not views & set(vars(side))
