@@ -120,7 +120,7 @@ def feat_distill(teacher_mat: Tensor, student_mat: Tensor, f_t, f_s) -> Tensor:
     return T.scale(T.sum_(T.mul(diff, diff)), 0.5)
 
 
-def combine_syn(l_dep, l_con, eta: float):
+def combine_syn(l_dep: Tensor, l_con: Tensor, eta: float) -> Tensor:
     """eta * L_dep + (1 - eta) * L_con; endpoints pass one side through exactly."""
     if not 0.0 <= eta <= 1.0:
         raise DistillError(f"eta must be in [0, 1], got {eta}")
@@ -128,9 +128,7 @@ def combine_syn(l_dep, l_con, eta: float):
         return l_con
     if eta == 1.0:
         return l_dep
-    if isinstance(l_dep, Tensor) or isinstance(l_con, Tensor):
-        return T.add(T.scale(l_dep, eta), T.scale(l_con, 1.0 - eta))
-    return eta * l_dep + (1.0 - eta) * l_con
+    return T.add(T.scale(l_dep, eta), T.scale(l_con, 1.0 - eta))
 
 
 def ce_sum(logits: Tensor, targets) -> Tensor:

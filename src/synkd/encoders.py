@@ -11,12 +11,13 @@ Every model encodes a whole batch of sentences at once through
 `reps(sides) -> (rows, offsets)`: the token rows of all sentences stacked in
 input order plus their row offsets, which the shared task heads, losses and
 scorers consume. Every tree teacher reads a sentence's tree as one (k, 2)
-edge array, and stacks the batch's arrays into one plan per `reps` call: each
-TreeLSTM layer direction is one tape op that runs the cell level by level
-across every tree of the batch (dynamic batching), over level plans built
-from (child, parent) rows; each GCN layer is one tape op that sums every
-node's messages in a fixed order over a message plan. The student runs one
-packed BiLSTM batch over sentences of any lengths, and the arc and span
+edge array (a binarized tree's is the one its BinTree holds over its
+post-order spans), and stacks the batch's arrays into one plan per `reps`
+call: each TreeLSTM layer direction is one tape op that runs the cell level
+by level across every tree of the batch (dynamic batching), over level plans
+built from (child, parent) rows; each GCN layer is one tape op that sums
+every node's messages in a fixed order over a message plan. The student runs
+one packed BiLSTM batch over sentences of any lengths, and the arc and span
 scorers score every sentence of a batch in a fixed number of tape ops.
 """
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tensor as T
-from .structures import UNARY_SEP, BinTree, binarize, span_order
+from .structures import binarize, span_order
 from .syntax_data import DataError, Example, LabelVocab, Vocab
 from .tensor import Tensor
 
@@ -451,21 +452,6 @@ def dep_edges(heads) -> np.ndarray:
     return np.stack([dep, heads[dep] - 1], axis=1)
 
 
-def con_edges(bt: BinTree):
-    """(spans, edges) of a binarized tree: its (i, j) spans in post-order,
-    which sorting by end, then by start descending gives, and one (child,
-    parent) row of span indices per child, left child first. In post-order
-    an inner node's children are the last two nodes still without a parent."""
-    spans = sorted(bt.spans, key=lambda s: (s[1], -s[0]))
-    edges, roots = [], []
-    for v, (i, j) in enumerate(spans):
-        if j - i > 1:
-            right, left = roots.pop(), roots.pop()
-            edges += [(left, v), (right, v)]
-        roots.append(v)
-    return spans, np.array(edges, dtype=np.int64).reshape(-1, 2)
-
-
 # ---------------------------------------------------------------------------
 # BiLSTM student
 
@@ -666,37 +652,26 @@ class SpanScorer:
 # ---------------------------------------------------------------------------
 # vocabulary bundle and encoded examples
 
-def _con_labels(spans):
-    """Every node label of a tree plus the labels `binarize` gives it, read
-    off its post-order spans: a run of equal (i, j) spans is a unary chain,
-    labeled by its nodes joined from the outermost to the innermost."""
-    chain = []
-    for (i, j, label), after in zip(spans, spans[1:] + [(None, None, None)]):
-        yield label
-        chain.append(label)
-        if after[:2] != (i, j):
-            yield UNARY_SEP.join(reversed(chain))
-            chain = []
-
-
 class Codec:
     """Vocabularies shared by every model in one run, built from training data."""
 
     def __init__(self, examples, task):
         self.task = task
-        token_lists, span_lists = [], set()
+        token_lists, trees = [], {}
         dep_labels, tags, classes = set(), set(), set()
         for ex in examples:
             for e in self._sides(ex):
                 token_lists.append(e.sent.tokens)
                 dep_labels.update(e.dep.labels)
-                span_lists.add(tuple(e.con.spans()))
+                trees.setdefault(tuple(e.con.spans()), e.con)
             if task == "tag":
                 tags.update(ex.tags)
             else:
                 classes.add(ex.label)
-        # sentences of one shape share their spans: each distinct tree is read once
-        con_labels = {lab for spans in span_lists for lab in _con_labels(list(spans))}
+        # every node label plus the labels binarize gives the tree; sentences
+        # of one shape share their spans, so each distinct tree is read once
+        con_labels = {lab for spans, tree in trees.items()
+                      for lab in [s[2] for s in spans] + list(binarize(tree).spans.values())}
         self.vocab = Vocab.build(token_lists)
         self.dep_labels = LabelVocab.build(sorted(dep_labels))
         self.con_labels = LabelVocab.build(sorted(con_labels), reserve_null=True)
@@ -778,11 +753,10 @@ class EncodedSide:
         if self.raw.con is None:
             return None
         bt = self.bintree
-        spans, edges = con_edges(bt)
-        is_word = np.array([j - i == 1 for i, j in spans])
-        ids = np.array([bt.spans[s] for s in spans], dtype=np.int64)
+        is_word = np.array([j - i == 1 for i, j in bt.spans])
+        ids = np.array(list(bt.spans.values()), dtype=np.int64)
         ids[is_word] = self.token_ids  # the leaves, in token order
-        return is_word, ids, edges
+        return is_word, ids, bt.edges
 
     @cached_property
     def con_gcn(self):

@@ -3,7 +3,9 @@
 Binarization (right-branching, null-labeled intermediates, unary chains
 collapsed into composite labels) and CYK maximum search: one chart per batch
 of sentences of any lengths, optionally with the Hamming cost to reference
-trees folded in. All functions are pure.
+trees folded in. All functions are pure. A BinTree owns the binarized
+layout: its spans in post-order and their (child, parent) edges, which one
+walk over the spans checks and records.
 """
 from __future__ import annotations
 
@@ -22,11 +24,15 @@ class BinTree:
     """Full binary bracketing of (0, n) as a span -> label map.
 
     Spans are 0-based half-open and include the n leaf spans, so a tree over
-    n tokens always holds exactly 2n-1 labeled spans.
+    n tokens always holds exactly 2n-1 labeled spans. They are kept in
+    post-order (by end, then by start descending), and edges holds one
+    (child, parent) row of span indices per child, left child first; relabel
+    a tree by rebuilding spans in the same order.
     """
     n: int
     spans: dict  # (i, j) -> label
     tokens: list | None = field(default=None, compare=False)
+    edges: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -35,23 +41,23 @@ class BinTree:
             raise DataError(
                 f"binary tree over {self.n} tokens needs {2 * self.n - 1} spans, "
                 f"got {len(self.spans)}")
-        if (0, self.n) not in self.spans:
-            raise DataError(f"root span (0, {self.n}) missing")
-        self._check_binary(0, self.n)
-
-    def _check_binary(self, i, j):
-        # (i, j) is a span: the root is checked above, and split_of finds
-        # only splits into two spans
-        if j - i > 1:
-            k = self.split_of(i, j)
-            self._check_binary(i, k)
-            self._check_binary(k, j)
-
-    def split_of(self, i, j):
-        for k in range(i + 1, j):
-            if (i, k) in self.spans and (k, j) in self.spans:
-                return k
-        raise DataError(f"span ({i}, {j}) has no binary split")
+        self.spans = dict(sorted(self.spans.items(), key=lambda s: (s[0][1], -s[0][0])))
+        # in post-order an inner span's children are the last two spans still
+        # without a parent (roots, as (start, index)). A walk that joins all
+        # 2n - 1 spans has met the n leaves, so the roots tile (0, end of the
+        # last span): a left child that starts where its parent does splits
+        # it, and the last root is (0, n)
+        edges, roots = [], []
+        for v, (i, j) in enumerate(self.spans):
+            if not 0 <= i < j <= self.n:
+                raise DataError(f"span ({i}, {j}) outside (0, {self.n})")
+            if j - i > 1:
+                if len(roots) < 2 or roots[-2][0] != i:
+                    raise DataError(f"span ({i}, {j}) has no binary split")
+                edges += (roots[-2][1], v, roots[-1][1], v)
+                del roots[-2:]
+            roots.append((i, v))
+        self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +92,15 @@ def binarize(tree: ConstTree) -> BinTree:
 def unbinarize(bt: BinTree, tokens=None) -> ConstTree:
     """Inverse of binarize: splice out null spans, unfold composite labels.
 
-    Sorted by end, then by start descending, the spans of a binary tree are in
-    post-order; a dropped null span leaves its children to its parent."""
+    The tree's spans are in post-order; a dropped null span leaves its
+    children to its parent."""
     tokens = tokens if tokens is not None else bt.tokens
     if tokens is None:
         raise DataError("unbinarize needs tokens (none stored on the tree)")
     if len(tokens) != bt.n:
         raise DataError(f"token count {len(tokens)} != tree length {bt.n}")
     spans = []
-    for (i, j), label in sorted(bt.spans.items(), key=lambda s: (s[0][1], -s[0][0])):
+    for (i, j), label in bt.spans.items():
         if label != NULL_LABEL or j - i == 1 or j - i == bt.n:
             spans += [(i, j, part) for part in reversed(label.split(UNARY_SEP))]
     return ConstTree._parsed(list(tokens), spans)

@@ -32,7 +32,6 @@ from synkd.encoders import (
     Params,
     ScoredSpans,
     StudentEncoder,
-    con_edges,
     dep_edges,
     gcn_edges,
     gcn_layer,
@@ -90,7 +89,7 @@ def dep_tree(heads):
 
 def con_tree(bt):
     """(size, edges) of a binarized constituency tree over its spans."""
-    return 2 * bt.n - 1, con_edges(bt)[1]
+    return 2 * bt.n - 1, bt.edges
 
 
 def plans_of(trees):

@@ -19,8 +19,12 @@ closed-form probe step and gathered instances must match bitwise, the
 per-tensor Adam (`ReferenceAdam`) and taped L2 fold (`reference_reg_loss`)
 that the flat-buffer Adam and the one-op `reg_loss` must match bitwise, the
 node-building synthetic generator (`reference_gen_synthetic`) whose corpora
-the span-emitting one must equal, and generators of random bracketed trees
-and of mutated JSONL records.
+the span-emitting one must equal, the recursive `BinTree` check, the
+sorting `con_edges` walk and the `con_tree` view and induced trees built on
+them (`reference_check_bintree`, `reference_con_edges`, `reference_con_tree`,
+`reference_induced_trees`) that the one post-order walk of `BinTree` must
+match, and generators of random bracketed trees and of mutated JSONL
+records.
 
 The search is deliberately independent of the chart code — plain Python
 loops, first strict maximum kept, bracketings enumerated split-ascending /
@@ -29,6 +33,7 @@ left-major so the first maximum agrees with the documented chart tie-break
 """
 import re
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,10 +41,11 @@ from synkd import tensor as T
 from synkd.distill import (DistillConfig, DistillError, anneal_alpha, ce_sum, combine_syn,
                            total_loss)
 from synkd.encoders import ChildSumCell, _dropout, _level_plan, _row_keys, offsets
-from synkd.structures import UNARY_SEP, BinTree
+from synkd.structures import UNARY_SEP, BinTree, chart_max
 from synkd.syntax_data import (ARC_LABEL, DET, HEAD_CHILD, NOUNS, NULL_LABEL, RELPRON,
                                SHAPE_WEIGHTS, SHAPES, ConstNode, ConstTree, DataError,
-                               DepTree, Example, Sentence, _Grammar, percolate_deps)
+                               DepTree, Example, Sentence, _Grammar, percolate_deps,
+                               render_bracketed)
 from synkd.tensor import ADAM_EPS, BETA1, BETA2, Adam, Tensor
 from synkd.train import (
     BatchSampler,
@@ -106,6 +112,65 @@ def dep_enc_graph(heads) -> EncGraph:
     return EncGraph(children, parent, list(range(n)), order)
 
 
+def split_of(spans, i, j):
+    """The lowest k whose spans (i, k) and (k, j) are both in spans."""
+    for k in range(i + 1, j):
+        if (i, k) in spans and (k, j) in spans:
+            return k
+    raise DataError(f"span ({i}, {j}) has no binary split")
+
+
+def reference_check_bintree(n, spans):
+    """The recursive check of `BinTree` that its one post-order walk
+    replaced: raises DataError unless spans is a full binary bracketing of
+    (0, n)."""
+    if n < 1:
+        raise DataError("empty tree")
+    if len(spans) != 2 * n - 1:
+        raise DataError(f"binary tree over {n} tokens needs {2 * n - 1} spans, "
+                        f"got {len(spans)}")
+    if (0, n) not in spans:
+        raise DataError(f"root span (0, {n}) missing")
+
+    def check(i, j):
+        # (i, j) is a span: the root is checked above, and split_of finds
+        # only splits into two spans
+        if j - i > 1:
+            k = split_of(spans, i, j)
+            check(i, k)
+            check(k, j)
+
+    check(0, n)
+
+
+def reference_con_edges(spans):
+    """The `con_edges` of the encoders that `BinTree.edges` replaced, over a
+    binary tree's (i, j) spans in any order: the spans in post-order, which
+    sorting by end, then by start descending gives, and one (child, parent)
+    row of span indices per child, left child first. In post-order an inner
+    node's children are the last two nodes still without a parent."""
+    spans = sorted(spans, key=lambda s: (s[1], -s[0]))
+    edges, roots = [], []
+    for v, (i, j) in enumerate(spans):
+        if j - i > 1:
+            right, left = roots.pop(), roots.pop()
+            edges += [(left, v), (right, v)]
+        roots.append(v)
+    return spans, np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def reference_con_tree(side):
+    """`EncodedSide.con_tree` as it was before `BinTree` kept its spans in
+    post-order with their edges: sorted, walked and looked up per span, over
+    the labels of the node-walking binarization."""
+    labels = reference_binarized_spans(side.raw.con)
+    spans, edges = reference_con_edges(labels)
+    is_word = np.array([j - i == 1 for i, j in spans])
+    ids = side.codec.con_labels.encode([labels[s] for s in spans])
+    ids[is_word] = side.token_ids
+    return is_word, ids, edges
+
+
 def con_enc_graph(bt: BinTree):
     """Nodes are the binarized tree's spans; returns the graph plus each
     node's span so callers can pick word vs label inputs."""
@@ -115,7 +180,7 @@ def con_enc_graph(bt: BinTree):
         if j - i == 1:
             spans.append((i, j))
             return len(spans) - 1
-        k = bt.split_of(i, j)
+        k = split_of(bt.spans, i, j)
         left = build(i, k)
         right = build(k, j)
         spans.append((i, j))
@@ -614,9 +679,10 @@ def check_laminar(spans, n):
                 raise DataError(f"crossing spans ({i1},{j1}) and ({i2},{j2})")
 
 
-def reference_binarize(tree: ConstTree) -> BinTree:
+def reference_binarized_spans(tree: ConstTree) -> dict:
     """The node-walking `binarize` that the span-reading one replaced, kept
-    verbatim as the reference for its spans and their insertion order.
+    verbatim as the reference for its spans and their insertion order, which
+    is post-order; returns the (i, j) -> label map it built its tree from.
 
     Right-branching binarization.
 
@@ -649,8 +715,12 @@ def reference_binarize(tree: ConstTree) -> BinTree:
             spans[(end, rest_end)] = NULL_LABEL
         return rest_end
 
-    end, _ = visit(tree.root, 0)
-    return BinTree(end, spans, tokens=tree.leaves())
+    visit(tree.root, 0)
+    return spans
+
+
+def reference_binarize(tree: ConstTree) -> BinTree:
+    return BinTree(tree.n, reference_binarized_spans(tree), tokens=tree.leaves())
 
 
 def reference_con_gcn(self):
@@ -761,7 +831,7 @@ def reference_unbinarize(bt: BinTree, tokens=None) -> ConstTree:
         return wrap_unary(label, lambda lab: ConstNode(lab, children=kids))
 
     def children(i, j):
-        k = bt.split_of(i, j)
+        k = split_of(bt.spans, i, j)
         out = []
         for a, b in ((i, k), (k, j)):
             if b - a > 1 and bt.spans[(a, b)] == NULL_LABEL:
@@ -776,6 +846,23 @@ def reference_unbinarize(bt: BinTree, tokens=None) -> ConstTree:
     else:
         root = build(0, bt.n)
     return ConstTree(root)
+
+
+def reference_induced_trees(model, encs):
+    """The bracketed trees `cli induce` writes for encs with a student
+    model, built as before `BinTree` kept its spans in post-order: each
+    sentence's chart rows, in the chart's pre-order, as a plain span -> label
+    map, unbinarized by split lookups."""
+    itos, lines = model.codec.con_labels.itos, [None] * len(encs)
+    for chunk in model.batches(encs):
+        main = model.reps([encs[i].main for i in chunk])
+        lens = np.diff(main[1])
+        rows, _ = chart_max(lens, model.span_scorer(*main).tensor.data)
+        for i, m, part in zip(chunk, lens.tolist(),
+                              np.split(rows, np.cumsum(2 * lens - 1)[:-1])):
+            tree = SimpleNamespace(n=m, spans={(a, b): itos[l] for a, b, l in part.tolist()})
+            lines[i] = render_bracketed(reference_unbinarize(tree, encs[i].raw.sent.tokens))
+    return lines
 
 
 def reference_tree_eq(tree: ConstTree, other) -> bool:

@@ -7,20 +7,21 @@ import pytest
 from checkcases import dep_tree, plans_of, random_bintree, random_heads, star_graph, unary_graph
 from gradcheck import check_case
 from oracles import (con_enc_graph, dep_enc_graph, edge_enc_graph, one_parent,
-                     random_bracketed, reference_binarize, reference_con_gcn,
+                     random_bracketed, reference_binarize, reference_binarized_spans,
+                     reference_con_gcn, reference_con_tree, reference_induced_trees,
                      reference_gcn_edges, reference_gcn_layer, reference_level_plans,
                      reference_percolate_deps,
                      reference_render_bracketed, reference_tree_eq, reference_reps,
                      reference_tree_encode, reference_unbinarize,
-                     row_major_lstm_scan)
+                     row_major_lstm_scan, split_of)
 from synkd import cli
 from synkd import encoders as E
 from synkd import syntax_data as D
 from synkd import tensor as T
-from synkd.structures import (BinTree, binarize, chart_max, chart_trees, span_ids, tree_spans,
-                              unbinarize)
+from synkd.structures import (UNARY_SEP, BinTree, binarize, chart_max, chart_trees, span_ids,
+                              tree_spans, unbinarize)
 from synkd.tensor import Tensor
-from synkd.train import evaluate
+from synkd.train import evaluate, hard_targets
 
 F64 = np.float64
 
@@ -343,11 +344,10 @@ def test_level_plans_from_edges_match_graph_reference_bitwise():
         bts = [random_bintree(rng, n, 3) for n in ns]
         graphs, trees = [], []
         for bt in bts:
-            spans, edges = E.con_edges(bt)
             graph, want = con_enc_graph(bt)
-            assert spans == want
+            assert list(bt.spans) == want
             graphs.append(graph)
-            trees.append(edges)
+            trees.append(bt.edges)
         assert_plans_equal(E.level_plans([2 * n - 1 for n in ns], trees),
                            reference_level_plans(graphs), f"con {ns}")
 
@@ -966,7 +966,7 @@ def test_span_scorer_zero_params_tie_break():
     spans, (score,) = chart_max([4], out.tensor.data)
     (tree,) = chart_trees([4], spans)
     assert score == 0.0
-    assert tree.split_of(0, 4) == 1
+    assert split_of(tree.spans, 0, 4) == 1
     assert all(l == 0 for l in tree.spans.values())
 
 
@@ -1106,6 +1106,8 @@ def test_span_binarize_and_con_gcn_match_node_walks():
     for con in trees:
         got, want = binarize(con), reference_binarize(con)
         assert list(got.spans.items()) == list(want.spans.items()), D.render_bracketed(con)
+        # binarize inserts its spans in the post-order BinTree keeps
+        assert list(got.spans) == list(reference_binarized_spans(con)), D.render_bracketed(con)
         assert (got.n, got.tokens) == (want.n, want.tokens)
         side = codec.encode(_chain_example(con)).main
         is_word, node_ids, edges = side.con_gcn
@@ -1115,8 +1117,62 @@ def test_span_binarize_and_con_gcn_match_node_walks():
         assert edges.tolist() == [list(e) for e in want_edges], D.render_bracketed(con)
         ids = codec.con_labels.encode(want.spans.values()).tolist()
         assert list(side.bintree.spans.items()) == list(zip(want.spans, ids))
-    assert sum(E.UNARY_SEP in l for t in trees for l in binarize(t).spans.values()) > 100
+    assert sum(UNARY_SEP in l for t in trees for l in binarize(t).spans.values()) > 100
     assert sum(D.NULL_LABEL in binarize(t).spans.values() for t in trees) > 100
+
+
+def long_corpus(n_sentences, seed):
+    """Sentences of 3-5 generated clauses under one (S ...) root, composed as
+    the long-analysis benchmark composes them: the first clause keeps its
+    dependency root, and every later clause's root attaches to it by conj."""
+    ks = np.random.default_rng([seed, 1]).integers(3, 6, size=n_sentences)
+    clauses = iter(D.gen_synthetic(int(ks.sum()), max_len=12, seed=seed))
+    out = []
+    for k in ks.tolist():
+        parts = [next(clauses) for _ in range(k)]
+        root = parts[0].dep.heads.index(0) + 1
+        tokens, heads, labels = [], [], []
+        for c in parts:
+            off = len(tokens)
+            heads += [h + off if h else root if off else 0 for h in c.dep.heads]
+            labels += [lab if h or not off else "conj" for h, lab in zip(c.dep.heads, c.dep.labels)]
+            tokens += c.sent.tokens
+        con = D.ConstTree(D.ConstNode("S", [c.con.root for c in parts]))
+        out.append(D.Example(D.Sentence(tokens), D.DepTree(heads, labels), con,
+                             label=parts[0].label))
+        out[-1].validate()
+    return out
+
+
+def test_con_tree_hard_targets_and_induce_match_the_sorting_builders(tmp_path):
+    # on the desk corpora of seeds 0-4 in every task and on long composed
+    # sentences, the constituency TreeLSTM's arrays, the mode-B hard span rows
+    # and the trees induce writes are those of the builders that sorted a
+    # tree's spans and walked them again
+    corpora = {f"{task}{seed}": (D.gen_synthetic(30, seed=seed, task=task), task)
+               for task in ("cls", "pair", "tag") for seed in range(5)}
+    corpora["long"] = (long_corpus(12, seed=5), "cls")
+    assert np.mean([len(ex.sent) for ex in corpora["long"][0]]) > 20
+    D.save_jsonl(corpora["cls0"][0], tmp_path / "train.jsonl")
+    assert cli.main(["distill", "--train", str(tmp_path / "train.jsonl"), "--iters", "2",
+                     "--batch", "8", "--emb-dim", "8", "--hidden", "6", "--layers", "1",
+                     "--out", str(tmp_path / "student")]) == 0
+    student, _ = cli.load_model_dir(str(tmp_path / "student"))
+    for name, (data, task) in corpora.items():
+        codec = E.Codec(data, task)
+        encs = [codec.encode(ex) for ex in data]
+        for side in [s for enc in encs for s in (enc.main, enc.partner) if s is not None]:
+            for got, want in zip(side.con_tree, reference_con_tree(side)):
+                assert got.dtype == want.dtype, name
+                np.testing.assert_array_equal(got, want, err_msg=name)
+        want = [[i, j, codec.con_labels.stoi[l]] for enc in encs
+                for (i, j), l in reference_binarized_spans(enc.main.raw.con).items()]
+        assert tree_spans(hard_targets("con", encs, len(codec.dep_labels))).tolist() == want, name
+        D.save_jsonl(data, tmp_path / f"{name}.jsonl")
+        assert cli.main(["induce", "--model", str(tmp_path / "student"), "--data",
+                         str(tmp_path / f"{name}.jsonl"), "--out", str(tmp_path / name)]) == 0
+        lines = (tmp_path / name / "induced_trees.txt").read_text(encoding="utf-8").splitlines()
+        assert lines == reference_induced_trees(student, [student.codec.encode(ex) for ex in data]), name
 
 
 def _heads_or_message(percolate, tree):

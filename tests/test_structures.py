@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from oracles import all_bracketings, catalan, enum_best, random_bintree, random_table
+from oracles import (all_bracketings, catalan, enum_best, random_bintree, random_table,
+                     reference_check_bintree, reference_con_edges, split_of)
 from synkd import syntax_data as D
 from synkd.structures import (BinTree, SpanScores, binarize, chart_max, chart_trees,
                               cyk_augmented, cyk_max, span_ids, span_order, tree_spans,
@@ -71,6 +72,58 @@ def test_bintree_validation():
         BinTree(3, {(0, 3): "S", (0, 2): "d", (1, 2): "b", (2, 3): "c", (1, 3): "e"})
 
 
+def random_post_order(rng, i, j):
+    """Spans of a random full binary bracketing of (i, j), in post-order."""
+    if j - i == 1:
+        return [(i, j)]
+    k = int(rng.integers(i + 1, j))
+    return random_post_order(rng, i, k) + random_post_order(rng, k, j) + [(i, j)]
+
+
+def single_mutants(rng, n, spans):
+    """A tree's spans with one span dropped, added or moved; an endpoint
+    shifted by one; a span made empty, reversed or out of (0, n)."""
+    k = int(rng.integers(len(spans)))
+    (i, j), rest = spans[k], spans[:k] + spans[k + 1:]
+    a, b = sorted(rng.integers(0, n + 1, size=2).tolist())  # (a, a) is empty
+    yield rest
+    yield spans + [(a, b)]
+    yield rest + [(a, b)]
+    for d in (-1, 1):
+        yield rest + [(i + d, j)]
+        yield rest + [(i, j + d)]
+    yield from (rest + [s] for s in [(i, i), (j, i), (i, n + 1), (-1, j)])
+
+
+def test_bintree_walk_matches_recursive_check_and_con_edges():
+    # random trees over 1..12 tokens and single mutations of them, each in a
+    # shuffled insertion order: the one-walk check raises iff the recursive
+    # one does, and a tree keeps its spans in post-order with the edges the
+    # sorting walk gives
+    rng = np.random.default_rng(61)
+    kept = rejected = 0
+    for n in range(1, 13):
+        for _ in range(30):
+            tree = random_post_order(rng, 0, n)
+            for spans in [tree, *single_mutants(rng, n, tree)]:
+                labels = {spans[p]: int(p) for p in rng.permutation(len(spans))}
+                try:
+                    reference_check_bintree(n, labels)
+                except D.DataError:
+                    with pytest.raises(D.DataError):
+                        BinTree(n, dict(labels))
+                    rejected += 1
+                    continue
+                bt = BinTree(n, dict(labels))
+                order, edges = reference_con_edges(labels)
+                assert list(bt.spans) == order
+                assert spans is not tree or order == tree
+                assert bt.spans == labels
+                np.testing.assert_array_equal(bt.edges, edges)
+                kept += 1
+    assert kept > 400 and rejected > 3000
+
+
 # ---------------------------------------------------------------------------
 # CYK
 
@@ -109,7 +162,7 @@ def test_cyk_ties_resolved_low_split_low_label():
     exp_t, exp_s = enum_best(table, n)
     assert t == exp_t
     assert all(l == 0 for l in t.spans.values())
-    assert t.split_of(0, 4) == 1  # lowest split at every level
+    assert split_of(t.spans, 0, 4) == 1  # lowest split at every level
     assert score == 0.0
 
 
