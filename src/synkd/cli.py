@@ -341,7 +341,7 @@ def cmd_train_teacher(args):
     examples = _load_examples(cfg, "train")
     codec = Codec(examples, TASK_ALIASES[cfg["task"]])
     train_encs = _encode_all(codec, examples)
-    dev_encs = _encode_all(codec, load_jsonl(cfg["dev"])) if cfg["dev"] else None
+    dev_encs = _encode_all(codec, _load_examples(cfg, "dev")) if cfg["dev"] else None
     model = make_teacher(kind, codec, emb_dim=cfg["teacher_emb"],
                          hidden=cfg["teacher_hidden"],
                          n_layers=cfg["teacher_layers"],
@@ -393,7 +393,7 @@ def cmd_distill(args):
     else:
         _check_task(codec, cfg)
     train_encs = _encode_all(codec, examples)
-    dev_encs = _encode_all(codec, load_jsonl(cfg["dev"])) if cfg["dev"] else None
+    dev_encs = _encode_all(codec, _load_examples(cfg, "dev")) if cfg["dev"] else None
     dcfg = DistillConfig(
         eta=cfg["eta"],
         lam1=cfg["lambda1"],

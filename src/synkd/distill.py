@@ -201,7 +201,7 @@ def soft_arc_targets(scorer, main):
     scores = scorer(*main)
     arc = T.softmax(scores.arc_logits, axis=1).data.astype(np.float64)
     best = arc.argmax(axis=1)  # padded candidates have zero weight
-    lab = T.softmax(scores.label_logits, axis=-1).data[np.arange(best.size), best]
+    lab = T.softmax(scores.label_logits(best), axis=-1).data
     off = main[1]
     return [(arc[lo:hi, :hi - lo + 1].copy(), lab[lo:hi].astype(np.float64), best[lo:hi])
             for lo, hi in zip(off[:-1], off[1:])]
@@ -221,7 +221,7 @@ def dep_inject_loss(scores, targets) -> Tensor:
     its (n,) best arcs."""
     arc_logits = scores.arc_logits
     n, cols = arc_logits.shape
-    n_labels = scores.label_logits.shape[2]
+    n_labels = scores.dep_labels.shape[1]
     lens = np.diff(scores.off)
     shapes = [((k, k + 1), (k, n_labels)) for k in lens]
     if [(np.shape(arc), np.shape(lab)) for arc, lab, _ in targets] != shapes:
@@ -236,12 +236,8 @@ def dep_inject_loss(scores, targets) -> Tensor:
 
     log_arc = T.log_softmax(arc_logits, axis=1)
     arc_term = T.scale(T.sum_(T.mul(Tensor(teacher_arc.astype(log_arc.dtype)), log_arc)), -1.0)
-
-    log_lab = T.log_softmax(scores.label_logits, axis=-1)
-    flat = (np.arange(n) * cols + teacher_best)[:, None] * n_labels + np.arange(n_labels)
-    picked = T.take(log_lab, flat.reshape(-1))
-    lab_term = T.scale(T.sum_(T.mul(Tensor(teacher_label.reshape(-1).astype(log_lab.dtype)),
-                                    picked)), -1.0)
+    log_lab = T.log_softmax(scores.label_logits(teacher_best), axis=-1)
+    lab_term = T.scale(T.sum_(T.mul(Tensor(teacher_label.astype(log_lab.dtype)), log_lab)), -1.0)
     return T.add(arc_term, lab_term)
 
 

@@ -569,23 +569,31 @@ class TagHead:
 class ArcScores:
     """Arc and label logits of a batch, stacked by dependent: column 0 is the
     virtual root, column c the dependent's own sentence's token c - 1, and
-    the columns past its sentence's length hold ArcLabelScorer.PAD_LOGIT."""
-    arc_logits: Tensor    # (total tokens, n_max + 1)
-    label_logits: Tensor  # (total tokens, n_max + 1, n_labels)
-    off: np.ndarray       # token offsets of the batch's sentences
+    the columns past its sentence's length hold ArcLabelScorer.PAD_LOGIT. A
+    label logit is the sum of its dependent's row and its head's row."""
+    arc_logits: Tensor   # (total tokens, n_max + 1)
+    dep_labels: Tensor   # (total tokens, n_labels)
+    head_labels: Tensor  # (1 + total tokens, n_labels): the root, then every token
+    off: np.ndarray      # token offsets of the batch's sentences
+
+    def label_logits(self, cols) -> Tensor:
+        """Each dependent's label logits at the arc from its column cols[k]."""
+        head = np.where(cols > 0, np.repeat(self.off[:-1], np.diff(self.off)) + cols, 0)
+        return T.add(self.dep_labels, T.embedding(self.head_labels, head))
 
 
 class ArcLabelScorer:
     """Bilinear-plus-linear head/dependent scorer with a learned root column
     (Dozat & Manning 2017, arXiv:1611.01734). The linear term scores the head
     only: a dependent-only term adds the same value to every candidate of a
-    dependent, so it cancels in the arc softmax and gets no gradient."""
+    dependent, so it cancels in the arc softmax and gets no gradient. Only
+    the bilinear term is formed per candidate; the linear and label terms are
+    projected once per token."""
 
     PAD_LOGIT = -1e9  # zero softmax weight, yet 0 * PAD_LOGIT stays finite
 
     def __init__(self, p: Params, prefix, in_dim, n_labels, arc_dim, rng,
                  dtype=np.float32):
-        self.n_labels = n_labels
         a = arc_dim
         self.Wd = p.add(f"{prefix}/Wd", (in_dim, a), rng, dtype=dtype)
         self.bd = p.add(f"{prefix}/bd", (a,), init="zeros", dtype=dtype)
@@ -601,23 +609,20 @@ class ArcLabelScorer:
     def __call__(self, mat: Tensor, off) -> ArcScores:
         """Scores of every dependent of rows [off[b], off[b + 1]) of `mat`."""
         lens = np.diff(off)
-        n, col = mat.shape[0], np.arange(lens.max() + 1)
+        n, col, a = mat.shape[0], np.arange(lens.max() + 1), self.A.shape[0]
         real = col <= np.repeat(lens, lens)[:, None]
         # row of each (dependent, column) candidate in [root; hh]: the root
         # for column 0 and for padding, else the sentence's token col - 1
-        head = np.where(real & (col > 0), np.repeat(off[:-1], lens)[:, None] + col, 0)
-        dep = np.repeat(np.arange(n), col.size)
+        head = np.where(real & (col > 0), np.repeat(off[:-1], lens)[:, None] + col, 0).ravel()
         hd = T.tanh(T.add(T.matmul(mat, self.Wd), self.bd))
-        hh = T.tanh(T.add(T.matmul(mat, self.Wh), self.bh))
-        cand = T.embedding(T.concat([self.root, hh], axis=0), head.reshape(-1))
-        bilinear = T.sum_(T.mul(T.embedding(T.matmul(hd, self.A), dep), cand),
-                          axis=1, keepdims=True)
-        lin = T.matmul(cand, self.wh)
+        heads = T.concat([self.root, T.tanh(T.add(T.matmul(mat, self.Wh), self.bh))], axis=0)
+        dep = T.embedding(T.matmul(hd, self.A), np.repeat(np.arange(n), col.size))
+        bilinear = T.sum_(T.mul(dep, T.embedding(heads, head)), axis=1, keepdims=True)
+        lin = T.embedding(T.matmul(heads, self.wh), head)
         pad = np.where(real, 0.0, self.PAD_LOGIT).astype(self.dtype)
         arc = T.add(T.reshape(T.add(bilinear, lin), (n, col.size)), Tensor(pad))
-        pair = T.concat([T.embedding(hd, dep), cand], axis=1)
-        labels = T.add(T.matmul(pair, self.Wl), self.bl)
-        return ArcScores(arc, T.reshape(labels, (n, col.size, self.n_labels)), np.asarray(off))
+        return ArcScores(arc, T.add(T.matmul(hd, T.slice_rows(self.Wl, 0, a)), self.bl),
+                         T.matmul(heads, T.slice_rows(self.Wl, a, 2 * a)), np.asarray(off))
 
 
 @dataclass
@@ -629,7 +634,9 @@ class ScoredSpans:
 
 
 class SpanScorer:
-    """Feedforward scorer over fencepost endpoint features [b_j - b_i; b_i; b_j]."""
+    """Feedforward scorer over fencepost endpoint features [b_j - b_i; b_i; b_j],
+    computed from W's row blocks as b_j (W1 + W3) + b_i (W2 - W1) + b with
+    each term projected once per fencepost."""
 
     def __init__(self, p: Params, prefix, in_dim, n_labels, rng, dtype=np.float32):
         self.W = p.add(f"{prefix}/W", (3 * in_dim, n_labels), rng, dtype=dtype)
@@ -638,15 +645,17 @@ class SpanScorer:
 
     def __call__(self, mat: Tensor, off) -> ScoredSpans:
         """Scores of every span of every sentence of rows [off[b], off[b + 1])."""
-        zero = Tensor(np.zeros((1, mat.shape[1]), dtype=self.dtype))
+        d = mat.shape[1]
+        w1, w2, w3 = (T.slice_rows(self.W, k * d, (k + 1) * d) for k in range(3))
         # fencepost k > 0 of sentence b is its token k - 1, row off[b] + k of
         # bounds; every fencepost 0 is the zero row
-        bounds = T.concat([zero, mat], axis=0)
+        bounds = T.concat([Tensor(np.zeros((1, d), dtype=self.dtype)), mat], axis=0)
         spans = [(o, *span_order(n)) for o, n in zip(off[:-1], np.diff(off))]
-        bi = T.embedding(bounds, np.concatenate([np.where(i > 0, o + i, 0) for o, i, _ in spans]))
-        bj = T.embedding(bounds, np.concatenate([o + j for o, _, j in spans]))
-        feat = T.concat([T.sub(bj, bi), bi, bj], axis=1)
-        return ScoredSpans(T.add(T.matmul(feat, self.W), self.b), np.asarray(off))
+        ends = T.embedding(T.matmul(bounds, T.add(w1, w3)),
+                           np.concatenate([o + j for o, _, j in spans]))
+        starts = T.embedding(T.matmul(bounds, T.sub(w2, w1)),
+                             np.concatenate([np.where(i > 0, o + i, 0) for o, i, _ in spans]))
+        return ScoredSpans(T.add(T.add(ends, starts), self.b), np.asarray(off))
 
 
 # ---------------------------------------------------------------------------

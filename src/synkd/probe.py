@@ -84,19 +84,20 @@ def majority_accuracy(labels) -> float:
     return 100.0 * float(np.bincount(labels).max()) / len(labels)
 
 
-def ce_mean_grads(x, targets, w, b):
+def ce_mean_grads(x, targets, w, b, out=(None, None)):
     """Gradients of the mean over rows of -log softmax(x @ w + b)[row, target]
     with respect to w and b, i.e. x.T @ (softmax - onehot) / n and its column
-    sums. They are formed with the float ops, in order, of the tape's backward
-    through `add(matmul(x, w), b)`, `ce_sum` and a 1/n scale, so a probe
-    trains bitwise as it did on the tape."""
+    sums, written into out = (gw, gb) when given. They equal bitwise the tape's
+    backward through `add(matmul(x, w), b)`, `ce_sum` and a 1/n scale, which is
+    g - exp(y) * rowsum(g) for g = c = -1/n at the targets: rowsum(g) is c."""
     logits = x @ w + b
     z = logits - logits.max(axis=-1, keepdims=True)
     y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    g = np.zeros_like(y)
-    g[np.arange(len(x)), targets] = (np.ones((), dtype=y.dtype) * float(1.0 / len(x))) * -1.0
-    g = g - np.exp(y) * g.sum(axis=-1, keepdims=True)
-    return x.T @ g, g.sum(axis=0)
+    c = (np.ones((), dtype=y.dtype) * float(1.0 / len(x))) * -1.0
+    g = np.exp(y)
+    g *= -c
+    g[np.arange(len(x)), targets] += c
+    return np.matmul(x.T, g, out=out[0]), np.sum(g, axis=0, out=out[1])
 
 
 def probe_train_eval(model, kind, train_data, eval_data, *, iters=400,
@@ -112,9 +113,10 @@ def probe_train_eval(model, kind, train_data, eval_data, *, iters=400,
     b = T.zeros((n_classes,), dtype=dtype, requires_grad=True)
     opt = Adam([w, b], lr=lr)
     take = min(batch, len(x_tr))
+    w.grad, b.grad = np.empty_like(w.data), np.empty_like(b.data)
     for _ in range(iters):
         idx = rng.choice(len(x_tr), size=take, replace=False)
-        w.grad, b.grad = ce_mean_grads(x_tr[idx], y_tr[idx], w.data, b.data)
+        ce_mean_grads(x_tr[idx], y_tr[idx], w.data, b.data, out=(w.grad, b.grad))
         opt.step()
     pred = (x_ev @ w.data + b.data).argmax(axis=1)
     return 100.0 * float((pred == y_ev).mean()), y_ev

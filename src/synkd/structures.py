@@ -25,9 +25,10 @@ class BinTree:
 
     Spans are 0-based half-open and include the n leaf spans, so a tree over
     n tokens always holds exactly 2n-1 labeled spans. They are kept in
-    post-order (by end, then by start descending), and edges holds one
-    (child, parent) row of span indices per child, left child first; relabel
-    a tree by rebuilding spans in the same order.
+    post-order (by end, then by start descending), sorted only when given in
+    another order, and edges holds one (child, parent) row of span indices
+    per child, left child first; relabel a tree by rebuilding spans in the
+    same order.
     """
     n: int
     spans: dict  # (i, j) -> label
@@ -41,23 +42,33 @@ class BinTree:
             raise DataError(
                 f"binary tree over {self.n} tokens needs {2 * self.n - 1} spans, "
                 f"got {len(self.spans)}")
-        self.spans = dict(sorted(self.spans.items(), key=lambda s: (s[0][1], -s[0][0])))
-        # in post-order an inner span's children are the last two spans still
-        # without a parent (roots, as (start, index)). A walk that joins all
-        # 2n - 1 spans has met the n leaves, so the roots tile (0, end of the
-        # last span): a left child that starts where its parent does splits
-        # it, and the last root is (0, n)
-        edges, roots = [], []
+        try:
+            self.edges = self._walk()
+        except DataError:  # out of post-order, as chart_max's rows are, or malformed
+            self.spans = dict(sorted(self.spans.items(), key=lambda s: (s[0][1], -s[0][0])))
+            self.edges = self._walk()
+
+    def _walk(self):
+        # spans must come in post-order, as binarize emits them. There an
+        # inner span's children are the last two spans still without a parent
+        # (roots, as (start, index)). A walk that joins all 2n - 1 spans has
+        # met the n leaves, so the roots tile (0, end of the last span): a
+        # left child that starts where its parent does splits it, and the
+        # last root is (0, n)
+        edges, roots, n, start, end = [], [], self.n, 0, 0
         for v, (i, j) in enumerate(self.spans):
-            if not 0 <= i < j <= self.n:
-                raise DataError(f"span ({i}, {j}) outside (0, {self.n})")
+            if not 0 <= i < j <= n:
+                raise DataError(f"span ({i}, {j}) outside (0, {n})")
+            if j < end or j == end and i > start:
+                raise DataError(f"span ({i}, {j}) out of post-order")
             if j - i > 1:
                 if len(roots) < 2 or roots[-2][0] != i:
                     raise DataError(f"span ({i}, {j}) has no binary split")
                 edges += (roots[-2][1], v, roots[-1][1], v)
                 del roots[-2:]
             roots.append((i, v))
-        self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+            start, end = i, j
+        return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------

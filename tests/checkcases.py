@@ -31,6 +31,7 @@ from synkd.encoders import (
     NaryCell,
     Params,
     ScoredSpans,
+    SpanScorer,
     StudentEncoder,
     dep_edges,
     gcn_edges,
@@ -276,14 +277,23 @@ def case_dep_inject(rng):
 
 
 def case_con_inject(rng):
-    # reference spans score 10 lower, so relabeling T* (two labels at least)
-    # gains 11 a span on average and every hinge stays far above its kink
-    n_labels, sizes = int(rng.integers(2, 4)), batch_sizes(rng)
+    # a mixed-length batch through the scorer, so W, b and the token rows are
+    # checked along with the loss; reference spans score 10 lower, so
+    # relabeling T* (two labels at least) gains 11 a span on average and
+    # every hinge stays far above its kink
+    n_labels, p, sizes = int(rng.integers(2, 4)), Params(), batch_sizes(rng)
+    scorer = SpanScorer(p, "span", 3, n_labels, rng, dtype=F64)
+    scorer.b.data[...] = rng.standard_normal(n_labels)
+    mat, off = rand_param(rng, (sum(sizes), 3), scale=1.0), offsets(sizes)
     refs = [random_bintree(rng, n, n_labels) for n in sizes]
-    scored = ScoredSpans(rand_param(rng, (sum(n * (n + 1) // 2 for n in sizes), n_labels),
-                                    scale=2.0), offsets(sizes))
-    scored.tensor.data.reshape(-1)[span_ids(sizes, tree_spans(refs), n_labels)] -= 10.0
-    return (lambda: con_inject_loss(scored, refs)), [scored.tensor]
+    shift = np.zeros((sum(n * (n + 1) // 2 for n in sizes), n_labels))
+    shift.reshape(-1)[span_ids(sizes, tree_spans(refs), n_labels)] = -10.0
+
+    def f():
+        scored = scorer(mat, off)
+        return con_inject_loss(ScoredSpans(T.add(scored.tensor, Tensor(shift)), off), refs)
+
+    return f, p.all() + [mat]
 
 
 def case_reg(rng):

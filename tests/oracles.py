@@ -23,7 +23,10 @@ the span-emitting one must equal, the recursive `BinTree` check, the
 sorting `con_edges` walk and the `con_tree` view and induced trees built on
 them (`reference_check_bintree`, `reference_con_edges`, `reference_con_tree`,
 `reference_induced_trees`) that the one post-order walk of `BinTree` must
-match, and generators of random bracketed trees and of mutated JSONL
+match, the structure heads that form one feature row per candidate arc or
+span and the arc loss over their full label tensor (`reference_arc_scores`,
+`reference_span_scores`, `reference_dep_inject_loss`) that the per-token
+projections must match in float64, and generators of random bracketed trees and of mutated JSONL
 records.
 
 The search is deliberately independent of the chart code — plain Python
@@ -41,7 +44,7 @@ from synkd import tensor as T
 from synkd.distill import (DistillConfig, DistillError, anneal_alpha, ce_sum, combine_syn,
                            total_loss)
 from synkd.encoders import ChildSumCell, _dropout, _level_plan, _row_keys, offsets
-from synkd.structures import UNARY_SEP, BinTree, chart_max
+from synkd.structures import UNARY_SEP, BinTree, chart_max, span_order
 from synkd.syntax_data import (ARC_LABEL, DET, HEAD_CHILD, NOUNS, NULL_LABEL, RELPRON,
                                SHAPE_WEIGHTS, SHAPES, ConstNode, ConstTree, DataError,
                                DepTree, Example, Sentence, _Grammar, percolate_deps,
@@ -440,6 +443,61 @@ def reference_reps(model, sides, train=False, rng=None):
         h = T.embedding(h, np.concatenate([o + np.arange(s.n) for o, s in
                                            zip(offsets(sizes), sides)]))
     return h, tok_off
+
+
+def reference_arc_scores(scorer, mat: Tensor, off):
+    """ArcLabelScorer's arc logits and its (total tokens, n_max + 1, n_labels)
+    label logits, with one [hd; head] feature row per (dependent, column)
+    candidate, as the scorer formed them before it projected per token."""
+    lens = np.diff(off)
+    n, col = mat.shape[0], np.arange(lens.max() + 1)
+    real = col <= np.repeat(lens, lens)[:, None]
+    head = np.where(real & (col > 0), np.repeat(off[:-1], lens)[:, None] + col, 0)
+    dep = np.repeat(np.arange(n), col.size)
+    hd = T.tanh(T.add(T.matmul(mat, scorer.Wd), scorer.bd))
+    hh = T.tanh(T.add(T.matmul(mat, scorer.Wh), scorer.bh))
+    cand = T.embedding(T.concat([scorer.root, hh], axis=0), head.reshape(-1))
+    bilinear = T.sum_(T.mul(T.embedding(T.matmul(hd, scorer.A), dep), cand),
+                      axis=1, keepdims=True)
+    lin = T.matmul(cand, scorer.wh)
+    pad = np.where(real, 0.0, scorer.PAD_LOGIT).astype(scorer.dtype)
+    arc = T.add(T.reshape(T.add(bilinear, lin), (n, col.size)), Tensor(pad))
+    pair = T.concat([T.embedding(hd, dep), cand], axis=1)
+    labels = T.add(T.matmul(pair, scorer.Wl), scorer.bl)
+    return arc, T.reshape(labels, (n, col.size, scorer.Wl.shape[1]))
+
+
+def reference_span_scores(scorer, mat: Tensor, off) -> Tensor:
+    """SpanScorer's scores with one [b_j - b_i; b_i; b_j] feature row per
+    span, as the scorer formed them before it projected per fencepost."""
+    zero = Tensor(np.zeros((1, mat.shape[1]), dtype=scorer.dtype))
+    bounds = T.concat([zero, mat], axis=0)
+    spans = [(o, *span_order(n)) for o, n in zip(off[:-1], np.diff(off))]
+    bi = T.embedding(bounds, np.concatenate([np.where(i > 0, o + i, 0) for o, i, _ in spans]))
+    bj = T.embedding(bounds, np.concatenate([o + j for o, _, j in spans]))
+    feat = T.concat([T.sub(bj, bi), bi, bj], axis=1)
+    return T.add(T.matmul(feat, scorer.W), scorer.b)
+
+
+def reference_dep_inject_loss(arc_logits: Tensor, label_logits: Tensor, off, targets) -> Tensor:
+    """dep_inject_loss over the full label tensor of `reference_arc_scores`,
+    picking each dependent's label logits at the teacher's best arc by flat
+    index."""
+    n, cols = arc_logits.shape
+    n_labels = label_logits.shape[2]
+    teacher_arc = np.zeros((n, cols))
+    for lo, (arc, _, _) in zip(off, targets):
+        teacher_arc[lo:lo + len(arc), :arc.shape[1]] = arc
+    teacher_label = np.concatenate([lab for _, lab, _ in targets])
+    teacher_best = np.concatenate([best for _, _, best in targets]).astype(np.int64)
+    log_arc = T.log_softmax(arc_logits, axis=1)
+    arc_term = T.scale(T.sum_(T.mul(Tensor(teacher_arc.astype(log_arc.dtype)), log_arc)), -1.0)
+    log_lab = T.log_softmax(label_logits, axis=-1)
+    flat = (np.arange(n) * cols + teacher_best)[:, None] * n_labels + np.arange(n_labels)
+    picked = T.take(log_lab, flat.reshape(-1))
+    lab_term = T.scale(T.sum_(T.mul(Tensor(teacher_label.reshape(-1).astype(log_lab.dtype)),
+                                    picked)), -1.0)
+    return T.add(arc_term, lab_term)
 
 
 def one_parent(cell, x, kids):

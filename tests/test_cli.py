@@ -552,6 +552,18 @@ def test_missing_files_rejected(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["train-teacher", "distill"])
+def test_missing_dev_file_is_a_data_file_error(workspace, tmp_path, capsys, command):
+    # a missing --dev reads like a missing --train, before any training
+    dev = str(tmp_path / "no-dev.jsonl")
+    extra = ["--kind", "gcn-dep"] if command == "train-teacher" else []
+    rc, _, err = run(capsys, command, "--train", str(workspace["data"] / "train.jsonl"),
+                     "--dev", dev, "--out", str(tmp_path / "out"), *extra)
+    assert rc == 1
+    (line,) = err.strip().splitlines()
+    assert json.loads(line) == {"error": f"data file not found: {dev}"}
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "synkd.cli", "gen-data", "--seed", "1", "--n",

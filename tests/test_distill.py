@@ -34,8 +34,9 @@ from synkd.structures import BinTree, SpanScores, cyk_max, span_ids, tree_spans
 from synkd.syntax_data import DataError
 from synkd.tensor import Tensor
 
-from gradcheck import check_case
-from oracles import enum_best, random_bintree, random_table, reference_reg_loss
+from gradcheck import analytic_grad, check_case
+from oracles import (enum_best, random_bintree, random_table, reference_arc_scores,
+                     reference_dep_inject_loss, reference_reg_loss, reference_span_scores)
 
 
 def scored_from_array(arr):
@@ -314,7 +315,8 @@ def test_mask_ids():
 def uniform_arc_scores(n, n_labels):
     return ArcScores(
         arc_logits=Tensor(np.zeros((n, n + 1)), requires_grad=True),
-        label_logits=Tensor(np.zeros((n, n + 1, n_labels)), requires_grad=True),
+        dep_labels=Tensor(np.zeros((n, n_labels)), requires_grad=True),
+        head_labels=Tensor(np.zeros((n + 1, n_labels)), requires_grad=True),
         off=offsets([n]),
     )
 
@@ -331,13 +333,10 @@ def test_dep_inject_zero_at_hard_match():
     arc, lab, best = hard_arc_targets([0, 1, 1], [1, 0, 2], n_labels=3)
     scores = ArcScores(
         arc_logits=Tensor(200.0 * (arc - 0.5), requires_grad=True),
-        label_logits=Tensor(np.zeros((3, 4, 3)), requires_grad=True),
+        dep_labels=Tensor(200.0 * (lab - 0.5), requires_grad=True),
+        head_labels=Tensor(np.zeros((4, 3)), requires_grad=True),
         off=offsets([3]),
     )
-    big = np.zeros((3, 4, 3))
-    for i, h in enumerate([0, 1, 1]):
-        big[i, h, [1, 0, 2][i]] = 200.0
-    scores.label_logits.data[:] = big - 100.0
     assert dep_inject_loss(scores, [(arc, lab, best)]).item() < 1e-6
 
 
@@ -349,11 +348,10 @@ def test_dep_inject_soft_lower_bound_is_teacher_entropy():
     best = t_arc.argmax(axis=1)
     scores = ArcScores(
         arc_logits=Tensor(np.log(t_arc)),
-        label_logits=Tensor(np.zeros((n, n + 1, L))),
+        dep_labels=Tensor(np.log(t_lab)),
+        head_labels=Tensor(np.zeros((n + 1, L))),
         off=offsets([n]),
     )
-    for i in range(n):
-        scores.label_logits.data[i, best[i]] = np.log(t_lab[i])
     got = dep_inject_loss(scores, [(t_arc, t_lab, best)]).item()
     entropy = -(t_arc * np.log(t_arc)).sum() - (t_lab * np.log(t_lab)).sum()
     assert got == pytest.approx(entropy, abs=1e-9)
@@ -370,7 +368,8 @@ def test_dep_inject_monotone_in_head_mass():
         logits = np.zeros((2, 3))
         logits[0, 2] = z
         logits[1, 0] = z
-        scores = ArcScores(Tensor(logits), Tensor(np.zeros((2, 3, 1))), offsets([2]))
+        scores = ArcScores(Tensor(logits), Tensor(np.zeros((2, 1))), Tensor(np.zeros((3, 1))),
+                           offsets([2]))
         val = dep_inject_loss(scores, [(arc, lab, best)]).item()
         if prev is not None:
             assert val < prev
@@ -393,11 +392,12 @@ def test_dep_inject_gradient():
     arc, lab, best = hard_arc_targets([0, 1, 2], [1, 0, 1], n_labels=L)
     scores = ArcScores(
         arc_logits=Tensor(rng.normal(size=(n, n + 1)), requires_grad=True),
-        label_logits=Tensor(rng.normal(size=(n, n + 1, L)), requires_grad=True),
+        dep_labels=Tensor(rng.normal(size=(n, L)), requires_grad=True),
+        head_labels=Tensor(rng.normal(size=(n + 1, L)), requires_grad=True),
         off=offsets([n]),
     )
     f = lambda: dep_inject_loss(scores, [(arc, lab, best)])
-    assert check_case(f, [scores.arc_logits, scores.label_logits]) < 1e-6
+    assert check_case(f, [scores.arc_logits, scores.dep_labels, scores.head_labels]) < 1e-6
 
 
 # ------------------------------------------------------------- con inject
@@ -506,8 +506,10 @@ def test_batched_structure_heads_match_batch_of_one():
         one_arcs, one_spans = arc_scorer(*singles[b]), span_scorer(*singles[b])
         np.testing.assert_allclose(arcs.arc_logits.data[lo:lo + n, :n + 1],
                                    one_arcs.arc_logits.data, **close)
-        np.testing.assert_allclose(arcs.label_logits.data[lo:lo + n, :n + 1],
-                                   one_arcs.label_logits.data, **close)
+        np.testing.assert_allclose(arcs.dep_labels.data[lo:lo + n],
+                                   one_arcs.dep_labels.data, **close)
+        np.testing.assert_allclose(arcs.head_labels.data[np.r_[0, lo + 1:lo + n + 1]],
+                                   one_arcs.head_labels.data, **close)
         assert (arc_probs[lo:lo + n, n + 1:] == 0.0).all()  # padded candidates
         np.testing.assert_allclose(spans.tensor.data[span_lo[b]:span_lo[b + 1]],
                                    one_spans.tensor.data, **close)
@@ -524,6 +526,56 @@ def test_batched_structure_heads_match_batch_of_one():
     assert dep_inject_loss(arcs, soft_arcs).item() == pytest.approx(dep_sum, rel=1e-12)
     assert con_sum > 0.0
     assert con_inject_loss(spans, refs).item() == pytest.approx(con_sum, rel=1e-12)
+
+
+def _rel_close(got, want):
+    """Equal within 1e-12 relative to the largest entry of `want`."""
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_structure_heads_match_candidate_references_f64():
+    # the heads score from per-token projections, which regroups the sums of
+    # the per-candidate references, so they agree in float64 within rounding
+    rng = np.random.default_rng(47)
+    d, n_labels = 5, 4
+    for sizes in ([3, 5, 2], [1, 4], [6], [2, 1, 7, 3]):
+        p = Params()
+        arc_scorer = ArcLabelScorer(p, "arc", d, n_labels, 3, rng, dtype=np.float64)
+        span_scorer = SpanScorer(p, "span", d, n_labels, rng, dtype=np.float64)
+        for t in p.all():  # nonzero root row and biases too
+            t.data[...] = rng.normal(size=t.shape)
+        mat, off = Tensor(rng.normal(size=(sum(sizes), d)), requires_grad=True), offsets(sizes)
+        lens = np.repeat(sizes, sizes)
+        arcs, spans = arc_scorer(mat, off), span_scorer(mat, off)
+        ref_arc, ref_lab = reference_arc_scores(arc_scorer, mat, off)
+        real = np.arange(ref_arc.shape[1]) <= lens[:, None]
+        _rel_close(arcs.arc_logits.data[real], ref_arc.data[real])
+        np.testing.assert_allclose(arcs.arc_logits.data[~real], ref_arc.data[~real],
+                                   rtol=1e-12, atol=0)  # padded columns
+        rows = np.arange(lens.size)
+        for cols in (rng.integers(0, lens + 1), np.zeros_like(lens), lens):
+            _rel_close(arcs.label_logits(cols).data, ref_lab.data[rows, cols])
+        ref_span = reference_span_scores(span_scorer, mat, off)
+        _rel_close(spans.tensor.data, ref_span.data)
+
+        targets = []
+        for n in sizes:
+            arc = rng.dirichlet(np.ones(n + 1), size=n)
+            targets.append((arc, rng.dirichlet(np.ones(n_labels), size=n), arc.argmax(axis=1)))
+        refs = [random_bintree(n, n_labels, rng) for n in sizes]
+        losses = [
+            (lambda: dep_inject_loss(arc_scorer(mat, off), targets),
+             lambda: reference_dep_inject_loss(*reference_arc_scores(arc_scorer, mat, off),
+                                               off, targets)),
+            (lambda: con_inject_loss(span_scorer(mat, off), refs),
+             lambda: con_inject_loss(
+                 ScoredSpans(reference_span_scores(span_scorer, mat, off), off), refs))]
+        for new, ref in losses:
+            assert new().item() == pytest.approx(ref().item(), rel=1e-12, abs=0)
+            assert ref().item() > 0.0  # an active con hinge, so gradients flow
+            for got, want in zip(analytic_grad(new, p.all() + [mat]),
+                                 analytic_grad(ref, p.all() + [mat])):
+                _rel_close(got, want)
 
 
 # ----------------------------------------------------------- reg and total

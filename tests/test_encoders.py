@@ -908,7 +908,7 @@ def test_arc_probs_normalized_and_uniform_at_zero():
     out = scorer(reps, E.offsets([4]))
     probs = T.softmax(out.arc_logits, axis=1).data
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(4), atol=1e-6)
-    assert out.label_logits.shape == (4, 5, 3)
+    assert out.dep_labels.shape == (4, 3) and out.head_labels.shape == (5, 3)
     for t in p.all():
         t.data[...] = 0.0
     probs = T.softmax(scorer(reps, E.offsets([4])).arc_logits, axis=1).data

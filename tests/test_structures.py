@@ -70,6 +70,10 @@ def test_bintree_validation():
         BinTree(3, {(0, 3): "S", (0, 1): "a", (1, 2): "b", (2, 3): "c"})
     with pytest.raises(D.DataError, match="no binary split"):
         BinTree(3, {(0, 3): "S", (0, 2): "d", (1, 2): "b", (2, 3): "c", (1, 3): "e"})
+    # (0, 3) and (2, 4) overlap; the walk over the spans as given, whose ends
+    # never decrease, would join (0, 1) and (1, 2) into (0, 3)
+    with pytest.raises(D.DataError, match="no binary split"):
+        BinTree(4, dict.fromkeys([(0, 1), (1, 2), (0, 3), (2, 3), (3, 4), (2, 4), (0, 4)], "x"))
 
 
 def random_post_order(rng, i, j):
@@ -97,9 +101,9 @@ def single_mutants(rng, n, spans):
 
 def test_bintree_walk_matches_recursive_check_and_con_edges():
     # random trees over 1..12 tokens and single mutations of them, each in a
-    # shuffled insertion order: the one-walk check raises iff the recursive
-    # one does, and a tree keeps its spans in post-order with the edges the
-    # sorting walk gives
+    # shuffled insertion order and in post-order (which skips the sort): the
+    # one-walk check raises iff the recursive one does, and a tree keeps its
+    # spans in post-order with the edges the sorting walk gives
     rng = np.random.default_rng(61)
     kept = rejected = 0
     for n in range(1, 13):
@@ -107,19 +111,24 @@ def test_bintree_walk_matches_recursive_check_and_con_edges():
             tree = random_post_order(rng, 0, n)
             for spans in [tree, *single_mutants(rng, n, tree)]:
                 labels = {spans[p]: int(p) for p in rng.permutation(len(spans))}
+                in_order = dict(sorted(labels.items(), key=lambda s: (s[0][1], -s[0][0])))
                 try:
                     reference_check_bintree(n, labels)
                 except D.DataError:
-                    with pytest.raises(D.DataError):
-                        BinTree(n, dict(labels))
+                    for given in (labels, in_order):
+                        with pytest.raises(D.DataError):
+                            BinTree(n, dict(given))
                     rejected += 1
                     continue
-                bt = BinTree(n, dict(labels))
                 order, edges = reference_con_edges(labels)
-                assert list(bt.spans) == order
-                assert spans is not tree or order == tree
-                assert bt.spans == labels
-                np.testing.assert_array_equal(bt.edges, edges)
+                assert list(in_order) == order
+                for given in (labels, in_order):
+                    bt = BinTree(n, spans_in := dict(given))
+                    assert given is labels or bt.spans is spans_in  # kept, not sorted
+                    assert list(bt.spans) == order
+                    assert spans is not tree or order == tree
+                    assert bt.spans == labels
+                    np.testing.assert_array_equal(bt.edges, edges)
                 kept += 1
     assert kept > 400 and rejected > 3000
 
