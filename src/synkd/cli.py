@@ -180,15 +180,7 @@ def resolve(args, command):
     explicit = set()
     config_path = getattr(args, "config", None)
     if config_path:
-        if not os.path.exists(config_path):
-            raise CliError(f"config file not found: {config_path}")
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise CliError(f"config {config_path}: invalid JSON ({e.msg})") from None
-        if not isinstance(loaded, dict):
-            raise CliError(f"config {config_path}: top level must be an object")
+        loaded = _read_json(config_path, "config file")
         if "command" in loaded and isinstance(loaded.get("config"), dict):
             loaded = loaded["config"]  # a config.resolved.json round-trips
         for key in loaded:
@@ -240,7 +232,7 @@ def save_model_dir(out_dir, model):
 
 
 def _read_json(path, what):
-    """A model directory's JSON object file."""
+    """A JSON object file: a --config or a model directory's."""
     if not os.path.exists(path):
         raise CliError(f"{what} not found: {path}")
     with open(path, encoding="utf-8") as fh:

@@ -223,14 +223,17 @@ def dep_inject_loss(scores, targets) -> Tensor:
     n, cols = arc_logits.shape
     n_labels = scores.dep_labels.shape[1]
     lens = np.diff(scores.off)
-    shapes = [((k, k + 1), (k, n_labels)) for k in lens]
-    if [(np.shape(arc), np.shape(lab)) for arc, lab, _ in targets] != shapes:
-        raise DistillError(f"arc/label target shapes differ from {shapes}")
+    shapes = [((k, k + 1), (k, n_labels), (k,)) for k in lens]
+    if [(np.shape(arc), np.shape(lab), np.shape(best)) for arc, lab, best in targets] != shapes:
+        raise DistillError(f"arc/label/best-arc target shapes differ from {shapes}")
     teacher_arc = np.zeros((n, cols), dtype=np.float64)
     for lo, k, (arc, _, _) in zip(scores.off, lens, targets):
         teacher_arc[lo:lo + k, :k + 1] = arc
     teacher_label = np.concatenate([lab for _, lab, _ in targets]).astype(np.float64)
     teacher_best = np.concatenate([best for _, _, best in targets]).astype(np.int64)
+    bad = np.flatnonzero((teacher_best < 0) | (teacher_best > np.repeat(lens, lens)))
+    if bad.size:
+        raise DistillError(f"best arc {teacher_best[bad[0]]} outside its sentence (row {bad[0]})")
     _check_normalized("arc target", teacher_arc)
     _check_normalized("label target", teacher_label)
 

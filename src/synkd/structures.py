@@ -24,15 +24,14 @@ class BinTree:
     """Full binary bracketing of (0, n) as a span -> label map.
 
     Spans are 0-based half-open and include the n leaf spans, so a tree over
-    n tokens always holds exactly 2n-1 labeled spans. They are kept in
-    post-order (by end, then by start descending), sorted only when given in
-    another order, and edges holds one (child, parent) row of span indices
-    per child, left child first; relabel a tree by rebuilding spans in the
-    same order.
+    n tokens always holds exactly 2n-1 labeled spans. They must come in
+    post-order (by end, then by start descending), as binarize and chart_max
+    emit them, and edges holds one (child, parent) row of span indices per
+    child, left child first; relabel a tree by rebuilding spans in the same
+    order.
     """
     n: int
     spans: dict  # (i, j) -> label
-    tokens: list | None = field(default=None, compare=False)
     edges: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -42,19 +41,14 @@ class BinTree:
             raise DataError(
                 f"binary tree over {self.n} tokens needs {2 * self.n - 1} spans, "
                 f"got {len(self.spans)}")
-        try:
-            self.edges = self._walk()
-        except DataError:  # out of post-order, as chart_max's rows are, or malformed
-            self.spans = dict(sorted(self.spans.items(), key=lambda s: (s[0][1], -s[0][0])))
-            self.edges = self._walk()
+        self.edges = self._walk()
 
     def _walk(self):
-        # spans must come in post-order, as binarize emits them. There an
-        # inner span's children are the last two spans still without a parent
-        # (roots, as (start, index)). A walk that joins all 2n - 1 spans has
-        # met the n leaves, so the roots tile (0, end of the last span): a
-        # left child that starts where its parent does splits it, and the
-        # last root is (0, n)
+        # in post-order an inner span's children are the last two spans still
+        # without a parent (roots, as (start, index)). A walk that joins all
+        # 2n - 1 spans has met the n leaves, so the roots tile (0, end of the
+        # last span): a left child that starts where its parent does splits
+        # it, and the last root is (0, n)
         edges, roots, n, start, end = [], [], self.n, 0, 0
         for v, (i, j) in enumerate(self.spans):
             if not 0 <= i < j <= n:
@@ -97,17 +91,15 @@ def binarize(tree: ConstTree) -> BinTree:
         spans[last] = label
         del starts[k:]
         starts.append(i)
-    return BinTree(tree.n, spans, tokens=tree.leaves())
+    return BinTree(tree.n, spans)
 
 
-def unbinarize(bt: BinTree, tokens=None) -> ConstTree:
-    """Inverse of binarize: splice out null spans, unfold composite labels.
+def unbinarize(bt: BinTree, tokens) -> ConstTree:
+    """Inverse of binarize over the given tokens: splice out null spans,
+    unfold composite labels.
 
     The tree's spans are in post-order; a dropped null span leaves its
     children to its parent."""
-    tokens = tokens if tokens is not None else bt.tokens
-    if tokens is None:
-        raise DataError("unbinarize needs tokens (none stored on the tree)")
     if len(tokens) != bt.n:
         raise DataError(f"token count {len(tokens)} != tree length {bt.n}")
     spans = []
@@ -184,7 +176,7 @@ def chart_max(lens, rows, cost_ref=None):
     reads its result at (0, n_b), which is exact: a span's best score depends
     only on the spans inside it. Ties go to the lowest split, then the lowest
     label. Returns each sentence's best tree as 2 n_b - 1 (i, j, label) rows
-    in pre-order, sentence after sentence, and the (B,) best totals.
+    in post-order, sentence after sentence, and the (B,) best totals.
     """
     lens = np.asarray(lens, dtype=np.int64)
     if lens.size == 0 or lens.min() < 1:
@@ -218,13 +210,14 @@ def chart_max(lens, rows, cost_ref=None):
 
     out = []
     for sb, lb, m in zip(split, label, lens.tolist()):
-        sb, lb, stack = sb[:m, :m + 1].tolist(), lb[:m, :m + 1].tolist(), [(0, m)]
+        sb, lb, stack, tree = sb[:m, :m + 1].tolist(), lb[:m, :m + 1].tolist(), [(0, m)], []
         while stack:
             p, q = stack.pop()
-            out.append((p, q, lb[p][q - p]))
+            tree.append((p, q, lb[p][q - p]))
             if q - p > 1:
                 k = p + sb[p][q - p]
-                stack += [(k, q), (p, k)]
+                stack += [(p, k), (k, q)]  # pops node, right, left: post-order reversed
+        out += reversed(tree)
     return np.array(out, dtype=np.int64), by_start[np.arange(nb), 0, lens]
 
 

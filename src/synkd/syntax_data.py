@@ -327,18 +327,13 @@ def parse_bracketed(text):
 
 
 def render_bracketed(tree: ConstTree) -> str:
-    starts, texts = [], []  # first leaf and text of subtrees whose parent is not reached yet
-    for i, _, label in tree._spans:
-        k = len(starts)
-        while k and starts[k - 1] >= i:
-            k -= 1
-        if k == len(starts):
-            starts.append(i)
-            texts.append(f"({label} {tree._leaves[i]})")
-        else:  # its first child starts at i too
-            texts[k:] = [f"({label} {' '.join(texts[k:])})"]
-            del starts[k + 1:]
-    return texts[0]
+    # a token opens the spans that start at it, outermost (latest in
+    # post-order) first, and closes those that end right after it
+    opens, closes = [[] for _ in tree._leaves], [0] * tree.n
+    for i, j, label in reversed(tree._spans):
+        opens[i].append(f"({label} ")
+        closes[j - 1] += 1
+    return " ".join(f"{''.join(o)}{w}{')' * c}" for o, w, c in zip(opens, tree._leaves, closes))
 
 
 # ---------------------------------------------------------------------------

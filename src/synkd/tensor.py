@@ -54,9 +54,6 @@ class Tensor:
             raise ValueError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -107,8 +104,6 @@ class Tape:
             g = adjoint.pop(id(out), None)
             if g is None:
                 continue
-            if out.requires_grad:
-                out.grad = g.copy() if out.grad is None else out.grad + g
             for p, pg in zip(parents, backfn(g)):
                 if pg is None or not p._track:
                     continue
@@ -359,11 +354,11 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _emit(out, (a,), back)
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator, train: bool = True) -> Tensor:
+def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: scales kept entries by 1/(1-p) so eval needs no rescale."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if not train or p == 0.0:
+    if p == 0.0:
         return a
     mask = (rng.random(a.shape) >= p).astype(a.dtype) / (1.0 - p)
     out = Tensor(a.data * mask)

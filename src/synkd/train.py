@@ -282,12 +282,11 @@ class TeacherSignals:
 # ---------------------------------------------------------------------------
 # loss assembly over a batch
 
-def output_loss_batch(model, encs, idxs, signals, kinds, alpha,
-                      train=True, rng=None):
+def output_loss_batch(model, encs, idxs, signals, kinds, alpha, rng=None):
     """Output loss of any model against gold mixed with the given teachers'
     distributions, plus the main side's (rows, offsets) for reuse."""
-    main = model.reps([enc.main for enc in encs], train, rng)
-    logits = model.head_logits(encs, main, train, rng)
+    main = model.reps([enc.main for enc in encs], train=True, rng=rng)
+    logits = model.head_logits(encs, main, train=True, rng=rng)
     teacher_rows = [signals.dist_rows(k, idxs, model.task) for k in kinds] \
         if signals is not None else []
     return output_distill_loss(gold_rows(model, encs), teacher_rows, logits, alpha), main
@@ -320,7 +319,7 @@ def syn_loss_batch(student, main, idxs, signals, cfg, models):
     return T.scale(total, 1.0 / (len(idxs) * len(kinds)))
 
 
-def sem_loss_batch(student, encs, cfg, rng, train=True):
+def sem_loss_batch(student, encs, cfg, rng):
     """Masked-word loss over a batch (per-example sums, averaged over the
     batch); masking and the extra forward run on the main side."""
     ids = [enc.main.token_ids for enc in encs]
@@ -328,7 +327,7 @@ def sem_loss_batch(student, encs, cfg, rng, train=True):
     for b, enc in enumerate(encs):
         for j in sample_mask_positions(enc.main.n, cfg.mask_ratio, rng):
             targets.append((b, j, int(ids[b][j])))
-    out = student.encoder.encode_batch(mask_ids(ids, targets, MASK), train=train, rng=rng)
+    out = student.encoder.encode_batch(mask_ids(ids, targets, MASK), train=True, rng=rng)
     loss = semantic_lm_loss(student, out["l1f"], offsets([enc.main.n for enc in encs]),
                             targets)
     return T.scale(loss, 1.0 / len(encs))

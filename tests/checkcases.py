@@ -57,11 +57,13 @@ def random_heads(rng, n):
 
 
 def random_binary_spans(rng, i, j, n_labels, out):
-    out[(i, j)] = int(rng.integers(n_labels))
+    """Inserts the spans of a random bracketing of (i, j) into out in post-order."""
+    label = int(rng.integers(n_labels))
     if j - i > 1:
         k = int(rng.integers(i + 1, j))
         random_binary_spans(rng, i, k, n_labels, out)
         random_binary_spans(rng, k, j, n_labels, out)
+    out[(i, j)] = label
 
 
 def random_bintree(rng, n, n_labels):

@@ -513,7 +513,8 @@ def one_parent(cell, x, kids):
 
 
 def all_bracketings(n):
-    """Every full binary bracketing of (0, n) as a list of (i, j) spans."""
+    """Every full binary bracketing of (0, n) as a list of (i, j) spans in
+    post-order."""
     memo = {}
 
     def shapes(i, j):
@@ -526,7 +527,7 @@ def all_bracketings(n):
             for k in range(i + 1, j):
                 for left in shapes(i, k):
                     for right in shapes(k, j):
-                        out.append([(i, j)] + left + right)
+                        out.append(left + right + [(i, j)])
         memo[(i, j)] = out
         return out
 
@@ -778,7 +779,7 @@ def reference_binarized_spans(tree: ConstTree) -> dict:
 
 
 def reference_binarize(tree: ConstTree) -> BinTree:
-    return BinTree(tree.n, reference_binarized_spans(tree), tokens=tree.leaves())
+    return BinTree(tree.n, reference_binarized_spans(tree))
 
 
 def reference_con_gcn(self):
@@ -909,8 +910,8 @@ def reference_unbinarize(bt: BinTree, tokens=None) -> ConstTree:
 def reference_induced_trees(model, encs):
     """The bracketed trees `cli induce` writes for encs with a student
     model, built as before `BinTree` kept its spans in post-order: each
-    sentence's chart rows, in the chart's pre-order, as a plain span -> label
-    map, unbinarized by split lookups."""
+    sentence's chart rows, in the order the chart emits them, as a plain
+    span -> label map, unbinarized by split lookups."""
     itos, lines = model.codec.con_labels.itos, [None] * len(encs)
     for chunk in model.batches(encs):
         main = model.reps([encs[i].main for i in chunk])

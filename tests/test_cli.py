@@ -216,6 +216,30 @@ def test_soft_mode_needs_structure_heads(workspace, tmp_path, capsys):
     assert "structure head" in json.loads(err.strip().splitlines()[-1])["error"]
 
 
+def test_soft_mode_round_trip(workspace, tmp_path, capsys):
+    # teachers co-trained with structure heads reload those heads and feed a
+    # soft-mode distill run
+    data = workspace["data"]
+    teachers = []
+    for kind, prefix in (("gcn-dep", "arc/"), ("gcn-con", "span/")):
+        out = tmp_path / kind
+        assert main(["train-teacher", "--kind", kind, "--co-train-struct",
+                     "--train", str(data / "train.jsonl"), "--iters", "4", "--batch", "8",
+                     "--teacher-emb", "10", "--teacher-hidden", "8", "--teacher-layers", "1",
+                     "--seed", "3", "--out", str(out)]) == 0
+        model, _ = cli.load_model_dir(str(out))
+        state, saved = model.p.state_dict(), load_checkpoint(out / "model.syd1")
+        assert sorted(state) == sorted(saved)
+        assert all(np.array_equal(state[k], saved[k]) for k in saved)
+        assert any(k.startswith(prefix) for k in state)
+        teachers.append(str(out))
+    capsys.readouterr()
+    rc, out, err = run(capsys, *distill_args({**workspace, "teachers": ",".join(teachers)},
+                                             tmp_path / "soft", "--teacher-mode", "soft"))
+    assert rc == 0, err
+    assert last_json(out)["command"] == "distill"
+
+
 def test_probe_command(workspace, tmp_path, capsys):
     student = tmp_path / "sp"
     assert main(distill_args(workspace, student)) == 0
@@ -438,6 +462,76 @@ def test_model_dir_with_a_removed_key_loads_but_does_not_replay(workspace, tmp_p
 
 
 # -------------------------------------------------------------------- errors
+
+def _edited_teacher(workspace, tmp_path, name, edit):
+    """A copy of the first teacher's directory whose JSON file `name` went
+    through edit."""
+    model = tmp_path / "m"
+    shutil.copytree(workspace["teachers"].split(",")[0], model)
+    payload = json.loads((model / name).read_text())
+    edit(payload)
+    (model / name).write_text(json.dumps(payload))
+    return str(model)
+
+
+def _config_case(text, message):
+    def case(workspace, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        return ["gen-data", "--config", str(path), "--out", str(tmp_path / "x")], \
+            message.format(path=path)
+    return case
+
+
+def _unknown_kind_case(workspace, tmp_path, capsys):
+    model = _edited_teacher(workspace, tmp_path, "config.resolved.json",
+                            lambda meta: meta["artifacts"].update(model_kind="bogus"))
+    return (["eval", "--model", model, "--data", str(workspace["data"] / "test.jsonl"),
+             "--out", str(tmp_path / "ev")], f"{model}: unrecognized model_kind 'bogus'")
+
+
+def _student_teacher_case(workspace, tmp_path, capsys):
+    student = tmp_path / "student"
+    assert main(["distill", "--train", str(workspace["data"] / "train.jsonl"),
+                 "--iters", "1", "--batch", "4", "--emb-dim", "8", "--hidden", "6",
+                 "--layers", "1", "--out", str(student)]) == 0
+    capsys.readouterr()
+    return (distill_args({**workspace, "teachers": str(student)}, tmp_path / "s"),
+            f"{student}: not a teacher checkpoint ('student')")
+
+
+def _codec_mismatch_case(workspace, tmp_path, capsys):
+    other = _edited_teacher(workspace, tmp_path, "codec.json",
+                            lambda codec: codec["dep_labels"].reverse())
+    teachers = workspace["teachers"].split(",")[0] + "," + other
+    return (distill_args({**workspace, "teachers": teachers}, tmp_path / "s"),
+            f"{other}: teacher codec differs from the first teacher's")
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_config_case(None, "config file not found: {path}"), id="config-missing"),
+    pytest.param(_config_case('{"n": ', "{path}: invalid JSON (Expecting value)"),
+                 id="config-invalid-json"),
+    pytest.param(_config_case("[1]", "{path}: top level must be an object"),
+                 id="config-not-an-object"),
+    pytest.param(lambda workspace, tmp_path, capsys: (["gen-data"], "missing required option --out"),
+                 id="missing-required-option"),
+    pytest.param(_unknown_kind_case, id="unknown-model-kind"),
+    pytest.param(lambda workspace, tmp_path, capsys: (
+        distill_args(workspace, tmp_path / "s", "--task", "pair"),
+        "model was built for task 'cls', requested 'pair'; pass a matching --task"),
+        id="task-differs-from-teachers"),
+    pytest.param(_student_teacher_case, id="student-as-teacher"),
+    pytest.param(_codec_mismatch_case, id="teacher-codecs-differ"),
+])
+def test_cli_error_is_one_json_line(workspace, tmp_path, capsys, case):
+    argv, message = case(workspace, tmp_path, capsys)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and not out
+    assert "Traceback" not in err
+    assert one_error_line(err) == message
+
 
 def test_unknown_flag_exits_2_with_json(capsys):
     rc, _, err = run(capsys, "distill", "--bogus-flag")

@@ -386,6 +386,26 @@ def test_dep_inject_shape_mismatch():
         dep_inject_loss(uniform_arc_scores(2, 2), [target, target])
 
 
+def test_dep_inject_best_arc_outside_its_sentence():
+    # a 2-token and a 3-token sentence: column 3 of the first lies past its
+    # length, where label_logits would read the second's first token
+    rng = np.random.default_rng(0)
+    L = 2
+    scores = ArcScores(Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(5, L))),
+                       Tensor(rng.normal(size=(6, L))), offsets([2, 3]))
+    targets = [hard_arc_targets([2, 0], [0, 1], L), hard_arc_targets([0, 1, 2], [1, 0, 1], L)]
+    assert np.isfinite(dep_inject_loss(scores, targets).item())
+    for b, k, col in ((0, 1, 3), (0, 0, -1), (1, 2, 4)):
+        arc, lab, best = targets[b]
+        bad = list(targets)
+        bad[b] = (arc, lab, np.where(np.arange(best.size) == k, col, best))
+        with pytest.raises(DistillError, match=f"best arc {col} outside its sentence"):
+            dep_inject_loss(scores, bad)
+    arc, lab, best = targets[0]
+    with pytest.raises(DistillError, match="target shapes"):  # one best arc short
+        dep_inject_loss(scores, [(arc, lab, best[:1]), targets[1]])
+
+
 def test_dep_inject_gradient():
     rng = np.random.default_rng(13)
     n, L = 3, 2

@@ -55,14 +55,14 @@ def test_binarize_unary_chain_composite_label():
     t = tree("(S (VP (V runs)))")
     bt = binarize(t)
     assert bt.spans == {(0, 1): "S|VP|V"}
-    assert unbinarize(bt) == t
+    assert unbinarize(bt, t.leaves()) == t
 
 
 def test_binarize_round_trip_random():
     for ex in D.gen_synthetic(100, seed=21):
         bt = binarize(ex.con)
         assert len(bt.spans) == 2 * ex.con.n - 1
-        assert unbinarize(bt) == ex.con
+        assert unbinarize(bt, ex.con.leaves()) == ex.con
 
 
 def test_bintree_validation():
@@ -70,9 +70,9 @@ def test_bintree_validation():
         BinTree(3, {(0, 3): "S", (0, 1): "a", (1, 2): "b", (2, 3): "c"})
     with pytest.raises(D.DataError, match="no binary split"):
         BinTree(3, {(0, 3): "S", (0, 2): "d", (1, 2): "b", (2, 3): "c", (1, 3): "e"})
-    # (0, 3) and (2, 4) overlap; the walk over the spans as given, whose ends
-    # never decrease, would join (0, 1) and (1, 2) into (0, 3)
-    with pytest.raises(D.DataError, match="no binary split"):
+    # (0, 3) and (2, 4) overlap; a walk that checked only that ends never
+    # decrease would join (0, 1) and (1, 2) into (0, 3)
+    with pytest.raises(D.DataError, match="out of post-order"):
         BinTree(4, dict.fromkeys([(0, 1), (1, 2), (0, 3), (2, 3), (3, 4), (2, 4), (0, 4)], "x"))
 
 
@@ -101,9 +101,9 @@ def single_mutants(rng, n, spans):
 
 def test_bintree_walk_matches_recursive_check_and_con_edges():
     # random trees over 1..12 tokens and single mutations of them, each in a
-    # shuffled insertion order and in post-order (which skips the sort): the
-    # one-walk check raises iff the recursive one does, and a tree keeps its
-    # spans in post-order with the edges the sorting walk gives
+    # shuffled insertion order and in post-order: in post-order the one-walk
+    # check raises iff the recursive one does, a tree keeps its spans as given
+    # and its edges are the recursive ones; out of post-order it always raises
     rng = np.random.default_rng(61)
     kept = rejected = 0
     for n in range(1, 13):
@@ -122,13 +122,14 @@ def test_bintree_walk_matches_recursive_check_and_con_edges():
                     continue
                 order, edges = reference_con_edges(labels)
                 assert list(in_order) == order
-                for given in (labels, in_order):
-                    bt = BinTree(n, spans_in := dict(given))
-                    assert given is labels or bt.spans is spans_in  # kept, not sorted
-                    assert list(bt.spans) == order
-                    assert spans is not tree or order == tree
-                    assert bt.spans == labels
-                    np.testing.assert_array_equal(bt.edges, edges)
+                if list(labels) != order:
+                    with pytest.raises(D.DataError, match="out of post-order|no binary split"):
+                        BinTree(n, dict(labels))
+                bt = BinTree(n, spans_in := dict(in_order))
+                assert bt.spans is spans_in
+                assert spans is not tree or order == tree
+                assert bt.spans == labels
+                np.testing.assert_array_equal(bt.edges, edges)
                 kept += 1
     assert kept > 400 and rejected > 3000
 
@@ -194,10 +195,10 @@ def loop_chart(n, table):
     spans = {}
 
     def walk(i, j):
-        spans[(i, j)] = int(np.argmax(table[i, j]))
         if j - i > 1:
             walk(i, split[(i, j)])
             walk(split[(i, j)], j)
+        spans[(i, j)] = int(np.argmax(table[i, j]))
 
     walk(0, n)
     return BinTree(n, spans), float(best[0, n])
@@ -228,7 +229,7 @@ def random_split_tree(n, n_labels, rng):
         if j - i > 1:
             k = int(rng.integers(i + 1, j))
             todo += [(i, k), (k, j)]
-    return BinTree(n, spans)
+    return BinTree(n, dict(reversed(spans.items())))  # node, right, left reversed
 
 
 def test_batched_chart_matches_split_loop_bitwise():
@@ -253,6 +254,18 @@ def test_batched_chart_matches_split_loop_bitwise():
                     for (i, j), l in ref.spans.items():
                         table[i, j, l] -= 1.0
                 assert (t, float(score)) == loop_chart(n, table)
+
+
+def test_chart_rows_are_post_order_trees():
+    # every tree of one mixed-length chart, n = 1..24, is a BinTree in the
+    # order its rows come, with and without ties
+    rng = np.random.default_rng(41)
+    lens = [int(n) for n in rng.permutation(np.arange(1, 25))]
+    for tables in ([random_table(n, 3, rng) for n in lens],
+                   [np.round(random_table(n, 3, rng)) for n in lens]):
+        spans, _ = chart_max(lens, batch_rows(tables, lens))
+        for n, part in zip(lens, np.split(spans, np.cumsum([2 * n - 1 for n in lens])[:-1])):
+            BinTree(n, dict(((i, j), l) for i, j, l in part.tolist()))
 
 
 def test_batched_chart_rejects_bad_input():

@@ -256,7 +256,6 @@ def test_dropout_identity_cases():
     x = f64(RNG.standard_normal((4, 3)))
     rng = np.random.default_rng(0)
     assert T.dropout(x, 0.0, rng) is x
-    assert T.dropout(x, 0.5, rng, train=False) is x
     with pytest.raises(ValueError):
         T.dropout(x, 1.0, rng)
 
