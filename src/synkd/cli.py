@@ -89,6 +89,8 @@ PATH = (lambda v: v is None or isinstance(v, str), "path string", {})
 FLAG = (lambda v: isinstance(v, bool), "boolean", {"action": "store_true", "default": None})
 WEIGHT = (lambda v: _is_num(v) and v >= 0.0, ">= 0", {"type": float})
 UNIT = (lambda v: _is_num(v) and 0.0 <= v <= 1.0, "in [0, 1]", {"type": float})
+STRINGS = (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+           "list of strings", {})
 
 
 # key: (default, *rule); the one place a key and its flag are declared
@@ -101,8 +103,7 @@ CONFIG = {
     "train": (None, *PATH),
     "dev": (None, *PATH),
     "data": (None, *PATH),
-    "teachers": (None, lambda v: v is None or isinstance(v, str)
-                 or isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "teachers": (None, lambda v: v is None or isinstance(v, str) or STRINGS[0](v),
                  "comma-separated dirs or list of dirs",
                  {"help": "comma-separated teacher run dirs"}),
     "model": (None, *_help(PATH, "run dir holding the checkpoint")),
@@ -146,6 +147,10 @@ CONFIG = {
     "probe_task": (None, *_optional(_one_of(PROBE_KINDS))),
     "probe_iters": (400, *_at_least(1)),
 }
+
+# a model dir's codec.json key: its rule; a key whose rule passes null may be left out
+CODEC_KEYS = {"task": _one_of(("cls", "pair", "tag")), "vocab": STRINGS, "dep_labels": STRINGS,
+              "con_labels": STRINGS, "tags": _optional(STRINGS), "n_classes": _at_least(1)}
 
 _SCHEDULE = "iters batch lr eval_every patience"
 
@@ -207,25 +212,19 @@ def need(cfg, key):
     return cfg[key]
 
 
-def write_resolved(out_dir, command, cfg, extra=None):
-    os.makedirs(out_dir, exist_ok=True)
+def write_resolved(out_dir, command, cfg, artifacts):
     payload = {"command": command, "config": dict(cfg)}
-    if extra:
-        payload["artifacts"] = extra
+    if artifacts:
+        payload["artifacts"] = artifacts
     with open(os.path.join(out_dir, "config.resolved.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _say(payload):
-    print(json.dumps(payload))
 
 
 # ---------------------------------------------------------------------------
 # model directories
 
 def save_model_dir(out_dir, model):
-    os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "model.syd1"), model.p.state_dict())
     with open(os.path.join(out_dir, "codec.json"), "w", encoding="utf-8") as fh:
         json.dump(model.codec.to_json(), fh)
@@ -246,17 +245,21 @@ def _read_json(path, what):
 
 
 def load_model_dir(path):
-    """Rebuild a saved model (teacher or student) from its run directory."""
+    """Rebuild a saved model (teacher or student) from its run directory: its
+    kind and sizes from config.resolved.json, its optional parts (a student's
+    mode-A projections, a teacher's structure head) from the checkpoint's
+    parameter names."""
     meta = _read_json(os.path.join(path, "config.resolved.json"), "run config")
     if not all(isinstance(meta.get(part, {}), dict) for part in ("config", "artifacts")):
         raise CliError(f"{path}: config.resolved.json 'config' and 'artifacts' must be objects")
-    try:
-        codec = Codec.from_json(_read_json(os.path.join(path, "codec.json"), "codec"))
-    except KeyError as e:
-        raise CliError(f"{path}: codec.json lacks key {e.args[0]!r}") from None
+    codec = _read_json(os.path.join(path, "codec.json"), "codec")
+    for key, (pred, req, _) in CODEC_KEYS.items():
+        if key not in codec and not pred(None):
+            raise CliError(f"{path}: codec.json lacks key {key!r}")
+        if not pred(codec.get(key)):
+            raise CliError(f"{path}: codec.json key {key!r} invalid: expected {req}")
     mcfg = meta.get("config", {})
-    art = meta.get("artifacts", {})
-    kind = art.get("model_kind")
+    kind = meta.get("artifacts", {}).get("model_kind")
     if kind == "student":
         dims, build = ("emb_dim", "hidden", "layers"), StudentModel
     elif kind in TEACHER_KINDS:
@@ -267,20 +270,21 @@ def load_model_dir(path):
     for key in dims:
         if key not in mcfg:
             raise CliError(f"{path}: config.resolved.json lacks key {key!r}")
-    for key in (*dims, "co_train_struct"):
         _, pred, req, _ = CONFIG[key]
-        if key in mcfg and not pred(mcfg[key]):
+        if not pred(mcfg[key]):
             raise CliError(f"{path}: config.resolved.json key {key!r}={mcfg[key]!r} "
                            f"invalid: expected {req}")
-    model = build(codec, *(mcfg[key] for key in dims), rng=np.random.default_rng(0))
-    if kind == "student":
-        for key, (t_dim, c_dim) in sorted(art.get("projections", {}).items()):
-            if key.startswith("f_t/"):
-                model.add_projection(key[len("f_t/"):], t_dim, c_dim)
-    elif mcfg.get("co_train_struct"):
-        model.add_structure_head()
-    model.p.load_state_dict(load_checkpoint(os.path.join(path, "model.syd1")))
-    return model, meta
+    model = build(Codec.from_json(codec), *(mcfg[key] for key in dims),
+                  rng=np.random.default_rng(0))
+    state = load_checkpoint(os.path.join(path, "model.syd1"))
+    for name, arr in state.items():
+        if kind == "student":
+            if name.startswith("proj/f_t/") and name.endswith("/W") and arr.ndim == 2:
+                model.add_projection(name[len("proj/f_t/"):-len("/W")], arr.shape[0])
+        elif name.startswith(("arc/", "span/")) and not model.struct_heads:
+            model.add_structure_head(model.structure)
+    model.p.load_state_dict(state)
+    return model
 
 
 def _load_examples(cfg, key):
@@ -301,15 +305,17 @@ def _check_task(codec, cfg):
                        f"requested {want!r}; pass a matching --task")
 
 
-# ---------------------------------------------------------------------------
-# commands
+def _best_dev(state):
+    return None if state.best_iter < 0 else state.best_metric
 
-def cmd_gen_data(args):
-    cfg, _ = resolve(args, "gen-data")
-    out = need(cfg, "out")
+
+# ---------------------------------------------------------------------------
+# commands: cmd_<name>(cfg, out, explicit) returns its report line and the
+# artifacts of its config.resolved.json, both written by main
+
+def cmd_gen_data(cfg, out, explicit):
     task = TASK_ALIASES[cfg["task"]]
-    os.makedirs(out, exist_ok=True)
-    report = {"command": "gen-data", "out": out}
+    report = {"out": out}
     for split, count, bump in (("train", cfg["n"], 0), ("dev", cfg["n_dev"], 1),
                                ("test", cfg["n_test"], 2)):
         if count < 1:
@@ -321,15 +327,11 @@ def cmd_gen_data(args):
         save_jsonl(examples, path)
         report[split] = path
         report[f"n_{split}"] = count
-    write_resolved(out, "gen-data", cfg)
-    _say(report)
-    return 0
+    return report, None
 
 
-def cmd_train_teacher(args):
-    cfg, _ = resolve(args, "train-teacher")
+def cmd_train_teacher(cfg, out, explicit):
     kind = need(cfg, "kind")
-    out = need(cfg, "out")
     examples = _load_examples(cfg, "train")
     codec = Codec(examples, TASK_ALIASES[cfg["task"]])
     train_encs = _encode_all(codec, examples)
@@ -338,7 +340,6 @@ def cmd_train_teacher(args):
                          hidden=cfg["teacher_hidden"],
                          n_layers=cfg["teacher_layers"],
                          rng=np.random.default_rng(cfg["seed"]))
-    os.makedirs(out, exist_ok=True)
     with RunLog(os.path.join(out, "log.jsonl")) as log:
         state = train_teacher(model, train_encs, dev_encs, iters=cfg["iters"],
                               batch_size=cfg["batch"], lr=cfg["lr"],
@@ -346,11 +347,8 @@ def cmd_train_teacher(args):
                               patience=cfg["patience"], seed=cfg["seed"],
                               log=log, co_train_struct=cfg["co_train_struct"])
     save_model_dir(out, model)
-    write_resolved(out, "train-teacher", cfg, extra={"model_kind": kind})
-    _say({"command": "train-teacher", "kind": kind, "iters_run": state.t,
-          "best_dev": None if state.best_iter < 0 else state.best_metric,
-          "out": out})
-    return 0
+    return ({"kind": kind, "iters_run": state.t, "best_dev": _best_dev(state), "out": out},
+            {"model_kind": kind})
 
 
 def _load_teachers(cfg):
@@ -359,25 +357,25 @@ def _load_teachers(cfg):
     spec = cfg["teachers"]
     if not spec:
         return None, None
-    dirs = spec.split(",") if isinstance(spec, str) else list(spec)
+    dirs = [d.strip() for d in (spec.split(",") if isinstance(spec, str) else spec)]
     dep, con, codec = [], [], None
     for d in dirs:
-        model, _ = load_model_dir(d.strip())
+        if not d:
+            raise CliError(f"--teachers {spec!r} has an empty entry")
+        model = load_model_dir(d)
         if model.kind not in TEACHER_KINDS:
             raise CliError(f"{d}: not a teacher checkpoint ({model.kind!r})")
         codec = codec or model.codec
         if model.codec.to_json() != codec.to_json():
             raise CliError(f"{d}: teacher codec differs from the first teacher's")
-        if cfg["teacher_mode"] == "soft" and not hasattr(model, "struct_head"):
+        if cfg["teacher_mode"] == "soft" and model.structure not in model.struct_heads:
             raise CliError(f"{d}: teacher lacks a structure head; retrain with "
                            "co_train_struct for teacher_mode=soft")
         (dep if model.structure == "dep" else con).append(model)
     return TeacherSet(dep=dep, con=con), codec
 
 
-def cmd_distill(args):
-    cfg, explicit = resolve(args, "distill")
-    out = need(cfg, "out")
+def cmd_distill(cfg, out, explicit):
     examples = _load_examples(cfg, "train")
     teachers, codec = _load_teachers(cfg)
     if teachers is None:
@@ -406,7 +404,6 @@ def cmd_distill(args):
     student = StudentModel(codec, emb_dim=cfg["emb_dim"], hidden=cfg["hidden"],
                            n_layers=cfg["layers"],
                            rng=np.random.default_rng(cfg["seed"]))
-    os.makedirs(out, exist_ok=True)
     with RunLog(os.path.join(out, "log.jsonl")) as log:
         state = distill_student(student, teachers, train_encs, dev_encs,
                                 dcfg, sched, batch_size=cfg["batch"],
@@ -414,36 +411,23 @@ def cmd_distill(args):
                                 patience=cfg["patience"], seed=cfg["seed"],
                                 log=log)
     save_model_dir(out, student)
-    projections = {key: list(pair[0].shape)
-                   for key, pair in student.projections.items()}
-    write_resolved(out, "distill", cfg,
-                   extra={"model_kind": "student", "projections": projections})
-    _say({"command": "distill", "iters_run": state.t,
-          "best_dev": None if state.best_iter < 0 else state.best_metric,
-          "out": out})
-    return 0
+    return ({"iters_run": state.t, "best_dev": _best_dev(state), "out": out},
+            {"model_kind": "student"})
 
 
-def cmd_eval(args):
-    cfg, _ = resolve(args, "eval")
-    out = need(cfg, "out")
-    model, _ = load_model_dir(need(cfg, "model"))
+def cmd_eval(cfg, out, explicit):
+    model = load_model_dir(need(cfg, "model"))
     encs = _encode_all(model.codec, _load_examples(cfg, "data"))
     metrics = evaluate(model, encs)
     report = {"command": "eval", "data": cfg["data"], "n": len(encs), **metrics}
-    os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "eval.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
-    write_resolved(out, "eval", cfg)
-    _say(report)
-    return 0
+    return report, None
 
 
-def cmd_probe(args):
-    cfg, _ = resolve(args, "probe")
-    out = need(cfg, "out")
+def cmd_probe(cfg, out, explicit):
     kind = need(cfg, "probe_task")
-    model, _ = load_model_dir(need(cfg, "model"))
+    model = load_model_dir(need(cfg, "model"))
     train_encs = _encode_all(model.codec, _load_examples(cfg, "train"))
     eval_encs = _encode_all(model.codec, _load_examples(cfg, "data"))
     acc, y_eval = probe_train_eval(model, kind, train_encs, eval_encs,
@@ -452,46 +436,38 @@ def cmd_probe(args):
               "majority_baseline": majority_accuracy(y_eval),
               "n_eval_instances": int(len(y_eval))}
     if cfg["dep_only"] or cfg["con_only"]:
-        dep_model, _ = load_model_dir(need(cfg, "dep_only"))
-        con_model, _ = load_model_dir(need(cfg, "con_only"))
+        dep_model = load_model_dir(need(cfg, "dep_only"))
+        con_model = load_model_dir(need(cfg, "con_only"))
         scores, summary = syntax_distribution(model, dep_model, con_model, eval_encs)
         write_distribution(out, scores, summary)
         report["dominance"] = summary
-    os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "probe.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
-    write_resolved(out, "probe", cfg)
-    _say(report)
-    return 0
+    return report, None
 
 
-def cmd_induce(args):
-    cfg, _ = resolve(args, "induce")
-    out = need(cfg, "out")
-    model, meta = load_model_dir(need(cfg, "model"))
-    if meta.get("artifacts", {}).get("model_kind") != "student":
+def cmd_induce(cfg, out, explicit):
+    model = load_model_dir(need(cfg, "model"))
+    if model.kind != "student":
         raise CliError("induce needs a student checkpoint with structure heads")
     encs = _encode_all(model.codec, _load_examples(cfg, "data"))
     con_itos = model.codec.con_labels.itos
     tree_lines, head_lines = [None] * len(encs), [None] * len(encs)
     for chunk in model.batches(encs):
         main = model.reps([encs[i].main for i in chunk])
-        for i, (_, _, heads), bt in zip(chunk, soft_arc_targets(model.arc_scorer, main),
-                                        soft_con_targets(model.span_scorer, main)):
+        for i, (_, _, heads), bt in zip(chunk,
+                                        soft_arc_targets(model.struct_heads["dep"], main),
+                                        soft_con_targets(model.struct_heads["con"], main)):
             head_lines[i] = " ".join(str(int(h)) for h in heads)
             bt.spans = {s: con_itos[l] for s, l in bt.spans.items()}
             tree_lines[i] = render_bracketed(unbinarize(bt, encs[i].raw.sent.tokens))
-    os.makedirs(out, exist_ok=True)
     trees_path = os.path.join(out, "induced_trees.txt")
     heads_path = os.path.join(out, "induced_heads.txt")
     with open(trees_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(tree_lines) + "\n")
     with open(heads_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(head_lines) + "\n")
-    write_resolved(out, "induce", cfg)
-    _say({"command": "induce", "n": len(encs), "trees": trees_path,
-          "heads": heads_path})
-    return 0
+    return {"n": len(encs), "trees": trees_path, "heads": heads_path}, None
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +502,20 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        cfg, explicit = resolve(args, args.command)
+        out = need(cfg, "out")
+        os.makedirs(out, exist_ok=True)
         # looked up by name on every call, so a rebound cli.cmd_* is the one called
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        report, artifacts = globals()["cmd_" + args.command.replace("-", "_")](cfg, out, explicit)
+        write_resolved(out, args.command, cfg, artifacts)
     except CliError as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 1
     except (DataError, DistillError, FloatingPointError, ValueError, OSError) as e:
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return 1
+    print(json.dumps({"command": args.command, **report}))
+    return 0
 
 
 if __name__ == "__main__":

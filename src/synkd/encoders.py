@@ -804,18 +804,13 @@ class EncodedSide:
 
 
 class EncodedExample:
+    """An example's sides and tag ids; its label and predicate are read from raw."""
+
     def __init__(self, codec: Codec, ex: Example):
         self.raw = ex
         self.main = EncodedSide(codec, ex)
         self.partner = EncodedSide(codec, ex.partner) if ex.partner is not None else None
-        if codec.task == "tag":
-            self.tag_ids = codec.tags.encode(ex.tags)
-            self.predicate = ex.predicate
-            self.label = None
-        else:
-            self.label = ex.label
-            self.tag_ids = None
-            self.predicate = None
+        self.tag_ids = codec.tags.encode(ex.tags) if codec.task == "tag" else None
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +828,7 @@ class BaseModel:
         self.dtype = dtype
         self.p = Params()
         self.rng = rng
+        self.struct_heads = {}  # structure ("dep" or "con") -> its scorer
 
     def _make_head(self, rep_dim):
         if self.task == "pair":
@@ -877,23 +873,20 @@ class BaseModel:
             return self.head(segment_mean(mat, off), segment_mean(
                 *self.reps([e.partner for e in encs], train, rng)))
         if self.task == "tag":
-            return self.head(mat, off[:-1] + np.array([e.predicate for e in encs]))
+            return self.head(mat, off[:-1] + np.array([e.raw.predicate for e in encs]))
         return self.head(segment_mean(mat, off))
 
-    def add_structure_head(self):
-        """Arc/label scorer (64-wide arc space) for dependency models, span
-        scorer for constituency models; used when soft teacher structure
-        targets are enabled."""
-        if self.structure == "dep":
-            self.struct_head = ArcLabelScorer(self.p, "arc", self.rep_dim,
-                                              len(self.codec.dep_labels), 64,
-                                              self.rng, self.dtype)
-        elif self.structure == "con":
-            self.struct_head = SpanScorer(self.p, "span", self.rep_dim,
-                                          len(self.codec.con_labels), self.rng,
-                                          self.dtype)
+    def add_structure_head(self, structure, arc_dim=64):
+        """Register struct_heads[structure]: the arc/label scorer for "dep",
+        the span scorer for "con". Teachers add their own structure's head
+        for soft teacher structure targets; the student has both."""
+        if structure == "dep":
+            head = ArcLabelScorer(self.p, "arc", self.rep_dim, len(self.codec.dep_labels),
+                                  arc_dim, self.rng, self.dtype)
         else:
-            raise ValueError(f"no structure head for {self.structure!r}")
+            head = SpanScorer(self.p, "span", self.rep_dim, len(self.codec.con_labels),
+                              self.rng, self.dtype)
+        self.struct_heads[structure] = head
 
     def parameters(self):
         return self.p.all()
@@ -1007,40 +1000,32 @@ class StudentModel(BaseModel):
     """3-layer BiLSTM student with task, language-model and structure heads."""
 
     kind = "student"
-    structure = "seq"
 
     def __init__(self, codec, emb_dim=300, hidden=350, n_layers=3, rng=None,
                  dtype=np.float32):
         super().__init__(codec, rng, dtype)
-        self.hidden = hidden
         self.encoder = StudentEncoder(self.p, "enc", len(codec.vocab), emb_dim,
                                       hidden, n_layers, rng, dtype)
         self.rep_dim = 2 * hidden
         self._make_head(self.rep_dim)
-        self.arc_scorer = ArcLabelScorer(self.p, "arc", self.rep_dim,
-                                         len(codec.dep_labels), hidden, rng, dtype)
-        self.span_scorer = SpanScorer(self.p, "span", self.rep_dim,
-                                      len(codec.con_labels), rng, dtype)
+        self.add_structure_head("dep", arc_dim=hidden)
+        self.add_structure_head("con")
         self.lm_W = self.p.add("lm/W", (hidden, len(codec.vocab)), rng, dtype=dtype)
         self.lm_b = self.p.add("lm/b", (len(codec.vocab),), init="zeros", dtype=dtype)
         self.lm_begin = self.p.add("lm/begin", (1, hidden), init="zeros", dtype=dtype)
         self.projections = {}
 
-    def add_projection(self, name, teacher_dim, common_dim):
-        """f_t for one teacher plus (once) the student-side f_s."""
-        if "f_s" not in self.projections:
-            self.projections["f_s"] = (
-                self.p.add("proj/f_s/W", (self.rep_dim, common_dim), self.rng,
-                           dtype=self.dtype),
-                self.p.add("proj/f_s/b", (common_dim,), init="zeros", dtype=self.dtype),
-            )
-        key = f"f_t/{name}"
-        if key not in self.projections:
-            self.projections[key] = (
-                self.p.add(f"proj/{key}/W", (teacher_dim, common_dim), self.rng,
-                           dtype=self.dtype),
-                self.p.add(f"proj/{key}/b", (common_dim,), init="zeros", dtype=self.dtype),
-            )
+    def add_projection(self, name, teacher_dim):
+        """f_t for one teacher plus (once) the student-side f_s, both into the
+        student's rep_dim."""
+        for key, in_dim in (("f_s", self.rep_dim), (f"f_t/{name}", teacher_dim)):
+            if key not in self.projections:
+                self.projections[key] = (
+                    self.p.add(f"proj/{key}/W", (in_dim, self.rep_dim), self.rng,
+                               dtype=self.dtype),
+                    self.p.add(f"proj/{key}/b", (self.rep_dim,), init="zeros",
+                               dtype=self.dtype),
+                )
 
     def project(self, which, mat: Tensor) -> Tensor:
         w, b = self.projections[which]

@@ -136,7 +136,7 @@ def example_scores(model, data) -> np.ndarray:
         if model.task == "tag":
             scores[i] = float(np.mean(np.asarray(preds[i]) == np.asarray(enc.tag_ids)))
         else:
-            scores[i] = float(preds[i] == enc.label)
+            scores[i] = float(preds[i] == enc.raw.label)
     return scores
 
 

@@ -224,7 +224,7 @@ def gold_rows(model, encs) -> np.ndarray:
     n_classes = model.codec.n_classes
     if model.task == "tag":
         return one_hot(np.concatenate([enc.tag_ids for enc in encs]), n_classes)
-    return one_hot([enc.label for enc in encs], n_classes)
+    return one_hot([enc.raw.label for enc in encs], n_classes)
 
 
 def hard_targets(structure, encs, n_dep_labels):
@@ -250,6 +250,9 @@ class TeacherSignals:
 
     def __init__(self, teachers: TeacherSet, data, cfg: DistillConfig, n_dep_labels):
         soft = cfg.mode == "B" and cfg.teacher_mode == "soft"
+        for m in teachers.all:
+            if soft and m.structure not in m.struct_heads:
+                raise DistillError(f"teacher {m.kind} has no structure head for soft targets")
         self.task_dists = {m.kind: [] for m in teachers.all}
         self.feats = {m.kind: [] for m in teachers.all} if cfg.mode == "A" else None
         # mode-B structure targets per teacher kind: arc/label targets of the
@@ -267,7 +270,7 @@ class TeacherSignals:
                 if soft:
                     soft_targets = soft_arc_targets if m.structure == "dep" \
                         else soft_con_targets
-                    self.targets[m.kind] += soft_targets(m.struct_head, main)
+                    self.targets[m.kind] += soft_targets(m.struct_heads[m.structure], main)
         if cfg.mode == "B" and cfg.teacher_mode == "hard":
             hard = {s: hard_targets(s, data, n_dep_labels)
                     for s in {m.structure for m in teachers.all}}
@@ -292,10 +295,11 @@ def output_loss_batch(model, encs, idxs, signals, kinds, alpha, rng=None):
     return output_distill_loss(gold_rows(model, encs), teacher_rows, logits, alpha), main
 
 
-def inject_loss_batch(scorer, structure, main, target_sets):
-    """Mode-B loss of one structure head over a batch's (rows, offsets) against
-    each set of per-sentence targets, summed over the sets and the batch."""
-    scores = scorer(*main)
+def inject_loss_batch(model, structure, main, target_sets):
+    """Mode-B loss of the model's head of one structure over a batch's (rows,
+    offsets) against each set of per-sentence targets, summed over the sets
+    and the batch."""
+    scores = model.struct_heads[structure](*main)
     inject = dep_inject_loss if structure == "dep" else con_inject_loss
     return reduce(T.add, [inject(scores, targets) for targets in target_sets])
 
@@ -312,9 +316,7 @@ def syn_loss_batch(student, main, idxs, signals, cfg, models):
             lambda m, k=k: student.project(f"f_t/{k}", m),
             lambda m: student.project("f_s", m)) for k in kinds])
     else:
-        structure = models[0].structure
-        scorer = student.arc_scorer if structure == "dep" else student.span_scorer
-        total = inject_loss_batch(scorer, structure, main,
+        total = inject_loss_batch(student, models[0].structure, main,
                                   [[signals.targets[k][i] for i in idxs] for k in kinds])
     return T.scale(total, 1.0 / (len(idxs) * len(kinds)))
 
@@ -396,7 +398,7 @@ def evaluate(model, data) -> dict:
     if model.task == "tag":
         o_id = model.codec.tags.stoi.get("O", -1)
         return tagging_metrics([enc.tag_ids for enc in data], preds, o_id)
-    return classification_metrics([enc.label for enc in data], preds)
+    return classification_metrics([enc.raw.label for enc in data], preds)
 
 
 def dev_metric_key(task):
@@ -520,6 +522,8 @@ def run_loop(model, state, data, step, total, dev_data, *, batch_size, eval_ever
     `stop_after` suspends mid-run without that restore, for save/resume. Dev
     rows, and the `nonfinite/<objective>` row of a failed step, are flushed."""
     sampler = BatchSampler(data)
+    if dev_data is not None and not dev_data:
+        raise ValueError("empty dev set")
     key = dev_metric_key(model.task)
     while state.t < total:
         if stop_after is not None and state.t >= stop_after:
@@ -571,8 +575,8 @@ def train_teacher(model, train_data, dev_data, *, iters=2000, batch_size=32,
             raise DataError("teacher needs dependency annotation")
         if model.structure == "con" and enc.main.raw.con is None:
             raise DataError("teacher needs constituency annotation")
-    if co_train_struct and not hasattr(model, "struct_head"):
-        model.add_structure_head()
+    if co_train_struct and model.structure not in model.struct_heads:
+        model.add_structure_head(model.structure)
     state = RunState(seed=seed, adam=Adam(model.parameters(), lr=lr))
     _emit(log, 0, "train", "n_params", model.p.n_scalars())
     n_dep = len(model.codec.dep_labels)
@@ -582,7 +586,7 @@ def train_teacher(model, train_data, dev_data, *, iters=2000, batch_size=32,
             loss, main = output_loss_batch(model, encs, idxs, None, [], 1.0, rng=state.rng)
             if not co_train_struct:
                 return loss
-            struct = inject_loss_batch(model.struct_head, model.structure, main,
+            struct = inject_loss_batch(model, model.structure, main,
                                        [hard_targets(model.structure, encs, n_dep)])
             return T.scale(T.add(loss, T.scale(struct, 1.0 / len(encs))), 0.5)
 
@@ -601,7 +605,7 @@ def prepare_student(student, teachers, cfg):
     optimizer or any checkpoint of the student is created."""
     if teachers is not None and cfg.mode == "A" and cfg.lam1 > 0:
         for m in teachers.all:
-            student.add_projection(m.kind, m.rep_dim, student.rep_dim)
+            student.add_projection(m.kind, m.rep_dim)
 
 
 def distill_student(student, teachers, train_data, dev_data,

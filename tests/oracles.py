@@ -916,7 +916,7 @@ def reference_induced_trees(model, encs):
     for chunk in model.batches(encs):
         main = model.reps([encs[i].main for i in chunk])
         lens = np.diff(main[1])
-        rows, _ = chart_max(lens, model.span_scorer(*main).tensor.data)
+        rows, _ = chart_max(lens, model.struct_heads["con"](*main).tensor.data)
         for i, m, part in zip(chunk, lens.tolist(),
                               np.split(rows, np.cumsum(2 * lens - 1)[:-1])):
             tree = SimpleNamespace(n=m, spans={(a, b): itos[l] for a, b, l in part.tolist()})
@@ -1192,8 +1192,8 @@ def reference_train_teacher(model, train_data, dev_data, *, iters=2000, batch_si
             raise DataError("teacher needs dependency annotation")
         if model.structure == "con" and enc.main.raw.con is None:
             raise DataError("teacher needs constituency annotation")
-    if co_train_struct and not hasattr(model, "struct_head"):
-        model.add_structure_head()
+    if co_train_struct and model.structure not in model.struct_heads:
+        model.add_structure_head(model.structure)
     state = RunState(seed=seed, adam=ReferenceAdam(model.parameters(), lr=lr))
     _emit(log, 0, "train", "n_params", model.p.n_scalars())
     sampler = BatchSampler(train_data)
@@ -1206,7 +1206,7 @@ def reference_train_teacher(model, train_data, dev_data, *, iters=2000, batch_si
             loss, main = output_loss_batch(model, encs, idxs, None, [], 1.0, rng=state.rng)
             if not co_train_struct:
                 return loss
-            struct = inject_loss_batch(model.struct_head, model.structure, main,
+            struct = inject_loss_batch(model, model.structure, main,
                                        [hard_targets(model.structure, encs, n_dep)])
             return T.scale(T.add(loss, T.scale(struct, 1.0 / len(encs))), 0.5)
 

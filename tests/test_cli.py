@@ -11,6 +11,7 @@ import pytest
 
 from synkd import cli
 from synkd.cli import CONFIG, build_parser, main, resolve
+from synkd.encoders import TEACHER_KINDS
 from synkd.syntax_data import example_to_dict, gen_synthetic, parse_bracketed
 from synkd.train import load_checkpoint, read_log, save_checkpoint
 
@@ -201,8 +202,7 @@ def test_mode_a_round_trip(workspace, tmp_path, capsys):
     student = tmp_path / "sa"
     rc, _, _ = run(capsys, *distill_args(workspace, student, "--mode", "A"))
     assert rc == 0
-    meta = json.loads((student / "config.resolved.json").read_text())
-    assert any(k.startswith("f_t/") for k in meta["artifacts"]["projections"])
+    assert any(k.startswith("proj/f_t/") for k in load_checkpoint(student / "model.syd1"))
     rc, out, _ = run(capsys, "eval", "--model", str(student), "--data",
                      str(workspace["data"] / "test.jsonl"),
                      "--out", str(tmp_path / "eva"))
@@ -227,7 +227,7 @@ def test_soft_mode_round_trip(workspace, tmp_path, capsys):
                      "--train", str(data / "train.jsonl"), "--iters", "4", "--batch", "8",
                      "--teacher-emb", "10", "--teacher-hidden", "8", "--teacher-layers", "1",
                      "--seed", "3", "--out", str(out)]) == 0
-        model, _ = cli.load_model_dir(str(out))
+        model = cli.load_model_dir(str(out))
         state, saved = model.p.state_dict(), load_checkpoint(out / "model.syd1")
         assert sorted(state) == sorted(saved)
         assert all(np.array_equal(state[k], saved[k]) for k in saved)
@@ -396,9 +396,27 @@ _DROP = object()
     pytest.param("config.resolved.json", ("config", "teacher_hidden"), "4",
                  "{model}: config.resolved.json key 'teacher_hidden'='4' invalid: "
                  "expected integer >= 1", id="config.resolved.json-teacher_hidden"),
-    pytest.param("config.resolved.json", ("config", "co_train_struct"), "no",
-                 "{model}: config.resolved.json key 'co_train_struct'='no' invalid: "
-                 "expected boolean", id="config.resolved.json-co_train_struct"),
+    pytest.param("codec.json", ("vocab",), 5,
+                 "{model}: codec.json key 'vocab' invalid: expected list of strings",
+                 id="codec.json-vocab-int"),
+    pytest.param("codec.json", ("dep_labels",), None,
+                 "{model}: codec.json key 'dep_labels' invalid: expected list of strings",
+                 id="codec.json-dep_labels-null"),
+    pytest.param("codec.json", ("con_labels",), ["S", 1],
+                 "{model}: codec.json key 'con_labels' invalid: expected list of strings",
+                 id="codec.json-con_labels-int-entry"),
+    pytest.param("codec.json", ("tags",), "O",
+                 "{model}: codec.json key 'tags' invalid: expected list of strings",
+                 id="codec.json-tags-str"),
+    pytest.param("codec.json", ("task",), "classify",
+                 "{model}: codec.json key 'task' invalid: expected one of cls|pair|tag",
+                 id="codec.json-task"),
+    pytest.param("codec.json", ("n_classes",), "x",
+                 "{model}: codec.json key 'n_classes' invalid: expected integer >= 1",
+                 id="codec.json-n_classes-str"),
+    pytest.param("codec.json", ("n_classes",), 0,
+                 "{model}: codec.json key 'n_classes' invalid: expected integer >= 1",
+                 id="codec.json-n_classes-zero"),
     pytest.param("config.resolved.json", ("artifacts",), [],
                  "{model}: config.resolved.json 'config' and 'artifacts' must be objects",
                  id="config.resolved.json-artifacts"),
@@ -658,6 +676,132 @@ def test_missing_dev_file_is_a_data_file_error(workspace, tmp_path, capsys, comm
     assert json.loads(line) == {"error": f"data file not found: {dev}"}
 
 
+@pytest.mark.parametrize("command", ["train-teacher", "distill"])
+def test_empty_dev_file_fails_before_training(workspace, tmp_path, capsys, command):
+    dev = tmp_path / "empty.jsonl"
+    dev.write_text("")
+    extra = ["--kind", "gcn-dep"] if command == "train-teacher" else []
+    rc, out, err = run(capsys, command, "--train", str(workspace["data"] / "train.jsonl"),
+                       "--dev", str(dev), "--iters", "5", "--eval-every", "4",
+                       "--out", str(tmp_path / "out"), *extra)
+    assert rc == 1 and not out
+    assert one_error_line(err) == "ValueError: empty dev set"
+    assert all(r["iteration"] == 0 for r in read_log(tmp_path / "out" / "log.jsonl"))
+    assert not (tmp_path / "out" / "model.syd1").exists()
+
+
+def test_empty_teachers_entry_is_one_json_error_line(workspace, tmp_path, capsys,
+                                                     monkeypatch):
+    # an empty entry would name the working directory, here a teacher's dir
+    first = workspace["teachers"].split(",")[0]
+    monkeypatch.chdir(first)
+    for spec in (f"{first},", f"{first}, ,{first}", ","):
+        rc, out, err = run(capsys, *distill_args({**workspace, "teachers": spec},
+                                                 tmp_path / "s"))
+        assert rc == 1 and not out
+        assert one_error_line(err) == f"--teachers {spec!r} has an empty entry"
+
+
+def _contract_argv(command, workspace, tmp_path, out):
+    data = workspace["data"]
+    train, test = str(data / "train.jsonl"), str(data / "test.jsonl")
+    student = str(tmp_path / "student")
+    if command == "induce":
+        assert main(["distill", "--train", train, "--iters", "1", "--batch", "4",
+                     "--emb-dim", "8", "--hidden", "6", "--layers", "1",
+                     "--out", student]) == 0
+    argv = {
+        "gen-data": ["--n", "5", "--n-dev", "0", "--n-test", "0", "--max-len", "6"],
+        "train-teacher": ["--kind", "gcn-con", "--train", train, "--iters", "2",
+                          "--teacher-emb", "6", "--teacher-hidden", "4",
+                          "--teacher-layers", "1"],
+        "distill": distill_args(workspace, out, "--iters", "2", "--g1", "2", "--g2", "1")[1:],
+        "eval": ["--model", workspace["teachers"].split(",")[1], "--data", test],
+        "probe": ["--model", workspace["teachers"].split(",")[1], "--train", train,
+                  "--data", test, "--probe-task", "dependency-labeling",
+                  "--probe-iters", "5"],
+        "induce": ["--model", student, "--data", test],
+    }[command]
+    return [command, *argv] if command == "distill" else [command, *argv, "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_command_writes_one_report_line_and_its_resolved_config(
+        workspace, tmp_path, capsys, command):
+    argv = _contract_argv(command, workspace, tmp_path, tmp_path / "out")
+    capsys.readouterr()
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and not err
+    (line,) = out.splitlines()
+    assert json.loads(line)["command"] == command
+    resolved = json.loads((tmp_path / "out" / "config.resolved.json").read_text())
+    assert resolved["command"] == command
+    artifacts = {"train-teacher": {"model_kind": "gcn-con"},
+                 "distill": {"model_kind": "student"}}.get(command)
+    assert resolved.get("artifacts") == artifacts
+
+
+@pytest.fixture(scope="module")
+def model_dirs(workspace, tmp_path_factory):
+    """A model dir of every layout: each teacher kind without and with a
+    co-trained structure head, and students of modes A and B."""
+    root = tmp_path_factory.mktemp("dirs")
+    dirs = dict(zip(TEACHER_KINDS, workspace["teachers"].split(",")))
+    for kind in TEACHER_KINDS:
+        dirs[f"{kind}+head"] = str(root / kind)
+        assert main(["train-teacher", "--kind", kind, "--co-train-struct",
+                     "--train", str(workspace["data"] / "train.jsonl"), "--iters", "2",
+                     "--batch", "8", "--teacher-emb", "10", "--teacher-hidden", "8",
+                     "--teacher-layers", "1", "--seed", "3",
+                     "--out", dirs[f"{kind}+head"]]) == 0
+    for mode in "AB":
+        dirs[f"student-{mode}"] = str(root / f"student-{mode}")
+        assert main(distill_args(workspace, dirs[f"student-{mode}"], "--mode", mode,
+                                 "--iters", "2", "--g1", "2", "--g2", "1")) == 0
+    return dirs
+
+
+@pytest.mark.parametrize("name", [*TEACHER_KINDS, *(f"{k}+head" for k in TEACHER_KINDS),
+                                  "student-A", "student-B"])
+def test_model_dir_round_trip_keeps_checkpoint_names(model_dirs, name):
+    # a dir's optional parts come back from its checkpoint's names alone
+    saved = list(load_checkpoint(os.path.join(model_dirs[name], "model.syd1")))
+    assert cli.load_model_dir(model_dirs[name]).p.names() == saved
+    # every layout is here: students always hold both heads
+    heads = any(n.startswith(("arc/", "span/")) for n in saved)
+    projections = any(n.startswith("proj/f_t/") for n in saved)
+    assert heads == (name.endswith("+head") or name.startswith("student"))
+    assert projections == (name == "student-A")
+
+
+@pytest.mark.parametrize("name, part, key, value", [
+    ("student-A", "artifacts", "projections", "from-model"),
+    ("student-A", "artifacts", "projections", [1]),
+    ("student-A", "artifacts", "projections", {"f_t/x": 3}),
+    ("gcn-dep", "config", "co_train_struct", True),
+    ("tlstm-con+head", "config", "co_train_struct", False),
+])
+def test_model_dir_ignores_keys_that_named_its_optional_parts(workspace, model_dirs, tmp_path,
+                                                              capsys, name, part, key, value):
+    # dirs written before the checkpoint alone named a model's optional parts
+    # recorded them as a `projections` artifact or by `co_train_struct`
+    model = tmp_path / "m"
+    shutil.copytree(model_dirs[name], model)
+    meta = json.loads((model / "config.resolved.json").read_text())
+    if value == "from-model":
+        value = {k: list(w.shape) for k, (w, _) in
+                 cli.load_model_dir(str(model)).projections.items()}
+    meta[part][key] = value
+    (model / "config.resolved.json").write_text(json.dumps(meta))
+    reports = []
+    for d in (model_dirs[name], model):
+        rc, out, err = run(capsys, "eval", "--model", str(d), "--data",
+                           str(workspace["data"] / "test.jsonl"), "--out", str(tmp_path / "ev"))
+        assert rc == 0, err
+        reports.append((out, (tmp_path / "ev" / "eval.json").read_bytes()))
+    assert reports[0] == reports[1]
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "synkd.cli", "gen-data", "--seed", "1", "--n",
@@ -736,15 +880,19 @@ def test_flag_set_is_pinned():
     assert dests == set(CONFIG) - {"mask_ratio"} | {"config"}
 
 
-def test_main_builds_its_parser_once_and_calls_the_current_command(monkeypatch):
+def test_main_builds_its_parser_once_and_calls_the_current_command(monkeypatch, tmp_path,
+                                                                    capsys):
     # the tracer rebinds cli.cmd_* after the parser exists; main must call the
     # rebound function, not one bound when the parser was built
     monkeypatch.setattr(cli, "_PARSER", None)
     built, ran = [], []
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-    monkeypatch.setattr(cli, "cmd_eval", lambda args: ran.append("first") or 0)
-    assert main(["eval"]) == 0
-    monkeypatch.setattr(cli, "cmd_eval", lambda args: ran.append("second") or 3)
-    assert main(["eval", "--data", "x.jsonl"]) == 3
+    monkeypatch.setattr(cli, "cmd_eval",
+                        lambda cfg, out, explicit: ran.append("first") or ({}, None))
+    assert main(["eval", "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(cli, "cmd_eval",
+                        lambda cfg, out, explicit: ran.append("second") or ({}, None))
+    assert main(["eval", "--data", "x.jsonl", "--out", str(tmp_path)]) == 0
     assert built == [1] and ran == ["first", "second"]
+    capsys.readouterr()

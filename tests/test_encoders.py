@@ -1006,9 +1006,9 @@ def test_student_model_reps_and_logits():
     main = student.reps([enc.main])
     assert main[0].shape == (enc.main.n, 12)
     assert student.logits([enc]).shape == (1, 2)
-    arcs = student.arc_scorer(*main)
+    arcs = student.struct_heads["dep"](*main)
     assert arcs.arc_logits.shape == (enc.main.n, enc.main.n + 1)
-    spans = student.span_scorer(*main)
+    spans = student.struct_heads["con"](*main)
     assert spans.tensor.shape[1] == len(codec.con_labels)
 
 
@@ -1157,7 +1157,7 @@ def test_con_tree_hard_targets_and_induce_match_the_sorting_builders(tmp_path):
     assert cli.main(["distill", "--train", str(tmp_path / "train.jsonl"), "--iters", "2",
                      "--batch", "8", "--emb-dim", "8", "--hidden", "6", "--layers", "1",
                      "--out", str(tmp_path / "student")]) == 0
-    student, _ = cli.load_model_dir(str(tmp_path / "student"))
+    student = cli.load_model_dir(str(tmp_path / "student"))
     for name, (data, task) in corpora.items():
         codec = E.Codec(data, task)
         encs = [codec.encode(ex) for ex in data]

@@ -45,7 +45,7 @@ def test_instance_shapes():
     student = small_student(codec)
     x_con, y_con = constituent_instances(student, encs)
     x_dep, y_dep = dependency_instances(student, encs)
-    width = 2 * student.hidden
+    width = student.rep_dim
     assert x_con.shape == (len(y_con), 3 * width)
     assert x_dep.shape == (len(y_dep), 2 * width)
     # every labeled span of every original tree contributes one instance

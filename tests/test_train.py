@@ -80,7 +80,7 @@ def test_teacher_parameter_layout_pinned():
     for kind, (plain, with_head) in TEACHER_FINGERPRINTS.items():
         m = make_teacher(kind, codec, emb_dim=8, hidden=6, rng=np.random.default_rng(7))
         assert params_fingerprint(m.p) == plain, kind
-        m.add_structure_head()
+        m.add_structure_head(m.structure)
         assert params_fingerprint(m.p) == with_head, kind
 
 
@@ -258,8 +258,8 @@ def test_student_predict_ignores_trees():
     predict(student, encs)
     evaluate(student, encs)
     main = student.reps([enc.main for enc in encs])
-    soft_arc_targets(student.arc_scorer, main)
-    soft_con_targets(student.span_scorer, main)
+    soft_arc_targets(student.struct_heads["dep"], main)
+    soft_con_targets(student.struct_heads["con"], main)
     views = {name for name, attr in vars(EncodedSide).items()
              if isinstance(attr, functools.cached_property)}
     assert views >= {"heads", "dep_label_ids", "bintree", "con_tree", "con_gcn"}
@@ -292,7 +292,7 @@ def test_train_teacher_beats_majority(tmp_path):
     state = train_teacher(model, train, dev, iters=300, batch_size=8, lr=1e-2,
                           eval_every=40, patience=20, seed=0, log=log)
     log.close()
-    labels = [e.label for e in dev]
+    labels = [e.raw.label for e in dev]
     majority = 100.0 * max(labels.count(0), labels.count(1)) / len(labels)
     acc = evaluate(model, dev)["accuracy"]
     assert acc > majority
@@ -314,7 +314,7 @@ def test_co_trained_teachers_feed_soft_distillation(tmp_path):
     codec, encs = small_data(24, seed=21)
     teachers = small_teachers(codec)
     for m in teachers.all:
-        m.add_structure_head()
+        m.add_structure_head(m.structure)
         head = {n: m.p[n].data.copy() for n in m.p.names() if n.startswith(("arc/", "span/"))}
         state = train_teacher(m, encs, None, iters=3, batch_size=6, lr=1e-2, seed=0,
                               co_train_struct=True)
@@ -342,6 +342,27 @@ def test_co_trained_teachers_feed_soft_distillation(tmp_path):
         "dep/tlstm-dep", "dep/gcn-dep", "con/tlstm-con", "con/gcn-con", "all"}
     syn = [r["value"] for r in read_log(tmp_path / "log.jsonl") if r["metric"] == "loss_syn"]
     assert len(syn) == 4 and np.isfinite(syn).all() and min(syn) > 0.0
+
+
+def test_soft_targets_need_every_teachers_structure_head(monkeypatch):
+    # a head-less teacher is named before any teacher runs a forward pass
+    codec, encs = small_data(12, seed=22)
+    teachers = small_teachers(codec)
+    teachers.dep[0].add_structure_head("dep")
+    for m in teachers.all:
+        monkeypatch.setattr(m, "reps", lambda *a, **k: pytest.fail("forward pass"))
+    with pytest.raises(DistillError, match=f"teacher {teachers.dep[1].kind} has no structure"):
+        TeacherSignals(teachers, encs, DistillConfig(teacher_mode="soft"),
+                       len(codec.dep_labels))
+    monkeypatch.undo()
+    gcn_dep = small_teachers(codec).dep[1]
+    with pytest.raises(DistillError, match="teacher gcn-dep has no structure head"):
+        distill_student(small_student(codec), TeacherSet(dep=[gcn_dep]), encs, None,
+                        DistillConfig(teacher_mode="soft"), Schedule(total=2, g1=1, g2=1),
+                        batch_size=4, seed=0)
+    # mode A reads features, not structure heads
+    TeacherSignals(TeacherSet(dep=[gcn_dep]), encs, DistillConfig(mode="A", teacher_mode="soft"),
+                   len(codec.dep_labels))
 
 
 def test_hard_targets_shared_per_structure():
@@ -712,7 +733,7 @@ def test_run_loop_bitwise_matches_reference(task, tmp_path):
     codec, encs = small_data(20, seed=31, task=task, max_len=6)
     teachers = small_teachers(codec)
     for m in teachers.all:
-        m.add_structure_head()
+        m.add_structure_head(m.structure)
     for kind in TEACHER_KINDS:
         for co in (False, True):
             got, want = (teacher_outcome(train, codec, encs, kind, co,
