@@ -258,6 +258,9 @@ def load_model_dir(path):
             raise CliError(f"{path}: codec.json lacks key {key!r}")
         if not pred(codec.get(key)):
             raise CliError(f"{path}: codec.json key {key!r} invalid: expected {req}")
+    if codec["task"] == "tag" and not codec.get("tags"):
+        raise CliError(f"{path}: codec.json key 'tags' invalid: expected a non-empty "
+                       "list of strings for task 'tag'")
     mcfg = meta.get("config", {})
     kind = meta.get("artifacts", {}).get("model_kind")
     if kind == "student":

@@ -10,15 +10,15 @@ and checkpointing.
 Every model encodes a whole batch of sentences at once through
 `reps(sides) -> (rows, offsets)`: the token rows of all sentences stacked in
 input order plus their row offsets, which the shared task heads, losses and
-scorers consume. Every tree teacher reads a sentence's tree as one (k, 2)
-edge array (a binarized tree's is the one its BinTree holds over its
-post-order spans), and stacks the batch's arrays into one plan per `reps`
-call: each TreeLSTM layer direction is one tape op that runs the cell level
-by level across every tree of the batch (dynamic batching), over level plans
-built from (child, parent) rows; each GCN layer is one tape op that sums
-every node's messages in a fixed order over a message plan. The student runs
-one packed BiLSTM batch over sentences of any lengths, and the arc and span
-scorers score every sentence of a batch in a fixed number of tape ops.
+scorers consume. The four tree teachers are one TeacherModel over one
+(is_word, ids, edges) view per sentence, its tree as (k, 2) edge rows (a
+binarized tree's are those its BinTree holds), stacked into one plan per
+`reps` call: each TreeLSTM layer direction is one tape op that runs the cell
+level by level across every tree of the batch (dynamic batching); each GCN
+layer is one tape op that sums every node's messages in a fixed order. The
+student runs one packed BiLSTM batch over sentences of any lengths, and the
+arc and span scorers score every sentence of a batch in a fixed number of
+tape ops.
 """
 from __future__ import annotations
 
@@ -741,9 +741,12 @@ class EncodedSide:
         return None if self.raw.dep is None else self.codec.dep_labels.encode(self.raw.dep.labels)
 
     @cached_property
-    def dep_gcn(self):
-        """Edge array of both dependency teachers: (dependent, head) rows."""
-        return None if self.raw.dep is None else dep_edges(self.raw.dep.heads)
+    def dep_view(self):
+        """(is_word, ids, edges) of both dependency teachers: every node is a
+        token, read by its token id; edges holds (dependent, head) rows."""
+        if self.raw.dep is None:
+            return None
+        return np.ones(self.n, dtype=bool), self.token_ids, dep_edges(self.raw.dep.heads)
 
     @cached_property
     def bintree(self):
@@ -841,19 +844,6 @@ class BaseModel:
             self.head = ClassifyHead(self.p, "head", rep_dim, self.codec.n_classes,
                                      self.rng, dtype=self.dtype)
 
-    def _node_rows(self, is_word, ids, train, rng) -> Tensor:
-        """Input rows of nodes that read a word (is_word) or a label
-        embedding, by id: word and label embeddings share one dropout and are
-        interleaved by one gather."""
-        x = _dropout(T.concat([T.embedding(self.emb, ids[is_word]),
-                               T.embedding(self.label_emb, ids[~is_word])], axis=0),
-                     train, rng)
-        n_words = int(is_word.sum())
-        order = np.empty(ids.size, dtype=np.int64)
-        order[is_word] = np.arange(n_words)
-        order[~is_word] = n_words + np.arange(ids.size - n_words)
-        return T.embedding(x, order)
-
     def batches(self, data):
         """Index chunks, in data order, that prediction runs through `logits`
         together."""
@@ -892,108 +882,93 @@ class BaseModel:
         return self.p.all()
 
 
-class DepTreeLstmModel(BaseModel):
+class TeacherModel(BaseModel):
+    """A tree teacher over one (is_word, ids, edges) view per sentence: word
+    embeddings (and, over constituency trees, label embeddings), `layers`,
+    and the task head. A TreeLSTM layer is an (up, down) pair of `cell`s; a
+    GCN layer (cell None) is one (W, b) gate, its width the embedding's."""
+
+    cell = None
+
+    def __init__(self, codec, emb_dim=300, hidden=300, n_layers=2, rng=None,
+                 dtype=np.float32):
+        super().__init__(codec, rng, dtype)
+        self.emb = self.p.add("emb", (len(codec.vocab), emb_dim), rng, dtype=dtype)
+        if self.structure == "con":
+            self.label_emb = self.p.add("label_emb", (len(codec.con_labels), emb_dim),
+                                        rng, dtype=dtype)
+        self.rep_dim = emb_dim if self.cell is None else 2 * hidden
+        self.layers = []
+        for l in range(n_layers):
+            if self.cell is None:
+                self.layers.append((
+                    self.p.add(f"l{l}/W", (emb_dim, emb_dim), rng, dtype=dtype),
+                    self.p.add(f"l{l}/b", (emb_dim,), init="zeros", dtype=dtype)))
+            else:
+                in_dim = emb_dim if l == 0 else 2 * hidden
+                self.layers.append(tuple(self.cell(self.p, f"l{l}/{d}", in_dim, hidden, rng,
+                                                   dtype=dtype) for d in ("up", "down")))
+        self._make_head(self.rep_dim)
+
+    def _encode(self, sides, views, train, rng):
+        """Stacked token rows of a batch of sides plus their row offsets, from
+        one view per side: node rows (word and label embeddings share one
+        dropout and are interleaved by one gather), one plan for the batch
+        that every layer reads, then the word nodes' rows. A dependency tree's
+        nodes are all words, so it skips the concat and both gathers."""
+        is_word, ids, edges = zip(*views)
+        sizes, ids = [i.size for i in ids], np.concatenate(ids)
+        if self.structure == "dep":
+            x = _dropout(T.embedding(self.emb, ids), train, rng)
+        else:
+            is_word = np.concatenate(is_word)
+            x = _dropout(T.concat([T.embedding(self.emb, ids[is_word]),
+                                   T.embedding(self.label_emb, ids[~is_word])], axis=0),
+                         train, rng)
+            order = np.empty_like(ids)  # each node's row in [words; labels]
+            order[np.argsort(~is_word, kind="stable")] = np.arange(ids.size)
+            x = T.embedding(x, order)
+        plan = (gcn_edges if self.cell is None else level_plans)(sizes, edges)
+        for layer in self.layers:
+            x = gcn_layer(x, plan, *layer) if self.cell is None else tree_encode(plan, x, *layer)
+        if self.structure == "con":
+            x = T.embedding(x, np.flatnonzero(is_word))
+        return x, offsets([s.n for s in sides])
+
+
+class DepTreeLstmModel(TeacherModel):
     """Bidirectional Child-Sum TreeLSTM over the dependency tree."""
 
     kind = "tlstm-dep"
     structure = "dep"
-
-    def __init__(self, codec, emb_dim=300, hidden=300, n_layers=2, rng=None,
-                 dtype=np.float32):
-        super().__init__(codec, rng, dtype)
-        self.emb = self.p.add("emb", (len(codec.vocab), emb_dim), rng, dtype=dtype)
-        self.cells = []
-        for l in range(n_layers):
-            in_dim = emb_dim if l == 0 else 2 * hidden
-            self.cells.append((
-                ChildSumCell(self.p, f"l{l}/up", in_dim, hidden, rng, dtype=dtype),
-                ChildSumCell(self.p, f"l{l}/down", in_dim, hidden, rng, dtype=dtype),
-            ))
-        self._make_head(2 * hidden)
-        self.rep_dim = 2 * hidden
+    cell = ChildSumCell
 
     def reps(self, sides, train=False, rng=None):
-        """Stacked token rows of a batch of sides plus their row offsets."""
-        ids = np.concatenate([s.token_ids for s in sides])
-        x = _dropout(T.embedding(self.emb, ids), train, rng)
-        plans = level_plans([s.n for s in sides], [s.dep_gcn for s in sides])
-        for up, down in self.cells:
-            x = tree_encode(plans, x, up, down)
-        return x, offsets([s.n for s in sides])  # dependency nodes are the tokens
+        return self._encode(sides, [s.dep_view for s in sides], train, rng)
 
 
-class ConTreeLstmModel(BaseModel):
+class ConTreeLstmModel(TeacherModel):
     """Bidirectional binary N-ary TreeLSTM over the binarized constituency tree."""
 
     kind = "tlstm-con"
     structure = "con"
-
-    def __init__(self, codec, emb_dim=300, hidden=300, n_layers=2, rng=None,
-                 dtype=np.float32):
-        super().__init__(codec, rng, dtype)
-        self.emb = self.p.add("emb", (len(codec.vocab), emb_dim), rng, dtype=dtype)
-        self.label_emb = self.p.add("label_emb", (len(codec.con_labels), emb_dim),
-                                    rng, dtype=dtype)
-        self.cells = []
-        for l in range(n_layers):
-            in_dim = emb_dim if l == 0 else 2 * hidden
-            self.cells.append((
-                NaryCell(self.p, f"l{l}/up", in_dim, hidden, rng, dtype=dtype),
-                NaryCell(self.p, f"l{l}/down", in_dim, hidden, rng, dtype=dtype),
-            ))
-        self._make_head(2 * hidden)
-        self.rep_dim = 2 * hidden
+    cell = NaryCell
 
     def reps(self, sides, train=False, rng=None):
-        """Stacked token rows of a batch of sides plus their row offsets."""
-        is_word, ids, trees = zip(*(s.con_tree for s in sides))
-        is_word = np.concatenate(is_word)
-        x = self._node_rows(is_word, np.concatenate(ids), train, rng)
-        plans = level_plans([i.size for i in ids], trees)
-        for up, down in self.cells:
-            x = tree_encode(plans, x, up, down)
-        return T.embedding(x, np.flatnonzero(is_word)), offsets([s.n for s in sides])
+        return self._encode(sides, [s.con_tree for s in sides], train, rng)
 
 
-class GcnModel(BaseModel):
+class GcnModel(TeacherModel):
     """Gated GCN over either syntactic graph; output width equals emb width."""
 
     def __init__(self, codec, structure, emb_dim=300, n_layers=2, rng=None,
                  dtype=np.float32):
-        super().__init__(codec, rng, dtype)
-        self.structure = structure
-        self.kind = f"gcn-{structure}"
-        self.emb = self.p.add("emb", (len(codec.vocab), emb_dim), rng, dtype=dtype)
-        if structure == "con":
-            self.label_emb = self.p.add("label_emb", (len(codec.con_labels), emb_dim),
-                                        rng, dtype=dtype)
-        self.layers = [
-            (self.p.add(f"l{l}/W", (emb_dim, emb_dim), rng, dtype=dtype),
-             self.p.add(f"l{l}/b", (emb_dim,), init="zeros", dtype=dtype))
-            for l in range(n_layers)
-        ]
-        self._make_head(emb_dim)
-        self.rep_dim = emb_dim
+        self.structure, self.kind = structure, f"gcn-{structure}"
+        super().__init__(codec, emb_dim, None, n_layers, rng, dtype)
 
     def reps(self, sides, train=False, rng=None):
-        """Stacked token rows of a batch of sides plus their row offsets; the
-        graphs of the batch form one message plan, which every layer reads.
-        A constituency graph's token rows are its word nodes."""
-        tok_off = offsets([s.n for s in sides])
-        if self.structure == "dep":
-            ids = np.concatenate([s.token_ids for s in sides])
-            h = _dropout(T.embedding(self.emb, ids), train, rng)
-            plan = gcn_edges([s.n for s in sides], [s.dep_gcn for s in sides])
-        else:
-            is_word, ids, trees = zip(*(s.con_gcn for s in sides))
-            is_word = np.concatenate(is_word)
-            h = self._node_rows(is_word, np.concatenate(ids), train, rng)
-            plan = gcn_edges([i.size for i in ids], trees)
-        for w, b in self.layers:
-            h = gcn_layer(h, plan, w, b)
-        if self.structure == "con":
-            h = T.embedding(h, np.flatnonzero(is_word))
-        return h, tok_off
+        return self._encode(sides, [s.dep_view if self.structure == "dep" else s.con_gcn
+                                    for s in sides], train, rng)
 
 
 class StudentModel(BaseModel):
@@ -1040,15 +1015,12 @@ class StudentModel(BaseModel):
 
 def make_teacher(kind, codec, emb_dim=300, hidden=300, n_layers=2, rng=None,
                  dtype=np.float32):
-    if kind == "tlstm-dep":
-        return DepTreeLstmModel(codec, emb_dim, hidden, n_layers, rng, dtype)
-    if kind == "tlstm-con":
-        return ConTreeLstmModel(codec, emb_dim, hidden, n_layers, rng, dtype)
-    if kind == "gcn-dep":
-        return GcnModel(codec, "dep", emb_dim, n_layers, rng, dtype)
-    if kind == "gcn-con":
-        return GcnModel(codec, "con", emb_dim, n_layers, rng, dtype)
-    raise ValueError(f"unknown teacher kind {kind!r}")
+    if kind in ("gcn-dep", "gcn-con"):
+        return GcnModel(codec, kind[4:], emb_dim, n_layers, rng, dtype)
+    if kind not in ("tlstm-dep", "tlstm-con"):
+        raise ValueError(f"unknown teacher kind {kind!r}")
+    tree = DepTreeLstmModel if kind == "tlstm-dep" else ConTreeLstmModel
+    return tree(codec, emb_dim, hidden, n_layers, rng, dtype)
 
 
 TEACHER_KINDS = ("tlstm-dep", "gcn-dep", "tlstm-con", "gcn-con")

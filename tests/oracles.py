@@ -413,13 +413,13 @@ def reference_reps(model, sides, train=False, rng=None):
         ids = np.concatenate([s.token_ids for s in sides])
         x = _dropout(T.embedding(model.emb, ids), train, rng)
         graphs = [dep_enc_graph(s.heads) for s in sides]
-        for up, down in model.cells:
+        for up, down in model.layers:
             x = reference_tree_encode(graphs, x, up, down)
         return x, offsets([s.n for s in sides])
     if model.kind == "tlstm-con":
         graphs, inputs = zip(*(_reference_con_tree(s) for s in sides))
         x = _reference_node_rows(model, inputs, train, rng)
-        for up, down in model.cells:
+        for up, down in model.layers:
             x = reference_tree_encode(graphs, x, up, down)
         node_off = offsets([len(g.children) for g in graphs])
         rows = np.concatenate([np.asarray(g.token_rows) + o

@@ -449,6 +449,26 @@ def test_incomplete_model_dir_is_one_json_error_line(workspace, tmp_path, capsys
     assert one_error_line(err) == message.format(model=model)
 
 
+@pytest.mark.parametrize("tags", [_DROP, None, []], ids=["absent", "null", "empty"])
+def test_tag_codec_without_tags_is_one_json_error_line(workspace, tmp_path, capsys, tags):
+    # every per-key rule passes these; eval used to die encoding the tags
+    model = tmp_path / "m"
+    shutil.copytree(workspace["teachers"].split(",")[0], model)
+    codec = json.loads((model / "codec.json").read_text())
+    codec["task"] = "tag"
+    if tags is _DROP:
+        del codec["tags"]
+    else:
+        codec["tags"] = tags
+    (model / "codec.json").write_text(json.dumps(codec))
+    rc, out, err = run(capsys, "eval", "--model", str(model), "--data",
+                       str(workspace["data"] / "test.jsonl"), "--out", str(tmp_path / "ev"))
+    assert rc == 1 and not out
+    assert "Traceback" not in err
+    assert one_error_line(err) == (f"{model}: codec.json key 'tags' invalid: expected a "
+                                   "non-empty list of strings for task 'tag'")
+
+
 @pytest.mark.parametrize("name", ["config.resolved.json", "codec.json"])
 def test_model_dir_file_that_is_not_json_is_one_json_error_line(workspace, tmp_path,
                                                                 capsys, name):

@@ -411,6 +411,22 @@ def test_gcn_teacher_tape_length_one_op_per_layer():
         assert len(set(two)) == 1 and [b - a for a, b in zip(two, three)] == [1, 1, 1], kind
 
 
+def test_teacher_reps_tape_length_is_pinned():
+    # one reps(train=True) over a batch of mixed lengths: the embedding and
+    # its dropout; per TreeLSTM layer the cells' fused-block concats (6
+    # Child-Sum, 10 N-ary), two level passes and their concat, per GCN layer
+    # one op; a constituency view adds the label embedding, the concat, the
+    # interleaving gather and the word gather, which a dependency view skips
+    data = [chain_example(1), star_example(9)] + D.gen_synthetic(8, seed=41, task="cls")
+    codec = E.Codec(data, "cls")
+    sides = [codec.encode(ex).main for ex in data]
+    for kind, ops in {"tlstm-dep": 20, "gcn-dep": 4, "tlstm-con": 32, "gcn-con": 8}.items():
+        model = E.make_teacher(kind, codec, emb_dim=6, hidden=5, rng=np.random.default_rng(0))
+        with T.Tape() as tape:
+            model.reps(sides, train=True, rng=np.random.default_rng(1))
+        assert len(tape) == ops, kind
+
+
 # ---------------------------------------------------------------------------
 # GCN
 
@@ -469,7 +485,7 @@ def gcn_batches():
     data = [chain_example(1), star_example(9)] + D.gen_synthetic(8, seed=41, task="cls")
     codec = E.Codec(data, "cls")
     sides = [codec.encode(ex).main for ex in data]
-    return {"dep": ([s.n for s in sides], [s.dep_gcn for s in sides]),
+    return {"dep": ([s.n for s in sides], [s.dep_view[2] for s in sides]),
             "con": ([s.con_gcn[0].size for s in sides], [s.con_gcn[2] for s in sides])}
 
 

@@ -262,14 +262,14 @@ def test_student_predict_ignores_trees():
     soft_con_targets(student.struct_heads["con"], main)
     views = {name for name, attr in vars(EncodedSide).items()
              if isinstance(attr, functools.cached_property)}
-    assert views >= {"heads", "dep_label_ids", "bintree", "con_tree", "con_gcn"}
+    assert views >= {"heads", "dep_label_ids", "dep_view", "bintree", "con_tree", "con_gcn"}
     for enc in encs:
         for side in (enc.main, enc.partner):
             assert not views & set(vars(side))
     # a teacher builds the views it reads, and only those
     gcn_dep = make_teacher("gcn-dep", codec, emb_dim=10, n_layers=1, rng=np.random.default_rng(2))
     predict(gcn_dep, encs[:1])
-    assert views & set(vars(encs[0].main)) == {"dep_gcn"}
+    assert views & set(vars(encs[0].main)) == {"dep_view"}
 
 
 def test_pair_and_tag_tasks_run():
