@@ -33,7 +33,7 @@ from .probe import (
     write_distribution,
 )
 from .structures import cyk_max, unbinarize  # noqa: F401 (cyk_max: perfbench/tracing.py)
-from .syntax_data import DataError, gen_synthetic, load_jsonl, render_bracketed, save_jsonl
+from .syntax_data import DataError, fresh, gen_synthetic, load_jsonl, render_bracketed, save_jsonl
 from .train import (
     RunLog,
     Schedule,
@@ -216,7 +216,7 @@ def write_resolved(out_dir, command, cfg, artifacts):
     payload = {"command": command, "config": dict(cfg)}
     if artifacts:
         payload["artifacts"] = artifacts
-    with open(os.path.join(out_dir, "config.resolved.json"), "w", encoding="utf-8") as fh:
+    with open(fresh(os.path.join(out_dir, "config.resolved.json")), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -226,7 +226,7 @@ def write_resolved(out_dir, command, cfg, artifacts):
 
 def save_model_dir(out_dir, model):
     save_checkpoint(os.path.join(out_dir, "model.syd1"), model.p.state_dict())
-    with open(os.path.join(out_dir, "codec.json"), "w", encoding="utf-8") as fh:
+    with open(fresh(os.path.join(out_dir, "codec.json")), "w", encoding="utf-8") as fh:
         json.dump(model.codec.to_json(), fh)
 
 
@@ -343,7 +343,7 @@ def cmd_train_teacher(cfg, out, explicit):
                          hidden=cfg["teacher_hidden"],
                          n_layers=cfg["teacher_layers"],
                          rng=np.random.default_rng(cfg["seed"]))
-    with RunLog(os.path.join(out, "log.jsonl")) as log:
+    with RunLog(fresh(os.path.join(out, "log.jsonl"))) as log:  # one run's rows
         state = train_teacher(model, train_encs, dev_encs, iters=cfg["iters"],
                               batch_size=cfg["batch"], lr=cfg["lr"],
                               eval_every=cfg["eval_every"],
@@ -407,7 +407,7 @@ def cmd_distill(cfg, out, explicit):
     student = StudentModel(codec, emb_dim=cfg["emb_dim"], hidden=cfg["hidden"],
                            n_layers=cfg["layers"],
                            rng=np.random.default_rng(cfg["seed"]))
-    with RunLog(os.path.join(out, "log.jsonl")) as log:
+    with RunLog(fresh(os.path.join(out, "log.jsonl"))) as log:  # one run's rows
         state = distill_student(student, teachers, train_encs, dev_encs,
                                 dcfg, sched, batch_size=cfg["batch"],
                                 lr=cfg["lr"], eval_every=cfg["eval_every"],
@@ -423,7 +423,7 @@ def cmd_eval(cfg, out, explicit):
     encs = _encode_all(model.codec, _load_examples(cfg, "data"))
     metrics = evaluate(model, encs)
     report = {"command": "eval", "data": cfg["data"], "n": len(encs), **metrics}
-    with open(os.path.join(out, "eval.json"), "w", encoding="utf-8") as fh:
+    with open(fresh(os.path.join(out, "eval.json")), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
     return report, None
 
@@ -444,7 +444,7 @@ def cmd_probe(cfg, out, explicit):
         scores, summary = syntax_distribution(model, dep_model, con_model, eval_encs)
         write_distribution(out, scores, summary)
         report["dominance"] = summary
-    with open(os.path.join(out, "probe.json"), "w", encoding="utf-8") as fh:
+    with open(fresh(os.path.join(out, "probe.json")), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
     return report, None
 
@@ -466,9 +466,9 @@ def cmd_induce(cfg, out, explicit):
             tree_lines[i] = render_bracketed(unbinarize(bt, encs[i].raw.sent.tokens))
     trees_path = os.path.join(out, "induced_trees.txt")
     heads_path = os.path.join(out, "induced_heads.txt")
-    with open(trees_path, "w", encoding="utf-8") as fh:
+    with open(fresh(trees_path), "w", encoding="utf-8") as fh:
         fh.write("\n".join(tree_lines) + "\n")
-    with open(heads_path, "w", encoding="utf-8") as fh:
+    with open(fresh(heads_path), "w", encoding="utf-8") as fh:
         fh.write("\n".join(head_lines) + "\n")
     return {"n": len(encs), "trees": trees_path, "heads": heads_path}, None
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .distill import ce_sum  # noqa: F401  (perfbench's tracer test reads probe.ce_sum)
-from .syntax_data import DataError
+from .syntax_data import DataError, fresh
 from .tensor import Adam
 
 PROBE_KINDS = ("constituent-labeling", "dependency-labeling")
@@ -179,12 +179,12 @@ def write_distribution(out_dir, scores, summary):
     """CSV histogram plus a JSON summary, consumed by external plotting."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "dominance_hist.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with open(fresh(csv_path), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_lo", "bin_hi", "count"])
         for row in summary["bins"]:
             writer.writerow([row["lo"], row["hi"], row["count"]])
     json_path = os.path.join(out_dir, "dominance_summary.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with open(fresh(json_path), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
     return csv_path, json_path

@@ -11,9 +11,12 @@ reader asks for a tree's root.
 from __future__ import annotations
 
 import json
+import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -326,6 +329,67 @@ def parse_bracketed(text):
     return trees
 
 
+# each byte's kind, as a bytes.translate table: 0 the ASCII whitespace that
+# str.split() splits on, 1 "(", 2 ")", 3 the "\x01" that ends a text, 4 other
+_KIND = bytes({40: 1, 41: 2, 1: 3}.get(c, 0 if c < 128 and chr(c).isspace() else 4)
+              for c in range(256))
+# _NEXT[a, b]: whether a token of kind b may follow one of kind a, a label (5)
+# being a name right after "(": "(" opens with a label, a label precedes a
+# subtree or the word its "(L w)" closes on, and a text ends at ")"
+_NEXT = np.zeros((6, 6), bool)
+_NEXT[(1, 5, 5, 4, 2, 2, 2, 3), (5, 1, 4, 2, 1, 2, 3, 1)] = True
+
+
+def _check_sides(sides):
+    """The con tree of each (heads, tree text) side, all checked at once: every
+    head list must be a tree, and every text ASCII and one tree of labeled
+    "(L w)" and "(L ...)" nodes. A DataError for anything else."""
+    heads, texts = zip(*sides)
+    # token t of list s is node base_s + t, and node 0 is every list's root:
+    # a token's 2^k-th ancestor is 0 unless the token is in a cycle
+    n = np.fromiter(map(len, heads), np.int64, len(heads))
+    h = np.fromiter(chain.from_iterable(heads), np.int64, n.sum())
+    joined = " \x01 ".join(texts) + " \x01"
+    if (not n.all() or ((h < 0) | (h > np.repeat(n, n))).any() or (h == 0).sum() != len(n)
+            or not joined.isascii() or joined.count("\x01") > len(texts)):
+        raise DataError("a side is not plain")
+    up = np.concatenate(([0], np.where(h > 0, h + np.repeat(np.cumsum(n) - n, n), 0)))
+    for _ in range(int(n.max()).bit_length()):
+        up = up[up]
+    # each token's kind: a token starts at each byte that is neither
+    # whitespace nor the continuation of a name, so a paren is one token
+    kind = np.frombuffer(f" {joined}".encode().translate(_KIND), np.int8)
+    name = kind == 4
+    kind = np.compress((kind[1:] > 0) & ~(name[1:] & name[:-1]), kind[1:])
+    label = np.flatnonzero(kind == 1) + 1
+    kind[label] += kind[label] == 4
+    o, c, word, end = kind == 1, kind == 2, kind == 4, kind == 3
+    depth = np.cumsum(o.view(np.int8) - c.view(np.int8), dtype=np.int32)
+    # each text is one tree: depth is 0 only at its last ")" and its end;
+    # int16 levels let the stable argsort below run as a radix sort
+    if (up.any() or not _NEXT.take(6 * kind[:-1] + kind[1:]).all()
+            or not np.array_equal(depth == 0, end | np.roll(end, -1)) or depth.max() >= 2 ** 15):
+        raise DataError("a side is not plain")
+    # each level's "(" and ")" alternate; a node's span closes at its ")"
+    paren, ends, closes = np.flatnonzero(o | c), np.flatnonzero(end), np.flatnonzero(c)
+    pairs = paren[np.argsort((depth[paren] + c[paren]).astype(np.int16), kind="stable")]
+    opening = np.empty(len(kind), np.int64)
+    opening[pairs[1::2]] = pairs[::2]
+    opening = opening[closes]
+    words = np.cumsum(word, dtype=np.int32)  # up to a token
+    first = np.concatenate(([0], words[ends]))  # before each text, and in all
+    base = first[np.searchsorted(ends, closes)]  # before the text of a ")"
+    names = joined.replace("(", " ").replace(")", " ").split()  # labels, words, ends
+    names = np.fromiter(names, object, len(names))
+    rank = np.cumsum(kind >= 3, dtype=np.int32) - 1  # of a token's name in names
+    spans = list(zip((words[opening] - base).tolist(), (words[closes] - base).tolist(),
+                     names[rank[opening + 1]].tolist()))
+    a, p = first.tolist(), [0, *np.searchsorted(closes, ends).tolist()]
+    words = names[rank[word]].tolist()
+    return [ConstTree._parsed(words[a[k]:a[k + 1]], spans[p[k]:p[k + 1]])
+            for k in range(len(texts))]
+
+
 def render_bracketed(tree: ConstTree) -> str:
     # a token opens the spans that start at it, outermost (latest in
     # post-order) first, and closes those that end right after it
@@ -563,13 +627,21 @@ def _field(d, key, where, item=None):
     return v
 
 
-def _sentence_from_fields(d, prefix, where):
+def _sentence_from_fields(d, prefix, where, batch=None):
+    """One side's sentence, dep tree and con tree. Given a batch list, the
+    heads and tree text go to it, to be checked with the file's others, and
+    the con tree is left None."""
     tokens = _field(d, prefix + "tokens", where, str)
     heads = _field(d, prefix + "dep_heads", where, int)
     labels = _field(d, prefix + "dep_labels", where, str)
     text = _field(d, prefix + "con_tree", where)
     if len(heads) != len(tokens):
         raise DataError(f"{where}: len(dep_heads) != len(tokens)")
+    if batch is not None and len(labels) == len(heads):  # else DepTree names the fault
+        batch.append((heads, text))
+        dep = DepTree.__new__(DepTree)
+        dep.heads, dep.labels = heads, labels
+        return Sentence(tokens), dep, None
     try:
         dep = DepTree(list(heads), list(labels))
         trees = parse_bracketed(text)
@@ -595,24 +667,30 @@ _PAYLOADS = {"tag": {"tags", "predicate"}, "cls": {"label"},
 _PAYLOAD_FIELDS = set().union(*_PAYLOADS.values())
 
 
-def example_from_dict(d: dict, where: str = "record") -> Example:
+def _record_example(d, where, batch=None):
+    """Record d's example, before Example.validate; batch as for
+    _sentence_from_fields."""
     if type(d) is not dict:
         raise DataError(f"{where}: record must be a JSON object")
-    sent, dep, con = _sentence_from_fields(d, "", where)
+    ex = Example(*_sentence_from_fields(d, "", where, batch))
     given = _PAYLOAD_FIELDS & d.keys()
     kind = "tag" if given & _PAYLOADS["tag"] else "pair" if given - {"label"} else "cls"
     if given != _PAYLOADS[kind]:
         missing, stray = _PAYLOADS[kind] - given, given - _PAYLOADS[kind]
         raise DataError(f"{where}: {kind} payload " + (
             f"missing {min(missing)!r}" if missing else f"with stray field {min(stray)!r}"))
-    ex = Example(sent, dep, con)
     if kind == "tag":
         ex.tags = list(_field(d, "tags", where, str))
         ex.predicate = _index(d, "predicate", where)
     else:
         if kind == "pair":
-            ex.partner = Example(*_sentence_from_fields(d, "pair_", where))
+            ex.partner = Example(*_sentence_from_fields(d, "pair_", where, batch))
         ex.label = _index(d, "label", where)
+    return ex
+
+
+def example_from_dict(d: dict, where: str = "record") -> Example:
+    ex = _record_example(d, where)
     try:
         ex.validate()
     except DataError as e:
@@ -620,13 +698,39 @@ def example_from_dict(d: dict, where: str = "record") -> Example:
     return ex
 
 
+def fresh(path):
+    """path, with any file there unlinked: truncating a non-empty file in
+    place, or renaming over it, can stall a write for tens of ms on ext4."""
+    with suppress(FileNotFoundError):
+        os.unlink(path)
+    return path
+
+
 def save_jsonl(examples, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(fresh(path), "w", encoding="utf-8") as fh:
         for ex in examples:
             fh.write(json.dumps(example_to_dict(ex), ensure_ascii=False) + "\n")
 
 
 def load_jsonl(path):
+    """The examples of a JSONL file, each record's fields checked as
+    example_from_dict checks them and all its head lists and tree texts at
+    once. A file that this cannot prove well-formed is read again record by
+    record, which raises the first fault with its line."""
+    batch = []
+    # a DataError, bad JSON or UTF-8 (ValueErrors), a head past int64 or JSON
+    # nested too deep all send the file to the record-by-record reading
+    with suppress(ValueError, OverflowError, RecursionError):
+        with open(path, encoding="utf-8") as fh:
+            examples = [_record_example(json.loads(s), f"line {ln}", batch)
+                        for ln, s in enumerate(map(str.strip, fh.read().split("\n")), 1) if s]
+        trees = iter(_check_sides(batch))
+        for ex in examples:
+            ex.con = next(trees)
+            if ex.partner is not None:
+                ex.partner.con = next(trees)
+            ex.validate()
+        return examples
     out = []
     with open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):

@@ -41,7 +41,7 @@ from .distill import (
     total_loss,
 )
 from .encoders import offsets
-from .syntax_data import MASK, DataError
+from .syntax_data import MASK, DataError, fresh
 from .tensor import Adam, Tensor
 
 
@@ -80,7 +80,7 @@ VERSION = 1
 def save_checkpoint(path, state: dict):
     """Binary named-array store: magic, version byte, then per array the
     name length, UTF-8 name, rank, dims and a little-endian f32 payload."""
-    with open(path, "wb") as fh:
+    with open(fresh(path), "wb") as fh:
         fh.write(MAGIC)
         fh.write(bytes([VERSION]))
         for name, arr in state.items():
@@ -454,7 +454,7 @@ def save_run_state(run_dir, model, state: RunState):
         "adam_skipped": adam_state.get("skipped", 0),
         "lr": state.adam.lr if state.adam is not None else None,
     }
-    with open(os.path.join(run_dir, "state.json"), "w", encoding="utf-8") as fh:
+    with open(fresh(os.path.join(run_dir, "state.json")), "w", encoding="utf-8") as fh:
         json.dump(meta, fh)
 
 

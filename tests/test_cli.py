@@ -761,6 +761,36 @@ def test_every_command_writes_one_report_line_and_its_resolved_config(
     assert resolved.get("artifacts") == artifacts
 
 
+@pytest.mark.parametrize("command", [*cli.COMMANDS, "probe-dominance"])
+def test_rerun_replaces_every_file_and_ends_as_a_fresh_dir(workspace, tmp_path, capsys,
+                                                           command):
+    # a rerun into the same --out unlinks each file it writes and writes it
+    # anew rather than truncating it in place: a hard link taken before the
+    # rerun keeps the old file, and the dir ends as one run leaves a fresh dir
+    # (log.jsonl holds that run's rows only)
+    out = tmp_path / "out"
+    if command == "probe-dominance":
+        teachers = workspace["teachers"].split(",")
+        argv = [*_contract_argv("probe", workspace, tmp_path, out),
+                "--dep-only", teachers[0], "--con-only", teachers[2]]
+    else:
+        argv = _contract_argv(command, workspace, tmp_path, out)
+    assert main(argv) == 0
+    first = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    for name in first:
+        os.link(out / name, tmp_path / f"{name}.before")
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == first
+    for name in first:
+        assert not os.path.samefile(out / name, tmp_path / f"{name}.before"), name
+    assert {"gen-data": {"train.jsonl"}, "train-teacher": {"model.syd1", "log.jsonl"},
+            "distill": {"codec.json", "log.jsonl"}, "eval": {"eval.json"},
+            "probe": {"probe.json"}, "induce": {"induced_trees.txt", "induced_heads.txt"},
+            "probe-dominance": {"dominance_hist.csv", "dominance_summary.json"},
+            }[command] | {"config.resolved.json"} <= set(first)
+
+
 @pytest.fixture(scope="module")
 def model_dirs(workspace, tmp_path_factory):
     """A model dir of every layout: each teacher kind without and with a

@@ -1,6 +1,7 @@
 """Dataset model, parsers, synthetic generator, JSONL round trip."""
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -478,28 +479,163 @@ def test_jsonl_field_types_checked(tmp_path, key, value, message):
     assert str(err.value) == f"line 2: {message}"
 
 
+def _load_record_by_record(path):
+    """load_jsonl's reference: example_from_dict over each non-blank line."""
+    out = []
+    for ln, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+        if line.strip():
+            try:
+                d = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise D.DataError(f"line {ln}: invalid JSON ({e.msg})") from None
+            out.append(D.example_from_dict(d, where=f"line {ln}"))
+    return out
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except D.DataError as e:
+        return str(e)
+
+
 def test_jsonl_mutated_records_load_equal_or_name_their_line(tmp_path):
     # every mutant either loads as exactly the record written (an unknown
-    # field aside) or fails as a DataError naming its line
+    # field aside) or fails as a DataError naming its line, and either way
+    # as the record-by-record reference does, wherever the mutant sits
     rng = np.random.default_rng(29)
     p = tmp_path / "mutant.jsonl"
     loaded = failed = 0
     for task in ("cls", "pair", "tag"):
-        first, record = (D.example_to_dict(ex) for ex in D.gen_synthetic(2, seed=8, task=task))
-        for mutant in record_mutants(record, rng):
-            p.write_text(json.dumps(first) + "\n" + json.dumps(mutant) + "\n",
-                         encoding="utf-8")
-            try:
-                _, ex = D.load_jsonl(p)
-            except D.DataError as e:
-                assert str(e).startswith("line 2: "), (mutant, str(e))
+        good = [D.example_to_dict(ex) for ex in D.gen_synthetic(3, seed=8, task=task)]
+        for i, mutant in enumerate(record_mutants(good[1], rng)):
+            k = i % 3  # the mutant takes line k + 1
+            lines = good[:k] + [mutant] + good[k + 1:]
+            p.write_text("".join(json.dumps(d) + "\n" for d in lines), encoding="utf-8")
+            got = _outcome(D.load_jsonl, p)
+            assert got == _outcome(_load_record_by_record, p), mutant
+            if isinstance(got, str):
+                assert got.startswith(f"line {k + 1}: "), (mutant, got)
                 failed += 1
                 continue
             mutant.pop("note", None)
-            assert (json.dumps(D.example_to_dict(ex), sort_keys=True)
+            assert (json.dumps(D.example_to_dict(got[k]), sort_keys=True)
                     == json.dumps(mutant, sort_keys=True)), mutant
             loaded += 1
     assert loaded > 50 and failed > 600
+
+
+def _mutate_text(rng, text):
+    """text with one to three random edits (a paren, space, word, control
+    character or newline put in, a character dropped, or a stretch cut), or
+    with one that keeps its leaves: a preterminal "(L w)" made a bare word,
+    wrapped unlabeled, followed by an empty node or merged with the next, or
+    a ")" moved."""
+    edit = int(rng.integers(10))
+    if edit < 5:
+        pre = r"\((\S+) ([^\s()]+)\)"
+        found = list(re.finditer(f"{pre} {pre}" if edit == 3 else pre, text))
+        if not found:
+            return text
+        m = found[int(rng.integers(len(found)))]
+        new = (f"({m[1]} {m[2]} {m[4]})" if edit == 3
+               else [m[2], f"( {m[0]} )", f"{m[0]} (X )", None, f"{m[0]})"][edit])
+        return text[:m.start()] + new + text[m.end():len(text) - (edit == 4)]
+    pieces = ["(", ")", " ", "  ", "x", "NP", "\t", "\x1c", "\x0b", "\u00a0", "\u2003",
+              "\x01", "é", "((", "))", "\n"]
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = sorted(int(x) for x in rng.integers(len(text) + 1, size=2))
+        op = rng.random()
+        if op < 0.4:
+            text = text[:i] + pieces[int(rng.integers(len(pieces)))] + text[i:]
+        elif op < 0.8:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + text[j:]
+    return text
+
+
+def test_jsonl_mutated_trees_and_heads_load_like_record_by_record(tmp_path):
+    # the batched pass parses all trees and checks all head lists of a file
+    # at once; whatever a record's tree or heads hold, the file loads to the
+    # examples, or fails with the message, of the record-by-record reference
+    rng = np.random.default_rng(31)
+    p = tmp_path / "mutant.jsonl"
+    outcomes = {"loaded": 0, "failed": 0}
+    for trial in range(450):
+        task = ("cls", "pair", "tag")[trial % 3]
+        records = [D.example_to_dict(ex) for ex in D.gen_synthetic(4, seed=trial, task=task)]
+        d = records[int(rng.integers(4))]
+        side = "pair_" if task == "pair" and rng.random() < 0.5 else ""
+        r = rng.random()
+        if r < 0.55:
+            d[side + "con_tree"] = _mutate_text(rng, d[side + "con_tree"])
+        elif r < 0.65:
+            d[side + "con_tree"] = "( " + d[side + "con_tree"] + " )"  # a PTB wrapper
+        elif r < 0.75:
+            d[side + "con_tree"] = random_bracketed(rng)
+        elif r < 0.95:
+            heads = d[side + "dep_heads"]
+            heads[int(rng.integers(len(heads)))] = (int(rng.integers(-1, len(heads) + 2))
+                                                    if rng.random() < 0.9 else 10 ** 30)
+        else:
+            d[side + "dep_labels"] = d[side + "dep_labels"][:-1]
+        p.write_text("".join(json.dumps(x, ensure_ascii=trial % 2 == 0) + "\n"
+                             for x in records), encoding="utf-8")
+        got = _outcome(D.load_jsonl, p)
+        assert got == _outcome(_load_record_by_record, p), d
+        outcomes["failed" if isinstance(got, str) else "loaded"] += 1
+    assert outcomes["loaded"] > 80 and outcomes["failed"] > 250, outcomes
+
+
+@pytest.mark.parametrize("task", ["cls", "pair", "tag"])
+@pytest.mark.parametrize("max_len", [12, 20])
+def test_jsonl_batched_load_equals_record_by_record(tmp_path, task, max_len):
+    p = tmp_path / "corpus.jsonl"
+    D.save_jsonl(D.gen_synthetic(60, max_len=max_len, seed=37, task=task), p)
+    want = _load_record_by_record(p)
+    assert D.load_jsonl(p) == want
+    # PTB wrappers "( (S ...) )" and extra spacing load the same
+    p.write_text("".join(json.dumps({k: f"( {v.replace(' ', '  ')} )" if k.endswith("con_tree")
+                                     else v for k, v in json.loads(line).items()}) + "\n"
+                         for line in p.read_text(encoding="utf-8").splitlines()),
+                 encoding="utf-8")
+    assert D.load_jsonl(p) == _load_record_by_record(p) == want
+
+
+@pytest.mark.parametrize("texts, tokens", [
+    # non-ASCII whitespace splits words for the parser: "a\u2003b" is two
+    (["(S (A a\u2003b))"], [["a"]]),
+    (["(S (A a\u00a0b))"], [["a"]]),
+    # a text holding the batched pass's own text separator
+    (["(A a) \x01 (B b)", "(B b)"], [["a"], ["b"]]),
+])
+def test_jsonl_batch_reads_odd_texts_as_the_parser_does(tmp_path, texts, tokens):
+    p = tmp_path / "odd.jsonl"
+    p.write_text("".join(json.dumps({"tokens": t, "dep_heads": [0], "dep_labels": ["root"],
+                                     "con_tree": text, "label": 0}) + "\n"
+                         for text, t in zip(texts, tokens)), encoding="utf-8")
+    want = _outcome(_load_record_by_record, p)
+    assert isinstance(want, str) and _outcome(D.load_jsonl, p) == want
+
+
+def test_jsonl_well_formed_corpus_never_takes_the_record_by_record_path(tmp_path,
+                                                                        monkeypatch):
+    def record_by_record(d, where="record"):
+        raise AssertionError(f"{where} was read record by record")
+
+    paths = []
+    for task in ("cls", "pair", "tag"):
+        paths.append(tmp_path / f"{task}.jsonl")
+        D.save_jsonl(D.gen_synthetic(40, max_len=20, seed=41, task=task), paths[-1])
+    # a chain as deep as its 33 tokens: the ancestor walk must reach its root
+    chain = D.Example(D.Sentence(["w"] * 33), D.DepTree(list(range(33)), ["dep"] * 33),
+                      D.parse_bracketed("(S" + " (A w)" * 33 + ")")[0], label=0)
+    paths.append(tmp_path / "chain.jsonl")
+    D.save_jsonl([chain] + D.gen_synthetic(3, seed=43), paths[-1])
+    want = [_load_record_by_record(p) for p in paths]
+    monkeypatch.setattr(D, "example_from_dict", record_by_record)
+    assert [D.load_jsonl(p) for p in paths] == want
 
 
 # ---------------------------------------------------------------------------
