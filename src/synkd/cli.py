@@ -2,10 +2,10 @@
 evaluation, probing and structure induction.
 
 Configuration comes from an optional JSON file (--config) merged with flag
-overrides; ablation matrices are scripted by varying the JSON. Every command
-writes a ``config.resolved.json`` with the effective values into its output
-directory, and every failure produces a single machine-parseable JSON line on
-stderr plus a nonzero exit code.
+overrides; ablation matrices are scripted by varying the JSON. A command
+takes, checks and writes to the ``config.resolved.json`` of its output
+directory only the keys it reads (``COMMANDS``), and every failure produces a
+single machine-parseable JSON line on stderr plus a nonzero exit code.
 """
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ def _is_num(v):
 
 
 # A rule is (predicate, requirement named when the predicate fails, argparse
-# options of the key's flag).
+# options of the key's flag, or None for a key no command takes as a flag).
 
 def _at_least(lo):
     return lambda v: _is_int(v) and v >= lo, f"integer >= {lo}", {"type": int}
@@ -117,8 +117,7 @@ CONFIG = {
     "lambda2": (0.2, *WEIGHT),
     "zeta": (0.2, *WEIGHT),
     "alpha_fixed": (None, *_optional(UNIT)),
-    # config-only: no command takes it as a flag
-    "mask_ratio": (0.15, lambda v: _is_num(v) and 0.0 < v < 1.0, "in (0, 1)", {}),
+    "mask_ratio": (0.15, lambda v: _is_num(v) and 0.0 < v < 1.0, "in (0, 1)", None),
     # schedule / optimization; a null lr takes the command's default
     "iters": (10_000, *_at_least(1)),
     "g1": (300, *_at_least(1)),
@@ -154,43 +153,52 @@ CODEC_KEYS = {"task": _one_of(("cls", "pair", "tag")), "vocab": STRINGS, "dep_la
 
 _SCHEDULE = "iters batch lr eval_every patience"
 
-# command: (help, the keys it takes as flags besides seed/task/out, its defaults)
+# command: (help, every config key it reads, its defaults); the one list of the
+# keys a command takes (as flags, but for config-only ones), checks and records
 COMMANDS = {
     "gen-data": ("write synthetic train/dev/test JSONL",
-                 "n n_dev n_test max_len grammar_size", {}),
+                 "seed task out n n_dev n_test max_len grammar_size", {}),
     "train-teacher": ("supervised tree-teacher pre-training",
-                      f"kind train dev {_SCHEDULE} teacher_emb teacher_hidden "
+                      f"seed task out kind train dev {_SCHEDULE} teacher_emb teacher_hidden "
                       "teacher_layers co_train_struct", {"iters": 2000, "lr": 1e-3}),
     "distill": ("distill frozen teachers into the student",
-                "train dev teachers teacher_mode emb_dim hidden layers mode eta lambda1 "
-                f"lambda2 zeta alpha_fixed g1 g2 {_SCHEDULE}",
+                "seed task out train dev teachers teacher_mode emb_dim hidden layers mode "
+                f"eta lambda1 lambda2 zeta alpha_fixed mask_ratio g1 g2 {_SCHEDULE}",
                 {"lr": 1e-5}),
-    "eval": ("metrics of a saved model on a dataset", "model data", {}),
+    "eval": ("metrics of a saved model on a dataset", "out model data", {}),
     "probe": ("linear probes and dominance analysis",
-              "model train data probe_task probe_iters dep_only con_only", {}),
-    "induce": ("emit induced trees and head lists", "model data", {}),
+              "seed out model train data probe_task probe_iters dep_only con_only", {}),
+    "induce": ("emit induced trees and head lists", "out model data", {}),
 }
 
 
 def resolve(args, command):
-    """Defaults < per-command defaults < JSON config < explicit flags.
+    """Every key `command` reads: defaults < per-command defaults < JSON
+    config < explicit flags.
 
     Returns the effective config plus the set of keys the user set
     explicitly (anything else may be adapted, e.g. schedule defaults for
     short runs).
     """
-    command_defaults = COMMANDS[command][2]
-    cfg = {key: default for key, (default, *_) in CONFIG.items()}
-    cfg.update(command_defaults)
+    _, keys, command_defaults = COMMANDS[command]
+    cfg = {key: command_defaults.get(key, CONFIG[key][0]) for key in keys.split()}
     explicit = set()
     config_path = getattr(args, "config", None)
     if config_path:
         loaded = _read_json(config_path, "config file")
         if "command" in loaded and isinstance(loaded.get("config"), dict):
-            loaded = loaded["config"]  # a config.resolved.json round-trips
+            # a config.resolved.json replays its own command only; one written
+            # before each command recorded its own keys holds every command's
+            if loaded["command"] != command:
+                raise CliError(f"config {config_path} records a {loaded['command']!r} run, "
+                               f"not {command!r}")
+            loaded = {k: v for k, v in loaded["config"].items() if k in cfg or k not in CONFIG}
+        for key in loaded:
+            if key not in CONFIG:
+                raise CliError(f"config {config_path}: unknown key {key!r}")
         for key in loaded:
             if key not in cfg:
-                raise CliError(f"config {config_path}: unknown key {key!r}")
+                raise CliError(f"config {config_path}: key {key!r} is not read by {command}")
         cfg.update(loaded)
         explicit.update(loaded)
     for key, val in vars(args).items():
@@ -201,7 +209,7 @@ def resolve(args, command):
         _, pred, req, _ = CONFIG[key]
         if not pred(val):
             raise CliError(f"config key {key!r}={val!r} invalid: expected {req}")
-    if cfg["lr"] is None:
+    if "lr" in cfg and cfg["lr"] is None:
         cfg["lr"] = command_defaults.get("lr")
     return cfg, explicit
 
@@ -212,11 +220,19 @@ def need(cfg, key):
     return cfg[key]
 
 
-def write_resolved(out_dir, command, cfg, artifacts):
+def _check_out(cfg, out):
+    """Refuse an --out that is a model dir the run would overwrite."""
+    read = [cfg[key] for key in ("model", "dep_only", "con_only") if key in cfg]
+    for d in read + (_teacher_dirs(cfg) if "teachers" in cfg else []):
+        if d and os.path.realpath(d) == os.path.realpath(out):
+            raise CliError(f"--out {out} is the model dir {d} this command reads")
+
+
+def write_resolved(path, command, cfg, artifacts):
     payload = {"command": command, "config": dict(cfg)}
     if artifacts:
         payload["artifacts"] = artifacts
-    with open(fresh(os.path.join(out_dir, "config.resolved.json")), "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -354,17 +370,21 @@ def cmd_train_teacher(cfg, out, explicit):
             {"model_kind": kind})
 
 
+def _teacher_dirs(cfg):
+    spec = cfg["teachers"] or []
+    return [d.strip() for d in (spec.split(",") if isinstance(spec, str) else spec)]
+
+
 def _load_teachers(cfg):
     """The frozen teachers and their codec, the first teacher's; (None, None)
     when no teacher is named."""
-    spec = cfg["teachers"]
-    if not spec:
+    dirs = _teacher_dirs(cfg)
+    if not dirs:
         return None, None
-    dirs = [d.strip() for d in (spec.split(",") if isinstance(spec, str) else spec)]
     dep, con, codec = [], [], None
     for d in dirs:
         if not d:
-            raise CliError(f"--teachers {spec!r} has an empty entry")
+            raise CliError(f"--teachers {cfg['teachers']!r} has an empty entry")
         model = load_model_dir(d)
         if model.kind not in TEACHER_KINDS:
             raise CliError(f"{d}: not a teacher checkpoint ({model.kind!r})")
@@ -488,8 +508,9 @@ def build_parser():
     for command, (text, keys, _) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config file")
-        for key in ("seed", "task", "out", *keys.split()):
-            p.add_argument("--" + key.replace("_", "-"), **CONFIG[key][3])
+        for key in keys.split():
+            if CONFIG[key][3] is not None:
+                p.add_argument("--" + key.replace("_", "-"), **CONFIG[key][3])
     return parser
 
 
@@ -507,10 +528,13 @@ def main(argv=None) -> int:
     try:
         cfg, explicit = resolve(args, args.command)
         out = need(cfg, "out")
+        _check_out(cfg, out)
         os.makedirs(out, exist_ok=True)
+        # a failed run leaves no resolved config to mark its dir as finished
+        resolved = fresh(os.path.join(out, "config.resolved.json"))
         # looked up by name on every call, so a rebound cli.cmd_* is the one called
         report, artifacts = globals()["cmd_" + args.command.replace("-", "_")](cfg, out, explicit)
-        write_resolved(out, args.command, cfg, artifacts)
+        write_resolved(resolved, args.command, cfg, artifacts)
     except CliError as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 1

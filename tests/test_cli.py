@@ -172,6 +172,29 @@ def test_resolved_config_reproduces_run(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_resolved_config_with_every_command_keys_replays(workspace, tmp_path, capsys):
+    # runs before each command recorded only its own keys wrote all CONFIG keys;
+    # the replay skips the other commands' keys and records only its own
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(distill_args(workspace, out1)) == 0
+    old = _pad_to_every_key(shutil.copytree(out1, tmp_path / "old"))
+    assert main(["distill", "--config", os.path.join(old, "config.resolved.json"),
+                 "--out", str(out2)]) == 0
+    assert (out1 / "model.syd1").read_bytes() == (out2 / "model.syd1").read_bytes()
+    configs = [json.loads((o / "config.resolved.json").read_text())["config"]
+               for o in (out1, out2)]
+    assert configs[1] == {**configs[0], "out": str(out2)}
+    capsys.readouterr()
+
+
+def test_resolved_config_replays_only_its_own_command(workspace, tmp_path, capsys):
+    resolved = os.path.join(workspace["teachers"].split(",")[0], "config.resolved.json")
+    rc, out, err = run(capsys, "distill", "--config", resolved, "--out", str(tmp_path / "s"))
+    assert rc == 1 and not out
+    assert one_error_line(err) == f"config {resolved} records a 'train-teacher' run, not 'distill'"
+    assert not (tmp_path / "s").exists()
+
+
 def test_distill_zero_lambdas_zero_components(workspace, tmp_path, capsys):
     out = tmp_path / "zl"
     rc, _, _ = run(capsys, *distill_args(workspace, out, "--lambda1", "0",
@@ -586,11 +609,37 @@ def test_invalid_range_rejected(tmp_path, capsys):
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
-    cfg.write_text('{"mystery": 3}')
-    rc, _, err = run(capsys, "gen-data", "--config", str(cfg),
-                     "--out", str(tmp_path / "x"))
-    assert rc == 1
-    assert "mystery" in json.loads(err.strip().splitlines()[-1])["error"]
+    # a key no command reads is named before one that only another command reads
+    for text in ('{"mystery": 3}', '{"eta": 1, "mystery": 3}'):
+        cfg.write_text(text)
+        for command in ("gen-data", "eval"):
+            rc, _, err = run(capsys, command, "--config", str(cfg),
+                             "--out", str(tmp_path / "x"))
+            assert rc == 1
+            assert one_error_line(err) == f"config {cfg}: unknown key 'mystery'"
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("eval", "eta", 0.1), ("eval", "probe_iters", 5), ("eval", "seed", 1),
+    ("induce", "task", "classify"), ("probe", "task", "pair"), ("gen-data", "mask_ratio", 0.1),
+])
+def test_config_key_the_command_does_not_read_is_one_json_error_line(tmp_path, capsys,
+                                                                     command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc, out, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert rc == 1 and not out
+    assert one_error_line(err) == f"config {cfg}: key {key!r} is not read by {command}"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("eval", "--seed"), ("eval", "--task"),
+                                           ("induce", "--seed"), ("induce", "--task"),
+                                           ("probe", "--task")])
+def test_flag_the_command_does_not_read_is_unknown(tmp_path, capsys, command, flag):
+    rc, out, err = run(capsys, command, flag, "1", "--out", str(tmp_path / "x"))
+    assert rc == 2 and not out
+    assert f"unrecognized arguments: {flag} 1" in one_error_line(err)
 
 
 # one wrongly typed value per config key, run by a command that reads the key
@@ -629,9 +678,12 @@ def test_mistyped_config_value_is_one_json_error_line(tmp_path, capsys, key):
 def test_null_lr_takes_the_command_default(tmp_path):
     cfg = tmp_path / "lr.json"
     cfg.write_text('{"lr": null}')
-    for command, lr in (("train-teacher", 1e-3), ("distill", 1e-5), ("eval", None)):
+    for command, lr in (("train-teacher", 1e-3), ("distill", 1e-5)):
         args = build_parser().parse_args([command, "--config", str(cfg)])
         assert resolve(args, command)[0]["lr"] == lr
+    # eval reads no lr, so a config that sets one is refused
+    with pytest.raises(cli.CliError, match="key 'lr' is not read by eval"):
+        resolve(build_parser().parse_args(["eval", "--config", str(cfg)]), "eval")
 
 
 def test_mistyped_label_is_one_json_error_line(tmp_path, capsys):
@@ -791,6 +843,94 @@ def test_rerun_replaces_every_file_and_ends_as_a_fresh_dir(workspace, tmp_path, 
             }[command] | {"config.resolved.json"} <= set(first)
 
 
+class _ReadKeys(dict):
+    """A config that records each key read from it into `reads`."""
+
+    def __init__(self, cfg, reads):
+        super().__init__(cfg)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_command_reads_and_records_exactly_the_keys_it_declares(workspace, tmp_path, capsys,
+                                                                  monkeypatch, command):
+    # a declared key that the run never reads is a knob that changes nothing
+    argv = _contract_argv(command, workspace, tmp_path, tmp_path / "out")
+    reads, ran = set(), set()
+    resolve_all, run_command = cli.resolve, getattr(cli, "cmd_" + command.replace("-", "_"))
+
+    def recording(args, name):
+        cfg, explicit = resolve_all(args, name)
+        return _ReadKeys(cfg, reads), explicit
+
+    def recording_run(cfg, out, explicit):
+        # only the command's own reads count: main reads "out" for every command,
+        # and reads the model dirs it checks --out against before the command runs
+        reads.clear()
+        result = run_command(cfg, out, explicit)
+        ran.update(reads)
+        return result
+
+    monkeypatch.setattr(cli, "resolve", recording)
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), recording_run)
+    assert main(argv) == 0
+    capsys.readouterr()
+    resolved = json.loads((tmp_path / "out" / "config.resolved.json").read_text())
+    assert ran | {"out"} == set(cli.COMMANDS[command][1].split()) == set(resolved["config"])
+
+
+@pytest.mark.parametrize("case", ["eval", "eval-dot", "eval-link", "distill-teacher",
+                                  "probe-dep-only", "probe-con-only"])
+def test_out_that_is_a_model_dir_the_run_reads_is_refused_untouched(workspace, tmp_path,
+                                                                    capsys, case):
+    teachers = workspace["teachers"].split(",")
+    data = workspace["data"]
+    model = tmp_path / "m"
+    shutil.copytree(teachers[1], model)
+    out = str(model)
+    if case == "eval-dot":
+        out = os.path.join(out, ".")
+    elif case == "eval-link":
+        out = str(tmp_path / "link")
+        os.symlink(model, out)
+    probe = ["probe", "--model", teachers[1], "--probe-task", "dependency-labeling",
+             "--train", str(data / "train.jsonl"), "--data", str(data / "test.jsonl"),
+             "--out", out]
+    argv = {"distill-teacher": distill_args({**workspace, "teachers": f"{teachers[0]},{model}"},
+                                            out),
+            "probe-dep-only": [*probe, "--dep-only", str(model), "--con-only", teachers[2]],
+            "probe-con-only": [*probe, "--dep-only", teachers[0], "--con-only", str(model)],
+            }.get(case, ["eval", "--model", str(model), "--data", str(data / "test.jsonl"),
+                         "--out", out])
+    before = {name: ((model / name).read_bytes(), os.stat(model / name).st_ino)
+              for name in os.listdir(model)}
+    rc, stdout, err = run(capsys, *argv)
+    assert rc == 1 and not stdout
+    assert one_error_line(err) == f"--out {out} is the model dir {model} this command reads"
+    assert {name: ((model / name).read_bytes(), os.stat(model / name).st_ino)
+            for name in os.listdir(model)} == before
+
+
+def test_failed_rerun_leaves_no_resolved_config(workspace, tmp_path, capsys):
+    # config.resolved.json marks a finished run, so a failed rerun must not keep the old one
+    out, model = tmp_path / "ev", workspace["teachers"].split(",")[1]
+    assert main(["eval", "--model", model, "--data", str(workspace["data"] / "test.jsonl"),
+                 "--out", str(out)]) == 0
+    assert (out / "config.resolved.json").exists()
+    missing = str(tmp_path / "missing.jsonl")
+    rc, _, err = run(capsys, "eval", "--model", model, "--data", missing, "--out", str(out))
+    assert rc == 1 and one_error_line(err) == f"data file not found: {missing}"
+    assert not (out / "config.resolved.json").exists()
+
+
 @pytest.fixture(scope="module")
 def model_dirs(workspace, tmp_path_factory):
     """A model dir of every layout: each teacher kind without and with a
@@ -852,6 +992,49 @@ def test_model_dir_ignores_keys_that_named_its_optional_parts(workspace, model_d
     assert reports[0] == reports[1]
 
 
+def _pad_to_every_key(model_dir):
+    """The model dir, its config.resolved.json rewritten as runs wrote it before
+    each command recorded only its own keys: every CONFIG key, the others at
+    their defaults."""
+    resolved = os.path.join(model_dir, "config.resolved.json")
+    with open(resolved, encoding="utf-8") as fh:
+        meta = json.load(fh)
+    meta["config"] = {**{key: default for key, (default, *_) in CONFIG.items()},
+                      **meta["config"]}
+    with open(resolved, "w", encoding="utf-8") as fh:
+        json.dump(meta, fh)
+    return str(model_dir)
+
+
+@pytest.mark.parametrize("command, name, made", [
+    ("eval", "tlstm-con", "eval.json"), ("eval", "student-A", "eval.json"),
+    ("probe", "student-B", "probe.json"), ("induce", "student-B", "induced_trees.txt"),
+    ("distill", None, "model.syd1"),
+])
+def test_model_dirs_that_hold_every_command_keys_still_load(workspace, model_dirs, tmp_path,
+                                                            capsys, command, name, made):
+    data = workspace["data"]
+    made_bytes = []
+    for padded in (False, True):
+        dirs = workspace["teachers"].split(",") if name is None else [model_dirs[name]]
+        if padded:
+            dirs = [_pad_to_every_key(shutil.copytree(d, tmp_path / f"old{i}"))
+                    for i, d in enumerate(dirs)]
+        out = tmp_path / f"out-{padded}"
+        argv = {
+            "eval": ["eval", "--model", dirs[0], "--data", str(data / "test.jsonl")],
+            "probe": ["probe", "--model", dirs[0], "--probe-task", "constituent-labeling",
+                      "--probe-iters", "5", "--train", str(data / "train.jsonl"),
+                      "--data", str(data / "test.jsonl")],
+            "induce": ["induce", "--model", dirs[0], "--data", str(data / "test.jsonl")],
+            "distill": distill_args({**workspace, "teachers": ",".join(dirs)}, out)[:-2],
+        }[command]
+        rc, _, err = run(capsys, *argv, "--out", str(out))
+        assert rc == 0, err
+        made_bytes.append((out / made).read_bytes())
+    assert made_bytes[0] == made_bytes[1]
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "synkd.cli", "gen-data", "--seed", "1", "--n",
@@ -882,8 +1065,9 @@ def test_cli_pins_one_blas_thread_unless_set():
 _STR, _INT, _FLOAT = (None, None, "store", None), (int, None, "store", None), \
     (float, None, "store", None)
 _SWITCH = (None, None, "store_true", None)
-_COMMON = {"--config": _STR, "--seed": _INT, "--out": _STR,
-           "--task": (None, ["classify", "pair", "tag"], "store", None)}
+_TASK = {"--task": (None, ["classify", "pair", "tag"], "store", None)}
+_COMMON = {"--config": _STR, "--seed": _INT, "--out": _STR, **_TASK}
+_MODEL_DATA = {"--config": _STR, "--out": _STR, "--model": _STR, "--data": _STR}
 _SCHEDULE = {"--iters": _INT, "--batch": _INT, "--lr": _FLOAT, "--eval-every": _INT,
              "--patience": _INT}
 FLAG_SET = {
@@ -901,12 +1085,12 @@ FLAG_SET = {
         "--mode": (None, ["A", "B"], "store", None), "--eta": _FLOAT,
         "--lambda1": _FLOAT, "--lambda2": _FLOAT, "--zeta": _FLOAT,
         "--alpha-fixed": _FLOAT, "--g1": _INT, "--g2": _INT},
-    "eval": {**_COMMON, "--model": _STR, "--data": _STR},
+    "eval": _MODEL_DATA,
     "probe": {
-        **_COMMON, "--model": _STR, "--train": _STR, "--data": _STR,
+        **_MODEL_DATA, "--seed": _INT, "--train": _STR,
         "--probe-task": (None, ["constituent-labeling", "dependency-labeling"], "store", None),
         "--probe-iters": _INT, "--dep-only": _STR, "--con-only": _STR},
-    "induce": {**_COMMON, "--model": _STR, "--data": _STR},
+    "induce": _MODEL_DATA,
 }
 _ACTIONS = {argparse._StoreAction: "store", argparse._StoreTrueAction: "store_true"}
 
@@ -926,8 +1110,14 @@ def test_flag_set_is_pinned():
                            a.default)
             dests.add(a.dest)
         assert flags == FLAG_SET[command], command
+        # a command's keys are its flags, and distill's config-only mask_ratio
+        keys = {f[2:].replace("-", "_") for f in flags} - {"config"}
+        assert set(cli.COMMANDS[command][1].split()) == keys | (
+            {"mask_ratio"} if command == "distill" else set()), command
     # every key but mask_ratio can be set from the command line
     assert dests == set(CONFIG) - {"mask_ratio"} | {"config"}
+    assert {c: len(keys.split()) for c, (_, keys, _) in cli.COMMANDS.items()} == {
+        "gen-data": 8, "train-teacher": 15, "distill": 24, "eval": 3, "probe": 9, "induce": 3}
 
 
 def test_main_builds_its_parser_once_and_calls_the_current_command(monkeypatch, tmp_path,
