@@ -306,22 +306,23 @@ def load_model_dir(path):
     return model
 
 
-def _load_examples(cfg, key):
+def _load_encs(cfg, key, codec=None, gold=True):
+    """The encoded examples of a data file and their codec: `codec`, or one
+    built from them for --task. Where the command reads the file's gold, a
+    payload of another task or a gold label the codec lacks is refused
+    before any model reads the file."""
     path = need(cfg, key)
     if not os.path.exists(path):
         raise CliError(f"data file not found: {path}")
-    return load_jsonl(path)
-
-
-def _encode_all(codec, examples):
-    return [codec.encode(ex) for ex in examples]
-
-
-def _check_task(codec, cfg):
-    want = TASK_ALIASES[cfg["task"]]
-    if codec.task != want:
-        raise CliError(f"model was built for task {codec.task!r}, "
-                       f"requested {want!r}; pass a matching --task")
+    examples = load_jsonl(path)
+    try:
+        if codec is None:
+            codec = Codec(examples, TASK_ALIASES[cfg["task"]])
+        elif gold:
+            codec.check(examples)
+    except DataError as e:
+        raise CliError(f"{path}: {e}") from None
+    return [codec.encode(ex) for ex in examples], codec
 
 
 def _best_dev(state):
@@ -351,10 +352,8 @@ def cmd_gen_data(cfg, out, explicit):
 
 def cmd_train_teacher(cfg, out, explicit):
     kind = need(cfg, "kind")
-    examples = _load_examples(cfg, "train")
-    codec = Codec(examples, TASK_ALIASES[cfg["task"]])
-    train_encs = _encode_all(codec, examples)
-    dev_encs = _encode_all(codec, _load_examples(cfg, "dev")) if cfg["dev"] else None
+    train_encs, codec = _load_encs(cfg, "train")
+    dev_encs = _load_encs(cfg, "dev", codec)[0] if cfg["dev"] else None
     model = make_teacher(kind, codec, emb_dim=cfg["teacher_emb"],
                          hidden=cfg["teacher_hidden"],
                          n_layers=cfg["teacher_layers"],
@@ -399,14 +398,12 @@ def _load_teachers(cfg):
 
 
 def cmd_distill(cfg, out, explicit):
-    examples = _load_examples(cfg, "train")
     teachers, codec = _load_teachers(cfg)
-    if teachers is None:
-        codec = Codec(examples, TASK_ALIASES[cfg["task"]])
-    else:
-        _check_task(codec, cfg)
-    train_encs = _encode_all(codec, examples)
-    dev_encs = _encode_all(codec, _load_examples(cfg, "dev")) if cfg["dev"] else None
+    if teachers is not None and codec.task != TASK_ALIASES[cfg["task"]]:
+        raise CliError(f"model was built for task {codec.task!r}, requested "
+                       f"{TASK_ALIASES[cfg['task']]!r}; pass a matching --task")
+    train_encs, codec = _load_encs(cfg, "train", codec)
+    dev_encs = _load_encs(cfg, "dev", codec)[0] if cfg["dev"] else None
     dcfg = DistillConfig(
         eta=cfg["eta"],
         lam1=cfg["lambda1"],
@@ -440,7 +437,7 @@ def cmd_distill(cfg, out, explicit):
 
 def cmd_eval(cfg, out, explicit):
     model = load_model_dir(need(cfg, "model"))
-    encs = _encode_all(model.codec, _load_examples(cfg, "data"))
+    encs, _ = _load_encs(cfg, "data", model.codec)
     metrics = evaluate(model, encs)
     report = {"command": "eval", "data": cfg["data"], "n": len(encs), **metrics}
     with open(fresh(os.path.join(out, "eval.json")), "w", encoding="utf-8") as fh:
@@ -451,17 +448,22 @@ def cmd_eval(cfg, out, explicit):
 def cmd_probe(cfg, out, explicit):
     kind = need(cfg, "probe_task")
     model = load_model_dir(need(cfg, "model"))
-    train_encs = _encode_all(model.codec, _load_examples(cfg, "train"))
-    eval_encs = _encode_all(model.codec, _load_examples(cfg, "data"))
+    train_encs, _ = _load_encs(cfg, "train", model.codec, gold=False)
+    # the dominance analysis reads the eval set's gold through every model,
+    # encoded once with --model's codec
+    ablations = []
+    for key in ("dep_only", "con_only") if cfg["dep_only"] or cfg["con_only"] else ():
+        ablations.append(load_model_dir(need(cfg, key)))
+        if ablations[-1].codec.to_json() != model.codec.to_json():
+            raise CliError(f"{cfg[key]}: codec differs from the --model's")
+    eval_encs, _ = _load_encs(cfg, "data", model.codec, gold=bool(ablations))
     acc, y_eval = probe_train_eval(model, kind, train_encs, eval_encs,
                                    iters=cfg["probe_iters"], seed=cfg["seed"])
     report = {"command": "probe", "probe_task": kind, "accuracy": acc,
               "majority_baseline": majority_accuracy(y_eval),
               "n_eval_instances": int(len(y_eval))}
-    if cfg["dep_only"] or cfg["con_only"]:
-        dep_model = load_model_dir(need(cfg, "dep_only"))
-        con_model = load_model_dir(need(cfg, "con_only"))
-        scores, summary = syntax_distribution(model, dep_model, con_model, eval_encs)
+    if ablations:
+        scores, summary = syntax_distribution(model, *ablations, eval_encs)
         write_distribution(out, scores, summary)
         report["dominance"] = summary
     with open(fresh(os.path.join(out, "probe.json")), "w", encoding="utf-8") as fh:
@@ -473,7 +475,7 @@ def cmd_induce(cfg, out, explicit):
     model = load_model_dir(need(cfg, "model"))
     if model.kind != "student":
         raise CliError("induce needs a student checkpoint with structure heads")
-    encs = _encode_all(model.codec, _load_examples(cfg, "data"))
+    encs, _ = _load_encs(cfg, "data", model.codec, gold=False)
     con_itos = model.codec.con_labels.itos
     tree_lines, head_lines = [None] * len(encs), [None] * len(encs)
     for chunk in model.batches(encs):

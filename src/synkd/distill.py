@@ -111,12 +111,11 @@ def output_distill_loss(y, teacher_dists, student_logits: Tensor, alpha: float) 
     return T.scale(T.mean(T.sum_(T.mul(target_t, log_p), axis=1)), -1.0)
 
 
-def feat_distill(teacher_mat: Tensor, student_mat: Tensor, f_t, f_s) -> Tensor:
-    """0.5 * sum_j ||f_t(r_j^tree) - f_s(r_j^s)||^2 over aligned token rows."""
-    if teacher_mat.shape[0] != student_mat.shape[0]:
-        raise DistillError(
-            f"row mismatch: teacher {teacher_mat.shape[0]} vs student {student_mat.shape[0]}")
-    diff = T.sub(f_t(teacher_mat), f_s(student_mat))
+def feat_distill(f_t: Tensor, f_s: Tensor) -> Tensor:
+    """0.5 * sum_j ||f_t[j] - f_s[j]||^2 over projected, aligned token rows."""
+    if f_t.shape[0] != f_s.shape[0]:
+        raise DistillError(f"row mismatch: teacher {f_t.shape[0]} vs student {f_s.shape[0]}")
+    diff = T.sub(f_t, f_s)
     return T.scale(T.sum_(T.mul(diff, diff)), 0.5)
 
 

@@ -2,15 +2,15 @@
 
 Tree teachers (Child-Sum TreeLSTM over dependency trees, N-ary TreeLSTM over
 binarized constituency trees, gated GCNs over either graph), the 3-layer
-BiLSTM student, task heads, and the two structure-scoring heads (biaffine
-arc/label scorer, span scorer). All parameters live in per-model Params
-registries so the full parameter vector is enumerable for regularization
-and checkpointing.
+BiLSTM student, and the two structure-scoring heads (biaffine arc/label
+scorer, span scorer). Every part draws its parameters through its model's
+one Params registry, from the model's generator in its dtype, so the full
+parameter vector is enumerable for regularization and checkpointing.
 
 Every model encodes a whole batch of sentences at once through
 `reps(sides) -> (rows, offsets)`: the token rows of all sentences stacked in
-input order plus their row offsets, which the shared task heads, losses and
-scorers consume. The four tree teachers are one TeacherModel over one
+input order plus their row offsets, which BaseModel's task head, the losses
+and the scorers consume. The four tree teachers are one TeacherModel over one
 (is_word, ids, edges) view per sentence, its tree as (k, 2) edge rows (a
 binarized tree's are those its BinTree holds), stacked into one plan per
 `reps` call: each TreeLSTM layer direction is one tape op that runs the cell
@@ -34,21 +34,26 @@ from .tensor import Tensor
 
 
 class Params:
-    """Ordered name -> Tensor registry; insertion order fixes checkpoint order."""
+    """Ordered name -> Tensor registry and the one place a parameter is made:
+    `add` draws it from the registry's generator in the registry's dtype.
+    Insertion order fixes checkpoint order and the order of the draws."""
 
-    def __init__(self):
+    def __init__(self, rng, dtype=np.float32):
         self.tensors = {}
+        self.rng, self.dtype = rng, dtype
 
-    def add(self, name, shape, rng=None, init="xavier", dtype=np.float32):
+    def add(self, name, shape, init="xavier"):
+        """Register a Glorot-uniform ("xavier") or all-zero parameter."""
         if name in self.tensors:
             raise ValueError(f"duplicate parameter {name!r}")
         if init == "xavier":
-            t = T.xavier(shape, rng, dtype=dtype)
+            limit = np.sqrt(6.0 / (shape[0] + (shape[1] if len(shape) > 1 else shape[0])))
+            data = self.rng.uniform(-limit, limit, size=shape).astype(self.dtype)
         elif init == "zeros":
-            t = T.zeros(shape, dtype=dtype, requires_grad=True)
+            data = np.zeros(shape, dtype=self.dtype)
         else:
             raise ValueError(f"unknown init {init!r}")
-        self.tensors[name] = t
+        t = self.tensors[name] = Tensor(data, requires_grad=True)
         return t
 
     def __getitem__(self, name):
@@ -143,13 +148,13 @@ class ChildSumCell:
 
     GATES = ("i", "f", "o", "u")
 
-    def __init__(self, p: Params, prefix, in_dim, hid, rng, dtype=np.float32):
+    def __init__(self, p: Params, prefix, in_dim, hid):
         self.hid = hid
         self.W, self.U, self.b = {}, {}, {}
         for g in self.GATES:
-            self.W[g] = p.add(f"{prefix}/W{g}", (in_dim, hid), rng, dtype=dtype)
-            self.U[g] = p.add(f"{prefix}/U{g}", (hid, hid), rng, dtype=dtype)
-            self.b[g] = p.add(f"{prefix}/b{g}", (hid,), init="zeros", dtype=dtype)
+            self.W[g] = p.add(f"{prefix}/W{g}", (in_dim, hid))
+            self.U[g] = p.add(f"{prefix}/U{g}", (hid, hid))
+            self.b[g] = p.add(f"{prefix}/b{g}", (hid,), init="zeros")
 
     def fuse(self):
         """Input block (in, 4h) and bias as [i, o, u, f]; U_iou (h, 3h), U_f."""
@@ -184,18 +189,17 @@ class NaryCell:
     """N-ary TreeLSTM cell with per-branch U matrices and per-(child, branch)
     forget matrices; absent children contribute zero state."""
 
-    def __init__(self, p: Params, prefix, in_dim, hid, rng, n_ary=2, dtype=np.float32):
+    def __init__(self, p: Params, prefix, in_dim, hid, n_ary=2):
         self.hid = hid
         self.n_ary = n_ary
         self.W, self.b, self.U = {}, {}, {}
         for g in ("i", "o", "u", "f"):
-            self.W[g] = p.add(f"{prefix}/W{g}", (in_dim, hid), rng, dtype=dtype)
-            self.b[g] = p.add(f"{prefix}/b{g}", (hid,), init="zeros", dtype=dtype)
+            self.W[g] = p.add(f"{prefix}/W{g}", (in_dim, hid))
+            self.b[g] = p.add(f"{prefix}/b{g}", (hid,), init="zeros")
         for g in ("i", "o", "u"):
-            self.U[g] = [p.add(f"{prefix}/U{g}{q}", (hid, hid), rng, dtype=dtype)
-                         for q in range(n_ary)]
-        self.Uf = [[p.add(f"{prefix}/Uf{k}{q}", (hid, hid), rng, dtype=dtype)
-                    for q in range(n_ary)] for k in range(n_ary)]
+            self.U[g] = [p.add(f"{prefix}/U{g}{q}", (hid, hid)) for q in range(n_ary)]
+        self.Uf = [[p.add(f"{prefix}/Uf{k}{q}", (hid, hid)) for q in range(n_ary)]
+                   for k in range(n_ary)]
 
     def fuse(self):
         """Input block and bias as [i, o, u, f_0 .. f_N-1]; the one recurrent
@@ -465,19 +469,18 @@ class StudentEncoder:
     the rows back in sentence order.
     """
 
-    def __init__(self, p: Params, prefix, vocab_size, emb_dim, hid,
-                 n_layers=3, rng=None, dtype=np.float32):
+    def __init__(self, p: Params, prefix, vocab_size, emb_dim, hid, n_layers=3):
         self.hid = hid
-        self.emb = p.add(f"{prefix}/emb", (vocab_size, emb_dim), rng, dtype=dtype)
+        self.emb = p.add(f"{prefix}/emb", (vocab_size, emb_dim))
         self.layers = []
         for l in range(n_layers):
             in_dim = emb_dim if l == 0 else 2 * hid
             layer = {}
             for d in ("f", "b"):
                 layer[d] = {
-                    "W": p.add(f"{prefix}/l{l}{d}/W", (in_dim, 4 * hid), rng, dtype=dtype),
-                    "U": p.add(f"{prefix}/l{l}{d}/U", (hid, 4 * hid), rng, dtype=dtype),
-                    "b": p.add(f"{prefix}/l{l}{d}/b", (4 * hid,), init="zeros", dtype=dtype),
+                    "W": p.add(f"{prefix}/l{l}{d}/W", (in_dim, 4 * hid)),
+                    "U": p.add(f"{prefix}/l{l}{d}/U", (hid, 4 * hid)),
+                    "b": p.add(f"{prefix}/l{l}{d}/b", (4 * hid,), init="zeros"),
                 }
             self.layers.append(layer)
 
@@ -525,43 +528,6 @@ def segment_mean(mat: Tensor, off) -> Tensor:
     return T.mul(total, Tensor(scale.astype(mat.dtype)))
 
 
-class ClassifyHead:
-    def __init__(self, p: Params, prefix, in_dim, n_classes, rng, dtype=np.float32):
-        self.W = p.add(f"{prefix}/W", (in_dim, n_classes), rng, dtype=dtype)
-        self.b = p.add(f"{prefix}/b", (n_classes,), init="zeros", dtype=dtype)
-
-    def __call__(self, pooled: Tensor) -> Tensor:
-        return T.add(T.matmul(pooled, self.W), self.b)
-
-
-class PairHead:
-    """Feedforward over [u; v; u*v; u-v; u+v]."""
-
-    def __init__(self, p: Params, prefix, in_dim, n_classes, rng, dtype=np.float32):
-        self.W = p.add(f"{prefix}/W", (5 * in_dim, n_classes), rng, dtype=dtype)
-        self.b = p.add(f"{prefix}/b", (n_classes,), init="zeros", dtype=dtype)
-
-    def __call__(self, u: Tensor, v: Tensor) -> Tensor:
-        feat = T.concat([u, v, T.mul(u, v), T.sub(u, v), T.add(u, v)], axis=1)
-        return T.add(T.matmul(feat, self.W), self.b)
-
-
-class TagHead:
-    """Per-token logits with a 16-wide predicate-indicator embedding appended."""
-
-    def __init__(self, p: Params, prefix, in_dim, n_tags, rng, dtype=np.float32):
-        self.ind = p.add(f"{prefix}/ind", (2, 16), rng, dtype=dtype)
-        self.W = p.add(f"{prefix}/W", (in_dim + 16, n_tags), rng, dtype=dtype)
-        self.b = p.add(f"{prefix}/b", (n_tags,), init="zeros", dtype=dtype)
-
-    def __call__(self, mat: Tensor, predicate) -> Tensor:
-        """predicate: the row (or rows, one per stacked sentence) to flag."""
-        flags = np.zeros(mat.shape[0], dtype=np.int64)
-        flags[predicate] = 1
-        feat = T.concat([mat, T.embedding(self.ind, flags)], axis=1)
-        return T.add(T.matmul(feat, self.W), self.b)
-
-
 # ---------------------------------------------------------------------------
 # structure-scoring heads
 
@@ -592,19 +558,17 @@ class ArcLabelScorer:
 
     PAD_LOGIT = -1e9  # zero softmax weight, yet 0 * PAD_LOGIT stays finite
 
-    def __init__(self, p: Params, prefix, in_dim, n_labels, arc_dim, rng,
-                 dtype=np.float32):
+    def __init__(self, p: Params, prefix, in_dim, n_labels, arc_dim):
         a = arc_dim
-        self.Wd = p.add(f"{prefix}/Wd", (in_dim, a), rng, dtype=dtype)
-        self.bd = p.add(f"{prefix}/bd", (a,), init="zeros", dtype=dtype)
-        self.Wh = p.add(f"{prefix}/Wh", (in_dim, a), rng, dtype=dtype)
-        self.bh = p.add(f"{prefix}/bh", (a,), init="zeros", dtype=dtype)
-        self.root = p.add(f"{prefix}/root", (1, a), init="zeros", dtype=dtype)
-        self.A = p.add(f"{prefix}/A", (a, a), rng, dtype=dtype)
-        self.wh = p.add(f"{prefix}/wh", (a, 1), rng, dtype=dtype)
-        self.Wl = p.add(f"{prefix}/Wl", (2 * a, n_labels), rng, dtype=dtype)
-        self.bl = p.add(f"{prefix}/bl", (n_labels,), init="zeros", dtype=dtype)
-        self.dtype = dtype
+        self.Wd = p.add(f"{prefix}/Wd", (in_dim, a))
+        self.bd = p.add(f"{prefix}/bd", (a,), init="zeros")
+        self.Wh = p.add(f"{prefix}/Wh", (in_dim, a))
+        self.bh = p.add(f"{prefix}/bh", (a,), init="zeros")
+        self.root = p.add(f"{prefix}/root", (1, a), init="zeros")
+        self.A = p.add(f"{prefix}/A", (a, a))
+        self.wh = p.add(f"{prefix}/wh", (a, 1))
+        self.Wl = p.add(f"{prefix}/Wl", (2 * a, n_labels))
+        self.bl = p.add(f"{prefix}/bl", (n_labels,), init="zeros")
 
     def __call__(self, mat: Tensor, off) -> ArcScores:
         """Scores of every dependent of rows [off[b], off[b + 1]) of `mat`."""
@@ -619,7 +583,7 @@ class ArcLabelScorer:
         dep = T.embedding(T.matmul(hd, self.A), np.repeat(np.arange(n), col.size))
         bilinear = T.sum_(T.mul(dep, T.embedding(heads, head)), axis=1, keepdims=True)
         lin = T.embedding(T.matmul(heads, self.wh), head)
-        pad = np.where(real, 0.0, self.PAD_LOGIT).astype(self.dtype)
+        pad = np.where(real, 0.0, self.PAD_LOGIT).astype(mat.dtype)
         arc = T.add(T.reshape(T.add(bilinear, lin), (n, col.size)), Tensor(pad))
         return ArcScores(arc, T.add(T.matmul(hd, T.slice_rows(self.Wl, 0, a)), self.bl),
                          T.matmul(heads, T.slice_rows(self.Wl, a, 2 * a)), np.asarray(off))
@@ -638,10 +602,9 @@ class SpanScorer:
     computed from W's row blocks as b_j (W1 + W3) + b_i (W2 - W1) + b with
     each term projected once per fencepost."""
 
-    def __init__(self, p: Params, prefix, in_dim, n_labels, rng, dtype=np.float32):
-        self.W = p.add(f"{prefix}/W", (3 * in_dim, n_labels), rng, dtype=dtype)
-        self.b = p.add(f"{prefix}/b", (n_labels,), init="zeros", dtype=dtype)
-        self.dtype = dtype
+    def __init__(self, p: Params, prefix, in_dim, n_labels):
+        self.W = p.add(f"{prefix}/W", (3 * in_dim, n_labels))
+        self.b = p.add(f"{prefix}/b", (n_labels,), init="zeros")
 
     def __call__(self, mat: Tensor, off) -> ScoredSpans:
         """Scores of every span of every sentence of rows [off[b], off[b + 1])."""
@@ -649,7 +612,7 @@ class SpanScorer:
         w1, w2, w3 = (T.slice_rows(self.W, k * d, (k + 1) * d) for k in range(3))
         # fencepost k > 0 of sentence b is its token k - 1, row off[b] + k of
         # bounds; every fencepost 0 is the zero row
-        bounds = T.concat([Tensor(np.zeros((1, d), dtype=self.dtype)), mat], axis=0)
+        bounds = T.concat([Tensor(np.zeros((1, d), dtype=mat.dtype)), mat], axis=0)
         spans = [(o, *span_order(n)) for o, n in zip(off[:-1], np.diff(off))]
         ends = T.embedding(T.matmul(bounds, T.add(w1, w3)),
                            np.concatenate([o + j for o, _, j in spans]))
@@ -668,7 +631,8 @@ class Codec:
         self.task = task
         token_lists, trees = [], {}
         dep_labels, tags, classes = set(), set(), set()
-        for ex in examples:
+        for i, ex in enumerate(examples):
+            self._check_kind(i, ex)
             for e in self._sides(ex):
                 token_lists.append(e.sent.tokens)
                 dep_labels.update(e.dep.labels)
@@ -695,6 +659,22 @@ class Codec:
         yield ex
         if ex.partner is not None:
             yield ex.partner
+
+    def _check_kind(self, i, ex):
+        kind = ex.payload_kind()
+        if kind != self.task:
+            raise DataError(f"example {i} has a {kind} payload, not one of task {self.task!r}")
+
+    def check(self, examples):
+        """Raise DataError at the first example whose payload is not of the
+        codec's task, or whose class label or tag the codec lacks."""
+        known = self.tags.stoi if self.task == "tag" else range(self.n_classes)
+        for i, ex in enumerate(examples):
+            self._check_kind(i, ex)
+            for gold in ex.tags if self.task == "tag" else [ex.label]:
+                if gold not in known:
+                    raise DataError(f"example {i} has gold {gold!r}, not a {self.task} "
+                                    f"class of the model ({len(known)} classes)")
 
     def encode(self, ex: Example):
         return EncodedExample(self, ex)
@@ -807,13 +787,17 @@ class EncodedSide:
 
 
 class EncodedExample:
-    """An example's sides and tag ids; its label and predicate are read from raw."""
+    """An example's sides and its tag ids, built on first read so that data of
+    any task can be encoded; its label and predicate are read from raw."""
 
     def __init__(self, codec: Codec, ex: Example):
-        self.raw = ex
+        self.codec, self.raw = codec, ex
         self.main = EncodedSide(codec, ex)
         self.partner = EncodedSide(codec, ex.partner) if ex.partner is not None else None
-        self.tag_ids = codec.tags.encode(ex.tags) if codec.task == "tag" else None
+
+    @cached_property
+    def tag_ids(self):
+        return self.codec.tags.encode(self.raw.tags)
 
 
 # ---------------------------------------------------------------------------
@@ -823,26 +807,22 @@ BATCH_ROWS = 128  # sentences per forward pass when predicting
 
 
 class BaseModel:
-    """Common plumbing: params registry, batching, task head dispatch."""
+    """Common plumbing: params registry, batching, the task head."""
 
     def __init__(self, codec: Codec, rng, dtype=np.float32):
         self.codec = codec
         self.task = codec.task
-        self.dtype = dtype
-        self.p = Params()
-        self.rng = rng
+        self.p = Params(rng, dtype)
         self.struct_heads = {}  # structure ("dep" or "con") -> its scorer
 
     def _make_head(self, rep_dim):
-        if self.task == "pair":
-            self.head = PairHead(self.p, "head", rep_dim, self.codec.n_classes,
-                                 self.rng, dtype=self.dtype)
-        elif self.task == "tag":
-            self.head = TagHead(self.p, "head", rep_dim, self.codec.n_classes,
-                                self.rng, dtype=self.dtype)
-        else:
-            self.head = ClassifyHead(self.p, "head", rep_dim, self.codec.n_classes,
-                                     self.rng, dtype=self.dtype)
+        """The task head: one linear layer over head_logits' features."""
+        n = self.codec.n_classes
+        if self.task == "tag":
+            self.p.add("head/ind", (2, 16))
+        width = {"pair": 5 * rep_dim, "tag": rep_dim + 16}.get(self.task, rep_dim)
+        self.p.add("head/W", (width, n))
+        self.p.add("head/b", (n,), init="zeros")
 
     def batches(self, data):
         """Index chunks, in data order, that prediction runs through `logits`
@@ -857,14 +837,21 @@ class BaseModel:
                                 train, rng)
 
     def head_logits(self, encs, main, train=False, rng=None) -> Tensor:
-        """Task logits from already computed main-side (reps, offsets)."""
+        """Task logits from already computed main-side (reps, offsets): a linear
+        layer over the mean row (cls), over [u; v; u*v; u-v; u+v] of both
+        sides' mean rows (pair), or over each row plus its predicate flag (tag)."""
         mat, off = main
         if self.task == "pair":
-            return self.head(segment_mean(mat, off), segment_mean(
-                *self.reps([e.partner for e in encs], train, rng)))
-        if self.task == "tag":
-            return self.head(mat, off[:-1] + np.array([e.raw.predicate for e in encs]))
-        return self.head(segment_mean(mat, off))
+            u = segment_mean(mat, off)
+            v = segment_mean(*self.reps([e.partner for e in encs], train, rng))
+            feat = T.concat([u, v, T.mul(u, v), T.sub(u, v), T.add(u, v)], axis=1)
+        elif self.task == "tag":
+            flags = np.zeros(mat.shape[0], dtype=np.int64)
+            flags[off[:-1] + np.array([e.raw.predicate for e in encs])] = 1
+            feat = T.concat([mat, T.embedding(self.p["head/ind"], flags)], axis=1)
+        else:
+            feat = segment_mean(mat, off)
+        return T.add(T.matmul(feat, self.p["head/W"]), self.p["head/b"])
 
     def add_structure_head(self, structure, arc_dim=64):
         """Register struct_heads[structure]: the arc/label scorer for "dep",
@@ -872,10 +859,9 @@ class BaseModel:
         for soft teacher structure targets; the student has both."""
         if structure == "dep":
             head = ArcLabelScorer(self.p, "arc", self.rep_dim, len(self.codec.dep_labels),
-                                  arc_dim, self.rng, self.dtype)
+                                  arc_dim)
         else:
-            head = SpanScorer(self.p, "span", self.rep_dim, len(self.codec.con_labels),
-                              self.rng, self.dtype)
+            head = SpanScorer(self.p, "span", self.rep_dim, len(self.codec.con_labels))
         self.struct_heads[structure] = head
 
     def parameters(self):
@@ -893,21 +879,19 @@ class TeacherModel(BaseModel):
     def __init__(self, codec, emb_dim=300, hidden=300, n_layers=2, rng=None,
                  dtype=np.float32):
         super().__init__(codec, rng, dtype)
-        self.emb = self.p.add("emb", (len(codec.vocab), emb_dim), rng, dtype=dtype)
+        self.emb = self.p.add("emb", (len(codec.vocab), emb_dim))
         if self.structure == "con":
-            self.label_emb = self.p.add("label_emb", (len(codec.con_labels), emb_dim),
-                                        rng, dtype=dtype)
+            self.label_emb = self.p.add("label_emb", (len(codec.con_labels), emb_dim))
         self.rep_dim = emb_dim if self.cell is None else 2 * hidden
         self.layers = []
         for l in range(n_layers):
             if self.cell is None:
-                self.layers.append((
-                    self.p.add(f"l{l}/W", (emb_dim, emb_dim), rng, dtype=dtype),
-                    self.p.add(f"l{l}/b", (emb_dim,), init="zeros", dtype=dtype)))
+                self.layers.append((self.p.add(f"l{l}/W", (emb_dim, emb_dim)),
+                                    self.p.add(f"l{l}/b", (emb_dim,), init="zeros")))
             else:
                 in_dim = emb_dim if l == 0 else 2 * hidden
-                self.layers.append(tuple(self.cell(self.p, f"l{l}/{d}", in_dim, hidden, rng,
-                                                   dtype=dtype) for d in ("up", "down")))
+                self.layers.append(tuple(self.cell(self.p, f"l{l}/{d}", in_dim, hidden)
+                                         for d in ("up", "down")))
         self._make_head(self.rep_dim)
 
     def _encode(self, sides, views, train, rng):
@@ -979,32 +963,25 @@ class StudentModel(BaseModel):
     def __init__(self, codec, emb_dim=300, hidden=350, n_layers=3, rng=None,
                  dtype=np.float32):
         super().__init__(codec, rng, dtype)
-        self.encoder = StudentEncoder(self.p, "enc", len(codec.vocab), emb_dim,
-                                      hidden, n_layers, rng, dtype)
+        self.encoder = StudentEncoder(self.p, "enc", len(codec.vocab), emb_dim, hidden, n_layers)
         self.rep_dim = 2 * hidden
         self._make_head(self.rep_dim)
         self.add_structure_head("dep", arc_dim=hidden)
         self.add_structure_head("con")
-        self.lm_W = self.p.add("lm/W", (hidden, len(codec.vocab)), rng, dtype=dtype)
-        self.lm_b = self.p.add("lm/b", (len(codec.vocab),), init="zeros", dtype=dtype)
-        self.lm_begin = self.p.add("lm/begin", (1, hidden), init="zeros", dtype=dtype)
-        self.projections = {}
+        self.lm_W = self.p.add("lm/W", (hidden, len(codec.vocab)))
+        self.lm_b = self.p.add("lm/b", (len(codec.vocab),), init="zeros")
+        self.lm_begin = self.p.add("lm/begin", (1, hidden), init="zeros")
 
     def add_projection(self, name, teacher_dim):
-        """f_t for one teacher plus (once) the student-side f_s, both into the
-        student's rep_dim."""
+        """proj/f_t/<name> for one teacher plus (once) the student-side
+        proj/f_s, both into the student's rep_dim."""
         for key, in_dim in (("f_s", self.rep_dim), (f"f_t/{name}", teacher_dim)):
-            if key not in self.projections:
-                self.projections[key] = (
-                    self.p.add(f"proj/{key}/W", (in_dim, self.rep_dim), self.rng,
-                               dtype=self.dtype),
-                    self.p.add(f"proj/{key}/b", (self.rep_dim,), init="zeros",
-                               dtype=self.dtype),
-                )
+            if f"proj/{key}/W" not in self.p.tensors:
+                self.p.add(f"proj/{key}/W", (in_dim, self.rep_dim))
+                self.p.add(f"proj/{key}/b", (self.rep_dim,), init="zeros")
 
     def project(self, which, mat: Tensor) -> Tensor:
-        w, b = self.projections[which]
-        return T.add(T.matmul(mat, w), b)
+        return T.add(T.matmul(mat, self.p[f"proj/{which}/W"]), self.p[f"proj/{which}/b"])
 
     def reps(self, sides, train=False, rng=None):
         """Stacked token rows of a batch of sides plus their row offsets, from

@@ -13,8 +13,8 @@ import os
 
 import numpy as np
 
-from . import tensor as T
 from .distill import ce_sum  # noqa: F401  (perfbench's tracer test reads probe.ce_sum)
+from .encoders import Params
 from .syntax_data import DataError, fresh
 from .tensor import Adam
 
@@ -108,9 +108,8 @@ def probe_train_eval(model, kind, train_data, eval_data, *, iters=400,
     x_ev, y_ev = _instances(model, eval_data, kind, "held-out")
     n_classes = int(max(y_tr.max(), y_ev.max())) + 1
     rng = np.random.default_rng(seed)
-    dtype = x_tr.dtype
-    w = T.xavier((x_tr.shape[1], n_classes), rng, dtype=dtype)
-    b = T.zeros((n_classes,), dtype=dtype, requires_grad=True)
+    p = Params(rng, x_tr.dtype)
+    w, b = p.add("W", (x_tr.shape[1], n_classes)), p.add("b", (n_classes,), init="zeros")
     opt = Adam([w, b], lr=lr)
     take = min(batch, len(x_tr))
     w.grad, b.grad = np.empty_like(w.data), np.empty_like(b.data)

@@ -593,21 +593,6 @@ def scaled_sq_sum(tensors, c: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# parameter helpers
-
-def zeros(shape, dtype=None, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype or DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def xavier(shape, rng: np.random.Generator, dtype=None) -> Tensor:
-    """Glorot-uniform initialized parameter tensor."""
-    fan_out = shape[1] if len(shape) > 1 else shape[0]
-    limit = np.sqrt(6.0 / (shape[0] + fan_out))
-    data = rng.uniform(-limit, limit, size=shape).astype(dtype or DEFAULT_DTYPE)
-    return Tensor(data, requires_grad=True)
-
-
-# ---------------------------------------------------------------------------
 # Adam
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8

@@ -312,9 +312,9 @@ def syn_loss_batch(student, main, idxs, signals, cfg, models):
     mat, _ = main
     if cfg.mode == "A":
         total = reduce(T.add, [feat_distill(
-            Tensor(np.concatenate([signals.feats[k][i] for i in idxs])), mat,
-            lambda m, k=k: student.project(f"f_t/{k}", m),
-            lambda m: student.project("f_s", m)) for k in kinds])
+            student.project(f"f_t/{k}",
+                            Tensor(np.concatenate([signals.feats[k][i] for i in idxs]))),
+            student.project("f_s", mat)) for k in kinds])
     else:
         total = inject_loss_batch(student, models[0].structure, main,
                                   [[signals.targets[k][i] for i in idxs] for k in kinds])

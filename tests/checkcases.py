@@ -113,9 +113,9 @@ def unary_graph():
 
 def case_childsum(rng):
     in_dim, hid = 3, 2
-    p = Params()
-    up = ChildSumCell(p, "up", in_dim, hid, rng, dtype=F64)
-    down = ChildSumCell(p, "down", in_dim, hid, rng, dtype=F64)
+    p = Params(rng, F64)
+    up = ChildSumCell(p, "up", in_dim, hid)
+    down = ChildSumCell(p, "down", in_dim, hid)
     trees = [dep_tree(random_heads(rng, n)) for n in batch_sizes(rng)] + [star_graph()]
     x = rand_param(rng, (sum(n for n, _ in trees), in_dim))
 
@@ -128,9 +128,9 @@ def case_childsum(rng):
 
 def case_nary(rng):
     in_dim, hid = 3, 2
-    p = Params()
-    up = NaryCell(p, "up", in_dim, hid, rng, n_ary=2, dtype=F64)
-    down = NaryCell(p, "down", in_dim, hid, rng, n_ary=2, dtype=F64)
+    p = Params(rng, F64)
+    up = NaryCell(p, "up", in_dim, hid, n_ary=2)
+    down = NaryCell(p, "down", in_dim, hid, n_ary=2)
     trees = [con_tree(random_bintree(rng, n, 2)) for n in batch_sizes(rng)]
     trees.append(unary_graph())
     x = rand_param(rng, (sum(n for n, _ in trees), in_dim))
@@ -167,8 +167,8 @@ def case_gcn(rng):
 def case_student_bilstm(rng):
     # a packed batch of three lengths in shuffled order
     vocab, emb, hid, layers = 6, 3, 2, 2
-    p = Params()
-    enc = StudentEncoder(p, "s", vocab, emb, hid, n_layers=layers, rng=rng, dtype=F64)
+    p = Params(rng, F64)
+    enc = StudentEncoder(p, "s", vocab, emb, hid, n_layers=layers)
     ids = [rng.integers(0, vocab, size=n) for n in rng.permutation([1, 2, 3])]
     w_top = Tensor(rng.standard_normal((6, 2 * hid)).astype(F64))
     w_l1 = Tensor(rng.standard_normal((6, hid)).astype(F64))
@@ -234,9 +234,7 @@ def case_feat_distill(rng):
     s_mat = rand_param(rng, (n, ds))
     wt = rand_param(rng, (dt, common))
     ws = rand_param(rng, (ds, common))
-    f = lambda: feat_distill(t_mat, s_mat,
-                             lambda m: T.matmul(m, wt),
-                             lambda m: T.matmul(m, ws))
+    f = lambda: feat_distill(T.matmul(t_mat, wt), T.matmul(s_mat, ws))
     return f, [s_mat, wt, ws]
 
 
@@ -246,9 +244,7 @@ def case_syn_combine(rng):
     b_t = Tensor(rng.standard_normal((n, d)).astype(F64))
     s = rand_param(rng, (n, d))
     eta = float(rng.random())
-    ident = lambda m: m
-    f = lambda: combine_syn(feat_distill(a_t, s, ident, ident),
-                            feat_distill(b_t, s, ident, ident), eta)
+    f = lambda: combine_syn(feat_distill(a_t, s), feat_distill(b_t, s), eta)
     return f, [s]
 
 
@@ -268,8 +264,8 @@ def case_semantic_lm(rng):
 def case_dep_inject(rng):
     # a mixed-length batch through the scorer, so the padded candidate
     # columns are checked along with the loss
-    n_labels, p, sizes = int(rng.integers(1, 4)), Params(), batch_sizes(rng)
-    scorer = ArcLabelScorer(p, "arc", 3, n_labels, 3, rng, dtype=F64)
+    n_labels, p, sizes = int(rng.integers(1, 4)), Params(rng, F64), batch_sizes(rng)
+    scorer = ArcLabelScorer(p, "arc", 3, n_labels, 3)
     mat, off = rand_param(rng, (sum(sizes), 3), scale=1.0), offsets(sizes)
     targets = []
     for n in sizes:
@@ -283,8 +279,8 @@ def case_con_inject(rng):
     # checked along with the loss; reference spans score 10 lower, so
     # relabeling T* (two labels at least) gains 11 a span on average and
     # every hinge stays far above its kink
-    n_labels, p, sizes = int(rng.integers(2, 4)), Params(), batch_sizes(rng)
-    scorer = SpanScorer(p, "span", 3, n_labels, rng, dtype=F64)
+    n_labels, p, sizes = int(rng.integers(2, 4)), Params(rng, F64), batch_sizes(rng)
+    scorer = SpanScorer(p, "span", 3, n_labels)
     scorer.b.data[...] = rng.standard_normal(n_labels)
     mat, off = rand_param(rng, (sum(sizes), 3), scale=1.0), offsets(sizes)
     refs = [random_bintree(rng, n, n_labels) for n in sizes]
@@ -327,12 +323,10 @@ def case_total(rng):
     masked = [(0, 0, 1), (0, 2, 3)]
 
     params = [logits, s_mat, l1f, student.lm_W, student.lm_b, student.lm_begin]
-    ident = lambda m: m
 
     def f():
         out = output_distill_loss(y, teachers, logits, alpha=0.5)
-        syn = combine_syn(feat_distill(t_dep, s_mat, ident, ident),
-                          feat_distill(t_con, s_mat, ident, ident), 0.5)
+        syn = combine_syn(feat_distill(t_dep, s_mat), feat_distill(t_con, s_mat), 0.5)
         sem = semantic_lm_loss(student, l1f, [0, n], masked)
         reg = reg_loss(params, 0.2)
         return total_loss(out, syn=syn, sem=sem, reg=reg, lam1=0.6, lam2=0.2)

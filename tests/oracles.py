@@ -43,7 +43,7 @@ import numpy as np
 from synkd import tensor as T
 from synkd.distill import (DistillConfig, DistillError, anneal_alpha, ce_sum, combine_syn,
                            total_loss)
-from synkd.encoders import ChildSumCell, _dropout, _level_plan, _row_keys, offsets
+from synkd.encoders import ChildSumCell, Params, _dropout, _level_plan, _row_keys, offsets
 from synkd.structures import UNARY_SEP, BinTree, chart_max, span_order
 from synkd.syntax_data import (ARC_LABEL, DET, HEAD_CHILD, NOUNS, NULL_LABEL, RELPRON,
                                SHAPE_WEIGHTS, SHAPES, ConstNode, ConstTree, DataError,
@@ -460,7 +460,7 @@ def reference_arc_scores(scorer, mat: Tensor, off):
     bilinear = T.sum_(T.mul(T.embedding(T.matmul(hd, scorer.A), dep), cand),
                       axis=1, keepdims=True)
     lin = T.matmul(cand, scorer.wh)
-    pad = np.where(real, 0.0, scorer.PAD_LOGIT).astype(scorer.dtype)
+    pad = np.where(real, 0.0, scorer.PAD_LOGIT).astype(mat.dtype)
     arc = T.add(T.reshape(T.add(bilinear, lin), (n, col.size)), Tensor(pad))
     pair = T.concat([T.embedding(hd, dep), cand], axis=1)
     labels = T.add(T.matmul(pair, scorer.Wl), scorer.bl)
@@ -470,7 +470,7 @@ def reference_arc_scores(scorer, mat: Tensor, off):
 def reference_span_scores(scorer, mat: Tensor, off) -> Tensor:
     """SpanScorer's scores with one [b_j - b_i; b_i; b_j] feature row per
     span, as the scorer formed them before it projected per fencepost."""
-    zero = Tensor(np.zeros((1, mat.shape[1]), dtype=scorer.dtype))
+    zero = Tensor(np.zeros((1, mat.shape[1]), dtype=mat.dtype))
     bounds = T.concat([zero, mat], axis=0)
     spans = [(o, *span_order(n)) for o, n in zip(off[:-1], np.diff(off))]
     bi = T.embedding(bounds, np.concatenate([np.where(i > 0, o + i, 0) for o, i, _ in spans]))
@@ -1388,9 +1388,8 @@ def reference_probe_train_eval(model, kind, train_data, eval_data, *, iters=400,
     x_ev, y_ev = build(model, eval_data)
     n_classes = int(max(y_tr.max(), y_ev.max())) + 1
     rng = np.random.default_rng(seed)
-    dtype = x_tr.dtype
-    w = T.xavier((x_tr.shape[1], n_classes), rng, dtype=dtype)
-    b = T.zeros((n_classes,), dtype=dtype, requires_grad=True)
+    p = Params(rng, x_tr.dtype)
+    w, b = p.add("W", (x_tr.shape[1], n_classes)), p.add("b", (n_classes,), init="zeros")
     opt = Adam([w, b], lr=lr)
     for _ in range(iters):
         take = min(batch, len(x_tr))

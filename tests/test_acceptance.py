@@ -117,8 +117,8 @@ def test_03_loss_identities():
 def test_04_encoder_equivalences():
     """Child-sum is order-free; with one child it equals the N=1 cell."""
     rng = np.random.default_rng(4)
-    p = E.Params()
-    cs = E.ChildSumCell(p, "c", 3, 4, rng, dtype=F64)
+    p = E.Params(rng, F64)
+    cs = E.ChildSumCell(p, "c", 3, 4)
     x = Tensor(rng.standard_normal((1, 3)))
     kids = [(Tensor(rng.standard_normal((1, 4))),
              Tensor(rng.standard_normal((1, 4)))) for _ in range(5)]
@@ -128,7 +128,7 @@ def test_04_encoder_equivalences():
         assert out_h.data.tobytes() == other_h.data.tobytes()
         assert out_c.data.tobytes() == other_c.data.tobytes()
 
-    na = E.NaryCell(E.Params(), "c", 3, 4, rng, n_ary=1, dtype=F64)
+    na = E.NaryCell(E.Params(rng, F64), "c", 3, 4, n_ary=1)
     for g in ("i", "o", "u", "f"):
         na.W[g].data[...] = cs.W[g].data
         na.b[g].data[...] = cs.b[g].data

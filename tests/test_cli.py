@@ -407,6 +407,124 @@ def test_induce_rejects_teacher_checkpoint(workspace, tmp_path, capsys):
     assert "student" in json.loads(err.strip().splitlines()[-1])["error"]
 
 
+# --------------------------------------------------------- data of another task
+
+TASK_FLAGS = {"cls": "classify", "pair": "pair", "tag": "tag"}
+
+
+@pytest.fixture(scope="module")
+def task_runs(tmp_path_factory):
+    """Per task: a small corpus and a one-step supervised student over it."""
+    root = tmp_path_factory.mktemp("tasks")
+    runs = {}
+    for task, flag in TASK_FLAGS.items():
+        data = root / task
+        assert main(["gen-data", "--task", flag, "--seed", "3", "--n", "16", "--n-dev", "0",
+                     "--n-test", "6", "--max-len", "8", "--grammar-size", "4",
+                     "--out", str(data)]) == 0
+        student = root / f"{task}-student"
+        assert main(["distill", "--task", flag, "--train", str(data / "train.jsonl"),
+                     "--iters", "1", "--batch", "4", "--emb-dim", "8", "--hidden", "6",
+                     "--layers", "1", "--out", str(student)]) == 0
+        runs[task] = {"data": data, "student": str(student)}
+    return runs
+
+
+def payload_error(path, data_task, model_task):
+    return f"{path}: example 0 has a {data_task} payload, not one of task {model_task!r}"
+
+
+OTHER_TASKS = [(m, d) for m in TASK_FLAGS for d in TASK_FLAGS if m != d]
+
+
+@pytest.mark.parametrize("model_task, data_task", OTHER_TASKS)
+def test_eval_on_data_of_another_task_is_one_json_error_line(task_runs, tmp_path, capsys,
+                                                            model_task, data_task):
+    data = task_runs[data_task]["data"] / "test.jsonl"
+    rc, out, err = run(capsys, "eval", "--model", task_runs[model_task]["student"],
+                       "--data", str(data), "--out", str(tmp_path / "ev"))
+    assert rc == 1 and not out
+    assert one_error_line(err) == payload_error(data, data_task, model_task)
+    assert not (tmp_path / "ev" / "eval.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "distill"])
+@pytest.mark.parametrize("data_task", ["pair", "tag"])
+def test_training_on_data_of_another_task_is_one_json_error_line(task_runs, tmp_path, capsys,
+                                                                command, data_task):
+    train = task_runs[data_task]["data"] / "train.jsonl"
+    extra = ["--kind", "gcn-dep"] if command == "train-teacher" else []
+    rc, out, err = run(capsys, command, "--task", "classify", "--train", str(train),
+                       "--iters", "1", "--out", str(tmp_path / "out"), *extra)
+    assert rc == 1 and not out
+    assert one_error_line(err) == payload_error(train, data_task, "cls")
+    assert not (tmp_path / "out" / "log.jsonl").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "dev"])
+def test_distill_label_outside_the_teachers_classes_fails_before_training(
+        workspace, tmp_path, capsys, split):
+    records = [json.loads(l) for l in
+               (workspace["data"] / f"{split}.jsonl").read_text().splitlines()]
+    records[1]["label"] = 2  # the teachers' codec has classes 0 and 1
+    path = tmp_path / f"{split}.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    args = distill_args(workspace, tmp_path / "s")
+    args[args.index(f"--{split}") + 1] = str(path)
+    rc, out, err = run(capsys, *args)
+    assert rc == 1 and not out
+    assert one_error_line(err) == (f"{path}: example 1 has gold 2, not a cls class "
+                                   "of the model (2 classes)")
+    assert not (tmp_path / "s" / "log.jsonl").exists()
+
+
+@pytest.mark.parametrize("model_task, data_task", OTHER_TASKS)
+def test_induce_and_probe_read_data_of_any_task(task_runs, tmp_path, capsys,
+                                                model_task, data_task):
+    # neither reads a payload, so a file of another task gives the same
+    # results as its sentences under the student's own task
+    student, data = task_runs[model_task]["student"], task_runs[data_task]["data"]
+    rc, out, err = run(capsys, "induce", "--model", student,
+                       "--data", str(data / "test.jsonl"), "--out", str(tmp_path / "ind"))
+    assert rc == 0, err
+    assert last_json(out)["n"] == 6
+    rc, out, err = run(capsys, "probe", "--model", student, "--train", str(data / "train.jsonl"),
+                       "--data", str(data / "test.jsonl"), "--probe-task", "dependency-labeling",
+                       "--probe-iters", "5", "--out", str(tmp_path / "pr"))
+    assert rc == 0, err
+    assert 0.0 <= last_json(out)["accuracy"] <= 100.0
+
+
+def test_probe_dominance_refuses_data_of_another_task(task_runs, tmp_path, capsys):
+    student = task_runs["cls"]["student"]
+    data = task_runs["tag"]["data"] / "test.jsonl"
+    rc, out, err = run(capsys, "probe", "--model", student,
+                       "--train", str(task_runs["cls"]["data"] / "train.jsonl"),
+                       "--data", str(data), "--probe-task", "dependency-labeling",
+                       "--probe-iters", "5", "--dep-only", student, "--con-only", student,
+                       "--out", str(tmp_path / "pr"))
+    assert rc == 1 and not out
+    assert one_error_line(err) == payload_error(data, "tag", "cls")
+
+
+@pytest.mark.parametrize("other", ["tag-student", "cls-student-of-other-data"])
+@pytest.mark.parametrize("key", ["dep-only", "con-only"])
+def test_probe_dominance_refuses_a_model_of_another_codec(workspace, model_dirs, task_runs,
+                                                          tmp_path, capsys, other, key):
+    # the eval set is encoded once, with --model's codec, for all three models
+    student = model_dirs["student-B"]
+    odd = task_runs["tag" if other == "tag-student" else "cls"]["student"]
+    ablation = {"dep-only": student, "con-only": student, key: odd}
+    rc, out, err = run(capsys, "probe", "--model", student,
+                       "--train", str(workspace["data"] / "train.jsonl"),
+                       "--data", str(workspace["data"] / "test.jsonl"),
+                       "--probe-task", "dependency-labeling", "--probe-iters", "5",
+                       "--dep-only", ablation["dep-only"], "--con-only", ablation["con-only"],
+                       "--out", str(tmp_path / "pr"))
+    assert rc == 1 and not out
+    assert one_error_line(err) == f"{odd}: codec differs from the --model's"
+
+
 _DROP = object()
 
 
@@ -979,8 +1097,9 @@ def test_model_dir_ignores_keys_that_named_its_optional_parts(workspace, model_d
     shutil.copytree(model_dirs[name], model)
     meta = json.loads((model / "config.resolved.json").read_text())
     if value == "from-model":
-        value = {k: list(w.shape) for k, (w, _) in
-                 cli.load_model_dir(str(model)).projections.items()}
+        value = {k[len("proj/"):-len("/W")]: list(w.shape) for k, w in
+                 cli.load_model_dir(str(model)).p.tensors.items()
+                 if k.startswith("proj/") and k.endswith("/W")}
     meta[part][key] = value
     (model / "config.resolved.json").write_text(json.dumps(meta))
     reports = []

@@ -172,20 +172,17 @@ def test_output_distill_gradient():
 def test_feat_distill_identity_projections():
     t = Tensor(np.array([[1.0, 2.0]]))
     s = Tensor(np.array([[0.0, 0.0]]), requires_grad=True)
-    ident = lambda m: m
-    assert feat_distill(t, s, ident, ident).item() == pytest.approx(2.5, abs=1e-12)
+    assert feat_distill(t, s).item() == pytest.approx(2.5, abs=1e-12)
 
 
 def test_feat_distill_zero_at_match():
     m = Tensor(np.array([[0.3, -0.7], [1.0, 2.0]]))
-    ident = lambda x: x
-    assert feat_distill(m, m, ident, ident).item() == 0.0
+    assert feat_distill(m, m).item() == 0.0
 
 
 def test_feat_distill_row_mismatch():
-    ident = lambda x: x
     with pytest.raises(DistillError):
-        feat_distill(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), ident, ident)
+        feat_distill(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))))
 
 
 def test_feat_distill_gradient():
@@ -194,9 +191,7 @@ def test_feat_distill_gradient():
     s_mat = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     wt = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
     ws = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
-    f = lambda: feat_distill(t_mat, s_mat,
-                             lambda m: T.matmul(m, wt),
-                             lambda m: T.matmul(m, ws))
+    f = lambda: feat_distill(T.matmul(t_mat, wt), T.matmul(s_mat, ws))
     assert check_case(f, [s_mat, wt, ws]) < 1e-6
 
 
@@ -478,7 +473,7 @@ def test_con_inject_and_soft_targets_reject_bad_scores():
     scored = ScoredSpans(Tensor(rows, requires_grad=True), offsets(sizes))
     with pytest.raises(DataError, match=r"span \(2, 3\) of sentence 1"):
         con_inject_loss(scored, refs)
-    span_scorer = SpanScorer(Params(), "span", 2, n_labels, rng, dtype=np.float64)
+    span_scorer = SpanScorer(Params(rng, np.float64), "span", 2, n_labels)
     mat = rng.normal(size=(sum(sizes), 2))
     mat[4] = np.nan  # token 2 of sentence 1: every span reaching past it
     with pytest.raises(DataError, match="of sentence 1"):
@@ -506,9 +501,9 @@ def test_con_inject_gradient():
 def test_batched_structure_heads_match_batch_of_one():
     rng = np.random.default_rng(41)
     sizes, d, n_labels = [3, 5, 2], 4, 3
-    p = Params()
-    arc_scorer = ArcLabelScorer(p, "arc", d, n_labels, 4, rng, dtype=np.float64)
-    span_scorer = SpanScorer(p, "span", d, n_labels, rng, dtype=np.float64)
+    p = Params(rng, np.float64)
+    arc_scorer = ArcLabelScorer(p, "arc", d, n_labels, 4)
+    span_scorer = SpanScorer(p, "span", d, n_labels)
     for t in p.all():  # nonzero root row and biases too
         t.data[...] = rng.normal(size=t.shape)
     mat, off = Tensor(rng.normal(size=(sum(sizes), d))), offsets(sizes)
@@ -559,9 +554,9 @@ def test_structure_heads_match_candidate_references_f64():
     rng = np.random.default_rng(47)
     d, n_labels = 5, 4
     for sizes in ([3, 5, 2], [1, 4], [6], [2, 1, 7, 3]):
-        p = Params()
-        arc_scorer = ArcLabelScorer(p, "arc", d, n_labels, 3, rng, dtype=np.float64)
-        span_scorer = SpanScorer(p, "span", d, n_labels, rng, dtype=np.float64)
+        p = Params(rng, np.float64)
+        arc_scorer = ArcLabelScorer(p, "arc", d, n_labels, 3)
+        span_scorer = SpanScorer(p, "span", d, n_labels)
         for t in p.all():  # nonzero root row and biases too
             t.data[...] = rng.normal(size=t.shape)
         mat, off = Tensor(rng.normal(size=(sum(sizes), d)), requires_grad=True), offsets(sizes)

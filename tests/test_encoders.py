@@ -27,8 +27,8 @@ F64 = np.float64
 
 
 def make_childsum(in_dim, hid, rng, fill=None):
-    p = E.Params()
-    cell = E.ChildSumCell(p, "c", in_dim, hid, rng, dtype=F64)
+    p = E.Params(rng, F64)
+    cell = E.ChildSumCell(p, "c", in_dim, hid)
     if fill is not None:
         for t in p.all():
             t.data[...] = fill
@@ -36,8 +36,8 @@ def make_childsum(in_dim, hid, rng, fill=None):
 
 
 def make_nary(in_dim, hid, rng, n_ary=2, fill=None):
-    p = E.Params()
-    cell = E.NaryCell(p, "c", in_dim, hid, rng, n_ary=n_ary, dtype=F64)
+    p = E.Params(rng, F64)
+    cell = E.NaryCell(p, "c", in_dim, hid, n_ary=n_ary)
     if fill is not None:
         for t in p.all():
             t.data[...] = fill
@@ -212,9 +212,9 @@ def test_tree_encode_sibling_permutation():
 
 def test_tree_encode_fd_gradient():
     rng = np.random.default_rng(8)
-    p = E.Params()
-    up = E.ChildSumCell(p, "up", 3, 3, rng, dtype=F64)
-    down = E.ChildSumCell(p, "down", 3, 3, rng, dtype=F64)
+    p = E.Params(rng, F64)
+    up = E.ChildSumCell(p, "up", 3, 3)
+    down = E.ChildSumCell(p, "down", 3, 3)
     g = dep_tree([2, 0, 2])
     xs_data = rng.standard_normal((3, 3))
 
@@ -300,8 +300,8 @@ def test_tree_encode_on_corner_graphs_matches_taped_reference_bitwise(dtype):
     x_data = rng.standard_normal((13, 3)).astype(dtype)
     x_data[10:13] = x_data[10]
     for cell in (E.ChildSumCell, lambda *a, **k: E.NaryCell(*a, n_ary=3, **k)):
-        p = E.Params()
-        up, down = (cell(p, name, 3, 4, rng, dtype=dtype) for name in ("up", "down"))
+        p = E.Params(rng, dtype)
+        up, down = (cell(p, name, 3, 4) for name in ("up", "down"))
         for t in p.all():
             t.data[...] = rng.standard_normal(t.shape)
         w = rng.standard_normal((13, 8)).astype(dtype)
@@ -459,9 +459,9 @@ def test_gcn_single_node_self_loop():
 
 def test_gcn_fd_gradient():
     rng = np.random.default_rng(10)
-    p = E.Params()
-    w = p.add("W", (3, 3), rng, dtype=F64)
-    b = p.add("b", (3,), init="zeros", dtype=F64)
+    p = E.Params(rng, F64)
+    w = p.add("W", (3, 3))
+    b = p.add("b", (3,), init="zeros")
     h_data = rng.standard_normal((4, 3))
     edges = E.gcn_edges([4], [[(0, 1), (1, 2), (2, 3)]])
 
@@ -565,9 +565,8 @@ def test_gcn_reps_without_tape_build_no_backward_table(monkeypatch):
 # student
 
 def make_student_encoder(vocab, emb, hid, layers=3, seed=0, dtype=F64):
-    p = E.Params()
-    rng = np.random.default_rng(seed)
-    enc = E.StudentEncoder(p, "s", vocab, emb, hid, layers, rng=rng, dtype=dtype)
+    p = E.Params(np.random.default_rng(seed), dtype)
+    enc = E.StudentEncoder(p, "s", vocab, emb, hid, layers)
     return enc, p
 
 
@@ -813,9 +812,8 @@ def step_major_encode(enc, ids, train, rng):
 
 def test_student_equal_length_matches_step_major_scan_bitwise():
     # float32 as in training, with nonzero biases and embedding dropout
-    p = E.Params()
-    enc = E.StudentEncoder(p, "s", 13, 5, 4, 3, rng=np.random.default_rng(16),
-                           dtype=np.float32)
+    p = E.Params(np.random.default_rng(16), np.float32)
+    enc = E.StudentEncoder(p, "s", 13, 5, 4, 3)
     set_biases(p, 17)
     rng = np.random.default_rng(18)
     ids = rng.integers(0, 13, size=(4, 6))
@@ -841,9 +839,8 @@ def test_student_equal_length_matches_step_major_scan_bitwise():
 def test_student_mixed_lengths_match_row_major_scan_bitwise(dtype, monkeypatch):
     # mixed lengths, so the forward scans lose rows and the reverse ones gain
     # them; with nonzero biases and embedding dropout
-    p = E.Params()
-    enc = E.StudentEncoder(p, "s", 13, 5, 4, 3, rng=np.random.default_rng(20),
-                           dtype=dtype)
+    p = E.Params(np.random.default_rng(20), dtype)
+    enc = E.StudentEncoder(p, "s", 13, 5, 4, 3)
     set_biases(p, 21)
     rng = np.random.default_rng(22)
     ids = [rng.integers(0, 13, size=n) for n in (3, 1, 7, 7, 2, 5)]
@@ -888,34 +885,40 @@ def test_student_fd_gradient():
 # ---------------------------------------------------------------------------
 # heads
 
+def head_model(task, seed):
+    data = D.gen_synthetic(4, seed=seed, task=task, max_len=6)
+    codec = E.Codec(data, task)
+    model = E.make_teacher("gcn-dep", codec, emb_dim=4, n_layers=1, dtype=F64,
+                           rng=np.random.default_rng(seed))
+    return model, [codec.encode(ex) for ex in data]
+
+
 def test_pair_head_width_and_zero_diff():
-    rng = np.random.default_rng(11)
-    p = E.Params()
-    head = E.PairHead(p, "h", 4, 3, rng, dtype=F64)
-    assert head.W.shape == (20, 3)
-    head.W.data[...] = 0.0
-    head.W.data[12:16, :] = 1.0  # only the u-v block contributes
-    u = Tensor(rng.standard_normal((1, 4)))
-    out = head(u, u)
-    np.testing.assert_allclose(out.data, np.zeros((1, 3)), atol=1e-12)
+    model, encs = head_model("pair", 11)
+    w = model.p["head/W"]
+    assert w.shape == (20, model.codec.n_classes)
+    w.data[...] = 0.0
+    w.data[12:16, :] = 1.0  # only the u-v block contributes
+    for enc in encs:
+        enc.partner = enc.main
+    out = model.logits(encs)
+    np.testing.assert_allclose(out.data, np.zeros(out.shape), atol=1e-12)
 
 
 def test_tag_head_shape():
-    rng = np.random.default_rng(12)
-    p = E.Params()
-    head = E.TagHead(p, "h", 6, 4, rng, dtype=F64)
-    mat = Tensor(rng.standard_normal((5, 6)))
-    out = head(mat, predicate=2)
-    assert out.shape == (5, 4)
+    model, encs = head_model("tag", 12)
+    assert model.p["head/ind"].shape == (2, 16)
+    assert model.p["head/W"].shape == (4 + 16, model.codec.n_classes)
+    out = model.logits(encs)
+    assert out.shape == (sum(enc.main.n for enc in encs), model.codec.n_classes)
 
 
 # ---------------------------------------------------------------------------
 # arc scorer
 
 def make_arc_scorer(in_dim, n_labels, arc_dim, seed=0):
-    p = E.Params()
-    rng = np.random.default_rng(seed)
-    return E.ArcLabelScorer(p, "a", in_dim, n_labels, arc_dim, rng, dtype=F64), p
+    p = E.Params(np.random.default_rng(seed), F64)
+    return E.ArcLabelScorer(p, "a", in_dim, n_labels, arc_dim), p
 
 
 def test_arc_probs_normalized_and_uniform_at_zero():
@@ -951,9 +954,8 @@ def test_arc_scores_match_hand_computation():
 # span scorer
 
 def make_span_scorer(in_dim, n_labels, seed=0):
-    p = E.Params()
-    rng = np.random.default_rng(seed)
-    return E.SpanScorer(p, "s", in_dim, n_labels, rng, dtype=F64), p
+    p = E.Params(np.random.default_rng(seed), F64)
+    return E.SpanScorer(p, "s", in_dim, n_labels), p
 
 
 def test_span_scorer_table_size():

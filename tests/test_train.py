@@ -84,6 +84,32 @@ def test_teacher_parameter_layout_pinned():
         assert params_fingerprint(m.p) == with_head, kind
 
 
+# fingerprints of a freshly built student per task codec, after two mode-A
+# projections, and of a teacher with its structure head per task beyond cls
+# (TEACHER_FINGERPRINTS pins every teacher on cls): the task head's and the
+# projections' names, shapes and init order
+TASK_FINGERPRINTS = {
+    "cls": ("7b06a0e91c0686d57a148f4dd355cdb14cc9c2b62060849538fd48ec5a5cd116", None, None),
+    "pair": ("788bdc6b9ae9aafba2a16f9e3b968e01b5f0d068de7b20c6bd609485a402ff5a",
+             "tlstm-dep", "4ff2bdfca0e8cb9f0c76a92978e622dbafd9a064233b82019bbd8adafd32cfb9"),
+    "tag": ("1068f39f1c239a910530165da61ce00e602682648cc0c329e37cf65c892649e5",
+            "tlstm-con", "3c81ee45e7eb01340e0726b8fa68580e0413e5e3f55fba6e9f8f71055bfd92aa"),
+}
+
+
+def test_task_head_and_projection_layout_pinned():
+    for task, (student_print, kind, teacher_print) in TASK_FINGERPRINTS.items():
+        codec = Codec(gen_synthetic(20, seed=0, task=task), task)
+        s = StudentModel(codec, emb_dim=8, hidden=6, n_layers=2, rng=np.random.default_rng(7))
+        s.add_projection("tlstm-dep", 12)
+        s.add_projection("gcn-con", 8)
+        assert params_fingerprint(s.p) == student_print, task
+        if kind is not None:
+            t = make_teacher(kind, codec, emb_dim=8, hidden=6, rng=np.random.default_rng(7))
+            t.add_structure_head(t.structure)
+            assert params_fingerprint(t.p) == teacher_print, task
+
+
 # ------------------------------------------------------------------ schedule
 
 def test_schedule_flag_trace():
@@ -507,9 +533,9 @@ def test_distill_mode_a_runs_and_registers_projections():
     cfg = DistillConfig(mode="A", total_iters=2)
     distill_student(student, teachers, encs, None, cfg, sched,
                     batch_size=4, lr=1e-3, seed=0)
-    assert "f_s" in student.projections
+    assert "proj/f_s/W" in student.p.names()
     for kind in TEACHER_KINDS:
-        assert f"f_t/{kind}" in student.projections
+        assert f"proj/f_t/{kind}/W" in student.p.names()
 
 
 def test_distill_vocab_mismatch():
