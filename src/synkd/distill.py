@@ -145,7 +145,8 @@ def sample_mask_positions(n: int, ratio: float, rng: np.random.Generator):
     """Each position masked independently at `ratio`; at least one forced."""
     if n < 1:
         raise DistillError("empty sentence")
-    pos = [j for j in range(n) if rng.random() < ratio]
+    # one draw of n uniforms takes the same stream as n scalar draws
+    pos = np.flatnonzero(rng.random(n) < ratio).tolist()
     if not pos:
         pos = [int(rng.integers(n))]
     return pos
@@ -155,7 +156,8 @@ def semantic_lm_loss(student, l1f: Tensor, off, targets) -> Tensor:
     """Masked-word prediction from the prior-word forward state.
 
     l1f: (N, h) layer-1 forward states computed over the MASKED input ids,
-    stacked by sentence with sentence b at rows [off[b], off[b + 1]).
+    stacked by sentence with sentence b at rows [off[b], off[b + 1]), as
+    StudentEncoder.lm_states returns them.
     targets: iterable of (b, j, token_id) for masked positions; position 0
     is predicted from the learned begin state. Returns the sum of
     cross-entropies (not the mean), one term per masked position.
@@ -266,7 +268,9 @@ def con_inject_loss(scored, trees) -> Tensor:
     if not active.any():
         return Tensor(np.array(0.0, dtype=data.dtype))
     hat, star = span_ids(lens, hat, n_labels)[active], star[active]
-    delta = np.isin(hat, star, invert=True).sum()
+    in_star = np.zeros(data.size, dtype=bool)
+    in_star[star] = True
+    delta = np.count_nonzero(~in_star[hat])
     gap = T.sub(T.sum_(T.take(scored.tensor, hat)), T.sum_(T.take(scored.tensor, star)))
     return T.add(gap, Tensor(np.array(float(delta), dtype=data.dtype)))
 

@@ -466,7 +466,8 @@ class StudentEncoder:
     and step t is one row block of the sentences longer than t, so no padded
     row is computed. Each layer direction is one input projection over all
     rows plus one `lstm_scan` over the steps; one gather at the end puts
-    the rows back in sentence order.
+    the rows back in sentence order. Dropout is drawn once, on the
+    embeddings, so both readers draw the same numbers from `rng`.
     """
 
     def __init__(self, p: Params, prefix, vocab_size, emb_dim, hid, n_layers=3):
@@ -484,10 +485,10 @@ class StudentEncoder:
                 }
             self.layers.append(layer)
 
-    def encode_batch(self, ids, train=False, rng=None):
-        """ids: B token-id sequences (rows of a (B, T) array work too) ->
-        {"top": (N, 2h), "l1f": (N, h)} stacked by sentence in input order,
-        N the total token count; l1f is the first layer's forward state."""
+    def _embed(self, ids, train, rng):
+        """Packed embedding rows of a batch (dropped out in training), the
+        row count of each step, and each token's packed row, sentence by
+        sentence in input order."""
         seqs = [np.asarray(s, dtype=np.int64) for s in ids]
         lengths = np.array([s.size for s in seqs], dtype=np.int64)
         if not seqs or lengths.min() < 1 or any(s.ndim != 1 for s in seqs):
@@ -501,16 +502,29 @@ class StudentEncoder:
         pos = (offsets(counts)[:-1] + rank[:, None])[valid]
         packed = np.empty(pos.size, dtype=np.int64)
         packed[pos] = np.concatenate(seqs)
-        x = _dropout(T.embedding(self.emb, packed), train, rng)
-        l1f = None
-        for l, layer in enumerate(self.layers):
-            fwd, bwd = (T.lstm_scan(T.add(T.matmul(x, layer[d]["W"]), layer[d]["b"]),
-                                    layer[d]["U"], counts, reverse=d == "b")
-                        for d in ("f", "b"))
-            if l == 0:
-                l1f = fwd
-            x = T.concat([fwd, bwd], axis=1)
-        return {"top": T.embedding(x, pos), "l1f": T.embedding(l1f, pos)}
+        return _dropout(T.embedding(self.emb, packed), train, rng), counts, pos
+
+    @staticmethod
+    def _scan(x, layer, d, counts):
+        return T.lstm_scan(T.add(T.matmul(x, layer[d]["W"]), layer[d]["b"]),
+                           layer[d]["U"], counts, reverse=d == "b")
+
+    def encode_batch(self, ids, train=False, rng=None):
+        """ids: B token-id sequences (rows of a (B, T) array work too) ->
+        (N, 2h) top-layer states stacked by sentence in input order, N the
+        total token count. Runs both directions of every layer."""
+        x, counts, pos = self._embed(ids, train, rng)
+        for layer in self.layers:
+            x = T.concat([self._scan(x, layer, d, counts) for d in ("f", "b")], axis=1)
+        return T.embedding(x, pos)
+
+    def lm_states(self, ids, train=False, rng=None):
+        """(N, h) first-layer forward states of the same batch, stacked as
+        encode_batch stacks its rows: what the masked-word loss reads. Runs
+        only that one projection and scan; the rows, the rng draws and every
+        gradient through them equal those of a full-stack encode."""
+        x, counts, pos = self._embed(ids, train, rng)
+        return T.embedding(self._scan(x, self.layers[0], "f", counts), pos)
 
 
 # ---------------------------------------------------------------------------
@@ -986,7 +1000,7 @@ class StudentModel(BaseModel):
     def reps(self, sides, train=False, rng=None):
         """Stacked token rows of a batch of sides plus their row offsets, from
         one packed encoder batch."""
-        return (self.encoder.encode_batch([s.token_ids for s in sides], train, rng)["top"],
+        return (self.encoder.encode_batch([s.token_ids for s in sides], train, rng),
                 offsets([s.n for s in sides]))
 
 

@@ -42,6 +42,7 @@ class BinTree:
                 f"binary tree over {self.n} tokens needs {2 * self.n - 1} spans, "
                 f"got {len(self.spans)}")
         self.edges = self._walk()
+        self._rows = None  # (spans, their labels, rows) at the last read of rows
 
     def _walk(self):
         # in post-order an inner span's children are the last two spans still
@@ -63,6 +64,16 @@ class BinTree:
             roots.append((i, v))
             start, end = i, j
         return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """(2n - 1, 3) int64 (i, j, label) rows of the spans in post-order;
+        the labels must be ids. Cached until the spans or a label change."""
+        labels = tuple(self.spans.values())
+        if self._rows is None or self._rows[0] is not self.spans or self._rows[1] != labels:
+            rows = np.array([(i, j, l) for (i, j), l in self.spans.items()], dtype=np.int64)
+            self._rows = self.spans, labels, rows.reshape(-1, 3)
+        return self._rows[2]
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +157,7 @@ class SpanScores:
 
 def tree_spans(trees) -> np.ndarray:
     """(i, j, label) rows of every tree's labeled spans, tree after tree."""
-    return np.array([(i, j, l) for t in trees for (i, j), l in t.spans.items()],
-                    dtype=np.int64).reshape(-1, 3)
+    return np.concatenate([t.rows for t in trees]) if trees else np.zeros((0, 3), np.int64)
 
 
 def span_ids(lens, spans, n_labels) -> np.ndarray:
@@ -208,17 +218,19 @@ def chart_max(lens, rows, cost_ref=None):
         split[:, :n - w + 1, w] = v.argmax(axis=2) + 1
         by_start[:, :n - w + 1, w] = by_end[:, w:, w] = v.max(axis=2) + by_start[:, :n - w + 1, w]
 
-    out = []
-    for sb, lb, m in zip(split, label, lens.tolist()):
-        sb, lb, stack, tree = sb[:m, :m + 1].tolist(), lb[:m, :m + 1].tolist(), [(0, m)], []
-        while stack:
-            p, q = stack.pop()
-            tree.append((p, q, lb[p][q - p]))
-            if q - p > 1:
-                k = p + sb[p][q - p]
-                stack += [(p, k), (k, q)]  # pops node, right, left: post-order reversed
-        out += reversed(tree)
-    return np.array(out, dtype=np.int64), by_start[np.arange(nb), 0, lens]
+    # backtrace every sentence at once, one tree level per pass, then sort
+    # the nodes into post-order: by sentence, then end, then start descending
+    sent, lo, hi = np.arange(nb), np.zeros(nb, dtype=np.int64), lens
+    levels = []
+    while sent.size:
+        levels.append((sent, lo, hi, label[sent, lo, hi - lo]))
+        inner = hi - lo > 1
+        sent, lo, hi = sent[inner], lo[inner], hi[inner]
+        mid = lo + split[sent, lo, hi - lo]
+        sent, lo, hi = np.tile(sent, 2), np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    sent, lo, hi, lab = (np.concatenate(part) for part in zip(*levels))
+    out = np.stack([lo, hi, lab], axis=1)[np.lexsort((-lo, hi, sent))]
+    return out, by_start[np.arange(nb), 0, lens]
 
 
 def chart_trees(lens, spans):

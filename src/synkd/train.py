@@ -323,15 +323,15 @@ def syn_loss_batch(student, main, idxs, signals, cfg, models):
 
 def sem_loss_batch(student, encs, cfg, rng):
     """Masked-word loss over a batch (per-example sums, averaged over the
-    batch); masking and the extra forward run on the main side."""
+    batch); masking and the extra forward run on the main side, and that
+    forward runs only the first layer's forward direction, all the loss reads."""
     ids = [enc.main.token_ids for enc in encs]
     targets = []
     for b, enc in enumerate(encs):
         for j in sample_mask_positions(enc.main.n, cfg.mask_ratio, rng):
             targets.append((b, j, int(ids[b][j])))
-    out = student.encoder.encode_batch(mask_ids(ids, targets, MASK), train=True, rng=rng)
-    loss = semantic_lm_loss(student, out["l1f"], offsets([enc.main.n for enc in encs]),
-                            targets)
+    l1f = student.encoder.lm_states(mask_ids(ids, targets, MASK), train=True, rng=rng)
+    loss = semantic_lm_loss(student, l1f, offsets([enc.main.n for enc in encs]), targets)
     return T.scale(loss, 1.0 / len(encs))
 
 

@@ -174,9 +174,8 @@ def case_student_bilstm(rng):
     w_l1 = Tensor(rng.standard_normal((6, hid)).astype(F64))
 
     def f():
-        out = enc.encode_batch(ids)
-        return T.add(T.sum_(T.mul(out["top"], w_top)),
-                     T.sum_(T.mul(out["l1f"], w_l1)))
+        return T.add(T.sum_(T.mul(enc.encode_batch(ids), w_top)),
+                     T.sum_(T.mul(enc.lm_states(ids), w_l1)))
 
     return f, p.all()
 

@@ -298,6 +298,17 @@ def test_sample_mask_positions_forced():
         sample_mask_positions(0, 0.15, rng)
 
 
+def test_sample_mask_positions_match_scalar_draws():
+    # one vector draw of n uniforms: the positions and the generator's state
+    # after it equal those of n scalar draws
+    for seed in range(40):
+        for n, ratio in ((1, 0.15), (5, 0.15), (12, 0.5), (30, 0.05)):
+            got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [j for j in range(n) if ref.random() < ratio] or [int(ref.integers(n))]
+            assert sample_mask_positions(n, ratio, got) == want
+            assert got.bit_generator.state == ref.bit_generator.state
+
+
 def test_mask_ids():
     ids = [np.array([5, 6, 7]), np.array([8, 9, 10, 11])]
     out = mask_ids(ids, [(0, 1, 6), (1, 2, 10)], mask_id=2)

@@ -571,8 +571,8 @@ def make_student_encoder(vocab, emb, hid, layers=3, seed=0, dtype=F64):
 
 
 def encode_one(enc, ids):
-    out = enc.encode_batch(np.asarray(ids)[None, :])
-    return out["top"], out["l1f"]
+    ids = np.asarray(ids)[None, :]
+    return enc.encode_batch(ids), enc.lm_states(ids)
 
 
 def test_student_single_token():
@@ -591,8 +591,7 @@ def test_student_paper_width():
 def test_student_batch_matches_single():
     enc, _ = make_student_encoder(12, 4, 5, layers=2)
     ids = np.array([[1, 2, 3], [4, 5, 6]])
-    out = enc.encode_batch(ids)
-    top = out["top"].data
+    top = enc.encode_batch(ids).data
     for b in range(2):
         reps, _ = encode_one(enc, ids[b])
         got = top[3 * b:3 * (b + 1)]  # stacked by sentence
@@ -670,8 +669,7 @@ def test_student_matches_per_step_reference(steps):
         return top.data, l1f.data, [t.grad.copy() for t in p.all()]
 
     def fused():
-        out = enc.encode_batch(ids)
-        return out["top"], out["l1f"]
+        return enc.encode_batch(ids), enc.lm_states(ids)
 
     got, want = run(fused), run(lambda: reference_bilstm(enc, ids))
     np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
@@ -712,12 +710,10 @@ def test_student_packed_matches_batch_of_one():
     w_l1 = Tensor(rng.standard_normal((11, 3)))
 
     def packed():
-        out = enc.encode_batch(ids)
-        return [(out["top"], out["l1f"])]
+        return [(enc.encode_batch(ids), enc.lm_states(ids))]
 
     def one_by_one():
-        outs = [enc.encode_batch([s]) for s in ids]
-        return [(o["top"], o["l1f"]) for o in outs]
+        return [(enc.encode_batch([s]), enc.lm_states([s])) for s in ids]
 
     got = encode_and_grads(p, packed, w_top, w_l1)
     want = encode_and_grads(p, one_by_one, w_top, w_l1)
@@ -821,13 +817,18 @@ def test_student_equal_length_matches_step_major_scan_bitwise():
     w_l1 = Tensor(rng.standard_normal((24, 4)).astype(np.float32))
 
     def packed():
-        out = enc.encode_batch(ids, train=True, rng=np.random.default_rng(19))
-        return [(out["top"], out["l1f"])]
+        # each reader draws the same dropout mask from a fresh generator
+        return [(enc.encode_batch(ids, train=True, rng=np.random.default_rng(19)),
+                 enc.lm_states(ids, train=True, rng=np.random.default_rng(19)))]
+
+    def reference():
+        # top and l1f from two reference graphs, as the two readers build them
+        top, _ = step_major_encode(enc, ids, True, np.random.default_rng(19))
+        _, l1f = step_major_encode(enc, ids, True, np.random.default_rng(19))
+        return [(top, l1f)]
 
     got = encode_and_grads(p, packed, w_top, w_l1)
-    want = encode_and_grads(
-        p, lambda: [step_major_encode(enc, ids, True, np.random.default_rng(19))],
-        w_top, w_l1)
+    want = encode_and_grads(p, reference, w_top, w_l1)
     assert got[0].dtype == np.float32
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
@@ -848,8 +849,8 @@ def test_student_mixed_lengths_match_row_major_scan_bitwise(dtype, monkeypatch):
     w_l1 = Tensor(rng.standard_normal((25, 4)).astype(dtype))
 
     def encode():
-        out = enc.encode_batch(ids, train=True, rng=np.random.default_rng(23))
-        return [(out["top"], out["l1f"])]
+        return [(enc.encode_batch(ids, train=True, rng=np.random.default_rng(23)),
+                 enc.lm_states(ids, train=True, rng=np.random.default_rng(23)))]
 
     got = encode_and_grads(p, encode, w_top, w_l1)
     monkeypatch.setattr(T, "lstm_scan", row_major_lstm_scan)
@@ -877,7 +878,7 @@ def test_student_fd_gradient():
     ids = np.array([[1, 2, 0, 5]])
 
     def f():
-        return T.sum_(T.tanh(enc.encode_batch(ids)["top"]))
+        return T.sum_(T.tanh(enc.encode_batch(ids)))
 
     assert check_case(f, p.all()) < 1e-6
 

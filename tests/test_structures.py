@@ -268,6 +268,23 @@ def test_chart_rows_are_post_order_trees():
             BinTree(n, dict(((i, j), l) for i, j, l in part.tolist()))
 
 
+def test_bintree_rows_follow_relabels():
+    # the cached (i, j, label) rows are the spans in post-order, and they
+    # follow a relabel, by a new spans dict or in place
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        t = random_bintree(int(rng.integers(1, 7)), 3, rng)
+        want = [(i, j, l) for (i, j), l in t.spans.items()]
+        assert t.rows.dtype == np.int64 and t.rows.tolist() == [list(r) for r in want]
+        assert t.rows is t.rows
+        t.spans = {s: l + 1 for s, l in t.spans.items()}
+        assert t.rows[:, 2].tolist() == [l + 1 for _, _, l in want]
+        top = (0, t.n)
+        t.spans[top] = 7
+        assert t.rows[-1].tolist() == [0, t.n, 7]
+    assert tree_spans([]).shape == (0, 3)
+
+
 def test_batched_chart_rejects_bad_input():
     rng = np.random.default_rng(37)
     lens = [2, 3]

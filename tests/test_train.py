@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from oracles import reference_distill_student, reference_train_teacher
 
-from synkd.distill import (DistillConfig, DistillError, TeacherSet, soft_arc_targets,
-                           soft_con_targets)
+from synkd import tensor as T
+from synkd.distill import (DistillConfig, DistillError, TeacherSet, sample_mask_positions,
+                           soft_arc_targets, soft_con_targets)
 from synkd.encoders import (Codec, EncodedSide, GcnModel, StudentEncoder, StudentModel,
                             TEACHER_KINDS, make_teacher)
 from synkd.syntax_data import DataError, Example, gen_synthetic
@@ -31,6 +32,7 @@ from synkd.train import (
     run_loop,
     save_checkpoint,
     save_run_state,
+    sem_loss_batch,
     tagging_metrics,
     train_teacher,
 )
@@ -523,6 +525,80 @@ def test_syntax_step_encodes_main_side_once(monkeypatch):
     # the output step encodes both sides, the syntax step the main side only
     assert len(calls) == 3
     np.testing.assert_array_equal(calls[2], calls[0])
+
+
+def full_stack_lm_states(enc, ids, train=False, rng=None):
+    """The first layer's forward states read off a run of the whole stack,
+    both directions of every layer, with the top rows gathered first: the
+    path the masked-word step took before StudentEncoder.lm_states."""
+    x, counts, pos = enc._embed(ids, train, rng)
+    for l, layer in enumerate(enc.layers):
+        fwd, bwd = (enc._scan(x, layer, d, counts) for d in ("f", "b"))
+        if l == 0:
+            l1f = fwd
+        x = T.concat([fwd, bwd], axis=1)
+    T.embedding(x, pos)
+    return T.embedding(l1f, pos)
+
+
+@pytest.mark.parametrize("task", ["cls", "pair"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lm_step_matches_full_stack_read_bitwise(task, dtype, monkeypatch):
+    # the masked-word step on lm_states against the same step reading l1f
+    # off the whole stack: same loss, every gradient, and the same draws
+    codec, encs = small_data(16, seed=31, task=task)
+    batch = [e for e in encs if e.main.n > 2][:6]
+    cfg = DistillConfig(mask_ratio=0.3)
+
+    def masked(seed):  # the positions the step masks, drawn first from its generator
+        draws = np.random.default_rng(seed)
+        return [sample_mask_positions(e.main.n, cfg.mask_ratio, draws) for e in batch]
+
+    # a batch that masks position 0 (the begin state) and later positions
+    seed = next(s for s in range(50) if any(0 in pos for pos in masked(s)))
+    assert any(max(pos) > 0 for pos in masked(seed))
+
+    def lm_step():
+        student = StudentModel(codec, emb_dim=10, hidden=8, n_layers=3,
+                               rng=np.random.default_rng(1), dtype=dtype)
+        rng = np.random.default_rng(seed)
+        with T.Tape() as tape:
+            loss = sem_loss_batch(student, batch, cfg, rng)
+            tape.backward(loss)
+        grads = {n: student.p[n].grad for n in student.p.names()}
+        return loss.data, grads, rng.bit_generator.state
+
+    got = lm_step()
+    monkeypatch.setattr(StudentEncoder, "lm_states", full_stack_lm_states)
+    want = lm_step()
+    assert got[0].dtype == dtype and got[0].tobytes() == want[0].tobytes()
+    assert got[1].keys() == want[1].keys()
+    for name, g in got[1].items():
+        assert (g is None) == (want[1][name] is None), name
+        if g is not None:
+            assert g.dtype == dtype and g.tobytes() == want[1][name].tobytes(), name
+    # the LM loss reads layer 0's forward direction and nothing above it
+    assert got[1]["enc/l0f/W"] is not None and got[1]["enc/l0b/W"] is None
+    assert got[2] == want[2]
+
+
+def test_lm_step_runs_one_lstm_scan(monkeypatch):
+    codec, encs = small_data(16, seed=32)
+    student = small_student(codec, layers=3)
+    scans = []
+    scan = T.lstm_scan
+
+    def counted(*args, **kwargs):
+        scans.append(kwargs.get("reverse", False))
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(T, "lstm_scan", counted)
+    with T.Tape():
+        sem_loss_batch(student, encs[:8], DistillConfig(), np.random.default_rng(0))
+    assert scans == [False]
+    with T.Tape():
+        student.reps([e.main for e in encs[:8]], True, np.random.default_rng(0))
+    assert len(scans) == 1 + 2 * 3
 
 
 def test_distill_mode_a_runs_and_registers_projections():
