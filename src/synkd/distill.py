@@ -8,6 +8,7 @@ regularization over the student parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -190,10 +191,20 @@ def mask_ids(ids, positions, mask_id: int):
     return out
 
 
+@cache
+def _identity(n):
+    """The read-only (n, n) float64 identity: row c is class c's one-hot."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def hard_arc_targets(heads, dep_label_ids, n_labels):
-    """One-hot arc/label targets straight from the parse."""
+    """One-hot arc/label targets straight from the parse, gathered as rows of
+    identity tables (`one_hot`'s values, without building zeros per call)."""
     heads = np.asarray(heads, dtype=np.int64)
-    return one_hot(heads, heads.size + 1), one_hot(dep_label_ids, n_labels), heads
+    return (_identity(heads.size + 1).take(heads, axis=0),
+            _identity(n_labels).take(dep_label_ids, axis=0), heads)
 
 
 def soft_arc_targets(scorer, main):

@@ -12,13 +12,14 @@ Every model encodes a whole batch of sentences at once through
 input order plus their row offsets, which BaseModel's task head, the losses
 and the scorers consume. The four tree teachers are one TeacherModel over one
 (is_word, ids, edges) view per sentence, its tree as (k, 2) edge rows (a
-binarized tree's are those its BinTree holds), stacked into one plan per
-`reps` call: each TreeLSTM layer direction is one tape op that runs the cell
-level by level across every tree of the batch (dynamic batching); each GCN
-layer is one tape op that sums every node's messages in a fixed order. The
-student runs one packed BiLSTM batch over sentences of any lengths, and the
-arc and span scorers score every sentence of a batch in a fixed number of
-tape ops.
+binarized tree's are those its BinTree holds). Each sentence keeps the plan
+fragment of its view that a teacher kind reads, built the first time a batch
+holds it; a `reps` call merges its sides' fragments into one plan: each
+TreeLSTM layer direction is one tape op that runs the cell level by level
+across every tree of the batch (dynamic batching); each GCN layer is one tape
+op that sums every node's messages in a fixed order. The student runs one
+packed BiLSTM batch over sentences of any lengths, and the arc and span
+scorers score every sentence of a batch in a fixed number of tape ops.
 """
 from __future__ import annotations
 
@@ -102,8 +103,8 @@ def _dropout(x: Tensor, train, rng) -> Tensor:
 # (d xw, (buffer rows, d kid_h, d kid_c), recurrent block gradients).
 
 def _sigmoid(a):
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-a))
+    """1 / (1 + e^-a); its callers ignore exp's overflow to inf, which gives 0."""
+    return 1.0 / (1.0 + np.exp(-a))
 
 
 def _lstm_forward(pre, hid, forget_sum):
@@ -137,16 +138,30 @@ def _row_keys(*mats):
     return m.view(np.dtype((np.void, m.shape[1] * m.itemsize))).ravel()
 
 
+def _sum_rows(n, seg, rows, single):
+    """(n, width) sums: row i adds every rows[k] with seg[k] == i to +0, in k
+    order. Where each row has one input at most (`single`), a scatter plus
+    +0 gives the same bits, -0.0 included."""
+    acc = np.zeros((n, rows.shape[1]), dtype=rows.dtype)
+    if not single:
+        return T._add_rows(acc, seg, rows)
+    acc[seg] = rows
+    acc += 0.0
+    return acc
+
+
 class ChildSumCell:
     """Child-Sum TreeLSTM cell: gates from the summed child state, one forget
     gate per child computed from that child's own hidden state.
 
     Children are folded in a canonical byte order, so the output is bitwise
     invariant under sibling permutations despite float addition being
-    non-associative.
+    non-associative. A level whose nodes have one child at most needs no
+    such order: its edges arrive by node.
     """
 
     GATES = ("i", "f", "o", "u")
+    n_ary = None  # any number of children
 
     def __init__(self, p: Params, prefix, in_dim, hid):
         self.hid = hid
@@ -162,25 +177,26 @@ class ChildSumCell:
         b = T.concat([self.b[g] for g in "iouf"], axis=0)
         return w, b, (T.concat([self.U[g] for g in "iou"], axis=1), self.U["f"])
 
-    def forward(self, rec, xw, seg, slot, src, H, C):
+    def forward(self, rec, xw, seg, slot, src, single, H, C):
         hid, n = self.hid, xw.shape[0]
         kid_h, kid_c = H[src], C[src]
-        order = np.lexsort((_row_keys(kid_h, kid_c), seg))
-        seg, src, kid_h, kid_c = seg[order], src[order], kid_h[order], kid_c[order]
+        if not single:
+            order = np.lexsort((_row_keys(kid_h, kid_c), seg))
+            seg, src, kid_h, kid_c = seg[order], src[order], kid_h[order], kid_c[order]
         u_iou, u_f = rec
-        kid_sum = T._add_rows(np.zeros((n, hid), dtype=kid_h.dtype), seg, kid_h)
+        kid_sum = _sum_rows(n, seg, kid_h, single)
         pre = xw[:, :3 * hid] + kid_sum @ u_iou
         f = _sigmoid(xw[seg, 3 * hid:] + kid_h @ u_f)
-        forget = T._add_rows(np.zeros((n, hid), dtype=f.dtype), seg, f * kid_c)
-        return pre, forget, (seg, src, kid_h, kid_c, kid_sum, f)
+        forget = _sum_rows(n, seg, f * kid_c, single)
+        return pre, forget, (seg, src, single, kid_h, kid_c, kid_sum, f)
 
     def backward(self, rec, saved, d_pre, dc):
-        seg, src, kid_h, kid_c, kid_sum, f = saved
+        seg, src, single, kid_h, kid_c, kid_sum, f = saved
         u_iou, u_f = rec
         d_fc = dc[seg]
         d_f = d_fc * kid_c * f * (1.0 - f)
         d_kid_h = d_f @ u_f.T + (d_pre @ u_iou.T)[seg]
-        d_x_f = T._add_rows(np.zeros_like(dc), seg, d_f)
+        d_x_f = _sum_rows(dc.shape[0], seg, d_f, single)
         return (np.concatenate((d_pre, d_x_f), axis=1), (src, d_kid_h, d_fc * f),
                 (kid_sum.T @ d_pre, kid_h.T @ d_f))
 
@@ -213,10 +229,8 @@ class NaryCell:
                         for q in range(n)], axis=0)
         return w, b, (rec,)
 
-    def forward(self, rec, xw, seg, slot, src, H, C):
+    def forward(self, rec, xw, seg, slot, src, single, H, C):
         hid, n, m = self.hid, xw.shape[0], self.n_ary
-        if slot.max() >= m:
-            raise ValueError(f"{slot.max() + 1} children exceed N={m}; binarize first")
         rows = np.zeros((n, m), dtype=np.int64)  # absent children read the zero row
         rows[seg, slot] = src
         flat = rows.reshape(-1)
@@ -236,59 +250,53 @@ class NaryCell:
 
 
 # ---------------------------------------------------------------------------
-# tree level plans
+# tree level plans: each tree's fragment, built once, and a batch's plan
+# merged from its trees' fragments
 
 def offsets(counts) -> np.ndarray:
     """Row offsets of stacked blocks: block b is rows [off[b], off[b + 1])."""
     return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
 
-def _stack_edges(sizes, trees):
-    """Node count of a batch of graphs of sizes[b] nodes, and their (k, 2)
-    edge rows stacked, each graph's node ids shifted past those before it."""
-    off = offsets(sizes)
-    e = np.concatenate(trees).reshape(-1, 2).astype(np.int64, copy=False)
-    return int(off[-1]), e + np.repeat(off[:-1], [len(t) for t in trees])[:, None]
+def _stack_edges(sizes, graphs):
+    """Node offsets of a batch of graphs of sizes[b] nodes, each graph's edge
+    count, and their (k, 2) edge rows stacked, each graph's node ids shifted
+    past those before it."""
+    off, counts = offsets(sizes), [len(g) for g in graphs]
+    e = np.concatenate(graphs).reshape(-1, 2).astype(np.int64, copy=False)
+    return off, counts, e + np.repeat(off[:-1], counts)[:, None]
 
 
 @dataclass
 class LevelPlan:
     """One direction of a batch's level schedule: nodes sorted stably by
-    level (perm, its inverse pos) and per level its sorted rows [lo, hi) and
-    incoming edges by (seg, slot), edge k feeding buffer row src[k] (row 0
-    the zero state, 1 + r sorted row r) to node seg[k] as child slot[k]."""
+    level (perm, its inverse pos) and per level its sorted rows [lo, hi),
+    its incoming edges by (seg, slot), edge k feeding buffer row src[k] (row
+    0 the zero state, 1 + r sorted row r) to node seg[k] as child slot[k],
+    and whether each of its nodes has one input at most (single); fan_in is
+    the most inputs any node has."""
     perm: np.ndarray
     pos: np.ndarray
-    levels: list  # (lo, hi, seg, slot, src) per level
+    levels: list  # (lo, hi, seg, slot, src, single) per level
+    fan_in: int
 
 
-def _level_plan(level, dst, src, slot) -> LevelPlan:
-    perm = np.argsort(level, kind="stable")
-    pos = np.empty_like(perm)
-    pos[perm] = np.arange(perm.size)
-    dst, src = pos[dst], pos[src] + 1
-    order = np.lexsort((slot, dst))
-    dst, src, slot = dst[order], src[order], slot[order]
-    levels, lo = [], 0
-    for hi in np.cumsum(np.bincount(level)).tolist():
-        a, z = np.searchsorted(dst, [lo, hi]).tolist()
-        levels.append((lo, hi, dst[a:z] - lo, slot[a:z], src[a:z]))
-        lo = hi
-    return LevelPlan(perm, pos, levels)
-
-
-def level_plans(sizes, edges):
-    """(bottom-up, top-down) LevelPlans of a batch of trees, read by every
-    layer: tree b has sizes[b] nodes and one (child, parent) row per edge in
-    edges[b]. Bottom-up, children feed parents, level by height, each child
-    in the slot of its rank among its siblings' rows; top-down, the parent
-    state is the single child input of each node (roots get zero state),
-    level by depth."""
-    n, e = _stack_edges(sizes, edges)
+def level_fragments(sizes, trees):
+    """The level-plan fragment of each of a batch of trees, built together:
+    tree b has sizes[b] nodes and one (child, parent) row per edge in
+    trees[b]. A fragment is a (4, n) array, one column per node: its height,
+    its depth, its parent's id minus its own (0 at a root) and its slot, the
+    rank of its row among its siblings' rows (0 at a root). Parents are
+    relative, so a fragment reads the same wherever its tree is stacked."""
+    off, counts, e = _stack_edges(sizes, trees)
+    n = int(off[-1])
     child, parent = e[np.argsort(e[:, 1], kind="stable")].T
-    slot = np.arange(parent.size) - offsets(np.bincount(parent, minlength=n))[parent]
     up = np.full(n, -1, dtype=np.int64)
     up[child] = parent
+    if np.count_nonzero(up >= 0) < child.size:
+        raise DataError(f"node {int(np.flatnonzero(np.bincount(child) > 1)[0])} has two parents")
+    slot = np.zeros(n, dtype=np.int64)
+    slot[child] = np.arange(parent.size) - offsets(np.bincount(parent, minlength=n))[parent]
     # round k visits every node with a k-th ancestor anc: the node is at
     # depth k or more, anc at height k or more, and k only grows
     depth, height = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
@@ -301,8 +309,48 @@ def level_plans(sizes, edges):
         live, anc = live[anc >= 0], anc[anc >= 0]
     else:
         raise DataError(f"an edge above node {int(live[0])} closes a cycle")
-    return (_level_plan(height, parent, child, slot),
-            _level_plan(depth, child, parent, np.zeros_like(slot)))
+    nodes = np.stack([height, depth, np.where(up >= 0, up - np.arange(n), 0), slot])
+    cut = off.tolist()
+    return [nodes[:, a:z] for a, z in zip(cut, cut[1:])]
+
+
+def _level_plan(level, src, dst, slot) -> LevelPlan:
+    """One direction's LevelPlan from each node's level and the edges, src
+    feeding dst as its slot-th input, listed by (dst, slot): one stable sort
+    of the nodes and one of the edges, both on level keys, put them in
+    (level, dst) order."""
+    counts = np.bincount(level)
+    # the narrowest unsigned type that holds the levels, which numpy radix-sorts
+    keys = level.astype(np.min_scalar_type(counts.size))
+    perm = np.argsort(keys, kind="stable")
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(perm.size)
+    key = keys[dst]
+    order = np.argsort(key, kind="stable")
+    key, slot, dst, src = key[order], slot[order], pos[dst[order]], pos[src[order]] + 1
+    hi = np.cumsum(counts)
+    seg = dst - (hi - counts)[key]
+    multi = np.bincount(key[slot > 0], minlength=counts.size).tolist()
+    levels, lo, a = [], 0, 0
+    for top, z, m in zip(hi.tolist(), np.searchsorted(dst, hi).tolist(), multi):
+        levels.append((lo, top, seg[a:z], slot[a:z], src[a:z], not m))
+        lo, a = top, z
+    return LevelPlan(perm, pos, levels, int(slot.max()) + 1 if slot.size else 0)
+
+
+def level_plans(frags):
+    """(bottom-up, top-down) LevelPlans of a batch of trees, read by every
+    layer, merged from the trees' `level_fragments` stacked in batch order.
+    Bottom-up, children feed parents, each in its slot, level by height;
+    top-down, the parent state is the single input of each node (roots get
+    zero state), level by depth."""
+    height, depth, up, slot = np.concatenate(frags, axis=1)
+    parent = np.arange(up.size) + up
+    child = np.flatnonzero(depth)
+    # the bottom-up edges, one per non-root node, by (parent, slot)
+    kids = child[np.argsort(parent[child] * (int(slot.max()) + 1) + slot[child], kind="stable")]
+    return (_level_plan(height, kids, parent[kids], slot[kids]),
+            _level_plan(depth, parent[child], child, np.zeros_like(child)))
 
 
 def tree_encode(plans, x: Tensor, up_cell, down_cell) -> Tensor:
@@ -326,20 +374,23 @@ def _level_pass(cell, x, plan: LevelPlan):
     order, so they add up as they would had each level been its own ops: a
     block the cell reads unfused (ChildSum's U_f) may also collect gradients
     from another pass of the same tape, as in a pair batch."""
+    if cell.n_ary is not None and plan.fan_in > cell.n_ary:
+        raise ValueError(f"{plan.fan_in} children exceed N={cell.n_ary}; binarize first")
     w, b, rec = cell.fuse()
     recs, hid = [r.data for r in rec], cell.hid
     H = np.zeros((1 + plan.perm.size, hid), dtype=x.dtype)
     C = np.zeros_like(H)
     steps = []
-    for lo, hi, seg, slot, src in plan.levels:
-        xe = x.data[plan.perm[lo:hi]]
-        # projected per level, not once for all nodes: this keeps the float
-        # rounding that existing checkpoints were trained with
-        xw = xe @ w.data + b.data
-        pre, forget, kids = (cell.forward(recs, xw, seg, slot, src, H, C) if src.size
-                             else (xw, None, None))
-        H[1 + lo:1 + hi], C[1 + lo:1 + hi], lstm = _lstm_forward(pre, hid, forget)
-        steps.append((xe, lstm, kids))
+    with np.errstate(over="ignore"):
+        for lo, hi, seg, slot, src, single in plan.levels:
+            xe = x.data[plan.perm[lo:hi]]
+            # projected per level, not once for all nodes: this keeps the
+            # float rounding that existing checkpoints were trained with
+            xw = xe @ w.data + b.data
+            pre, forget, kids = (cell.forward(recs, xw, seg, slot, src, single, H, C)
+                                 if src.size else (xw, None, None))
+            H[1 + lo:1 + hi], C[1 + lo:1 + hi], lstm = _lstm_forward(pre, hid, forget)
+            steps.append((xe, lstm, kids))
     out = Tensor(H[plan.pos + 1])
 
     def back(g):
@@ -362,7 +413,7 @@ def _level_pass(cell, x, plan: LevelPlan):
         return grads
 
     parents = [x]
-    for _, _, _, _, src in reversed(plan.levels):
+    for _, _, _, _, src, _ in reversed(plan.levels):
         parents += [w, b, *(rec if src.size else ())]
     return T._emit(out, tuple(parents), back)
 
@@ -372,37 +423,37 @@ def _level_pass(cell, x, plan: LevelPlan):
 
 @dataclass
 class MessagePlan:
-    """A batch's GCN messages, message k going from node src[k] to dst[k],
-    laid out for summing in message order. Nodes are sorted stably by
-    message count, most first, node i at sorted row pos[i]; every node counts
-    as many messages in as out. Column q of a table lists the q-th message of
-    each node with more than q, by sorted row, in table[bounds[q]:bounds[q + 1]],
-    so the columns hold every message once."""
+    """A batch's GCN messages, message k going from node src[k] to dst[k] as
+    the rank[0, k]-th message into dst[k] and the rank[1, k]-th out of
+    src[k], laid out for summing each node's messages in rank order. Nodes
+    are sorted stably by message count, most first, node i at sorted row
+    pos[i]; every node counts as many messages in as out. Column q of a
+    table lists the q-th message of each node with more than q, by sorted
+    row, in table[bounds[q]:bounds[q + 1]], so the columns hold every
+    message once."""
     src: np.ndarray
     dst: np.ndarray
+    rank: np.ndarray
     pos: np.ndarray
     bounds: list
 
-    def _table(self, ends, starts):
+    def _table(self, ends, starts, rank):
         """Each node's `starts` rows in message order, over the messages
         that `ends` at it, column by column."""
-        order = np.argsort(ends, kind="stable")
-        ends = ends[order]
-        rank = np.arange(ends.size) - offsets(np.bincount(ends, minlength=self.pos.size))[ends]
         table = np.empty_like(starts)
-        table[np.array(self.bounds, dtype=np.int64)[rank] + self.pos[ends]] = starts[order]
+        table[np.array(self.bounds, dtype=np.int64)[rank] + self.pos[ends]] = starts
         return table
 
     @cached_property
     def into(self):
         """Source rows summed into each node: the forward table."""
-        return self._table(self.dst, self.src)
+        return self._table(self.dst, self.src, self.rank[0])
 
     @cached_property
     def out_of(self):
         """Destination rows each node sends to: the backward table, built by
         the first backward pass only."""
-        return self._table(self.src, self.dst)
+        return self._table(self.src, self.dst, self.rank[1])
 
     def sum(self, x, table):
         """Row i adds the rows of x that `table` lists for node i to +0 in
@@ -422,7 +473,8 @@ def gcn_layer(h: Tensor, plan: MessagePlan, w: Tensor, b: Tensor) -> Tensor:
     relu), so the two adjoints of h add the gated product's first."""
     if h.shape[0] != plan.pos.size:
         raise ValueError(f"{h.shape[0]} input rows for {plan.pos.size} graph nodes")
-    gate = _sigmoid(h.data @ w.data + b.data)
+    with np.errstate(over="ignore"):
+        gate = _sigmoid(h.data @ w.data + b.data)
     s = plan.sum(h.data * gate, plan.into)
 
     def back(g):
@@ -433,20 +485,57 @@ def gcn_layer(h: Tensor, plan: MessagePlan, w: Tensor, b: Tensor) -> Tensor:
     return T._emit(Tensor(np.maximum(s, 0)), (h, w, b), back)
 
 
-def gcn_edges(sizes, trees) -> MessagePlan:
-    """The MessagePlan of a batch of graphs stacked block-diagonally, built
-    once and read by every layer: each node messages itself, then both ways
-    along every (a, b) row of each graph's (k, 2) edge array, a to b before
-    b to a, as in a symmetric 0/1 adjacency with self-loops."""
-    n, e = _stack_edges(sizes, trees)
+def _ranks(values, n):
+    """Each entry's rank, in order, among the entries of its value in [0, n)."""
+    order = np.argsort(values, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(values.size) - offsets(np.bincount(values, minlength=n))[values[order]]
+    return rank
+
+
+def message_fragments(sizes, graphs):
+    """The message-plan fragment of each of a batch of graphs, built
+    together: graph b has sizes[b] nodes and (a, b) edge rows graphs[b]. A
+    node messages itself, then both ways along every row, a to b before b to
+    a, as in a symmetric 0/1 adjacency with self-loops. A fragment is the
+    graph's node count and a (6, k) array, one column per edge, in its own
+    node ids: rows a and b, then the rank of the message a to b into b and
+    out of a, and that of b to a into a and out of b (a self-loop is rank 0
+    both ways)."""
+    off, counts, e = _stack_edges(sizes, graphs)
+    n, (a, b) = int(off[-1]), e.T
+    # a node receives its loop, then along the rows where it is b, then
+    # along those where it is a, and sends its loop, then along the rows
+    # where it is a, then along those where it is b
+    nth_a, nth_b = 1 + _ranks(a, n), 1 + _ranks(b, n)
+    rows = np.stack([a, b, nth_b, nth_a, nth_a + np.bincount(b, minlength=n)[a],
+                     nth_b + np.bincount(a, minlength=n)[b]])
+    rows[:2] -= np.repeat(off[:-1], counts)
+    cut = offsets(counts).tolist()
+    return [(m, rows[:, lo:hi]) for m, lo, hi in zip(sizes, cut, cut[1:])]
+
+
+def gcn_edges(frags) -> MessagePlan:
+    """The MessagePlan of a batch of graphs stacked block-diagonally, read by
+    every layer, merged from the graphs' `message_fragments` with each
+    graph's node ids shifted past those before it. Its messages are every
+    node's loop, then every row's a to b, then every row's b to a."""
+    sizes, parts = zip(*frags)
+    off = offsets(sizes)
+    rows = np.concatenate(parts, axis=1)
+    rows[:2] += np.repeat(off[:-1], [p.shape[1] for p in parts])
+    n, (a, b) = int(off[-1]), rows[:2]
     loops = np.arange(n)
-    src, dst = np.concatenate([loops, e[:, 0], e[:, 1]]), np.concatenate([loops, e[:, 1], e[:, 0]])
-    count = np.bincount(dst, minlength=loops.size)
-    pos = np.empty_like(loops)
-    pos[np.argsort(-count, kind="stable")] = loops
+    src, dst = np.concatenate([loops, a, b]), np.concatenate([loops, b, a])
+    count = np.bincount(dst, minlength=n)
+    hist = np.bincount(count)
+    # most messages first, by one stable sort on small keys (radix-sorted)
+    pos = np.empty_like(count)
+    pos[np.argsort((hist.size - 1 - count).astype(np.min_scalar_type(hist.size)),
+                   kind="stable")] = loops
+    rank = np.concatenate([np.zeros((2, n), dtype=np.int64), rows[2:4], rows[4:]], axis=1)
     # column q holds the nodes with more than q messages
-    return MessagePlan(src, dst, pos,
-                       offsets(loops.size - np.cumsum(np.bincount(count))[:-1]).tolist())
+    return MessagePlan(src, dst, rank, pos, offsets(n - np.cumsum(hist)[:-1]).tolist())
 
 
 def dep_edges(heads) -> np.ndarray:
@@ -719,12 +808,15 @@ class EncodedSide:
     """One sentence of an example: its length and token ids up front, and every
     parse view built on first read, so each model builds only the views it
     reads (the student reads none). A view of a missing parse is None; a
-    label outside the codec's vocabulary raises DataError when read."""
+    label outside the codec's vocabulary raises DataError when read. `plans`
+    keeps, per teacher kind, the plan fragment of the view it reads, built by
+    the first batch that holds the sentence."""
 
     def __init__(self, codec: Codec, ex: Example):
         self.codec, self.raw = codec, ex
         self.n = len(ex.sent)
         self.token_ids = codec.vocab.encode(ex.sent.tokens)
+        self.plans = {}
 
     @cached_property
     def heads(self):
@@ -883,10 +975,11 @@ class BaseModel:
 
 
 class TeacherModel(BaseModel):
-    """A tree teacher over one (is_word, ids, edges) view per sentence: word
-    embeddings (and, over constituency trees, label embeddings), `layers`,
-    and the task head. A TreeLSTM layer is an (up, down) pair of `cell`s; a
-    GCN layer (cell None) is one (W, b) gate, its width the embedding's."""
+    """A tree teacher over one (is_word, ids, edges) view per sentence, the
+    EncodedSide attribute `view`: word embeddings (and, over constituency
+    trees, label embeddings), `layers`, and the task head. A TreeLSTM layer
+    is an (up, down) pair of `cell`s; a GCN layer (cell None) is one (W, b)
+    gate, its width the embedding's."""
 
     cell = None
 
@@ -908,25 +1001,37 @@ class TeacherModel(BaseModel):
                                          for d in ("up", "down")))
         self._make_head(self.rep_dim)
 
-    def _encode(self, sides, views, train, rng):
-        """Stacked token rows of a batch of sides plus their row offsets, from
-        one view per side: node rows (word and label embeddings share one
-        dropout and are interleaved by one gather), one plan for the batch
-        that every layer reads, then the word nodes' rows. A dependency tree's
-        nodes are all words, so it skips the concat and both gathers."""
-        is_word, ids, edges = zip(*views)
-        sizes, ids = [i.size for i in ids], np.concatenate(ids)
+    def _fragments(self, sides):
+        """Each side's plan fragment of the teacher's view; those the sides
+        lack are built together and kept in their `plans`."""
+        new = [s for s in sides if self.kind not in s.plans]
+        if new:
+            views = [getattr(s, self.view) for s in new]
+            build = message_fragments if self.cell is None else level_fragments
+            for s, frag in zip(new, build([v[1].size for v in views], [v[2] for v in views])):
+                s.plans[self.kind] = frag
+        return [s.plans[self.kind] for s in sides]
+
+    def _encode(self, sides, train, rng):
+        """Stacked token rows of a batch of sides plus their row offsets: node
+        rows (a dependency tree's nodes are its tokens; over a constituency
+        tree, word and label embeddings share one dropout and are
+        interleaved by one gather), one plan merged from the sides'
+        fragments that every layer reads, then the word nodes' rows."""
         if self.structure == "dep":
-            x = _dropout(T.embedding(self.emb, ids), train, rng)
+            x = _dropout(T.embedding(self.emb, np.concatenate([s.token_ids for s in sides])),
+                         train, rng)
         else:
-            is_word = np.concatenate(is_word)
+            views = [getattr(s, self.view) for s in sides]
+            is_word = np.concatenate([v[0] for v in views])
+            ids = np.concatenate([v[1] for v in views])
             x = _dropout(T.concat([T.embedding(self.emb, ids[is_word]),
                                    T.embedding(self.label_emb, ids[~is_word])], axis=0),
                          train, rng)
             order = np.empty_like(ids)  # each node's row in [words; labels]
             order[np.argsort(~is_word, kind="stable")] = np.arange(ids.size)
             x = T.embedding(x, order)
-        plan = (gcn_edges if self.cell is None else level_plans)(sizes, edges)
+        plan = (gcn_edges if self.cell is None else level_plans)(self._fragments(sides))
         for layer in self.layers:
             x = gcn_layer(x, plan, *layer) if self.cell is None else tree_encode(plan, x, *layer)
         if self.structure == "con":
@@ -939,10 +1044,11 @@ class DepTreeLstmModel(TeacherModel):
 
     kind = "tlstm-dep"
     structure = "dep"
+    view = "dep_view"
     cell = ChildSumCell
 
     def reps(self, sides, train=False, rng=None):
-        return self._encode(sides, [s.dep_view for s in sides], train, rng)
+        return self._encode(sides, train, rng)
 
 
 class ConTreeLstmModel(TeacherModel):
@@ -950,10 +1056,11 @@ class ConTreeLstmModel(TeacherModel):
 
     kind = "tlstm-con"
     structure = "con"
+    view = "con_tree"
     cell = NaryCell
 
     def reps(self, sides, train=False, rng=None):
-        return self._encode(sides, [s.con_tree for s in sides], train, rng)
+        return self._encode(sides, train, rng)
 
 
 class GcnModel(TeacherModel):
@@ -962,11 +1069,11 @@ class GcnModel(TeacherModel):
     def __init__(self, codec, structure, emb_dim=300, n_layers=2, rng=None,
                  dtype=np.float32):
         self.structure, self.kind = structure, f"gcn-{structure}"
+        self.view = "dep_view" if structure == "dep" else "con_gcn"
         super().__init__(codec, emb_dim, None, n_layers, rng, dtype)
 
     def reps(self, sides, train=False, rng=None):
-        return self._encode(sides, [s.dep_view if self.structure == "dep" else s.con_gcn
-                                    for s in sides], train, rng)
+        return self._encode(sides, train, rng)
 
 
 class StudentModel(BaseModel):

@@ -36,7 +36,9 @@ from synkd.encoders import (
     dep_edges,
     gcn_edges,
     gcn_layer,
+    level_fragments,
     level_plans,
+    message_fragments,
     offsets,
     tree_encode,
 )
@@ -97,7 +99,7 @@ def con_tree(bt):
 
 def plans_of(trees):
     """The level plans of a batch of (size, edges) trees."""
-    return level_plans(*zip(*trees))
+    return level_plans(level_fragments(*zip(*trees)))
 
 
 def star_graph():
@@ -150,7 +152,7 @@ def case_gcn(rng):
     # hub fills every column of the message plan, and a lone node
     sizes += [4, 1]
     trees += [star_graph()[1][:, ::-1], np.zeros((0, 2), dtype=np.int64)]
-    edges = gcn_edges(sizes, trees)
+    edges = gcn_edges(message_fragments(sizes, trees))
     x = rand_param(rng, (sum(sizes), d))
     ws = [rand_param(rng, (d, d)) for _ in range(2)]
     bs = [rand_param(rng, (d,)) for _ in range(2)]

@@ -1,8 +1,10 @@
 """Brute-force oracles used by tests: exhaustive search over bracketings,
 one tree-cell update with hand-set child states, the per-sentence
 `EncGraph` tree builders and the level plans built from them
-(`reference_level_plans`) that the edge-array `level_plans` must match
-bitwise, the taped tree kernels (`reference_tree_encode`), the taped GCN
+(`reference_level_plans`) and the one-walk batch builders of level and
+message plans (`reference_batch_level_plans`, `reference_message_tables`)
+that the plans merged from per-sentence fragments must match bitwise, the
+taped tree kernels (`reference_tree_encode`), the taped GCN
 layer (`reference_gcn_layer`) and
 teacher `reference_reps` that the one-op level pass, the one-op GCN layer and
 the per-side edge and input arrays must match bitwise, the row-major
@@ -43,7 +45,7 @@ import numpy as np
 from synkd import tensor as T
 from synkd.distill import (DistillConfig, DistillError, anneal_alpha, ce_sum, combine_syn,
                            total_loss)
-from synkd.encoders import ChildSumCell, Params, _dropout, _level_plan, _row_keys, offsets
+from synkd.encoders import ChildSumCell, LevelPlan, Params, _dropout, _row_keys, offsets
 from synkd.structures import UNARY_SEP, BinTree, chart_max, span_order
 from synkd.syntax_data import (ARC_LABEL, DET, HEAD_CHILD, NOUNS, NULL_LABEL, RELPRON,
                                SHAPE_WEIGHTS, SHAPES, ConstNode, ConstTree, DataError,
@@ -231,6 +233,26 @@ def _topo_order(children, root, n):
     return order
 
 
+def _reference_level_plan(level, dst, src, slot):
+    """One direction of a batch's LevelPlan from stacked per-node levels and
+    edges, built as `level_plans` built it before it merged per-tree
+    fragments: a stable argsort of the levels, a lexsort of the edges by
+    (sorted dst, slot) and a searchsorted cut per level. Its levels hold
+    (lo, hi, seg, slot, src)."""
+    perm = np.argsort(level, kind="stable")
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(perm.size)
+    dst, src = pos[dst], pos[src] + 1
+    order = np.lexsort((slot, dst))
+    dst, src, slot = dst[order], src[order], slot[order]
+    levels, lo = [], 0
+    for hi in np.cumsum(np.bincount(level)).tolist():
+        a, z = np.searchsorted(dst, [lo, hi]).tolist()
+        levels.append((lo, hi, dst[a:z] - lo, slot[a:z], src[a:z]))
+        lo = hi
+    return LevelPlan(perm, pos, levels, int(slot.max()) + 1 if slot.size else 0)
+
+
 def reference_level_plans(graphs):
     """The `level_plans` over EncGraphs that the edge-array one replaced:
     each graph's (parent, child, slot) edges, heights and depths built per
@@ -240,8 +262,60 @@ def reference_level_plans(graphs):
         [g.edges + (o, o, 0) for g, o in zip(graphs, node_off)]).T
     height = np.concatenate([g.height for g in graphs])
     depth = np.concatenate([g.depth for g in graphs])
-    return (_level_plan(height, parent, child, slot),
-            _level_plan(depth, child, parent, np.zeros_like(slot)))
+    return (_reference_level_plan(height, parent, child, slot),
+            _reference_level_plan(depth, child, parent, np.zeros_like(slot)))
+
+
+def _reference_stack_edges(sizes, trees):
+    off = offsets(sizes)
+    e = np.concatenate(trees).reshape(-1, 2).astype(np.int64, copy=False)
+    return int(off[-1]), e + np.repeat(off[:-1], [len(t) for t in trees])[:, None]
+
+
+def reference_batch_level_plans(sizes, edges):
+    """`level_plans` as it was before per-tree fragments: one ancestor walk
+    over the whole batch's stacked (child, parent) rows, then
+    `_reference_level_plan` per direction."""
+    n, e = _reference_stack_edges(sizes, edges)
+    child, parent = e[np.argsort(e[:, 1], kind="stable")].T
+    slot = np.arange(parent.size) - offsets(np.bincount(parent, minlength=n))[parent]
+    up = np.full(n, -1, dtype=np.int64)
+    up[child] = parent
+    depth, height = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    live, anc = child, parent
+    for k in range(1, n + 1):
+        if not live.size:
+            break
+        depth[live], height[anc] = k, k
+        anc = up[anc]
+        live, anc = live[anc >= 0], anc[anc >= 0]
+    else:
+        raise DataError(f"an edge above node {int(live[0])} closes a cycle")
+    return (_reference_level_plan(height, parent, child, slot),
+            _reference_level_plan(depth, child, parent, np.zeros_like(slot)))
+
+
+def reference_message_tables(sizes, trees):
+    """A batch's GCN message plan as `gcn_edges` built it before per-graph
+    fragments, as (pos, bounds, into, out_of): the messages of
+    `reference_gcn_edges`, nodes stably argsorted by count, most first, and
+    each table from a stable argsort of the messages by their end."""
+    src, dst = reference_gcn_edges(sizes, trees)
+    n = int(sum(sizes))
+    count = np.bincount(dst, minlength=n)
+    pos = np.empty(n, dtype=np.int64)
+    pos[np.argsort(-count, kind="stable")] = np.arange(n)
+    bounds = offsets(n - np.cumsum(np.bincount(count))[:-1]).tolist()
+
+    def table(ends, starts):
+        order = np.argsort(ends, kind="stable")
+        ends = ends[order]
+        rank = np.arange(ends.size) - offsets(np.bincount(ends, minlength=n))[ends]
+        out = np.empty_like(starts)
+        out[np.array(bounds, dtype=np.int64)[rank] + pos[ends]] = starts[order]
+        return out
+
+    return pos, bounds, table(dst, src), table(src, dst)
 
 
 @dataclass

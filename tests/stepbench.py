@@ -18,13 +18,24 @@ tape, `Tape.backward`, and one `Adam.step`. It prints one JSON line per
 
 `desk` is the `distill` benchmark workload's student (embeddings 24, hidden
 16, 2 layers); `cli` is the CLI's defaults (300, 350, 3 layers). The
-teachers and the corpus are the same at both. Usage:
+teachers and the corpus are the same at both.
+
+Then it prints one line per tree-teacher kind at the benchmark workloads'
+teacher dims: the forward-only `reps` ms over 128 desk sentences, best of N,
+cold (on freshly encoded sides, so the call builds their views and plan
+fragments) and warm (a second call on the same sides):
+
+    {"teacher": "tlstm-dep", "emb": 24, "hidden": 16, "layers": 2,
+     "sentences": 128, "cold_ms": ..., "warm_ms": ..., "repeats": 5}
+
+Usage:
 
     PYTHONPATH=src python tests/stepbench.py [--dims desk|cli|tiny ...] [--repeats N]
 
 Only `distill_student` and the private `train._optimize` it calls per
-objective are used, so the script runs unchanged against an older checkout's
-`src/` for a before/after pair on one machine.
+objective, and `make_teacher` and `reps` for the teacher lines, are used, so
+the script runs unchanged against an older checkout's `src/` for a
+before/after pair on one machine.
 """
 from __future__ import annotations
 
@@ -38,7 +49,7 @@ import numpy as np
 from synkd import tensor as T
 from synkd import train
 from synkd.distill import DistillConfig, TeacherSet
-from synkd.encoders import Codec, StudentModel, make_teacher
+from synkd.encoders import TEACHER_KINDS, Codec, StudentModel, make_teacher
 from synkd.syntax_data import gen_synthetic
 
 # name -> (student embedding width, hidden width, BiLSTM layers)
@@ -46,6 +57,10 @@ DIMS = {"tiny": (6, 5, 2), "desk": (24, 16, 2), "cli": (300, 350, 3)}
 BATCH, N_TRAIN, MAX_LEN, TEACHER_EMB = 32, 200, 12, 24
 FIELDS = ("dims", "emb", "hidden", "layers", "batch", "tokens", "objective", "forward_ms",
           "backward_ms", "adam_ms", "tape_ops", "repeats")
+# teacher lines: the benchmark workloads' teacher (embeddings, hidden, layers)
+TEACHER_DIMS, TEACHER_SENTS = (24, 16, 2), 128
+TEACHER_FIELDS = ("teacher", "emb", "hidden", "layers", "sentences", "cold_ms", "warm_ms",
+                  "repeats")
 
 
 def corpus(seed=0):
@@ -111,6 +126,30 @@ def rows(name, repeats=5):
     return out
 
 
+def teacher_rows(repeats=5):
+    """Best-of-`repeats` cold and warm forward `reps` ms of each tree-teacher
+    kind over the same 128 desk sentences."""
+    examples = gen_synthetic(TEACHER_SENTS, max_len=MAX_LEN, seed=0, task="cls")
+    codec = Codec(examples, "cls")
+    emb, hidden, layers = TEACHER_DIMS
+    out = []
+    for kind in TEACHER_KINDS:
+        model = make_teacher(kind, codec, emb_dim=emb, hidden=hidden, n_layers=layers,
+                             rng=np.random.default_rng(0))
+        cold = warm = np.inf
+        for _ in range(repeats):
+            sides = [codec.encode(ex).main for ex in examples]
+            t0 = time.perf_counter()
+            model.reps(sides)
+            t1 = time.perf_counter()
+            model.reps(sides)
+            t2 = time.perf_counter()
+            cold, warm = min(cold, 1e3 * (t1 - t0)), min(warm, 1e3 * (t2 - t1))
+        out.append(dict(zip(TEACHER_FIELDS, (kind, emb, hidden, layers, TEACHER_SENTS,
+                                             round(cold, 3), round(warm, 3), repeats))))
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--dims", nargs="+", choices=sorted(DIMS), default=["desk", "cli"])
@@ -119,6 +158,8 @@ def main(argv=None):
     for name in args.dims:
         for row in rows(name, args.repeats):
             print(json.dumps(row), flush=True)
+    for row in teacher_rows(args.repeats):
+        print(json.dumps(row), flush=True)
 
 
 if __name__ == "__main__":

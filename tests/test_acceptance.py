@@ -145,7 +145,7 @@ def test_04_encoder_equivalences():
         state_na = one_parent(na, x_t, [state_na])
     # the same chain as one tree, both directions, through the batched encoder
     chain, xs = E.dep_edges([2, 3, 4, 0]), Tensor(rng.standard_normal((4, 3)))
-    plans = E.level_plans([4], [chain])
+    plans = E.level_plans(E.level_fragments([4], [chain]))
     np.testing.assert_allclose(E.tree_encode(plans, xs, cs, cs).data,
                                E.tree_encode(plans, xs, na, na).data, atol=1e-9)
     print("[4] PASS encoder equivalences: permutation-free child-sum, "

@@ -698,6 +698,25 @@ def test_one_hot():
     assert out.dtype == np.float64
 
 
+def test_hard_arc_targets_rows_equal_one_hot_bytes():
+    # the rows gathered from the cached identity tables are one_hot's bytes,
+    # and each call gets arrays of its own that it may write to
+    rng = np.random.default_rng(71)
+    for n in (1, 2, 7, 30):
+        heads = rng.integers(0, n + 1, size=n)
+        labels = rng.integers(0, 5, size=n)
+        arc, lab, best = hard_arc_targets(heads.tolist(), labels, n_labels=5)
+        for got, want in ((arc, one_hot(heads, n + 1)), (lab, one_hot(labels, 5))):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(best, heads)
+        arc[:] = 7.0
+        lab[:] = 7.0
+        again = hard_arc_targets(heads, labels, n_labels=5)
+        assert again[0].tobytes() == one_hot(heads, n + 1).tobytes()
+        assert again[1].tobytes() == one_hot(labels, 5).tobytes()
+
+
 def test_teacher_set_structure_check():
     dep = SimpleNamespace(structure="dep", kind="tlstm-dep")
     con = SimpleNamespace(structure="con", kind="gcn-con")

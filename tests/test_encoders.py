@@ -1,5 +1,6 @@
 """Encoder cells, tree/graph encoding, student BiLSTM, heads, scorers."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from gradcheck import check_case
 from oracles import (con_enc_graph, dep_enc_graph, edge_enc_graph, one_parent,
                      random_bracketed, reference_binarize, reference_binarized_spans,
                      reference_con_gcn, reference_con_tree, reference_induced_trees,
-                     reference_gcn_edges, reference_gcn_layer, reference_level_plans,
+                     reference_batch_level_plans, reference_gcn_edges, reference_gcn_layer,
+                     reference_level_plans, reference_message_tables,
                      reference_percolate_deps,
                      reference_render_bracketed, reference_tree_eq, reference_reps,
                      reference_tree_encode, reference_unbinarize,
@@ -283,6 +285,48 @@ def assert_teachers_match_reference(kinds, task, monkeypatch):
                     np.testing.assert_array_equal(g, r, err_msg=where)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_child_sum_single_input_level_keeps_negative_zero_bitwise(dtype):
+    # a level whose nodes have one child each skips the sibling sort and the
+    # add.at sums: its scatter plus +0 must give their bits, for a child
+    # whose state is -0.0 (its sums read +0.0) and for the zero state too
+    rng = np.random.default_rng(48)
+    p = E.Params(rng, dtype)
+    cell = E.ChildSumCell(p, "c", 3, 4)
+    for t in p.all():
+        t.data[...] = rng.standard_normal(t.shape)
+    recs = [r.data for r in cell.fuse()[2]]
+    H, C = (rng.standard_normal((6, 4)).astype(dtype) for _ in range(2))
+    H[0] = C[0] = 0.0
+    H[2] = C[2] = -0.0
+    seg, slot, src = np.arange(4), np.zeros(4, dtype=np.int64), np.array([2, 5, 0, 2])
+    xw = rng.standard_normal((4, 16)).astype(dtype)
+    d_pre, dc = rng.standard_normal((4, 12)).astype(dtype), rng.standard_normal((4, 4)).astype(dtype)
+    dc[3] = -0.0
+    runs = []
+    for single in (True, False):
+        pre, forget, saved = cell.forward(recs, xw, seg, slot, src, single, H, C)
+        d_xw, (rows, d_kid_h, d_kid_c), d_rec = cell.backward(recs, saved, d_pre, dc)
+        runs.append([pre, forget, saved[5], d_xw, rows, d_kid_h, d_kid_c, *d_rec])
+    names = ["pre", "forget", "kid_sum", "d_xw", "rows", "d_kid_h", "d_kid_c", "d_u_iou", "d_u_f"]
+    for name, got, want in zip(names, *runs):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert not np.signbit(runs[0][2][[0, 3]]).any()
+
+
+def test_nary_teacher_rejects_a_node_with_more_children_than_n():
+    # a binarized view never has one, so the teacher is handed a view whose
+    # root has three children: the plan's fan-in is checked before any level
+    data = [chain_example(3)]
+    codec = E.Codec(data, "cls")
+    side = codec.encode(data[0]).main
+    ids = np.concatenate([side.token_ids, codec.con_labels.encode(["S"])])
+    side.__dict__["con_tree"] = (np.arange(4) < 3, ids, np.array([[0, 3], [1, 3], [2, 3]]))
+    model = E.make_teacher("tlstm-con", codec, emb_dim=5, hidden=4, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=re.escape("3 children exceed N=2; binarize first")):
+        model.reps([side])
+
+
 @pytest.mark.parametrize("task", ["cls", "tag", "pair"])
 def test_tree_encode_matches_taped_reference_bitwise(task, monkeypatch):
     # pair batches read every cell twice on one tape, so ChildSum's unfused
@@ -338,7 +382,7 @@ def test_level_plans_from_edges_match_graph_reference_bitwise():
                                            for _ in range(40)]
     for ns in batches:
         heads = [random_heads(rng, n) for n in ns]
-        assert_plans_equal(E.level_plans(ns, [E.dep_edges(h) for h in heads]),
+        assert_plans_equal(E.level_plans(E.level_fragments(ns, [E.dep_edges(h) for h in heads])),
                            reference_level_plans([dep_enc_graph(h) for h in heads]),
                            f"dep {ns}")
         bts = [random_bintree(rng, n, 3) for n in ns]
@@ -348,7 +392,7 @@ def test_level_plans_from_edges_match_graph_reference_bitwise():
             assert list(bt.spans) == want
             graphs.append(graph)
             trees.append(bt.edges)
-        assert_plans_equal(E.level_plans([2 * n - 1 for n in ns], trees),
+        assert_plans_equal(E.level_plans(E.level_fragments([2 * n - 1 for n in ns], trees)),
                            reference_level_plans(graphs), f"con {ns}")
 
 
@@ -357,7 +401,66 @@ def test_level_plans_reject_a_cycle(edges):
     # no root above these nodes: the ancestor walk stops after as many rounds
     # as the batch has nodes
     with pytest.raises(D.DataError, match="closes a cycle"):
-        E.level_plans([2, 4], [np.array([[1, 0]]), np.array(edges)])
+        E.level_fragments([2, 4], [np.array([[1, 0]]), np.array(edges)])
+
+
+def test_level_fragments_reject_a_node_with_two_parents():
+    with pytest.raises(D.DataError, match="two parents"):
+        E.level_fragments([3], [np.array([[1, 0], [1, 2]])])
+
+
+def mixed_sides(rng, n_batches=30):
+    """Batches of encoded sides, each drawn from a pool that mixes one-token
+    sentences, stars, desk sentences and 30-token sentences whose
+    dependency heads are random and whose constituency tree is a chain."""
+    pool = [chain_example(1), star_example(9), star_example(2)] + D.gen_synthetic(12, seed=44)
+    for _ in range(3):
+        words = [f"w{i}" for i in range(30)]
+        pool.append(D.Example(D.Sentence(words),
+                              D.DepTree(random_heads(rng, 30), ["dep"] * 30),
+                              D.parse_bracketed(right_branching(words))[0], label=0))
+    codec = E.Codec(pool, "cls")
+    for _ in range(n_batches):
+        picks = rng.choice(len(pool), size=int(rng.integers(1, 9)), replace=False)
+        yield [codec.encode(pool[i]).main for i in picks]
+
+
+def view_batch(sides, view):
+    """(sizes, edge arrays) of one view of a batch of sides."""
+    views = [getattr(s, view) for s in sides]
+    return [v[1].size for v in views], [v[2] for v in views]
+
+
+def assert_flags_hold(plan, where):
+    """single marks exactly the levels whose nodes have one input at most,
+    fan_in is the most inputs of any node."""
+    most = 0
+    for lo, hi, seg, slot, src, single in plan.levels:
+        kids = np.bincount(seg, minlength=hi - lo)
+        assert single == (kids.max(initial=0) <= 1), where
+        most = max(most, int(kids.max(initial=0)))
+    assert plan.fan_in == most, where
+
+
+def test_merged_level_plans_match_batch_builders_bitwise():
+    # fragments built a batch at a time or one tree at a time merge into the
+    # plans that one ancestor walk over the stacked batch built, for the
+    # dependency and the binarized constituency view
+    rng = np.random.default_rng(45)
+    for sides in mixed_sides(rng):
+        for view, graph in (("dep_view", lambda s: dep_enc_graph(s.heads)),
+                            ("con_tree", lambda s: con_enc_graph(s.bintree)[0])):
+            sizes, trees = view_batch(sides, view)
+            want = reference_batch_level_plans(sizes, trees)
+            assert_plans_equal(want, reference_level_plans([graph(s) for s in sides]),
+                               f"{view} reference {sizes}")
+            alone = [f for n, t in zip(sizes, trees) for f in E.level_fragments([n], [t])]
+            for frags in (E.level_fragments(sizes, trees), alone):
+                got = E.level_plans(frags)
+                assert_plans_equal(got, want, f"{view} {sizes}")
+                for direction, plan, ref in zip(("up", "down"), got, want):
+                    assert_flags_hold(plan, f"{view} {direction} {sizes}")
+                    assert plan.fan_in == ref.fan_in, f"{view} {direction} {sizes}"
 
 
 def right_branching(words):
@@ -442,7 +545,7 @@ def test_gcn_zero_params_half_gate():
     h = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=F64)
     w = Tensor(np.zeros((2, 2), dtype=F64))
     b = Tensor(np.zeros(2, dtype=F64))
-    out = E.gcn_layer(Tensor(h), E.gcn_edges([2], [[(0, 1)]]), w, b)
+    out = E.gcn_layer(Tensor(h), E.gcn_edges(E.message_fragments([2], [[(0, 1)]])), w, b)
     expected = np.maximum(0.5 * (dense_adjacency(2, [(0, 1)]) @ h), 0)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -452,7 +555,7 @@ def test_gcn_single_node_self_loop():
     h = rng.standard_normal((1, 3))
     w = rng.standard_normal((3, 3))
     b = rng.standard_normal(3)
-    out = E.gcn_layer(Tensor(h), E.gcn_edges([1], [[]]), Tensor(w), Tensor(b))
+    out = E.gcn_layer(Tensor(h), E.gcn_edges(E.message_fragments([1], [[]])), Tensor(w), Tensor(b))
     gate = 1 / (1 + np.exp(-(h @ w + b)))
     np.testing.assert_allclose(out.data, np.maximum(h * gate, 0), atol=1e-12)
 
@@ -463,7 +566,7 @@ def test_gcn_fd_gradient():
     w = p.add("W", (3, 3))
     b = p.add("b", (3,), init="zeros")
     h_data = rng.standard_normal((4, 3))
-    edges = E.gcn_edges([4], [[(0, 1), (1, 2), (2, 3)]])
+    edges = E.gcn_edges(E.message_fragments([4], [[(0, 1), (1, 2), (2, 3)]]))
 
     def f():
         return T.sum_(T.tanh(E.gcn_layer(Tensor(h_data), edges, w, b)))
@@ -508,7 +611,8 @@ def test_gcn_layer_matches_taped_reference_bitwise(dtype):
         return [h.data] + [t.grad for t in [x] + params]
 
     for structure, (sizes, trees) in gcn_batches().items():
-        plan, edges = E.gcn_edges(sizes, trees), reference_gcn_edges(sizes, trees)
+        plan = E.gcn_edges(E.message_fragments(sizes, trees))
+        edges = reference_gcn_edges(sizes, trees)
         for train in (True, False):
             got = run(lambda h, w, b: E.gcn_layer(h, plan, w, b), sum(sizes), train)
             want = run(lambda h, w, b: reference_gcn_layer(h, edges, w, b), sum(sizes), train)
@@ -525,7 +629,7 @@ def test_gcn_message_plan_columns_hold_each_message_once(monkeypatch):
         raise AssertionError("the GCN layer called _add_rows")
 
     for structure, (sizes, trees) in gcn_batches().items():
-        plan = E.gcn_edges(sizes, trees)
+        plan = E.gcn_edges(E.message_fragments(sizes, trees))
         counts = np.bincount(plan.dst)
         assert np.diff(plan.bounds).tolist() == [(counts > q).sum()
                                                  for q in range(counts.max())], structure
@@ -540,6 +644,50 @@ def test_gcn_message_plan_columns_hold_each_message_once(monkeypatch):
             with T.Tape() as tape:
                 tape.backward(T.sum_(E.gcn_layer(h, plan, w, b)))
         assert "out_of" in vars(plan) and h.grad is not None, structure
+
+
+def test_merged_message_plans_match_batch_builders_bitwise():
+    # fragments built a batch at a time or one graph at a time merge into
+    # the messages, node order, columns and both tables that the batch
+    # builder's argsorts gave, for the dependency and the constituency graph
+    rng = np.random.default_rng(46)
+    for sides in mixed_sides(rng):
+        for view in ("dep_view", "con_gcn"):
+            sizes, graphs = view_batch(sides, view)
+            src, dst = reference_gcn_edges(sizes, graphs)
+            pos, bounds, into, out_of = reference_message_tables(sizes, graphs)
+            alone = [f for n, g in zip(sizes, graphs) for f in E.message_fragments([n], [g])]
+            for frags in (E.message_fragments(sizes, graphs), alone):
+                plan = E.gcn_edges(frags)
+                for name, got, want in (("src", plan.src, src), ("dst", plan.dst, dst),
+                                        ("pos", plan.pos, pos), ("into", plan.into, into),
+                                        ("out_of", plan.out_of, out_of)):
+                    np.testing.assert_array_equal(got, want, err_msg=f"{view} {sizes} {name}")
+                assert plan.bounds == bounds, f"{view} {sizes}"
+
+
+def test_second_reps_builds_no_fragment(monkeypatch):
+    # a side keeps each teacher kind's fragment: a second reps over the same
+    # sides builds none, a batch with new sides builds only theirs, and
+    # every batch encodes as it did the first time
+    built = []
+    for name in ("level_fragments", "message_fragments"):
+        def counting(sizes, graphs, real=getattr(E, name)):
+            built.append(len(sizes))
+            return real(sizes, graphs)
+        monkeypatch.setattr(E, name, counting)
+    data = [chain_example(1), star_example(9)] + D.gen_synthetic(8, seed=47, task="cls")
+    codec = E.Codec(data, "cls")
+    sides = [codec.encode(ex).main for ex in data]
+    for kind in E.TEACHER_KINDS:
+        model = E.make_teacher(kind, codec, emb_dim=6, hidden=5, rng=np.random.default_rng(0))
+        built.clear()
+        first = model.reps(sides[:6])[0].data
+        assert built == [6], kind
+        assert model.reps(sides[:6])[0].data.tobytes() == first.tobytes(), kind
+        assert model.reps(sides[3:])[0].data.tobytes() == model.reps(sides[3:])[0].data.tobytes()
+        assert built == [6, 4], kind
+        assert all(kind in s.plans for s in sides), kind
 
 
 def test_gcn_reps_without_tape_build_no_backward_table(monkeypatch):

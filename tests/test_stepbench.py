@@ -5,6 +5,7 @@ import sys
 import time
 
 import stepbench
+from synkd.encoders import TEACHER_KINDS
 
 
 def test_stepbench_prints_one_timed_line_per_objective():
@@ -17,8 +18,18 @@ def test_stepbench_prints_one_timed_line_per_objective():
                              capture_output=True, text=True).stdout.splitlines()
     wall_ms = 1e3 * (time.perf_counter() - start)
     rows = [json.loads(line) for line in printed]
+    teachers = [r for r in rows if "teacher" in r]
+    rows = [r for r in rows if "teacher" not in r]
     assert [r["objective"] for r in rows] == ["sem", "output/gcn-dep", "dep/gcn-dep",
                                               "output/gcn-con", "con/gcn-con", "all"]
+    # one line per tree-teacher kind after the objectives, each timing its
+    # cold and its warm reps over the same sentences
+    assert printed[-len(teachers):] == [json.dumps(r) for r in teachers]
+    assert [r["teacher"] for r in teachers] == list(TEACHER_KINDS)
+    for r in teachers:
+        assert tuple(r) == stepbench.TEACHER_FIELDS
+        assert (r["emb"], r["hidden"], r["layers"], r["sentences"]) == (24, 16, 2, 128)
+        assert r["repeats"] == 2 and r["cold_ms"] > 0 and r["warm_ms"] > 0
     for r in rows:
         assert tuple(r) == stepbench.FIELDS
         assert (r["dims"], r["emb"], r["hidden"], r["layers"]) == ("tiny", 6, 5, 2)
@@ -27,7 +38,8 @@ def test_stepbench_prints_one_timed_line_per_objective():
         assert all(r[k] > 0 for k in ("forward_ms", "backward_ms", "adam_ms"))
     # milliseconds: every timed phase fits in the run's wall time, and the
     # joint step's forward pass (over a hundred tape ops) is not under 50 us
-    assert sum(r[k] for r in rows for k in ("forward_ms", "backward_ms", "adam_ms")) < wall_ms
+    assert sum(r[k] for r in rows for k in ("forward_ms", "backward_ms", "adam_ms")) + sum(
+        r["cold_ms"] + r["warm_ms"] for r in teachers) < wall_ms
     joint = rows[-1]
     assert joint["forward_ms"] > 0.05
     # the masked-word step runs one scan, not the whole stack: the fewest ops
