@@ -159,10 +159,10 @@ COMMANDS = {
     "gen-data": ("write synthetic train/dev/test JSONL",
                  "seed task out n n_dev n_test max_len grammar_size", {}),
     "train-teacher": ("supervised tree-teacher pre-training",
-                      f"seed task out kind train dev {_SCHEDULE} teacher_emb teacher_hidden "
+                      f"seed out kind train dev {_SCHEDULE} teacher_emb teacher_hidden "
                       "teacher_layers co_train_struct", {"iters": 2000, "lr": 1e-3}),
     "distill": ("distill frozen teachers into the student",
-                "seed task out train dev teachers teacher_mode emb_dim hidden layers mode "
+                "seed out train dev teachers teacher_mode emb_dim hidden layers mode "
                 f"eta lambda1 lambda2 zeta alpha_fixed mask_ratio g1 g2 {_SCHEDULE}",
                 {"lr": 1e-5}),
     "eval": ("metrics of a saved model on a dataset", "out model data", {}),
@@ -264,7 +264,7 @@ def load_model_dir(path):
     """Rebuild a saved model (teacher or student) from its run directory: its
     kind and sizes from config.resolved.json, its optional parts (a student's
     mode-A projections, a teacher's structure head) from the checkpoint's
-    parameter names."""
+    parameter names, and every array from the checkpoint, none drawn."""
     meta = _read_json(os.path.join(path, "config.resolved.json"), "run config")
     if not all(isinstance(meta.get(part, {}), dict) for part in ("config", "artifacts")):
         raise CliError(f"{path}: config.resolved.json 'config' and 'artifacts' must be objects")
@@ -293,8 +293,7 @@ def load_model_dir(path):
         if not pred(mcfg[key]):
             raise CliError(f"{path}: config.resolved.json key {key!r}={mcfg[key]!r} "
                            f"invalid: expected {req}")
-    model = build(Codec.from_json(codec), *(mcfg[key] for key in dims),
-                  rng=np.random.default_rng(0))
+    model = build(Codec.from_json(codec), *(mcfg[key] for key in dims), rng=None)
     state = load_checkpoint(os.path.join(path, "model.syd1"))
     for name, arr in state.items():
         if kind == "student":
@@ -308,16 +307,18 @@ def load_model_dir(path):
 
 def _load_encs(cfg, key, codec=None, gold=True):
     """The encoded examples of a data file and their codec: `codec`, or one
-    built from them for --task. Where the command reads the file's gold, a
-    payload of another task or a gold label the codec lacks is refused
-    before any model reads the file."""
+    built from them for their first payload's task. Where the command reads
+    the file's gold, a payload of another task or a gold label the codec
+    lacks is refused, naming the file and the example, before any model runs."""
     path = need(cfg, key)
     if not os.path.exists(path):
         raise CliError(f"data file not found: {path}")
     examples = load_jsonl(path)
     try:
         if codec is None:
-            codec = Codec(examples, TASK_ALIASES[cfg["task"]])
+            if not examples:
+                raise ValueError("empty training set")
+            codec = Codec(examples, examples[0].payload_kind())
         elif gold:
             codec.check(examples)
     except DataError as e:
@@ -399,9 +400,6 @@ def _load_teachers(cfg):
 
 def cmd_distill(cfg, out, explicit):
     teachers, codec = _load_teachers(cfg)
-    if teachers is not None and codec.task != TASK_ALIASES[cfg["task"]]:
-        raise CliError(f"model was built for task {codec.task!r}, requested "
-                       f"{TASK_ALIASES[cfg['task']]!r}; pass a matching --task")
     train_encs, codec = _load_encs(cfg, "train", codec)
     dev_encs = _load_encs(cfg, "dev", codec)[0] if cfg["dev"] else None
     dcfg = DistillConfig(

@@ -36,8 +36,9 @@ from .tensor import Tensor
 
 class Params:
     """Ordered name -> Tensor registry and the one place a parameter is made:
-    `add` draws it from the registry's generator in the registry's dtype.
-    Insertion order fixes checkpoint order and the order of the draws."""
+    `add` draws it from the registry's generator (with none, it makes zeros
+    for `load_state_dict` to fill) in the registry's dtype. Insertion order
+    fixes checkpoint order and the order of the draws."""
 
     def __init__(self, rng, dtype=np.float32):
         self.tensors = {}
@@ -47,13 +48,12 @@ class Params:
         """Register a Glorot-uniform ("xavier") or all-zero parameter."""
         if name in self.tensors:
             raise ValueError(f"duplicate parameter {name!r}")
-        if init == "xavier":
+        if init not in ("xavier", "zeros"):
+            raise ValueError(f"unknown init {init!r}")
+        data = np.zeros(shape, dtype=self.dtype)
+        if init == "xavier" and self.rng is not None:
             limit = np.sqrt(6.0 / (shape[0] + (shape[1] if len(shape) > 1 else shape[0])))
             data = self.rng.uniform(-limit, limit, size=shape).astype(self.dtype)
-        elif init == "zeros":
-            data = np.zeros(shape, dtype=self.dtype)
-        else:
-            raise ValueError(f"unknown init {init!r}")
         t = self.tensors[name] = Tensor(data, requires_grad=True)
         return t
 
@@ -983,7 +983,7 @@ class TeacherModel(BaseModel):
 
     cell = None
 
-    def __init__(self, codec, emb_dim=300, hidden=300, n_layers=2, rng=None,
+    def __init__(self, codec, emb_dim=300, hidden=300, n_layers=2, *, rng,
                  dtype=np.float32):
         super().__init__(codec, rng, dtype)
         self.emb = self.p.add("emb", (len(codec.vocab), emb_dim))
@@ -1066,11 +1066,11 @@ class ConTreeLstmModel(TeacherModel):
 class GcnModel(TeacherModel):
     """Gated GCN over either syntactic graph; output width equals emb width."""
 
-    def __init__(self, codec, structure, emb_dim=300, n_layers=2, rng=None,
+    def __init__(self, codec, structure, emb_dim=300, n_layers=2, *, rng,
                  dtype=np.float32):
         self.structure, self.kind = structure, f"gcn-{structure}"
         self.view = "dep_view" if structure == "dep" else "con_gcn"
-        super().__init__(codec, emb_dim, None, n_layers, rng, dtype)
+        super().__init__(codec, emb_dim, None, n_layers, rng=rng, dtype=dtype)
 
     def reps(self, sides, train=False, rng=None):
         return self._encode(sides, train, rng)
@@ -1081,7 +1081,7 @@ class StudentModel(BaseModel):
 
     kind = "student"
 
-    def __init__(self, codec, emb_dim=300, hidden=350, n_layers=3, rng=None,
+    def __init__(self, codec, emb_dim=300, hidden=350, n_layers=3, *, rng,
                  dtype=np.float32):
         super().__init__(codec, rng, dtype)
         self.encoder = StudentEncoder(self.p, "enc", len(codec.vocab), emb_dim, hidden, n_layers)
@@ -1111,14 +1111,14 @@ class StudentModel(BaseModel):
                 offsets([s.n for s in sides]))
 
 
-def make_teacher(kind, codec, emb_dim=300, hidden=300, n_layers=2, rng=None,
+def make_teacher(kind, codec, emb_dim=300, hidden=300, n_layers=2, *, rng,
                  dtype=np.float32):
     if kind in ("gcn-dep", "gcn-con"):
-        return GcnModel(codec, kind[4:], emb_dim, n_layers, rng, dtype)
+        return GcnModel(codec, kind[4:], emb_dim, n_layers, rng=rng, dtype=dtype)
     if kind not in ("tlstm-dep", "tlstm-con"):
         raise ValueError(f"unknown teacher kind {kind!r}")
     tree = DepTreeLstmModel if kind == "tlstm-dep" else ConTreeLstmModel
-    return tree(codec, emb_dim, hidden, n_layers, rng, dtype)
+    return tree(codec, emb_dim, hidden, n_layers, rng=rng, dtype=dtype)
 
 
 TEACHER_KINDS = ("tlstm-dep", "gcn-dep", "tlstm-con", "gcn-con")

@@ -599,52 +599,49 @@ BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam optimizer over a fixed parameter list.
+    """Adam optimizer over a fixed parameter list of one dtype.
 
-    The optimizer owns the parameters' storage: one flat buffer per dtype.
-    On construction it copies each parameter's data into its buffer and
-    rebinds `data` to a view of it, so one elementwise update over a buffer
-    steps every parameter of that dtype. From then on a parameter is set by
-    writing into its `data` in place (as `Params.load_state_dict` does);
-    `step` refuses a parameter whose `data` was rebound.
+    The optimizer owns the parameters' storage: one flat buffer. On
+    construction it copies each parameter's data into the buffer and rebinds
+    `data` to a view of it, so one elementwise update over the buffer steps
+    every parameter. From then on a parameter is set by writing into its
+    `data` in place (as `Params.load_state_dict` does); `step` refuses a
+    parameter whose `data` was rebound.
 
-    state holds first/second moment arrays ("m", "v", one flat array per
-    buffer), the step count "t" and a "skipped" counter; it is empty until
-    the first step. `views` splits flat arrays such as state["m"] into
-    per-parameter views.
+    state holds the first/second moment arrays ("m", "v", each laid out like
+    the buffer), the step count "t" and a "skipped" counter; it is empty
+    until the first step. `views` splits a flat array such as state["m"]
+    into per-parameter views.
     """
 
     def __init__(self, params, lr: float = 1e-5):
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ValueError("Adam: a parameter is listed twice")
+        dtypes = {p.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam: parameters of more than one dtype "
+                             f"({', '.join(sorted(map(str, dtypes)))})")
         self.lr = lr
         self.state = {}
-        dtypes = list(dict.fromkeys(p.dtype for p in self.params))
-        ends = [0] * len(dtypes)
-        self._slots = []  # per parameter: (buffer index, start, stop)
-        for p in self.params:
-            b = dtypes.index(p.dtype)
-            self._slots.append((b, ends[b], ends[b] + p.size))
-            ends[b] += p.size
-        self.buffers = [np.empty(n, dtype=d) for d, n in zip(dtypes, ends)]
-        self._views = self.views(self.buffers)
+        ends = np.cumsum([0] + [p.size for p in self.params]).tolist()
+        self._slots = list(zip(ends, ends[1:]))  # per parameter: (start, stop)
+        self.buffer = np.empty(ends[-1], dtype=dtypes.pop() if dtypes else DEFAULT_DTYPE)
+        self._views = self.views(self.buffer)
         for p, view in zip(self.params, self._views):
             view[...] = p.data
             p.data = view
-        self._grads = [np.zeros_like(buf) for buf in self.buffers]
-        self._grad_views = self.views(self._grads)
+        self._grad = np.zeros_like(self.buffer)
+        self._grad_views = self.views(self._grad)
 
-    def views(self, flats):
-        """Per-parameter views, in parameter order, of arrays laid out like
-        the buffers (one flat array per dtype)."""
-        return [flats[b][lo:hi].reshape(p.shape)
-                for p, (b, lo, hi) in zip(self.params, self._slots)]
+    def views(self, flat):
+        """Per-parameter views, in parameter order, of an array laid out like
+        the buffer."""
+        return [flat[lo:hi].reshape(p.shape) for p, (lo, hi) in zip(self.params, self._slots)]
 
     def init_state(self, t: int = 0, skipped: int = 0):
         """Zero moments at step count t; the first step calls this."""
-        self.state = {"m": [np.zeros_like(buf) for buf in self.buffers],
-                      "v": [np.zeros_like(buf) for buf in self.buffers],
+        self.state = {"m": np.zeros_like(self.buffer), "v": np.zeros_like(self.buffer),
                       "t": t, "skipped": skipped}
 
     @property
@@ -653,9 +650,9 @@ class Adam:
 
     def step(self) -> bool:
         """One update in place. The gradients are gathered into one flat
-        array per buffer, each in its parameter's dtype (None counts as
-        zeros); any non-finite value skips the whole step and bumps the
-        skipped counter. Returns True when the update was applied."""
+        array in the parameters' dtype (None counts as zeros); any non-finite
+        value skips the whole step and bumps the skipped counter. Returns
+        True when the update was applied."""
         if "m" not in self.state:
             self.init_state()
         state = self.state
@@ -670,19 +667,17 @@ class Adam:
                     f"grad shape {p.grad.shape} does not match param shape {view.shape}")
             else:
                 gview[...] = p.grad
-        if not all(np.isfinite(g).all() for g in self._grads):
+        g, m, v = self._grad, state["m"], state["v"]
+        if not np.isfinite(g).all():
             state["skipped"] += 1
             return False
         state["t"] += 1
-        t = state["t"]
-        c1 = 1.0 - BETA1 ** t
-        c2 = 1.0 - BETA2 ** t
-        for buf, g, m, v in zip(self.buffers, self._grads, state["m"], state["v"]):
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            buf -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        c1, c2 = 1.0 - BETA1 ** state["t"], 1.0 - BETA2 ** state["t"]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        self.buffer -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         return True
 
     def zero_grad(self):

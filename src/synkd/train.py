@@ -253,8 +253,10 @@ class TeacherSignals:
         for m in teachers.all:
             if soft and m.structure not in m.struct_heads:
                 raise DistillError(f"teacher {m.kind} has no structure head for soft targets")
+        # features and structure targets feed only the syntax loss, off at lam1 = 0
+        syn = cfg.lam1 > 0
         self.task_dists = {m.kind: [] for m in teachers.all}
-        self.feats = {m.kind: [] for m in teachers.all} if cfg.mode == "A" else None
+        self.feats = {m.kind: [] for m in teachers.all} if syn and cfg.mode == "A" else None
         # mode-B structure targets per teacher kind: arc/label targets of the
         # dependency teachers, reference trees T* of the constituency ones
         self.targets = {m.kind: [] for m in teachers.all}
@@ -267,11 +269,11 @@ class TeacherSignals:
                     else list(dists)
                 if self.feats is not None:
                     self.feats[m.kind] += _blocks(mat.data, off)
-                if soft:
+                if soft and syn:
                     soft_targets = soft_arc_targets if m.structure == "dep" \
                         else soft_con_targets
                     self.targets[m.kind] += soft_targets(m.struct_heads[m.structure], main)
-        if cfg.mode == "B" and cfg.teacher_mode == "hard":
+        if syn and cfg.mode == "B" and cfg.teacher_mode == "hard":
             hard = {s: hard_targets(s, data, n_dep_labels)
                     for s in {m.structure for m in teachers.all}}
             self.targets = {m.kind: hard[m.structure] for m in teachers.all}
@@ -459,14 +461,15 @@ def save_run_state(run_dir, model, state: RunState):
 
 
 def load_run_state(run_dir, model, lr=None) -> RunState:
-    """Restore parameters, optimizer moments and the generator; the model must
-    already have the same parameter set (including projections) registered."""
+    """Restore parameters, the optimizer's moments and counters (skipped steps
+    included) and the generator. The model must already have the same
+    parameter set registered, a mode-A student's projections included."""
     with open(os.path.join(run_dir, "state.json"), encoding="utf-8") as fh:
         meta = json.load(fh)
     model.p.load_state_dict(load_checkpoint(os.path.join(run_dir, "params.syd1")))
     adam = Adam(model.parameters(), lr=lr if lr is not None else meta["lr"])
     adam_path = os.path.join(run_dir, "adam.syd1")
-    if os.path.exists(adam_path) and meta["adam_t"] > 0:
+    if os.path.exists(adam_path):
         moments = load_checkpoint(adam_path)
         adam.init_state(meta["adam_t"], meta["adam_skipped"])
         for key in ("m", "v"):

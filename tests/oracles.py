@@ -1161,7 +1161,7 @@ def record_mutants(record, rng):
 
 
 class ReferenceAdam:
-    """`tensor.Adam` as it was before it owned one flat buffer per dtype: one
+    """`tensor.Adam` as it was before it owned one flat buffer: one
     moment pair, one isfinite scan and a dozen numpy calls per parameter, and
     the parameters keep their own arrays. Its moments are already per
     parameter, so `views` is the identity and `save_run_state` can write

@@ -28,24 +28,38 @@ fragments) and warm (a second call on the same sides):
     {"teacher": "tlstm-dep", "emb": 24, "hidden": 16, "layers": 2,
      "sentences": 128, "cold_ms": ..., "warm_ms": ..., "repeats": 5}
 
+Last, per dims, one line per model kind (the four teachers, then the
+student): the ms to build the model, drawing its parameters, and the ms of
+`cli.load_model_dir` on its saved run directory, best of N. The student takes
+the dims' sizes; the teachers take the benchmark workloads' at `desk` and the
+CLI's defaults (300, 300, 2 layers) at `cli`:
+
+    {"load": "student", "dims": "cli", "emb": 300, "hidden": 350, "layers": 3,
+     "build_ms": ..., "load_ms": ..., "repeats": 5}
+
 Usage:
 
     PYTHONPATH=src python tests/stepbench.py [--dims desk|cli|tiny ...] [--repeats N]
 
 Only `distill_student` and the private `train._optimize` it calls per
-objective, and `make_teacher` and `reps` for the teacher lines, are used, so
-the script runs unchanged against an older checkout's `src/` for a
-before/after pair on one machine.
+objective, `make_teacher` and `reps` for the teacher lines, and
+`cli.save_model_dir`, `cli.write_resolved` and `cli.load_model_dir` for the
+load lines are used, so the script runs unchanged against an older
+checkout's `src/` for a before/after pair on one machine.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 import time
+from functools import partial
 
 import numpy as np
 
+from synkd import cli
 from synkd import tensor as T
 from synkd import train
 from synkd.distill import DistillConfig, TeacherSet
@@ -61,6 +75,9 @@ FIELDS = ("dims", "emb", "hidden", "layers", "batch", "tokens", "objective", "fo
 TEACHER_DIMS, TEACHER_SENTS = (24, 16, 2), 128
 TEACHER_FIELDS = ("teacher", "emb", "hidden", "layers", "sentences", "cold_ms", "warm_ms",
                   "repeats")
+# load lines: the teachers' (embeddings, hidden, layers) per dims
+LOAD_TEACHER_DIMS = {"tiny": (6, 5, 2), "desk": TEACHER_DIMS, "cli": (300, 300, 2)}
+LOAD_FIELDS = ("load", "dims", "emb", "hidden", "layers", "build_ms", "load_ms", "repeats")
 
 
 def corpus(seed=0):
@@ -150,6 +167,37 @@ def teacher_rows(repeats=5):
     return out
 
 
+def load_rows(name, repeats=5):
+    """Best-of-`repeats` build and `cli.load_model_dir` ms of each model kind
+    at dims `name`, on the corpus of the objective lines."""
+    codec = Codec(corpus()[0], "cls")
+    out = []
+    for kind in (*TEACHER_KINDS, "student"):
+        if kind == "student":
+            command, keys, sizes = "distill", ("emb_dim", "hidden", "layers"), DIMS[name]
+            build = StudentModel
+        else:
+            command, sizes = "train-teacher", LOAD_TEACHER_DIMS[name]
+            keys = ("teacher_emb", "teacher_hidden", "teacher_layers")
+            build = partial(make_teacher, kind)
+        built = loaded = np.inf
+        with tempfile.TemporaryDirectory() as run_dir:
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                model = build(codec, *sizes, rng=np.random.default_rng(0))
+                built = min(built, 1e3 * (time.perf_counter() - t0))
+            cli.save_model_dir(run_dir, model)
+            cli.write_resolved(os.path.join(run_dir, "config.resolved.json"), command,
+                               dict(zip(keys, sizes)), {"model_kind": kind})
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                cli.load_model_dir(run_dir)
+                loaded = min(loaded, 1e3 * (time.perf_counter() - t0))
+        out.append(dict(zip(LOAD_FIELDS, (kind, name, *sizes, round(built, 3),
+                                          round(loaded, 3), repeats))))
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--dims", nargs="+", choices=sorted(DIMS), default=["desk", "cli"])
@@ -160,6 +208,9 @@ def main(argv=None):
             print(json.dumps(row), flush=True)
     for row in teacher_rows(args.repeats):
         print(json.dumps(row), flush=True)
+    for name in args.dims:
+        for row in load_rows(name, args.repeats):
+            print(json.dumps(row), flush=True)
 
 
 if __name__ == "__main__":

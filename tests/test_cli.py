@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from synkd import cli
+from synkd import encoders as E
 from synkd.cli import CONFIG, build_parser, main, resolve
 from synkd.encoders import TEACHER_KINDS
 from synkd.syntax_data import example_to_dict, gen_synthetic, parse_bracketed
-from synkd.train import load_checkpoint, read_log, save_checkpoint
+from synkd.train import load_checkpoint, params_fingerprint, read_log, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -185,6 +186,26 @@ def test_resolved_config_with_every_command_keys_replays(workspace, tmp_path, ca
                for o in (out1, out2)]
     assert configs[1] == {**configs[0], "out": str(out2)}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "distill"])
+def test_resolved_config_that_records_a_task_replays(workspace, tmp_path, capsys, command):
+    # these commands recorded --task before their corpus named the task; the
+    # replay skips it as a key only gen-data reads
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    argv = distill_args(workspace, out1) if command == "distill" else [
+        "train-teacher", "--kind", "gcn-con", "--train", str(workspace["data"] / "train.jsonl"),
+        "--iters", "3", "--batch", "8", "--teacher-emb", "10", "--teacher-layers", "1",
+        "--out", str(out1)]
+    assert main(argv) == 0
+    meta = json.loads((out1 / "config.resolved.json").read_text())
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**meta, "config": {**meta["config"], "task": "classify"}}))
+    assert main([command, "--config", str(old), "--out", str(out2)]) == 0
+    capsys.readouterr()
+    assert (out1 / "model.syd1").read_bytes() == (out2 / "model.syd1").read_bytes()
+    replayed = json.loads((out2 / "config.resolved.json").read_text())["config"]
+    assert replayed == {**meta["config"], "out": str(out2)}
 
 
 def test_resolved_config_replays_only_its_own_command(workspace, tmp_path, capsys):
@@ -423,7 +444,7 @@ def task_runs(tmp_path_factory):
                      "--n-test", "6", "--max-len", "8", "--grammar-size", "4",
                      "--out", str(data)]) == 0
         student = root / f"{task}-student"
-        assert main(["distill", "--task", flag, "--train", str(data / "train.jsonl"),
+        assert main(["distill", "--train", str(data / "train.jsonl"),
                      "--iters", "1", "--batch", "4", "--emb-dim", "8", "--hidden", "6",
                      "--layers", "1", "--out", str(student)]) == 0
         runs[task] = {"data": data, "student": str(student)}
@@ -452,13 +473,57 @@ def test_eval_on_data_of_another_task_is_one_json_error_line(task_runs, tmp_path
 @pytest.mark.parametrize("data_task", ["pair", "tag"])
 def test_training_on_data_of_another_task_is_one_json_error_line(task_runs, tmp_path, capsys,
                                                                 command, data_task):
-    train = task_runs[data_task]["data"] / "train.jsonl"
+    # the cls corpus names the task; a dev file of another task is refused
+    train = task_runs["cls"]["data"] / "train.jsonl"
+    dev = task_runs[data_task]["data"] / "test.jsonl"
     extra = ["--kind", "gcn-dep"] if command == "train-teacher" else []
-    rc, out, err = run(capsys, command, "--task", "classify", "--train", str(train),
+    rc, out, err = run(capsys, command, "--train", str(train), "--dev", str(dev),
                        "--iters", "1", "--out", str(tmp_path / "out"), *extra)
     assert rc == 1 and not out
-    assert one_error_line(err) == payload_error(train, data_task, "cls")
+    assert one_error_line(err) == payload_error(dev, data_task, "cls")
     assert not (tmp_path / "out" / "log.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "distill"])
+@pytest.mark.parametrize("data_task", ["pair", "tag"])
+def test_training_takes_the_task_of_its_corpus(task_runs, tmp_path, capsys, command,
+                                               data_task):
+    data = task_runs[data_task]["data"]
+    extra = ["--kind", "gcn-dep", "--teacher-emb", "8"] if command == "train-teacher" \
+        else ["--emb-dim", "8", "--hidden", "6", "--layers", "1"]
+    rc, out, err = run(capsys, command, "--train", str(data / "train.jsonl"), "--iters", "1",
+                       "--batch", "4", "--out", str(tmp_path / "m"), *extra)
+    assert rc == 0, err
+    assert json.loads((tmp_path / "m" / "codec.json").read_text())["task"] == data_task
+    rc, out, err = run(capsys, "eval", "--model", str(tmp_path / "m"),
+                       "--data", str(data / "test.jsonl"), "--out", str(tmp_path / "ev"))
+    assert rc == 0, err
+    assert ("token_f1" in last_json(out)) == (data_task == "tag")
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "distill"])
+def test_corpus_that_mixes_tasks_is_one_json_error_line(task_runs, tmp_path, capsys, command):
+    train = tmp_path / "mixed.jsonl"
+    train.write_text((task_runs["cls"]["data"] / "train.jsonl").read_text()
+                     + (task_runs["pair"]["data"] / "train.jsonl").read_text())
+    extra = ["--kind", "gcn-dep"] if command == "train-teacher" else []
+    rc, out, err = run(capsys, command, "--train", str(train), "--iters", "1",
+                       "--out", str(tmp_path / "out"), *extra)
+    assert rc == 1 and not out
+    assert one_error_line(err) == (f"{train}: example 16 has a pair payload, "
+                                   "not one of task 'cls'")
+    assert not (tmp_path / "out" / "log.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "distill"])
+def test_empty_training_corpus_is_one_json_error_line(tmp_path, capsys, command):
+    train = tmp_path / "empty.jsonl"
+    train.write_text("")
+    extra = ["--kind", "gcn-dep"] if command == "train-teacher" else []
+    rc, out, err = run(capsys, command, "--train", str(train), "--out", str(tmp_path / "out"),
+                       *extra)
+    assert rc == 1 and not out
+    assert one_error_line(err) == "ValueError: empty training set"
 
 
 @pytest.mark.parametrize("split", ["train", "dev"])
@@ -688,6 +753,16 @@ def _codec_mismatch_case(workspace, tmp_path, capsys):
             f"{other}: teacher codec differs from the first teacher's")
 
 
+def _other_task_case(workspace, tmp_path, capsys):
+    # the teachers' codec checks the corpus, naming its first pair example
+    train = tmp_path / "pair.jsonl"
+    train.write_text("".join(json.dumps(example_to_dict(ex)) + "\n"
+                             for ex in gen_synthetic(4, seed=6, task="pair")))
+    args = distill_args(workspace, tmp_path / "s")
+    args[args.index("--train") + 1] = str(train)
+    return args, f"{train}: example 0 has a pair payload, not one of task 'cls'"
+
+
 @pytest.mark.parametrize("case", [
     pytest.param(_config_case(None, "config file not found: {path}"), id="config-missing"),
     pytest.param(_config_case('{"n": ', "{path}: invalid JSON (Expecting value)"),
@@ -697,10 +772,7 @@ def _codec_mismatch_case(workspace, tmp_path, capsys):
     pytest.param(lambda workspace, tmp_path, capsys: (["gen-data"], "missing required option --out"),
                  id="missing-required-option"),
     pytest.param(_unknown_kind_case, id="unknown-model-kind"),
-    pytest.param(lambda workspace, tmp_path, capsys: (
-        distill_args(workspace, tmp_path / "s", "--task", "pair"),
-        "model was built for task 'cls', requested 'pair'; pass a matching --task"),
-        id="task-differs-from-teachers"),
+    pytest.param(_other_task_case, id="task-differs-from-teachers"),
     pytest.param(_student_teacher_case, id="student-as-teacher"),
     pytest.param(_codec_mismatch_case, id="teacher-codecs-differ"),
 ])
@@ -753,7 +825,8 @@ def test_config_key_the_command_does_not_read_is_one_json_error_line(tmp_path, c
 
 @pytest.mark.parametrize("command, flag", [("eval", "--seed"), ("eval", "--task"),
                                            ("induce", "--seed"), ("induce", "--task"),
-                                           ("probe", "--task")])
+                                           ("probe", "--task"), ("train-teacher", "--task"),
+                                           ("distill", "--task")])
 def test_flag_the_command_does_not_read_is_unknown(tmp_path, capsys, command, flag):
     rc, out, err = run(capsys, command, flag, "1", "--out", str(tmp_path / "x"))
     assert rc == 2 and not out
@@ -836,7 +909,6 @@ def test_mistyped_field_is_one_json_error_line(tmp_path, capsys, task, key, valu
     path = tmp_path / "bad.jsonl"
     path.write_text("".join(json.dumps(d) + "\n" for d in records))
     rc, _, err = run(capsys, "train-teacher", "--kind", "gcn-con", "--train", str(path),
-                     "--task", "classify" if task == "cls" else task,
                      "--out", str(tmp_path / "t"))
     assert rc == 1
     assert "Traceback" not in err
@@ -1082,6 +1154,35 @@ def test_model_dir_round_trip_keeps_checkpoint_names(model_dirs, name):
     assert projections == (name == "student-A")
 
 
+@pytest.mark.parametrize("case", ["tlstm-dep", "gcn-dep+head", "tlstm-con+head", "gcn-con",
+                                  "student-A", "student-B"])
+def test_loaded_model_is_filled_from_its_checkpoint_not_drawn(workspace, tmp_path, capsys,
+                                                              monkeypatch, case):
+    # loading makes no generator: every array is made as zeros and filled from
+    # the checkpoint, so the saved model's parameters come back bit for bit
+    saved, save = [], cli.save_model_dir
+    monkeypatch.setattr(cli, "save_model_dir", lambda out_dir, model: (
+        saved.append(params_fingerprint(model.p)), save(out_dir, model)))
+    out = str(tmp_path / "m")
+    if case.startswith("student"):
+        argv = distill_args(workspace, out, "--mode", case[-1], "--iters", "2", "--g1", "2",
+                            "--g2", "1")
+    else:
+        argv = ["train-teacher", "--kind", case.split("+")[0], "--train",
+                str(workspace["data"] / "train.jsonl"), "--iters", "2", "--batch", "8",
+                "--teacher-emb", "10", "--teacher-hidden", "8", "--teacher-layers", "1",
+                "--out", out, *(["--co-train-struct"] if case.endswith("+head") else [])]
+    assert main(argv) == 0
+    capsys.readouterr()
+    generators, init = [], E.Params.__init__
+    monkeypatch.setattr(E.Params, "__init__", lambda self, rng, dtype=np.float32: (
+        generators.append(rng), init(self, rng, dtype))[-1])
+    monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: pytest.fail("generator"))
+    model = cli.load_model_dir(out)
+    assert generators == [None]
+    assert params_fingerprint(model.p) == saved[0]
+
+
 @pytest.mark.parametrize("name, part, key, value", [
     ("student-A", "artifacts", "projections", "from-model"),
     ("student-A", "artifacts", "projections", [1]),
@@ -1184,13 +1285,13 @@ def test_cli_pins_one_blas_thread_unless_set():
 _STR, _INT, _FLOAT = (None, None, "store", None), (int, None, "store", None), \
     (float, None, "store", None)
 _SWITCH = (None, None, "store_true", None)
-_TASK = {"--task": (None, ["classify", "pair", "tag"], "store", None)}
-_COMMON = {"--config": _STR, "--seed": _INT, "--out": _STR, **_TASK}
+_COMMON = {"--config": _STR, "--seed": _INT, "--out": _STR}
 _MODEL_DATA = {"--config": _STR, "--out": _STR, "--model": _STR, "--data": _STR}
 _SCHEDULE = {"--iters": _INT, "--batch": _INT, "--lr": _FLOAT, "--eval-every": _INT,
              "--patience": _INT}
 FLAG_SET = {
-    "gen-data": {**_COMMON, "--n": _INT, "--n-dev": _INT, "--n-test": _INT,
+    "gen-data": {**_COMMON, "--task": (None, ["classify", "pair", "tag"], "store", None),
+                 "--n": _INT, "--n-dev": _INT, "--n-test": _INT,
                  "--max-len": _INT, "--grammar-size": _INT},
     "train-teacher": {
         **_COMMON, **_SCHEDULE, "--train": _STR, "--dev": _STR,
@@ -1236,7 +1337,7 @@ def test_flag_set_is_pinned():
     # every key but mask_ratio can be set from the command line
     assert dests == set(CONFIG) - {"mask_ratio"} | {"config"}
     assert {c: len(keys.split()) for c, (_, keys, _) in cli.COMMANDS.items()} == {
-        "gen-data": 8, "train-teacher": 15, "distill": 24, "eval": 3, "probe": 9, "induce": 3}
+        "gen-data": 8, "train-teacher": 14, "distill": 23, "eval": 3, "probe": 9, "induce": 3}
 
 
 def test_main_builds_its_parser_once_and_calls_the_current_command(monkeypatch, tmp_path,

@@ -70,6 +70,18 @@ RNG = np.random.default_rng(99)
 # ---------------------------------------------------------------------------
 # cells
 
+def test_params_without_a_generator_make_zeros_and_models_need_one():
+    p = E.Params(None, F64)
+    assert not p.add("w", (3, 4)).data.any() and p["w"].dtype == F64
+    with pytest.raises(ValueError, match="unknown init 'ones'"):
+        p.add("v", (2,), init="ones")
+    # a model's generator is a required keyword: a forgotten one fails at once
+    codec = E.Codec(D.gen_synthetic(4, seed=0), "cls")
+    for kind in ("student", *E.TEACHER_KINDS):
+        with pytest.raises(TypeError, match="rng"):
+            E.StudentModel(codec) if kind == "student" else E.make_teacher(kind, codec)
+
+
 def test_childsum_zero_params_leaf():
     cell, _ = make_childsum(3, 4, RNG, fill=0.0)
     out = leaf(cell, Tensor(np.ones((1, 3), dtype=F64)))

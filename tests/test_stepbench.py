@@ -18,13 +18,20 @@ def test_stepbench_prints_one_timed_line_per_objective():
                              capture_output=True, text=True).stdout.splitlines()
     wall_ms = 1e3 * (time.perf_counter() - start)
     rows = [json.loads(line) for line in printed]
+    loads = [r for r in rows if "load" in r]
     teachers = [r for r in rows if "teacher" in r]
-    rows = [r for r in rows if "teacher" not in r]
+    rows = [r for r in rows if "teacher" not in r and "load" not in r]
     assert [r["objective"] for r in rows] == ["sem", "output/gcn-dep", "dep/gcn-dep",
                                               "output/gcn-con", "con/gcn-con", "all"]
     # one line per tree-teacher kind after the objectives, each timing its
-    # cold and its warm reps over the same sentences
-    assert printed[-len(teachers):] == [json.dumps(r) for r in teachers]
+    # cold and its warm reps over the same sentences, then one load line per
+    # model kind
+    assert printed[len(rows):] == [json.dumps(r) for r in teachers + loads]
+    assert [r["load"] for r in loads] == [*TEACHER_KINDS, "student"]
+    for r in loads:
+        assert tuple(r) == stepbench.LOAD_FIELDS
+        assert (r["dims"], r["emb"], r["hidden"], r["layers"]) == ("tiny", 6, 5, 2)
+        assert r["repeats"] == 2 and r["build_ms"] > 0 and r["load_ms"] > 0
     assert [r["teacher"] for r in teachers] == list(TEACHER_KINDS)
     for r in teachers:
         assert tuple(r) == stepbench.TEACHER_FIELDS
@@ -39,7 +46,8 @@ def test_stepbench_prints_one_timed_line_per_objective():
     # milliseconds: every timed phase fits in the run's wall time, and the
     # joint step's forward pass (over a hundred tape ops) is not under 50 us
     assert sum(r[k] for r in rows for k in ("forward_ms", "backward_ms", "adam_ms")) + sum(
-        r["cold_ms"] + r["warm_ms"] for r in teachers) < wall_ms
+        r["cold_ms"] + r["warm_ms"] for r in teachers) + sum(
+        r["build_ms"] + r["load_ms"] for r in loads) < wall_ms
     joint = rows[-1]
     assert joint["forward_ms"] > 0.05
     # the masked-word step runs one scan, not the whole stack: the fewest ops

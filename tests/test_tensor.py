@@ -332,48 +332,58 @@ def test_adam_deterministic():
     assert a.tobytes() == b.tobytes()
 
 
-ADAM_SHAPES = [((3, 4), np.float32), ((5,), np.float64), ((), np.float32),
-               ((2, 3, 2), np.float64), ((7,), np.float32), ((1, 1), np.float64)]
+ADAM_SHAPES = [(3, 4), (5,), (), (2, 3, 2), (7,), (1, 1)]
 
 
 def test_adam_flat_bitwise_matches_per_tensor():
-    # mixed shapes with the float32 and float64 parameters interleaved (one
-    # buffer each), None grads, grad scales from 1e-6 to 1e2 and one NaN step
-    rng = np.random.default_rng(17)
-    init = [rng.standard_normal(shape).astype(dtype) for shape, dtype in ADAM_SHAPES]
-    flat = [T.Tensor(a.copy(), requires_grad=True) for a in init]
-    ref = [T.Tensor(a.copy(), requires_grad=True) for a in init]
-    opt, ref_opt = T.Adam(flat, lr=1e-2), ReferenceAdam(ref, lr=1e-2)
-    assert len(opt.buffers) == 2 and opt.state == {}
+    # once per dtype: mixed shapes in one buffer, None grads, grad scales from
+    # 1e-6 to 1e2 and one NaN step
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(17)
+        init = [rng.standard_normal(shape).astype(dtype) for shape in ADAM_SHAPES]
+        flat = [T.Tensor(a.copy(), requires_grad=True) for a in init]
+        ref = [T.Tensor(a.copy(), requires_grad=True) for a in init]
+        opt, ref_opt = T.Adam(flat, lr=1e-2), ReferenceAdam(ref, lr=1e-2)
+        assert opt.buffer.dtype == dtype and opt.state == {}
 
-    def same():
-        for key in ("m", "v"):
-            for a, b in zip(opt.views(opt.state[key]), ref_opt.state[key]):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert all(p.data.tobytes() == q.data.tobytes() for p, q in zip(flat, ref))
-        assert (opt.state["t"], opt.skipped) == (ref_opt.state["t"], ref_opt.skipped)
+        def same():
+            for key in ("m", "v"):
+                assert opt.state[key].dtype == dtype
+                for a, b in zip(opt.views(opt.state[key]), ref_opt.state[key]):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert all(p.data.tobytes() == q.data.tobytes() for p, q in zip(flat, ref))
+            assert (opt.state["t"], opt.skipped) == (ref_opt.state["t"], ref_opt.skipped)
 
-    for k in range(50):
-        for p, q in zip(flat, ref):
-            if rng.random() < 0.2:
-                p.grad = q.grad = None
+        for k in range(50):
+            for p, q in zip(flat, ref):
+                if rng.random() < 0.2:
+                    p.grad = q.grad = None
+                else:
+                    g = rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6, 2, p.shape)
+                    p.grad, q.grad = g.astype(p.dtype), g.astype(p.dtype)
+            if k == 20:
+                before = ([p.data.copy() for p in flat],
+                          [opt.state["m"].copy(), opt.state["v"].copy()], opt.state["t"])
+                flat[3].grad = ref[3].grad = np.full(flat[3].shape, np.nan)
+                assert not opt.step() and not ref_opt.step()
+                assert all(a.tobytes() == p.data.tobytes() for a, p in zip(before[0], flat))
+                assert all(a.tobytes() == opt.state[key].tobytes()
+                           for a, key in zip(before[1], ("m", "v")))
+                assert opt.state["t"] == before[2] and opt.skipped == 1
             else:
-                g = rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6, 2, p.shape)
-                p.grad, q.grad = g.astype(p.dtype), g.astype(p.dtype)
-        if k == 20:
-            before = ([p.data.copy() for p in flat],
-                      [m.copy() for m in opt.state["m"] + opt.state["v"]], opt.state["t"])
-            flat[3].grad = ref[3].grad = np.full(flat[3].shape, np.nan)
-            assert not opt.step() and not ref_opt.step()
-            assert all(a.tobytes() == p.data.tobytes() for a, p in zip(before[0], flat))
-            assert all(a.tobytes() == m.tobytes()
-                       for a, m in zip(before[1], opt.state["m"] + opt.state["v"]))
-            assert opt.state["t"] == before[2] and opt.skipped == 1
-        else:
-            assert opt.step() and ref_opt.step()
-        same()
-    for p in flat:
-        assert any(np.shares_memory(p.data, buf) for buf in opt.buffers)
+                assert opt.step() and ref_opt.step()
+            same()
+        for p in flat:
+            assert np.shares_memory(p.data, opt.buffer)
+
+
+def test_adam_refuses_parameters_of_two_dtypes():
+    # one flat buffer holds one dtype; a model's Params has one
+    p32 = T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    p64 = T.Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(ValueError, match=r"more than one dtype \(float32, float64\)"):
+        T.Adam([p32, p64])
+    assert p32.data.base is None and p64.data.base is None
 
 
 def test_adam_refuses_rebound_data_and_misshapen_grads():

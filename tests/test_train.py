@@ -6,6 +6,7 @@ import pytest
 from oracles import reference_distill_student, reference_train_teacher
 
 from synkd import tensor as T
+from synkd import train as TR
 from synkd.distill import (DistillConfig, DistillError, TeacherSet, sample_mask_positions,
                            soft_arc_targets, soft_con_targets)
 from synkd.encoders import (Codec, EncodedSide, GcnModel, StudentEncoder, StudentModel,
@@ -413,6 +414,41 @@ def test_hard_targets_shared_per_structure():
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def test_zero_syntax_weight_builds_no_structure_target_or_feature(monkeypatch):
+    # with lam1 = 0 the syntax loss never runs, so TeacherSignals builds none
+    # of what it reads; the teachers' class distributions are still computed
+    codec, encs = small_data(16, seed=23)
+    teachers = small_teachers(codec)
+    for m in teachers.all:
+        m.add_structure_head(m.structure)
+    for name in ("hard_targets", "soft_arc_targets", "soft_con_targets"):
+        monkeypatch.setattr(TR, name, lambda *a, **k: pytest.fail("target built"))
+    for mode, teacher_mode in (("A", "hard"), ("B", "hard"), ("B", "soft")):
+        cfg = DistillConfig(lam1=0.0, mode=mode, teacher_mode=teacher_mode)
+        signals = TeacherSignals(teachers, encs, cfg, len(codec.dep_labels))
+        assert signals.feats is None
+        assert all(targets == [] for targets in signals.targets.values())
+        assert all(len(signals.task_dists[m.kind]) == len(encs) for m in teachers.all)
+
+
+def test_zero_syntax_weight_gives_the_same_student_in_hard_and_soft_mode():
+    codec, encs = small_data(20, seed=24)
+    teachers = small_teachers(codec)
+    for m in teachers.all:
+        m.add_structure_head(m.structure)
+    outcomes = []
+    for teacher_mode in ("hard", "soft"):
+        student = small_student(codec, seed=5)
+        state = distill_student(student, teachers, encs[:16], encs[16:],
+                                DistillConfig(lam1=0.0, teacher_mode=teacher_mode),
+                                Schedule(total=4, g1=2, g2=1), batch_size=4, lr=1e-3,
+                                eval_every=2, seed=0)
+        outcomes.append((student.p.state_dict(), state.trace, state.history))
+    (hard, *rest), (soft, *soft_rest) = outcomes
+    assert rest == soft_rest and list(hard) == list(soft)
+    assert all(hard[name].tobytes() == soft[name].tobytes() for name in hard)
+
+
 def test_train_teacher_missing_annotation():
     codec, encs = small_data(8, seed=9)
     bare = [codec.encode(Example(e.raw.sent, None, None, label=e.raw.label))
@@ -738,7 +774,7 @@ def test_resume_reproduces_trajectory(tmp_path):
 
 
 def test_loads_write_into_the_optimizer_buffers(tmp_path):
-    # a state loaded after the optimizer exists lands in its flat buffers:
+    # a state loaded after the optimizer exists lands in its flat buffer:
     # a step then moves the loaded model, and every parameter still views one
     codec, encs = small_data(24, seed=19)
     student = small_student(codec)
@@ -751,7 +787,7 @@ def test_loads_write_into_the_optimizer_buffers(tmp_path):
     assert adam.step()
     for name, p in zip(student.p.names(), student.parameters()):
         assert not np.array_equal(p.data, loaded[name]), name
-        assert np.shares_memory(p.data, adam.buffers[0]), name
+        assert np.shares_memory(p.data, adam.buffer), name
 
     # run state: parameters and moments are copied into the new optimizer
     state = distill_student(student, None, encs, None, DistillConfig(),
@@ -763,7 +799,7 @@ def test_loads_write_into_the_optimizer_buffers(tmp_path):
     moments = load_checkpoint(tmp_path / "run" / "adam.syd1")
     for name, p, m in zip(fresh.p.names(), fresh.parameters(),
                           back.adam.views(back.adam.state["m"])):
-        assert np.shares_memory(p.data, back.adam.buffers[0]), name
+        assert np.shares_memory(p.data, back.adam.buffer), name
         assert m.tobytes() == moments[f"m/{name}"].tobytes(), name
     assert params_fingerprint(fresh.p) == params_fingerprint(student.p)
 
@@ -773,6 +809,22 @@ def test_loads_write_into_the_optimizer_buffers(tmp_path):
     save_checkpoint(tmp_path / "run" / "adam.syd1", moments)
     with pytest.raises(ValueError, match=f"adam v shape .* param {name!r}"):
         load_run_state(tmp_path / "run", small_student(codec))
+
+
+def test_resume_keeps_the_skipped_count_of_a_run_that_only_skipped(tmp_path):
+    # every step so far had a non-finite gradient: no update was applied, yet
+    # the optimizer state exists and its skipped count must come back
+    codec, _ = small_data(12, seed=19)
+    student = small_student(codec)
+    state = RunState(seed=0, adam=Adam(student.parameters(), lr=1e-2))
+    for _ in range(3):
+        for p in student.parameters():
+            p.grad = np.full_like(p.data, np.nan)
+        assert not state.adam.step()
+    save_run_state(tmp_path / "run", student, state)
+    back = load_run_state(tmp_path / "run", small_student(codec))
+    assert (back.adam.state["t"], back.adam.skipped) == (0, 3)
+    assert not back.adam.state["m"].any() and not back.adam.state["v"].any()
 
 
 # ------------------------------------------------- shared loop vs reference
