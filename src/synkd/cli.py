@@ -470,6 +470,7 @@ def cmd_probe(cfg, out, explicit):
 
 
 def cmd_induce(cfg, out, explicit):
+    """Write each sentence's CYK tree and argmax heads, one pass per `batches` chunk."""
     model = load_model_dir(need(cfg, "model"))
     if model.kind != "student":
         raise CliError("induce needs a student checkpoint with structure heads")

@@ -909,7 +909,7 @@ class EncodedExample:
 # ---------------------------------------------------------------------------
 # assembled models
 
-BATCH_ROWS = 128  # sentences per forward pass when predicting
+BATCH_ROWS = 4096  # encoder rows per prediction pass (swept by tests/stepbench.py)
 
 
 class BaseModel:
@@ -930,11 +930,25 @@ class BaseModel:
         self.p.add("head/W", (width, n))
         self.p.add("head/b", (n,), init="zeros")
 
+    def rows(self, sides):
+        """Encoder rows `reps` runs for each side: one per token."""
+        return [s.n for s in sides]
+
     def batches(self, data):
         """Index chunks, in data order, that prediction runs through `logits`
-        together."""
-        return [range(lo, min(lo + BATCH_ROWS, len(data)))
-                for lo in range(0, len(data), BATCH_ROWS)]
+        together: consecutive examples in passes of at most BATCH_ROWS encoder
+        rows (a pair counts both sides; one over the budget gets a pass alone)."""
+        k = self.rows([e.main for e in data])
+        pair = [i for i, e in enumerate(data) if e.partner is not None]
+        for i, r in zip(pair, self.rows([data[i].partner for i in pair])):
+            k[i] += r
+        starts, total = [], 0
+        for i, r in enumerate(k):
+            total += r
+            if i == 0 or total > BATCH_ROWS:
+                starts.append(i)
+                total = r
+        return [range(a, b) for a, b in zip(starts, starts[1:] + [len(data)])]
 
     def logits(self, encs, train=False, rng=None) -> Tensor:
         """Task logits for a batch: (B, C), or (total tokens, C) stacked by
@@ -1011,6 +1025,13 @@ class TeacherModel(BaseModel):
             for s, frag in zip(new, build([v[1].size for v in views], [v[2] for v in views])):
                 s.plans[self.kind] = frag
         return [s.plans[self.kind] for s in sides]
+
+    def rows(self, sides):
+        """Encoder rows `reps` runs for each side: its tokens, or its binarized
+        tree's 2n - 1 nodes (con TreeLSTM), or its tokens plus tree nodes (con GCN)."""
+        if self.structure == "dep":
+            return super().rows(sides)
+        return [2 * s.n - 1 if self.cell else s.n + len(s.raw.con.spans()) for s in sides]
 
     def _encode(self, sides, train, rng):
         """Stacked token rows of a batch of sides plus their row offsets: node

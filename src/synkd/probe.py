@@ -23,8 +23,8 @@ PROBE_KINDS = ("constituent-labeling", "dependency-labeling")
 
 def _main_rows(model, data):
     """Detached top-layer rows of every example's main side stacked in one
-    matrix, and each example's first row in it, from one pass per
-    `model.batches` chunk; the frozen backbone stays off any tape."""
+    matrix, and each example's first row in it, from one pass per `batches`
+    chunk of BATCH_ROWS encoder rows; the frozen backbone stays off any tape."""
     mats, first, base = [], np.zeros(len(data), dtype=np.int64), 0
     for chunk in model.batches(data):
         mat, off = model.reps([data[i].main for i in chunk])

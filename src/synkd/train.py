@@ -97,6 +97,7 @@ def save_checkpoint(path, state: dict):
 
 
 def load_checkpoint(path) -> dict:
+    """Name -> array of a SYD1 file, each a read-only view of the file's bytes."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -126,7 +127,7 @@ def load_checkpoint(path) -> dict:
         count = int(np.prod(dims, dtype=np.int64)) if rank else 1
         need(4 * count)
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos)
-        out[name] = arr.reshape(dims).copy()
+        out[name] = arr.reshape(dims)
         pos += 4 * count
     return out
 
@@ -245,8 +246,8 @@ def _blocks(arr, off):
 # frozen-teacher signals
 
 class TeacherSignals:
-    """Everything the distillation loop needs from the frozen teachers,
-    computed once per dataset and indexed by example position."""
+    """Everything the distillation loop needs from the frozen teachers, one
+    pass per `batches` chunk per dataset, indexed by example position."""
 
     def __init__(self, teachers: TeacherSet, data, cfg: DistillConfig, n_dep_labels):
         soft = cfg.mode == "B" and cfg.teacher_mode == "soft"

@@ -28,7 +28,7 @@ fragments) and warm (a second call on the same sides):
     {"teacher": "tlstm-dep", "emb": 24, "hidden": 16, "layers": 2,
      "sentences": 128, "cold_ms": ..., "warm_ms": ..., "repeats": 5}
 
-Last, per dims, one line per model kind (the four teachers, then the
+Then, per dims, one line per model kind (the four teachers, then the
 student): the ms to build the model, drawing its parameters, and the ms of
 `cli.load_model_dir` on its saved run directory, best of N. The student takes
 the dims' sizes; the teachers take the benchmark workloads' at `desk` and the
@@ -37,15 +37,29 @@ CLI's defaults (300, 300, 2 layers) at `cli`:
     {"load": "student", "dims": "cli", "emb": 300, "hidden": 350, "layers": 3,
      "build_ms": ..., "load_ms": ..., "repeats": 5}
 
+Last, per dims, one line per model kind and `encoders.BATCH_ROWS` value
+(the shipped one first, then a sweep): `train.predict` over a 1,000-sentence
+desk corpus, at the load lines' sizes, with the number of passes
+`model.batches` makes, the mean encoder rows per pass (tokens, or the nodes
+of a constituency teacher's view) and the warm predict ms per sentence, best
+of N (a first call builds the views and plan fragments). This is the sweep
+that sets BATCH_ROWS:
+
+    {"predict": "gcn-con", "dims": "desk", "emb": 24, "hidden": 16, "layers": 2,
+     "sentences": 1000, "budget": 4096, "passes": ..., "rows_per_pass": ...,
+     "ms_per_sent": ..., "repeats": 5}
+
 Usage:
 
     PYTHONPATH=src python tests/stepbench.py [--dims desk|cli|tiny ...] [--repeats N]
 
 Only `distill_student` and the private `train._optimize` it calls per
-objective, `make_teacher` and `reps` for the teacher lines, and
+objective, `make_teacher` and `reps` for the teacher lines,
 `cli.save_model_dir`, `cli.write_resolved` and `cli.load_model_dir` for the
-load lines are used, so the script runs unchanged against an older
-checkout's `src/` for a before/after pair on one machine.
+load lines, and `train.predict`, `batches` and `encoders.BATCH_ROWS` for the
+predict lines are used, so the script runs unchanged against an older
+checkout's `src/` for a before/after pair on one machine (where BATCH_ROWS
+counted sentences, the passes and rows per pass show it).
 """
 from __future__ import annotations
 
@@ -60,6 +74,7 @@ from functools import partial
 import numpy as np
 
 from synkd import cli
+from synkd import encoders
 from synkd import tensor as T
 from synkd import train
 from synkd.distill import DistillConfig, TeacherSet
@@ -75,9 +90,14 @@ FIELDS = ("dims", "emb", "hidden", "layers", "batch", "tokens", "objective", "fo
 TEACHER_DIMS, TEACHER_SENTS = (24, 16, 2), 128
 TEACHER_FIELDS = ("teacher", "emb", "hidden", "layers", "sentences", "cold_ms", "warm_ms",
                   "repeats")
-# load lines: the teachers' (embeddings, hidden, layers) per dims
+# load and predict lines: the teachers' (embeddings, hidden, layers) per dims
 LOAD_TEACHER_DIMS = {"tiny": (6, 5, 2), "desk": TEACHER_DIMS, "cli": (300, 300, 2)}
 LOAD_FIELDS = ("load", "dims", "emb", "hidden", "layers", "build_ms", "load_ms", "repeats")
+# predict lines: the sentences predicted and the BATCH_ROWS values swept
+PREDICT_SENTS, BUDGETS = 1000, (1024, 2048, 4096, 8192, 16384)
+PREDICT_FIELDS = ("predict", "dims", "emb", "hidden", "layers", "sentences", "budget",
+                  "passes", "rows_per_pass", "ms_per_sent", "repeats")
+CON_VIEWS = {"tlstm-con": "con_tree", "gcn-con": "con_gcn"}  # views whose nodes are rows
 
 
 def corpus(seed=0):
@@ -167,19 +187,22 @@ def teacher_rows(repeats=5):
     return out
 
 
+def spec(kind, name):
+    """The command that saves a model kind, its size keys, its sizes at dims
+    `name` and its builder."""
+    if kind == "student":
+        return "distill", ("emb_dim", "hidden", "layers"), DIMS[name], StudentModel
+    return ("train-teacher", ("teacher_emb", "teacher_hidden", "teacher_layers"),
+            LOAD_TEACHER_DIMS[name], partial(make_teacher, kind))
+
+
 def load_rows(name, repeats=5):
     """Best-of-`repeats` build and `cli.load_model_dir` ms of each model kind
     at dims `name`, on the corpus of the objective lines."""
     codec = Codec(corpus()[0], "cls")
     out = []
     for kind in (*TEACHER_KINDS, "student"):
-        if kind == "student":
-            command, keys, sizes = "distill", ("emb_dim", "hidden", "layers"), DIMS[name]
-            build = StudentModel
-        else:
-            command, sizes = "train-teacher", LOAD_TEACHER_DIMS[name]
-            keys = ("teacher_emb", "teacher_hidden", "teacher_layers")
-            build = partial(make_teacher, kind)
+        command, keys, sizes, build = spec(kind, name)
         built = loaded = np.inf
         with tempfile.TemporaryDirectory() as run_dir:
             for _ in range(repeats):
@@ -198,6 +221,37 @@ def load_rows(name, repeats=5):
     return out
 
 
+def predict_rows(name, repeats=5):
+    """Per model kind at dims `name` and per BATCH_ROWS value: the passes and
+    mean encoder rows per pass of `train.predict` over the same desk
+    sentences, and its warm ms per sentence, best of `repeats`."""
+    examples = gen_synthetic(PREDICT_SENTS, max_len=MAX_LEN, seed=0, task="cls")
+    codec = Codec(examples, "cls")
+    shipped, out = encoders.BATCH_ROWS, []
+    try:
+        for kind in (*TEACHER_KINDS, "student"):
+            _, _, sizes, build = spec(kind, name)
+            model = build(codec, *sizes, rng=np.random.default_rng(0))
+            data = [codec.encode(ex) for ex in examples]
+            rows = sum(len(getattr(e.main, CON_VIEWS[kind])[1]) if kind in CON_VIEWS
+                       else e.main.n for e in data)
+            for budget in dict.fromkeys((shipped, *BUDGETS)):
+                encoders.BATCH_ROWS = budget
+                passes = len(model.batches(data))
+                train.predict(model, data)
+                best = np.inf
+                for _ in range(repeats):
+                    t0 = time.perf_counter()
+                    train.predict(model, data)
+                    best = min(best, 1e3 * (time.perf_counter() - t0))
+                out.append(dict(zip(PREDICT_FIELDS, (
+                    kind, name, *sizes, len(data), budget, passes, round(rows / passes, 1),
+                    round(best / len(data), 4), repeats))))
+    finally:
+        encoders.BATCH_ROWS = shipped
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--dims", nargs="+", choices=sorted(DIMS), default=["desk", "cli"])
@@ -210,6 +264,9 @@ def main(argv=None):
         print(json.dumps(row), flush=True)
     for name in args.dims:
         for row in load_rows(name, args.repeats):
+            print(json.dumps(row), flush=True)
+    for name in args.dims:
+        for row in predict_rows(name, args.repeats):
             print(json.dumps(row), flush=True)
 
 

@@ -1,6 +1,7 @@
 """Encoder cells, tree/graph encoding, student BiLSTM, heads, scorers."""
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1210,6 +1211,52 @@ def test_batched_reps_and_logits_match_single(task):
         single = np.concatenate([m.logits([e]).data for e in encs])
         np.testing.assert_allclose(m.logits(encs).data, single, rtol=0, atol=1e-12,
                                    err_msg=m.kind)
+
+
+@pytest.mark.parametrize("task", ["cls", "pair", "tag"])
+def test_batches_pack_encoder_rows_in_data_order(task, monkeypatch):
+    data = D.gen_synthetic(40, seed=36, task=task, max_len=12) + corner_examples(task)
+    codec = E.Codec(data, task)
+    encs = [codec.encode(ex) for ex in data]
+    models = [E.make_teacher(kind, codec, emb_dim=6, hidden=5, dtype=F64,
+                             rng=np.random.default_rng(3)) for kind in E.TEACHER_KINDS]
+    models.append(E.StudentModel(codec, emb_dim=6, hidden=5, n_layers=2, dtype=F64,
+                                 rng=np.random.default_rng(4)))
+    views = {"tlstm-con": "con_tree", "gcn-con": "con_gcn"}
+    sets = [encs]
+    if task == "pair":  # a file read for its sentences only may mix in examples of one side
+        sets.append([codec.encode(replace(ex, partner=None)) if i % 3 else enc
+                     for i, (ex, enc) in enumerate(zip(data, encs))])
+    for m in models:
+        # a side's count is the rows its encoder runs: the tokens, or the
+        # nodes of the constituency view whose ids the teacher embeds
+        sides = [s for e in sets[-1] for s in (e.main, e.partner) if s is not None]
+        assert m.rows(sides) == [
+            len(getattr(s, views[m.kind])[1]) if m.kind in views else m.reps([s])[0].shape[0]
+            for s in sides], m.kind
+        one_pass = m.logits(encs).data
+        for examples in sets:
+            rows = [sum(m.rows([s for s in (e.main, e.partner) if s is not None]))
+                    for e in examples]
+            for budget in (7, 40, sum(rows)):
+                monkeypatch.setattr(E, "BATCH_ROWS", budget)
+                chunks = m.batches(examples)
+                where = f"{m.kind} {task} budget {budget}"
+                assert [i for c in chunks for i in c] == list(range(len(examples))), where
+                for c, nxt in zip(chunks, chunks[1:] + [None]):
+                    total = sum(rows[i] for i in c)
+                    assert total <= budget or len(c) == 1, where
+                    # a pass closes only when the next example would overflow it
+                    assert nxt is None or total + rows[nxt[0]] > budget, where
+                if budget == 7:
+                    assert len(chunks) > len(examples) // 2, where
+                if budget == sum(rows):
+                    assert len(chunks) == 1, where
+        # many passes predict what one pass does
+        monkeypatch.setattr(E, "BATCH_ROWS", 7)
+        got = np.concatenate([m.logits([encs[i] for i in c]).data for c in m.batches(encs)])
+        np.testing.assert_allclose(got, one_pass, rtol=0, atol=1e-12, err_msg=m.kind)
+    assert m.batches([]) == []
 
 
 def test_childsum_sibling_permutation_in_batch_is_bitwise():

@@ -124,11 +124,12 @@ def _trained(monkeypatch, module, fn, *args, **kw):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_probe_bitwise_matches_tape_reference(monkeypatch, dtype):
-    # five sentences per `batches` chunk, so the gathers cross chunk borders
-    monkeypatch.setattr(encoders, "BATCH_ROWS", 5)
+    # a few sentences per `batches` pass, so the gathers cross pass borders
+    monkeypatch.setattr(encoders, "BATCH_ROWS", 24)
     codec, encs = small_data(24, seed=9)
     student = small_student(codec, dtype=dtype)
     train, held = encs[:18], encs[18:]
+    assert 1 < len(student.batches(train)) < len(train) // 2
     n_train = {}
     for kind, build, ref in (
             (PROBE_KINDS[0], constituent_instances, oracles.reference_constituent_instances),

@@ -5,7 +5,7 @@ import sys
 import time
 
 import stepbench
-from synkd.encoders import TEACHER_KINDS
+from synkd.encoders import BATCH_ROWS, TEACHER_KINDS
 
 
 def test_stepbench_prints_one_timed_line_per_objective():
@@ -20,14 +20,37 @@ def test_stepbench_prints_one_timed_line_per_objective():
     rows = [json.loads(line) for line in printed]
     loads = [r for r in rows if "load" in r]
     teachers = [r for r in rows if "teacher" in r]
-    rows = [r for r in rows if "teacher" not in r and "load" not in r]
+    predicts = [r for r in rows if "predict" in r]
+    rows = [r for r in rows if not {"teacher", "load", "predict"} & set(r)]
     assert [r["objective"] for r in rows] == ["sem", "output/gcn-dep", "dep/gcn-dep",
                                               "output/gcn-con", "con/gcn-con", "all"]
     # one line per tree-teacher kind after the objectives, each timing its
     # cold and its warm reps over the same sentences, then one load line per
-    # model kind
-    assert printed[len(rows):] == [json.dumps(r) for r in teachers + loads]
+    # model kind, then one predict line per model kind and budget, the
+    # shipped BATCH_ROWS first
+    assert printed[len(rows):] == [json.dumps(r) for r in teachers + loads + predicts]
     assert [r["load"] for r in loads] == [*TEACHER_KINDS, "student"]
+    budgets = list(dict.fromkeys((BATCH_ROWS, *stepbench.BUDGETS)))
+    assert [(r["predict"], r["budget"]) for r in predicts] == [
+        (kind, b) for kind in (*TEACHER_KINDS, "student") for b in budgets]
+    for r in predicts:
+        assert tuple(r) == stepbench.PREDICT_FIELDS
+        assert (r["dims"], r["emb"], r["hidden"], r["layers"]) == ("tiny", 6, 5, 2)
+        assert r["sentences"] == 1000 and r["repeats"] == 2 and r["ms_per_sent"] > 0
+        # no pass holds more rows than the budget, a lone long sentence aside
+        assert 1 <= r["passes"] < 1000 and r["rows_per_pass"] <= r["budget"]
+    for kind in (*TEACHER_KINDS, "student"):
+        mine = [r for r in predicts if r["predict"] == kind]
+        # every budget packs the same rows (rows per pass is rounded to 0.1),
+        # and a larger budget makes no more passes
+        total = [r["passes"] * r["rows_per_pass"] for r in mine]
+        assert max(total) - min(total) <= 0.1 * max(r["passes"] for r in mine), kind
+        by_budget = sorted(mine, key=lambda r: r["budget"])
+        assert all(a["passes"] >= b["passes"] for a, b in zip(by_budget, by_budget[1:])), kind
+    rows_of = {r["predict"]: r["passes"] * r["rows_per_pass"] for r in predicts}
+    # the student and the dep teachers count tokens, the con teachers more
+    assert rows_of["student"] == rows_of["tlstm-dep"] == rows_of["gcn-dep"]
+    assert rows_of["gcn-con"] > rows_of["tlstm-con"] > rows_of["student"]
     for r in loads:
         assert tuple(r) == stepbench.LOAD_FIELDS
         assert (r["dims"], r["emb"], r["hidden"], r["layers"]) == ("tiny", 6, 5, 2)
@@ -47,7 +70,8 @@ def test_stepbench_prints_one_timed_line_per_objective():
     # joint step's forward pass (over a hundred tape ops) is not under 50 us
     assert sum(r[k] for r in rows for k in ("forward_ms", "backward_ms", "adam_ms")) + sum(
         r["cold_ms"] + r["warm_ms"] for r in teachers) + sum(
-        r["build_ms"] + r["load_ms"] for r in loads) < wall_ms
+        r["build_ms"] + r["load_ms"] for r in loads) + sum(
+        r["ms_per_sent"] * r["sentences"] for r in predicts) < wall_ms
     joint = rows[-1]
     assert joint["forward_ms"] > 0.05
     # the masked-word step runs one scan, not the whole stack: the fewest ops

@@ -150,7 +150,7 @@ def test_checkpoint_round_trip(tmp_path):
     for k in state:
         got = back[k]
         want = np.asarray(state[k], dtype=np.float32)
-        assert got.shape == want.shape
+        assert got.shape == want.shape and not got.flags.writeable  # a view of the file
         assert np.array_equal(got, want)  # f32 payload is exact
 
     raw = path.read_bytes()
@@ -333,8 +333,11 @@ def test_train_teacher_beats_majority(tmp_path):
     save_checkpoint(tmp_path / "t.syd1", model.p.state_dict())
     fresh = GcnModel(codec, "dep", emb_dim=16, n_layers=1,
                      rng=np.random.default_rng(99))
-    fresh.p.load_state_dict(load_checkpoint(tmp_path / "t.syd1"))
+    loaded = load_checkpoint(tmp_path / "t.syd1")
+    fresh.p.load_state_dict(loaded)
     assert evaluate(fresh, dev)["accuracy"] == acc
+    # the loaded model owns its arrays: none aliases the checkpoint's bytes
+    assert not any(np.shares_memory(fresh.p[k].data, arr) for k, arr in loaded.items())
 
 
 def test_co_trained_teachers_feed_soft_distillation(tmp_path):
