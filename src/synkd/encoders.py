@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from . import tensor as T
-from .structures import binarize, span_order
+from .structures import BinTree, binarize_batch, span_order, tree_nodes
 from .syntax_data import DataError, Example, LabelVocab, Vocab
 from .tensor import Tensor
 
@@ -744,10 +745,10 @@ class Codec:
                 tags.update(ex.tags)
             else:
                 classes.add(ex.label)
-        # every node label plus the labels binarize gives the tree; sentences
-        # of one shape share their spans, so each distinct tree is read once
-        con_labels = {lab for spans, tree in trees.items()
-                      for lab in [s[2] for s in spans] + list(binarize(tree).spans.values())}
+        # every node label plus the labels binarization gives the trees;
+        # sentences of one shape share their spans, so each distinct tree is read once
+        con_labels = {s[2] for spans in trees for s in spans}
+        con_labels.update(binarize_batch(list(trees.values()))[1] if trees else ())
         self.vocab = Vocab.build(token_lists)
         self.dep_labels = LabelVocab.build(sorted(dep_labels))
         self.con_labels = LabelVocab.build(sorted(con_labels), reserve_null=True)
@@ -806,11 +807,12 @@ class Codec:
 
 class EncodedSide:
     """One sentence of an example: its length and token ids up front, and every
-    parse view built on first read, so each model builds only the views it
-    reads (the student reads none). A view of a missing parse is None; a
-    label outside the codec's vocabulary raises DataError when read. `plans`
-    keeps, per teacher kind, the plan fragment of the view it reads, built by
-    the first batch that holds the sentence."""
+    parse view (see the builders below) built on first read by `side_views`,
+    so each model builds only the views it reads (the student reads none); a
+    lone read is a batch of one. A view of a missing parse is None; a label
+    outside the codec's vocabulary raises DataError when read. `plans` keeps,
+    per teacher kind, the plan fragment of the view it reads, built by the
+    first batch that holds the sentence."""
 
     def __init__(self, codec: Codec, ex: Example):
         self.codec, self.raw = codec, ex
@@ -826,70 +828,91 @@ class EncodedSide:
     def dep_label_ids(self):
         return None if self.raw.dep is None else self.codec.dep_labels.encode(self.raw.dep.labels)
 
-    @cached_property
-    def dep_view(self):
-        """(is_word, ids, edges) of both dependency teachers: every node is a
-        token, read by its token id; edges holds (dependent, head) rows."""
-        if self.raw.dep is None:
-            return None
-        return np.ones(self.n, dtype=bool), self.token_ids, dep_edges(self.raw.dep.heads)
+    dep_view, bintree, con_tree, con_gcn = (
+        cached_property(lambda side, view=view: side_views([side], view)[0])
+        for view in ("dep_view", "bintree", "con_tree", "con_gcn"))
 
-    @cached_property
-    def bintree(self):
-        """The binarized constituency tree with label ids."""
-        if self.raw.con is None:
-            return None
-        bt = binarize(self.raw.con)
-        bt.spans = dict(zip(bt.spans, self.codec.con_labels.encode(bt.spans.values()).tolist()))
-        return bt
 
-    @cached_property
-    def con_tree(self):
-        """(is_word, ids, edges) of the constituency TreeLSTM over the
-        binarized tree's spans in post-order: a leaf's input is its token id,
-        an inner node's its label id; edges holds (child, parent) rows."""
-        if self.raw.con is None:
-            return None
-        bt = self.bintree
-        is_word = np.array([j - i == 1 for i, j in bt.spans])
-        ids = np.array(list(bt.spans.values()), dtype=np.int64)
-        ids[is_word] = self.token_ids  # the leaves, in token order
-        return is_word, ids, bt.edges
+def side_views(sides, name):
+    """Each side's parse view `name` (an EncodedSide view); the sides of one
+    codec that lack it are built together, in one array pass over the batch,
+    and keep it. A view already in a side's __dict__ is read as it is."""
+    new = [s for s in sides if name not in vars(s)]
+    parsed = [s for s in new if (s.raw.dep if name == "dep_view" else s.raw.con) is not None]
+    views = dict(zip(parsed, _VIEWS[name](parsed))) if parsed else {}
+    for s in new:
+        vars(s)[name] = views.get(s)
+    return [vars(s)[name] for s in sides]
 
-    @cached_property
-    def con_gcn(self):
-        """(is_word, ids, edges) of the constituency GCN over the original
-        tree: token nodes 0..n-1 with token ids, then one node per tree node
-        (preterminals included) with label ids; edges holds (a, b) rows."""
-        if self.raw.con is None:
-            return None
-        spans, n = self.raw.con.spans(), self.n
-        m = len(spans)
-        # node n + k is the k-th in pre-order, k being its depth plus the nodes
-        # before the preterminal of its first token i in post-order (a
-        # preterminal follows a node ending where it starts); left[i] holds
-        # n - 1 plus that count. The edge slots start n early, where the root's
-        # parent edge falls, and each node's edges follow one parent edge per
-        # earlier non-root node and one word edge per earlier token.
-        left = [p for p, ((i, _, _), (_, e, _))
-                in enumerate(zip(spans, [(0, 0, 0)] + spans), n - 1) if e == i]
-        labels, edges = [None] * (n + m), [None] * (2 * n + m - 1)
-        starts, ids = [-1], [None]  # first leaf and id of each ancestor of the node visited
-        for q, (i, j, label) in zip(range(n + m - 2, n - 2, -1), reversed(spans)):
-            while starts[-1] >= j:
-                starts.pop()
-                ids.pop()
-            li = left[i]
-            nid = len(ids) + li
-            labels[nid] = label
-            edges[nid + i - 1] = (ids[-1], nid)
-            if q == li:  # a preterminal
-                edges[nid + i] = (nid, i)
-            starts.append(i)
-            ids.append(nid)
-        return (np.arange(n + m) < n,
-                np.concatenate([self.token_ids, self.codec.con_labels.encode(labels[n:])]),
-                np.array(edges[n:], dtype=np.int64).reshape(-1, 2))
+
+def _dep_views(sides):
+    """(is_word, ids, edges) of both dependency teachers: every node is a
+    token, read by its token id; edges holds (dependent, head) rows."""
+    n = [s.n for s in sides]
+    off, shift = offsets(n), np.repeat(offsets(n)[:-1], n)
+    heads = np.fromiter(chain.from_iterable(s.raw.dep.heads for s in sides), np.int64, off[-1])
+    edges = dep_edges(np.where(heads > 0, heads + shift, 0))  # stacked token ids
+    cut, words = np.searchsorted(edges[:, 0], off).tolist(), np.ones(off[-1], dtype=bool)
+    edges -= shift[edges[:, 0], None]
+    return [(words[a:z], s.token_ids, edges[c:d])
+            for s, a, z, c, d in zip(sides, off.tolist(), off[1:].tolist(), cut, cut[1:])]
+
+
+def _bintrees(sides):
+    """The binarized constituency tree with label ids."""
+    spans, labels, edges = binarize_batch([s.raw.con for s in sides])
+    ids = sides[0].codec.con_labels.encode(labels)
+    rows = np.concatenate([spans, ids[:, None]], axis=1)
+    keys, ids = list(zip(*spans.T.tolist())), ids.tolist()
+    cut = offsets([2 * s.n - 1 for s in sides]).tolist()
+    # tree b's 2n - 2 edge rows end b + 1 rows before its spans do
+    return [BinTree._built(s.n, dict(zip(keys[a:z], ids[a:z])), edges[a - b:z - b - 1], rows[a:z])
+            for b, (s, a, z) in enumerate(zip(sides, cut, cut[1:]))]
+
+
+def _con_trees(sides):
+    """(is_word, ids, edges) of the constituency TreeLSTM over the binarized
+    tree's spans in post-order: a leaf's input is its token id, an inner
+    node's its label id; edges holds (child, parent) rows."""
+    trees = side_views(sides, "bintree")
+    rows = np.concatenate([bt.rows for bt in trees])
+    is_word = rows[:, 1] - rows[:, 0] == 1
+    ids = rows[:, 2].copy()
+    ids[is_word] = np.concatenate([s.token_ids for s in sides])  # the leaves, in token order
+    cut = offsets([len(bt.spans) for bt in trees]).tolist()
+    return [(is_word[a:z], ids[a:z], bt.edges) for bt, a, z in zip(trees, cut, cut[1:])]
+
+
+def _con_gcns(sides):
+    """(is_word, ids, edges) of the constituency GCN over the original tree:
+    token nodes 0..n-1 with token ids, then one node per tree node
+    (preterminals included) in pre-order with label ids; edges holds (a, b)
+    rows, per node its parent's row, then a preterminal's to its token."""
+    trees = [s.raw.con for s in sides]
+    i, _, labels, parent, depth, first, _ = tree_nodes(trees)
+    n, m = np.array([s.n for s in sides]), np.array([len(t._spans) for t in trees])
+    pre = first + depth
+    node = pre + np.repeat(n - offsets(m)[:-1], m)  # each tree node's id in its view
+    # in pre-order, each node's edge to its parent (not at a root), then a
+    # preterminal's to its token
+    rows, keep = np.empty((2 * pre.size, 2), dtype=np.int64), np.zeros(2 * pre.size, dtype=bool)
+    rows[2 * pre, 0], rows[2 * pre, 1], keep[2 * pre] = node[parent], node, parent >= 0
+    rows[2 * pre + 1, 0], rows[2 * pre + 1, 1] = node, i
+    keep[2 * pre + 1] = first == np.arange(pre.size)
+    in_pre = np.empty(pre.size, dtype=object)
+    in_pre[pre] = labels
+    is_word = np.repeat(np.arange(2 * len(sides)) % 2 == 0, np.stack([n, m], axis=1).ravel())
+    ids = np.empty(is_word.size, dtype=np.int64)
+    ids[is_word] = np.concatenate([s.token_ids for s in sides])
+    ids[~is_word] = sides[0].codec.con_labels.encode(in_pre)
+    cut, edges = offsets(n + m).tolist(), rows[keep]
+    # view b's n + m - 1 edge rows end b + 1 rows before its nodes do
+    return [(is_word[a:z], ids[a:z], edges[a - b:z - b - 1])
+            for b, (a, z) in enumerate(zip(cut, cut[1:]))]
+
+
+_VIEWS = {"dep_view": _dep_views, "bintree": _bintrees, "con_tree": _con_trees,
+          "con_gcn": _con_gcns}
 
 
 class EncodedExample:
@@ -1020,7 +1043,7 @@ class TeacherModel(BaseModel):
         lack are built together and kept in their `plans`."""
         new = [s for s in sides if self.kind not in s.plans]
         if new:
-            views = [getattr(s, self.view) for s in new]
+            views = side_views(new, self.view)
             build = message_fragments if self.cell is None else level_fragments
             for s, frag in zip(new, build([v[1].size for v in views], [v[2] for v in views])):
                 s.plans[self.kind] = frag
@@ -1031,7 +1054,7 @@ class TeacherModel(BaseModel):
         tree's 2n - 1 nodes (con TreeLSTM), or its tokens plus tree nodes (con GCN)."""
         if self.structure == "dep":
             return super().rows(sides)
-        return [2 * s.n - 1 if self.cell else s.n + len(s.raw.con.spans()) for s in sides]
+        return [2 * s.n - 1 if self.cell else s.n + len(s.raw.con._spans) for s in sides]
 
     def _encode(self, sides, train, rng):
         """Stacked token rows of a batch of sides plus their row offsets: node
@@ -1043,7 +1066,7 @@ class TeacherModel(BaseModel):
             x = _dropout(T.embedding(self.emb, np.concatenate([s.token_ids for s in sides])),
                          train, rng)
         else:
-            views = [getattr(s, self.view) for s in sides]
+            views = side_views(sides, self.view)
             is_word = np.concatenate([v[0] for v in views])
             ids = np.concatenate([v[1] for v in views])
             x = _dropout(T.concat([T.embedding(self.emb, ids[is_word]),

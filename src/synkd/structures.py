@@ -1,16 +1,17 @@
 """Learning-free chart algorithms over labeled spans.
 
 Binarization (right-branching, null-labeled intermediates, unary chains
-collapsed into composite labels) and CYK maximum search: one chart per batch
-of sentences of any lengths, optionally with the Hamming cost to reference
-trees folded in. All functions are pure. A BinTree owns the binarized
-layout: its spans in post-order and their (child, parent) edges, which one
-walk over the spans checks and records.
+collapsed into composite labels) of a batch of trees in one array pass, and
+CYK maximum search: one chart per batch of sentences of any lengths,
+optionally with the Hamming cost to reference trees folded in. All functions
+are pure. A BinTree owns the binarized layout: its spans in post-order and
+their (child, parent) edges, which one walk over the spans checks and records.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -43,6 +44,14 @@ class BinTree:
                 f"got {len(self.spans)}")
         self.edges = self._walk()
         self._rows = None  # (spans, their labels, rows) at the last read of rows
+
+    @classmethod
+    def _built(cls, n, spans, edges, rows):
+        """The tree of the spans (label ids), edges and rows a batch
+        binarization built, not walked again."""
+        bt = cls.__new__(cls)
+        bt.n, bt.spans, bt.edges, bt._rows = n, spans, edges, (spans, tuple(spans.values()), rows)
+        return bt
 
     def _walk(self):
         # in post-order an inner span's children are the last two spans still
@@ -79,30 +88,78 @@ class BinTree:
 # ---------------------------------------------------------------------------
 # binarization
 
-def binarize(tree: ConstTree) -> BinTree:
-    """Right-branching binarization.
+def tree_nodes(trees):
+    """Every node of a batch of ConstTrees, stacked tree after tree in
+    post-order, read from their spans in one pass: each node's (i, j) span and
+    label, the stacked index of its parent (-1 at a root), its depth, the
+    stacked index of the first node of its subtree (its pre-order index is
+    that plus its depth) and its rank among its siblings, left first."""
+    spans = [s for t in trees for s in t._spans]
+    m = len(spans)
+    i, j = (np.fromiter(map(itemgetter(k), spans), np.int64, m) for k in (0, 1))
+    shift = np.repeat(np.cumsum([0] + [t.n for t in trees[:-1]]), [len(t._spans) for t in trees])
+    post, end = np.arange(m), j + shift
+    # the first node to end at a token's end is its leaf, a subtree runs from
+    # the leaf at its start up to its root, and a node lies in the runs of
+    # itself and of each of its ancestors
+    first = np.flatnonzero(np.concatenate(([True], end[1:] != end[:-1])))[i + shift]
+    depth = np.cumsum(np.bincount(first, minlength=m)) - post - 1
+    # by depth, then post-order (one radix sort), siblings are adjacent and a
+    # node's parent is the first node one level up after it
+    order = np.argsort(depth.astype(np.min_scalar_type(m)), kind="stable")
+    key = depth[order] * m + order
+    up = np.where(key >= m, np.searchsorted(key, key - m, side="right"), -1)
+    parent, rank = np.full(m, -1), np.empty_like(post)
+    parent[order] = np.where(up >= 0, order[up], -1)
+    rank[order] = post - np.searchsorted(up, up)
+    return i, j, np.fromiter(map(itemgetter(2), spans), object, m), parent, depth, first, rank
+
+
+def binarize_batch(trees):
+    """Right-branching binarization of a batch of ConstTrees in one pass.
 
     Intermediate nodes introduced to split >2-child nodes carry NULL_LABEL;
     unary chains collapse into composite labels joined by '|', making
-    unbinarize an exact inverse.
+    unbinarize an exact inverse. Returns, tree after tree, the spans and edges
+    a BinTree holds: each tree's 2n - 1 (i, j) rows, their labels (an object
+    array) and its 2n - 2 (child, parent) rows.
     """
-    spans, last = {}, None
-    starts = []  # first leaf of each subtree whose parent is not reached yet
-    for i, j, label in tree.spans():
-        if (i, j) == last:  # the parent of a one-child node: a unary chain
-            spans[last] = label + UNARY_SEP + spans[last]
-            continue
-        last = (i, j)
-        k = len(starts)  # starts[k:] are the node's children
-        while k and starts[k - 1] >= i:
-            k -= 1
-        # children 2 .. m-1 of m start the glue spans, inserted innermost first
-        for s in reversed(starts[k + 1:-1]):
-            spans[(s, j)] = NULL_LABEL
-        spans[last] = label
-        del starts[k:]
-        starts.append(i)
-    return BinTree(tree.n, spans)
+    i, j, label, parent, _, _, rank = tree_nodes(trees)
+    post = np.arange(i.size)
+    # a node whose parent follows it with its span is a unary chain link: the
+    # chain's top stands for the collapsed node, its bottom holds the children
+    link = (parent[:-1] == post[1:]) & (i[:-1] == i[1:])
+    top, low = np.flatnonzero(np.concatenate((~link, [True]))), np.concatenate(([True], ~link))
+    run = np.cumsum(low) - 1  # each node's collapsed node
+    above = post - np.flatnonzero(low)[run]
+    for h in range(1, int(above.max()) + 1):  # one level of every chain at a time
+        v = np.flatnonzero(above == h)
+        label[v] = label[v] + UNARY_SEP + label[v - 1]
+    # a collapsed node u of m children sits at at[u] after its m - 2 glue
+    # spans; child k <= m - 2 is the left child of the span k before u (u
+    # itself, or glue (start of child k, end of u), labeled null unless it is
+    # u), and every inner span's right child is the span just before it
+    kid = top[parent[top] >= 0]
+    up, k = run[parent[kid]], rank[kid]
+    m = np.bincount(up, minlength=run[-1] + 1)
+    at = np.cumsum(np.maximum(m - 2, 0) + 1) - 1  # each collapsed node's binarized index
+    kid, p = kid[k <= m[up] - 2], (at[up] - k)[k <= m[up] - 2]  # left children, their parents
+    spans, blabel = np.empty((at[-1] + 1, 2), dtype=np.int64), np.empty(at[-1] + 1, dtype=object)
+    spans[at, 0], spans[at, 1], blabel[p] = i[top], j[top], NULL_LABEL
+    spans[p, 0], spans[p, 1], blabel[at] = i[kid], j[parent[kid]], label[top]
+    left = np.empty(len(spans), dtype=np.int64)
+    left[p] = at[run[kid]]
+    inner = np.flatnonzero(spans[:, 1] - spans[:, 0] > 1)
+    edges = np.stack([left[inner], inner, inner - 1, inner], axis=1).reshape(-1, 2)
+    size = 2 * np.array([t.n for t in trees]) - 1
+    edges -= np.repeat(np.cumsum(size) - size, size - 1)[:, None]
+    return spans, blabel, edges
+
+
+def binarize(tree: ConstTree) -> BinTree:
+    """The BinTree of one tree's `binarize_batch`."""
+    spans, labels, _ = binarize_batch([tree])
+    return BinTree(tree.n, dict(zip(map(tuple, spans.tolist()), labels)))
 
 
 def unbinarize(bt: BinTree, tokens) -> ConstTree:

@@ -84,7 +84,7 @@ class LabelVocab:
 
     def encode(self, labels) -> np.ndarray:
         try:
-            return np.array([self.stoi[l] for l in labels], dtype=np.int64)
+            return np.fromiter(map(self.stoi.__getitem__, labels), np.int64)
         except KeyError as e:
             raise DataError(f"unknown label {e.args[0]!r}") from None
 

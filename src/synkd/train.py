@@ -40,7 +40,7 @@ from .distill import (
     soft_con_targets,
     total_loss,
 )
-from .encoders import offsets
+from .encoders import offsets, side_views
 from .syntax_data import MASK, DataError, fresh
 from .tensor import Adam, Tensor
 
@@ -234,7 +234,7 @@ def hard_targets(structure, encs, n_dep_labels):
     if structure == "dep":
         return [hard_arc_targets(enc.main.heads, enc.main.dep_label_ids, n_dep_labels)
                 for enc in encs]
-    return [enc.main.bintree for enc in encs]
+    return side_views([enc.main for enc in encs], "bintree")
 
 
 def _blocks(arr, off):

@@ -28,6 +28,15 @@ fragments) and warm (a second call on the same sides):
     {"teacher": "tlstm-dep", "emb": 24, "hidden": 16, "layers": 2,
      "sentences": 128, "cold_ms": ..., "warm_ms": ..., "repeats": 5}
 
+Then one line per parse view a tree teacher reads (`dep_view`, `con_tree`,
+`con_gcn`) and corpus: the ms to build that view of every side of a batch of
+freshly encoded sides, and nothing else, best of N, over the first 1, 32 and
+128 desk sentences and over 40 long sentences of `perfbench/longgen.py`
+(3-5 clauses, the long-analysis workload's):
+
+    {"view": "con_gcn", "corpus": "long", "sentences": 40, "build_ms": ...,
+     "repeats": 5}
+
 Then, per dims, one line per model kind (the four teachers, then the
 student): the ms to build the model, drawing its parameters, and the ms of
 `cli.load_model_dir` on its saved run directory, best of N. The student takes
@@ -56,7 +65,8 @@ Usage:
 Only `distill_student` and the private `train._optimize` it calls per
 objective, `make_teacher` and `reps` for the teacher lines,
 `cli.save_model_dir`, `cli.write_resolved` and `cli.load_model_dir` for the
-load lines, and `train.predict`, `batches` and `encoders.BATCH_ROWS` for the
+load lines, `encoders.side_views` for the view lines (a tree without it
+reads the view side by side), and `train.predict`, `batches` and `encoders.BATCH_ROWS` for the
 predict lines are used, so the script runs unchanged against an older
 checkout's `src/` for a before/after pair on one machine (where BATCH_ROWS
 counted sentences, the passes and rows per pass show it).
@@ -81,6 +91,9 @@ from synkd.distill import DistillConfig, TeacherSet
 from synkd.encoders import TEACHER_KINDS, Codec, StudentModel, make_teacher
 from synkd.syntax_data import gen_synthetic
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+from longgen import long_corpus  # noqa: E402
+
 # name -> (student embedding width, hidden width, BiLSTM layers)
 DIMS = {"tiny": (6, 5, 2), "desk": (24, 16, 2), "cli": (300, 350, 3)}
 BATCH, N_TRAIN, MAX_LEN, TEACHER_EMB = 32, 200, 12, 24
@@ -98,6 +111,9 @@ PREDICT_SENTS, BUDGETS = 1000, (1024, 2048, 4096, 8192, 16384)
 PREDICT_FIELDS = ("predict", "dims", "emb", "hidden", "layers", "sentences", "budget",
                   "passes", "rows_per_pass", "ms_per_sent", "repeats")
 CON_VIEWS = {"tlstm-con": "con_tree", "gcn-con": "con_gcn"}  # views whose nodes are rows
+# view lines: the views, the desk batch sizes and the long sentences
+VIEWS, VIEW_SENTS, LONG_SENTS = ("dep_view", "con_tree", "con_gcn"), (1, 32, 128), 40
+VIEW_FIELDS = ("view", "corpus", "sentences", "build_ms", "repeats")
 
 
 def corpus(seed=0):
@@ -187,6 +203,34 @@ def teacher_rows(repeats=5):
     return out
 
 
+def build_views(sides, view):
+    """Every side's `view`: in one call where `encoders.side_views` exists,
+    else read side by side."""
+    if hasattr(encoders, "side_views"):
+        return encoders.side_views(sides, view)
+    return [getattr(s, view) for s in sides]
+
+
+def view_rows(repeats=5):
+    """Best-of-`repeats` ms to build each parse view of fresh sides, over the
+    first 1, 32 and 128 desk sentences and over 40 long sentences."""
+    desk = gen_synthetic(max(VIEW_SENTS), max_len=MAX_LEN, seed=0, task="cls")
+    corpora = [("desk", desk[:k]) for k in VIEW_SENTS] + [("long", long_corpus(LONG_SENTS, 1))]
+    codec = Codec(desk + corpora[-1][1], "cls")
+    out = []
+    for name, examples in corpora:
+        for view in VIEWS:
+            best = np.inf
+            for _ in range(repeats):
+                sides = [codec.encode(ex).main for ex in examples]
+                t0 = time.perf_counter()
+                build_views(sides, view)
+                best = min(best, 1e3 * (time.perf_counter() - t0))
+            out.append(dict(zip(VIEW_FIELDS, (view, name, len(examples), round(best, 4),
+                                              repeats))))
+    return out
+
+
 def spec(kind, name):
     """The command that saves a model kind, its size keys, its sizes at dims
     `name` and its builder."""
@@ -260,7 +304,7 @@ def main(argv=None):
     for name in args.dims:
         for row in rows(name, args.repeats):
             print(json.dumps(row), flush=True)
-    for row in teacher_rows(args.repeats):
+    for row in teacher_rows(args.repeats) + view_rows(args.repeats):
         print(json.dumps(row), flush=True)
     for name in args.dims:
         for row in load_rows(name, args.repeats):

@@ -10,7 +10,8 @@ from checkcases import dep_tree, plans_of, random_bintree, random_heads, star_gr
 from gradcheck import check_case
 from oracles import (con_enc_graph, dep_enc_graph, edge_enc_graph, one_parent,
                      random_bracketed, reference_binarize, reference_binarized_spans,
-                     reference_con_gcn, reference_con_tree, reference_induced_trees,
+                     reference_con_edges, reference_con_gcn, reference_con_tree,
+                     reference_induced_trees,
                      reference_batch_level_plans, reference_gcn_edges, reference_gcn_layer,
                      reference_level_plans, reference_message_tables,
                      reference_percolate_deps,
@@ -21,8 +22,8 @@ from synkd import cli
 from synkd import encoders as E
 from synkd import syntax_data as D
 from synkd import tensor as T
-from synkd.structures import (UNARY_SEP, BinTree, binarize, chart_max, chart_trees, span_ids,
-                              tree_spans, unbinarize)
+from synkd.structures import (UNARY_SEP, BinTree, binarize, binarize_batch, chart_max,
+                              chart_trees, span_ids, tree_spans, unbinarize)
 from synkd.tensor import Tensor
 from synkd.train import evaluate, hard_targets
 
@@ -1399,6 +1400,193 @@ def test_con_tree_hard_targets_and_induce_match_the_sorting_builders(tmp_path):
                          str(tmp_path / f"{name}.jsonl"), "--out", str(tmp_path / name)]) == 0
         lines = (tmp_path / name / "induced_trees.txt").read_text(encoding="utf-8").splitlines()
         assert lines == reference_induced_trees(student, [student.codec.encode(ex) for ex in data]), name
+
+
+VIEWS = ("dep_view", "bintree", "con_tree", "con_gcn")
+
+
+def _assert_same_array(got, want, what):
+    assert isinstance(got, np.ndarray) and got.dtype == want.dtype, what
+    assert got.shape == want.shape and np.array_equal(got, want), what
+
+
+def _assert_views_match_oracles(side):
+    """Every parse view of a side against the per-sentence oracles, values and
+    dtypes: the dependency view against its head list, the binarized tree
+    against the node-walking binarization and the sorting edge walk, and the
+    constituency views against `reference_con_tree` and `reference_con_gcn`."""
+    what = D.render_bracketed(side.raw.con)
+    is_word, ids, edges = side.dep_view
+    want = [(d, h - 1) for d, h in enumerate(side.raw.dep.heads) if h]
+    _assert_same_array(is_word, np.ones(side.n, dtype=bool), what)
+    assert ids is side.token_ids, what
+    _assert_same_array(edges, np.array(want, dtype=np.int64).reshape(-1, 2), what)
+    labels = reference_binarized_spans(side.raw.con)
+    spans, want_edges = reference_con_edges(labels)
+    ids = side.codec.con_labels.encode([labels[s] for s in spans])
+    bt = side.bintree
+    assert bt.n == side.n and list(bt.spans.items()) == list(zip(spans, ids.tolist())), what
+    _assert_same_array(bt.edges, want_edges, what)
+    _assert_same_array(bt.rows, np.array([(i, j, l) for (i, j), l in zip(spans, ids)],
+                                         dtype=np.int64).reshape(-1, 3), what)
+    for got, want in zip(side.con_tree, reference_con_tree(side)):
+        _assert_same_array(got, want, what)
+    assert side.con_tree[2] is bt.edges, what
+    is_word, ids, edges = side.con_gcn
+    want_inputs, want_edges = reference_con_gcn(side)
+    _assert_same_array(is_word, np.array([k == "word" for k, _ in want_inputs]), what)
+    _assert_same_array(ids, np.array([i for _, i in want_inputs], dtype=np.int64), what)
+    _assert_same_array(edges, np.array(want_edges, dtype=np.int64).reshape(-1, 2), what)
+
+
+def _sides(codec, data):
+    encs = [codec.encode(ex) for ex in data]
+    return [s for enc in encs for s in (enc.main, enc.partner) if s is not None]
+
+
+def _view_corpus(name):
+    if name == "desk":
+        return D.gen_synthetic(60, seed=48), "cls"
+    if name == "long":
+        return long_corpus(12, seed=49), "cls"
+    if name == "pair":
+        return D.gen_synthetic(30, seed=50, task="pair"), "pair"
+    rng = np.random.default_rng(47)
+    trees = [D.parse_bracketed(random_bracketed(rng))[0] for _ in range(300)]
+    # the hand trees open with one-token trees, so a one-node root is
+    # followed by the next tree's first leaf, over the same span
+    trees += [D.parse_bracketed(text)[0] for text in HAND_TREES * 2]
+    return [_chain_example(t) for t in trees], "cls"
+
+
+@pytest.mark.parametrize("corpus", ["desk", "long", "random", "pair"])
+def test_batched_views_match_the_oracles(corpus):
+    # a third of the sides build their views in an earlier batch and a few
+    # more by a lone read (a batch of one); one side_views call per view then
+    # builds the rest of the batch (both sides of pairs), keeps the warm
+    # views as they were, and every view equals the oracles'
+    data, task = _view_corpus(corpus)
+    codec = E.Codec(data, task)
+    sides = _sides(codec, data)
+    warm = {name: E.side_views(sides[::3], name) for name in VIEWS}
+    for s in sides[1::7]:
+        assert s.con_gcn is not None and s.con_tree is not None and s.dep_view is not None
+    for name in VIEWS:
+        got = E.side_views(sides, name)
+        assert [v is vars(s)[name] for s, v in zip(sides, got)] == [True] * len(sides)
+        assert all(v is w for v, w in zip(got[::3], warm[name]))
+    for side in sides:
+        _assert_views_match_oracles(side)
+    labels = [codec.con_labels.itos[l] for s in sides for l in s.bintree.spans.values()]
+    assert D.NULL_LABEL in labels
+    assert corpus != "random" or sum(UNARY_SEP in l for l in labels) > 100
+
+
+def test_binarize_batch_matches_the_node_walk_tree_by_tree():
+    # one batch of trees of every shape, in two orders: each tree's spans,
+    # labels and edge rows are the node-walking binarization's and the
+    # sorting walk's, cut at 2n - 1 spans and 2n - 2 rows per tree, and the
+    # batch-of-one binarize gives the same tree
+    rng = np.random.default_rng(51)
+    trees = [D.parse_bracketed(random_bracketed(rng))[0] for _ in range(200)]
+    trees += [ex.con for ex in D.gen_synthetic(40, seed=52) + long_corpus(5, seed=53)]
+    trees += [D.parse_bracketed(text)[0] for text in HAND_TREES]
+    for batch in (trees, trees[::-1]):
+        spans, labels, edges = binarize_batch(batch)
+        assert spans.dtype == edges.dtype == np.int64 and labels.dtype == object
+        assert len(spans) == len(labels) == sum(2 * t.n - 1 for t in batch)
+        assert len(edges) == sum(2 * t.n - 2 for t in batch)
+        a = e = 0
+        for tree in batch:
+            want = reference_binarized_spans(tree)
+            want_spans, want_edges = reference_con_edges(want)
+            z = a + 2 * tree.n - 1
+            assert [tuple(s) for s in spans[a:z].tolist()] == want_spans == list(want)
+            assert labels[a:z].tolist() == [want[s] for s in want_spans]
+            assert edges[e:e + z - a - 1].tolist() == want_edges.tolist()
+            a, e = z, e + z - a - 1
+    for tree in trees:
+        got, want = binarize(tree), reference_binarize(tree)
+        assert list(got.spans.items()) == list(want.spans.items())
+        assert got.edges.tolist() == want.edges.tolist()
+
+
+def test_side_views_keep_injected_views_and_missing_parses():
+    data = D.gen_synthetic(12, seed=54)
+    codec = E.Codec(data, "cls")
+    sides = _sides(codec, data)
+    # an injected view is returned as it is, and the others are built
+    sentinel = (np.zeros(1, dtype=bool), np.zeros(1, dtype=np.int64), np.zeros((0, 2), np.int64))
+    vars(sides[2])["con_gcn"] = sentinel
+    assert E.side_views(sides, "con_gcn")[2] is sentinel and sides[2].con_gcn is sentinel
+    # an injected binarized tree is the one con_tree reads: here, its labels
+    # all shifted by one
+    bt = binarize(sides[3].raw.con)
+    ids = [codec.con_labels.stoi[l] for l in bt.spans.values()]
+    vars(sides[3])["bintree"] = BinTree(bt.n, dict(zip(bt.spans, [(i + 1) % 5 for i in ids])))
+    E.side_views(sides, "con_tree")
+    is_word, got, _ = sides[3].con_tree
+    assert got[~is_word].tolist() == [(i + 1) % 5 for i, w in zip(ids, is_word) if not w]
+    for s in sides[4:]:
+        _assert_views_match_oracles(s)
+    # a side without parses gets None for every view, and its batch mates
+    # their views
+    bare = codec.encode(D.Example(D.Sentence(["a", "b"]), None, None, label=0)).main
+    fresh = _sides(codec, data[:3])
+    for name in VIEWS:
+        assert E.side_views([fresh[0], bare, fresh[1]], name)[1] is None
+        assert getattr(bare, name) is None
+    for s in fresh[:2]:
+        _assert_views_match_oracles(s)
+
+
+@pytest.mark.parametrize("view,label", [("con_gcn", "ZZ"), ("bintree", "ZZ"),
+                                        ("con_tree", "ZZ"), ("bintree", "A|B"),
+                                        ("con_tree", "A|B")])
+def test_unknown_con_label_fails_the_batch_naming_it(view, label):
+    # the codec knows A and B but neither ZZ nor the composite A|B that a
+    # unary A over B binarizes to; the batch that holds such a side raises,
+    # and none of its sides keeps a view
+    known = [_chain_example(D.parse_bracketed(t)[0]) for t in ["(S (A a) (B b))", "(S (B (A a)))"]]
+    codec = E.Codec(known, "cls")
+    assert label not in codec.con_labels.stoi
+    odd = "(S (A a) (ZZ b))" if label == "ZZ" else "(S (A (B a)) (B b))"
+    sides = _sides(codec, known + [_chain_example(D.parse_bracketed(odd)[0])] + known)
+    with pytest.raises(D.DataError, match=re.escape(f"unknown label {label!r}")):
+        E.side_views(sides, view)
+    assert not any(set(VIEWS) & set(vars(s)) for s in sides)
+    with pytest.raises(D.DataError, match=re.escape(f"unknown label {label!r}")):
+        getattr(sides[2], view)
+    assert E.side_views(sides[:2] + sides[3:], view)[0] is not None
+
+
+def test_many_side_readers_build_their_views_in_one_pass(monkeypatch):
+    # the codec, the mode-B hard targets and a teacher's reps each build what
+    # a batch lacks in one batched pass, and a warm batch builds nothing
+    calls = []
+    for name in ("binarize_batch", "tree_nodes", "dep_edges"):
+        def counted(*args, _f=getattr(E, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(E, name, counted)
+    data = D.gen_synthetic(40, seed=55, task="pair")
+    codec = E.Codec(data, "pair")
+    assert calls == ["binarize_batch"]
+    encs = [codec.encode(ex) for ex in data]
+    calls.clear()
+    hard_targets("con", encs, len(codec.dep_labels))
+    assert calls == ["binarize_batch"]
+    views = {"tlstm-dep": "dep_edges", "gcn-dep": "dep_edges", "tlstm-con": "binarize_batch",
+             "gcn-con": "tree_nodes"}
+    for kind, builder in views.items():
+        model = E.make_teacher(kind, codec, emb_dim=6, hidden=5, n_layers=1,
+                               rng=np.random.default_rng(0))
+        encs = [codec.encode(ex) for ex in data]
+        for cold in (True, False):
+            calls.clear()
+            model.logits(encs)
+            # a pair batch reads its main sides, then its partners
+            assert calls == ([builder] * 2 if cold else []), kind
 
 
 def _heads_or_message(percolate, tree):

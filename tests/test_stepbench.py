@@ -21,14 +21,21 @@ def test_stepbench_prints_one_timed_line_per_objective():
     loads = [r for r in rows if "load" in r]
     teachers = [r for r in rows if "teacher" in r]
     predicts = [r for r in rows if "predict" in r]
-    rows = [r for r in rows if not {"teacher", "load", "predict"} & set(r)]
+    views = [r for r in rows if "view" in r]
+    rows = [r for r in rows if not {"teacher", "view", "load", "predict"} & set(r)]
     assert [r["objective"] for r in rows] == ["sem", "output/gcn-dep", "dep/gcn-dep",
                                               "output/gcn-con", "con/gcn-con", "all"]
     # one line per tree-teacher kind after the objectives, each timing its
-    # cold and its warm reps over the same sentences, then one load line per
-    # model kind, then one predict line per model kind and budget, the
-    # shipped BATCH_ROWS first
-    assert printed[len(rows):] == [json.dumps(r) for r in teachers + loads + predicts]
+    # cold and its warm reps over the same sentences, then one view line per
+    # corpus and view, then one load line per model kind, then one predict
+    # line per model kind and budget, the shipped BATCH_ROWS first
+    assert printed[len(rows):] == [json.dumps(r) for r in teachers + views + loads + predicts]
+    assert [(r["corpus"], r["sentences"], r["view"]) for r in views] == [
+        (corpus, k, view) for corpus, k in (("desk", 1), ("desk", 32), ("desk", 128), ("long", 40))
+        for view in ("dep_view", "con_tree", "con_gcn")]
+    for r in views:
+        assert tuple(r) == stepbench.VIEW_FIELDS
+        assert r["repeats"] == 2 and r["build_ms"] > 0
     assert [r["load"] for r in loads] == [*TEACHER_KINDS, "student"]
     budgets = list(dict.fromkeys((BATCH_ROWS, *stepbench.BUDGETS)))
     assert [(r["predict"], r["budget"]) for r in predicts] == [
@@ -69,7 +76,7 @@ def test_stepbench_prints_one_timed_line_per_objective():
     # milliseconds: every timed phase fits in the run's wall time, and the
     # joint step's forward pass (over a hundred tape ops) is not under 50 us
     assert sum(r[k] for r in rows for k in ("forward_ms", "backward_ms", "adam_ms")) + sum(
-        r["cold_ms"] + r["warm_ms"] for r in teachers) + sum(
+        r["cold_ms"] + r["warm_ms"] for r in teachers) + sum(r["build_ms"] for r in views) + sum(
         r["build_ms"] + r["load_ms"] for r in loads) + sum(
         r["ms_per_sent"] * r["sentences"] for r in predicts) < wall_ms
     joint = rows[-1]
